@@ -9,7 +9,8 @@ Three escalating demonstrations on one deployment:
 2. the economic model keeps a stream of transfers flowing through the
    churn (compare with blind round-robin's abort count);
 3. the broker itself dies — the client's failover loop rehomes it to a
-   federated backup governor and work continues.
+   backup governor that holds a replica of the registry, and work
+   continues.
 
 Run:  python examples/churn_and_failover.py
 """
@@ -100,12 +101,12 @@ def main() -> None:
             s.network, "planetlab2.upc.es", s.ids, name="backup-broker"
         )
         client = s.client("SC2")
-        broker.peer_with(backup.advertisement())
-        backup.peer_with(broker.advertisement())
+        broker.replicate_to(backup.advertisement())
+        backup.replicate_to(broker.advertisement())
         client.enable_failover(
             [backup.advertisement()], check_interval_s=30.0, ping_timeout_s=10.0
         )
-        print("\nbackup governor federated; SC2 watching its broker...")
+        print("\nbackup governor replicating; SC2 watching its broker...")
         broker.host.crash()
         print("primary broker crashed.")
         yield 120.0

@@ -1,6 +1,6 @@
 """Time-series aggregation over trace events.
 
-The tracer (:mod:`repro.simnet.trace`) records raw events; this module
+The tracer (:mod:`repro.obs.trace`) records raw events; this module
 buckets them into fixed windows for trend analysis — messages per
 minute, goodput over time, retry bursts — and renders compact ASCII
 sparklines.  Used by examples and diagnostics rather than the paper's
@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.simnet.trace import TraceEvent, Tracer
+from repro.obs.trace import EventTrace
+from repro.simnet.trace import TraceEvent
 
 __all__ = ["BucketSeries", "bucket_counts", "bucket_sums", "goodput_series"]
 
@@ -80,7 +81,7 @@ def _bucketize(
 
 
 def bucket_counts(
-    tracer: Tracer,
+    tracer: EventTrace,
     kind: str,
     bucket_s: float,
     start: Optional[float] = None,
@@ -93,7 +94,7 @@ def bucket_counts(
 
 
 def bucket_sums(
-    tracer: Tracer,
+    tracer: EventTrace,
     kind: str,
     attr: str,
     bucket_s: float,
@@ -111,7 +112,7 @@ def bucket_sums(
 
 
 def goodput_series(
-    tracer: Tracer,
+    tracer: EventTrace,
     bucket_s: float = 60.0,
     start: Optional[float] = None,
     end: Optional[float] = None,

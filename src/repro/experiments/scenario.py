@@ -29,7 +29,6 @@ from repro.swarm.config import SwarmConfig
 from repro.simnet.kernel import Simulator
 from repro.simnet.planetlab import PlanetLabTestbed, build_testbed
 from repro.simnet.rng import RandomStreams
-from repro.simnet.trace import Tracer
 from repro.simnet.transport import Network
 
 __all__ = ["ExperimentConfig", "Session"]
@@ -194,14 +193,12 @@ class Session:
         self.metrics = active_registry()
         self.sim = Simulator(metrics=self.metrics)
         self.streams = RandomStreams(seed=config.seed)
-        if config.trace and config.trace_capacity is not None:
-            self.tracer = EventTrace(
-                capacity=config.trace_capacity,
-                policy=config.trace_policy,
-                seed=config.seed,
-            )
-        else:
-            self.tracer = Tracer(enabled=config.trace)
+        self.tracer = EventTrace(
+            enabled=config.trace,
+            capacity=config.trace_capacity,
+            policy=config.trace_policy,
+            seed=config.seed,
+        )
         self.network = Network(
             self.sim,
             self.testbed.topology,

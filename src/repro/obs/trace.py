@@ -1,11 +1,12 @@
-"""Bounded structured event tracing.
+"""Structured event tracing with an optional memory bound.
 
-:class:`EventTrace` records the same ``(kind, time, attrs)`` events as
-:class:`repro.simnet.trace.Tracer` (and implements its full query
-protocol, so it can be plugged into a :class:`~repro.simnet.transport.Network`
-directly), but with bounded memory:
+:class:`EventTrace` records :class:`repro.simnet.trace.TraceEvent`
+``(kind, time, attrs)`` events for analysis (see
+:mod:`repro.analysis.timeseries`).  It is the tracer every
+:class:`~repro.simnet.transport.Network` records into (disabled unless
+the caller passes an enabled one); a run picks its retention policy:
 
-* ``policy="all"`` — unbounded append (capacity ignored), like Tracer.
+* ``policy="all"`` — unbounded append (the default without a capacity).
 * ``policy="ring"`` — keep the *last* ``capacity`` events; long runs
   retain the most recent window.
 * ``policy="reservoir"`` — uniform sample of ``capacity`` events over
@@ -51,8 +52,9 @@ class EventTrace:
         #: discarded ones so truncation is never silent.
         self.seen = 0
         self.dropped = 0
-        self._rng = random.Random(seed)
         self._seed = seed
+        # Only the reservoir samples, so only it pays for seeding an RNG.
+        self._rng = random.Random(seed) if policy == "reservoir" else None
         if policy == "ring":
             self._buf: Any = deque(maxlen=capacity)
         else:
@@ -81,7 +83,7 @@ class EventTrace:
                 if j < self.capacity:
                     self._buf[j] = ev
 
-    # -- queries (Tracer protocol) -----------------------------------------
+    # -- queries -------------------------------------------------------------
 
     @property
     def events(self) -> List[TraceEvent]:
@@ -116,4 +118,5 @@ class EventTrace:
         self._buf.clear()
         self.seen = 0
         self.dropped = 0
-        self._rng = random.Random(self._seed)
+        if self._rng is not None:
+            self._rng = random.Random(self._seed)

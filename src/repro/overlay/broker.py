@@ -35,7 +35,6 @@ from repro.overlay.messages import (
     KeepAlive,
     LeaveNotice,
     PublishAdvertisement,
-    RegistryDigest,
     StatReport,
     StateSync,
 )
@@ -85,8 +84,8 @@ class PeerRecord:
     #: Queue occupancies from the latest keepalive.
     pending_tasks: int = 0
     pending_transfers: int = 0
-    #: None for a locally registered peer; the owning broker's id for
-    #: records learned through federation digests.
+    #: None for a locally registered peer; the replicating broker's id
+    #: for records learned through :class:`StateSync` replication.
     home_broker: Optional[PeerId] = None
     #: Per-input refresh times backing degraded-mode selection.
     freshness: StalenessClock = field(default_factory=StalenessClock)
@@ -189,11 +188,7 @@ class Broker(PeerNode):
         h.on_message(DiscoveryQuery, self._on_discovery_query)
         h.on_message(PublishAdvertisement, self._on_publish)
         h.on_message(GroupJoinRequest, self._on_group_join)
-        h.on_message(RegistryDigest, self._on_registry_digest)
         h.on_message(StateSync, self._on_state_sync)
-        #: Federated brokers: broker peer id -> advertisement.
-        self.federated: Dict[PeerId, PeerAdvertisement] = {}
-        self._federation_running = False
         #: Gossip federation attachments (see :meth:`attach_federation`;
         #: all None outside a gossip federation).
         self.federation = None
@@ -209,7 +204,6 @@ class Broker(PeerNode):
         self._m_keepalives = reg.counter("broker.keepalives")
         self._m_stat_reports = reg.counter("broker.stat_reports")
         self._m_queries = reg.counter("broker.discovery_queries")
-        self._m_digests = reg.counter("broker.digests_received")
         self._m_state_syncs = reg.counter("broker.state_syncs")
         self._m_allocations = reg.counter("broker.allocations")
         self._m_registry_size = reg.gauge("broker.registry_size")
@@ -266,9 +260,9 @@ class Broker(PeerNode):
         """Peers eligible for selection, in deterministic join order.
 
         ``include_remote=False`` restricts the view to peers this
-        broker admitted itself (excluding federation-learned records).
+        broker admitted itself (excluding replication-learned records).
         ``liveness_timeout_s`` additionally drops peers whose last sign
-        of life (keepalive / report / digest) is older than the window
+        of life (keepalive / report / state sync) is older than the window
         — the broker's defence against silent churn: a crashed peer
         never says goodbye, it just stops writing home.  On a
         gossip-governed broker (federation attached) the *default*
@@ -363,7 +357,7 @@ class Broker(PeerNode):
             rec.last_seen = now
             if rec.home_broker is not None:
                 # Reconciliation: a direct (re-)registration outranks
-                # anything learned through federation or replication.
+                # anything learned through replication.
                 rec.home_broker = None
         self.directory[req.peer_id] = req.hostname
         self.host.send(
@@ -608,87 +602,18 @@ class Broker(PeerNode):
         # A suspect stays eligible until declared dead: SWIM gives the
         # member the suspicion window to refute before we act on it.
 
-    # -- federation ---------------------------------------------------------------
+    # -- state replication (failover support) ----------------------------------
 
-    def peer_with(self, other: PeerAdvertisement) -> None:
-        """Federate with another broker.
+    def _absorb_entries(self, origin: PeerId, entries) -> None:
+        """Merge registry entries replicated by another broker.
 
-        The peering is one-directional per call (call on both brokers
-        for a symmetric mesh); once at least one peering exists this
-        broker periodically pushes digests of its *local* registry to
-        every federated broker.
-        """
-        if other.peer_id == self.peer_id:
-            raise ValueError("a broker cannot federate with itself")
-        if other.kind != "broker":
-            raise ValueError(f"{other.name!r} is not a broker")
-        self.learn(other)
-        self.federated[other.peer_id] = other
-        if not self._federation_running:
-            self._federation_running = True
-            self.sim.process(
-                self._federation_loop(), name=f"federation@{self.name}"
-            )
-        # Push an immediate digest so the peer learns about us without
-        # waiting a full period.
-        self._send_digests()
-
-    def _local_digest(self) -> RegistryDigest:
-        entries = tuple(
-            DigestEntry(
-                peer_id=rec.peer_id,
-                name=rec.adv.name,
-                hostname=rec.adv.hostname,
-                cpu_speed=rec.adv.cpu_speed,
-                kind=rec.adv.kind,
-                online=rec.online,
-                pending_tasks=rec.pending_tasks,
-                pending_transfers=rec.pending_transfers,
-                snapshot=dict(rec.snapshot),
-            )
-            for rec in self.registry.values()
-            if rec.is_local
-        )
-        return RegistryDigest(broker_id=self.peer_id, entries=entries)
-
-    def _send_digests(self) -> None:
-        if not self.host.is_up:
-            return
-        digest = self._local_digest()
-        for adv in self.federated.values():
-            dst = self.network.host(adv.hostname)
-            self.host.send(dst, digest, light=True)
-
-    def _federation_loop(self):
-        while self.online and self.federated:
-            yield self.config.stat_report_interval_s
-            self._send_digests()
-
-    def _on_registry_digest(self, dgram: Datagram) -> None:
-        digest: RegistryDigest = dgram.payload
-        self._m_digests.inc()
-        self._absorb_entries(
-            digest.broker_id, digest.entries, update_local=False
-        )
-
-    def _absorb_entries(
-        self, origin: PeerId, entries, update_local: bool
-    ) -> None:
-        """Merge registry entries gossiped by another broker.
-
-        Federation (``update_local=False``) treats local registrations
-        as authoritative and ignores gossip about them; state
-        replication (``update_local=True``) merges by recency instead —
-        a replica pair models one logical governor, so whichever side
-        heard from the peer last wins.  ``last_seen`` only ever moves
-        forward.
+        Entries merge by recency: a replica pair models one logical
+        governor, so whichever side heard from the peer last wins.
+        ``last_seen`` only ever moves forward.
         """
         now = self.sim.now
         for entry in entries:
             rec = self.registry.get(entry.peer_id)
-            if rec is not None and rec.is_local and not update_local:
-                # Local registration is authoritative; ignore gossip.
-                continue
             entry_seen = now - entry.seen_ago_s
             if rec is None:
                 adv = PeerAdvertisement(
@@ -718,16 +643,15 @@ class Broker(PeerNode):
                 rec.freshness.note_many(entry.snapshot.keys(), entry_seen)
                 rec.last_seen = entry_seen
 
-    # -- state replication (failover support) ----------------------------------
-
     def replicate_to(
         self, other: PeerAdvertisement, interval_s: float = 30.0
     ) -> None:
         """Periodically replicate full broker state to ``other``.
 
-        Richer than federation: the :class:`StateSync` carries registry
-        entries (with per-entry recency), the discovery index and
-        peergroup membership, so the target can take over as governor.
+        The :class:`StateSync` carries registry entries (with per-entry
+        recency), the discovery index and peergroup membership, so the
+        target can select over this broker's peers and take over as
+        governor.
         Safe to call on both sides of a pair — entries merge by recency
         (see :meth:`_absorb_entries`).
         """
@@ -797,7 +721,7 @@ class Broker(PeerNode):
     def _on_state_sync(self, dgram: Datagram) -> None:
         sync: StateSync = dgram.payload
         self._m_state_syncs.inc()
-        self._absorb_entries(sync.broker_id, sync.entries, update_local=True)
+        self._absorb_entries(sync.broker_id, sync.entries)
         for kind, adv in sync.advertisements:
             bucket = self._adv_index.get(kind)
             if bucket is not None and adv not in bucket:

@@ -26,7 +26,6 @@ __all__ = [
     "KeepAlive",
     "StatReport",
     "DigestEntry",
-    "RegistryDigest",
     "StateSync",
     "DiscoveryQuery",
     "DiscoveryResponse",
@@ -123,7 +122,7 @@ class KeepAlive:
 
 @dataclass(frozen=True)
 class DigestEntry:
-    """One peer's summary inside a broker-to-broker registry digest."""
+    """One peer's registry summary inside a :class:`StateSync`."""
 
     peer_id: PeerId
     name: str
@@ -134,37 +133,21 @@ class DigestEntry:
     pending_tasks: int = 0
     pending_transfers: int = 0
     snapshot: Mapping[str, float] = field(default_factory=dict)
-    #: How stale the sender's view of this peer was when the digest was
-    #: built (``sender_now - last_seen``).  0 keeps the legacy meaning
-    #: "fresh as of digest arrival"; state replication fills it in so
-    #: the receiver can merge by recency instead of arrival order.
+    #: How stale the sender's view of this peer was when the sync was
+    #: built (``sender_now - last_seen``), so the receiver can merge by
+    #: recency instead of arrival order.
     seen_ago_s: float = 0.0
-
-
-@dataclass(frozen=True)
-class RegistryDigest:
-    """Broker-to-broker federation: a summary of local registrations.
-
-    Brokers "act as governors of the P2P network" (paper §3) — plural:
-    a deployment runs several brokers, each admitting its own edge
-    peers and periodically exchanging digests so every broker can
-    select over the federated peer population.
-    """
-
-    broker_id: PeerId
-    entries: Tuple["DigestEntry", ...] = ()
 
 
 @dataclass(frozen=True)
 class StateSync:
     """Broker state replication for failover (primary <-> standby).
 
-    A richer cousin of :class:`RegistryDigest`: besides the registry
-    entries it carries the discovery index and peergroup membership, so
-    a promoted standby can answer discovery queries and group joins
-    without a warm-up round.  Entries merge by recency (via
-    :attr:`DigestEntry.seen_ago_s`), which makes replication safe in
-    both directions between a live pair.
+    Besides the registry entries it carries the discovery index and
+    peergroup membership, so a promoted standby can answer discovery
+    queries and group joins without a warm-up round.  Entries merge by
+    recency (via :attr:`DigestEntry.seen_ago_s`), which makes
+    replication safe in both directions between a live pair.
     """
 
     broker_id: PeerId

@@ -376,10 +376,10 @@ class StalenessClock:
     """Last-refresh times for named statistic inputs (sim seconds).
 
     The broker stamps each snapshot key as keepalives, stat reports and
-    replication digests land; degraded-mode selection compares
+    replication state syncs land; degraded-mode selection compares
     :meth:`age` against its staleness budget to decide which criteria
     are still trustworthy.  Refresh times are merged monotonically, so
-    absorbing an old replication digest never rejuvenates a key.
+    absorbing an old state sync never rejuvenates a key.
     """
 
     def __init__(self) -> None:

@@ -1,4 +1,4 @@
-"""Raw-speed tooling: parallel sweeps and the recorded perf trajectory.
+"""Raw-speed tooling: parallel sweeps.
 
 The experiments' repetition×policy×profile sweeps are embarrassingly
 parallel — every repetition is an isolated :class:`Session` whose seed
@@ -7,10 +7,8 @@ them out over worker processes with a merge step that is bit-identical
 to the serial path by construction (both paths fold the same per-task
 subtotals in the same order).
 
-:mod:`repro.perf.bench` measures the standard workloads (fig3, fig5,
-scale-large, resilience serial vs parallel) and writes a ``BENCH_<pr>.json``
-trajectory artifact, so every PR's events/s and wall-time are diffable
-against the last; ``python -m repro.perf`` is the CLI.
+Host cost (wall time, set-up, memory, per-layer breakdown) is measured
+by the repository benchmark, ``python -m benchmarks.suite``.
 """
 
 from repro.perf.parallel import (
@@ -20,7 +18,6 @@ from repro.perf.parallel import (
     resolve_workers,
     set_default_workers,
 )
-from repro.perf.bench import load_trajectory, run_trajectory, write_trajectory
 
 __all__ = [
     "available_cpus",
@@ -28,7 +25,4 @@ __all__ = [
     "pmap",
     "resolve_workers",
     "set_default_workers",
-    "load_trajectory",
-    "run_trajectory",
-    "write_trajectory",
 ]

@@ -43,7 +43,7 @@ from repro.simnet.planetlab import (
 from repro.simnet.rng import RandomStreams
 from repro.simnet.routing import SiteGraph
 from repro.simnet.topology import NodeSpec, PathSpec, Region, Site, Topology
-from repro.simnet.trace import TraceEvent, Tracer
+from repro.simnet.trace import TraceEvent
 from repro.simnet.transport import (
     Datagram,
     Flow,
@@ -87,7 +87,6 @@ __all__ = [
     "Flow",
     "FlowScheduler",
     "TransferReport",
-    "Tracer",
     "TraceEvent",
     "PlanetLabTestbed",
     "build_testbed",

@@ -1,17 +1,16 @@
-"""Structured event tracing.
+"""The structured trace event record.
 
-The tracer records ``(kind, time, attrs)`` tuples for analysis —
-experiments use it to extract, e.g., the delivery time of the *last*
-part of a file (Figure 4).  Tracing is off by default; enabling it has
-a small, flat cost per recorded event.
+A trace is a sequence of ``(kind, time, attrs)`` events; the recorder
+that retains them is :class:`repro.obs.trace.EventTrace`, which reuses
+this record type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from typing import Any
 
-__all__ = ["TraceEvent", "Tracer"]
+__all__ = ["TraceEvent"]
 
 
 @dataclass(frozen=True)
@@ -25,50 +24,3 @@ class TraceEvent:
     def get(self, key: str, default: Any = None) -> Any:
         """Attribute lookup with default."""
         return self.attrs.get(key, default)
-
-
-class Tracer:
-    """Append-only event log with simple filtering."""
-
-    def __init__(self, enabled: bool = True, capacity: Optional[int] = None) -> None:
-        self.enabled = enabled
-        #: Optional hard cap; recording beyond it silently drops (the
-        #: ``dropped`` counter says how many).
-        self.capacity = capacity
-        self.events: list[TraceEvent] = []
-        self.dropped = 0
-
-    def record(self, kind: str, time: float, **attrs: Any) -> None:
-        """Record an event if tracing is enabled."""
-        if not self.enabled:
-            return
-        if self.capacity is not None and len(self.events) >= self.capacity:
-            self.dropped += 1
-            return
-        self.events.append(TraceEvent(kind=kind, time=time, attrs=attrs))
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self.events)
-
-    def of_kind(self, kind: str) -> list[TraceEvent]:
-        """All events of one kind, in record order."""
-        return [e for e in self.events if e.kind == kind]
-
-    def where(self, predicate: Callable[[TraceEvent], bool]) -> list[TraceEvent]:
-        """All events satisfying ``predicate``."""
-        return [e for e in self.events if predicate(e)]
-
-    def last(self, kind: str) -> Optional[TraceEvent]:
-        """Most recent event of ``kind`` (or None)."""
-        for e in reversed(self.events):
-            if e.kind == kind:
-                return e
-        return None
-
-    def clear(self) -> None:
-        """Drop all recorded events."""
-        self.events.clear()
-        self.dropped = 0

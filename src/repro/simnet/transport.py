@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, TYPE_CHECKING
 
 from repro.errors import (
     HostDownError,
@@ -54,7 +54,9 @@ from repro.simnet.latency import LognormalLatency, SpikyLatency
 from repro.simnet.loss import NoLoss, PerUnitLoss
 from repro.simnet.rng import RandomStreams
 from repro.simnet.topology import NodeSpec, Topology
-from repro.simnet.trace import Tracer
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.trace import EventTrace
 
 __all__ = [
     "Network",
@@ -932,14 +934,19 @@ class Network:
         sim: Simulator,
         topology: Topology,
         streams: Optional[RandomStreams] = None,
-        tracer: Optional[Tracer] = None,
+        tracer: Optional[EventTrace] = None,
         flow_tick: float = 10.0,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.sim = sim
         self.topology = topology
         self.streams = streams if streams is not None else RandomStreams(seed=0)
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
+        if tracer is None:
+            # Imported here: repro.obs.trace imports this package.
+            from repro.obs.trace import EventTrace
+
+            tracer = EventTrace(enabled=False)
+        self.tracer = tracer
         self.metrics = metrics if metrics is not None else active_registry()
         self.flows = FlowScheduler(sim, tick=flow_tick, metrics=self.metrics)
         self._hosts: Dict[str, Host] = {}

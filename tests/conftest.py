@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs.trace import EventTrace
 from repro.overlay.broker import Broker
 from repro.overlay.client import SimpleClient
 from repro.overlay.ids import IdFactory
@@ -11,7 +12,6 @@ from repro.simnet.kernel import Simulator
 from repro.simnet.planetlab import build_testbed
 from repro.simnet.rng import RandomStreams
 from repro.simnet.topology import NodeSpec, Region, Site, Topology
-from repro.simnet.trace import Tracer
 from repro.simnet.transport import Network
 
 
@@ -75,7 +75,7 @@ def two_node_topology() -> Topology:
 @pytest.fixture
 def network(sim, streams, two_node_topology) -> Network:
     """A live network over the 2-node topology with tracing on."""
-    return Network(sim, two_node_topology, streams=streams, tracer=Tracer())
+    return Network(sim, two_node_topology, streams=streams, tracer=EventTrace())
 
 
 @pytest.fixture

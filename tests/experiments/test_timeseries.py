@@ -10,12 +10,12 @@ from repro.analysis.timeseries import (
     bucket_sums,
     goodput_series,
 )
-from repro.simnet.trace import Tracer
+from repro.obs.trace import EventTrace
 
 
 @pytest.fixture
 def tracer():
-    t = Tracer()
+    t = EventTrace()
     for time, size in ((1.0, 10.0), (2.5, 20.0), (11.0, 30.0), (29.0, 40.0)):
         t.record("transfer-done", time, size_bits=size)
     t.record("msg-send", 5.0)

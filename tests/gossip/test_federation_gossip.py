@@ -9,6 +9,7 @@ import pytest
 from repro.gossip.config import GossipConfig
 from repro.gossip.federation import Federation
 from repro.gossip.shard import ShardMap
+from repro.obs.trace import EventTrace
 from repro.overlay.advertisements import ResourceAdvertisement
 from repro.overlay.broker import Broker
 from repro.overlay.client import SimpleClient
@@ -17,7 +18,6 @@ from repro.overlay.peer import PeerConfig
 from repro.simnet.kernel import Simulator
 from repro.simnet.planetlab import build_testbed
 from repro.simnet.rng import RandomStreams
-from repro.simnet.trace import Tracer
 from repro.simnet.transport import Network
 
 from tests.conftest import run_process
@@ -27,7 +27,7 @@ def _stack(seed: int = 17, n_brokers: int = 3):
     testbed = build_testbed(federation_brokers=n_brokers)
     sim = Simulator()
     net = Network(
-        sim, testbed.topology, streams=RandomStreams(seed), tracer=Tracer()
+        sim, testbed.topology, streams=RandomStreams(seed), tracer=EventTrace()
     )
     ids = IdFactory()
     brokers = [

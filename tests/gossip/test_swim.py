@@ -5,12 +5,12 @@ from __future__ import annotations
 from repro.gossip.config import GossipConfig
 from repro.gossip.messages import Rumor
 from repro.gossip.swim import SwimAgent
+from repro.obs.trace import EventTrace
 from repro.overlay.client import SimpleClient
 from repro.overlay.ids import IdFactory
 from repro.simnet.kernel import Simulator
 from repro.simnet.rng import RandomStreams
 from repro.simnet.topology import NodeSpec, Region, Site, Topology
-from repro.simnet.trace import Tracer
 from repro.simnet.transport import Network
 
 from tests.conftest import run_process
@@ -43,7 +43,7 @@ def _mesh(n: int, seed: int = 7):
     """n peers, each tracking and probing all others."""
     sim = Simulator()
     net = Network(sim, _ring_topology(n), streams=RandomStreams(seed),
-                  tracer=Tracer())
+                  tracer=EventTrace())
     ids = IdFactory()
     peers = [
         SimpleClient(net, f"n{i}.example", ids, name=f"p{i}")

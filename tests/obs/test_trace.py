@@ -7,6 +7,7 @@ import pytest
 from repro.obs.export import metrics_to_dict, write_trace_csv
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import EventTrace
+from repro.simnet.trace import TraceEvent
 
 
 class TestUnbounded:
@@ -32,6 +33,17 @@ class TestUnbounded:
             t.record("k", float(i))
         t.clear()
         assert len(t) == 0 and t.dropped == 0 and t.seen == 0
+
+    def test_last(self):
+        t = EventTrace()
+        assert t.last("x") is None
+        t.record("x", 1.0)
+        t.record("x", 2.0)
+        assert t.last("x").time == 2.0
+
+    def test_event_get_default(self):
+        e = TraceEvent(kind="k", time=0.0, attrs={})
+        assert e.get("missing", "dflt") == "dflt"
 
 
 class TestRing:

@@ -1,4 +1,8 @@
-"""Tests for broker federation (registry digests)."""
+"""Tests for broker-to-broker registry replication (``replicate_to``).
+
+A :class:`StateSync` carries a broker's local registrations to its
+replicas, which record them as remote peers they can select over.
+"""
 
 from __future__ import annotations
 
@@ -42,7 +46,7 @@ def _quad_topology() -> Topology:
 @pytest.fixture
 def federation():
     """(sim, broker_a, broker_b, peer1@a, peer2@b) — connected, not yet
-    federated."""
+    replicating."""
     sim = Simulator()
     net = Network(sim, _quad_topology(), streams=RandomStreams(21))
     ids = IdFactory()
@@ -66,8 +70,8 @@ def settle(sim, seconds=2.0):
 class TestPeering:
     def test_digest_exchanges_records(self, federation):
         sim, a, b, p1, p2 = federation
-        a.peer_with(b.advertisement())
-        b.peer_with(a.advertisement())
+        a.replicate_to(b.advertisement())
+        b.replicate_to(a.advertisement())
         settle(sim)
         assert p2.peer_id in a.registry
         assert p1.peer_id in b.registry
@@ -76,35 +80,36 @@ class TestPeering:
 
     def test_one_directional_peering(self, federation):
         sim, a, b, p1, p2 = federation
-        a.peer_with(b.advertisement())  # a pushes to b only
+        a.replicate_to(b.advertisement())  # a pushes to b only
         settle(sim)
         assert p1.peer_id in b.registry   # b learned a's peer
         assert p2.peer_id not in a.registry  # a learned nothing
 
     def test_local_records_authoritative(self, federation):
         sim, a, b, p1, p2 = federation
-        a.peer_with(b.advertisement())
-        b.peer_with(a.advertisement())
-        settle(sim)
-        # b's view of p1 is remote; p1's home registration at a stays local.
+        a.replicate_to(b.advertisement())
+        b.replicate_to(a.advertisement())
+        settle(sim, seconds=90.0)
+        # Replication never takes over a record's ownership: p1's home
+        # registration at a stays local, b's copy stays remote.
         assert a.record(p1.peer_id).is_local
         assert not b.record(p1.peer_id).is_local
 
     def test_self_peering_rejected(self, federation):
         sim, a, b, p1, p2 = federation
         with pytest.raises(ValueError):
-            a.peer_with(a.advertisement())
+            a.replicate_to(a.advertisement())
 
     def test_non_broker_peering_rejected(self, federation):
         sim, a, b, p1, p2 = federation
         with pytest.raises(ValueError):
-            a.peer_with(p1.advertisement())
+            a.replicate_to(p1.advertisement())
 
 
 class TestFederatedView:
     def test_candidates_include_remote(self, federation):
         sim, a, b, p1, p2 = federation
-        b.peer_with(a.advertisement())
+        b.replicate_to(a.advertisement())
         settle(sim)
         names = {r.adv.name for r in a.candidates()}
         assert names == {"peer-1", "peer-2"}
@@ -113,15 +118,15 @@ class TestFederatedView:
 
     def test_remote_state_propagates(self, federation):
         sim, a, b, p1, p2 = federation
-        b.peer_with(a.advertisement())
+        b.replicate_to(a.advertisement())
         p2.stats.pending_tasks = 3
-        # Wait for p2's keepalive to reach b, then b's digest to reach a.
+        # Wait for p2's keepalive to reach b, then b's sync to reach a.
         sim.run(until=sim.now + 130.0)
         assert a.record(p2.peer_id).pending_tasks == 3
 
     def test_offline_propagates(self, federation):
         sim, a, b, p1, p2 = federation
-        b.peer_with(a.advertisement())
+        b.replicate_to(a.advertisement())
         settle(sim)
         p2.disconnect()
         sim.run(until=sim.now + 130.0)
@@ -132,7 +137,7 @@ class TestFederatedView:
 class TestFederatedSelection:
     def test_economic_selects_across_brokers(self, federation):
         sim, a, b, p1, p2 = federation
-        b.peer_with(a.advertisement())
+        b.replicate_to(a.advertisement())
         settle(sim)
         selector = SchedulingBasedSelector(reserve=False)
         ctx = SelectionContext(
@@ -147,7 +152,7 @@ class TestFederatedSelection:
 
     def test_transfer_to_remote_peer_works(self, federation):
         sim, a, b, p1, p2 = federation
-        b.peer_with(a.advertisement())
+        b.replicate_to(a.advertisement())
         settle(sim)
         rec = a.record(p2.peer_id)
         outcome = run_process(

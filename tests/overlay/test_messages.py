@@ -24,8 +24,8 @@ class TestVocabularyShape:
             # membership / liveness
             "JoinRequest", "JoinAck", "LeaveNotice", "KeepAlive",
             "Ping", "Pong",
-            # statistics & federation
-            "StatReport", "DigestEntry", "RegistryDigest", "StateSync",
+            # statistics & replication
+            "StatReport", "DigestEntry", "StateSync",
             # discovery
             "DiscoveryQuery", "DiscoveryResponse", "PublishAdvertisement",
             # groups, IM, pipes
@@ -62,9 +62,10 @@ class TestDefaults:
         assert (k.outbox_len, k.inbox_len) == (0, 0)
         assert (k.pending_tasks, k.pending_transfers) == (0, 0)
 
-    def test_registry_digest_defaults_empty(self):
-        d = messages.RegistryDigest(broker_id=ids.peer_id())
-        assert d.entries == ()
+    def test_state_sync_defaults_empty(self):
+        sync = messages.StateSync(broker_id=ids.peer_id())
+        assert sync.entries == ()
+        assert (sync.advertisements, sync.groups) == ((), ())
 
     def test_messages_immutable(self):
         ping = messages.Ping(sender=ids.peer_id())

@@ -7,7 +7,6 @@ import pytest
 from repro.errors import HostDownError, TransferAborted
 from repro.simnet.kernel import Simulator
 from repro.simnet.rng import RandomStreams
-from repro.simnet.trace import Tracer
 from repro.simnet.transport import Network
 from repro.units import mbit
 
