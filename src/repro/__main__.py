@@ -70,8 +70,7 @@ ARTIFACTS: Dict[str, tuple[str, Callable[[ExperimentConfig], str]]] = {
         _needs_config(scale.run_large),
     ),
     "scale-federated": (
-        "gossip federation: control-plane cost + broker-kill degradation "
-        "(REPRO_FED_SMOKE=1 for the CI cell)",
+        "gossip federation: control-plane cost + broker-kill degradation",
         _needs_config(scale.run_federated),
     ),
     "churn": ("extension: selection under peer churn", _needs_config(churn.run)),
@@ -135,8 +134,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--parallel", metavar="N", type=int, default=None,
-        help="fan repetition/matrix sweeps out over N worker processes "
-             "(0 = one per CPU); results are bit-identical to serial",
+        help="fan every (cell, repetition) sweep out over N worker "
+             "processes (0 = one per CPU); results are bit-identical "
+             "to serial",
     )
     parser.add_argument(
         "--list", action="store_true", help="list available artifacts"

@@ -23,7 +23,7 @@ per selection model — :mod:`repro.swarm`).
 """
 
 from repro.experiments.scenario import ExperimentConfig, Session
-from repro.experiments.runner import average_rows, run_repetitions
+from repro.experiments.runner import average_rows, run_cells, run_repetitions
 from repro.experiments import (
     churn,
     resilience,
@@ -41,6 +41,7 @@ from repro.experiments import (
 __all__ = [
     "ExperimentConfig",
     "Session",
+    "run_cells",
     "run_repetitions",
     "average_rows",
     "table1_nodes",

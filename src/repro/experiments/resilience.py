@@ -24,8 +24,8 @@ completion rate is taken over resolved placements only.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.stats import Summary
@@ -36,13 +36,10 @@ from repro.errors import (
 )
 from repro.experiments.churn import POLICIES
 from repro.experiments.report import render_table
-from repro.experiments.runner import average_rows, run_repetitions
+from repro.experiments.runner import average_rows, run_cells
 from repro.experiments.scenario import ExperimentConfig, Session
 from repro.faults.profiles import get_profile
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.runtime import active_registry, use_registry
 from repro.overlay.peer import PeerConfig, RequestTimeout
-from repro.perf.parallel import pmap
 from repro.recovery.degraded import (
     StalenessAwareEvaluator,
     StalenessAwareScheduler,
@@ -255,179 +252,156 @@ def _workload() -> Workload:
     return Workload(transfer_bits=TRANSFER_BITS, n_parts=TRANSFER_PARTS)
 
 
-def _scenario(policy: str):
-    """Scenario factory: one policy's transfer stream for one cell."""
-
-    def scenario(session: Session):
-        sim = session.sim
-        broker = session.broker
-        recovery = session.config.recovery
-        # Warmup history so informed policies start with observations;
-        # early fault windows may already bite here.
-        for label in session.sc_labels():
-            try:
-                yield sim.process(
-                    broker.transfers.send_file(
-                        session.client(label).advertisement(),
-                        f"w-{label}",
-                        WARMUP_BITS,
-                    )
+def _scenario(session: Session, policy: str):
+    """One policy's transfer stream for one cell."""
+    sim = session.sim
+    broker = session.broker
+    recovery = session.config.recovery
+    # Warmup history so informed policies start with observations;
+    # early fault windows may already bite here.
+    for label in session.sc_labels():
+        try:
+            yield sim.process(
+                broker.transfers.send_file(
+                    session.client(label).advertisement(),
+                    f"w-{label}",
+                    WARMUP_BITS,
                 )
-            except (TransferAborted, HostDownError, RequestTimeout):
-                pass
+            )
+        except (TransferAborted, HostDownError, RequestTimeout):
+            pass
 
-        selector = _make_policy(policy, session)
-        sender = (
-            ResumableSender(broker, recovery) if recovery is not None else None
+    selector = _make_policy(policy, session)
+    sender = (
+        ResumableSender(broker, recovery) if recovery is not None else None
+    )
+
+    def pick(failed=()):
+        """One selection round against the acting leader."""
+        candidates = [
+            rec
+            for rec in _candidates(policy, session)
+            if rec.peer_id not in failed
+        ]
+        if not candidates:
+            return None
+        ctx = SelectionContext(
+            broker=session.leader_broker,
+            now=sim.now,
+            workload=_workload(),
+            candidates=candidates,
         )
+        try:
+            return selector.select(ctx).adv
+        except SelectionError:
+            return None
 
-        def pick(failed=()):
-            """One selection round against the acting leader."""
-            candidates = [
-                rec
-                for rec in _candidates(policy, session)
-                if rec.peer_id not in failed
-            ]
-            if not candidates:
-                return None
-            ctx = SelectionContext(
-                broker=session.leader_broker,
-                now=sim.now,
-                workload=_workload(),
-                candidates=candidates,
-            )
-            try:
-                return selector.select(ctx).adv
-            except SelectionError:
-                return None
-
-        def attempt_legacy(adv, filename):
-            """Catcher: resolve one unsupervised transfer to a tag."""
-            try:
-                outcome = yield sim.process(
-                    broker.transfers.send_file(
-                        adv, filename, TRANSFER_BITS, n_parts=TRANSFER_PARTS
-                    )
-                )
-                return ("ok", outcome)
-            except (TransferAborted, HostDownError, RequestTimeout):
-                # HostDownError = the broker itself is in an outage
-                # window; the offered transfer is lost like any other.
-                return ("fail", None)
-
-        def attempt_resumed(filename):
-            out = yield sim.process(
-                sender.send_file(
-                    lambda attempt, failed: pick(failed),
-                    filename,
-                    TRANSFER_BITS,
-                    n_parts=TRANSFER_PARTS,
+    def attempt_legacy(adv, filename):
+        """Catcher: resolve one unsupervised transfer to a tag."""
+        try:
+            outcome = yield sim.process(
+                broker.transfers.send_file(
+                    adv, filename, TRANSFER_BITS, n_parts=TRANSFER_PARTS
                 )
             )
-            return ("resume", out)
+            return ("ok", outcome)
+        except (TransferAborted, HostDownError, RequestTimeout):
+            # HostDownError = the broker itself is in an outage
+            # window; the offered transfer is lost like any other.
+            return ("fail", None)
 
-        offered = 0
-        completed = 0
-        aborted = 0
-        censored = 0
-        cost_total = 0.0
-        goodput_bits = 0.0
-        resumes = 0
-        parts_skipped = 0
-        recovered_bits = 0.0
-        phase_started = sim.now
-        deadline_at = phase_started + RUN_DEADLINE_S
-        for i in range(N_TRANSFERS):
-            if deadline_at - sim.now <= 0:
-                break
-            filename = f"{policy}-{i}"
-            if sender is not None:
-                proc = sim.process(attempt_resumed(filename))
-            else:
-                adv = pick()
-                if adv is None:
-                    offered += 1
-                    aborted += 1
-                    yield PACING_S
-                    continue
-                proc = sim.process(attempt_legacy(adv, filename))
-            offered += 1
-            yield sim.any_of([proc, sim.timeout(deadline_at - sim.now)])
-            if not proc.triggered:
-                # Still in flight when the run deadline struck: the
-                # outcome is unknown — censor, don't count as failed.
-                censored += 1
-                break
-            tag, payload = proc.value
-            if tag == "ok":
+    def attempt_resumed(filename):
+        out = yield sim.process(
+            sender.send_file(
+                lambda attempt, failed: pick(failed),
+                filename,
+                TRANSFER_BITS,
+                n_parts=TRANSFER_PARTS,
+            )
+        )
+        return ("resume", out)
+
+    offered = 0
+    completed = 0
+    aborted = 0
+    censored = 0
+    cost_total = 0.0
+    goodput_bits = 0.0
+    resumes = 0
+    parts_skipped = 0
+    recovered_bits = 0.0
+    phase_started = sim.now
+    deadline_at = phase_started + RUN_DEADLINE_S
+    for i in range(N_TRANSFERS):
+        if deadline_at - sim.now <= 0:
+            break
+        filename = f"{policy}-{i}"
+        if sender is not None:
+            proc = sim.process(attempt_resumed(filename))
+        else:
+            adv = pick()
+            if adv is None:
+                offered += 1
+                aborted += 1
+                yield PACING_S
+                continue
+            proc = sim.process(attempt_legacy(adv, filename))
+        offered += 1
+        yield sim.any_of([proc, sim.timeout(deadline_at - sim.now)])
+        if not proc.triggered:
+            # Still in flight when the run deadline struck: the
+            # outcome is unknown — censor, don't count as failed.
+            censored += 1
+            break
+        tag, payload = proc.value
+        if tag == "ok":
+            completed += 1
+            cost_total += payload.transmission_time
+            goodput_bits += TRANSFER_BITS
+        elif tag == "resume":
+            resumes += payload.resumes
+            parts_skipped += payload.parts_skipped
+            recovered_bits += payload.recovered_bits
+            if payload.ok:
                 completed += 1
-                cost_total += payload.transmission_time
+                cost_total += payload.data_seconds
                 goodput_bits += TRANSFER_BITS
-            elif tag == "resume":
-                resumes += payload.resumes
-                parts_skipped += payload.parts_skipped
-                recovered_bits += payload.recovered_bits
-                if payload.ok:
-                    completed += 1
-                    cost_total += payload.data_seconds
-                    goodput_bits += TRANSFER_BITS
-                else:
-                    aborted += 1
             else:
                 aborted += 1
-            yield PACING_S
+        else:
+            aborted += 1
+        yield PACING_S
 
-        elapsed = max(sim.now - phase_started, 1e-9)
-        metrics: Dict[str, float] = {
-            "offered": float(offered),
-            "completed": float(completed),
-            "aborted": float(aborted),
-            "censored": float(censored),
-            "cost": (
-                cost_total / completed / to_mbit(TRANSFER_BITS)
-                if completed
-                else float("nan")
-            ),
-            "goodput": to_mbit(goodput_bits) / elapsed,
-            "resumes": float(resumes),
-            "parts_skipped": float(parts_skipped),
-            "recovered_mbit": recovered_bits / 1e6,
-        }
-        faults = session.faults
-        metrics["episodes"] = (
-            float(faults.episode_count()) if faults is not None else 0.0
-        )
-        metrics["recovery"] = (
-            faults.mean_recovery_s() if faults is not None else float("nan")
-        )
-        failover = session.failover
-        metrics["failover_s"] = (
-            failover.mean_failover_latency_s()
-            if failover is not None
+    elapsed = max(sim.now - phase_started, 1e-9)
+    metrics: Dict[str, float] = {
+        "offered": float(offered),
+        "completed": float(completed),
+        "aborted": float(aborted),
+        "censored": float(censored),
+        "cost": (
+            cost_total / completed / to_mbit(TRANSFER_BITS)
+            if completed
             else float("nan")
-        )
-        return metrics
-
-    return scenario
-
-
-def _run_cell(task: Tuple[ExperimentConfig, str, bool]):
-    """One (profile, policy) cell in isolation — the sweep unit.
-
-    Returns ``(rows, registry_or_None)``.  The cell runs under its own
-    metrics registry when metrics are wanted; the caller merges cell
-    registries back in cell order.  Both the serial and the parallel
-    matrix run exactly this function, so their merge trees — and hence
-    every merged metric value — are identical.
-    """
-    cell_config, policy, with_metrics = task
-    registry = MetricsRegistry() if with_metrics else None
-    scope = use_registry(registry) if registry is not None else nullcontext()
-    with scope:
-        rows: List[Mapping[str, float]] = run_repetitions(
-            cell_config, _scenario(policy)
-        )
-    return rows, registry
+        ),
+        "goodput": to_mbit(goodput_bits) / elapsed,
+        "resumes": float(resumes),
+        "parts_skipped": float(parts_skipped),
+        "recovered_mbit": recovered_bits / 1e6,
+    }
+    faults = session.faults
+    metrics["episodes"] = (
+        float(faults.episode_count()) if faults is not None else 0.0
+    )
+    metrics["recovery"] = (
+        faults.mean_recovery_s() if faults is not None else float("nan")
+    )
+    failover = session.failover
+    metrics["failover_s"] = (
+        failover.mean_failover_latency_s()
+        if failover is not None
+        else float("nan")
+    )
+    return metrics
 
 
 def run(
@@ -442,10 +416,11 @@ def run(
     case the matrix is that plan against the fault-free baseline.  A
     config with ``recovery`` set runs every cell self-healing.
 
-    The profile×policy cells are independent, so ``workers`` > 1 fans
-    them out over a process pool (``None`` = the
-    :mod:`repro.perf.parallel` default, ``0`` = one per CPU); results
-    and merged metrics are bit-identical to the serial matrix.
+    The profile×policy cells run as one :func:`run_cells` sweep, so
+    ``workers`` > 1 fans every (cell, repetition) out over a process
+    pool (``None`` = the :mod:`repro.perf.parallel` default, ``0`` =
+    one per CPU); results and merged metrics are bit-identical to the
+    serial matrix.
     """
     if profiles is None:
         if config.fault_plan is not None:
@@ -457,8 +432,7 @@ def run(
         peer_config=_RESILIENCE_PEER_CONFIG,
         liveness_timeout_s=LIVENESS_S,
     )
-    reg = active_registry()
-    tasks: List[Tuple[ExperimentConfig, str, bool]] = []
+    cells = []
     for profile in profiles:
         if profile == "baseline":
             plan = None
@@ -468,17 +442,12 @@ def run(
             plan = get_profile(profile)
         cell_config = replace(base, fault_plan=plan)
         for policy in POLICIES:
-            tasks.append((cell_config, policy, reg.enabled))
-    outcomes = pmap(_run_cell, tasks, workers=workers)
+            cells.append((cell_config, partial(_scenario, policy=policy)))
+    cell_rows = iter(run_cells(cells, workers))
 
     summaries: Dict[str, Summary] = {}
-    cell_index = 0
     for profile in profiles:
         for policy in POLICIES:
-            rows, cell_registry = outcomes[cell_index]
-            cell_index += 1
-            if cell_registry is not None:
-                reg.merge(cell_registry)
-            for key, summary in average_rows(rows).items():
+            for key, summary in average_rows(next(cell_rows)).items():
                 summaries[f"{profile}/{policy}/{key}"] = summary
     return ResilienceResult(profiles=tuple(profiles), summaries=summaries)

@@ -1,24 +1,26 @@
 """Experiment runner: repetition loop + averaging.
 
 The paper repeats each measurement five times and reports the average.
-:func:`run_repetitions` builds a fresh :class:`~repro.experiments.scenario.Session`
-per repetition (fresh seed substream, fresh overlay) and hands the
-per-repetition result rows to :func:`average_rows` for the figures'
-mean series.
+:func:`run_cells` runs a study's cells — ``(ExperimentConfig,
+scenario)`` pairs — building a fresh
+:class:`~repro.experiments.scenario.Session` per repetition of every
+cell (fresh seed substream, fresh overlay); :func:`run_repetitions` is
+the one-cell case.  The per-repetition result rows go to
+:func:`average_rows` for the figures' mean series.
 
-Repetitions are embarrassingly parallel — each one's seed derives only
-from the config — so ``workers > 1`` fans them out over a process pool
-(:mod:`repro.perf.parallel`).  Parallel runs are bit-identical to
+Every (cell, repetition) is independent — its seed derives only from
+its config — so ``workers > 1`` fans them all out over one process
+pool (:mod:`repro.perf.parallel`).  Parallel runs are bit-identical to
 serial ones by construction: the serial path runs the *same* per-
 repetition worker (fresh session, isolated per-repetition metrics
 registry) in-process, and both paths fold results and registries back
-in repetition order.
+in cell-then-repetition order.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.stats import Summary, summarize
 from repro.experiments.scenario import ExperimentConfig, Session
@@ -26,7 +28,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import active_registry, use_registry
 from repro.perf.parallel import picklable, pmap, resolve_workers
 
-__all__ = ["run_repetitions", "average_rows"]
+__all__ = ["run_cells", "run_repetitions", "average_rows"]
 
 
 def _run_one_repetition(task: Tuple[ExperimentConfig, Callable, int, bool]):
@@ -34,9 +36,9 @@ def _run_one_repetition(task: Tuple[ExperimentConfig, Callable, int, bool]):
 
     Returns ``(result, sim_time_s, registry_or_None)``.  With metrics
     wanted, the repetition runs under its own fresh registry — the
-    caller merges registries back in repetition order, so the merge
-    tree (per-repetition subtotals folded in order) is the same
-    whether the repetition ran in-process or in a worker.
+    caller merges registries back in task order, so the merge tree
+    (per-repetition subtotals folded in order) is the same whether the
+    repetition ran in-process or in a worker.
     """
     config, scenario, rep, with_metrics = task
     registry = MetricsRegistry() if with_metrics else None
@@ -47,28 +49,29 @@ def _run_one_repetition(task: Tuple[ExperimentConfig, Callable, int, bool]):
     return result, session.sim.now, registry
 
 
-def run_repetitions(
-    config: ExperimentConfig,
-    scenario: Callable[[Session], object],
+def run_cells(
+    cells: Sequence[Tuple[ExperimentConfig, Callable[[Session], object]]],
     workers: Optional[int] = None,
-) -> List[object]:
-    """Run ``scenario`` once per repetition on fresh sessions.
+) -> List[List[object]]:
+    """Run every cell's repetitions as one sweep on fresh sessions.
 
+    A cell is an ``(ExperimentConfig, scenario)`` pair;
     ``scenario(session)`` must return a generator process (the session
-    connects all peers first, then runs it).  Returns the list of
-    per-repetition results, in repetition order.
+    connects all peers first, then runs it).  Returns, per cell, the
+    list of per-repetition results in repetition order.
 
-    ``workers`` > 1 runs repetitions on a process pool (``None`` uses
-    the :mod:`repro.perf.parallel` default, normally serial; ``0`` =
-    one worker per CPU).  A scenario that cannot be pickled (e.g. a
-    closure) silently degrades to the serial path.
+    ``workers`` > 1 runs the (cell, repetition) tasks on one process
+    pool (``None`` uses the :mod:`repro.perf.parallel` default,
+    normally serial; ``0`` = one worker per CPU).  A scenario that
+    cannot be pickled (e.g. a closure) silently degrades the sweep to
+    the serial path.
 
     When a metrics registry is installed (``repro.obs.use_registry``)
     every repetition's instruments accumulate into it, plus a
     per-repetition count and sim-duration histogram from here.
     """
     reg = active_registry()
-    # Cold path: bound once per experiment run, used once per repetition.
+    # Cold path: bound once per sweep, used once per repetition.
     m_reps = reg.counter("experiment.repetitions")  # simlint: disable=SIM006 -- per-run binding, not per-event
     m_sim_s = reg.histogram(  # simlint: disable=SIM006 -- per-run binding, not per-event
         "experiment.rep_sim_time_s",
@@ -76,21 +79,37 @@ def run_repetitions(
     )
     tasks = [
         (config, scenario, rep, reg.enabled)
+        for config, scenario in cells
         for rep in range(config.repetitions)
     ]
     n_workers = resolve_workers(workers, len(tasks))
-    if n_workers > 1 and not picklable(scenario):
+    if n_workers > 1 and not all(picklable(scenario) for _, scenario in cells):
         n_workers = 1
-    outcomes = pmap(_run_one_repetition, tasks, workers=n_workers)
+    outcomes = iter(pmap(_run_one_repetition, tasks, workers=n_workers))
 
-    results: List[object] = []
-    for result, sim_time_s, rep_registry in outcomes:  # repetition order
-        results.append(result)
-        if rep_registry is not None:
-            reg.merge(rep_registry)
-        m_reps.inc()
-        m_sim_s.observe(sim_time_s)
+    results: List[List[object]] = []
+    for config, _scenario in cells:  # cell-then-repetition order
+        rows: List[object] = []
+        for _rep in range(config.repetitions):
+            result, sim_time_s, rep_registry = next(outcomes)
+            rows.append(result)
+            if rep_registry is not None:
+                reg.merge(rep_registry)
+            m_reps.inc()
+            m_sim_s.observe(sim_time_s)
+        results.append(rows)
     return results
+
+
+def run_repetitions(
+    config: ExperimentConfig,
+    scenario: Callable[[Session], object],
+    workers: Optional[int] = None,
+) -> List[object]:
+    """Run ``scenario`` once per repetition on fresh sessions: the
+    one-cell :func:`run_cells` sweep.  Returns the per-repetition
+    results, in repetition order."""
+    return run_cells([(config, scenario)], workers)[0]
 
 
 def average_rows(

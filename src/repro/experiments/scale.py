@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import os
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from repro.analysis.stats import Summary
 from repro.errors import (
@@ -30,7 +29,7 @@ from repro.errors import (
     TransferAborted,
 )
 from repro.experiments.report import render_table
-from repro.experiments.runner import average_rows, run_repetitions
+from repro.experiments.runner import average_rows, run_cells, run_repetitions
 from repro.experiments.scenario import ExperimentConfig, Session
 from repro.faults.injectors import NodeCrash
 from repro.faults.plan import FaultPlan
@@ -316,19 +315,24 @@ def run_large(
     Each pool size gets its own testbed: the full Table 1 slice plus
     enough synthetic slivers to reach ``pool`` candidates.
     """
-    summaries: Dict[str, Summary] = {}
-    for pool in pools:
-        cfg = replace(
-            config,
-            include_full_slice=True,
-            synthetic_nodes=max(0, pool - _REAL_POOL),
-        )
-        rows: List[Mapping[str, float]] = run_repetitions(
-            cfg,
-            lambda session, pool=pool: _large_scenario(
-                session, pool, n_jobs, concurrency
+    cells = [
+        (
+            replace(
+                config,
+                include_full_slice=True,
+                synthetic_nodes=max(0, pool - _REAL_POOL),
+            ),
+            functools.partial(
+                _large_scenario,
+                pool=pool,
+                n_jobs=n_jobs,
+                concurrency=concurrency,
             ),
         )
+        for pool in pools
+    ]
+    summaries: Dict[str, Summary] = {}
+    for rows in run_cells(cells):
         summaries.update(average_rows(rows))
     return ScaleResult(summaries=summaries, pools=pools)
 
@@ -354,12 +358,6 @@ FED_GOODPUT_BITS = mbit(5)
 FED_KILL_SETTLE_S = 600.0
 #: Concurrent federated joins per wave during cell bring-up.
 FED_JOIN_WAVE = 64
-#: Environment switch: CI smoke sizing (2 shards, 200 peers).
-_FED_SMOKE_ENV = "REPRO_FED_SMOKE"
-
-
-def _fed_smoke() -> bool:
-    return bool(os.environ.get(_FED_SMOKE_ENV))
 
 
 @dataclass(frozen=True)
@@ -584,15 +582,7 @@ def _control_snapshot(session: Session, peers) -> Tuple[int, int]:
     return broker_total, peer_total
 
 
-def _federated_scenario(
-    session: Session,
-    pool: int,
-    kill_broker: bool,
-    observation_s: float,
-    n_discovery: int,
-    n_goodput: int,
-    settle_s: float,
-):
+def _federated_scenario(session: Session, pool: int, kill_broker: bool):
     """One repetition of one federated-study cell.
 
     Timeline: bring-up → control-message snapshot → pre goodput window
@@ -605,7 +595,7 @@ def _federated_scenario(
     fed = session.federation
     peers = yield sim.process(_fed_bringup(session, pool))
     names = list(peers)
-    queriers, targets = _fed_sample(session, names, n_discovery)
+    queriers, targets = _fed_sample(session, names, FED_DISCOVERY_SAMPLES)
     # Targets publish ahead of the window so every probe is resolvable.
     for tname in dict.fromkeys(targets):
         peer = peers[tname]
@@ -621,7 +611,7 @@ def _federated_scenario(
     t0 = sim.now
     goodput_order = list(queriers)
     goodput_before = yield sim.process(
-        _fed_goodput(session, peers, goodput_order, n_goodput,
+        _fed_goodput(session, peers, goodput_order, FED_GOODPUT_TRANSFERS,
                      FED_GOODPUT_BITS)
     )
 
@@ -637,9 +627,9 @@ def _federated_scenario(
             name="fed-kill-broker",
             schedule=((0.0, NodeCrash(target=victim.host.hostname)),),
         ).install(session, base=sim.now)
-        yield settle_s
+        yield FED_KILL_SETTLE_S
 
-    remaining = observation_s - (sim.now - t0)
+    remaining = FED_OBSERVATION_S - (sim.now - t0)
     if remaining > 0:
         yield remaining
 
@@ -649,8 +639,8 @@ def _federated_scenario(
     goodput_after = float("nan")
     if kill_broker:
         goodput_after = yield sim.process(
-            _fed_goodput(session, peers, goodput_order, n_goodput,
-                         FED_GOODPUT_BITS)
+            _fed_goodput(session, peers, goodput_order,
+                         FED_GOODPUT_TRANSFERS, FED_GOODPUT_BITS)
         )
 
     broker1, peer1 = _control_snapshot(session, peers)
@@ -708,66 +698,40 @@ def _federated_scenario(
 
 def run_federated(
     config: ExperimentConfig = ExperimentConfig(),
-    pools: Optional[Tuple[int, ...]] = None,
-    baseline_pool: Optional[int] = None,
-    brokers: Optional[int] = None,
+    pools: Tuple[int, ...] = FEDERATED_POOLS,
+    baseline_pool: int = FED_BASELINE_POOL,
+    brokers: int = FED_BROKERS,
 ) -> FederatedResult:
     """Run the gossip-federated control-plane study.
 
     Cells: a single-broker keepalive **baseline** at ``baseline_pool``
     peers, a gossip **federated** cell per entry of ``pools``, and one
     **killbroker** degradation cell (smallest federated pool, one of
-    the ``brokers`` brokers crashed mid-run).  ``REPRO_FED_SMOKE=1``
-    shrinks the study to a seeded 2-shard 200-peer cell for CI.
+    the ``brokers`` brokers crashed mid-run).  CI runs the seeded
+    2-shard cell ``pools=(200,), baseline_pool=100, brokers=2``.
 
-    Cells reuse the repetition sweep, so ``--parallel`` fans them out
-    bit-identically to the serial path.
+    The cells run as one :func:`run_cells` sweep, so ``--parallel``
+    fans them out bit-identically to the serial path.
     """
-    smoke = _fed_smoke()
-    if pools is None:
-        pools = (200,) if smoke else FEDERATED_POOLS
-    if baseline_pool is None:
-        baseline_pool = 100 if smoke else FED_BASELINE_POOL
-    if brokers is None:
-        brokers = 2 if smoke else FED_BROKERS
-    observation_s = 300.0 if smoke else FED_OBSERVATION_S
-    n_discovery = 20 if smoke else FED_DISCOVERY_SAMPLES
-    n_goodput = 10 if smoke else FED_GOODPUT_TRANSFERS
     gossip = config.gossip if config.gossip is not None else GossipConfig()
-
-    cells: List[Tuple[str, ExperimentConfig, functools.partial]] = []
-
-    def add_cell(label: str, pool: int, n_brokers: int, kill: bool) -> None:
-        cell_config = replace(
-            config,
-            synthetic_nodes=max(0, pool - len(SIMPLECLIENTS)),
-            gossip=gossip if n_brokers > 1 else None,
-            federation_brokers=n_brokers,
+    specs = [("baseline", baseline_pool, 1, False)]
+    specs += [("federated", pool, brokers, False) for pool in pools]
+    specs.append(("killbroker", min(pools), brokers, True))
+    cells = [
+        (
+            replace(
+                config,
+                synthetic_nodes=max(0, pool - len(SIMPLECLIENTS)),
+                gossip=gossip if n_brokers > 1 else None,
+                federation_brokers=n_brokers,
+            ),
+            functools.partial(_federated_scenario, pool=pool, kill_broker=kill),
         )
-        scenario = functools.partial(
-            _federated_scenario,
-            pool=pool,
-            kill_broker=kill,
-            observation_s=observation_s,
-            n_discovery=n_discovery,
-            n_goodput=n_goodput,
-            settle_s=FED_KILL_SETTLE_S,
-        )
-        cells.append((f"{label}/{pool}", cell_config, scenario))
-
-    add_cell("baseline", baseline_pool, 1, kill=False)
-    for pool in pools:
-        add_cell("federated", pool, brokers, kill=False)
-    add_cell("killbroker", min(pools), brokers, kill=True)
-
+        for _label, pool, n_brokers, kill in specs
+    ]
+    labels = tuple(f"{label}/{pool}" for label, pool, _n, _kill in specs)
     summaries: Dict[str, Summary] = {}
-    for cell, cell_config, scenario in cells:
-        rows: List[Mapping[str, float]] = run_repetitions(
-            cell_config, scenario
-        )
+    for cell, rows in zip(labels, run_cells(cells)):
         for key, summary in average_rows(rows).items():
             summaries[f"{cell}/{key}"] = summary
-    return FederatedResult(
-        cells=tuple(cell for cell, _cfg, _fn in cells),
-        summaries=summaries,
-    )
+    return FederatedResult(cells=labels, summaries=summaries)

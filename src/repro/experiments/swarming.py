@@ -59,7 +59,7 @@ from typing import Dict, List, Mapping, Tuple
 from repro.analysis.stats import Summary
 from repro.errors import TransferAborted
 from repro.experiments.report import render_table
-from repro.experiments.runner import average_rows, run_repetitions
+from repro.experiments.runner import average_rows, run_cells
 from repro.experiments.scenario import ExperimentConfig, Session
 from repro.selection.base import SelectionContext, Workload
 from repro.selection.evaluator import DataEvaluatorSelector
@@ -360,9 +360,8 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> SwarmingResult:
     testbeds = tuple(TESTBEDS) if not _smoke() else ("synthetic",)
     ks = SOURCES_K if not _smoke() else tuple(k for k in SOURCES_K if k <= 2)
     gs = GRANULARITIES if not _smoke() else (16,)
-    merged: List[Dict[str, float]] = [
-        {} for _ in range(config.repetitions)
-    ]
+    keys: List[Tuple[str, int, int, str, bool]] = []
+    cells = []
     for testbed in testbeds:
         cell_config = _config_for(testbed, config)
         for k in ks:
@@ -374,27 +373,24 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> SwarmingResult:
                 shared_baseline = k == 1 and config.fault_plan is None
                 models = (MODELS[0],) if shared_baseline else MODELS
                 for model in models:
-                    rep_rows = run_repetitions(
-                        cell_config,
-                        partial(
-                            _cell_scenario,
-                            testbed=testbed,
-                            model=model,
-                            k=k,
-                            g=g,
-                        ),
-                    )
-                    for i, row in enumerate(rep_rows):
-                        _merge_row(merged[i], row)
-                        if shared_baseline:
-                            # Replicate the measurements (but not the
-                            # download accounting) under the other
-                            # models' keys.
-                            src = f"{testbed}/{model}/k{k}/g{g}"
-                            for other in MODELS[1:]:
-                                dst = f"{testbed}/{other}/k{k}/g{g}"
-                                merged[i][dst] = row[src]
-                                merged[i][f"{dst}/tail"] = row[
-                                    f"{src}/tail"
-                                ]
+                    keys.append((testbed, k, g, model, shared_baseline))
+                    cells.append((cell_config, partial(
+                        _cell_scenario, testbed=testbed, model=model, k=k, g=g,
+                    )))
+    merged: List[Dict[str, float]] = [
+        {} for _ in range(config.repetitions)
+    ]
+    for (testbed, k, g, model, shared_baseline), rep_rows in zip(
+        keys, run_cells(cells)
+    ):
+        for i, row in enumerate(rep_rows):
+            _merge_row(merged[i], row)
+            if shared_baseline:
+                # Replicate the measurements (but not the download
+                # accounting) under the other models' keys.
+                src = f"{testbed}/{model}/k{k}/g{g}"
+                for other in MODELS[1:]:
+                    dst = f"{testbed}/{other}/k{k}/g{g}"
+                    merged[i][dst] = row[src]
+                    merged[i][f"{dst}/tail"] = row[f"{src}/tail"]
     return SwarmingResult(summaries=average_rows(merged))

@@ -12,8 +12,11 @@ Worker counts resolve from, in order: an explicit argument, the
 process-wide default set by :func:`set_default_workers` (the CLI's
 ``--parallel``), the ``REPRO_PARALLEL`` environment variable, else 1
 (serial).  Inside a worker process the resolution is pinned to 1, so
-nested sweeps (a parallel resilience matrix whose cells call
-``run_repetitions``) cannot fork a pool per cell.
+a task that itself starts a sweep cannot fork a pool of its own.
+
+Every experiment study reaches this module through one caller,
+:func:`repro.experiments.runner.run_cells`, which flattens a study's
+(cell, repetition) tasks into a single :func:`pmap` sweep.
 """
 
 from __future__ import annotations
@@ -122,8 +125,8 @@ def pmap(
     plain in-process loop over the *same* callable — the reference
     path parallel runs are proven bit-identical against.  ``fn`` and
     every task must be picklable when a pool is used; ``chunksize=1``
-    keeps heterogeneous tasks (resilience cells of very different
-    cost) load-balanced.
+    keeps heterogeneous tasks (cells of very different cost)
+    load-balanced.
     """
     items = list(tasks)
     n = resolve_workers(workers, len(items))

@@ -289,6 +289,10 @@ class SwarmCoordinator:
         name = src.name
         handle = None
         current: Optional[int] = None
+        # Set when garbage collection closes the worker after its
+        # session ended: cleanup would then act in a dead session
+        # (close the handle, count a transfer, reset gauges).
+        abandoned = False
         try:
             try:
                 while not self._finished and not tracker.complete:
@@ -339,9 +343,13 @@ class SwarmCoordinator:
                                 size, index=piece, cancel_if=cancel_if
                             )
                         )
+                    except GeneratorExit:
+                        abandoned = True
+                        raise
                     finally:
-                        self._streaming -= 1
-                        self._g_active.set(self._streaming)
+                        if not abandoned:
+                            self._streaming -= 1
+                            self._g_active.set(self._streaming)
                     if rec is None:
                         # Cancelled duplicate: proven elsewhere while
                         # our copy streamed.
@@ -394,15 +402,19 @@ class SwarmCoordinator:
                 handle = None
                 self._on_source_failed(src, current, exc)
                 return
+        except GeneratorExit:
+            abandoned = True
+            raise
         finally:
-            self._alive -= 1
-            if handle is not None and not handle.closed:
-                handle.close()
-            if self._alive == 0 and not self._finished:
-                if not self.outcome.reason:
-                    self.outcome.reason = "all sources failed"
-                self._finish()
-            self._kick()
+            if not abandoned:
+                self._alive -= 1
+                if handle is not None and not handle.closed:
+                    handle.close()
+                if self._alive == 0 and not self._finished:
+                    if not self.outcome.reason:
+                        self.outcome.reason = "all sources failed"
+                    self._finish()
+                self._kick()
 
     def _idle_wait(self):
         ev = self._wake

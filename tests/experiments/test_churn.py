@@ -35,6 +35,18 @@ class TestChurnRun:
         assert "completion rate" in out and "blind" in out
 
 
+class TestCliDefaults:
+    def test_confirm_timeout_counts_as_aborted(self):
+        # At the CLI defaults (seed 2007, 5 repetitions) a confirm round
+        # gets no reply for its PartNotice; the placement is aborted
+        # instead of the RequestTimeout ending the run.
+        result = churn.run(ExperimentConfig(seed=2007, repetitions=5))
+        for policy in churn.POLICIES:
+            total = result.completed(policy) + result.aborted(policy)
+            assert total == pytest.approx(churn.N_TRANSFERS)
+        assert result.aborted("blind") > 0
+
+
 class TestLivenessFilter:
     def test_stale_peers_dropped_from_candidates(self):
         from repro.experiments.scenario import Session

@@ -8,11 +8,8 @@ from repro.experiments import ExperimentConfig, scale
 from repro.perf.parallel import set_default_workers
 
 CONFIG = ExperimentConfig(seed=2007, repetitions=2)
-
-
-@pytest.fixture(autouse=True)
-def fed_smoke(monkeypatch):
-    monkeypatch.setenv("REPRO_FED_SMOKE", "1")
+#: The CI smoke cell: two shards, 200 federated peers.
+SMOKE = dict(pools=(200,), baseline_pool=100, brokers=2)
 
 
 def _fingerprint(result: scale.FederatedResult):
@@ -27,13 +24,7 @@ def _fingerprint(result: scale.FederatedResult):
 class TestSmokeStudy:
     @pytest.fixture(scope="class")
     def result(self):
-        import os
-
-        os.environ["REPRO_FED_SMOKE"] = "1"  # class-scoped, pre-fixture
-        try:
-            return scale.run_federated(CONFIG)
-        finally:
-            os.environ.pop("REPRO_FED_SMOKE", None)
+        return scale.run_federated(CONFIG, **SMOKE)
 
     def test_cells_present(self, result):
         assert result.cells == (
@@ -60,16 +51,16 @@ class TestSmokeStudy:
 
 class TestBitIdentity:
     def test_same_seed_is_bit_identical(self):
-        a = scale.run_federated(CONFIG)
-        b = scale.run_federated(CONFIG)
+        a = scale.run_federated(CONFIG, **SMOKE)
+        b = scale.run_federated(CONFIG, **SMOKE)
         assert _fingerprint(a) == _fingerprint(b)
 
     def test_serial_matches_parallel(self):
         set_default_workers(1)
         try:
-            serial = scale.run_federated(CONFIG)
+            serial = scale.run_federated(CONFIG, **SMOKE)
             set_default_workers(2)
-            parallel = scale.run_federated(CONFIG)
+            parallel = scale.run_federated(CONFIG, **SMOKE)
         finally:
             set_default_workers(None)
         assert _fingerprint(serial) == _fingerprint(parallel)

@@ -1,17 +1,18 @@
 """Tests for the parallel sweep runner (:mod:`repro.perf.parallel`).
 
 The headline property — parallel runs are **bit-identical** to serial
-ones — is asserted here on real experiment sweeps: same result rows,
-same metric values, for both the repetition fan-out and a resilience
-matrix cell.
+ones — is asserted here on real experiment sweeps: every CLI artifact
+renders the same table and merges the same metric values at one and
+at two workers.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.__main__ import ARTIFACTS
 from repro.errors import ConfigError
-from repro.analysis.stats import summaries_identical
+from repro.experiments import ExperimentConfig, scale
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import use_registry
 from repro.perf import parallel as par
@@ -111,53 +112,42 @@ class TestPmap:
         assert pmap(_square, [], workers=4) == []
 
 
+#: Small sizes for the artifacts whose CLI defaults are slow; every
+#: other artifact runs its CLI entry point at :data:`_IDENTITY_CONFIG`.
+_SMALL_ARTIFACTS = {
+    "scale-large": lambda config: scale.run_large(
+        config, pools=(12, 16), n_jobs=4, concurrency=4
+    ).table(),
+    "scale-federated": lambda config: scale.run_federated(
+        config, pools=(40,), baseline_pool=20, brokers=2
+    ).table(),
+}
+_IDENTITY_CONFIG = ExperimentConfig(seed=2007, repetitions=2)
+
+
+def _run_artifact(name, workers):
+    set_default_workers(workers)
+    runner = _SMALL_ARTIFACTS.get(name, ARTIFACTS[name][1])
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        table = runner(_IDENTITY_CONFIG)
+    return table, registry.to_dict()
+
+
 class TestBitIdenticalSweeps:
-    """Parallel == serial, exactly: rows, summaries and metrics."""
+    """Parallel == serial, exactly: rendered tables and merged metrics."""
 
-    def _fig3(self, workers):
-        from repro.experiments import fig3_fulltransfer
-        from repro.experiments.runner import run_repetitions
-        from repro.experiments.scenario import ExperimentConfig
-
-        config = ExperimentConfig(seed=2007, repetitions=2)
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            rows = run_repetitions(
-                config, fig3_fulltransfer._scenario, workers=workers
-            )
-        return rows, registry.to_dict()
-
-    def test_fig3_repetitions_identical(self):
-        rows_serial, metrics_serial = self._fig3(workers=1)
-        rows_parallel, metrics_parallel = self._fig3(workers=2)
-        assert rows_serial == rows_parallel
-        assert metrics_serial == metrics_parallel
-
-    def test_resilience_cell_identical(self):
-        # One matrix cell row (baseline profile x all policies) is the
-        # acceptance shape: summaries NaN-identical, metrics equal.
-        from repro.experiments import resilience
-        from repro.experiments.scenario import ExperimentConfig
-
-        config = ExperimentConfig(seed=2007, repetitions=1)
-
-        def run_matrix(workers):
-            registry = MetricsRegistry()
-            with use_registry(registry):
-                result = resilience.run(
-                    config, profiles=("baseline",), workers=workers
-                )
-            return result, registry.to_dict()
-
-        serial, metrics_serial = run_matrix(1)
-        parallel, metrics_parallel = run_matrix(2)
-        assert serial.profiles == parallel.profiles
-        assert summaries_identical(serial.summaries, parallel.summaries)
+    @pytest.mark.parametrize(
+        "name", [name for name in ARTIFACTS if name != "table1"]
+    )
+    def test_artifact_identical(self, name):
+        table_serial, metrics_serial = _run_artifact(name, workers=1)
+        table_parallel, metrics_parallel = _run_artifact(name, workers=2)
+        assert table_serial == table_parallel
         assert metrics_serial == metrics_parallel
 
     def test_unpicklable_scenario_degrades_to_serial(self):
         from repro.experiments.runner import run_repetitions
-        from repro.experiments.scenario import ExperimentConfig
 
         config = ExperimentConfig(seed=11, repetitions=2)
         seen = []

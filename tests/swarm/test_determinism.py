@@ -31,7 +31,7 @@ def _config(fault_plan=None, trace=False) -> ExperimentConfig:
     )
 
 
-def _run_cell(config, model="economic", k=2, g=16):
+def _swarm_cell(config, model="economic", k=2, g=16):
     session = Session(config)
     rows = session.run(
         lambda s: _cell_scenario(s, testbed="synthetic", model=model, k=k, g=g)
@@ -41,8 +41,8 @@ def _run_cell(config, model="economic", k=2, g=16):
 
 class TestSameSeedDeterminism:
     def test_twin_runs_walk_identical_wire_paths(self):
-        session_a, rows_a = _run_cell(_config(trace=True))
-        session_b, rows_b = _run_cell(_config(trace=True))
+        session_a, rows_a = _swarm_cell(_config(trace=True))
+        session_b, rows_b = _swarm_cell(_config(trace=True))
         assert rows_a == rows_b
         trace_a = [(e.kind, e.time) for e in session_a.tracer.events]
         trace_b = [(e.kind, e.time) for e in session_b.tracer.events]
@@ -52,7 +52,7 @@ class TestSameSeedDeterminism:
         assert {"swarm-open", "swarm-piece", "swarm-done"} <= kinds
 
     def test_piece_trace_carries_source_attribution(self):
-        session, rows = _run_cell(_config(trace=True))
+        session, rows = _swarm_cell(_config(trace=True))
         pieces = session.tracer.of_kind("swarm-piece")
         assert pieces
         for event in pieces:
@@ -82,10 +82,10 @@ class TestFaultCross:
     def test_profiles_preserve_accounting_and_determinism(self):
         for profile in ("straggler", "flaky_links"):
             plan = get_profile(profile)
-            _, rows_a = _run_cell(
+            _, rows_a = _swarm_cell(
                 _config(fault_plan=plan), model="quick_peer", k=2, g=16
             )
-            _, rows_b = _run_cell(
+            _, rows_b = _swarm_cell(
                 _config(fault_plan=plan), model="quick_peer", k=2, g=16
             )
             self._check_accounting(rows_a, "quick_peer", 2, 16)
