@@ -15,15 +15,12 @@ Run:  python examples/federation.py
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.gossip.config import GossipConfig
 from repro.gossip.federation import Federation
 from repro.overlay.advertisements import ResourceAdvertisement
 from repro.overlay.broker import Broker
 from repro.overlay.client import SimpleClient
 from repro.overlay.ids import IdFactory
-from repro.overlay.peer import PeerConfig
 from repro.simnet.kernel import Simulator
 from repro.simnet.planetlab import build_testbed
 from repro.simnet.rng import RandomStreams
@@ -54,16 +51,10 @@ def main() -> None:
         for i, hostname in enumerate(testbed.federation)
     ]
     federation = Federation(net, brokers, GossipConfig())
-    # SWIM is the liveness source: the periodic beacons stay off.
-    client_config = dataclasses.replace(
-        PeerConfig(), keepalive_enabled=False, stat_reports_enabled=False
-    )
+    # SWIM is the liveness source: join_federated starts no beacons.
     labels = testbed.sc_labels()
     clients = {
-        label: SimpleClient(
-            net, testbed.sc_hostname(label), ids, name=label,
-            config=client_config,
-        )
+        label: SimpleClient(net, testbed.sc_hostname(label), ids, name=label)
         for label in labels
     }
 

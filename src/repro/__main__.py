@@ -158,7 +158,11 @@ def main(argv=None) -> int:
         return 2
 
     if args.config is not None:
-        config = ExperimentConfig.load(args.config)
+        try:
+            config = ExperimentConfig.load(args.config)
+        except (OSError, ValueError, ConfigError) as exc:
+            print(f"--config: {exc}", file=sys.stderr)
+            return 2
     else:
         config = ExperimentConfig(seed=args.seed, repetitions=args.reps)
     if args.faults:

@@ -195,20 +195,19 @@ class ResilienceResult:
 
 def _make_policy(policy: str, session: Session):
     recovery = session.config.recovery
-    degraded = recovery is not None and recovery.degraded_selection
     if policy == "blind":
         # Blind placement consults no statistics; there is nothing to
         # go stale and no degraded variant.
         return RoundRobinSelector()
     if policy == "economic":
-        if degraded:
+        if recovery is not None:
             return StalenessAwareScheduler(
                 reserve=False, budget_s=recovery.staleness_budget_s
             )
         return SchedulingBasedSelector(reserve=False)
     if policy == "same_priority":
         rng = session.streams.get("resilience/evaluator-ties")
-        if degraded:
+        if recovery is not None:
             return StalenessAwareEvaluator(
                 "same_priority",
                 tiebreak_rng=rng,
@@ -224,12 +223,17 @@ def _candidates(policy: str, session: Session):
     # federation the registry is sharded, so the selection view is the
     # union over the live federation brokers (map order, deduplicated)
     # — the in-process equivalent of a cross-shard candidate fan-out.
+    # Informed policies filter by keepalive recency; gossip-governed
+    # brokers get no beacons to age out (SWIM flips ``rec.online``
+    # itself), so there the window would only starve selection.
     if session.federation is not None:
         governors = [
             b for b in session.federation.brokers.values() if b.host.is_up
         ]
+        window = None
     else:
         governors = [session.leader_broker]
+        window = LIVENESS_S
     merged = []
     seen = set()
     for governor in governors:
@@ -239,8 +243,7 @@ def _candidates(policy: str, session: Session):
                 online_only=False, liveness_timeout_s=None
             )
         else:
-            # Informed: the broker's configured liveness window applies.
-            records = governor.candidates()
+            records = governor.candidates(liveness_timeout_s=window)
         for rec in records:
             if rec.peer_id not in seen:
                 seen.add(rec.peer_id)
@@ -427,11 +430,7 @@ def run(
             profiles = ("baseline", config.fault_plan.name)
         else:
             profiles = DEFAULT_PROFILES
-    base = replace(
-        config,
-        peer_config=_RESILIENCE_PEER_CONFIG,
-        liveness_timeout_s=LIVENESS_S,
-    )
+    base = replace(config, peer_config=_RESILIENCE_PEER_CONFIG)
     cells = []
     for profile in profiles:
         if profile == "baseline":

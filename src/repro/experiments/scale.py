@@ -17,7 +17,6 @@ keeps finding the good ones.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Tuple
@@ -36,7 +35,7 @@ from repro.faults.plan import FaultPlan
 from repro.gossip.config import GossipConfig
 from repro.overlay.advertisements import ResourceAdvertisement
 from repro.overlay.client import SimpleClient
-from repro.overlay.peer import PeerConfig, RequestTimeout
+from repro.overlay.peer import RequestTimeout
 from repro.selection.base import SelectionContext, Workload
 from repro.selection.blind import RoundRobinSelector
 from repro.selection.evaluator import DataEvaluatorSelector
@@ -461,16 +460,11 @@ def _fed_bringup(session: Session, pool: int):
     sim = session.sim
     fed = session.federation
     peers: Dict[str, SimpleClient] = dict(session.clients)
-    config = session.config.peer_config or PeerConfig()
-    if fed is not None:
-        config = dataclasses.replace(
-            config, keepalive_enabled=False, stat_reports_enabled=False
-        )
     fresh: List[SimpleClient] = []
     for hostname in synthetic_hostnames(max(0, pool - len(peers))):
         peer = SimpleClient(
             session.network, hostname, session.ids, name=hostname,
-            config=config,
+            config=session.config.peer_config,
         )
         peers[peer.name] = peer
         fresh.append(peer)

@@ -16,7 +16,7 @@ from typing import Callable, Dict, Optional
 from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan, FaultRuntime
 from repro.gossip.config import GossipConfig
-from repro.gossip.federation import Federation
+from repro.gossip.federation import BROKER_PROBE_INTERVAL_S, Federation
 from repro.obs.runtime import active_registry
 from repro.obs.trace import EventTrace
 from repro.overlay.broker import Broker
@@ -24,8 +24,11 @@ from repro.overlay.client import SimpleClient
 from repro.overlay.ids import IdFactory
 from repro.overlay.peer import PeerConfig
 from repro.recovery.config import RecoveryConfig
-from repro.recovery.standby import FailoverDirector
-from repro.swarm.config import SwarmConfig
+from repro.recovery.standby import (
+    FAILOVER_CHECK_INTERVAL_S,
+    FAILOVER_PING_TIMEOUT_S,
+    FailoverDirector,
+)
 from repro.simnet.kernel import Simulator
 from repro.simnet.planetlab import PlanetLabTestbed, build_testbed
 from repro.simnet.rng import RandomStreams
@@ -59,18 +62,13 @@ class ExperimentConfig:
     flow_tick: float = 10.0
     #: Override peer protocol parameters (None = defaults).
     peer_config: Optional[PeerConfig] = None
-    #: Broker default keepalive-recency window for candidate selection
-    #: (None = no recency filter unless a caller passes one).
-    liveness_timeout_s: Optional[float] = None
     #: Fault-injection plan, installed once the overlay is connected
     #: (base time = end of connect); None = no injected faults.
     fault_plan: Optional[FaultPlan] = None
     #: Self-healing layer (transfer resume, standby broker failover,
-    #: degraded-mode selection); None = no recovery, faults lose work.
+    #: degraded-mode selection, partition-aware flow gating); None = no
+    #: recovery, faults lose work.
     recovery: Optional[RecoveryConfig] = None
-    #: Multi-source swarming knobs (choke slots, endgame duplication,
-    #: re-assignment); None = the swarming experiment uses defaults.
-    swarm: Optional[SwarmConfig] = None
     #: Gossip control plane (SWIM liveness + sharded federation); None
     #: = the legacy per-client keepalive control plane.
     gossip: Optional["GossipConfig"] = None
@@ -97,8 +95,6 @@ class ExperimentConfig:
             raise ConfigError("trace_capacity must be >= 1")
         if self.trace_policy not in ("ring", "reservoir"):
             raise ConfigError("trace_policy must be 'ring' or 'reservoir'")
-        if self.liveness_timeout_s is not None and self.liveness_timeout_s <= 0:
-            raise ConfigError("liveness_timeout_s must be > 0")
 
     def for_repetition(self, rep: int) -> "ExperimentConfig":
         """Config with the repetition-specific derived seed."""
@@ -119,7 +115,6 @@ class ExperimentConfig:
             "trace_capacity": self.trace_capacity,
             "trace_policy": self.trace_policy,
             "flow_tick": self.flow_tick,
-            "liveness_timeout_s": self.liveness_timeout_s,
             "federation_brokers": self.federation_brokers,
         }
         if self.gossip is not None:
@@ -130,8 +125,6 @@ class ExperimentConfig:
             out["fault_plan"] = self.fault_plan.to_dict()
         if self.recovery is not None:
             out["recovery"] = self.recovery.to_dict()
-        if self.swarm is not None:
-            out["swarm"] = self.swarm.to_dict()
         return out
 
     @classmethod
@@ -141,20 +134,17 @@ class ExperimentConfig:
         peer_config = data.pop("peer_config", None)
         fault_plan = data.pop("fault_plan", None)
         recovery = data.pop("recovery", None)
-        swarm = data.pop("swarm", None)
         gossip = data.pop("gossip", None)
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if peer_config is not None:
-            data["peer_config"] = PeerConfig(**peer_config)
+            data["peer_config"] = PeerConfig.from_dict(peer_config)
         if fault_plan is not None:
             data["fault_plan"] = FaultPlan.from_dict(fault_plan)
         if recovery is not None:
             data["recovery"] = RecoveryConfig.from_dict(recovery)
-        if swarm is not None:
-            data["swarm"] = SwarmConfig.from_dict(swarm)
         if gossip is not None:
             data["gossip"] = GossipConfig.from_dict(gossip)
         return cls(**data)
@@ -180,8 +170,7 @@ class Session:
 
     def __init__(self, config: ExperimentConfig) -> None:
         self.config = config
-        recovery = config.recovery
-        with_standby = recovery is not None and recovery.standby_broker
+        with_standby = config.recovery is not None
         self.testbed: PlanetLabTestbed = build_testbed(
             include_full_slice=config.include_full_slice,
             synthetic_nodes=config.synthetic_nodes,
@@ -215,7 +204,6 @@ class Session:
             ids,
             name="broker",
             config=config.peer_config,
-            liveness_timeout_s=config.liveness_timeout_s,
         )
         #: All federation brokers, head first (just the head outside
         #: federated deployments).
@@ -228,7 +216,6 @@ class Session:
                     ids,
                     name=f"broker{i}",
                     config=config.peer_config,
-                    liveness_timeout_s=config.liveness_timeout_s,
                 )
             )
         #: Gossip federation (None under the legacy keepalive plane).
@@ -247,30 +234,19 @@ class Session:
                 ids,
                 name="standby",
                 config=config.peer_config,
-                liveness_timeout_s=config.liveness_timeout_s,
             )
-        if recovery is not None and recovery.partition_aware_flows:
             self.network.enable_flow_partition_gating()
         #: Fault runtimes installed on this session (the configured
         #: plan plus any a scenario installs itself); finalized —
         #: open episodes censored — when :meth:`run` returns.
         self.fault_runtimes: list[FaultRuntime] = []
-        client_config = config.peer_config
-        if config.gossip is not None:
-            # Gossip replaces the periodic beacons as liveness source:
-            # SWIM probes + event-driven notifies, not per-peer loops.
-            client_config = dataclasses.replace(
-                client_config if client_config is not None else PeerConfig(),
-                keepalive_enabled=False,
-                stat_reports_enabled=False,
-            )
         self.clients: Dict[str, SimpleClient] = {
             label: SimpleClient(
                 self.network,
                 self.testbed.sc_hostname(label),
                 ids,
                 name=label,
-                config=client_config,
+                config=config.peer_config,
             )
             for label in self.testbed.sc_labels()
         }
@@ -311,7 +287,7 @@ class Session:
                 agent = SwimAgent(
                     self.standby,
                     self.config.gossip,
-                    probe_interval_s=self.config.gossip.broker_probe_interval_s,
+                    probe_interval_s=BROKER_PROBE_INTERVAL_S,
                     track_unknown=True,
                 )
                 agent.track(self.broker.name, self.broker.host.hostname)
@@ -333,8 +309,8 @@ class Session:
                 for client in self.clients.values():
                     client.enable_failover(
                         [sadv],
-                        check_interval_s=recovery.failover_check_interval_s,
-                        ping_timeout_s=recovery.failover_ping_timeout_s,
+                        check_interval_s=FAILOVER_CHECK_INTERVAL_S,
+                        ping_timeout_s=FAILOVER_PING_TIMEOUT_S,
                     )
         self._connected = True
 

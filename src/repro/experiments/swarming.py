@@ -67,7 +67,7 @@ from repro.selection.preference import PreferenceTable, UserPreferenceSelector
 from repro.selection.scheduling import SchedulingBasedSelector
 from repro.simnet.planetlab import synthetic_hostnames
 from repro.overlay.client import SimpleClient
-from repro.swarm import SwarmConfig, SwarmCoordinator, SwarmSource
+from repro.swarm import SwarmCoordinator, SwarmSource
 from repro.units import mbit
 
 __all__ = [
@@ -285,11 +285,6 @@ def _cell_scenario(
     sim = session.sim
     dest_label = TESTBEDS[testbed]
     dest = session.client(dest_label)
-    swarm_cfg = (
-        session.config.swarm
-        if session.config.swarm is not None
-        else SwarmConfig()
-    )
     replicas = yield sim.process(_replica_pool(session, testbed, dest_label))
     yield sim.process(_warmup(session, replicas))
 
@@ -305,7 +300,6 @@ def _cell_scenario(
             session, model, replicas, dest_label, part_bits
         ),
         k=k,
-        config=swarm_cfg,
     )
     proc = sim.process(coord.download())
     yield sim.any_of([proc, sim.timeout(RUN_DEADLINE_S)])

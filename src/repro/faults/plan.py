@@ -165,7 +165,7 @@ class FaultRuntime:
             if standby is None:
                 raise ConfigError(
                     "target 'standby' needs a testbed built with a "
-                    "standby broker (recovery.standby_broker)"
+                    "standby broker (a recovery config)"
                 )
             return (standby,)
         if target == "simpleclients":

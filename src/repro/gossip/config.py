@@ -1,10 +1,13 @@
 """Gossip subsystem configuration.
 
-One frozen dataclass carries every SWIM and federation knob, with the
-same JSON round-trip discipline as the other config objects
-(:class:`~repro.recovery.config.RecoveryConfig`,
-:class:`~repro.swarm.config.SwarmConfig`): explicit ``to_dict`` /
+One frozen dataclass carries the SWIM detector timings a deployment
+tunes, with the same JSON round-trip discipline as
+:class:`~repro.recovery.config.RecoveryConfig`: explicit ``to_dict`` /
 ``from_dict`` so saved experiment configs replay bit-identically.
+Fan-outs, rumor budgets, graph degree and the federation's retry
+budgets are module constants beside their readers
+(:mod:`repro.gossip.swim`, :mod:`repro.gossip.federation`,
+:mod:`repro.overlay.client`, :mod:`repro.overlay.broker`).
 """
 
 from __future__ import annotations
@@ -19,69 +22,21 @@ __all__ = ["GossipConfig"]
 
 @dataclass(frozen=True)
 class GossipConfig:
-    """Tunables for SWIM liveness and broker federation."""
+    """Tunables for SWIM liveness."""
 
     #: Period of one peer probe round (seconds).  SWIM's detection
     #: latency is a small multiple of this.
     probe_interval_s: float = 30.0
     #: Direct-probe ack deadline before indirect probing starts.
     probe_timeout_s: float = 10.0
-    #: How many proxies a failed direct probe asks to ping-req the
-    #: target (SWIM's k).
-    ping_req_fanout: int = 2
     #: Suspect→dead timeout: how long a suspicion may stand without a
     #: refutation before the member is declared dead.
     suspect_timeout_s: float = 60.0
-    #: Max rumors piggybacked on one ping/ack.
-    piggyback_max: int = 8
-    #: Times each agent re-transmits a rumor before retiring it
-    #: (bounded retransmission; ~lambda*log n copies network-wide).
-    rumor_retransmits: int = 6
-    #: Ring successors each peer tracks and probes (failure-detection
-    #: coverage: every peer is watched by this many predecessors).
-    ring_successors: int = 2
-    #: Extra deterministic "long links" per peer into its shard roster
-    #: (keeps the rumor graph's diameter logarithmic — a ring alone
-    #: spreads rumors in O(n/k) rounds).
-    long_links: int = 2
-    #: Probe period of the broker-to-broker full mesh (brokers are few,
-    #: so they afford a faster detector than the edge).
-    broker_probe_interval_s: float = 15.0
-    #: Members each surviving broker seeds a broker-death rumor to, per
-    #: owned shard, so edge peers learn of the death and rehome.
-    seed_fanout: int = 8
-    #: Timeout for one broker-to-broker leg of a cross-shard discovery
-    #: fan-out.
-    fanout_timeout_s: float = 15.0
-    #: Attempt budget for a federated join walk (stale-map redirects
-    #: plus dead-broker skips).
-    join_attempts: int = 6
-    #: Whole rehome walks attempted after a home-broker death (a
-    #: shard's worth of peers rejoins at once, so early walks can
-    #: exhaust their budget against busy survivors).
-    rehome_retries: int = 3
-    #: Pause between rehome walk retries.
-    rehome_backoff_s: float = 60.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "probe_interval_s",
-            "probe_timeout_s",
-            "suspect_timeout_s",
-            "broker_probe_interval_s",
-            "fanout_timeout_s",
-        ):
+        for name in ("probe_interval_s", "probe_timeout_s", "suspect_timeout_s"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
-        if self.rehome_backoff_s <= 0:
-            raise ConfigError("rehome_backoff_s must be > 0")
-        for name in ("ping_req_fanout", "piggyback_max", "rumor_retransmits",
-                     "ring_successors", "join_attempts", "rehome_retries"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        for name in ("long_links", "seed_fanout"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
 
     # -- persistence ---------------------------------------------------------
 

@@ -36,6 +36,26 @@ from repro.gossip.swim import SwimAgent
 
 __all__ = ["Federation"]
 
+#: Ring successors each peer tracks and probes (failure-detection
+#: coverage: every peer is watched by this many predecessors).
+RING_SUCCESSORS = 2
+#: Extra deterministic "long links" per peer into its shard roster
+#: (keeps the rumor graph's diameter logarithmic — a ring alone
+#: spreads rumors in O(n/k) rounds).
+LONG_LINKS = 2
+#: Probe period of the broker-to-broker full mesh (brokers are few,
+#: so they afford a faster detector than the edge).
+BROKER_PROBE_INTERVAL_S = 15.0
+#: Members each surviving broker seeds a broker-death rumor to, per
+#: owned shard, so edge peers learn of the death and rehome.
+SEED_FANOUT = 8
+#: Whole rehome walks attempted after a home-broker death (a shard's
+#: worth of peers rejoins at once, so early walks can exhaust their
+#: budget against busy survivors).
+REHOME_RETRIES = 3
+#: Pause between rehome walk retries.
+REHOME_BACKOFF_S = 60.0
+
 
 class Federation:
     """N brokers sharing one sharded, gossip-governed registry."""
@@ -78,7 +98,7 @@ class Federation:
             agent = SwimAgent(
                 broker,
                 self.config,
-                probe_interval_s=self.config.broker_probe_interval_s,
+                probe_interval_s=BROKER_PROBE_INTERVAL_S,
                 track_unknown=True,
             )
             for other in self.brokers.values():
@@ -123,12 +143,11 @@ class Federation:
 
         Idempotent and incremental: peers enrolled since the last call
         get agents wired over the rosters as of *this* call.  The graph
-        per peer is its ``ring_successors`` roster successors (failure
-        detection coverage) plus ``long_links`` seeded random members
+        per peer is its :data:`RING_SUCCESSORS` roster successors (failure
+        detection coverage) plus :data:`LONG_LINKS` seeded random members
         (logarithmic rumor diameter); every peer also tracks the
         brokers so a broker-death rumor can trigger rehoming.
         """
-        cfg = self.config
         for key, roster in self.rosters.items():
             n = len(roster)
             for idx, (name, _hostname) in enumerate(roster):
@@ -136,9 +155,9 @@ class Federation:
                     continue
                 peer = self.peers[name]
                 home = peer.broker_adv.hostname if peer.broker_adv else None
-                agent = SwimAgent(peer, cfg, notify_hostname=home)
+                agent = SwimAgent(peer, self.config, notify_hostname=home)
                 neighbors: Dict[str, str] = {}
-                for step in range(1, min(cfg.ring_successors, n - 1) + 1):
+                for step in range(1, min(RING_SUCCESSORS, n - 1) + 1):
                     succ_name, succ_host = roster[(idx + step) % n]
                     neighbors[succ_name] = succ_host
                 others = [
@@ -146,8 +165,8 @@ class Federation:
                     for m, h in roster
                     if m != name and m not in neighbors
                 ]
-                if others and cfg.long_links > 0:
-                    k = min(cfg.long_links, len(others))
+                if others:
+                    k = min(LONG_LINKS, len(others))
                     picked = agent.rng.choice(
                         len(others), size=k, replace=False
                     )
@@ -237,7 +256,7 @@ class Federation:
                 )
 
     def _seed_targets(self, shard_key: str) -> List[Tuple[str, str]]:
-        """``seed_fanout`` members of a shard roster, stride-sampled.
+        """:data:`SEED_FANOUT` members of a shard roster, stride-sampled.
 
         The gossip graph's failure-detection edges are ring
         *successors*, so the first k roster members share most of
@@ -247,13 +266,10 @@ class Federation:
         shard by roughly a factor of k.
         """
         roster = self.rosters.get(shard_key, ())
-        k = self.config.seed_fanout
-        if k <= 0 or not roster:
-            return []
-        if len(roster) <= k:
+        if len(roster) <= SEED_FANOUT:
             return list(roster)
-        stride = len(roster) // k
-        return [roster[i * stride] for i in range(k)]
+        stride = len(roster) // SEED_FANOUT
+        return [roster[i * stride] for i in range(SEED_FANOUT)]
 
     # -- peer rehoming -------------------------------------------------------
 
@@ -279,7 +295,7 @@ class Federation:
         from repro.overlay.peer import RequestTimeout
         from repro.errors import HostDownError, NotConnectedError
 
-        for retry in range(self.config.rehome_retries):
+        for retry in range(REHOME_RETRIES):
             try:
                 yield self.sim.process(
                     peer.join_federated(
@@ -287,8 +303,8 @@ class Federation:
                     )
                 )
             except (RequestTimeout, NotConnectedError, HostDownError):
-                if retry + 1 < self.config.rehome_retries:
-                    yield self.config.rehome_backoff_s
+                if retry + 1 < REHOME_RETRIES:
+                    yield REHOME_BACKOFF_S
                 continue
             agent.notify_hostname = peer.broker_adv.hostname
             return

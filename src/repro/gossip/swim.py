@@ -5,7 +5,7 @@ and implements the three SWIM components:
 
 * **Probing** — every ``probe_interval_s`` the agent pings the next
   member of its (deterministic, seeded-staggered) probe ring; a missed
-  direct ack triggers ``ping_req_fanout`` indirect probes through
+  direct ack triggers :data:`PING_REQ_FANOUT` indirect probes through
   proxies before the target is suspected.
 * **Suspicion** — suspect→dead after ``suspect_timeout_s`` unless the
   member refutes by re-announcing itself *alive* at a higher
@@ -15,7 +15,7 @@ and implements the three SWIM components:
   doubted and can refute on the ack path.
 * **Dissemination** — membership deltas ride as rumors piggybacked on
   probe traffic, each retransmitted a bounded number of times
-  (``rumor_retransmits``); fresh *locally declared* rumors are
+  (:data:`RUMOR_RETRANSMITS`); fresh *locally declared* rumors are
   additionally pushed to the agent's ``notify_hostname`` (the shard
   broker) so the registry learns liveness from churn events instead of
   per-peer keepalive beacons.
@@ -41,6 +41,15 @@ from repro.gossip.messages import (
 from repro.simnet.transport import Datagram
 
 __all__ = ["MemberState", "SwimAgent"]
+
+#: How many proxies a failed direct probe asks to ping-req the
+#: target (SWIM's k).
+PING_REQ_FANOUT = 2
+#: Max rumors piggybacked on one ping/ack.
+PIGGYBACK_MAX = 8
+#: Times each agent re-transmits a rumor before retiring it (bounded
+#: retransmission; ~lambda*log n copies network-wide).
+RUMOR_RETRANSMITS = 6
 
 #: Status strength at equal incarnation: dead > suspect > alive.
 _RANK = {"alive": 0, "suspect": 1, "dead": 2}
@@ -253,7 +262,7 @@ class SwimAgent:
             for n, st in self.table.items()
             if st.status == "alive" and n != exclude
         ]
-        k = min(self.config.ping_req_fanout, len(alive))
+        k = min(PING_REQ_FANOUT, len(alive))
         if k <= 0:
             return []
         idx = self.rng.choice(len(alive), size=k, replace=False)
@@ -381,10 +390,10 @@ class SwimAgent:
         self._notify((refute,))
 
     def _queue_rumor(self, rumor: Rumor) -> None:
-        self._rumors[rumor.member] = [rumor, self.config.rumor_retransmits]
+        self._rumors[rumor.member] = [rumor, RUMOR_RETRANSMITS]
 
     def _take_piggyback(self, about: Optional[str] = None) -> Tuple[Rumor, ...]:
-        """Up to ``piggyback_max`` pending rumors, FIFO by first queue.
+        """Up to :data:`PIGGYBACK_MAX` pending rumors, FIFO by first queue.
 
         ``about`` forces a rumor describing our current belief about
         that member — pinging a suspect always tells it so, giving it
@@ -404,7 +413,7 @@ class SwimAgent:
                 )
         retired = []
         for member, slot in self._rumors.items():
-            if len(out) >= self.config.piggyback_max:
+            if len(out) >= PIGGYBACK_MAX:
                 break
             rumor, _remaining = slot
             if about is not None and member == about:

@@ -44,9 +44,9 @@ from repro.simnet.transport import Datagram
 
 __all__ = ["PeerRecord", "Broker"]
 
-#: Sentinel distinguishing "caller omitted liveness_timeout_s" (use the
-#: broker's configured default) from an explicit None (no filter).
-_UNSET = object()
+#: Timeout for one broker-to-broker leg of a cross-shard discovery
+#: fan-out.
+FANOUT_TIMEOUT_S = 15.0
 
 #: Snapshot keys served from the broker's own interaction history in
 #: :meth:`PeerRecord.selection_snapshot` — always fresh (the broker
@@ -153,16 +153,8 @@ class Broker(PeerNode):
         ids,
         name=None,
         config=None,
-        liveness_timeout_s: Optional[float] = None,
     ) -> None:
         super().__init__(network, hostname, ids, name=name, config=config)
-        if liveness_timeout_s is not None and liveness_timeout_s <= 0:
-            raise ValueError(
-                f"liveness_timeout_s must be > 0, got {liveness_timeout_s}"
-            )
-        #: Default keepalive-recency window for :meth:`candidates`
-        #: (None = no recency filter unless a caller passes one).
-        self.liveness_timeout_s = liveness_timeout_s
         self.registry: Dict[PeerId, PeerRecord] = {}
         #: Peer-name -> record index (gossip rumors identify members by
         #: name, not PeerId).
@@ -255,7 +247,7 @@ class Broker(PeerNode):
         kind: str = "simpleclient",
         online_only: bool = True,
         include_remote: bool = True,
-        liveness_timeout_s: object = _UNSET,
+        liveness_timeout_s: Optional[float] = None,
     ) -> List[PeerRecord]:
         """Peers eligible for selection, in deterministic join order.
 
@@ -264,27 +256,19 @@ class Broker(PeerNode):
         ``liveness_timeout_s`` additionally drops peers whose last sign
         of life (keepalive / report / state sync) is older than the window
         — the broker's defence against silent churn: a crashed peer
-        never says goodbye, it just stops writing home.  On a
-        gossip-governed broker (federation attached) the *default*
-        window is disabled instead: there are no periodic beacons to
-        age out, and SWIM flips ``rec.online`` the moment a peer goes
-        suspect/dead, so recency filtering would only starve selection.
-        An explicitly passed window still applies.  The boundary
-        is pinned *inclusive*: a peer whose last sign of life is
-        exactly ``liveness_timeout_s`` old is still eligible (it is not
-        "older than the window"); it drops out the instant its age
-        strictly exceeds the window.  This matters when the window is
-        an exact multiple of the keepalive period — the common "3
-        keepalive periods" configuration — where a peer's age routinely
-        lands exactly on the boundary at sampling instants.  When
-        omitted, the broker's configured default applies (see
-        ``ExperimentConfig.liveness_timeout_s``); pass an explicit
-        ``None`` to disable the filter regardless of the default.
+        never says goodbye, it just stops writing home.  Callers on a
+        gossip-governed broker pass None: there are no periodic beacons
+        to age out, and SWIM flips ``rec.online`` the moment a peer
+        goes suspect/dead, so recency filtering would only starve
+        selection.  The boundary is pinned *inclusive*: a peer whose
+        last sign of life is exactly ``liveness_timeout_s`` old is
+        still eligible (it is not "older than the window"); it drops
+        out the instant its age strictly exceeds the window.  This
+        matters when the window is an exact multiple of the keepalive
+        period — the common "3 keepalive periods" configuration — where
+        a peer's age routinely lands exactly on the boundary at
+        sampling instants.
         """
-        if liveness_timeout_s is _UNSET:
-            liveness_timeout_s = (
-                None if self.gossip is not None else self.liveness_timeout_s
-            )
         now = self.sim.now
         out = [
             rec
@@ -483,7 +467,7 @@ class Broker(PeerNode):
                         self.network.host(hostname),
                         leg,
                         ("disc", qid),
-                        timeout=self.federation.config.fanout_timeout_s,
+                        timeout=FANOUT_TIMEOUT_S,
                         retries=1,
                         light=True,
                     )

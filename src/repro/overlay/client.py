@@ -19,6 +19,10 @@ from repro.overlay.ids import IdFactory
 
 __all__ = ["SimpleClient", "Client"]
 
+#: Attempt budget for a federated join walk (stale-map redirects plus
+#: dead-broker skips).
+JOIN_ATTEMPTS = 6
+
 
 class SimpleClient(PeerNode):
     """Edge peer without GUI — the paper's SC nodes."""
@@ -37,12 +41,8 @@ class SimpleClient(PeerNode):
         :class:`~repro.errors.NotConnectedError` when the attempt
         budget is exhausted.
         """
-        from repro.gossip.config import GossipConfig
         from repro.gossip.shard import ShardMap, region_shard_key
 
-        attempts = GossipConfig().join_attempts
-        if self.gossip_agent is not None:
-            attempts = self.gossip_agent.config.join_attempts
         self.shard_map = shard_map
         advs = {adv.hostname: adv for adv in broker_advs}
         key = region_shard_key(self.network, self.host.hostname)
@@ -52,7 +52,7 @@ class SimpleClient(PeerNode):
             if self.stats.session_active:
                 self.stats.end_session()
         tried: dict = {}
-        for _attempt in range(attempts):
+        for _attempt in range(JOIN_ATTEMPTS):
             if self._believes_dead(target) or target in tried:
                 target = self._next_untried_broker(tried, target)
                 if target is None:
@@ -92,7 +92,7 @@ class SimpleClient(PeerNode):
             else:
                 target = self.shard_map.owner_of(key)
         raise NotConnectedError(
-            f"{self.name}: federated join failed after {attempts} attempts"
+            f"{self.name}: federated join failed after {JOIN_ATTEMPTS} attempts"
         )
 
     def _join_request(self):

@@ -63,6 +63,13 @@ __all__ = [
 
 #: ``FilePetition.n_parts`` value announcing an open-ended transfer.
 OPEN_ENDED = 0
+#: Bulk-unit stall-detection factor (see
+#: :meth:`repro.simnet.transport.Host.reliable_transfer`).
+BULK_LOSS_TIMEOUT_FACTOR = 1.0
+#: Receiver-side I/O time to persist one received part: fixed seconds
+#: plus size / io_rate.
+PART_IO_FIXED_S = 0.35
+PART_IO_BPS = 200_000_000.0
 
 
 def split_even(total_bits: float, n_parts: int) -> List[float]:
@@ -252,7 +259,7 @@ class TransferHandle:
                     dst_host,
                     size_bits,
                     max_attempts=peer.config.bulk_max_attempts,
-                    loss_timeout_factor=peer.config.bulk_loss_timeout_factor,
+                    loss_timeout_factor=BULK_LOSS_TIMEOUT_FACTOR,
                 )
             )
             rec.attempts = report.attempts
@@ -607,10 +614,7 @@ class FileTransferService:
         src_host = peer.network.host(src_hostname)
         already = state is not None and notice.index in state.confirmed_parts
         if not already:
-            io_s = (
-                peer.config.part_io_fixed_s
-                + notice.size_bits / peer.config.part_io_bps
-            )
+            io_s = PART_IO_FIXED_S + notice.size_bits / PART_IO_BPS
             yield io_s
             if state is not None:
                 state.confirmed_parts[notice.index] = self.sim.now

@@ -20,10 +20,12 @@ messages" criteria).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.errors import (
+    ConfigError,
     HostDownError,
     NotConnectedError,
     OverlayError,
@@ -63,6 +65,9 @@ from repro.simnet.transport import Datagram, Host, Network
 
 __all__ = ["PeerConfig", "PeerNode", "RequestTimeout"]
 
+#: Statistics push period (seconds).
+STAT_REPORT_INTERVAL_S = 60.0
+
 
 class RequestTimeout(OverlayError):
     """A request exhausted its retries without a reply."""
@@ -74,15 +79,6 @@ class PeerConfig:
 
     #: Liveness beacon period (seconds).
     keepalive_interval_s: float = 30.0
-    #: Whether the per-peer keepalive beacon loop runs at all.  The
-    #: gossip-federated control plane turns this off: SWIM probing plus
-    #: event-driven ``GossipNotify`` replaces periodic beacons as the
-    #: broker's liveness source (see :mod:`repro.gossip`).
-    keepalive_enabled: bool = True
-    #: Statistics push period (seconds).
-    stat_report_interval_s: float = 60.0
-    #: Whether the periodic statistics push loop runs.
-    stat_reports_enabled: bool = True
     #: Timeout for the file-transfer petition round.  Must exceed the
     #: slowest node's first-contact overhead (SC7 ~ 27 s).
     petition_timeout_s: float = 120.0
@@ -105,46 +101,42 @@ class PeerConfig:
     request_retries: int = 3
     #: Max queued + running tasks before the peer rejects submissions.
     task_queue_limit: int = 4
-    #: Bulk-unit retry budget and stall-detection factor (see
+    #: Bulk-unit retry budget (see
     #: :meth:`repro.simnet.transport.Host.reliable_transfer`).
     bulk_max_attempts: int = 50
-    bulk_loss_timeout_factor: float = 1.0
-    #: Receiver-side I/O time to persist one received part:
-    #: fixed seconds plus size / io_rate.
-    part_io_fixed_s: float = 0.35
-    part_io_bps: float = 200_000_000.0
-    #: Window for "last k hours" statistics snapshots.
-    last_k_hours: float = 1.0
 
     def __post_init__(self) -> None:
         for name in (
             "keepalive_interval_s",
-            "stat_report_interval_s",
             "petition_timeout_s",
             "confirm_timeout_s",
             "request_timeout_s",
-            "last_k_hours",
         ):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+                raise ConfigError(f"{name} must be > 0")
         for name in ("petition_retries", "confirm_retries", "request_retries",
                      "bulk_max_attempts"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.bulk_loss_timeout_factor < 0:
-            raise ValueError("bulk_loss_timeout_factor must be >= 0")
+                raise ConfigError(f"{name} must be >= 1")
         if self.petition_backoff_base_s < 0:
-            raise ValueError("petition_backoff_base_s must be >= 0")
+            raise ConfigError("petition_backoff_base_s must be >= 0")
         if self.petition_backoff_factor < 1:
-            raise ValueError("petition_backoff_factor must be >= 1")
+            raise ConfigError("petition_backoff_factor must be >= 1")
         if self.petition_backoff_max_s <= 0:
-            raise ValueError("petition_backoff_max_s must be > 0")
+            raise ConfigError("petition_backoff_max_s must be > 0")
         if self.petition_backoff_jitter < 0:
-            raise ValueError("petition_backoff_jitter must be >= 0")
+            raise ConfigError("petition_backoff_jitter must be >= 0")
         if self.task_queue_limit < 1:
-            raise ValueError("task_queue_limit must be >= 1")
-        if self.part_io_fixed_s < 0 or self.part_io_bps <= 0:
-            raise ValueError("part I/O parameters out of range")
+            raise ConfigError("task_queue_limit must be >= 1")
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "PeerConfig":
+        """Build from a ``dataclasses.asdict`` dict; rejects unknown keys."""
+        known = {f.name for f in dataclasses.fields(cls)}
+        unknown = set(data) - known
+        if unknown:
+            raise ConfigError(f"unknown peer_config keys: {sorted(unknown)}")
+        return cls(**data)
 
 
 class PeerNode:
@@ -431,7 +423,10 @@ class PeerNode:
 
         Sends ``JoinRequest`` and waits for the ``JoinAck``; on success
         opens a local session and starts the keepalive/stat-report
-        loops.  Returns the :class:`JoinAck`.
+        loops — the broker's liveness source.  Federated peers join
+        through :meth:`~repro.overlay.client.SimpleClient.join_federated`
+        instead, where SWIM probing plus event-driven ``GossipNotify``
+        replaces the beacons.  Returns the :class:`JoinAck`.
         """
         self.learn(broker_adv)
         broker_host = self.network.host(broker_adv.hostname)
@@ -448,19 +443,17 @@ class PeerNode:
         if not ack.accepted:
             raise NotConnectedError(f"{self.name}: join refused: {ack.reason}")
         self._finalize_join(broker_adv, ack)
+        self.sim.process(self._keepalive_loop(), name=f"keepalive@{self.name}")
+        self.sim.process(self._stat_report_loop(), name=f"stats@{self.name}")
         return ack
 
     def _finalize_join(self, broker_adv: PeerAdvertisement, ack: JoinAck) -> None:
-        """Adopt an accepted broker: session, directory, periodic loops."""
+        """Adopt an accepted broker: session and directory."""
         self.broker_adv = broker_adv
         self.directory[ack.broker_id] = broker_adv.hostname
         self.online = True
         if not self.stats.session_active:
             self.stats.start_session()
-        if self.config.keepalive_enabled:
-            self.sim.process(self._keepalive_loop(), name=f"keepalive@{self.name}")
-        if self.config.stat_reports_enabled:
-            self.sim.process(self._stat_report_loop(), name=f"stats@{self.name}")
 
     def disconnect(self) -> None:
         """Leave the overlay: notify the broker and close the session."""
@@ -505,16 +498,14 @@ class PeerNode:
     def _stat_report_loop(self):
         while self.online:
             if not self.host.is_up:
-                yield self.config.stat_report_interval_s
+                yield STAT_REPORT_INTERVAL_S
                 continue
             report = StatReport(
                 peer_id=self.peer_id,
-                counters=self.stats.snapshot(
-                    self.sim.now, last_k_hours=self.config.last_k_hours
-                ),
+                counters=self.stats.snapshot(self.sim.now),
             )
             self.host.send(self._broker_host(), report, light=True)
-            yield self.config.stat_report_interval_s
+            yield STAT_REPORT_INTERVAL_S
 
     # -- broker liveness & failover ------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Recovery configuration.
 
-One frozen knob bundle covers the three recovery pillars:
+One frozen knob bundle covers the three recovery pillars; setting it
+at all switches every pillar and partition-aware flow gating on:
 
 * **resume** — part-level transfer checkpoint/resume driven by a
   :class:`~repro.recovery.ledger.TransferLedger` and the
@@ -30,7 +31,7 @@ __all__ = ["RecoveryConfig"]
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    """Knobs for the self-healing layer (all layers on by default)."""
+    """Knobs for the self-healing layer."""
 
     # -- transfer checkpoint/resume ---------------------------------------
     #: Resume interrupted transfers from the last verified part instead
@@ -47,41 +48,21 @@ class RecoveryConfig:
     supervision_poll_s: float = 5.0
 
     # -- broker failover ---------------------------------------------------
-    #: Provision a standby broker node and replicate state to it.
-    standby_broker: bool = True
     #: Primary -> standby state-replication period.
     replication_interval_s: float = 30.0
-    #: Standby's health-probe period against the primary.
-    failover_check_interval_s: float = 30.0
-    #: Per-probe ping timeout.
-    failover_ping_timeout_s: float = 10.0
-    #: Consecutive missed probes before the standby takes over.
-    failover_miss_threshold: int = 2
 
     # -- degraded-mode selection -------------------------------------------
-    #: Swap the three selection models for staleness-aware variants.
-    degraded_selection: bool = True
     #: Inputs older than this are considered stale.
     staleness_budget_s: float = 180.0
-
-    # -- transport ----------------------------------------------------------
-    #: Opt in to partition-aware flow rating: bulk flows whose endpoints
-    #: are separated by an active partition are pinned at rate 0 until
-    #: the partition heals (legacy semantics let them stream through).
-    partition_aware_flows: bool = True
 
     def __post_init__(self) -> None:
         if self.max_transfer_attempts < 1:
             raise ConfigError("max_transfer_attempts must be >= 1")
-        if self.failover_miss_threshold < 1:
-            raise ConfigError("failover_miss_threshold must be >= 1")
         for name in (
             "resume_backoff_s",
             "petition_deadline_s",
             "supervision_poll_s",
             "replication_interval_s",
-            "failover_check_interval_s",
-            "failover_ping_timeout_s",
             "staleness_budget_s",
         ):
             value = getattr(self, name)

@@ -7,7 +7,7 @@ The :class:`FailoverDirector` binds a primary/standby broker pair:
   with per-entry recency, the discovery index and peergroup membership
   — so the standby can govern without a warm-up round;
 * the standby probes the primary over the simulated network; after
-  ``failover_miss_threshold`` consecutive missed probes the standby is
+  :data:`FAILOVER_MISS_THRESHOLD` consecutive missed probes the standby is
   **promoted** — deterministically, since probe timing is pure sim
   time — and :attr:`leader` flips;
 * promotion is sticky (no automatic fail-back): when the old primary
@@ -42,6 +42,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.overlay.broker import Broker
 
 __all__ = ["FailoverEvent", "FailoverDirector"]
+
+#: Standby's health-probe period against the primary (also the
+#: peers' check period against their broker).
+FAILOVER_CHECK_INTERVAL_S = 30.0
+#: Per-probe ping timeout.
+FAILOVER_PING_TIMEOUT_S = 10.0
+#: Consecutive missed probes before the standby takes over.
+FAILOVER_MISS_THRESHOLD = 2
 
 #: Failover-latency histogram bounds (seconds).
 _LATENCY_BUCKETS = (5.0, 15.0, 30.0, 60.0, 120.0, 300.0, 600.0)
@@ -119,10 +127,9 @@ class FailoverDirector:
     # -- internals -----------------------------------------------------------
 
     def _watch(self):
-        cfg = self.config
         misses = 0
         while not self.promoted:
-            yield cfg.failover_check_interval_s
+            yield FAILOVER_CHECK_INTERVAL_S
             if not self.standby.host.is_up:
                 # The standby itself is down: it can judge nothing.
                 misses = 0
@@ -137,7 +144,7 @@ class FailoverDirector:
             misses += 1
             if self.suspected_at is None:
                 self.suspected_at = probe_started
-            if misses >= cfg.failover_miss_threshold:
+            if misses >= FAILOVER_MISS_THRESHOLD:
                 if self._gossip_refutes():
                     # SWIM still vouches for the primary: a partial
                     # partition cut our probes, not the primary itself.
@@ -178,7 +185,7 @@ class FailoverDirector:
                     primary_host,
                     Ping(sender=standby.peer_id, nonce=nonce),
                     ("pong", nonce),
-                    timeout=self.config.failover_ping_timeout_s,
+                    timeout=FAILOVER_PING_TIMEOUT_S,
                     retries=1,
                     light=True,
                 )

@@ -2,16 +2,13 @@
 
 One frozen knob bundle for the multi-source download engine
 (:mod:`repro.swarm`): how many sources stream concurrently, when the
-endgame duplicates the last pieces, and whether failed sources are
-replaced.  Rides on
-:class:`~repro.experiments.scenario.ExperimentConfig` (``swarm``
-field) and round-trips through JSON like the rest of the experiment
-configuration.
+endgame duplicates the last pieces, and which sources are parked.
+Passed to :class:`~repro.swarm.coordinator.SwarmCoordinator`; the
+swarming experiment runs the defaults.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
@@ -49,9 +46,6 @@ class SwarmConfig:
     #: no redistribution, so a source that cannot fill its share
     #: actively shrinks aggregate throughput (0.0 = never park).
     drop_below: float = 0.5
-    #: Replace a failed source with a fresh pick from the selection
-    #: callback (False = finish with the survivors).
-    reassign: bool = True
     #: Break rarest-first availability ties with a per-download seeded
     #: permutation (False = ascending part index).
     seeded_tiebreak: bool = True
@@ -65,18 +59,3 @@ class SwarmConfig:
             raise ConfigError("optimistic_every must be >= 1")
         if not 0.0 <= self.drop_below < 1.0:
             raise ConfigError("drop_below must be in [0.0, 1.0)")
-
-    # -- persistence ---------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-serializable representation."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SwarmConfig":
-        """Inverse of :meth:`to_dict`; rejects unknown keys."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown swarm keys: {sorted(unknown)}")
-        return cls(**data)

@@ -492,11 +492,7 @@ class SwarmCoordinator:
             error=type(exc).__name__,
             dropped=len(dropped) + (1 if piece is not None else 0),
         )
-        if (
-            self.config.reassign
-            and not self._finished
-            and not self._tracker.complete
-        ):
+        if not self._finished and not self._tracker.complete:
             exclude = tuple(self._used)
             replacement = tuple(self.select(1, exclude))[:1]
             for repl in replacement:

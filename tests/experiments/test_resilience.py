@@ -7,7 +7,9 @@ import math
 import pytest
 
 from repro.experiments import ExperimentConfig, resilience
+from repro.experiments.scenario import Session
 from repro.faults import get_profile
+from repro.gossip.config import GossipConfig
 
 
 @pytest.fixture(scope="module")
@@ -103,3 +105,36 @@ class TestProfileSelection:
             profiles=("baseline", "broker_blip"),
         )
         assert again.table() == result.table()
+
+
+def _informed_candidates(config: ExperimentConfig, ages) -> set:
+    """Names resilience's informed policies see once each SC in
+    ``ages`` has been silent for its given number of seconds."""
+
+    def scenario(s):
+        yield 4 * resilience.LIVENESS_S
+        for label, age in ages.items():
+            s.broker.record(s.client(label).peer_id).last_seen = s.sim.now - age
+        return {r.adv.name for r in resilience._candidates("economic", s)}
+
+    return Session(config).run(scenario)
+
+
+class TestInformedLivenessWindow:
+    def test_keepalive_drops_silent_peers(self):
+        names = _informed_candidates(
+            ExperimentConfig(seed=5, repetitions=1),
+            {"SC1": resilience.LIVENESS_S, "SC2": resilience.LIVENESS_S + 0.001},
+        )
+        assert "SC1" in names, "boundary is inclusive"
+        assert "SC2" not in names
+        assert len(names) == 7
+
+    def test_gossip_keeps_silent_peers(self):
+        # SWIM flips rec.online itself; with no beacons to age out a
+        # recency window would only starve selection.
+        names = _informed_candidates(
+            ExperimentConfig(seed=5, repetitions=1, gossip=GossipConfig()),
+            {"SC1": 3 * resilience.LIVENESS_S},
+        )
+        assert len(names) == 8

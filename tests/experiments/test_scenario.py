@@ -8,6 +8,25 @@ from repro.errors import ConfigError
 from repro.experiments.scenario import ExperimentConfig, Session
 
 
+def _full_config() -> ExperimentConfig:
+    """A config setting every nested section at once."""
+    from repro.faults.profiles import get_profile
+    from repro.gossip.config import GossipConfig
+    from repro.overlay.peer import PeerConfig
+    from repro.recovery.config import RecoveryConfig
+
+    return ExperimentConfig(
+        seed=99,
+        repetitions=3,
+        include_full_slice=True,
+        peer_config=PeerConfig(petition_timeout_s=42.0),
+        recovery=RecoveryConfig(staleness_budget_s=120.0),
+        gossip=GossipConfig(suspect_timeout_s=45.0),
+        federation_brokers=3,
+        fault_plan=get_profile("broker_blip"),
+    )
+
+
 class TestExperimentConfig:
     def test_defaults(self):
         cfg = ExperimentConfig()
@@ -71,18 +90,27 @@ class TestSession:
 
 class TestConfigPersistence:
     def test_roundtrip(self, tmp_path):
-        from repro.overlay.peer import PeerConfig
-
-        cfg = ExperimentConfig(
-            seed=99,
-            repetitions=3,
-            include_full_slice=True,
-            peer_config=PeerConfig(petition_timeout_s=42.0),
-        )
+        cfg = _full_config()
         path = tmp_path / "cfg.json"
         cfg.save(path)
         loaded = ExperimentConfig.load(path)
         assert loaded == cfg
+
+    @pytest.mark.parametrize(
+        "section,key",
+        [
+            (None, "liveness_timeout_s"),
+            (None, "swarm"),
+            ("recovery", "standby_broker"),
+            ("gossip", "piggyback_max"),
+            ("peer_config", "keepalive_enabled"),
+        ],
+    )
+    def test_deleted_keys_rejected_by_name(self, section, key):
+        data = _full_config().to_dict()
+        (data if section is None else data[section])[key] = True
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict(data)
 
     def test_roundtrip_without_peer_config(self, tmp_path):
         cfg = ExperimentConfig(seed=7)

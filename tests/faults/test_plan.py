@@ -166,7 +166,6 @@ class TestSerialization:
             seed=3,
             repetitions=2,
             fault_plan=get_profile("straggler"),
-            liveness_timeout_s=90.0,
         )
         assert ExperimentConfig.from_dict(config.to_dict()) == config
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.gossip.config import GossipConfig
@@ -14,7 +12,6 @@ from repro.overlay.advertisements import ResourceAdvertisement
 from repro.overlay.broker import Broker
 from repro.overlay.client import SimpleClient
 from repro.overlay.ids import IdFactory
-from repro.overlay.peer import PeerConfig
 from repro.simnet.kernel import Simulator
 from repro.simnet.planetlab import build_testbed
 from repro.simnet.rng import RandomStreams
@@ -35,13 +32,8 @@ def _stack(seed: int = 17, n_brokers: int = 3):
         for i, hostname in enumerate(testbed.federation)
     ]
     fed = Federation(net, brokers, GossipConfig())
-    config = dataclasses.replace(
-        PeerConfig(), keepalive_enabled=False, stat_reports_enabled=False
-    )
     clients = {
-        label: SimpleClient(
-            net, testbed.sc_hostname(label), ids, name=label, config=config
-        )
+        label: SimpleClient(net, testbed.sc_hostname(label), ids, name=label)
         for label in testbed.sc_labels()
     }
     return sim, net, brokers, fed, clients
@@ -267,3 +259,36 @@ class TestGossipReplacesKeepalive:
         assert witness.name in {
             r.adv.name for r in home.candidates(include_remote=False)
         }
+
+
+def _record_spawns(monkeypatch, sim) -> list:
+    """Names of every process spawned on ``sim`` from now on."""
+    names: list = []
+    spawn = sim.process
+
+    def recording(generator, name=""):
+        names.append(name)
+        return spawn(generator, name=name)
+
+    monkeypatch.setattr(sim, "process", recording)
+    return names
+
+
+class TestBeaconsFollowJoinPath:
+    def test_federated_join_starts_no_beacon_loops(self, monkeypatch):
+        sim, _net, _brokers, fed, clients = _stack()
+        names = _record_spawns(monkeypatch, sim)
+        _join_all(sim, fed, clients)
+        assert all(client.online for client in clients.values())
+        assert not [
+            n for n in names if n.startswith(("keepalive@", "stats@"))
+        ]
+
+    def test_connect_starts_both_beacon_loops(
+        self, monkeypatch, overlay_pair, sim
+    ):
+        broker, client, _net = overlay_pair
+        names = _record_spawns(monkeypatch, sim)
+        run_process(sim, client.connect(broker.advertisement()))
+        assert "keepalive@client" in names
+        assert "stats@client" in names

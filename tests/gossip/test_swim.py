@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.gossip.config import GossipConfig
 from repro.gossip.messages import Rumor
-from repro.gossip.swim import SwimAgent
+from repro.gossip.swim import PIGGYBACK_MAX, RUMOR_RETRANSMITS, SwimAgent
 from repro.obs.trace import EventTrace
 from repro.overlay.client import SimpleClient
 from repro.overlay.ids import IdFactory
@@ -173,7 +173,7 @@ class TestRefutation:
 class TestRumors:
     def test_piggyback_is_bounded(self):
         sim, _net, peers, agents = _mesh(2)
-        for i in range(3 * CFG.piggyback_max):
+        for i in range(3 * PIGGYBACK_MAX):
             agents[0].absorb(Rumor(
                 member=f"ghost{i}", hostname="n1.example",
                 status="suspect", incarnation=0,
@@ -181,13 +181,13 @@ class TestRumors:
         assert agents[0].track_unknown is False
         # Untracked ghosts are ignored entirely — queue only real ones.
         agents[0].track_unknown = True
-        for i in range(3 * CFG.piggyback_max):
+        for i in range(3 * PIGGYBACK_MAX):
             agents[0].absorb(Rumor(
                 member=f"ghost{i}", hostname="n1.example",
                 status="suspect", incarnation=0,
             ))
         taken = agents[0]._take_piggyback()
-        assert len(taken) <= CFG.piggyback_max
+        assert len(taken) <= PIGGYBACK_MAX
 
     def test_rumor_retires_after_budget(self):
         sim, _net, peers, agents = _mesh(2)
@@ -196,7 +196,7 @@ class TestRumors:
             member="ghost", hostname="n1.example",
             status="suspect", incarnation=0,
         ))
-        for _ in range(CFG.rumor_retransmits):
+        for _ in range(RUMOR_RETRANSMITS):
             assert any(
                 r.member == "ghost" for r in agents[0]._take_piggyback()
             )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import TransferAborted
+from repro.errors import ConfigError, TransferAborted
 from repro.overlay.broker import Broker
 from repro.overlay.client import SimpleClient
 from repro.overlay.ids import IdFactory
@@ -83,9 +83,9 @@ class TestBackoff:
         assert other != first  # jitter really draws from the stream
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             PeerConfig(petition_backoff_base_s=-1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             PeerConfig(petition_backoff_factor=0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             PeerConfig(petition_backoff_jitter=-0.1)

@@ -57,28 +57,3 @@ class TestExplicitWindow:
             for r in broker.candidates(liveness_timeout_s=None)
         ] == ["client"]
 
-
-class TestDefaultWindow:
-    def test_broker_default_applies_when_omitted(self, overlay_pair, sim):
-        broker, client, _net = overlay_pair
-        broker.liveness_timeout_s = WINDOW
-        connect(sim, broker, client)
-        _advance(sim, WINDOW * 2)
-        _age_record(sim, broker, client, WINDOW)
-        assert [r.adv.name for r in broker.candidates()] == ["client"]
-        _age_record(sim, broker, client, WINDOW + 0.001)
-        assert broker.candidates() == []
-
-    def test_gossip_governed_broker_disables_default(self, overlay_pair, sim):
-        broker, client, _net = overlay_pair
-        broker.liveness_timeout_s = WINDOW
-        connect(sim, broker, client)
-        _advance(sim, WINDOW * 4)
-        _age_record(sim, broker, client, WINDOW * 3)
-        assert broker.candidates() == []
-        # With a SWIM agent attached there are no beacons to age out:
-        # the *default* recency window must not starve selection.
-        broker.gossip = object()
-        assert [r.adv.name for r in broker.candidates()] == ["client"]
-        # An explicitly passed window still applies.
-        assert broker.candidates(liveness_timeout_s=WINDOW) == []

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import TransferAborted
 from repro.overlay.broker import Broker
 from repro.overlay.client import SimpleClient
-from repro.overlay.filetransfer import split_even
+from repro.overlay.filetransfer import PART_IO_FIXED_S, split_even
 from repro.overlay.ids import IdFactory
 from repro.simnet.kernel import Simulator
 from repro.simnet.rng import RandomStreams
@@ -256,8 +256,8 @@ class TestReceiverProtocol:
         waiter = broker.expect(("part-confirm", handle.transfer_id, 0))
         broker.host.send(net.host("b.example"), notice, light=True)
         sim.run(until=waiter)
-        # No I/O delay on replay: well under the part_io_fixed_s.
-        assert sim.now - before < client.config.part_io_fixed_s
+        # No I/O delay on replay: well under the PART_IO_FIXED_S.
+        assert sim.now - before < PART_IO_FIXED_S
 
     def test_petition_ack_carries_received_at(self, overlay_pair, sim):
         broker, client, net = overlay_pair

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import UnknownPeerError
+from repro.errors import ConfigError, UnknownPeerError
 from repro.overlay.messages import InstantMessage, KeepAlive, StatReport
 from repro.overlay.peer import PeerConfig, PeerNode, RequestTimeout
 
@@ -22,13 +22,11 @@ class TestPeerConfigValidation:
             ("petition_timeout_s", -1.0),
             ("petition_retries", 0),
             ("task_queue_limit", 0),
-            ("part_io_fixed_s", -0.1),
-            ("part_io_bps", 0.0),
         ],
     )
     def test_bad_values_rejected(self, field, value):
         kwargs = {field: value}
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             PeerConfig(**kwargs)
 
 

@@ -114,3 +114,23 @@ class TestCliMetricsOut:
         captured = capsys.readouterr()
         assert "does not exist" in captured.err
         assert "fig2" not in captured.out  # rejected before the run
+
+    def test_missing_config_file_fails(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert main(["fig2", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("--config:") and "absent.json" in err
+
+    def test_unknown_config_key_fails(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"seed": 1, "bogus": 2}')
+        assert main(["fig2", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("--config:") and "bogus" in err
+
+    def test_unknown_peer_config_key_fails(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"seed": 1, "peer_config": {"part_io_bps": 1.0}}')
+        assert main(["fig2", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("--config:") and "part_io_bps" in err
