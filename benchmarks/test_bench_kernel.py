@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 
+from repro.obs.metrics import MetricsRegistry
 from repro.simnet.kernel import _COMPACT_MIN_TOMBSTONES, Simulator
 from repro.simnet.rng import RandomStreams
 from repro.simnet.transport import Network
@@ -22,6 +23,10 @@ N_EVENTS = 20_000
 #: over 10x this; the floor only trips on catastrophic hot-path
 #: regressions, not on slow CI hardware.
 TIMEOUT_CHURN_FLOOR_EV_S = 20_000.0
+
+#: Regression floor for the control-message path (send, schedule,
+#: deliver, handler); same spirit as the event-loop floor above.
+MESSAGE_ROUNDTRIP_FLOOR_MSG_S = 10_000.0
 
 
 def _timeout_churn():
@@ -80,6 +85,54 @@ def test_bench_message_churn(benchmark):
     assert n == 2000
 
 
+class _Ping:
+    __slots__ = ()
+
+
+class _Pong:
+    __slots__ = ()
+
+
+def _message_roundtrip():
+    """``N_EVENTS`` light control messages bounced between two hosts:
+    each delivery's handler sends the next message, so every message
+    takes the whole ``Host.send`` -> agenda -> ``_deliver`` -> handler
+    path with a live metrics registry, as the beacon traffic does."""
+    sim = Simulator()
+    net = Network(sim, make_two_node_topology(), streams=RandomStreams(3),
+                  metrics=MetricsRegistry())
+    a, b = net.host("a.example"), net.host("b.example")
+    ping, pong = _Ping(), _Pong()
+
+    def on_ping(dgram):
+        b.send(a, pong, light=True)
+
+    def on_pong(dgram):
+        if a.messages_sent < N_EVENTS // 2:
+            a.send(b, ping, light=True)
+
+    b.on_message(_Ping, on_ping)
+    a.on_message(_Pong, on_pong)
+    a.send(b, ping, light=True)
+    sim.run()
+    return a.messages_received + b.messages_received
+
+
+def test_bench_message_roundtrip(benchmark):
+    n = benchmark(_message_roundtrip)
+    assert n == N_EVENTS
+
+
+def test_message_roundtrip_msgs_per_s_floor():
+    """Plain stdlib-timed throughput gate on the message path."""
+    count, rate = _per_second(_message_roundtrip)
+    assert count == N_EVENTS
+    assert rate >= MESSAGE_ROUNDTRIP_FLOOR_MSG_S, (
+        f"message path at {rate:.0f} msgs/s, below the "
+        f"{MESSAGE_ROUNDTRIP_FLOOR_MSG_S:.0f} regression floor"
+    )
+
+
 def _cancel_rearm_churn():
     """The flow scheduler's supersede pattern, distilled: one far-future
     timer cancelled and re-armed per simulated event."""
@@ -113,13 +166,18 @@ def test_bench_cancel_rearm_churn(benchmark):
     assert sim.events_cancelled >= N_EVENTS - _COMPACT_MIN_TOMBSTONES
 
 
+def _per_second(work):
+    """Run ``work()`` once; return its count and count per wall second."""
+    started = time.perf_counter()  # simlint: disable=SIM001 -- measured wall-clock of the bench run, not a simulated quantity
+    count = work()
+    wall_s = time.perf_counter() - started  # simlint: disable=SIM001 -- measured wall-clock of the bench run, not a simulated quantity
+    return count, count / wall_s
+
+
 def test_timeout_churn_events_per_s_floor():
     """Plain stdlib-timed throughput gate on the raw event loop."""
-    started = time.perf_counter()  # simlint: disable=SIM001 -- measured wall-clock of the bench run, not a simulated quantity
-    count = _timeout_churn()
-    wall_s = time.perf_counter() - started  # simlint: disable=SIM001 -- measured wall-clock of the bench run, not a simulated quantity
+    count, rate = _per_second(_timeout_churn)
     assert count == N_EVENTS
-    rate = count / wall_s
     assert rate >= TIMEOUT_CHURN_FLOOR_EV_S, (
         f"kernel event loop at {rate:.0f} events/s, below the "
         f"{TIMEOUT_CHURN_FLOOR_EV_S:.0f} regression floor"

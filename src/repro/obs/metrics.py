@@ -17,6 +17,7 @@ and runs stay deterministic regardless of host load.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 __all__ = [
@@ -124,15 +125,12 @@ class Histogram:
             self.min = v
         if v > self.max:
             self.max = v
-        # Binary search over the (small, fixed) bound tuple.
-        lo, hi = 0, len(self.bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if v <= self.bounds[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        self.counts[lo] += 1
+        # First bucket with ``v <= bound``; NaN compares false against
+        # every bound, so it goes to the overflow slot, not slot 0.
+        if v != v:
+            self.counts[-1] += 1
+        else:
+            self.counts[bisect_left(self.bounds, v)] += 1
 
     @property
     def mean(self) -> float:

@@ -395,9 +395,12 @@ class StalenessClock:
             self._seen[key] = now
 
     def note_many(self, keys, now: float) -> None:
-        """Refresh several keys at once."""
+        """Refresh several keys at once (:meth:`note`, inlined)."""
+        seen = self._seen
         for key in keys:
-            self.note(key, now)
+            prior = seen.get(key)
+            if prior is None or now > prior:
+                seen[key] = now
 
     def age(self, key: str, now: float) -> float:
         """Seconds since ``key`` was refreshed (inf if never)."""

@@ -24,8 +24,8 @@ loop avoids per-event allocation beyond the heap entries themselves
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import (
@@ -154,11 +154,25 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SchedulingInPastError(f"negative timeout delay {delay!r}")
-        super().__init__(sim, name=f"timeout({delay:g})")
-        self.delay = float(delay)
+        # One per ``yield <number>``: the Event fields and the agenda
+        # push are inlined (same key as ``_schedule_event``).
+        self.sim = sim
+        self.name = ""
+        self.callbacks = []
         self._ok = True
         self._value = value
-        sim._schedule_event(self, URGENT_PRIORITY, delay=self.delay)
+        self._scheduled = True
+        self._cancelled = False
+        self.delay = delay = float(delay)
+        sim._seq += 1
+        agenda = sim._agenda
+        heappush(agenda, (sim._now + delay, URGENT_PRIORITY, sim._seq, self))
+        if len(agenda) > sim.max_agenda_depth:
+            sim.max_agenda_depth = len(agenda)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = "pending" if self.callbacks is not None else "processed"
+        return f"<Timeout({self.delay:g}) {state} at t={self.sim.now:g}>"
 
 
 class _Initialize(Event):
@@ -241,7 +255,8 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
-        self.sim._active_process = self
+        sim = self.sim
+        sim._active_process = self
         gen = self._generator
         while True:
             try:
@@ -254,27 +269,37 @@ class Process(Event):
                     target = gen.throw(event._value)
             except StopIteration as stop:
                 self._waiting_on = None
-                self.sim._active_process = None
+                sim._active_process = None
                 self._ok = True
                 self._value = stop.value
-                self.sim._schedule_event(self, NORMAL_PRIORITY)
+                sim._schedule_event(self, NORMAL_PRIORITY)
                 return
             except BaseException as exc:  # noqa: BLE001 - process failure
                 self._waiting_on = None
-                self.sim._active_process = None
+                sim._active_process = None
                 self._ok = False
                 self._value = exc
-                self.sim._schedule_event(self, NORMAL_PRIORITY)
+                sim._schedule_event(self, NORMAL_PRIORITY)
                 return
 
-            event = self._coerce(target)
-            if event.processed:
-                # Already happened: loop and feed its value straight in.
-                continue
+            # Plain numbers and same-simulator events skip ``_coerce``;
+            # everything else (bools, numpy scalars, foreign events,
+            # junk) gets its checks and errors.
+            kind = type(target)
+            if kind is float or kind is int:
+                event = Timeout(sim, float(target))
+            else:
+                if isinstance(target, Event) and target.sim is sim:
+                    event = target
+                else:
+                    event = self._coerce(target)
+                if event.callbacks is None:
+                    # Already happened: loop and feed its value straight in.
+                    continue
             self._waiting_on = event
             event.callbacks.append(self._resume)
             break
-        self.sim._active_process = None
+        sim._active_process = None
 
     def _coerce(self, target: Any) -> Event:
         """Turn a ``yield`` target into an event to wait on."""
@@ -457,11 +482,19 @@ class Simulator:
             raise SchedulingInPastError(
                 f"call_at({time!r}) is before now={self._now!r}"
             )
-        ev = Event(self, name=getattr(fn, "__name__", "call"))
+        ev = Event(self)
         ev.callbacks.append(lambda _ev: fn(*args))
         ev._ok = True
         ev._value = None
-        self._schedule_event(ev, NORMAL_PRIORITY, delay=time - self._now)
+        ev._scheduled = True
+        # Same key as ``_schedule_event(ev, NORMAL_PRIORITY, time - now)``;
+        # ``now + (time - now)`` is kept verbatim, it need not equal ``time``.
+        now = self._now
+        self._seq += 1
+        agenda = self._agenda
+        heappush(agenda, (now + (time - now), NORMAL_PRIORITY, self._seq, ev))
+        if len(agenda) > self.max_agenda_depth:
+            self.max_agenda_depth = len(agenda)
         return ev
 
     def call_in(self, delay: float, fn: Callable[..., None], *args: Any) -> Event:
@@ -510,8 +543,9 @@ class Simulator:
                 self.events_cancelled += 1
             else:
                 live.append(entry)
-        heapq.heapify(live)
-        self._agenda = live
+        heapify(live)
+        # In place: ``run`` holds an alias of the agenda list.
+        self._agenda[:] = live
         self._tombstones = 0
         self.agenda_compactions += 1
 
@@ -523,18 +557,20 @@ class Simulator:
         if delay < 0:
             raise SchedulingInPastError(f"negative delay {delay!r}")
         self._seq += 1
-        heapq.heappush(self._agenda, (self._now + delay, priority, self._seq, event))
+        agenda = self._agenda
+        heappush(agenda, (self._now + delay, priority, self._seq, event))
         event._scheduled = True
-        if len(self._agenda) > self.max_agenda_depth:
-            self.max_agenda_depth = len(self._agenda)
+        if len(agenda) > self.max_agenda_depth:
+            self.max_agenda_depth = len(agenda)
 
     # -- the loop ---------------------------------------------------------------
 
     def step(self) -> None:
         """Process the single next event on the agenda."""
-        if not self._agenda:
+        agenda = self._agenda
+        if not agenda:
             raise SimulationError("step() on an empty agenda")
-        self._now, _prio, _seq, event = heapq.heappop(self._agenda)
+        self._now, _prio, _seq, event = heappop(agenda)
         if event._cancelled:
             # Lazily-cancelled timer: drop it without running callbacks.
             event.callbacks = None
@@ -579,13 +615,19 @@ class Simulator:
                     f"run(until={until_time!r}) is before now={self._now!r}"
                 )
 
-        while self._agenda and not self._stopped:
-            if until_event is not None and until_event.processed:
+        # Hot loop: ``peek()`` and ``processed`` are inlined, but every
+        # event still goes through ``self.step`` (looked up once, so a
+        # patched ``Simulator.step`` sees each event).  The alias stays
+        # valid because the agenda is only ever mutated in place.
+        agenda = self._agenda
+        step = self.step
+        while agenda and not self._stopped:
+            if until_event is not None and until_event.callbacks is None:
                 break
-            if self.peek() > until_time:
+            if agenda[0][0] > until_time:
                 self._now = until_time
                 break
-            self.step()
+            step()
         else:
             # Agenda drained (or stop()) — advance clock for time runs.
             if until_event is None and until is not None and not self._stopped:

@@ -54,6 +54,11 @@ class PerUnitLoss:
             raise ValueError(f"per_mb_loss must be in [0, 1), got {per_mb_loss}")
         self.per_mb_loss = float(per_mb_loss)
         self._rng = rng
+        #: Last unit size asked about and its survival probability.
+        #: Control messages share one size, so between bulk units the
+        #: pow is not recomputed.  NaN matches no size.
+        self._memo_bits = float("nan")
+        self._memo_ok = 1.0
 
     def success_probability(self, size_bits: float) -> float:
         """Probability that a unit of ``size_bits`` arrives intact."""
@@ -63,7 +68,10 @@ class PerUnitLoss:
         """Sample whether a unit of ``size_bits`` is lost in transit."""
         if self.per_mb_loss == 0.0:
             return False
-        return bool(self._rng.random() >= self.success_probability(size_bits))
+        if size_bits != self._memo_bits:
+            self._memo_ok = self.success_probability(size_bits)
+            self._memo_bits = size_bits
+        return self._rng.random() >= self._memo_ok
 
     def expected_transmissions(self, size_bits: float) -> float:
         """Mean sends needed until one succeeds (geometric mean 1/p)."""

@@ -74,7 +74,7 @@ _EPSILON_BITS = 1e-6
 CONTROL_MESSAGE_BITS = 8.0 * 2048
 
 
-@dataclass
+@dataclass(slots=True)
 class Datagram:
     """A control message in flight (or delivered)."""
 
@@ -611,6 +611,10 @@ class Host:
         self._up_set: Dict["Flow", None] = {}
         self._down_set: Dict["Flow", None] = {}
         self._is_up = True
+        #: Destination region -> base one-way path latency (s), filled
+        #: on first send; see :meth:`_one_way_s`.
+        self._region = spec.site.region.name
+        self._one_way: Dict[str, float] = {}
 
         #: Fault-injection state (see :mod:`repro.faults`): CPU
         #: slowdown stretches compute and message handling, the link
@@ -751,35 +755,36 @@ class Host:
         """
         if not self._is_up:
             raise HostDownError(f"{self.hostname} is down")
-        now = self.sim.now
-        dgram = Datagram(
-            src=self.hostname,
-            dst=dst.hostname,
-            payload=payload,
-            size_bits=size_bits,
-            sent_at=now,
-        )
+        now = self.sim._now
+        dst_name = dst.hostname
+        dgram = Datagram(self.hostname, dst_name, payload, size_bits, now)
         self.messages_sent += 1
         self._m_msgs_sent.inc()
-        path = self.network.topology.path(self.hostname, dst.hostname)
+        one_way = self._one_way.get(dst._region) if dst is not self else None
+        if one_way is None:
+            one_way = self._one_way_s(dst)
         handling = dst._light_overhead if light else dst._overhead
         delay = (
-            path.base_one_way_s
+            one_way
             * self.link_latency_factor
             * dst.link_latency_factor
             + handling.sample(now) * dst.slow_factor
         )
+        network = self.network
         lost = (
             self._loss.unit_lost(size_bits, now)
             or dst._loss.unit_lost(size_bits, now)
             or self.extra_loss.unit_lost(size_bits, now)
             or dst.extra_loss.unit_lost(size_bits, now)
-            or self.network.is_partitioned(self.hostname, dst.hostname)
         )
-        self.network.tracer.record(
-            "msg-send", now, src=self.hostname, dst=dst.hostname,
-            payload_kind=type(payload).__name__, lost=lost,
-        )
+        if not lost and network._partitions:
+            lost = network.is_partitioned(self.hostname, dst_name)
+        tracer = network.tracer
+        if tracer.enabled:
+            tracer.record(
+                "msg-send", now, src=self.hostname, dst=dst_name,
+                payload_kind=type(payload).__name__, lost=lost,
+            )
         if lost:
             self.messages_lost += 1
             self._m_msgs_lost.inc()
@@ -787,19 +792,38 @@ class Host:
         self.sim.call_in(delay, dst._deliver, dgram)
         return dgram
 
+    def _one_way_s(self, dst: "Host") -> float:
+        """Base one-way latency to ``dst``, memoised per destination region.
+
+        Between two distinct nodes the base RTT is a function of their
+        regions alone (:meth:`Topology.base_rtt`), and region RTT tables
+        are set up before a :class:`Network` runs, so the memo holds at
+        most one entry per region.  Sends to self and topologies with a
+        router are asked every time: failing a router link changes
+        paths live.
+        """
+        topology = self.network.topology
+        one_way = topology.path(self.hostname, dst.hostname).base_one_way_s
+        if topology.router is None and dst is not self:
+            self._one_way[dst._region] = one_way
+        return one_way
+
     def _deliver(self, dgram: Datagram) -> None:
+        now = self.sim._now
+        tracer = self.network.tracer
         if not self._is_up:
-            self.network.tracer.record(
-                "msg-drop-down", self.sim.now, dst=self.hostname
-            )
+            if tracer.enabled:
+                tracer.record("msg-drop-down", now, dst=self.hostname)
             return
-        dgram.delivered_at = self.sim.now
+        dgram.delivered_at = now
         self.messages_received += 1
-        self._m_msg_latency.observe(dgram.latency)
-        self.network.tracer.record(
-            "msg-recv", self.sim.now, src=dgram.src, dst=dgram.dst,
-            payload_kind=type(dgram.payload).__name__, latency=dgram.latency,
-        )
+        latency = now - dgram.sent_at
+        self._m_msg_latency.observe(latency)
+        if tracer.enabled:
+            tracer.record(
+                "msg-recv", now, src=dgram.src, dst=dgram.dst,
+                payload_kind=type(dgram.payload).__name__, latency=latency,
+            )
         handler = self._handlers.get(type(dgram.payload))
         if handler is not None:
             handler(dgram)
@@ -866,20 +890,24 @@ class Host:
                     attempts=attempt,
                     wasted_bits=wasted,
                 )
-                self.network.tracer.record(
-                    "transfer-done", now, src=self.hostname, dst=dst.hostname,
-                    size_bits=size_bits, attempts=attempt,
-                    duration=report.duration,
-                )
+                tracer = self.network.tracer
+                if tracer.enabled:
+                    tracer.record(
+                        "transfer-done", now, src=self.hostname,
+                        dst=dst.hostname, size_bits=size_bits,
+                        attempts=attempt, duration=report.duration,
+                    )
                 return report
             wasted += size_bits
             self._m_retransmissions.inc()
             attempt_duration = now - attempt_started
             detection = max(loss_timeout_factor * attempt_duration, 0.05)
-            self.network.tracer.record(
-                "transfer-retry", now, src=self.hostname, dst=dst.hostname,
-                size_bits=size_bits, attempt=attempt,
-            )
+            tracer = self.network.tracer
+            if tracer.enabled:
+                tracer.record(
+                    "transfer-retry", now, src=self.hostname,
+                    dst=dst.hostname, size_bits=size_bits, attempt=attempt,
+                )
             yield detection
         raise TransferAborted(
             f"{self.hostname}->{dst.hostname}: {max_attempts} attempts failed"

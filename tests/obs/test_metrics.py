@@ -82,6 +82,19 @@ class TestHistogram:
         h = Histogram("lat", bounds=(1.0, 2.0))
         h.observe(1.0)
         assert h.counts == [1, 0, 0]
+        h.observe(2.0)
+        assert h.counts == [1, 1, 0]
+        h.observe(2.0000001)
+        assert h.counts == [1, 1, 1]
+        # Below the first bound, and the infinities, land at the ends.
+        h.observe(-5.0)
+        h.observe(float("-inf"))
+        h.observe(float("inf"))
+        assert h.counts == [3, 1, 2]
+        # NaN compares false against every bound: overflow, not slot 0.
+        h.observe(float("nan"))
+        assert h.counts == [3, 1, 3]
+        assert h.count == 7
 
     def test_to_dict_shape(self):
         h = Histogram("lat", bounds=(1.0,))

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.errors import ProcessInterrupted, SimulationError
-from repro.simnet.kernel import Simulator
+from repro.errors import ProcessInterrupted, SchedulingInPastError, SimulationError
+from repro.simnet.kernel import _COMPACT_MIN_TOMBSTONES, Event, Simulator
 
 
 class TestCallbackReentrancy:
@@ -182,3 +183,143 @@ class TestClockDiscipline:
 
         p = sim.process(proc())
         assert sim.run(until=p) == pytest.approx(10.0, rel=1e-9)
+
+
+def _compaction_schedule(sim, doomed_count):
+    """Keep-timers with tied times, plus ``doomed_count`` far-future
+    timers that a process cancels at t=0.5, mid-``run``.  Returns the
+    firing log and the event of the last keep-timer at t=8."""
+    fired = []
+    doomed = [sim.call_at(1e6, fired.append, "doomed")
+              for _ in range(doomed_count)]
+    last = None
+    for i in range(12):
+        # Ties at every time exercise the (time, priority, seq) order.
+        last = sim.call_at(1.0 + (i // 3) * 2.5, fired.append, i)
+
+    def canceller():
+        yield 0.5
+        for ev in doomed:
+            sim.cancel(ev)
+
+    sim.process(canceller())
+    return fired, last
+
+
+class TestCompactionDuringRun:
+    """Cancelling enough timers from inside a running process compacts
+    the agenda under ``run``'s feet; the loop must keep popping the
+    live agenda, in the order a run without the doomed timers has."""
+
+    DOOMED = 2 * _COMPACT_MIN_TOMBSTONES
+
+    def test_order_matches_no_cancel_reference(self):
+        reference = Simulator()
+        expected, _ = _compaction_schedule(reference, 0)
+        reference.run()
+
+        sim = Simulator()
+        fired, _ = _compaction_schedule(sim, self.DOOMED)
+        sim.run()
+        assert sim.agenda_compactions >= 1
+        assert fired == expected == list(range(12))
+        assert sim.events_cancelled == self.DOOMED
+        assert sim.pending_events == 0
+
+    def test_run_until_time_stops_after_compaction(self):
+        sim = Simulator()
+        fired, _ = _compaction_schedule(sim, self.DOOMED)
+        sim.run(until=5.0)
+        assert sim.agenda_compactions >= 1
+        assert sim.now == 5.0
+        assert fired == list(range(6))  # t = 1.0, 3.5 only
+        sim.run()
+        assert fired == list(range(12))
+
+    def test_run_until_event_stops_after_compaction(self):
+        sim = Simulator()
+        fired, _ = _compaction_schedule(sim, self.DOOMED)
+        marker = sim.timeout(6.0, value="marker")
+        assert sim.run(until=marker) == "marker"
+        assert sim.agenda_compactions >= 1
+        assert sim.now == 6.0
+        # A timeout is urgent: it runs before the call_at timers at 6.0.
+        assert fired == list(range(6))
+        sim.run()
+        assert fired == list(range(12))
+
+
+class TestYieldTargets:
+    """What a process may yield: the fast paths in ``Process._resume``
+    must accept and reject exactly what ``_coerce`` does."""
+
+    def _run_yield(self, sim, target):
+        def proc():
+            yield target
+            return sim.now
+
+        return sim.process(proc())
+
+    def test_bool_is_a_zero_or_one_second_delay(self, sim):
+        # bool is an int subclass: accepted as a delay, as it always was.
+        p = self._run_yield(sim, True)
+        assert sim.run(until=p) == 1.0
+        q = self._run_yield(sim, False)
+        assert sim.run(until=q) == 1.0
+
+    @pytest.mark.parametrize("delay", [-1, -0.5])
+    def test_negative_delay_raises(self, sim, delay):
+        self._run_yield(sim, delay)
+        with pytest.raises(SchedulingInPastError, match="negative timeout delay"):
+            sim.run()
+
+    def test_event_from_another_simulator_raises(self, sim):
+        other = Simulator()
+        self._run_yield(sim, other.event())
+        with pytest.raises(SimulationError, match="another simulator"):
+            sim.run()
+
+    @pytest.mark.parametrize("junk", ["x", None, np.int64(1)])
+    def test_unsupported_value_raises(self, sim, junk):
+        self._run_yield(sim, junk)
+        with pytest.raises(SimulationError, match="unsupported value"):
+            sim.run()
+
+    def test_numpy_float_is_a_delay(self, sim):
+        p = self._run_yield(sim, np.float64(2.5))
+        assert sim.run(until=p) == 2.5
+
+    def test_processed_event_feeds_straight_in(self, sim):
+        ev = sim.event()
+        ev.succeed("early")
+        sim.run()
+
+        def proc():
+            value = yield ev
+            return (value, sim.now)
+
+        p = sim.process(proc())
+        assert sim.run(until=p) == ("early", 0.0)
+
+
+class TestEventConstruction:
+    def test_timeout_repr_shows_delay(self, sim):
+        assert "2.5" in repr(sim.timeout(2.5))
+
+    def test_every_kernel_event_sets_every_slot(self, sim):
+        # Timeout sets the Event fields inline; a slot it forgets
+        # would raise here.
+        def gen():
+            yield 1.0
+
+        proc = sim.process(gen())
+        init = sim._agenda[0][3]
+        events = [
+            sim.event(), sim.timeout(1.0), sim.call_in(1.0, lambda: None),
+            proc, init,
+        ]
+        for ev in events:
+            for slot in Event.__slots__:
+                getattr(ev, slot)
+            assert ev._cancelled is False
+        sim.run()

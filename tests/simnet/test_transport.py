@@ -259,6 +259,94 @@ class TestNetwork:
         kinds = {e.kind for e in network.tracer}
         assert "msg-send" in kinds and "msg-recv" in kinds
 
+    def test_tracer_records_exact_message_attributes(self, network, sim):
+        a, b = network.host("a.example"), network.host("b.example")
+        dgram = a.send(b, Ping())
+        sim.run()
+        (sent,) = network.tracer.of_kind("msg-send")
+        (recv,) = network.tracer.of_kind("msg-recv")
+        assert sent.get("lost") is False
+        assert recv.get("latency") == dgram.latency
+        token = network.add_partition({"a.example"}, {"b.example"})
+        a.send(b, Ping())
+        sim.run()
+        assert network.tracer.of_kind("msg-send")[-1].get("lost") is True
+        assert b.messages_received == 1
+        network.remove_partition(token)
+        a.send(b, Ping())
+        sim.run()
+        assert b.messages_received == 2
+
+
+class TestPathLatency:
+    def _routed_network(self):
+        from repro.simnet.routing import SiteGraph
+        from repro.simnet.topology import NodeSpec, Region, Site, Topology
+
+        topo = Topology()
+        for hostname, region in (("a", "eu"), ("b", "us")):
+            topo.add_node(NodeSpec(
+                hostname=hostname, site=Site(name=region, region=Region(region)),
+                overhead_s=0.05, overhead_cv=0.0,
+            ))
+        router = SiteGraph()
+        router.add_link("eu", "us", 0.045)
+        router.add_link("eu", "relay", 0.06)
+        router.add_link("relay", "us", 0.06)
+        topo.set_router(router)
+        sim = Simulator()
+        return sim, Network(sim, topo, streams=RandomStreams(5)), router
+
+    def test_router_link_failure_reaches_live_sends(self):
+        # Table-driven RTTs are memoised per host; routed paths are not,
+        # so a link failure mid-run changes the next message's latency.
+        sim, net, router = self._routed_network()
+        a, b = net.host("a"), net.host("b")
+        first = a.send(b, Ping())
+        sim.run()
+        router.fail_link("eu", "us")
+        second = a.send(b, Ping())
+        sim.run()
+        assert first.latency == pytest.approx(0.045 + 0.05)
+        assert second.latency == pytest.approx(0.12 + 0.05)
+
+    def test_memo_is_per_region_and_skips_self_sends(self):
+        from repro.simnet.topology import NodeSpec, Region, Site, Topology
+
+        topo = Topology()
+        for hostname, region in (("a", "eu"), ("b", "eu"), ("c", "us"),
+                                 ("d", "us")):
+            topo.add_node(NodeSpec(
+                hostname=hostname, site=Site(name=hostname, region=Region(region)),
+                overhead_s=0.05, overhead_cv=0.0,
+            ))
+        topo.set_region_rtt("eu", "eu", 0.02)
+        topo.set_region_rtt("us", "us", 0.04)
+        topo.set_region_rtt("eu", "us", 0.1)
+        sim = Simulator()
+        net = Network(sim, topo, streams=RandomStreams(6))
+        a = net.host("a")
+        sent = {name: [a.send(net.host(name), Ping()) for _ in range(2)]
+                for name in ("a", "b", "c", "d")}
+        sim.run()
+        expected = {"a": 0.0, "b": 0.01, "c": 0.05, "d": 0.05}
+        for name, dgrams in sent.items():
+            for dgram in dgrams:
+                assert dgram.latency == pytest.approx(expected[name] + 0.05)
+        # One entry per destination region, however many hosts it holds.
+        assert sorted(a._one_way) == ["eu", "us"]
+
+    def test_latency_factor_applies_after_first_send(self, network, sim):
+        a, b = network.host("a.example"), network.host("b.example")
+        first = a.send(b, Ping())
+        sim.run()
+        b.set_link_factors(latency_factor=3.0)
+        second = a.send(b, Ping())
+        sim.run()
+        # one-way 0.01 (x3 after the change) + overhead 0.05.
+        assert first.latency == pytest.approx(0.06, abs=1e-9)
+        assert second.latency == pytest.approx(0.08, abs=1e-9)
+
 
 class TestScheduledOutage:
     def test_outage_window_crashes_and_recovers(self, network, sim):
