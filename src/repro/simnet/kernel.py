@@ -282,36 +282,26 @@ class Process(Event):
                 sim._schedule_event(self, NORMAL_PRIORITY)
                 return
 
-            # Plain numbers and same-simulator events skip ``_coerce``;
-            # everything else (bools, numpy scalars, foreign events,
-            # junk) gets its checks and errors.
-            kind = type(target)
-            if kind is float or kind is int:
-                event = Timeout(sim, float(target))
-            else:
-                if isinstance(target, Event) and target.sim is sim:
-                    event = target
-                else:
-                    event = self._coerce(target)
+            # Turn the yield target into an event to wait on.
+            if isinstance(target, Event):
+                if target.sim is not sim:
+                    raise SimulationError(
+                        "cannot wait on an event from another simulator"
+                    )
+                event = target
                 if event.callbacks is None:
                     # Already happened: loop and feed its value straight in.
                     continue
+            elif isinstance(target, (int, float)):
+                event = Timeout(sim, float(target))
+            else:
+                raise SimulationError(
+                    f"process {self.name!r} yielded unsupported value {target!r}"
+                )
             self._waiting_on = event
             event.callbacks.append(self._resume)
             break
         sim._active_process = None
-
-    def _coerce(self, target: Any) -> Event:
-        """Turn a ``yield`` target into an event to wait on."""
-        if isinstance(target, Event):
-            if target.sim is not self.sim:
-                raise SimulationError("cannot wait on an event from another simulator")
-            return target
-        if isinstance(target, (int, float)):
-            return Timeout(self.sim, float(target))
-        raise SimulationError(
-            f"process {self.name!r} yielded unsupported value {target!r}"
-        )
 
 
 class _Condition(Event):
@@ -486,15 +476,7 @@ class Simulator:
         ev.callbacks.append(lambda _ev: fn(*args))
         ev._ok = True
         ev._value = None
-        ev._scheduled = True
-        # Same key as ``_schedule_event(ev, NORMAL_PRIORITY, time - now)``;
-        # ``now + (time - now)`` is kept verbatim, it need not equal ``time``.
-        now = self._now
-        self._seq += 1
-        agenda = self._agenda
-        heappush(agenda, (now + (time - now), NORMAL_PRIORITY, self._seq, ev))
-        if len(agenda) > self.max_agenda_depth:
-            self.max_agenda_depth = len(agenda)
+        self._schedule_event(ev, NORMAL_PRIORITY, delay=time - self._now)
         return ev
 
     def call_in(self, delay: float, fn: Callable[..., None], *args: Any) -> Event:

@@ -147,6 +147,11 @@ class Topology:
     #: set, inter-region RTTs come from shortest paths over the site
     #: graph (keyed by *region name*) instead of the pair table.
     router: Optional[object] = None
+    #: (src region, dst region) -> base one-way latency from the pair
+    #: table, filled by :meth:`one_way_s`.
+    _one_way: Dict[tuple[str, str], float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # -- construction -------------------------------------------------------
 
@@ -165,6 +170,7 @@ class Topology:
         if rtt_s < 0:
             raise ConfigError(f"rtt must be >= 0, got {rtt_s}")
         self.region_rtt[self._key(a, b)] = float(rtt_s)
+        self._one_way.clear()
 
     @staticmethod
     def _key(a: str, b: str) -> tuple[str, str]:
@@ -189,8 +195,11 @@ class Topology:
 
     def base_rtt(self, src: str, dst: str) -> float:
         """Base region-pair RTT between two nodes (seconds)."""
-        a = self.node(src).site.region.name
-        b = self.node(dst).site.region.name
+        return self._region_rtt(
+            self.node(src).site.region.name, self.node(dst).site.region.name
+        )
+
+    def _region_rtt(self, a: str, b: str) -> float:
         if self.router is not None:
             if a == b:
                 # Intra-region stays table-driven (the router models
@@ -212,10 +221,29 @@ class Topology:
         if src == dst:
             return PathSpec(src=src, dst=dst, base_one_way_s=0.0, per_mb_loss=0.0)
         s, d = self.node(src), self.node(dst)
-        one_way = 0.5 * self.base_rtt(src, dst)
+        one_way = self.one_way_s(s, d)
         # Losses on the two access paths compound.
         loss = 1.0 - (1.0 - s.per_mb_loss) * (1.0 - d.per_mb_loss)
         return PathSpec(src=src, dst=dst, base_one_way_s=one_way, per_mb_loss=loss)
+
+    def one_way_s(self, src: NodeSpec, dst: NodeSpec) -> float:
+        """Base one-way latency between two nodes: half their base RTT,
+        zero from a node to itself.
+
+        The message path asks this once per send, so table-driven
+        values are memoised per region pair (:meth:`set_region_rtt`
+        clears the memo).  Routed values are not: a router link can
+        fail mid-run.
+        """
+        if src.hostname == dst.hostname:
+            return 0.0
+        key = (src.site.region.name, dst.site.region.name)
+        if self.router is not None:
+            return 0.5 * self._region_rtt(*key)
+        one_way = self._one_way.get(key)
+        if one_way is None:
+            one_way = self._one_way[key] = 0.5 * self._region_rtt(*key)
+        return one_way
 
     def validate(self) -> None:
         """Check that every node pair has a resolvable RTT."""

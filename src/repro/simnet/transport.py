@@ -611,10 +611,6 @@ class Host:
         self._up_set: Dict["Flow", None] = {}
         self._down_set: Dict["Flow", None] = {}
         self._is_up = True
-        #: Destination region -> base one-way path latency (s), filled
-        #: on first send; see :meth:`_one_way_s`.
-        self._region = spec.site.region.name
-        self._one_way: Dict[str, float] = {}
 
         #: Fault-injection state (see :mod:`repro.faults`): CPU
         #: slowdown stretches compute and message handling, the link
@@ -760,9 +756,7 @@ class Host:
         dgram = Datagram(self.hostname, dst_name, payload, size_bits, now)
         self.messages_sent += 1
         self._m_msgs_sent.inc()
-        one_way = self._one_way.get(dst._region) if dst is not self else None
-        if one_way is None:
-            one_way = self._one_way_s(dst)
+        one_way = self.network.topology.one_way_s(self.spec, dst.spec)
         handling = dst._light_overhead if light else dst._overhead
         delay = (
             one_way
@@ -776,9 +770,8 @@ class Host:
             or dst._loss.unit_lost(size_bits, now)
             or self.extra_loss.unit_lost(size_bits, now)
             or dst.extra_loss.unit_lost(size_bits, now)
+            or network.is_partitioned(self.hostname, dst_name)
         )
-        if not lost and network._partitions:
-            lost = network.is_partitioned(self.hostname, dst_name)
         tracer = network.tracer
         if tracer.enabled:
             tracer.record(
@@ -792,28 +785,11 @@ class Host:
         self.sim.call_in(delay, dst._deliver, dgram)
         return dgram
 
-    def _one_way_s(self, dst: "Host") -> float:
-        """Base one-way latency to ``dst``, memoised per destination region.
-
-        Between two distinct nodes the base RTT is a function of their
-        regions alone (:meth:`Topology.base_rtt`), and region RTT tables
-        are set up before a :class:`Network` runs, so the memo holds at
-        most one entry per region.  Sends to self and topologies with a
-        router are asked every time: failing a router link changes
-        paths live.
-        """
-        topology = self.network.topology
-        one_way = topology.path(self.hostname, dst.hostname).base_one_way_s
-        if topology.router is None and dst is not self:
-            self._one_way[dst._region] = one_way
-        return one_way
-
     def _deliver(self, dgram: Datagram) -> None:
         now = self.sim._now
         tracer = self.network.tracer
         if not self._is_up:
-            if tracer.enabled:
-                tracer.record("msg-drop-down", now, dst=self.hostname)
+            tracer.record("msg-drop-down", now, dst=self.hostname)
             return
         dgram.delivered_at = now
         self.messages_received += 1
@@ -890,24 +866,20 @@ class Host:
                     attempts=attempt,
                     wasted_bits=wasted,
                 )
-                tracer = self.network.tracer
-                if tracer.enabled:
-                    tracer.record(
-                        "transfer-done", now, src=self.hostname,
-                        dst=dst.hostname, size_bits=size_bits,
-                        attempts=attempt, duration=report.duration,
-                    )
+                self.network.tracer.record(
+                    "transfer-done", now, src=self.hostname, dst=dst.hostname,
+                    size_bits=size_bits, attempts=attempt,
+                    duration=report.duration,
+                )
                 return report
             wasted += size_bits
             self._m_retransmissions.inc()
             attempt_duration = now - attempt_started
             detection = max(loss_timeout_factor * attempt_duration, 0.05)
-            tracer = self.network.tracer
-            if tracer.enabled:
-                tracer.record(
-                    "transfer-retry", now, src=self.hostname,
-                    dst=dst.hostname, size_bits=size_bits, attempt=attempt,
-                )
+            self.network.tracer.record(
+                "transfer-retry", now, src=self.hostname, dst=dst.hostname,
+                size_bits=size_bits, attempt=attempt,
+            )
             yield detection
         raise TransferAborted(
             f"{self.hostname}->{dst.hostname}: {max_attempts} attempts failed"

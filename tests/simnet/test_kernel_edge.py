@@ -250,8 +250,7 @@ class TestCompactionDuringRun:
 
 
 class TestYieldTargets:
-    """What a process may yield: the fast paths in ``Process._resume``
-    must accept and reject exactly what ``_coerce`` does."""
+    """What a process may yield, and the errors for everything else."""
 
     def _run_yield(self, sim, target):
         def proc():

@@ -127,6 +127,18 @@ class TestTopology:
         topo.set_region_rtt("eu", "us", 0.1)
         assert topo.path("a", "b").base_one_way_s == pytest.approx(0.05)
 
+    def test_one_way_follows_rtt_table_changes(self, site_eu, site_us):
+        topo = Topology()
+        a, b = spec("a", site_eu), spec("b", site_us)
+        topo.add_nodes([a, b])
+        topo.set_region_rtt("eu", "us", 0.1)
+        assert topo.one_way_s(a, b) == 0.05
+        assert topo.one_way_s(a, a) == 0.0
+        # A table change after the first lookup is not hidden by the memo.
+        topo.set_region_rtt("eu", "us", 0.3)
+        assert topo.one_way_s(a, b) == 0.15
+        assert topo.one_way_s(b, a) == topo.path("b", "a").base_one_way_s
+
     def test_path_loss_compounds(self, site_eu, site_us):
         topo = Topology()
         topo.add_node(spec("a", site_eu, per_mb_loss=0.1))

@@ -298,7 +298,7 @@ class TestPathLatency:
         return sim, Network(sim, topo, streams=RandomStreams(5)), router
 
     def test_router_link_failure_reaches_live_sends(self):
-        # Table-driven RTTs are memoised per host; routed paths are not,
+        # Table-driven RTTs are memoised per region pair; routed paths are not,
         # so a link failure mid-run changes the next message's latency.
         sim, net, router = self._routed_network()
         a, b = net.host("a"), net.host("b")
@@ -333,8 +333,8 @@ class TestPathLatency:
         for name, dgrams in sent.items():
             for dgram in dgrams:
                 assert dgram.latency == pytest.approx(expected[name] + 0.05)
-        # One entry per destination region, however many hosts it holds.
-        assert sorted(a._one_way) == ["eu", "us"]
+        # One entry per region pair, however many hosts each region holds.
+        assert sorted(topo._one_way) == [("eu", "eu"), ("eu", "us")]
 
     def test_latency_factor_applies_after_first_send(self, network, sim):
         a, b = network.host("a.example"), network.host("b.example")
