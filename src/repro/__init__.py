@@ -29,7 +29,7 @@ Quickstart
 >>> print(result.table())
 """
 
-from repro import analysis, apps, experiments, overlay, selection, simnet, workloads
+from repro import analysis, experiments, overlay, selection, simnet, workloads
 from repro.errors import ReproError
 
 __version__ = "1.0.0"
@@ -41,7 +41,6 @@ __all__ = [
     "workloads",
     "experiments",
     "analysis",
-    "apps",
     "ReproError",
     "__version__",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
-__all__ = ["render_table", "render_bars", "render_grouped_bars", "render_sparkline"]
+__all__ = ["render_table", "render_bars", "render_grouped_bars"]
 
 
 def render_table(
@@ -88,25 +88,6 @@ def render_grouped_bars(
             )
         lines.append("")
     return "\n".join(lines).rstrip()
-
-
-#: Eight-level block characters for sparklines.
-_SPARK_BLOCKS = " .:-=+*#"
-
-
-def render_sparkline(values: Sequence[float]) -> str:
-    """One-line trend of a series (shared linear scale)."""
-    if not values:
-        raise ValueError("no values to render")
-    lo, hi = min(values), max(values)
-    if hi <= lo:
-        return _SPARK_BLOCKS[0] * len(values)
-    span = hi - lo
-    out = []
-    for v in values:
-        idx = int((v - lo) / span * (len(_SPARK_BLOCKS) - 1))
-        out.append(_SPARK_BLOCKS[idx])
-    return "".join(out)
 
 
 def _fmt(value: object) -> str:

@@ -9,7 +9,6 @@ from repro.obs.export import (
     metrics_to_dict,
     summary_table,
     write_metrics,
-    write_trace_csv,
 )
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -42,5 +41,4 @@ __all__ = [
     "metrics_to_dict",
     "summary_table",
     "write_metrics",
-    "write_trace_csv",
 ]

@@ -11,7 +11,7 @@ import csv
 import json
 import time
 from pathlib import Path
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, Iterable, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import EventTrace
@@ -20,7 +20,6 @@ __all__ = [
     "metrics_to_dict",
     "report_stamp",
     "write_metrics",
-    "write_trace_csv",
     "summary_table",
 ]
 
@@ -106,23 +105,6 @@ def write_metrics(
             json.dumps(metrics_to_dict(registry, trace, stamp=stamp), indent=2)
             + "\n"
         )
-    return path
-
-
-def write_trace_csv(trace: EventTrace, path: Any) -> Path:
-    """Write retained trace events as CSV (union of attr columns)."""
-    path = Path(path)
-    events = trace.events
-    keys: List[str] = []
-    for e in events:
-        for k in e.attrs:
-            if k not in keys:
-                keys.append(k)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["kind", "time", *keys])
-        for e in events:
-            w.writerow([e.kind, e.time, *(e.attrs.get(k, "") for k in keys)])
     return path
 
 

@@ -1,8 +1,7 @@
 """Structured event tracing with an optional memory bound.
 
 :class:`EventTrace` records :class:`repro.simnet.trace.TraceEvent`
-``(kind, time, attrs)`` events for analysis (see
-:mod:`repro.analysis.timeseries`).  It is the tracer every
+``(kind, time, attrs)`` events for analysis.  It is the tracer every
 :class:`~repro.simnet.transport.Network` records into (disabled unless
 the caller passes an enabled one); a run picks its retention policy:
 

@@ -11,7 +11,7 @@ The recovery subsystem turns the fault-injection layer's disruptions
 * :mod:`repro.recovery.standby` — standby-broker replication and
   deterministic leader handover;
 * :mod:`repro.recovery.degraded` — staleness-aware fallbacks for the
-  three selection models;
+  cost and economic selection models;
 * :mod:`repro.recovery.config` — the knobs, embedded in
   :class:`~repro.experiments.scenario.ExperimentConfig`.
 """
@@ -19,7 +19,6 @@ The recovery subsystem turns the fault-injection layer's disruptions
 from repro.recovery.config import RecoveryConfig
 from repro.recovery.degraded import (
     StalenessAwareEvaluator,
-    StalenessAwarePreference,
     StalenessAwareScheduler,
 )
 from repro.recovery.ledger import LedgerEntry, PartProof, TransferLedger
@@ -37,5 +36,4 @@ __all__ = [
     "FailoverEvent",
     "StalenessAwareEvaluator",
     "StalenessAwareScheduler",
-    "StalenessAwarePreference",
 ]

@@ -10,7 +10,7 @@ at all switches every pillar and partition-aware flow gating on:
   with deterministic leader handover (see
   :class:`~repro.recovery.standby.FailoverDirector`);
 * **degraded-mode selection** — the staleness-aware variants of the
-  three paper selection models (see :mod:`repro.recovery.degraded`).
+  cost and economic selection models (see :mod:`repro.recovery.degraded`).
 
 The whole bundle rides on
 :class:`~repro.experiments.scenario.ExperimentConfig` (``recovery``

@@ -2,9 +2,11 @@
 
 Fault windows starve the broker of fresh statistics: keepalives stop,
 stat reports queue, and the histories that drive selection age out.
-Instead of ranking on fiction, each of the paper's three selection
-models declares an explicit **fallback** that engages when its inputs
-exceed a staleness budget:
+Instead of ranking on fiction, the two selection models that rank on
+observed statistics each declare an explicit **fallback** that engages
+when their inputs exceed a staleness budget (``budget_s``, which
+callers take from
+:attr:`~repro.recovery.config.RecoveryConfig.staleness_budget_s`):
 
 * :class:`StalenessAwareEvaluator` — the cost model drops criteria
   whose snapshot inputs are stale for *every* candidate and
@@ -12,11 +14,7 @@ exceed a staleness budget:
   uniformly old data still orders peers);
 * :class:`StalenessAwareScheduler` — the economic model prices
   candidates with stale performance histories at their planned
-  (advertised) rates rather than trusting outdated observations;
-* :class:`StalenessAwarePreference` — the user model rebuilds its
-  frozen table from the live experience window when everything it
-  remembers is stale, and degrades to deterministic name order rather
-  than refusing outright.
+  (advertised) rates rather than trusting outdated observations.
 
 Every degraded decision increments the ``selection.degraded`` counter
 and emits a ``selection-degraded`` trace event, so experiment
@@ -25,25 +23,18 @@ artifacts can attribute quality shifts to fallback engagement.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Tuple
+from typing import List, Tuple
 
-from repro.overlay.ids import PeerId
 from repro.overlay.statistics import PerformanceHistory
 from repro.selection.base import RankedCandidate, SelectionContext
 from repro.selection.criteria import CRITERION_INPUTS, normalize_weights
 from repro.selection.evaluator import DataEvaluatorSelector
-from repro.selection.preference import PreferenceTable, UserPreferenceSelector
 from repro.selection.scheduling import SchedulingBasedSelector
 
 __all__ = [
     "StalenessAwareEvaluator",
     "StalenessAwareScheduler",
-    "StalenessAwarePreference",
 ]
-
-#: Default staleness budget (seconds) — matches
-#: :attr:`repro.recovery.config.RecoveryConfig.staleness_budget_s`.
-DEFAULT_BUDGET_S = 180.0
 
 
 class _DegradedMixin:
@@ -68,7 +59,7 @@ class _DegradedMixin:
 class StalenessAwareEvaluator(_DegradedMixin, DataEvaluatorSelector):
     """Cost model that drops all-stale criteria and renormalizes."""
 
-    def __init__(self, *args, budget_s: float = DEFAULT_BUDGET_S, **kwargs):
+    def __init__(self, *args, budget_s: float, **kwargs):
         super().__init__(*args, **kwargs)
         self._init_degraded(budget_s)
         self._base_weights = dict(self.weights)
@@ -81,15 +72,10 @@ class StalenessAwareEvaluator(_DegradedMixin, DataEvaluatorSelector):
         candidates = context.candidates
         fresh = []
         for criterion in self._base_weights:
-            inputs = CRITERION_INPUTS.get(criterion, ())
-            if not inputs:
-                # No declared inputs: nothing to judge, keep it.
-                fresh.append(criterion)
-                continue
             if any(
                 rec.input_age(key, now) <= self.budget_s
                 for rec in candidates
-                for key in inputs
+                for key in CRITERION_INPUTS[criterion]
             ):
                 fresh.append(criterion)
         return fresh
@@ -130,7 +116,7 @@ class StalenessAwareScheduler(_DegradedMixin, SchedulingBasedSelector):
     the broker takes toward peers it has never measured.
     """
 
-    def __init__(self, *args, budget_s: float = DEFAULT_BUDGET_S, **kwargs):
+    def __init__(self, *args, budget_s: float, **kwargs):
         super().__init__(*args, **kwargs)
         self._init_degraded(budget_s)
         #: Peer names whose history the most recent rank distrusted.
@@ -163,65 +149,3 @@ class StalenessAwareScheduler(_DegradedMixin, SchedulingBasedSelector):
         finally:
             for rec, perf in saved:
                 rec.perf = perf
-
-
-class StalenessAwarePreference(_DegradedMixin, UserPreferenceSelector):
-    """User model that refreshes its frozen table when memory goes
-    stale, and never refuses outright.
-
-    ``observed`` is the live experience window (peer id ->
-    :class:`PerformanceHistory`) that the frozen table was distilled
-    from; the fallback re-distills it on demand.
-    """
-
-    def __init__(
-        self,
-        table: PreferenceTable,
-        observed: Optional[Mapping[PeerId, PerformanceHistory]] = None,
-        mode: str = "quick_peer",
-        budget_s: float = DEFAULT_BUDGET_S,
-    ) -> None:
-        super().__init__(table, mode=mode)
-        self._init_degraded(budget_s)
-        self.observed = dict(observed) if observed else {}
-        #: "" (table used), "refreshed" (re-distilled), or "blind".
-        self.last_fallback = ""
-        self.name = f"{self.name}+degraded"
-
-    def _table_usable(self, context: SelectionContext) -> bool:
-        now = context.now
-        for rec in context.candidates:
-            if self.table.score(rec.peer_id) == float("inf"):
-                continue
-            hist = self.observed.get(rec.peer_id)
-            if hist is None or hist.age(now) <= self.budget_s:
-                # Known peer with fresh (or untracked) experience.
-                return True
-        return False
-
-    def rank(self, context: SelectionContext) -> List[RankedCandidate]:
-        candidates = context.require_candidates()
-        if self._table_usable(context):
-            self.last_fallback = ""
-            return super().rank(context)
-        # Fallback 1: re-distill preferences from the live experience
-        # window (recency-weighted, like a user re-checking notes).
-        refreshed = PreferenceTable.recent_transfer(self.observed)
-        scored = [
-            RankedCandidate(score=refreshed.score(rec.peer_id), record=rec)
-            for rec in candidates
-        ]
-        if any(rc.score != float("inf") for rc in scored):
-            self.last_fallback = "refreshed"
-            self._note_degraded(context, fallback="refreshed")
-            scored.sort(key=lambda rc: (rc.score, rc.record.adv.name))
-            return scored
-        # Fallback 2: deterministic name order beats refusing.
-        self.last_fallback = "blind"
-        self._note_degraded(context, fallback="blind")
-        return [
-            RankedCandidate(score=float(i), record=rec)
-            for i, rec in enumerate(
-                sorted(candidates, key=lambda r: r.adv.name)
-            )
-        ]

@@ -25,13 +25,10 @@ from repro.selection.criteria import (
     criterion_utility,
     evaluate_snapshot,
     normalize_weights,
-    register_criterion,
-    unregister_criterion,
 )
 from repro.selection.evaluator import DataEvaluatorSelector
 from repro.selection.hybrid import HybridSelector
 from repro.selection.preference import PreferenceTable, UserPreferenceSelector
-from repro.selection.recommend import AvailableInformation, recommend_selector
 from repro.selection.readytime import ReadyTimeEstimate, ReadyTimeEstimator
 from repro.selection.scheduling import SchedulingBasedSelector
 
@@ -55,8 +52,4 @@ __all__ = [
     "criterion_utility",
     "evaluate_snapshot",
     "normalize_weights",
-    "register_criterion",
-    "unregister_criterion",
-    "AvailableInformation",
-    "recommend_selector",
 ]

@@ -35,8 +35,6 @@ __all__ = [
     "criterion_utility",
     "evaluate_snapshot",
     "normalize_weights",
-    "register_criterion",
-    "unregister_criterion",
 ]
 
 _Snapshot = Mapping[str, float]
@@ -151,57 +149,6 @@ def normalize_weights(weights: Mapping[str, float]) -> Dict[str, float]:
 def evaluate_snapshot(snapshot: _Snapshot, weights: Mapping[str, float]) -> float:
     """Weighted utility of a snapshot (weights must be normalized)."""
     return sum(w * criterion_utility(name, snapshot) for name, w in weights.items())
-
-
-#: Names of the built-in (paper §2.2) criteria — protected from
-#: unregistration.
-_BUILTIN_CRITERIA = frozenset(CRITERIA)
-
-
-def register_criterion(
-    name: str,
-    fn: Callable[[_Snapshot], float],
-    profiles: tuple[str, ...] = (),
-    weight: float = 1.0,
-    inputs: tuple[str, ...] = (),
-) -> None:
-    """Extend the catalog with a user-defined criterion.
-
-    The paper's weights are "either user defined or pre-specified" —
-    this is the user-defined path.  ``fn`` maps a statistics snapshot
-    to a utility in [0, 1] (values are clamped defensively).  Pass
-    ``profiles`` to also add the criterion to named weight profiles at
-    ``weight``, and ``inputs`` to declare the snapshot keys it reads
-    (enables staleness tracking for degraded-mode selection).
-    Duplicate names are rejected.
-    """
-    if not name:
-        raise CriteriaError("criterion name must be non-empty")
-    if name in CRITERIA:
-        raise CriteriaError(f"criterion {name!r} already registered")
-    if not callable(fn):
-        raise CriteriaError("criterion must be callable")
-    if weight <= 0:
-        raise CriteriaError("weight must be > 0")
-    for profile in profiles:
-        if profile not in WEIGHT_PROFILES:
-            raise CriteriaError(f"unknown weight profile {profile!r}")
-    CRITERIA[name] = fn
-    CRITERION_INPUTS[name] = tuple(inputs)
-    for profile in profiles:
-        WEIGHT_PROFILES[profile][name] = weight
-
-
-def unregister_criterion(name: str) -> None:
-    """Remove a user-defined criterion (built-ins are protected)."""
-    if name in _BUILTIN_CRITERIA:
-        raise CriteriaError(f"cannot unregister built-in criterion {name!r}")
-    if name not in CRITERIA:
-        raise CriteriaError(f"unknown criterion {name!r}")
-    del CRITERIA[name]
-    CRITERION_INPUTS.pop(name, None)
-    for profile in WEIGHT_PROFILES.values():
-        profile.pop(name, None)
 
 
 def _uniform(names) -> Dict[str, float]:

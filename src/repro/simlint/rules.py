@@ -1,7 +1,7 @@
 """The simlint rule pack.
 
 Each rule targets an invariant this simulator's reproducibility
-actually depends on (see ``docs/API.md`` §9 for the rationale per
+actually depends on (see ``docs/API.md`` §8 for the rationale per
 rule):
 
 ========  ==================================================================

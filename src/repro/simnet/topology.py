@@ -143,10 +143,6 @@ class Topology:
     nodes: Dict[str, NodeSpec] = field(default_factory=dict)
     region_rtt: Dict[tuple[str, str], float] = field(default_factory=dict)
     default_rtt: Optional[float] = None
-    #: Optional graph router (see :mod:`repro.simnet.routing`).  When
-    #: set, inter-region RTTs come from shortest paths over the site
-    #: graph (keyed by *region name*) instead of the pair table.
-    router: Optional[object] = None
     #: (src region, dst region) -> base one-way latency from the pair
     #: table, filled by :meth:`one_way_s`.
     _one_way: Dict[tuple[str, str], float] = field(
@@ -189,25 +185,7 @@ class Topology:
         """All hostnames in deterministic (insertion) order."""
         return tuple(self.nodes)
 
-    def set_router(self, router) -> None:
-        """Attach a graph router; region RTTs then come from it."""
-        self.router = router
-
-    def base_rtt(self, src: str, dst: str) -> float:
-        """Base region-pair RTT between two nodes (seconds)."""
-        return self._region_rtt(
-            self.node(src).site.region.name, self.node(dst).site.region.name
-        )
-
     def _region_rtt(self, a: str, b: str) -> float:
-        if self.router is not None:
-            if a == b:
-                # Intra-region stays table-driven (the router models
-                # the backbone between regions, not campus LANs).
-                intra = self.region_rtt.get(self._key(a, b))
-                if intra is not None:
-                    return intra
-            return self.router.rtt(a, b)
         key = self._key(a, b)
         rtt = self.region_rtt.get(key)
         if rtt is None:
@@ -230,16 +208,13 @@ class Topology:
         """Base one-way latency between two nodes: half their base RTT,
         zero from a node to itself.
 
-        The message path asks this once per send, so table-driven
-        values are memoised per region pair (:meth:`set_region_rtt`
-        clears the memo).  Routed values are not: a router link can
-        fail mid-run.
+        The message path asks this once per send, so values are
+        memoised per region pair (:meth:`set_region_rtt` clears the
+        memo).
         """
         if src.hostname == dst.hostname:
             return 0.0
         key = (src.site.region.name, dst.site.region.name)
-        if self.router is not None:
-            return 0.5 * self._region_rtt(*key)
         one_way = self._one_way.get(key)
         if one_way is None:
             one_way = self._one_way[key] = 0.5 * self._region_rtt(*key)

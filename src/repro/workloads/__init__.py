@@ -1,12 +1,6 @@
 """Synthetic application workloads (files, tasks, generators)."""
 
-from repro.workloads.files import (
-    FilePart,
-    FileSpec,
-    reassemble_size,
-    split_fixed_size,
-    split_into_parts,
-)
+from repro.workloads.files import FileSpec
 from repro.workloads.generator import Job, WorkloadGenerator
 from repro.workloads.traces import (
     ReplayOutcome,
@@ -23,10 +17,6 @@ from repro.workloads.tasks import (
 
 __all__ = [
     "FileSpec",
-    "FilePart",
-    "split_into_parts",
-    "split_fixed_size",
-    "reassemble_size",
     "ProcessingTask",
     "VIRTUAL_CAMPUS_TASKS",
     "campus_task",

@@ -1,22 +1,18 @@
-"""File workload descriptions and splitting.
+"""File workload descriptions.
 
 The paper's application processes "large size files of a virtual
-campus"; files are split into fixed-size parts (50 Mb, 100 Mb, …, down
-to 6.25 Mb at 16-way division) and sent part by part.  This module
-provides the file/part value objects and both split disciplines (into
-*n* parts; into fixed-size chunks), with invariants tests can lean on:
-part sizes are positive, order-preserving and sum exactly to the file
-size.
+campus"; :class:`FileSpec` names one such file and its size.  Sending
+it part by part is the overlay's job
+(:func:`repro.overlay.filetransfer.split_even`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
 
 from repro.units import mbit, to_mbit
 
-__all__ = ["FileSpec", "FilePart", "split_into_parts", "split_fixed_size", "reassemble_size"]
+__all__ = ["FileSpec"]
 
 
 @dataclass(frozen=True)
@@ -41,84 +37,3 @@ class FileSpec:
     def of_mbit(cls, name: str, size_mb: float) -> "FileSpec":
         """Construct from a size in Mb (paper convention)."""
         return cls(name=name, size_bits=mbit(size_mb))
-
-
-@dataclass(frozen=True)
-class FilePart:
-    """One transmission unit of a file."""
-
-    file: FileSpec
-    index: int
-    size_bits: float
-    offset_bits: float
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError("part index must be >= 0")
-        if self.size_bits <= 0:
-            raise ValueError("part size must be > 0")
-        tolerance = max(1e-6, 1e-9 * self.file.size_bits)
-        if (
-            self.offset_bits < 0
-            or self.offset_bits + self.size_bits > self.file.size_bits + tolerance
-        ):
-            raise ValueError("part exceeds file bounds")
-
-
-def split_into_parts(file: FileSpec, n_parts: int) -> List[FilePart]:
-    """Divide a file into ``n_parts`` equal parts (paper's Figure 5)."""
-    if n_parts < 1:
-        raise ValueError(f"n_parts must be >= 1, got {n_parts}")
-    part_size = file.size_bits / n_parts
-    return [
-        FilePart(
-            file=file,
-            index=i,
-            size_bits=part_size,
-            offset_bits=i * part_size,
-        )
-        for i in range(n_parts)
-    ]
-
-
-def split_fixed_size(file: FileSpec, part_bits: float) -> List[FilePart]:
-    """Divide a file into fixed-size parts; the final part holds the
-    remainder (paper's "parts of a fixed size such as 50Mb, 100Mb")."""
-    if part_bits <= 0:
-        raise ValueError(f"part_bits must be > 0, got {part_bits}")
-    parts: List[FilePart] = []
-    offset = 0.0
-    index = 0
-    remaining = file.size_bits
-    while remaining > 1e-9:
-        size = min(part_bits, remaining)
-        parts.append(
-            FilePart(file=file, index=index, size_bits=size, offset_bits=offset)
-        )
-        offset += size
-        remaining -= size
-        index += 1
-    return parts
-
-
-def reassemble_size(parts: List[FilePart]) -> float:
-    """Total bits covered by a part list (integrity check helper).
-
-    Raises if parts overlap, are out of order or mix files.
-    """
-    if not parts:
-        return 0.0
-    file = parts[0].file
-    tolerance = max(1e-6, 1e-9 * file.size_bits)
-    expected_offset = 0.0
-    total = 0.0
-    for i, part in enumerate(parts):
-        if part.file != file:
-            raise ValueError("parts mix different files")
-        if part.index != i:
-            raise ValueError(f"part {i} has index {part.index}")
-        if abs(part.offset_bits - expected_offset) > tolerance:
-            raise ValueError(f"gap/overlap at part {i}")
-        expected_offset += part.size_bits
-        total += part.size_bits
-    return total

@@ -79,24 +79,3 @@ class TestRenderGroupedBars:
         import pytest
         with pytest.raises(ValueError):
             render_grouped_bars({})
-
-
-class TestRenderSparkline:
-    def test_monotone_series(self):
-        from repro.experiments.report import render_sparkline
-
-        spark = render_sparkline([1.0, 2.0, 3.0, 4.0])
-        assert len(spark) == 4
-        assert spark[0] == " " and spark[-1] == "#"
-
-    def test_flat_series(self):
-        from repro.experiments.report import render_sparkline
-
-        assert render_sparkline([5.0, 5.0, 5.0]) == "   "
-
-    def test_empty_rejected(self):
-        from repro.experiments.report import render_sparkline
-
-        import pytest
-        with pytest.raises(ValueError):
-            render_sparkline([])

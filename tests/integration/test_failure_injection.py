@@ -155,12 +155,21 @@ class TestFailureFeedsSelection:
 
 
 class TestOutageWindows:
-    def test_outage_model_blocks_and_releases(self):
-        """The OutageModel composes with transfer logic: units sent
-        during an outage are lost; after recovery they pass."""
-        from repro.simnet.loss import OutageModel
+    def test_loss_burst_blocks_and_releases(self):
+        """A LossBurst window composes with transfer logic: units sent
+        during the burst are lost; after it ends they pass."""
+        from repro.faults import FaultPlan, LossBurst
 
-        outage = OutageModel([(10.0, 20.0)])
-        assert outage.unit_lost(mbit(1), 15.0)
-        assert not outage.unit_lost(mbit(1), 25.0)
-        assert outage.next_recovery(15.0) == 20.0
+        session = Session(ExperimentConfig(seed=5))
+
+        def scenario(s):
+            host = s.network.host(s.testbed.sc_hostname("SC2"))
+            burst = LossBurst(target="SC2", per_mb_loss=0.5, duration_s=10.0)
+            FaultPlan(name="t", schedule=((10.0, burst),)).install(s)
+            yield 15.0
+            during = host.extra_loss.unit_lost(mbit(100), s.sim.now)
+            yield 10.0
+            after = host.extra_loss.unit_lost(mbit(100), s.sim.now)
+            return during, after
+
+        assert session.run(scenario) == (True, False)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs.export import metrics_to_dict, write_trace_csv
+from repro.obs.export import metrics_to_dict
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import EventTrace
 from repro.simnet.trace import TraceEvent
@@ -105,17 +105,6 @@ class TestExport:
         d = metrics_to_dict(MetricsRegistry(), trace=t)
         assert d["trace"]["events"] == [{"kind": "msg", "time": 1.0, "src": "a"}]
         assert d["trace"]["policy"] == "ring"
-
-    def test_csv_has_union_of_attr_columns(self, tmp_path):
-        t = EventTrace()
-        t.record("msg", 1.0, src="a")
-        t.record("flow", 2.0, bits=100)
-        path = write_trace_csv(t, tmp_path / "trace.csv")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "kind,time,src,bits"
-        assert lines[1].startswith("msg,1.0,a,")
-        assert lines[2].startswith("flow,2.0,,100")
-
 
 class TestNetworkIntegration:
     def test_event_trace_plugs_into_network(self, sim, streams, two_node_topology):

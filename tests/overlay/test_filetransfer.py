@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TransferAborted
 from repro.overlay.broker import Broker
@@ -35,6 +37,23 @@ class TestSplitEven:
             split_even(0.0, 4)
         with pytest.raises(ValueError):
             split_even(mbit(1), 0)
+
+    def test_paper_sixteen_parts(self):
+        """16 parts of 100 Mb are 6.25 Mb each (paper §4.2)."""
+        sizes = split_even(mbit(100), 16)
+        assert len(sizes) == 16
+        assert all(s == pytest.approx(mbit(6.25)) for s in sizes)
+
+    @given(
+        st.floats(min_value=0.1, max_value=1e4),
+        st.integers(min_value=1, max_value=128),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_even_split_invariants(self, size_mb, n):
+        sizes = split_even(mbit(size_mb), n)
+        assert len(sizes) == n
+        assert sum(sizes) == pytest.approx(mbit(size_mb))
+        assert all(s > 0 for s in sizes)
 
 
 class TestSendFile:

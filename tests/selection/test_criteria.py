@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.errors import CriteriaError
 from repro.selection.criteria import (
     CRITERIA,
+    CRITERION_INPUTS,
     WEIGHT_PROFILES,
     criterion_utility,
     evaluate_snapshot,
@@ -48,6 +49,11 @@ class TestCatalogCompleteness:
 
     def test_same_priority_covers_everything(self):
         assert set(WEIGHT_PROFILES["same_priority"]) == set(CRITERIA)
+
+    def test_every_criterion_declares_its_inputs(self):
+        # Degraded-mode selection judges staleness per declared input.
+        assert set(CRITERION_INPUTS) == set(CRITERIA)
+        assert all(CRITERION_INPUTS.values())
 
 
 class TestUtilities:
@@ -145,80 +151,3 @@ class TestCriteriaProperties:
     def test_weighted_sum_bounded(self, snap):
         weights = normalize_weights(WEIGHT_PROFILES["same_priority"])
         assert 0.0 <= evaluate_snapshot(snap, weights) <= 1.0
-
-
-class TestCriterionRegistration:
-    @pytest.fixture(autouse=True)
-    def _cleanup(self):
-        yield
-        from repro.selection.criteria import CRITERIA, unregister_criterion
-
-        for name in list(CRITERIA):
-            if name.startswith("custom_"):
-                unregister_criterion(name)
-
-    def test_register_and_use(self):
-        from repro.selection.criteria import register_criterion
-
-        register_criterion(
-            "custom_recent_uptime", lambda snap: snap.get("uptime_share", 1.0)
-        )
-        assert criterion_utility("custom_recent_uptime", {"uptime_share": 0.4}) == 0.4
-        weights = normalize_weights({"custom_recent_uptime": 1.0})
-        assert evaluate_snapshot({"uptime_share": 0.4}, weights) == pytest.approx(0.4)
-
-    def test_register_into_profile(self):
-        from repro.selection.criteria import register_criterion
-
-        register_criterion(
-            "custom_profile_member",
-            lambda snap: 1.0,
-            profiles=("transfer_oriented",),
-            weight=2.0,
-        )
-        assert WEIGHT_PROFILES["transfer_oriented"]["custom_profile_member"] == 2.0
-
-    def test_unregister_removes_everywhere(self):
-        from repro.selection.criteria import (
-            register_criterion,
-            unregister_criterion,
-        )
-
-        register_criterion(
-            "custom_temp", lambda snap: 1.0, profiles=("task_oriented",)
-        )
-        unregister_criterion("custom_temp")
-        assert "custom_temp" not in CRITERIA
-        assert "custom_temp" not in WEIGHT_PROFILES["task_oriented"]
-        with pytest.raises(CriteriaError):
-            criterion_utility("custom_temp", {})
-
-    def test_duplicate_rejected(self):
-        from repro.selection.criteria import register_criterion
-
-        with pytest.raises(CriteriaError):
-            register_criterion("messages_ok_total", lambda snap: 1.0)
-
-    def test_builtins_protected(self):
-        from repro.selection.criteria import unregister_criterion
-
-        with pytest.raises(CriteriaError):
-            unregister_criterion("messages_ok_total")
-
-    def test_validation(self):
-        from repro.selection.criteria import register_criterion
-
-        with pytest.raises(CriteriaError):
-            register_criterion("", lambda snap: 1.0)
-        with pytest.raises(CriteriaError):
-            register_criterion("custom_x", "not-callable")
-        with pytest.raises(CriteriaError):
-            register_criterion("custom_x", lambda s: 1.0, profiles=("ghost",))
-        with pytest.raises(CriteriaError):
-            register_criterion("custom_x", lambda s: 1.0, weight=0.0)
-
-    def test_custom_utility_clamped(self):
-        from repro.selection.criteria import register_criterion
-
-        register_criterion("custom_wild", lambda snap: 7.0)
-        assert criterion_utility("custom_wild", {}) == 1.0

@@ -93,21 +93,21 @@ class TestTopology:
         topo.add_node(spec("a", site_eu))
         topo.add_node(spec("b", site_us))
         topo.set_region_rtt("eu", "us", 0.1)
-        assert topo.base_rtt("a", "b") == 0.1
-        assert topo.base_rtt("b", "a") == 0.1
+        assert topo.path("a", "b").base_one_way_s == 0.05
+        assert topo.path("b", "a").base_one_way_s == 0.05
 
     def test_missing_rtt_raises_without_default(self, site_eu, site_us):
         topo = Topology()
         topo.add_node(spec("a", site_eu))
         topo.add_node(spec("b", site_us))
         with pytest.raises(NoRouteError):
-            topo.base_rtt("a", "b")
+            topo.path("a", "b")
 
     def test_default_rtt_fallback(self, site_eu, site_us):
         topo = Topology(default_rtt=0.08)
         topo.add_node(spec("a", site_eu))
         topo.add_node(spec("b", site_us))
-        assert topo.base_rtt("a", "b") == 0.08
+        assert topo.path("a", "b").base_one_way_s == 0.04
 
     def test_negative_rtt_rejected(self):
         with pytest.raises(ConfigError):

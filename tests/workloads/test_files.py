@@ -1,19 +1,11 @@
-"""Tests for file workloads and splitting."""
+"""Tests for file workload descriptions."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.units import mbit
-from repro.workloads.files import (
-    FilePart,
-    FileSpec,
-    reassemble_size,
-    split_fixed_size,
-    split_into_parts,
-)
+from repro.workloads.files import FileSpec
 
 
 class TestFileSpec:
@@ -27,116 +19,3 @@ class TestFileSpec:
             FileSpec(name="", size_bits=1.0)
         with pytest.raises(ValueError):
             FileSpec(name="x", size_bits=0.0)
-
-
-class TestSplitIntoParts:
-    def test_paper_sixteen_parts(self):
-        """16 parts of 100 Mb are 6.25 Mb each (paper §4.2)."""
-        f = FileSpec.of_mbit("big", 100.0)
-        parts = split_into_parts(f, 16)
-        assert len(parts) == 16
-        assert all(p.size_bits == pytest.approx(mbit(6.25)) for p in parts)
-
-    def test_offsets_contiguous(self):
-        f = FileSpec.of_mbit("x", 10.0)
-        parts = split_into_parts(f, 4)
-        for i, p in enumerate(parts):
-            assert p.index == i
-            assert p.offset_bits == pytest.approx(i * mbit(2.5))
-
-    def test_single_part_is_whole(self):
-        f = FileSpec.of_mbit("x", 10.0)
-        (part,) = split_into_parts(f, 1)
-        assert part.size_bits == f.size_bits
-
-    def test_validation(self):
-        f = FileSpec.of_mbit("x", 10.0)
-        with pytest.raises(ValueError):
-            split_into_parts(f, 0)
-
-
-class TestSplitFixedSize:
-    def test_remainder_in_last_part(self):
-        f = FileSpec.of_mbit("x", 10.0)
-        parts = split_fixed_size(f, mbit(4))
-        assert [p.size_bits for p in parts] == [mbit(4), mbit(4), mbit(2)]
-
-    def test_exact_division(self):
-        f = FileSpec.of_mbit("x", 12.0)
-        parts = split_fixed_size(f, mbit(4))
-        assert len(parts) == 3
-
-    def test_oversized_part_is_single(self):
-        f = FileSpec.of_mbit("x", 3.0)
-        parts = split_fixed_size(f, mbit(50))
-        assert len(parts) == 1
-        assert parts[0].size_bits == f.size_bits
-
-    def test_validation(self):
-        f = FileSpec.of_mbit("x", 3.0)
-        with pytest.raises(ValueError):
-            split_fixed_size(f, 0.0)
-
-
-class TestReassemble:
-    def test_valid_parts_sum(self):
-        f = FileSpec.of_mbit("x", 10.0)
-        parts = split_into_parts(f, 5)
-        assert reassemble_size(parts) == pytest.approx(f.size_bits)
-
-    def test_empty_is_zero(self):
-        assert reassemble_size([]) == 0.0
-
-    def test_gap_detected(self):
-        f = FileSpec.of_mbit("x", 10.0)
-        parts = split_into_parts(f, 5)
-        with pytest.raises(ValueError):
-            reassemble_size([parts[0], parts[2]])
-
-    def test_mixed_files_detected(self):
-        a = split_into_parts(FileSpec.of_mbit("a", 10.0), 2)
-        b = split_into_parts(FileSpec.of_mbit("b", 10.0), 2)
-        with pytest.raises(ValueError):
-            reassemble_size([a[0], b[1]])
-
-
-class TestFilePartValidation:
-    def test_out_of_bounds_rejected(self):
-        f = FileSpec.of_mbit("x", 1.0)
-        with pytest.raises(ValueError):
-            FilePart(file=f, index=0, size_bits=mbit(2), offset_bits=0.0)
-
-    def test_negative_index_rejected(self):
-        f = FileSpec.of_mbit("x", 1.0)
-        with pytest.raises(ValueError):
-            FilePart(file=f, index=-1, size_bits=mbit(1), offset_bits=0.0)
-
-
-class TestSplitProperties:
-    @given(
-        st.floats(min_value=0.1, max_value=1e4),
-        st.integers(min_value=1, max_value=128),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_even_split_invariants(self, size_mb, n):
-        f = FileSpec.of_mbit("x", size_mb)
-        parts = split_into_parts(f, n)
-        assert len(parts) == n
-        assert sum(p.size_bits for p in parts) == pytest.approx(f.size_bits)
-        assert all(p.size_bits > 0 for p in parts)
-        assert reassemble_size(parts) == pytest.approx(f.size_bits)
-
-    @given(
-        st.floats(min_value=0.1, max_value=1e4),
-        st.floats(min_value=0.05, max_value=1e3),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_fixed_split_invariants(self, size_mb, part_mb):
-        f = FileSpec.of_mbit("x", size_mb)
-        parts = split_fixed_size(f, mbit(part_mb))
-        total = sum(p.size_bits for p in parts)
-        assert total == pytest.approx(f.size_bits, rel=1e-9)
-        # All parts but the last are exactly the fixed size.
-        for p in parts[:-1]:
-            assert p.size_bits == pytest.approx(mbit(part_mb))
-        assert reassemble_size(parts) == pytest.approx(f.size_bits)
