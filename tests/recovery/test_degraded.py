@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import TransferAborted
 from repro.experiments.scenario import ExperimentConfig, Session
-from repro.overlay.statistics import PerformanceHistory
 from repro.recovery import (
     RecoveryConfig,
     StalenessAwareEvaluator,
