@@ -7,7 +7,10 @@ digest in place; a change that does alter results shows up here as a
 reviewed diff to this file, with the new digests and the reason.
 
 ``scale-large`` and ``scale-federated`` are left out: together they
-take about a minute, the rest about two seconds.
+take about a minute, the rest about two seconds.  A small
+``scale-federated`` cell set stands in for the latter, so the SWIM
+path (probes, ping-req, suspect, dead and rehome in the kill-broker
+cell) still has a digest.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import hashlib
 import pytest
 
 from repro.__main__ import ARTIFACTS
-from repro.experiments import ExperimentConfig
+from repro.experiments import ExperimentConfig, scale
 
 SEED = 2007
 
@@ -37,6 +40,12 @@ GOLDEN = {
 
 SLOW = {"scale-large", "scale-federated"}
 
+#: ``scale.run_federated`` at 20 baseline peers and 100 peers on two
+#: brokers, one of them killed mid-run.
+GOLDEN_FEDERATED_SMALL = (
+    "20944cc4490455a8c2ae5d9656a1887528424a48cdce972abed39467f56f53a2"
+)
+
 
 def test_every_fast_artifact_has_a_digest():
     assert set(GOLDEN) == set(ARTIFACTS) - SLOW
@@ -50,3 +59,11 @@ def test_artifact_matches_golden_digest(name, monkeypatch):
     _, runner = ARTIFACTS[name]
     rendered = runner(ExperimentConfig(seed=SEED, repetitions=1))
     assert hashlib.sha256(rendered.encode()).hexdigest() == GOLDEN[name]
+
+
+def test_small_federated_study_matches_golden_digest():
+    rendered = scale.run_federated(
+        ExperimentConfig(seed=SEED, repetitions=1),
+        pools=(100,), baseline_pool=20, brokers=2,
+    ).table()
+    assert hashlib.sha256(rendered.encode()).hexdigest() == GOLDEN_FEDERATED_SMALL
