@@ -38,6 +38,7 @@ from repro.gossip.messages import (
     GossipPingReq,
     Rumor,
 )
+from repro.simnet.kernel import Event
 from repro.simnet.transport import Datagram
 
 __all__ = ["MemberState", "SwimAgent"]
@@ -102,6 +103,10 @@ class SwimAgent:
         self._rumors: Dict[str, List] = {}
         self._ring_idx = 0
         self._running = False
+        #: The armed probe tick (None while stopped or mid-round).
+        self._tick: Optional[Event] = None
+        #: Outstanding probes: nonce -> (subject, continuation, deadline).
+        self._pending: Dict[int, Tuple[object, Callable, Event]] = {}
         #: Observers called with each MemberState whose status changed.
         self.on_change: List[Callable[[MemberState], None]] = []
         #: Plain counters (registry-independent, for experiment rows):
@@ -162,29 +167,38 @@ class SwimAgent:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
-        """Start the probe loop (idempotent)."""
+        """Arm the probe timer chain (idempotent)."""
         if self._running:
             return
         self._running = True
-        self.sim.process(self._probe_loop(), name=f"gossip@{self.peer.name}")
-
-    def stop(self) -> None:
-        """Stop probing at the next loop turn (handlers stay live)."""
-        self._running = False
-
-    # -- probing -------------------------------------------------------------
-
-    def _probe_loop(self):
-        interval = self.probe_interval_s
         # Seeded stagger so a population started together does not
         # probe in lockstep bursts.
-        yield self.rng.uniform(0.0, interval)
-        while self._running:
-            if self.peer.host.is_up:
-                target = self._next_target()
-                if target is not None:
-                    yield self.sim.process(self._probe_round(target))
-            yield interval
+        self._arm_tick(self.rng.uniform(0.0, self.probe_interval_s))
+
+    def stop(self) -> None:
+        """Cancel the next tick; a round in flight ends without re-arming."""
+        self._running = False
+        if self._tick is not None:
+            self.sim.cancel(self._tick)
+            self._tick = None
+
+    # -- probing -------------------------------------------------------------
+    # No process per probe: a tick pings the next ring member, and the
+    # first of its ack (``_on_gossip_ack``) or its deadline runs the
+    # continuation, which starts the ping-req phase or ends the round.
+
+    def _arm_tick(self, delay: float) -> None:
+        if self._running and self._tick is None:
+            self._tick = self.sim.call_in(delay, self._probe_tick)
+
+    def _probe_tick(self) -> None:
+        self._tick = None
+        target = self._next_target() if self.peer.host.is_up else None
+        if target is None:
+            self._arm_tick(self.probe_interval_s)
+        else:
+            self._m_probes.inc()
+            self._ping(target, self.table[target].hostname, self._direct_done, target)
 
     def _next_target(self) -> Optional[str]:
         """Next non-dead ring member, round-robin."""
@@ -197,63 +211,53 @@ class SwimAgent:
                 return name
         return None
 
-    def _probe_round(self, name: str):
-        """Generator process: one direct + indirect probe of a member."""
-        st = self.table.get(name)
-        if st is None:
-            return False
-        self._m_probes.inc()
-        ok = yield self.sim.process(self._ping_once(st.hostname, about=name))
-        if ok:
-            self._confirm(name)
-            return True
-        # Indirect probes through seeded-deterministic proxies.
-        proxies = self._pick_proxies(exclude=name)
-        if proxies:
-            self._m_ping_reqs.inc(len(proxies))
-            nonce = self.peer.next_query_id()
-            waiter = self.peer.expect(("gossip-ack", nonce))
-            req = GossipPingReq(
-                sender=self.peer.name,
-                sender_hostname=self.peer.host.hostname,
-                nonce=nonce,
-                target=name,
-                target_hostname=st.hostname,
-                rumors=self._take_piggyback(about=name),
-            )
-            for proxy in proxies:
-                pst = self.table[proxy]
-                self.peer.host.send(
-                    self.peer.network.host(pst.hostname), req, light=True
-                )
-            yield self.sim.any_of(
-                [waiter, self.sim.timeout(self.config.probe_timeout_s)]
-            )
-            if waiter.triggered:
-                self._confirm(name)
-                return True
-            self.peer.cancel_wait(("gossip-ack", nonce), waiter)
-        self._declare_suspect(name)
-        return False
-
-    def _ping_once(self, hostname: str, about: Optional[str] = None):
-        """Generator process: one direct ping; True on ack in time."""
-        nonce = self.peer.next_query_id()
-        waiter = self.peer.expect(("gossip-ack", nonce))
+    def _ping(self, about: str, hostname: str, done: Callable, subject) -> None:
+        """Ping ``hostname``, piggybacking our view of member ``about``."""
         ping = GossipPing(
             sender=self.peer.name,
             sender_hostname=self.peer.host.hostname,
-            nonce=nonce,
+            nonce=self.peer.next_query_id(),
             rumors=self._take_piggyback(about=about),
         )
-        self.peer.host.send(self.peer.network.host(hostname), ping, light=True)
-        yield self.sim.any_of(
-            [waiter, self.sim.timeout(self.config.probe_timeout_s)]
+        self._send_probe(ping, (hostname,), done, subject)
+
+    def _send_probe(self, msg, hostnames, done: Callable, subject) -> None:
+        """Send ``msg`` to each host; ``done(subject, acked)`` then runs
+        once, on the first ack carrying ``msg.nonce`` or at its deadline."""
+        for hostname in hostnames:
+            self.peer.host.send(self.peer.network.host(hostname), msg, light=True)
+        deadline = self.sim.call_in(
+            self.config.probe_timeout_s, self._ack_deadline, msg.nonce
         )
-        if waiter.triggered:
-            return True
-        self.peer.cancel_wait(("gossip-ack", nonce), waiter)
-        return False
+        self._pending[msg.nonce] = (subject, done, deadline)
+
+    def _ack_deadline(self, nonce: int) -> None:
+        subject, done, _deadline = self._pending.pop(nonce)
+        done(subject, False)
+
+    def _direct_done(self, name: str, acked: bool) -> None:
+        """Direct ping over: end the round, or ping-req through proxies."""
+        proxies = [] if acked else self._pick_proxies(exclude=name)
+        if not proxies:
+            self._round_done(name, acked)
+            return
+        self._m_ping_reqs.inc(len(proxies))
+        req = GossipPingReq(
+            sender=self.peer.name,
+            sender_hostname=self.peer.host.hostname,
+            nonce=self.peer.next_query_id(),
+            target=name,
+            target_hostname=self.table[name].hostname,
+            rumors=self._take_piggyback(about=name),
+        )
+        proxy_hosts = [self.table[proxy].hostname for proxy in proxies]
+        self._send_probe(req, proxy_hosts, self._round_done, name)
+
+    def _round_done(self, name: str, acked: bool) -> None:
+        """Suspect an unconfirmed member, then re-arm the tick."""
+        if not acked:
+            self._declare_suspect(name)
+        self._arm_tick(self.probe_interval_s)
 
     def _pick_proxies(self, exclude: str) -> List[str]:
         """Seeded-deterministic proxy choice for an indirect probe."""
@@ -465,33 +469,28 @@ class SwimAgent:
         ack: GossipAck = dgram.payload
         self.peer.control_messages += 1
         self._absorb_all(ack.rumors)
-        self._confirm(ack.sender)
-        self.peer.fulfill(("gossip-ack", ack.nonce), ack)
+        self._confirm(ack.sender)  # a late or duplicate ack only confirms
+        entry = self._pending.pop(ack.nonce, None)
+        if entry is not None:
+            subject, done, deadline = entry
+            self.sim.cancel(deadline)
+            done(subject, True)
 
     def _on_gossip_ping_req(self, dgram: Datagram) -> None:
         req: GossipPingReq = dgram.payload
         self.peer.control_messages += 1
         self._absorb_all(req.rumors)
-        self.sim.process(
-            self._proxy_probe(req), name=f"pingreq@{self.peer.name}"
-        )
+        self._ping(req.target, req.target_hostname, self._relay_done, req)
 
-    def _proxy_probe(self, req: GossipPingReq):
-        """Generator process: probe the target on the origin's behalf."""
-        ok = yield self.sim.process(
-            self._ping_once(req.target_hostname, about=req.target)
-        )
-        if ok:
-            self._confirm(req.target)
-            if self.peer.host.is_up:
-                relay = GossipAck(
-                    sender=req.target,
-                    nonce=req.nonce,
-                    rumors=self._take_piggyback(),
-                )
-                self.peer.host.send(
-                    self.peer.network.host(req.sender_hostname), relay, light=True
-                )
+    def _relay_done(self, req: GossipPingReq, acked: bool) -> None:
+        """Proxy side of a ping-req: relay the target's ack to the origin."""
+        if acked:
+            relay = GossipAck(
+                sender=req.target, nonce=req.nonce, rumors=self._take_piggyback()
+            )
+            self.peer.host.send(
+                self.peer.network.host(req.sender_hostname), relay, light=True
+            )
 
     def _on_gossip_notify(self, dgram: Datagram) -> None:
         notify: GossipNotify = dgram.payload

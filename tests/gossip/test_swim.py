@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.gossip.config import GossipConfig
 from repro.gossip.messages import Rumor
-from repro.gossip.swim import PIGGYBACK_MAX, RUMOR_RETRANSMITS, SwimAgent
+from repro.gossip.swim import (
+    PIGGYBACK_MAX,
+    PING_REQ_FANOUT,
+    RUMOR_RETRANSMITS,
+    SwimAgent,
+)
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import EventTrace
 from repro.overlay.client import SimpleClient
 from repro.overlay.ids import IdFactory
@@ -39,11 +47,11 @@ def _ring_topology(n: int) -> Topology:
     return topo
 
 
-def _mesh(n: int, seed: int = 7):
+def _mesh(n: int, seed: int = 7, config: GossipConfig = CFG):
     """n peers, each tracking and probing all others."""
     sim = Simulator()
     net = Network(sim, _ring_topology(n), streams=RandomStreams(seed),
-                  tracer=EventTrace())
+                  tracer=EventTrace(), metrics=MetricsRegistry())
     ids = IdFactory()
     peers = [
         SimpleClient(net, f"n{i}.example", ids, name=f"p{i}")
@@ -51,7 +59,7 @@ def _mesh(n: int, seed: int = 7):
     ]
     agents = []
     for peer in peers:
-        agent = SwimAgent(peer, CFG)
+        agent = SwimAgent(peer, config)
         for other in peers:
             if other is not peer:
                 agent.track(other.name, other.host.hostname)
@@ -65,6 +73,33 @@ def _run_for(sim, seconds: float) -> None:
         yield seconds
 
     run_process(sim, clock())
+
+
+def _probe_starts(net, peer):
+    """Times ``peer`` sent a ping: one per round when it proxies nobody."""
+    return [
+        e.time for e in net.tracer.events
+        if e.kind == "msg-send"
+        and e.attrs["src"] == peer.host.hostname
+        and e.attrs["payload_kind"] == "GossipPing"
+    ]
+
+
+def _record_round_ends(agent):
+    """List of ``(member, acked)``, one entry each time a round ends."""
+    ends = []
+    end_round = agent._round_done
+
+    def record(name, acked):
+        ends.append((name, acked))
+        end_round(name, acked)
+
+    agent._round_done = record
+    return ends
+
+
+def _counter(net, name: str) -> float:
+    return net.metrics.counter(name).value
 
 
 class TestStableNetwork:
@@ -223,3 +258,87 @@ class TestRumors:
                 tuple(p.control_messages for p in peers),
             ))
         assert outcomes[0] == outcomes[1]
+
+
+class TestProbeStateMachine:
+    def test_restart_leaves_one_probe_chain(self):
+        sim, _net, peers, agents = _mesh(3)
+        agents[0].start()
+        _run_for(sim, 1.0)
+        agents[0].stop()
+        agents[0].start()
+        before = sum(p.control_messages for p in peers[1:])
+        _run_for(sim, 99.0)
+        # One ping per 10 s interval over 99 s, split across p1 and p2;
+        # two chains would deliver 20.
+        assert sum(p.control_messages for p in peers[1:]) - before == 10
+
+    def test_late_ack_does_not_end_a_round_twice(self):
+        # p1 stays suspect (not dead) for the whole run, so it is
+        # probed every round.
+        slow_death = GossipConfig(
+            probe_interval_s=CFG.probe_interval_s,
+            probe_timeout_s=CFG.probe_timeout_s,
+            suspect_timeout_s=1000.0,
+        )
+        sim, net, peers, agents = _mesh(2, config=slow_death)
+        ends = _record_round_ends(agents[0])
+        # Slow links to p1: each ack lands about 13 s after its ping,
+        # past the deadline and inside the next round.
+        net.host(peers[1].host.hostname).set_link_factors(latency_factor=650.0)
+        agents[0].start()
+        _run_for(sim, 100.0)
+        assert peers[0].control_messages > 0, "the late acks must arrive"
+        starts = _probe_starts(net, peers[0])
+        assert len(starts) >= 6
+        assert ends == [("p1", False)] * len(ends)
+        assert len(ends) in (len(starts), len(starts) - 1)
+        # No proxies: each round ends at its deadline and the next one
+        # starts an interval later.
+        period = CFG.probe_timeout_s + CFG.probe_interval_s
+        for a, b in zip(starts, starts[1:]):
+            assert b - a == pytest.approx(period)
+
+    def test_lost_ping_with_good_relays_ends_the_round_once(self):
+        sim, net, peers, agents = _mesh(4)
+        ends = _record_round_ends(agents[0])
+        # p0 cannot reach p1 directly, but both proxies can.
+        net.add_partition({peers[0].host.hostname}, {peers[1].host.hostname})
+        agents[0].start()  # its ring starts with p1
+        _run_for(sim, 15.0)
+        assert _counter(net, "gossip.ping_reqs") == PING_REQ_FANOUT == 2
+        assert agents[0].state_of("p1").status == "alive"
+        assert agents[0].suspect_events == 0
+        assert not any(e.kind == "gossip-suspect" for e in net.tracer.events)
+        # Both proxies relayed p1's ack; only the first ended the round.
+        relays = [
+            e for e in net.tracer.events
+            if e.kind == "msg-recv" and e.attrs["dst"] == peers[0].host.hostname
+            and e.attrs["src"] != peers[1].host.hostname
+            and e.attrs["payload_kind"] == "GossipAck"
+        ]
+        assert len(relays) >= 2
+        assert ends.count(("p1", True)) == 1
+        assert ("p1", False) not in ends
+
+    def test_steady_probing_needs_no_process(self, monkeypatch):
+        sim, net, _peers, agents = _mesh(5)
+        for agent in agents:
+            agent.start()
+        sim.run(until=30.0)
+        processes = []
+        original = Simulator.process
+        monkeypatch.setattr(
+            Simulator, "process",
+            lambda self, gen, name="": processes.append(name)
+            or original(self, gen, name),
+        )
+        events = sim.events_processed
+        probes = _counter(net, "gossip.probes")
+        sim.run(until=330.0)
+        probes = _counter(net, "gossip.probes") - probes
+        assert processes == []
+        assert probes >= 5 * 29
+        # A tick, the ping and the ack; the cancelled deadline is not
+        # processed.
+        assert (sim.events_processed - events) / probes <= 4
