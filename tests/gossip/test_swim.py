@@ -311,13 +311,19 @@ class TestProbeStateMachine:
         assert agents[0].suspect_events == 0
         assert not any(e.kind == "gossip-suspect" for e in net.tracer.events)
         # Both proxies relayed p1's ack; only the first ended the round.
-        relays = [
-            e for e in net.tracer.events
-            if e.kind == "msg-recv" and e.attrs["dst"] == peers[0].host.hostname
-            and e.attrs["src"] != peers[1].host.hostname
+        n0 = peers[0].host.hostname
+        (req_at,) = {
+            e.time for e in net.tracer.events
+            if e.kind == "msg-send" and e.attrs["src"] == n0
+            and e.attrs["payload_kind"] == "GossipPingReq"
+        }
+        relays = {
+            e.attrs["src"] for e in net.tracer.events
+            if e.kind == "msg-recv" and e.attrs["dst"] == n0
             and e.attrs["payload_kind"] == "GossipAck"
-        ]
-        assert len(relays) >= 2
+            and req_at <= e.time < req_at + 1.0
+        }
+        assert relays == {peers[2].host.hostname, peers[3].host.hostname}
         assert ends.count(("p1", True)) == 1
         assert ("p1", False) not in ends
 
