@@ -7,10 +7,12 @@ are visible, per the HPC guide's "no optimization without measuring".
 
 from __future__ import annotations
 
+import gc
 import time
 
 from repro.obs.metrics import MetricsRegistry
 from repro.simnet.kernel import _COMPACT_MIN_TOMBSTONES, Simulator
+from repro.simnet.planetlab import build_testbed
 from repro.simnet.rng import RandomStreams
 from repro.simnet.transport import Network
 from repro.units import mbit
@@ -27,6 +29,13 @@ TIMEOUT_CHURN_FLOOR_EV_S = 20_000.0
 #: Regression floor for the control-message path (send, schedule,
 #: deliver, handler); same spirit as the event-loop floor above.
 MESSAGE_ROUNDTRIP_FLOOR_MSG_S = 10_000.0
+
+#: Regression floor for building live hosts.  A host whose seven
+#: per-host streams each seed a numpy generator up front builds at
+#: about 5k hosts/s on a 2-vCPU host; lazily seeded draw sources
+#: build at about 31k hosts/s there.  The floor sits between, so a
+#: return to eager seeding fails it.
+HOST_BUILD_FLOOR_HOSTS_S = 12_000.0
 
 
 def _timeout_churn():
@@ -130,6 +139,32 @@ def test_message_roundtrip_msgs_per_s_floor():
     assert rate >= MESSAGE_ROUNDTRIP_FLOOR_MSG_S, (
         f"message path at {rate:.0f} msgs/s, below the "
         f"{MESSAGE_ROUNDTRIP_FLOOR_MSG_S:.0f} regression floor"
+    )
+
+
+def _host_build():
+    """Every host of the 1000-sliver synthetic testbed, built on a
+    fresh network (the testbed itself is built outside the timing)."""
+    topology = build_testbed(synthetic_nodes=1000).topology
+    # Start with empty young generations, so the timing does not pay
+    # for promoting the testbed just built.
+    gc.collect()
+
+    def build():
+        net = Network(Simulator(), topology, streams=RandomStreams(4))
+        return len(net.boot_all())
+
+    return build
+
+
+def test_host_build_hosts_per_s_floor():
+    """Plain stdlib-timed throughput gate on host construction."""
+    build = _host_build()
+    count, rate = _per_second(build)
+    assert count >= 1000
+    assert rate >= HOST_BUILD_FLOOR_HOSTS_S, (
+        f"host construction at {rate:.0f} hosts/s, below the "
+        f"{HOST_BUILD_FLOOR_HOSTS_S:.0f} regression floor"
     )
 
 

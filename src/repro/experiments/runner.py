@@ -19,6 +19,7 @@ in cell-then-repetition order.
 
 from __future__ import annotations
 
+import gc
 from contextlib import nullcontext
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -39,8 +40,30 @@ def _run_one_repetition(task: Tuple[ExperimentConfig, Callable, int, bool]):
     caller merges registries back in task order, so the merge tree
     (per-repetition subtotals folded in order) is the same whether the
     repetition ran in-process or in a worker.
+
+    The cycle collector is paused while the session is built and run:
+    a live session is one large cyclic graph (peer <-> services, host
+    <-> handlers, process <-> generator) that full collections would
+    walk again and again while it cannot be freed.  Everything the
+    repetition allocated is then still in the young generation, so
+    one ``gc.collect(0)`` frees the finished session.  A nested sweep
+    finds the collector already off and leaves that to the outer one.
     """
-    config, scenario, rep, with_metrics = task
+    paused = gc.isenabled()
+    if paused:
+        gc.disable()
+    try:
+        return _run_session(*task)
+    finally:
+        if paused:
+            gc.enable()
+            gc.collect(0)
+
+
+def _run_session(config: ExperimentConfig, scenario: Callable, rep: int,
+                 with_metrics: bool):
+    # Its own frame, so the session is unreachable once it returns and
+    # the collection in _run_one_repetition can free it.
     registry = MetricsRegistry() if with_metrics else None
     scope = use_registry(registry) if registry is not None else nullcontext()
     with scope:

@@ -268,7 +268,7 @@ class LossBurst(Fault):
             h.set_extra_loss(
                 PerUnitLoss(
                     self.per_mb_loss,
-                    rt.streams.get(f"faults/loss/{h.hostname}"),
+                    rt.streams.draws(f"faults/loss/{h.hostname}"),
                 )
             )
 

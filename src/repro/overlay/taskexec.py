@@ -83,7 +83,7 @@ class TaskExecutionService:
         #: Probability that an accepted task fails at runtime
         #: (failure-injection hooks for tests; default healthy).
         self.failure_prob = 0.0
-        self._fail_rng = peer.network.streams.get(f"taskfail/{peer.host.hostname}")
+        self._fail_rng = peer.network.streams.draws(f"taskfail/{peer.host.hostname}")
         #: Executor-side: live execution processes by task id, so a
         #: submitter's cancel can reach queued and running tasks.
         self._executing: dict = {}
@@ -210,7 +210,7 @@ class TaskExecutionService:
         try:
             busy = yield compute_proc
             failed = self.failure_prob > 0 and (
-                float(self._fail_rng.random()) < self.failure_prob
+                self._fail_rng.random() < self.failure_prob
             )
             ok = not failed
             peer.stats.record_task_executed(self.sim.now, ok=ok)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import Protocol
 
-import numpy as np
+from repro.simnet.rng import Draws
 
 __all__ = [
     "BandwidthModel",
@@ -79,7 +79,7 @@ class ContendedBandwidth:
     def __init__(
         self,
         nominal_bps: float,
-        rng: np.random.Generator,
+        rng: Draws,
         min_share: float = 0.2,
         max_share: float = 1.0,
         period: float = 30.0,

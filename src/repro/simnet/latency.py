@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Protocol
 
-import numpy as np
+from repro.simnet.rng import Draws
 
 __all__ = [
     "LatencyModel",
@@ -62,7 +62,7 @@ class ConstantLatency:
 class UniformLatency:
     """Uniform jitter in ``[low, high]``."""
 
-    def __init__(self, low: float, high: float, rng: np.random.Generator) -> None:
+    def __init__(self, low: float, high: float, rng: Draws) -> None:
         if not 0 <= low <= high:
             raise ValueError(f"need 0 <= low <= high, got [{low}, {high}]")
         self.low = float(low)
@@ -90,7 +90,7 @@ class LognormalLatency:
     ``sigma^2 = ln(1 + c^2)``, ``mu = ln(m) - sigma^2 / 2``.
     """
 
-    def __init__(self, mean: float, cv: float, rng: np.random.Generator) -> None:
+    def __init__(self, mean: float, cv: float, rng: Draws) -> None:
         if mean <= 0:
             raise ValueError(f"mean must be > 0, got {mean}")
         if cv < 0:
@@ -132,7 +132,7 @@ class SpikyLatency:
         base: LatencyModel,
         spike_prob: float,
         spike_factor: float,
-        rng: np.random.Generator,
+        rng: Draws,
     ) -> None:
         if not 0 <= spike_prob <= 1:
             raise ValueError(f"spike_prob must be in [0,1], got {spike_prob}")

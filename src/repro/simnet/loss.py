@@ -14,8 +14,7 @@ sixteen 6.25 Mb units even though the same bytes cross the wire.
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro.simnet.rng import Draws
 from repro.units import to_mbit
 
 __all__ = ["PerUnitLoss", "NoLoss"]
@@ -44,7 +43,7 @@ class PerUnitLoss:
         P(unit of s Mb survives) = (1 - per_mb_loss) ** s
     """
 
-    def __init__(self, per_mb_loss: float, rng: np.random.Generator) -> None:
+    def __init__(self, per_mb_loss: float, rng: Draws) -> None:
         if not 0 <= per_mb_loss < 1:
             raise ValueError(f"per_mb_loss must be in [0, 1), got {per_mb_loss}")
         self.per_mb_loss = float(per_mb_loss)

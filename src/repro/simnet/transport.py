@@ -551,13 +551,13 @@ class Host:
 
         up = ContendedBandwidth(
             spec.up_bps,
-            streams.get(f"bw-up/{spec.hostname}"),
+            streams.draws(f"bw-up/{spec.hostname}"),
             min_share=spec.load_min_share,
             max_share=spec.load_max_share,
         )
         down = ContendedBandwidth(
             spec.down_bps,
-            streams.get(f"bw-down/{spec.hostname}"),
+            streams.draws(f"bw-down/{spec.hostname}"),
             min_share=spec.load_min_share,
             max_share=spec.load_max_share,
         )
@@ -575,14 +575,14 @@ class Host:
         base = LognormalLatency(
             max(spec.overhead_s, 1e-6),
             spec.overhead_cv,
-            streams.get(f"overhead/{spec.hostname}"),
+            streams.draws(f"overhead/{spec.hostname}"),
         )
         if spec.spike_prob > 0:
             self._overhead = SpikyLatency(
                 base,
                 spec.spike_prob,
                 spec.spike_factor,
-                streams.get(f"spikes/{spec.hostname}"),
+                streams.draws(f"spikes/{spec.hostname}"),
             )
         else:
             self._overhead = base
@@ -591,15 +591,15 @@ class Host:
         self._light_overhead = LognormalLatency(
             max(spec.bound_handling_s, 1e-6),
             0.3,
-            streams.get(f"light/{spec.hostname}"),
+            streams.draws(f"light/{spec.hostname}"),
         )
         if spec.per_mb_loss > 0:
             self._loss = PerUnitLoss(
-                spec.per_mb_loss, streams.get(f"loss/{spec.hostname}")
+                spec.per_mb_loss, streams.draws(f"loss/{spec.hostname}")
             )
         else:
             self._loss = NoLoss()
-        self._cpu_share_rng = streams.get(f"cpu/{spec.hostname}")
+        self._cpu_share_rng = streams.draws(f"cpu/{spec.hostname}")
 
         self.inbox: Store = Store(self.sim, name=f"inbox@{spec.hostname}")
         self._handlers: Dict[type, Callable[[Datagram], None]] = {}
@@ -892,10 +892,8 @@ class Host:
             self.cpu.cancel(grant)
             raise
         try:
-            share = float(
-                self._cpu_share_rng.uniform(
-                    self.spec.load_min_share, self.spec.load_max_share
-                )
+            share = self._cpu_share_rng.uniform(
+                self.spec.load_min_share, self.spec.load_max_share
             )
             duration = ops * self.slow_factor / (self.spec.cpu_speed * share)
             yield duration

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
-from repro.experiments.runner import average_rows, run_repetitions
+from repro.experiments.runner import average_rows, run_cells, run_repetitions
 from repro.experiments.scenario import ExperimentConfig
 
 
@@ -33,6 +36,84 @@ class TestRunRepetitions:
 
         a, b = run_repetitions(cfg, scenario)
         assert a != b  # different jitter draws per repetition
+
+
+def _collector_probe(seen):
+    """A scenario recording whether the cycle collector is on."""
+
+    def scenario(session):
+        seen.append(gc.isenabled())
+        yield 0.0
+        return 1
+
+    return scenario
+
+
+@pytest.fixture
+def collector_off():
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestCollectorPause:
+    def test_paused_during_run_and_restored(self):
+        assert gc.isenabled()
+        seen = []
+        run_repetitions(ExperimentConfig(repetitions=2), _collector_probe(seen))
+        assert seen == [False, False]
+        assert gc.isenabled()
+
+    def test_left_off_when_already_off(self, collector_off):
+        seen = []
+        run_repetitions(ExperimentConfig(repetitions=1), _collector_probe(seen))
+        assert seen == [False]
+        assert not gc.isenabled()
+
+    def test_restored_when_scenario_raises(self):
+        def scenario(session):
+            yield 0.0
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            run_repetitions(ExperimentConfig(repetitions=1), scenario)
+        assert gc.isenabled()
+
+    def test_nested_sweep_leaves_collector_to_outer(self):
+        inner_seen, after_inner = [], []
+
+        def outer(session):
+            run_repetitions(
+                ExperimentConfig(repetitions=1), _collector_probe(inner_seen)
+            )
+            after_inner.append(gc.isenabled())
+            yield 0.0
+            return 1
+
+        run_repetitions(ExperimentConfig(repetitions=1), outer)
+        assert inner_seen == [False]
+        assert after_inner == [False]
+        assert gc.isenabled()
+
+    def test_simulator_freed_when_run_cells_returns(self):
+        refs = []
+
+        def scenario(session):
+            refs.append(weakref.ref(session.sim))
+            yield 1.0
+            return 1
+
+        # No automatic collection may do the runner's job for it.
+        threshold = gc.get_threshold()
+        gc.set_threshold(10**9)
+        try:
+            run_cells([(ExperimentConfig(repetitions=2), scenario)])
+            assert len(refs) == 2
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.set_threshold(*threshold)
 
 
 class TestAverageRows:

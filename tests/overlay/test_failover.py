@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.overlay.broker import Broker
@@ -114,3 +116,33 @@ class TestFailover:
         sim, a, b, client = cluster
         with pytest.raises(ValueError):
             client.enable_failover([b.advertisement()], check_interval_s=0.0)
+
+
+class TestBeaconsAfterRehome:
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "known bug: after a rehome the old keepalive/stat loops see "
+            "online true again and keep running beside the new ones, so "
+            "the client sends 40 KeepAlive and 20 StatReport in 600 s"
+        ),
+    )
+    def test_one_beacon_chain_after_rehome(self, cluster):
+        sim, a, b, client = cluster
+        client.enable_failover(
+            [b.advertisement()], check_interval_s=30.0, ping_timeout_s=5.0
+        )
+        a.host.crash()
+        sim.run(until=sim.now + 120.0)
+        assert client.broker_adv.peer_id == b.peer_id
+        sent = Counter()
+        send = client.host.send
+
+        def counting_send(dst, payload, *args, **kwargs):
+            sent[type(payload).__name__] += 1
+            return send(dst, payload, *args, **kwargs)
+
+        client.host.send = counting_send
+        sim.run(until=sim.now + 600.0)
+        # One chain: a keepalive every 30 s and a stat report every 60 s.
+        assert (sent["KeepAlive"], sent["StatReport"]) == (20, 10)

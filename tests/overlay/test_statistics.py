@@ -145,6 +145,37 @@ class TestSnapshot:
         snap = s.snapshot(now=0.0)
         assert snap["pending_transfers"] == 3.0
 
+    @given(
+        session=st.lists(st.integers(min_value=0, max_value=10**6), min_size=9, max_size=9),
+        total=st.lists(st.integers(min_value=0, max_value=10**6), min_size=9, max_size=9),
+        queues=st.lists(st.integers(min_value=0, max_value=500), max_size=20),
+        pending=st.tuples(st.integers(0, 50), st.integers(0, 50), st.integers(0, 9)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_flat_snapshot_equals_property_values(self, session, total, queues, pending):
+        """The snapshot spells each share out; it must equal the
+        properties bit for bit, empty denominators included."""
+        s = PeerStats()
+        s.session = Counters(*session)
+        s.total = Counters(*total)
+        for i, n in enumerate(queues):
+            s.sample_queues(n, (n * 7 + i) % 31)
+        s.pending_transfers, s.pending_tasks, s.sessions_started = pending
+        snap = s.snapshot(now=0.0)
+        for window, c in (("session", s.session), ("total", s.total)):
+            assert snap[f"pct_messages_ok_{window}"] == c.pct_messages_ok
+            assert snap[f"pct_tasks_ok_{window}"] == c.pct_tasks_ok
+            assert snap[f"pct_tasks_accepted_{window}"] == c.pct_tasks_accepted
+            assert snap[f"pct_files_sent_{window}"] == c.pct_files_sent
+            assert snap[f"pct_transfers_cancelled_{window}"] == c.pct_transfers_cancelled
+        assert snap["outbox_len_avg"] == s.outbox_len_avg
+        assert snap["inbox_len_avg"] == s.inbox_len_avg
+        assert snap["pct_messages_ok_last_k"] == s.pct_ok_last("message", 0.0, 1.0)
+        assert snap["pending_transfers"] == float(pending[0])
+        assert snap["pending_tasks"] == float(pending[1])
+        assert snap["sessions_started"] == float(pending[2])
+        assert len(snap) == 18
+
 
 class TestStatisticsProperties:
     @given(st.lists(st.booleans(), min_size=1, max_size=200))

@@ -3,8 +3,18 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
-from repro.simnet.rng import RandomStreams
+from repro.errors import SimulationError
+from repro.experiments.scenario import ExperimentConfig, Session
+from repro.faults import FaultPlan, LossBurst
+from repro.simnet import rng as rng_module
+from repro.simnet.kernel import Simulator
+from repro.simnet.rng import DRAW_BLOCK_CAP, RandomStreams
+from repro.simnet.transport import Network
+from repro.units import mbit
+
+from tests.conftest import make_two_node_topology
 
 
 class TestRandomStreams:
@@ -53,3 +63,121 @@ class TestRandomStreams:
         streams.get("zeta")
         streams.get("alpha")
         assert streams.names() == ("alpha", "zeta")
+
+
+#: Scalar ``Generator`` calls a draw source must reproduce exactly.
+DRAW_CASES = [
+    ("random", ()),
+    ("uniform", (0.0, 1.0)),
+    ("uniform", (0.2, 1.0)),
+    ("uniform", (-3.0, 7.5)),
+    ("lognormal", (0.0, 1.0)),
+    ("lognormal", (-2.3, 0.3)),
+    ("lognormal", (1.5, 2.0)),
+]
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("method,args", DRAW_CASES)
+    def test_values_equal_scalar_draws(self, method, args):
+        # 10k values cross every refill boundary up to the cap and
+        # many capped refills after it.
+        src = RandomStreams(seed=4).draws("s")
+        gen = RandomStreams(seed=4).get("s")
+        got = [getattr(src, method)(*args) for _ in range(10_000)]
+        want = [getattr(gen, method)(*args) for _ in range(10_000)]
+        assert got == want
+        assert all(type(x) is float for x in got[:100])
+
+    def test_switching_distribution_at_a_block_boundary_keeps_order(self):
+        # Blocks are 1, 2, 4, ...: after 1 + 2 draws the buffer is empty.
+        src = RandomStreams(seed=8).draws("s")
+        gen = RandomStreams(seed=8).get("s")
+        got = [src.random() for _ in range(3)] + [src.uniform(2.0, 5.0) for _ in range(4)]
+        want = [gen.random() for _ in range(3)] + [gen.uniform(2.0, 5.0) for _ in range(4)]
+        assert got == want
+
+    def test_block_size_capped(self):
+        src = RandomStreams(seed=1).draws("s")
+        for _ in range(5 * DRAW_BLOCK_CAP):
+            src.random()
+        assert len(src._buf) == DRAW_BLOCK_CAP
+
+    def test_one_source_per_name(self):
+        streams = RandomStreams(seed=1)
+        assert streams.draws("x") is streams.draws("x")
+        assert streams.draws("x") is not streams.draws("y")
+
+    def test_no_generator_before_first_draw(self, monkeypatch):
+        made = []
+        real = rng_module._generator
+        monkeypatch.setattr(
+            rng_module, "_generator",
+            lambda seed, name: made.append(name) or real(seed, name),
+        )
+        streams = RandomStreams(seed=1)
+        src = streams.draws("x")
+        streams.draws("y")
+        assert src._gen is None and made == []
+        src.lognormal(0.0, 1.0)
+        assert src._gen is not None and made == ["x"]
+
+    def test_host_construction_seeds_no_generator(self):
+        streams = RandomStreams(seed=1)
+        net = Network(Simulator(), make_two_node_topology(), streams=streams)
+        net.host("a.example")
+        assert streams._streams == {}
+        assert streams.names()
+        assert all(src._gen is None for src in streams._draws.values())
+
+    def test_mixing_distributions_while_buffered_raises(self):
+        src = RandomStreams(seed=1).draws("s")
+        src.random()
+        src.random()  # second block holds one more value
+        with pytest.raises(SimulationError, match="would reorder"):
+            src.uniform(0.0, 1.0)
+
+    def test_changing_parameters_while_buffered_raises(self):
+        src = RandomStreams(seed=1).draws("s")
+        src.lognormal(0.0, 1.0)
+        src.lognormal(0.0, 1.0)
+        with pytest.raises(SimulationError, match="would reorder"):
+            src.lognormal(0.0, 2.0)
+
+    def test_get_then_draws_raises(self):
+        streams = RandomStreams(seed=1)
+        streams.get("x")
+        with pytest.raises(SimulationError, match="not both"):
+            streams.draws("x")
+
+    def test_draws_then_get_raises(self):
+        streams = RandomStreams(seed=1)
+        streams.draws("x")
+        with pytest.raises(SimulationError, match="not both"):
+            streams.get("x")
+
+    def test_names_lists_both_kinds(self):
+        streams = RandomStreams(seed=1)
+        streams.draws("b")
+        streams.get("a")
+        assert streams.names() == ("a", "b")
+
+    def test_two_loss_burst_episodes_reproduce_scalar_sequence(self):
+        session = Session(ExperimentConfig(seed=11))
+        rt = FaultPlan(name="unit").install(session)
+        host = session.network.host(session.testbed.sc_hostname("SC2"))
+        size = mbit(2)
+        lost = []
+        for per_mb_loss, n in ((0.3, 5), (0.6, 200)):
+            undo = LossBurst(target="SC2", per_mb_loss=per_mb_loss).apply(rt)
+            model = host.extra_loss
+            lost += [model.unit_lost(size, 0.0) for _ in range(n)]
+            undo()
+        ref = RandomStreams(seed=session.streams.seed).get(
+            f"faults/loss/{host.hostname}"
+        )
+        want = []
+        for per_mb_loss, n in ((0.3, 5), (0.6, 200)):
+            ok = (1.0 - per_mb_loss) ** 2
+            want += [ref.random() >= ok for _ in range(n)]
+        assert lost == want
