@@ -31,6 +31,16 @@ from repro.perf.parallel import picklable, pmap, resolve_workers
 
 __all__ = ["run_cells", "run_repetitions", "average_rows"]
 
+#: New container objects between two young collections while a
+#: repetition runs (CPython's default is 700).  A pass walks at most
+#: about this many objects, and the cyclic garbage waiting for one
+#: stays below it.  A 1000-peer keepalive session peaks at about
+#: 143,000, so sessions of that size see no pass before their end.
+YOUNG_PASS_OBJECTS = 200_000
+
+# A generation threshold no repetition reaches.
+_NEVER = 1 << 30
+
 
 def _run_one_repetition(task: Tuple[ExperimentConfig, Callable, int, bool]):
     """One repetition in isolation (the unit both sweep paths run).
@@ -41,23 +51,27 @@ def _run_one_repetition(task: Tuple[ExperimentConfig, Callable, int, bool]):
     (per-repetition subtotals folded in order) is the same whether the
     repetition ran in-process or in a worker.
 
-    The cycle collector is paused while the session is built and run:
-    a live session is one large cyclic graph (peer <-> services, host
-    <-> handlers, process <-> generator) that full collections would
-    walk again and again while it cannot be freed.  Everything the
-    repetition allocated is then still in the young generation, so
-    one ``gc.collect(0)`` frees the finished session.  A nested sweep
-    finds the collector already off and leaves that to the outer one.
+    While the session is built and run, the cycle collector only makes
+    young passes, one per :data:`YOUNG_PASS_OBJECTS` new container
+    objects, and never an older-generation one: a live session is one
+    large cyclic graph (peer <-> services, host <-> handlers, process
+    <-> generator) that full collections would walk again and again
+    while it cannot be freed.  Young passes keep the cyclic garbage a
+    long repetition leaves behind bounded.  Everything the repetition
+    allocated is still in the two young generations at its end, so one
+    ``gc.collect(1)`` frees the finished session without walking the
+    interpreter's long-lived objects.  With the collector off, the
+    repetition leaves it alone.
     """
-    paused = gc.isenabled()
-    if paused:
-        gc.disable()
+    if not gc.isenabled():
+        return _run_session(*task)
+    threshold = gc.get_threshold()
+    gc.set_threshold(YOUNG_PASS_OBJECTS, _NEVER, _NEVER)
     try:
         return _run_session(*task)
     finally:
-        if paused:
-            gc.enable()
-            gc.collect(0)
+        gc.set_threshold(*threshold)
+        gc.collect(1)
 
 
 def _run_session(config: ExperimentConfig, scenario: Callable, rep: int,

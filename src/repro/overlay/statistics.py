@@ -70,30 +70,38 @@ class Counters:
 
     # -- derived shares -----------------------------------------------------
 
+    # Each share spells out ``_share``'s rule inline: the broker reads
+    # all five for both windows on every stat-report snapshot.
+
     @property
     def pct_messages_ok(self) -> float:
         """Share of successfully sent messages in this window."""
-        return _share(self.messages_ok, self.messages_sent)
+        den = self.messages_sent
+        return self.messages_ok / den if den > 0 else 1.0
 
     @property
     def pct_tasks_ok(self) -> float:
         """Share of successfully executed tasks."""
-        return _share(self.tasks_ok, self.tasks_executed)
+        den = self.tasks_executed
+        return self.tasks_ok / den if den > 0 else 1.0
 
     @property
     def pct_tasks_accepted(self) -> float:
         """Share of offered tasks the peer accepted."""
-        return _share(self.tasks_accepted, self.tasks_offered)
+        den = self.tasks_offered
+        return self.tasks_accepted / den if den > 0 else 1.0
 
     @property
     def pct_files_sent(self) -> float:
         """Share of attempted file sends that completed."""
-        return _share(self.files_sent_ok, self.files_attempted)
+        den = self.files_attempted
+        return self.files_sent_ok / den if den > 0 else 1.0
 
     @property
     def pct_transfers_cancelled(self) -> float:
         """Share of attempted transfers that were cancelled."""
-        return _share(self.transfers_cancelled, self.files_attempted, default=0.0)
+        den = self.files_attempted
+        return self.transfers_cancelled / den if den > 0 else 0.0
 
 
 class PeerStats:
@@ -245,33 +253,22 @@ class PeerStats:
         This is what peers ship to the broker in ``StatReport``
         messages and what :mod:`repro.selection.criteria` consumes.
         """
-        # Flat on purpose: the broker takes a snapshot per stat report,
-        # so this spells out each share (same division, same empty-
-        # denominator default) rather than going through the
-        # properties.  ``tests/overlay/test_statistics.py`` pins it to
-        # them bit for bit.
-        s = self.session
-        t = self.total
-        n = self._outbox_samples
-        outbox_avg = self._outbox_sum / n if n > 0 else 0.0
-        n = self._inbox_samples
-        inbox_avg = self._inbox_sum / n if n > 0 else 0.0
         return {
-            "pct_messages_ok_session": s.messages_ok / s.messages_sent if s.messages_sent > 0 else 1.0,
-            "pct_messages_ok_total": t.messages_ok / t.messages_sent if t.messages_sent > 0 else 1.0,
+            "pct_messages_ok_session": self.session.pct_messages_ok,
+            "pct_messages_ok_total": self.total.pct_messages_ok,
             "pct_messages_ok_last_k": self.pct_ok_last("message", now, last_k_hours),
             "outbox_len_now": float(self.outbox_len_now),
-            "outbox_len_avg": outbox_avg,
+            "outbox_len_avg": self.outbox_len_avg,
             "inbox_len_now": float(self.inbox_len_now),
-            "inbox_len_avg": inbox_avg,
-            "pct_tasks_ok_session": s.tasks_ok / s.tasks_executed if s.tasks_executed > 0 else 1.0,
-            "pct_tasks_ok_total": t.tasks_ok / t.tasks_executed if t.tasks_executed > 0 else 1.0,
-            "pct_tasks_accepted_session": s.tasks_accepted / s.tasks_offered if s.tasks_offered > 0 else 1.0,
-            "pct_tasks_accepted_total": t.tasks_accepted / t.tasks_offered if t.tasks_offered > 0 else 1.0,
-            "pct_files_sent_session": s.files_sent_ok / s.files_attempted if s.files_attempted > 0 else 1.0,
-            "pct_files_sent_total": t.files_sent_ok / t.files_attempted if t.files_attempted > 0 else 1.0,
-            "pct_transfers_cancelled_session": s.transfers_cancelled / s.files_attempted if s.files_attempted > 0 else 0.0,
-            "pct_transfers_cancelled_total": t.transfers_cancelled / t.files_attempted if t.files_attempted > 0 else 0.0,
+            "inbox_len_avg": self.inbox_len_avg,
+            "pct_tasks_ok_session": self.session.pct_tasks_ok,
+            "pct_tasks_ok_total": self.total.pct_tasks_ok,
+            "pct_tasks_accepted_session": self.session.pct_tasks_accepted,
+            "pct_tasks_accepted_total": self.total.pct_tasks_accepted,
+            "pct_files_sent_session": self.session.pct_files_sent,
+            "pct_files_sent_total": self.total.pct_files_sent,
+            "pct_transfers_cancelled_session": self.session.pct_transfers_cancelled,
+            "pct_transfers_cancelled_total": self.total.pct_transfers_cancelled,
             "pending_transfers": float(self.pending_transfers),
             "pending_tasks": float(self.pending_tasks),
             "sessions_started": float(self.sessions_started),

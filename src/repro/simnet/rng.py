@@ -34,8 +34,10 @@ __all__ = ["BlockDraws", "Draws", "RandomStreams", "DRAW_BLOCK_CAP"]
 #: Largest block a :class:`BlockDraws` source draws at once.  Blocks
 #: start at one value and double up to this cap, so a stream drawn a
 #: handful of times buffers a handful of values and a busy one pays
-#: the generator call once per ``DRAW_BLOCK_CAP`` draws.
-DRAW_BLOCK_CAP = 64
+#: the generator call once per ``DRAW_BLOCK_CAP`` draws.  Every
+#: stream of a long run reaches the cap, so it also bounds the
+#: buffered floats per host.
+DRAW_BLOCK_CAP = 16
 
 _RANDOM = "random"
 _UNIFORM = "uniform"

@@ -7,6 +7,7 @@ import weakref
 
 import pytest
 
+from repro.experiments import runner
 from repro.experiments.runner import average_rows, run_cells, run_repetitions
 from repro.experiments.scenario import ExperimentConfig
 
@@ -39,14 +40,19 @@ class TestRunRepetitions:
 
 
 def _collector_probe(seen):
-    """A scenario recording whether the cycle collector is on."""
+    """A scenario recording the cycle collector's state."""
 
     def scenario(session):
-        seen.append(gc.isenabled())
+        seen.append((gc.isenabled(), gc.get_threshold()))
         yield 0.0
         return 1
 
     return scenario
+
+
+class _Cycle:
+    def __init__(self):
+        self.me = self
 
 
 @pytest.fixture
@@ -59,20 +65,28 @@ def collector_off():
 
 
 class TestCollectorPause:
-    def test_paused_during_run_and_restored(self):
-        assert gc.isenabled()
+    def test_young_passes_only_during_run_and_restored(self):
+        before = gc.get_threshold()
         seen = []
         run_repetitions(ExperimentConfig(repetitions=2), _collector_probe(seen))
-        assert seen == [False, False]
+        assert len(seen) == 2
+        for enabled, (young, middle, old) in seen:
+            assert enabled
+            assert young == runner.YOUNG_PASS_OBJECTS
+            assert middle >= 1 << 30 and old >= 1 << 30
         assert gc.isenabled()
+        assert gc.get_threshold() == before
 
-    def test_left_off_when_already_off(self, collector_off):
+    def test_left_alone_when_already_off(self, collector_off):
+        before = gc.get_threshold()
         seen = []
         run_repetitions(ExperimentConfig(repetitions=1), _collector_probe(seen))
-        assert seen == [False]
+        assert seen == [(False, before)]
         assert not gc.isenabled()
 
     def test_restored_when_scenario_raises(self):
+        before = gc.get_threshold()
+
         def scenario(session):
             yield 0.0
             raise RuntimeError("boom")
@@ -80,22 +94,38 @@ class TestCollectorPause:
         with pytest.raises(RuntimeError, match="boom"):
             run_repetitions(ExperimentConfig(repetitions=1), scenario)
         assert gc.isenabled()
+        assert gc.get_threshold() == before
 
-    def test_nested_sweep_leaves_collector_to_outer(self):
+    def test_nested_sweep_restores_the_outer_setting(self):
+        before = gc.get_threshold()
         inner_seen, after_inner = [], []
 
         def outer(session):
             run_repetitions(
                 ExperimentConfig(repetitions=1), _collector_probe(inner_seen)
             )
-            after_inner.append(gc.isenabled())
+            after_inner.append(gc.get_threshold()[0])
             yield 0.0
             return 1
 
         run_repetitions(ExperimentConfig(repetitions=1), outer)
-        assert inner_seen == [False]
-        assert after_inner == [False]
-        assert gc.isenabled()
+        assert inner_seen[0][1][0] == runner.YOUNG_PASS_OBJECTS
+        assert after_inner == [runner.YOUNG_PASS_OBJECTS]
+        assert gc.get_threshold() == before
+
+    def test_young_pass_frees_cyclic_garbage_mid_run(self, monkeypatch):
+        monkeypatch.setattr(runner, "YOUNG_PASS_OBJECTS", 1000)
+        freed = []
+
+        def scenario(session):
+            ref = weakref.ref(_Cycle())
+            keep = [[] for _ in range(3000)]
+            freed.append(ref() is None)
+            yield 0.0
+            return len(keep)
+
+        run_repetitions(ExperimentConfig(repetitions=1), scenario)
+        assert freed == [True]
 
     def test_simulator_freed_when_run_cells_returns(self):
         refs = []

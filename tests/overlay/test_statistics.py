@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.overlay.statistics import Counters, PeerStats, PerformanceHistory
+from repro.overlay.statistics import Counters, PeerStats, PerformanceHistory, _share
 
 
 class TestCounters:
@@ -152,9 +152,10 @@ class TestSnapshot:
         pending=st.tuples(st.integers(0, 50), st.integers(0, 50), st.integers(0, 9)),
     )
     @settings(max_examples=200, deadline=None)
-    def test_flat_snapshot_equals_property_values(self, session, total, queues, pending):
-        """The snapshot spells each share out; it must equal the
-        properties bit for bit, empty denominators included."""
+    def test_snapshot_shares_follow_the_share_rule(self, session, total, queues, pending):
+        """The ``Counters`` shares spell ``_share`` out inline; the
+        snapshot must equal the rule bit for bit, empty denominators
+        included."""
         s = PeerStats()
         s.session = Counters(*session)
         s.total = Counters(*total)
@@ -163,13 +164,15 @@ class TestSnapshot:
         s.pending_transfers, s.pending_tasks, s.sessions_started = pending
         snap = s.snapshot(now=0.0)
         for window, c in (("session", s.session), ("total", s.total)):
-            assert snap[f"pct_messages_ok_{window}"] == c.pct_messages_ok
-            assert snap[f"pct_tasks_ok_{window}"] == c.pct_tasks_ok
-            assert snap[f"pct_tasks_accepted_{window}"] == c.pct_tasks_accepted
-            assert snap[f"pct_files_sent_{window}"] == c.pct_files_sent
-            assert snap[f"pct_transfers_cancelled_{window}"] == c.pct_transfers_cancelled
-        assert snap["outbox_len_avg"] == s.outbox_len_avg
-        assert snap["inbox_len_avg"] == s.inbox_len_avg
+            assert snap[f"pct_messages_ok_{window}"] == _share(c.messages_ok, c.messages_sent)
+            assert snap[f"pct_tasks_ok_{window}"] == _share(c.tasks_ok, c.tasks_executed)
+            assert snap[f"pct_tasks_accepted_{window}"] == _share(c.tasks_accepted, c.tasks_offered)
+            assert snap[f"pct_files_sent_{window}"] == _share(c.files_sent_ok, c.files_attempted)
+            assert snap[f"pct_transfers_cancelled_{window}"] == _share(
+                c.transfers_cancelled, c.files_attempted, default=0.0
+            )
+        assert snap["outbox_len_avg"] == _share(s._outbox_sum, s._outbox_samples, default=0.0)
+        assert snap["inbox_len_avg"] == _share(s._inbox_sum, s._inbox_samples, default=0.0)
         assert snap["pct_messages_ok_last_k"] == s.pct_ok_last("message", 0.0, 1.0)
         assert snap["pending_transfers"] == float(pending[0])
         assert snap["pending_tasks"] == float(pending[1])
