@@ -38,6 +38,19 @@ MESSAGE_ROUNDTRIP_FLOOR_MSG_S = 10_000.0
 #: fails it.
 HOST_BUILD_FLOOR_HOSTS_S = 12_000.0
 
+#: Regression floor for the beacon path (best of three runs, collector
+#: paused): keepalives and stat reports from the paper's 8 idle
+#: SimpleClients, each one built, sent, delivered and merged into the
+#: broker's record.  Observed rates on a 2-vCPU host are 45-96k
+#: beacons/s, depending on host load; the floor only trips when the
+#: per-beacon cost triples.
+BEACON_PATH_FLOOR_BEACONS_S = 15_000.0
+
+#: Simulated idle time of the beacon-path gate: 8 clients beacon
+#: about 1800 times each in 10 hours (a keepalive every 30 s, a stat
+#: report every 60 s).
+BEACON_IDLE_S = 10 * 3600.0
+
 
 def _timeout_churn():
     sim = Simulator()
@@ -176,6 +189,49 @@ def test_host_build_hosts_per_s_floor():
     assert best >= HOST_BUILD_FLOOR_HOSTS_S, (
         f"host construction at {best:.0f} hosts/s, below the "
         f"{HOST_BUILD_FLOOR_HOSTS_S:.0f} regression floor"
+    )
+
+
+def _beacon_path():
+    """Beacons sent by the paper's 8 SimpleClients over ``BEACON_IDLE_S``
+    of idle simulated time, the session built and connected outside
+    the timing."""
+    from repro.experiments import ExperimentConfig
+    from repro.experiments.scenario import Session
+
+    session = Session(ExperimentConfig(seed=2011))
+    sim = session.sim
+    sim.run(until=sim.process(session.connect_all()))
+    hosts = [c.host for c in session.clients.values()]
+    sent = sum(h.messages_sent for h in hosts)
+
+    def run():
+        sim.run(until=sim.now + BEACON_IDLE_S)
+        return sum(h.messages_sent for h in hosts) - sent
+
+    return run
+
+
+def test_beacon_path_beacons_per_s_floor():
+    """Plain stdlib-timed throughput gate on the beacon path.
+
+    The best of three runs, each on a fresh session with the cycle
+    collector paused, as in the host-build gate.
+    """
+    best = 0.0
+    for _ in range(3):
+        run = _beacon_path()
+        gc.collect()
+        gc.disable()
+        try:
+            count, rate = _per_second(run)
+        finally:
+            gc.enable()
+        assert count > 8 * 1790
+        best = max(best, rate)
+    assert best >= BEACON_PATH_FLOOR_BEACONS_S, (
+        f"beacon path at {best:.0f} beacons/s, below the "
+        f"{BEACON_PATH_FLOOR_BEACONS_S:.0f} regression floor"
     )
 
 

@@ -48,6 +48,12 @@ __all__ = ["PeerRecord", "Broker"]
 #: fan-out.
 FANOUT_TIMEOUT_S = 15.0
 
+#: Snapshot keys a :class:`KeepAlive` refreshes, in the order
+#: ``_on_keepalive`` writes them.
+_KEEPALIVE_KEYS = (
+    "outbox_len_now", "inbox_len_now", "pending_tasks", "pending_transfers",
+)
+
 #: Snapshot keys served from the broker's own interaction history in
 #: :meth:`PeerRecord.selection_snapshot` — always fresh (the broker
 #: maintains them itself), so staleness tracking exempts them.
@@ -372,18 +378,18 @@ class Broker(PeerNode):
         rec = self.registry.get(beacon.peer_id)
         if rec is None:
             return
-        rec.last_seen = self.sim.now
-        rec.pending_tasks = beacon.pending_tasks
-        rec.pending_transfers = beacon.pending_transfers
-        rec.snapshot["outbox_len_now"] = float(beacon.outbox_len)
-        rec.snapshot["inbox_len_now"] = float(beacon.inbox_len)
-        rec.snapshot["pending_tasks"] = float(beacon.pending_tasks)
-        rec.snapshot["pending_transfers"] = float(beacon.pending_transfers)
-        rec.freshness.note_many(
-            ("outbox_len_now", "inbox_len_now", "pending_tasks",
-             "pending_transfers"),
-            self.sim.now,
-        )
+        now = self.sim._now
+        pending_tasks = beacon.pending_tasks
+        pending_transfers = beacon.pending_transfers
+        rec.last_seen = now
+        rec.pending_tasks = pending_tasks
+        rec.pending_transfers = pending_transfers
+        snapshot = rec.snapshot
+        snapshot["outbox_len_now"] = float(beacon.outbox_len)
+        snapshot["inbox_len_now"] = float(beacon.inbox_len)
+        snapshot["pending_tasks"] = float(pending_tasks)
+        snapshot["pending_transfers"] = float(pending_transfers)
+        rec.freshness.note_many(_KEEPALIVE_KEYS, now)
 
     def _on_stat_report(self, dgram: Datagram) -> None:
         report: StatReport = dgram.payload
@@ -392,9 +398,11 @@ class Broker(PeerNode):
         rec = self.registry.get(report.peer_id)
         if rec is None:
             return
-        rec.last_seen = self.sim.now
-        rec.snapshot.update(report.counters)
-        rec.freshness.note_many(report.counters.keys(), self.sim.now)
+        now = self.sim._now
+        counters = report.counters
+        rec.last_seen = now
+        rec.snapshot.update(counters)
+        rec.freshness.note_many(counters, now)
 
     def _on_publish(self, dgram: Datagram) -> None:
         pub: PublishAdvertisement = dgram.payload

@@ -68,6 +68,11 @@ __all__ = ["PeerConfig", "PeerNode", "RequestTimeout"]
 #: Statistics push period (seconds).
 STAT_REPORT_INTERVAL_S = 60.0
 
+#: Name of every reply-waiter event.  A constant: ``request`` makes
+#: one per attempt, and :class:`RequestTimeout` already names the
+#: payload type.
+_WAIT_EVENT_NAME = "reply-wait"
+
 
 class RequestTimeout(OverlayError):
     """A request exhausted its retries without a reply."""
@@ -251,7 +256,7 @@ class PeerNode:
 
     def expect(self, key: Any) -> Event:
         """Register interest in the reply identified by ``key``."""
-        ev = self.sim.event(name=f"wait{key!r}@{self.name}")
+        ev = self.sim.event(name=_WAIT_EVENT_NAME)
         self._waiters.setdefault(key, []).append(ev)
         return ev
 
@@ -470,41 +475,51 @@ class PeerNode:
             raise NotConnectedError(f"{self.name} has no broker")
         return self.network.host(self.broker_adv.hostname)
 
+    # Both beacon loops bind what they read once and build their
+    # message positionally: a ``paper`` run sends about 45k beacons.
+
     def _keepalive_loop(self):
+        stats = self.stats
+        host = self.host
+        inbox = host.inbox
+        peer_id = self.peer_id
+        interval = self.config.keepalive_interval_s
+        observe_inbox = self._m_inbox_len.observe
+        observe_transfers = self._m_pending_transfers.observe
+        observe_tasks = self._m_pending_tasks.observe
         while self.online:
-            if not self.host.is_up:
+            if not host._is_up:
                 # Crashed host: nothing can be sent until recovery.
-                yield self.config.keepalive_interval_s
+                yield interval
                 continue
-            self.stats.sample_queues(
-                outbox_len=self.stats.pending_transfers,
-                inbox_len=len(self.host.inbox) + self.stats.pending_tasks,
-            )
+            outbox_len = stats.pending_transfers
+            pending_tasks = stats.pending_tasks
+            inbox_len = len(inbox) + pending_tasks
+            stats.sample_queues(outbox_len, inbox_len)
             # Queue-occupancy sampling rides the keepalive cadence so
             # every connected peer reports at the same sim-time rhythm.
-            self._m_inbox_len.observe(self.stats.inbox_len_now)
-            self._m_pending_transfers.observe(self.stats.pending_transfers)
-            self._m_pending_tasks.observe(self.stats.pending_tasks)
+            observe_inbox(inbox_len)
+            observe_transfers(outbox_len)
+            observe_tasks(pending_tasks)
+            # KeepAlive(peer_id, outbox_len, inbox_len, pending_tasks,
+            # pending_transfers): the outbox is the pending transfers.
             beacon = KeepAlive(
-                peer_id=self.peer_id,
-                outbox_len=self.stats.outbox_len_now,
-                inbox_len=self.stats.inbox_len_now,
-                pending_tasks=self.stats.pending_tasks,
-                pending_transfers=self.stats.pending_transfers,
+                peer_id, outbox_len, inbox_len, pending_tasks, outbox_len
             )
-            self.host.send(self._broker_host(), beacon, light=True)
-            yield self.config.keepalive_interval_s
+            host.send(self._broker_host(), beacon, light=True)
+            yield interval
 
     def _stat_report_loop(self):
+        stats = self.stats
+        host = self.host
+        sim = self.sim
+        peer_id = self.peer_id
         while self.online:
-            if not self.host.is_up:
+            if not host._is_up:
                 yield STAT_REPORT_INTERVAL_S
                 continue
-            report = StatReport(
-                peer_id=self.peer_id,
-                counters=self.stats.snapshot(self.sim.now),
-            )
-            self.host.send(self._broker_host(), report, light=True)
+            report = StatReport(peer_id, stats.snapshot(sim._now))
+            host.send(self._broker_host(), report, light=True)
             yield STAT_REPORT_INTERVAL_S
 
     # -- broker liveness & failover ------------------------------------------------

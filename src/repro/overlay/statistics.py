@@ -42,7 +42,7 @@ def _share(num: float, den: float, default: float = 1.0) -> float:
     return num / den
 
 
-@dataclass
+@dataclass(slots=True)
 class Counters:
     """Event counts over one accounting window."""
 

@@ -152,8 +152,9 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SchedulingInPastError(f"negative timeout delay {delay!r}")
+        # ``not >=`` rejects NaN too, at the cost of ``<``.
+        if not delay >= 0:
+            raise SchedulingInPastError(f"{_negative(delay)} timeout delay {delay!r}")
         # One per ``yield <number>``: the Event fields and the agenda
         # push are inlined (same key as ``_schedule_event``).
         self.sim = sim
@@ -173,6 +174,41 @@ class Timeout(Event):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "pending" if self.callbacks is not None else "processed"
         return f"<Timeout({self.delay:g}) {state} at t={self.sim.now:g}>"
+
+
+class _Call(Event):
+    """A callback timer made by :meth:`Simulator.call_at`.
+
+    It carries ``fn`` and ``args`` itself instead of a closure in
+    ``callbacks``, and drops both when it fires or is cancelled, so a
+    caller that keeps the event (to cancel it later) does not keep the
+    arguments alive.
+    """
+
+    __slots__ = ("fn", "args")
+
+    def __init__(self, sim: "Simulator", fn: Callable[..., None], args: tuple) -> None:
+        self.sim = sim
+        self.name = ""
+        self.callbacks = [_fire_call]
+        self._ok = True
+        self._value = None
+        self._scheduled = True
+        self._cancelled = False
+        self.fn = fn
+        self.args = args
+
+
+def _fire_call(event: _Call) -> None:
+    """The one callback of every :class:`_Call`: run ``fn(*args)``."""
+    fn, args = event.fn, event.args
+    event.fn = event.args = None
+    fn(*args)
+
+
+def _negative(value: float) -> str:
+    """How an out-of-range time is described in an error: NaN or negative."""
+    return "NaN" if value != value else "negative"
 
 
 class _Initialize(Event):
@@ -467,16 +503,23 @@ class Simulator:
     def call_at(
         self, time: float, fn: Callable[..., None], *args: Any
     ) -> Event:
-        """Schedule ``fn(*args)`` to run at absolute simulation ``time``."""
-        if time < self._now:
+        """Schedule ``fn(*args)`` to run at absolute simulation ``time``.
+
+        Returns the timer event, which :meth:`cancel` accepts.  ``time``
+        must not be earlier than now, nor NaN.
+        """
+        now = self._now
+        if not time >= now:
             raise SchedulingInPastError(
-                f"call_at({time!r}) is before now={self._now!r}"
+                f"call_at({time!r}) is not at or after now={now!r}"
             )
-        ev = Event(self)
-        ev.callbacks.append(lambda _ev: fn(*args))
-        ev._ok = True
-        ev._value = None
-        self._schedule_event(ev, NORMAL_PRIORITY, delay=time - self._now)
+        ev = _Call(self, fn, args)
+        # The key is ``_schedule_event``'s: now plus the delay.
+        self._seq += 1
+        agenda = self._agenda
+        heappush(agenda, (now + (time - now), NORMAL_PRIORITY, self._seq, ev))
+        if len(agenda) > self.max_agenda_depth:
+            self.max_agenda_depth = len(agenda)
         return ev
 
     def call_in(self, delay: float, fn: Callable[..., None], *args: Any) -> Event:
@@ -492,7 +535,8 @@ class Simulator:
         with :meth:`call_at` / :meth:`call_in` (the flow scheduler
         supersedes its wake-up timer this way).  Cancelling an event
         that already ran is a no-op.  Waiting on a cancelled event is
-        undefined: it will never fire.
+        undefined: it will never fire.  A cancelled :meth:`call_at`
+        timer drops its callable and arguments at once.
 
         Tombstones do not accumulate without bound: once the cancelled
         entries dominate the agenda (see ``_COMPACT_MIN_TOMBSTONES``)
@@ -503,6 +547,8 @@ class Simulator:
         if event.callbacks is None or event._cancelled:
             return
         event._cancelled = True
+        if type(event) is _Call:
+            event.fn = event.args = None
         self._tombstones += 1
         if (
             self._tombstones >= _COMPACT_MIN_TOMBSTONES
@@ -536,8 +582,8 @@ class Simulator:
     def _schedule_event(
         self, event: Event, priority: int, delay: float = 0.0
     ) -> None:
-        if delay < 0:
-            raise SchedulingInPastError(f"negative delay {delay!r}")
+        if not delay >= 0:
+            raise SchedulingInPastError(f"{_negative(delay)} delay {delay!r}")
         self._seq += 1
         agenda = self._agenda
         heappush(agenda, (self._now + delay, priority, self._seq, event))
@@ -582,8 +628,9 @@ class Simulator:
         """Run the simulation.
 
         ``until`` may be ``None`` (run until the agenda drains), a
-        number (run until that simulation time), or an :class:`Event`
-        (run until it is processed, returning its value).
+        number (run until that simulation time, which must not be
+        earlier than now, nor NaN), or an :class:`Event` (run until it is
+        processed, returning its value).
         """
         self._stopped = False
         until_event: Optional[Event] = None
@@ -592,9 +639,9 @@ class Simulator:
             until_event = until
         elif until is not None:
             until_time = float(until)
-            if until_time < self._now:
+            if not until_time >= self._now:
                 raise SchedulingInPastError(
-                    f"run(until={until_time!r}) is before now={self._now!r}"
+                    f"run(until={until_time!r}) is not at or after now={self._now!r}"
                 )
 
         # Hot loop: ``peek()`` and ``processed`` are inlined, but every

@@ -17,7 +17,7 @@ from __future__ import annotations
 from repro.simnet.rng import Draws
 from repro.units import to_mbit
 
-__all__ = ["PerUnitLoss", "NoLoss"]
+__all__ = ["PerUnitLoss", "NoLoss", "NO_LOSS"]
 
 
 class NoLoss:
@@ -31,6 +31,12 @@ class NoLoss:
 
     def __repr__(self) -> str:
         return "NoLoss()"
+
+
+#: The no-fault model every host starts with.  It is stateless, so all
+#: hosts share it, and ``Host.send`` skips a host's extra-loss draw by
+#: identity with it.
+NO_LOSS = NoLoss()
 
 
 class PerUnitLoss:

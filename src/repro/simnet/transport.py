@@ -51,7 +51,7 @@ from repro.obs.runtime import active_registry
 from repro.simnet.bandwidth import ContendedBandwidth, DiurnalBandwidth
 from repro.simnet.kernel import Event, Resource, Simulator, Store
 from repro.simnet.latency import LognormalLatency, SpikyLatency
-from repro.simnet.loss import NoLoss, PerUnitLoss
+from repro.simnet.loss import NO_LOSS, PerUnitLoss
 from repro.simnet.rng import RandomStreams
 from repro.simnet.topology import NodeSpec, Topology
 
@@ -598,7 +598,7 @@ class Host:
                 spec.per_mb_loss, streams.draws(f"loss/{spec.hostname}")
             )
         else:
-            self._loss = NoLoss()
+            self._loss = NO_LOSS
         self._cpu_share_rng = streams.draws(f"cpu/{spec.hostname}")
 
         self.inbox: Store = Store(self.sim, name=f"inbox@{spec.hostname}")
@@ -620,7 +620,7 @@ class Host:
         self.slow_factor = 1.0
         self.link_bw_factor = 1.0
         self.link_latency_factor = 1.0
-        self.extra_loss: Any = NoLoss()
+        self.extra_loss: Any = NO_LOSS
 
         #: Running delivery/transfer counters (exposed for diagnostics).
         self.messages_sent = 0
@@ -684,7 +684,7 @@ class Host:
 
     def set_extra_loss(self, model: Any) -> None:
         """Compose an additional loss model (None clears it)."""
-        self.extra_loss = model if model is not None else NoLoss()
+        self.extra_loss = model if model is not None else NO_LOSS
 
     def up_capacity_at(self, now: float) -> float:
         """Instantaneous uplink capacity (bits/s)."""
@@ -751,11 +751,17 @@ class Host:
             + handling.sample(now) * dst.slow_factor
         )
         network = self.network
+        # The draw order is fixed: src loss, dst loss, src extra, dst
+        # extra, partition; the short-circuit decides which streams
+        # draw.  A host without a fault holds ``NO_LOSS``, which never
+        # draws, so its call is skipped.
+        src_extra = self.extra_loss
+        dst_extra = dst.extra_loss
         lost = (
             self._loss.unit_lost(size_bits, now)
             or dst._loss.unit_lost(size_bits, now)
-            or self.extra_loss.unit_lost(size_bits, now)
-            or dst.extra_loss.unit_lost(size_bits, now)
+            or (src_extra is not NO_LOSS and src_extra.unit_lost(size_bits, now))
+            or (dst_extra is not NO_LOSS and dst_extra.unit_lost(size_bits, now))
             or network.is_partitioned(self.hostname, dst_name)
         )
         tracer = network.tracer

@@ -322,3 +322,116 @@ class TestEventConstruction:
                 getattr(ev, slot)
             assert ev._cancelled is False
         sim.run()
+
+
+class TestNaNTimes:
+    """NaN compares false with everything, so a ``time < now`` guard
+    would let it through and move the clock to NaN; every entry point
+    rejects it as it rejects the past."""
+
+    NAN = float("nan")
+
+    def test_call_at_rejects_nan(self, sim):
+        sim.timeout(1.0)
+        with pytest.raises(SchedulingInPastError, match="nan"):
+            sim.call_at(self.NAN, lambda: None)
+        with pytest.raises(SchedulingInPastError, match="nan"):
+            sim.call_in(self.NAN, lambda: None)
+        assert sim.pending_events == 1
+        sim.run()
+        assert sim.now == 1.0
+
+    def test_timeout_rejects_nan(self, sim):
+        with pytest.raises(SchedulingInPastError, match="NaN timeout delay"):
+            sim.timeout(self.NAN)
+        assert sim.pending_events == 0
+
+    def test_yield_nan_raises_and_keeps_the_clock(self, sim):
+        def proc():
+            yield 2.0
+            yield float("nan")
+
+        sim.process(proc())
+        with pytest.raises(SchedulingInPastError, match="NaN timeout delay"):
+            sim.run()
+        assert sim.now == 2.0
+
+    def test_schedule_event_rejects_nan(self, sim):
+        from repro.simnet.kernel import NORMAL_PRIORITY
+
+        ev = sim.event()
+        with pytest.raises(SchedulingInPastError, match="NaN delay"):
+            sim._schedule_event(ev, NORMAL_PRIORITY, delay=self.NAN)
+        assert sim.pending_events == 0
+
+    def test_run_until_nan_raises(self, sim):
+        sim.timeout(1.0)
+        sim.timeout(5.0)
+        with pytest.raises(SchedulingInPastError, match="nan"):
+            sim.run(until=self.NAN)
+        assert sim.now == 0.0
+        assert sim.pending_events == 2
+
+
+class _Arg:
+    """A weakly referenceable callback argument."""
+
+
+class TestCallAtEvent:
+    """A ``call_at`` event carries its callable and arguments and drops
+    them once it fires or is cancelled, so callers that keep the event
+    to cancel it later do not keep the arguments alive."""
+
+    def test_argument_dies_once_fired(self, sim):
+        import weakref
+
+        arg = _Arg()
+        ref = weakref.ref(arg)
+        got = []
+        ev = sim.call_at(1.0, got.append, arg)
+        del arg
+        assert ref() is not None
+        sim.run()
+        assert got and got[0] is ref()
+        got.clear()
+        assert ref() is None
+        assert ev.processed
+
+    def test_argument_dies_once_a_cancelled_entry_is_popped(self, sim):
+        import weakref
+
+        arg = _Arg()
+        ref = weakref.ref(arg)
+        ev = sim.call_at(1.0, lambda a: None, arg)
+        del arg
+        sim.cancel(ev)
+        sim.run()
+        assert ref() is None
+        assert sim.events_cancelled == 1
+        assert sim.events_processed == 0
+
+    def test_argument_dies_once_a_cancelled_entry_is_compacted(self, sim):
+        import weakref
+
+        refs, events = [], []
+        for _ in range(_COMPACT_MIN_TOMBSTONES):
+            arg = _Arg()
+            refs.append(weakref.ref(arg))
+            events.append(sim.call_at(1e6, lambda a: None, arg))
+        del arg
+        for ev in events:
+            sim.cancel(ev)
+        assert sim.agenda_compactions == 1
+        assert sim.pending_events == 0
+        assert all(ref() is None for ref in refs)
+
+    def test_cancel_after_firing_is_a_no_op(self, sim):
+        fired = []
+        ev = sim.call_in(1.0, fired.append, "x")
+        sim.run()
+        sim.cancel(ev)
+        assert fired == ["x"]
+        assert ev._cancelled is False
+        assert sim._tombstones == 0
+        assert sim.events_cancelled == 0
+        assert sim.events_processed == 1
