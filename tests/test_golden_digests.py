@@ -7,10 +7,11 @@ digest in place; a change that does alter results shows up here as a
 reviewed diff to this file, with the new digests and the reason.
 
 ``scale-large`` and ``scale-federated`` are left out: together they
-take about a minute, the rest about two seconds.  A small
-``scale-federated`` cell set stands in for the latter, so the SWIM
-path (probes, ping-req, suspect, dead and rehome in the kill-broker
-cell) still has a digest.
+take about a minute, the rest about two seconds.  Small cell sets
+stand in for them: two small pools of the large-pool study, so its
+concurrent waves of joins, probes and placements have a digest, and a
+small ``scale-federated`` study, so the SWIM path (probes, ping-req,
+suspect, dead and rehome in the kill-broker cell) has one too.
 """
 
 from __future__ import annotations
@@ -47,6 +48,12 @@ GOLDEN_FEDERATED_SMALL = (
 )
 
 
+#: ``scale.run_large`` at pools of 12 and 16 peers, 4 jobs, 4 at a time.
+GOLDEN_LARGE_SMALL = (
+    "3caa5f8ef049ac00ab3616663c9db5e0652cc8c37b326269dbc66c76d8e11634"
+)
+
+
 def test_every_fast_artifact_has_a_digest():
     assert set(GOLDEN) == set(ARTIFACTS) - SLOW
 
@@ -67,3 +74,11 @@ def test_small_federated_study_matches_golden_digest():
         pools=(100,), baseline_pool=20, brokers=2,
     ).table()
     assert hashlib.sha256(rendered.encode()).hexdigest() == GOLDEN_FEDERATED_SMALL
+
+
+def test_small_large_pool_study_matches_golden_digest():
+    rendered = scale.run_large(
+        ExperimentConfig(seed=SEED, repetitions=1),
+        pools=(12, 16), n_jobs=4, concurrency=4,
+    ).table()
+    assert hashlib.sha256(rendered.encode()).hexdigest() == GOLDEN_LARGE_SMALL
