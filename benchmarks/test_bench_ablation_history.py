@@ -39,7 +39,7 @@ def _mean_abs_rel_error(depth: int, seed: int) -> float:
                     )
                 )
             predicted = broker.estimate_transfer_seconds(
-                s.client(label).peer_id, TARGET_BITS
+                broker.record(s.client(label).peer_id), TARGET_BITS
             )
             outcome = yield s.sim.process(
                 broker.transfers.send_file(adv, f"t-{label}", TARGET_BITS, n_parts=4)

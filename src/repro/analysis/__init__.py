@@ -11,13 +11,11 @@ from repro.analysis.sensitivity import (
     SeedPanelResult,
     run_seed_panel,
 )
-from repro.analysis.stats import Summary, ratio, summarize, summarize_by_key
+from repro.analysis.stats import Summary, summarize
 
 __all__ = [
     "Summary",
     "summarize",
-    "summarize_by_key",
-    "ratio",
     "CalibrationCheck",
     "calibration_report",
     "fit_overhead",

@@ -1,21 +1,19 @@
 """Summary statistics for experiment results.
 
-Small, dependency-light helpers: per-series mean/std/CI and ratio
-utilities the experiment reports and shape-checks use.
+Small, dependency-light helpers: the per-series mean/std/CI the
+experiment reports and shape-checks use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Mapping, Sequence
 
 __all__ = [
     "Summary",
     "summarize",
-    "summarize_by_key",
     "summaries_identical",
-    "ratio",
 ]
 
 
@@ -85,21 +83,3 @@ def summarize(values: Sequence[float]) -> Summary:
     return Summary(
         mean=mean, std=math.sqrt(var), n=n, minimum=min(vals), maximum=max(vals)
     )
-
-
-def summarize_by_key(
-    rows: Iterable[Mapping[str, float]]
-) -> Dict[str, Summary]:
-    """Column-wise summaries over dict rows (all rows must share keys)."""
-    columns: Dict[str, List[float]] = {}
-    for row in rows:
-        for key, value in row.items():
-            columns.setdefault(key, []).append(float(value))
-    return {key: summarize(vals) for key, vals in columns.items()}
-
-
-def ratio(numerator: float, denominator: float) -> float:
-    """Safe ratio (inf when the denominator is 0)."""
-    if denominator == 0:
-        return float("inf")
-    return numerator / denominator

@@ -19,7 +19,9 @@ stated future work — larger peer pools), :mod:`.churn` (selection
 under peer churn with liveness filtering), :mod:`.resilience`
 (selection policies crossed with :mod:`repro.faults` profiles) and
 :mod:`.swarming` (fig5's granularity sweep with k concurrent sources
-per selection model — :mod:`repro.swarm`).
+per selection model — :mod:`repro.swarm`).  The selection studies
+share their selector factory, warmup probe, wave join and candidate
+view through :mod:`.steps`.
 """
 
 from repro.experiments.scenario import ExperimentConfig, Session

@@ -8,7 +8,8 @@ three policies:
 * **blind** — round-robin over every *registered* peer, alive or not
   (no information, the paper's "blind way");
 * **economic** — the scheduling model over the broker's *live* view
-  (keepalive-recency liveness filter + ready-time ranking);
+  (keepalive-recency liveness filter, or SWIM's view under a
+  federation, + ready-time ranking);
 * **same_priority** — the data evaluator over the same live view.
 
 Reported per policy: completion rate, aborted transfers, and the mean
@@ -28,12 +29,10 @@ from repro.errors import HostDownError, TransferAborted
 from repro.experiments.report import render_table
 from repro.experiments.runner import average_rows, run_repetitions
 from repro.experiments.scenario import ExperimentConfig, Session
+from repro.experiments.steps import candidates, make_selector
 from repro.faults import ExponentialChurn, FaultPlan
 from repro.overlay.peer import PeerConfig, RequestTimeout
 from repro.selection.base import SelectionContext, Workload
-from repro.selection.blind import RoundRobinSelector
-from repro.selection.evaluator import DataEvaluatorSelector
-from repro.selection.scheduling import SchedulingBasedSelector
 from repro.units import mbit, to_mbit
 
 __all__ = ["ChurnResult", "run", "POLICIES"]
@@ -44,8 +43,6 @@ POLICIES: Tuple[str, ...] = ("blind", "economic", "same_priority")
 MEAN_UP_S = 400.0
 MEAN_DOWN_S = 120.0
 CHURN_HORIZON_S = 3000.0
-#: Liveness window for the informed policies (3 keepalive periods).
-LIVENESS_S = 90.0
 #: Workload: a stream of small transfers.
 N_TRANSFERS = 12
 TRANSFER_BITS = mbit(10)
@@ -123,26 +120,6 @@ def _start_churn(session: Session) -> None:
     plan.install(session)
 
 
-def _make_policy(policy: str, session: Session):
-    if policy == "blind":
-        return RoundRobinSelector()
-    if policy == "economic":
-        return SchedulingBasedSelector(reserve=False)
-    if policy == "same_priority":
-        return DataEvaluatorSelector(
-            "same_priority",
-            tiebreak_rng=session.streams.get("churn/evaluator-ties"),
-        )
-    raise ValueError(f"unknown policy {policy!r}")
-
-
-def _candidates(policy: str, session: Session):
-    if policy == "blind":
-        # Blind: every registered peer, no liveness information.
-        return session.broker.candidates(online_only=False)
-    return session.broker.candidates(liveness_timeout_s=LIVENESS_S)
-
-
 def _scenario(session: Session):
     sim = session.sim
     broker = session.broker
@@ -158,13 +135,13 @@ def _scenario(session: Session):
 
     metrics: Dict[str, float] = {}
     for policy in POLICIES:
-        selector = _make_policy(policy, session)
+        selector = make_selector(policy, session, "churn", reserve=False)
         completed = 0
         aborted = 0
         cost_total = 0.0
         for i in range(N_TRANSFERS):
-            candidates = _candidates(policy, session)
-            if not candidates:
+            pool = candidates(policy, session)
+            if not pool:
                 aborted += 1
                 yield 30.0
                 continue
@@ -174,7 +151,7 @@ def _scenario(session: Session):
                 workload=Workload(
                     transfer_bits=TRANSFER_BITS, n_parts=TRANSFER_PARTS
                 ),
-                candidates=candidates,
+                candidates=pool,
             )
             record = selector.select(ctx)
             try:

@@ -54,11 +54,10 @@ from repro.errors import TransferAborted
 from repro.experiments.report import render_grouped_bars, render_table
 from repro.experiments.runner import average_rows, run_repetitions
 from repro.experiments.scenario import ExperimentConfig, Session
+from repro.experiments.steps import make_selector, probe
 from repro.overlay.client import Client
 from repro.selection.base import SelectionContext, Workload
-from repro.selection.evaluator import DataEvaluatorSelector
-from repro.selection.preference import PreferenceTable, UserPreferenceSelector
-from repro.selection.scheduling import SchedulingBasedSelector
+from repro.selection.preference import PreferenceTable
 from repro.units import mbit, to_mbit
 
 __all__ = ["Fig6Result", "run", "MODELS", "GRANULARITIES", "PAPER_SERIES"]
@@ -144,48 +143,18 @@ class Fig6Result:
 BACKGROUND_SENDER = "planetlab2.upc.es"
 
 
-def _user_table(session: Session) -> PreferenceTable:
-    """The quick-peer user's experience: they drive the overlay from
-    the broker console, so their memory is the petition latencies the
-    console observed — the user remembers which peers *answer*
-    quickly.  Frozen per decision; never includes other users' load."""
-    return PreferenceTable.quick_peer(
-        session.broker.observed, 0.0, session.sim.now
-    )
-
-
 def _warmup(session: Session):
-    """Deadline-bounded probe transfer to every peer, twice."""
-    broker = session.broker
-    sim = session.sim
+    """Deadline-bounded probe transfer to every peer, once per round."""
     for round_idx in range(WARMUP_ROUNDS):
         for label in session.sc_labels():
-            client = session.client(label)
-            part_bits = WARMUP_BITS / WARMUP_PARTS
-            try:
-                handle = yield sim.process(
-                    broker.transfers.open_transfer(
-                        client.advertisement(),
-                        filename=f"warmup{round_idx}-{label}",
-                        total_bits=WARMUP_BITS,
-                    )
-                )
-            except TransferAborted:
-                continue
-            started = sim.now
-            cancelled = False
-            for _ in range(WARMUP_PARTS):
-                if sim.now - started > WARMUP_DEADLINE_S:
-                    handle.cancel("deadline")
-                    cancelled = True
-                    break
-                try:
-                    yield sim.process(handle.send_part(part_bits))
-                except TransferAborted:
-                    cancelled = True
-                    break
-            if not cancelled:
-                handle.close()
+            yield from probe(
+                session.broker,
+                session.client(label).advertisement(),
+                f"warmup{round_idx}-{label}",
+                WARMUP_BITS,
+                WARMUP_PARTS,
+                WARMUP_DEADLINE_S,
+            )
 
 
 def _background(session: Session, sender, stop):
@@ -223,20 +192,6 @@ def _background(session: Session, sender, stop):
         yield BACKGROUND_INTERVAL_S
 
 
-def _make_selector(model: str, session: Session):
-    """Fresh selector for one per-part decision."""
-    if model == "economic":
-        return SchedulingBasedSelector(reserve=True)
-    if model == "same_priority":
-        return DataEvaluatorSelector(
-            "same_priority",
-            tiebreak_rng=session.streams.get("fig6/evaluator-ties"),
-        )
-    if model == "quick_peer":
-        return UserPreferenceSelector(_user_table(session), mode="quick_peer")
-    raise ValueError(f"unknown model {model!r}")
-
-
 def _measure(session: Session, model: str, n_parts: int):
     """Transmit 100 Mb with per-part re-selection; return s/Mb."""
     broker = session.broker
@@ -245,7 +200,7 @@ def _measure(session: Session, model: str, n_parts: int):
     handles: Dict[object, object] = {}
     started = sim.now
     for _ in range(n_parts):
-        selector = _make_selector(model, session)
+        selector = make_selector(model, session, "fig6")
         ctx = SelectionContext(
             broker=broker,
             now=sim.now,

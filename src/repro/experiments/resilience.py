@@ -38,6 +38,7 @@ from repro.experiments.churn import POLICIES
 from repro.experiments.report import render_table
 from repro.experiments.runner import average_rows, run_cells
 from repro.experiments.scenario import ExperimentConfig, Session
+from repro.experiments.steps import candidates, make_selector
 from repro.faults.profiles import get_profile
 from repro.overlay.peer import PeerConfig, RequestTimeout
 from repro.recovery.degraded import (
@@ -46,9 +47,6 @@ from repro.recovery.degraded import (
 )
 from repro.recovery.resume import ResumableSender
 from repro.selection.base import SelectionContext, Workload
-from repro.selection.blind import RoundRobinSelector
-from repro.selection.evaluator import DataEvaluatorSelector
-from repro.selection.scheduling import SchedulingBasedSelector
 from repro.units import mbit, to_mbit
 
 __all__ = ["ResilienceResult", "run", "DEFAULT_PROFILES", "POLICIES"]
@@ -62,8 +60,6 @@ DEFAULT_PROFILES: Tuple[str, ...] = (
     "broker_blip",
 )
 
-#: Liveness window for the informed policies (3 keepalive periods).
-LIVENESS_S = 90.0
 #: Workload: a stream of small transfers after a short warmup.
 N_TRANSFERS = 10
 TRANSFER_BITS = mbit(10)
@@ -195,60 +191,21 @@ class ResilienceResult:
 
 def _make_policy(policy: str, session: Session):
     recovery = session.config.recovery
-    if policy == "blind":
-        # Blind placement consults no statistics; there is nothing to
-        # go stale and no degraded variant.
-        return RoundRobinSelector()
+    if recovery is None or policy == "blind":
+        # Blind placement consults no statistics, so it has no
+        # degraded variant.
+        return make_selector(policy, session, "resilience", reserve=False)
     if policy == "economic":
-        if recovery is not None:
-            return StalenessAwareScheduler(
-                reserve=False, budget_s=recovery.staleness_budget_s
-            )
-        return SchedulingBasedSelector(reserve=False)
+        return StalenessAwareScheduler(
+            reserve=False, budget_s=recovery.staleness_budget_s
+        )
     if policy == "same_priority":
-        rng = session.streams.get("resilience/evaluator-ties")
-        if recovery is not None:
-            return StalenessAwareEvaluator(
-                "same_priority",
-                tiebreak_rng=rng,
-                budget_s=recovery.staleness_budget_s,
-            )
-        return DataEvaluatorSelector("same_priority", tiebreak_rng=rng)
+        return StalenessAwareEvaluator(
+            "same_priority",
+            tiebreak_rng=session.streams.get("resilience/evaluator-ties"),
+            budget_s=recovery.staleness_budget_s,
+        )
     raise ValueError(f"unknown policy {policy!r}")
-
-
-def _candidates(policy: str, session: Session):
-    # The acting leader governs: after a broker failover the standby's
-    # replicated registry answers candidate queries.  Under a gossip
-    # federation the registry is sharded, so the selection view is the
-    # union over the live federation brokers (map order, deduplicated)
-    # — the in-process equivalent of a cross-shard candidate fan-out.
-    # Informed policies filter by keepalive recency; gossip-governed
-    # brokers get no beacons to age out (SWIM flips ``rec.online``
-    # itself), so there the window would only starve selection.
-    if session.federation is not None:
-        governors = [
-            b for b in session.federation.brokers.values() if b.host.is_up
-        ]
-        window = None
-    else:
-        governors = [session.leader_broker]
-        window = LIVENESS_S
-    merged = []
-    seen = set()
-    for governor in governors:
-        if policy == "blind":
-            # Blind: every registered peer, no liveness information.
-            records = governor.candidates(
-                online_only=False, liveness_timeout_s=None
-            )
-        else:
-            records = governor.candidates(liveness_timeout_s=window)
-        for rec in records:
-            if rec.peer_id not in seen:
-                seen.add(rec.peer_id)
-                merged.append(rec)
-    return merged
 
 
 def _workload() -> Workload:
@@ -281,18 +238,18 @@ def _scenario(session: Session, policy: str):
 
     def pick(failed=()):
         """One selection round against the acting leader."""
-        candidates = [
+        pool = [
             rec
-            for rec in _candidates(policy, session)
+            for rec in candidates(policy, session)
             if rec.peer_id not in failed
         ]
-        if not candidates:
+        if not pool:
             return None
         ctx = SelectionContext(
             broker=session.leader_broker,
             now=sim.now,
             workload=_workload(),
-            candidates=candidates,
+            candidates=pool,
         )
         try:
             return selector.select(ctx).adv

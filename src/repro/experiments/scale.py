@@ -30,6 +30,7 @@ from repro.errors import (
 from repro.experiments.report import render_table
 from repro.experiments.runner import average_rows, run_cells, run_repetitions
 from repro.experiments.scenario import ExperimentConfig, Session
+from repro.experiments.steps import in_waves, make_selector
 from repro.faults.injectors import NodeCrash
 from repro.faults.plan import FaultPlan
 from repro.gossip.config import GossipConfig
@@ -37,9 +38,6 @@ from repro.overlay.advertisements import ResourceAdvertisement
 from repro.overlay.client import SimpleClient
 from repro.overlay.peer import RequestTimeout
 from repro.selection.base import SelectionContext, Workload
-from repro.selection.blind import RoundRobinSelector
-from repro.selection.evaluator import DataEvaluatorSelector
-from repro.selection.scheduling import SchedulingBasedSelector
 from repro.simnet.planetlab import (
     BROKER_HOSTNAME,
     SIMPLECLIENTS,
@@ -126,19 +124,6 @@ def _pool_hostnames(pool: int) -> List[str]:
     return names[:pool]
 
 
-def _make_selector(model: str, session: Session):
-    if model == "blind":
-        return RoundRobinSelector()
-    if model == "economic":
-        return SchedulingBasedSelector(reserve=True)
-    if model == "same_priority":
-        return DataEvaluatorSelector(
-            "same_priority",
-            tiebreak_rng=session.streams.get("scale/evaluator-ties"),
-        )
-    raise ValueError(f"unknown model {model!r}")
-
-
 def _scenario(session: Session):
     sim = session.sim
     broker = session.broker
@@ -171,7 +156,7 @@ def _scenario(session: Session):
     for pool in POOL_SIZES:
         pool_hosts = set(_pool_hostnames(pool))
         for model in MODELS:
-            selector = _make_selector(model, session)
+            selector = make_selector(model, session, "scale")
             total = 0.0
             for j in range(N_JOBS):
                 candidates = [
@@ -229,37 +214,49 @@ def _large_scenario(session: Session, pool: int, n_jobs: int, concurrency: int):
     sim = session.sim
     broker = session.broker
     hostnames = _pool_hostnames(pool)
+    pool_hosts = set(hostnames)
     peers = {c.host.hostname: c for c in session.clients.values()}
 
-    # Bring up everything beyond the 8 session SCs, a wave at a time.
-    pending = []
-    for hostname in hostnames:
-        if hostname in peers:
-            continue
+    def join(hostname):
         peer = SimpleClient(session.network, hostname, session.ids, name=hostname)
         peers[hostname] = peer
-        pending.append(sim.process(peer.connect(broker.advertisement())))
-        if len(pending) >= concurrency:
-            for proc in pending:
-                yield proc
-            pending = []
-    for proc in pending:
-        yield proc
+        return sim.process(peer.connect(broker.advertisement()))
+
+    def place(selector, filename, job, samples):
+        ctx = SelectionContext(
+            broker=broker,
+            now=sim.now,
+            workload=Workload(
+                transfer_bits=job.file.size_bits, n_parts=job.n_parts
+            ),
+            candidates=[
+                rec for rec in broker.candidates()
+                if rec.adv.hostname in pool_hosts
+            ],
+        )
+        record = selector.select(ctx)
+        return sim.process(_run_one_transfer(
+            sim, broker, record.adv, filename,
+            job.file.size_bits, job.n_parts, samples,
+        ))
+
+    # Bring up everything beyond the 8 session SCs, a wave at a time.
+    yield from in_waves(
+        (join(h) for h in hostnames if h not in peers), concurrency
+    )
 
     # Warmup: one short probe per peer so informed models have history.
     results: List[float] = []  # probe costs are discarded
-    pending = []
-    for hostname in hostnames:
-        pending.append(sim.process(_run_one_transfer(
-            sim, broker, peers[hostname].advertisement(),
-            f"probe-{hostname}", PROBE_BITS, 1, results,
-        )))
-        if len(pending) >= concurrency:
-            for proc in pending:
-                yield proc
-            pending = []
-    for proc in pending:
-        yield proc
+    yield from in_waves(
+        (
+            sim.process(_run_one_transfer(
+                sim, broker, peers[h].advertisement(),
+                f"probe-{h}", PROBE_BITS, 1, results,
+            ))
+            for h in hostnames
+        ),
+        concurrency,
+    )
 
     # One job list per pool: every model places the same offered load.
     gen = WorkloadGenerator(
@@ -267,36 +264,17 @@ def _large_scenario(session: Session, pool: int, n_jobs: int, concurrency: int):
     )
     jobs = gen.batch(n_jobs)
 
-    pool_hosts = set(hostnames)
     costs: Dict[str, float] = {}
     for model in MODELS:
-        selector = _make_selector(model, session)
+        selector = make_selector(model, session, "scale")
         samples: List[float] = []
-        pending = []
-        for j, job in enumerate(jobs):
-            candidates = [
-                rec for rec in broker.candidates()
-                if rec.adv.hostname in pool_hosts
-            ]
-            ctx = SelectionContext(
-                broker=broker,
-                now=sim.now,
-                workload=Workload(
-                    transfer_bits=job.file.size_bits, n_parts=job.n_parts
-                ),
-                candidates=candidates,
-            )
-            record = selector.select(ctx)
-            pending.append(sim.process(_run_one_transfer(
-                sim, broker, record.adv, f"job-{model}-{pool}-{j}",
-                job.file.size_bits, job.n_parts, samples,
-            )))
-            if len(pending) >= concurrency:
-                for proc in pending:
-                    yield proc
-                pending = []
-        for proc in pending:
-            yield proc
+        yield from in_waves(
+            (
+                place(selector, f"job-{model}-{pool}-{j}", job, samples)
+                for j, job in enumerate(jobs)
+            ),
+            concurrency,
+        )
         if not samples:
             raise TransferAborted(f"all {model}/{pool} placements aborted")
         costs[f"{model}/{pool}"] = sum(samples) / len(samples)
@@ -470,22 +448,17 @@ def _fed_bringup(session: Session, pool: int):
         fresh.append(peer)
         if fed is not None:
             fed.enroll(peer)
-    pending = []
-    for peer in fresh:
-        if fed is not None:
-            pending.append(sim.process(
-                peer.join_federated(fed.shard_map, fed.broker_advs())
-            ))
-        else:
-            pending.append(sim.process(
-                peer.connect(session.broker.advertisement())
-            ))
-        if len(pending) >= FED_JOIN_WAVE:
-            for proc in pending:
-                yield proc
-            pending = []
-    for proc in pending:
-        yield proc
+    if fed is not None:
+        joins = (
+            sim.process(peer.join_federated(fed.shard_map, fed.broker_advs()))
+            for peer in fresh
+        )
+    else:
+        joins = (
+            sim.process(peer.connect(session.broker.advertisement()))
+            for peer in fresh
+        )
+    yield from in_waves(joins, FED_JOIN_WAVE)
     if fed is not None:
         fed.start_gossip()
     return peers
@@ -645,7 +618,8 @@ def _federated_scenario(session: Session, pool: int, kill_broker: bool):
     false_suspects = 0
     if fed is not None:
         agents = list(fed.agents.values()) + [
-            b.gossip for b in fed.brokers.values() if b.gossip is not None
+            b.gossip_agent for b in fed.brokers.values()
+            if b.gossip_agent is not None
         ]
         suspects = sum(a.suspect_events for a in agents)
         false_suspects = sum(a.false_suspect_events for a in agents)

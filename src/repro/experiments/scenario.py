@@ -298,7 +298,7 @@ class Session:
                 # primary — that confirmation is what arms the veto.
                 for client in self.clients.values():
                     agent.track(client.name, client.host.hostname)
-                self.standby.gossip = agent
+                self.standby.gossip_agent = agent
                 agent.start()
             self.failover = FailoverDirector(
                 self.broker, self.standby, recovery

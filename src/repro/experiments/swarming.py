@@ -57,14 +57,11 @@ from functools import partial
 from typing import Dict, List, Mapping, Tuple
 
 from repro.analysis.stats import Summary
-from repro.errors import TransferAborted
 from repro.experiments.report import render_table
 from repro.experiments.runner import average_rows, run_cells
 from repro.experiments.scenario import ExperimentConfig, Session
+from repro.experiments.steps import make_selector, probe
 from repro.selection.base import SelectionContext, Workload
-from repro.selection.evaluator import DataEvaluatorSelector
-from repro.selection.preference import PreferenceTable, UserPreferenceSelector
-from repro.selection.scheduling import SchedulingBasedSelector
 from repro.simnet.planetlab import synthetic_hostnames
 from repro.overlay.client import SimpleClient
 from repro.swarm import SwarmCoordinator, SwarmSource
@@ -162,23 +159,6 @@ class SwarmingResult:
         )
 
 
-def _make_selector(model: str, session: Session):
-    """Fresh selector for one greedy source pick (fig6's models)."""
-    if model == "economic":
-        return SchedulingBasedSelector(reserve=True)
-    if model == "same_priority":
-        return DataEvaluatorSelector(
-            "same_priority",
-            tiebreak_rng=session.streams.get("swarming/evaluator-ties"),
-        )
-    if model == "quick_peer":
-        table = PreferenceTable.quick_peer(
-            session.broker.observed, 0.0, session.sim.now
-        )
-        return UserPreferenceSelector(table, mode="quick_peer")
-    raise ValueError(f"unknown model {model!r}")
-
-
 def _source_selector(
     session: Session,
     model: str,
@@ -206,7 +186,7 @@ def _source_selector(
             if rec.adv.name in replicas and rec.adv.name not in taken
         ]
         while pool and len(chosen) < needed:
-            selector = _make_selector(model, session)
+            selector = make_selector(model, session, "swarming")
             ctx = SelectionContext(
                 broker=broker,
                 now=sim.now,
@@ -224,35 +204,15 @@ def _source_selector(
 def _warmup(session: Session, replicas: Dict[str, object]):
     """Deadline-bounded probe to every replica: the broker's observed
     goodput/latency history is what the models rank sources by."""
-    broker = session.broker
-    sim = session.sim
-    part_bits = WARMUP_BITS / WARMUP_PARTS
-    for name in replicas:
-        node = replicas[name]
-        try:
-            handle = yield sim.process(
-                broker.transfers.open_transfer(
-                    node.advertisement(),
-                    filename=f"swarm-warmup-{name}",
-                    total_bits=WARMUP_BITS,
-                )
-            )
-        except TransferAborted:
-            continue
-        started = sim.now
-        cancelled = False
-        for _ in range(WARMUP_PARTS):
-            if sim.now - started > WARMUP_DEADLINE_S:
-                handle.cancel("deadline")
-                cancelled = True
-                break
-            try:
-                yield sim.process(handle.send_part(part_bits))
-            except TransferAborted:
-                cancelled = True
-                break
-        if not cancelled:
-            handle.close()
+    for name, node in replicas.items():
+        yield from probe(
+            session.broker,
+            node.advertisement(),
+            f"swarm-warmup-{name}",
+            WARMUP_BITS,
+            WARMUP_PARTS,
+            WARMUP_DEADLINE_S,
+        )
 
 
 def _replica_pool(session: Session, testbed: str, dest_label: str):

@@ -122,10 +122,6 @@ class Federation:
         """Advertisements of every federation broker, in map order."""
         return [b.advertisement() for b in self.brokers.values()]
 
-    def owner_broker(self, shard_key: str):
-        """The broker currently owning ``shard_key`` (authoritative map)."""
-        return self.brokers[self.shard_map.owner_of(shard_key)]
-
     # -- enrolment & gossip graphs ------------------------------------------
 
     def enroll(self, peer) -> str:
@@ -235,16 +231,16 @@ class Federation:
         if dead is None:
             return
         st = None
-        if observer.gossip is not None:
-            st = observer.gossip.state_of(dead.name)
+        if observer.gossip_agent is not None:
+            st = observer.gossip_agent.state_of(dead.name)
         rumor = Rumor(
             member=dead.name,
             hostname=dead_hostname,
             status="dead",
             incarnation=st.incarnation if st is not None else 0,
         )
-        if observer.gossip is not None:
-            observer.gossip.absorb(rumor)
+        if observer.gossip_agent is not None:
+            observer.gossip_agent.absorb(rumor)
         if not observer.host.is_up:
             return
         for key in shard_keys:

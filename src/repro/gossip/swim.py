@@ -237,6 +237,11 @@ class SwimAgent:
 
     def _direct_done(self, name: str, acked: bool) -> None:
         """Direct ping over: end the round, or ping-req through proxies."""
+        if not self.peer.host.is_up:
+            # Our own host went down mid-round: no ping-req and no
+            # suspicion, as in :meth:`_probe_tick`.
+            self._arm_tick(self.probe_interval_s)
+            return
         proxies = [] if acked else self._pick_proxies(exclude=name)
         if not proxies:
             self._round_done(name, acked)
@@ -255,7 +260,7 @@ class SwimAgent:
 
     def _round_done(self, name: str, acked: bool) -> None:
         """Suspect an unconfirmed member, then re-arm the tick."""
-        if not acked:
+        if not acked and self.peer.host.is_up:
             self._declare_suspect(name)
         self._arm_tick(self.probe_interval_s)
 

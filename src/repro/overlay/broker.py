@@ -190,7 +190,6 @@ class Broker(PeerNode):
         #: Gossip federation attachments (see :meth:`attach_federation`;
         #: all None outside a gossip federation).
         self.federation = None
-        self.gossip = None
         self.shard_map = None
         #: Replication targets (standby/primary): peer id -> adv.
         self.replicas: Dict[PeerId, PeerAdvertisement] = {}
@@ -454,9 +453,9 @@ class Broker(PeerNode):
         for hostname in self.shard_map.brokers:
             if hostname == self.host.hostname:
                 continue
-            if self.gossip is not None:
+            if self.gossip_agent is not None:
                 other = self.federation.brokers.get(hostname)
-                if other is not None and not self.gossip.considers_alive(
+                if other is not None and not self.gossip_agent.considers_alive(
                     other.name
                 ):
                     continue
@@ -522,7 +521,7 @@ class Broker(PeerNode):
         from repro.gossip.messages import ShardMapUpdate
 
         self.federation = federation
-        self.gossip = agent
+        self.gossip_agent = agent
         agent.on_change.append(self._on_gossip_liveness)
         self.host.on_message(ShardMapUpdate, self._on_shard_map_update)
         self.adopt_shard_map(federation.shard_map)
@@ -789,23 +788,22 @@ class Broker(PeerNode):
 
     # -- planning estimates (economic model support) ------------------------------
 
-    def estimate_transfer_seconds(self, peer_id: PeerId, bits: float) -> float:
-        """Broker's estimate of transferring ``bits`` to this peer.
+    def estimate_transfer_seconds(self, rec: PeerRecord, bits: float) -> float:
+        """Broker's estimate of transferring ``bits`` to ``rec``'s peer.
 
         Uses the observed EWMA goodput when history exists, else the
         node's planned (mean) access rate; adds the observed petition
-        latency as fixed setup cost.
+        latency as fixed setup cost.  ``rec`` may come from another
+        broker's registry (a federated candidate view).
         """
-        rec = self.record(peer_id)
         host = self.network.host(rec.adv.hostname)
         fallback = min(self.host.planned_up_bps(), host.planned_down_bps())
         bps = rec.perf.estimated_transfer_bps(fallback)
         setup = rec.perf.estimated_petition_latency(host.overhead_mean())
         return setup + bits / bps
 
-    def estimate_exec_seconds(self, peer_id: PeerId, ops: float) -> float:
-        """Broker's estimate of executing ``ops`` on this peer."""
-        rec = self.record(peer_id)
+    def estimate_exec_seconds(self, rec: PeerRecord, ops: float) -> float:
+        """Broker's estimate of executing ``ops`` on ``rec``'s peer."""
         host = self.network.host(rec.adv.hostname)
         fallback = ops / host.planned_compute_seconds(ops) if ops > 0 else 1.0
         rate = rec.perf.estimated_exec_rate(fallback)

@@ -416,12 +416,3 @@ class StalenessClock:
         if t is None:
             return float("inf")
         return max(0.0, now - t)
-
-    def freshest_age(self, keys, now: float) -> float:
-        """Smallest age over ``keys`` (inf for an empty set)."""
-        best = float("inf")
-        for key in keys:
-            a = self.age(key, now)
-            if a < best:
-                best = a
-        return best

@@ -165,8 +165,6 @@ class FailoverDirector:
         """
         agent = self.standby.gossip_agent
         if agent is None:
-            agent = self.standby.gossip
-        if agent is None:
             return False
         st = agent.state_of(self.primary.name)
         if st is None or st.status != "alive":

@@ -77,12 +77,12 @@ class ReadyTimeEstimator:
         total = 0.0
         if record.pending_tasks:
             total += record.pending_tasks * self.broker.estimate_exec_seconds(
-                record.peer_id, self.NOMINAL_QUEUED_TASK_OPS
+                record, self.NOMINAL_QUEUED_TASK_OPS
             )
         foreign = self.external_pending_transfers(record)
         if foreign:
             total += foreign * self.broker.estimate_transfer_seconds(
-                record.peer_id, self.NOMINAL_QUEUED_TRANSFER_BITS
+                record, self.NOMINAL_QUEUED_TRANSFER_BITS
             )
         return total
 
@@ -94,11 +94,11 @@ class ReadyTimeEstimator:
         service = 0.0
         if workload.transfer_bits > 0:
             service += self.broker.estimate_transfer_seconds(
-                record.peer_id, workload.transfer_bits
+                record, workload.transfer_bits
             )
         if workload.ops > 0:
             service += self.broker.estimate_exec_seconds(
-                record.peer_id, workload.ops
+                record, workload.ops
             )
         return ReadyTimeEstimate(
             peer_name=record.adv.name, ready_at=ready, service_seconds=service

@@ -10,7 +10,6 @@ catalog with SC1–SC8 calibration (:mod:`.planetlab`).
 
 from repro.simnet.bandwidth import (
     BandwidthModel,
-    ConstantBandwidth,
     ContendedBandwidth,
     DiurnalBandwidth,
 )
@@ -25,11 +24,9 @@ from repro.simnet.kernel import (
     Timeout,
 )
 from repro.simnet.latency import (
-    ConstantLatency,
     LatencyModel,
     LognormalLatency,
     SpikyLatency,
-    UniformLatency,
 )
 from repro.simnet.loss import NoLoss, PerUnitLoss
 from repro.simnet.planetlab import (
@@ -63,12 +60,9 @@ __all__ = [
     "Store",
     "RandomStreams",
     "LatencyModel",
-    "ConstantLatency",
-    "UniformLatency",
     "LognormalLatency",
     "SpikyLatency",
     "BandwidthModel",
-    "ConstantBandwidth",
     "ContendedBandwidth",
     "DiurnalBandwidth",
     "NoLoss",

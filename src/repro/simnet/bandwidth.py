@@ -26,7 +26,6 @@ from repro.simnet.rng import Draws
 
 __all__ = [
     "BandwidthModel",
-    "ConstantBandwidth",
     "ContendedBandwidth",
     "DiurnalBandwidth",
 ]
@@ -42,24 +41,6 @@ class BandwidthModel(Protocol):
     def mean_rate(self) -> float:
         """Long-run average rate (bits/s) for planning purposes."""
         ...
-
-
-class ConstantBandwidth:
-    """A fixed service rate."""
-
-    def __init__(self, rate_bps: float) -> None:
-        if rate_bps <= 0:
-            raise ValueError(f"rate must be > 0, got {rate_bps}")
-        self._rate = float(rate_bps)
-
-    def rate_at(self, now: float) -> float:
-        return self._rate
-
-    def mean_rate(self) -> float:
-        return self._rate
-
-    def __repr__(self) -> str:
-        return f"ConstantBandwidth({self._rate:g} bps)"
 
 
 class ContendedBandwidth:

@@ -6,9 +6,9 @@ and draw jitter from a dedicated random stream, so two links with the
 same parameters still see independent noise.
 
 The PlanetLab calibration (see :mod:`repro.simnet.planetlab`) uses
-:class:`LognormalLatency` for WAN paths — heavy right tails are what the
-paper's Figure 2 exhibits (petition times from 0.04 s to 27 s) — and
-:class:`ConstantLatency` for LAN/self paths.
+:class:`LognormalLatency` for receiver overheads — heavy right tails are
+what the paper's Figure 2 exhibits (petition times from 0.04 s to
+27 s) — with :class:`SpikyLatency` on top for descheduled slivers.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from repro.simnet.rng import Draws
 
 __all__ = [
     "LatencyModel",
-    "ConstantLatency",
-    "UniformLatency",
     "LognormalLatency",
     "SpikyLatency",
 ]
@@ -38,46 +36,6 @@ class LatencyModel(Protocol):
     def mean(self) -> float:
         """The model's long-run mean delay in seconds."""
         ...
-
-
-class ConstantLatency:
-    """A fixed, deterministic delay."""
-
-    def __init__(self, delay: float) -> None:
-        if delay < 0:
-            raise ValueError(f"latency must be >= 0, got {delay}")
-        self._delay = float(delay)
-
-    def sample(self, now: float) -> float:
-        return self._delay
-
-    @property
-    def mean(self) -> float:
-        return self._delay
-
-    def __repr__(self) -> str:
-        return f"ConstantLatency({self._delay:g})"
-
-
-class UniformLatency:
-    """Uniform jitter in ``[low, high]``."""
-
-    def __init__(self, low: float, high: float, rng: Draws) -> None:
-        if not 0 <= low <= high:
-            raise ValueError(f"need 0 <= low <= high, got [{low}, {high}]")
-        self.low = float(low)
-        self.high = float(high)
-        self._rng = rng
-
-    def sample(self, now: float) -> float:
-        return float(self._rng.uniform(self.low, self.high))
-
-    @property
-    def mean(self) -> float:
-        return 0.5 * (self.low + self.high)
-
-    def __repr__(self) -> str:
-        return f"UniformLatency([{self.low:g}, {self.high:g}])"
 
 
 class LognormalLatency:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.experiments import fig6_selection as f6
 from repro.experiments.scenario import ExperimentConfig, Session
+from repro.experiments.steps import make_selector
 
 
 @pytest.fixture
@@ -46,7 +47,7 @@ class TestWarmup:
 
 class TestUserTable:
     def test_quick_peer_is_the_most_responsive(self, warm_session):
-        table = f6._user_table(warm_session)
+        table = make_selector("quick_peer", warm_session, "fig6").table
         broker = warm_session.broker
         scores = {
             rec.adv.name: table.score(rec.peer_id)
@@ -59,16 +60,16 @@ class TestUserTable:
 class TestSelectors:
     def test_model_factory_names(self, warm_session):
         for model in f6.MODELS:
-            selector = f6._make_selector(model, warm_session)
+            selector = make_selector(model, warm_session, "fig6")
             assert selector is not None
         with pytest.raises(ValueError):
-            f6._make_selector("mystery", warm_session)
+            make_selector("mystery", warm_session, "fig6")
 
     def test_quick_peer_picks_sc2(self, warm_session):
         from repro.selection.base import SelectionContext, Workload
 
         s = warm_session
-        selector = f6._make_selector("quick_peer", s)
+        selector = make_selector("quick_peer", s, "fig6")
         ctx = SelectionContext(
             broker=s.broker,
             now=s.sim.now,
@@ -81,7 +82,7 @@ class TestSelectors:
         from repro.selection.base import SelectionContext, Workload
 
         s = warm_session
-        selector = f6._make_selector("economic", s)
+        selector = make_selector("economic", s, "fig6")
         ctx = SelectionContext(
             broker=s.broker,
             now=s.sim.now,

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.experiments import ExperimentConfig, resilience
+from repro.experiments import ExperimentConfig, resilience, steps
 from repro.experiments.scenario import Session
 from repro.faults import get_profile
 from repro.gossip.config import GossipConfig
@@ -112,10 +112,10 @@ def _informed_candidates(config: ExperimentConfig, ages) -> set:
     ``ages`` has been silent for its given number of seconds."""
 
     def scenario(s):
-        yield 4 * resilience.LIVENESS_S
+        yield 4 * steps.LIVENESS_S
         for label, age in ages.items():
             s.broker.record(s.client(label).peer_id).last_seen = s.sim.now - age
-        return {r.adv.name for r in resilience._candidates("economic", s)}
+        return {r.adv.name for r in steps.candidates("economic", s)}
 
     return Session(config).run(scenario)
 
@@ -124,7 +124,7 @@ class TestInformedLivenessWindow:
     def test_keepalive_drops_silent_peers(self):
         names = _informed_candidates(
             ExperimentConfig(seed=5, repetitions=1),
-            {"SC1": resilience.LIVENESS_S, "SC2": resilience.LIVENESS_S + 0.001},
+            {"SC1": steps.LIVENESS_S, "SC2": steps.LIVENESS_S + 0.001},
         )
         assert "SC1" in names, "boundary is inclusive"
         assert "SC2" not in names
@@ -135,6 +135,6 @@ class TestInformedLivenessWindow:
         # recency window would only starve selection.
         names = _informed_candidates(
             ExperimentConfig(seed=5, repetitions=1, gossip=GossipConfig()),
-            {"SC1": 3 * resilience.LIVENESS_S},
+            {"SC1": 3 * steps.LIVENESS_S},
         )
         assert len(names) == 8

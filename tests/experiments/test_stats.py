@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.stats import Summary, ratio, summarize, summarize_by_key
+from repro.analysis.stats import summarize
 
 
 class TestSummarize:
@@ -30,17 +30,3 @@ class TestSummarize:
         assert s.sem == pytest.approx(s.std / 2.0)
         lo, hi = s.ci95()
         assert lo < s.mean < hi
-
-    def test_summarize_by_key(self):
-        rows = [{"a": 1.0, "b": 10.0}, {"a": 3.0, "b": 20.0}]
-        out = summarize_by_key(rows)
-        assert out["a"].mean == pytest.approx(2.0)
-        assert out["b"].mean == pytest.approx(15.0)
-
-
-class TestRatio:
-    def test_normal(self):
-        assert ratio(10.0, 4.0) == pytest.approx(2.5)
-
-    def test_zero_denominator(self):
-        assert ratio(1.0, 0.0) == float("inf")

@@ -327,6 +327,40 @@ class TestProbeStateMachine:
         assert ends.count(("p1", True)) == 1
         assert ("p1", False) not in ends
 
+    def test_own_host_down_mid_round_ends_it_quietly(self):
+        sim, net, peers, agents = _mesh(3)
+        agents[0].start()
+        while not agents[0]._pending:
+            sim.step()
+        # p0 goes down with its direct ping in flight: the ack cannot
+        # reach it, and it must not ping-req or suspect from a dead host.
+        n0 = net.host(peers[0].host.hostname)
+        n0.crash()
+        _run_for(sim, 3 * CFG.probe_interval_s)
+        assert _counter(net, "gossip.ping_reqs") == 0
+        assert agents[0].suspect_events == 0
+        assert agents[0].alive_members() == ("p1", "p2")
+        assert agents[0]._tick is not None, "the round re-armed its tick"
+        n0.recover()
+        answered = peers[1].control_messages + peers[2].control_messages
+        _run_for(sim, 3 * CFG.probe_interval_s)
+        assert peers[1].control_messages + peers[2].control_messages > answered
+
+    def test_own_host_down_during_ping_req_suspects_nobody(self):
+        sim, net, peers, agents = _mesh(4)
+        # p0 cannot reach p1 directly, so its first round goes indirect.
+        net.add_partition({peers[0].host.hostname}, {peers[1].host.hostname})
+        agents[0].start()  # its ring starts with p1
+        while _counter(net, "gossip.ping_reqs") == 0:
+            sim.step()
+        # The relayed acks cannot reach a down p0; that is no evidence
+        # against p1.
+        net.host(peers[0].host.hostname).crash()
+        _run_for(sim, 3 * CFG.probe_interval_s)
+        assert agents[0].suspect_events == 0
+        assert agents[0].state_of("p1").status == "alive"
+        assert agents[0]._tick is not None
+
     def test_steady_probing_needs_no_process(self, monkeypatch):
         sim, net, _peers, agents = _mesh(5)
         for agent in agents:

@@ -177,13 +177,15 @@ class TestEstimates:
         connect(sim, broker, client)
         rec = broker.record(client.peer_id)
         rec.perf.record_transfer(sim.now, bits=1e6, seconds=1.0)  # 1 Mbps
-        est = broker.estimate_transfer_seconds(client.peer_id, 2e6)
+        est = broker.estimate_transfer_seconds(rec, 2e6)
         assert est >= 2.0  # 2 Mb at 1 Mbps, plus setup
 
     def test_transfer_estimate_fallback_planning_rate(self, overlay_pair, sim):
         broker, client, net = overlay_pair
         connect(sim, broker, client)
-        est = broker.estimate_transfer_seconds(client.peer_id, 10e6)
+        est = broker.estimate_transfer_seconds(
+            broker.record(client.peer_id), 10e6
+        )
         # Fallback = min(broker up, client down) = 10 Mbps -> ~1 s + setup.
         assert 0.9 < est < 2.0
 
@@ -192,7 +194,7 @@ class TestEstimates:
         connect(sim, broker, client)
         rec = broker.record(client.peer_id)
         rec.perf.record_execution(sim.now, ops=100.0, seconds=10.0)
-        assert broker.estimate_exec_seconds(client.peer_id, 50.0) == pytest.approx(5.0)
+        assert broker.estimate_exec_seconds(rec, 50.0) == pytest.approx(5.0)
 
 
 class TestSelectionSnapshot:

@@ -105,7 +105,7 @@ class TestGossipVeto:
         )
         assert director.suppressions, "the gossip veto must have fired"
         assert session.leader_broker is session.broker
-        st = session.standby.gossip.state_of(session.broker.name)
+        st = session.standby.gossip_agent.state_of(session.broker.name)
         assert st.status == "alive"
 
     def test_dead_primary_is_still_promoted(self):
@@ -125,7 +125,7 @@ class TestGossipVeto:
         session = Session(_config())
         session.run(_idle(60.0))
         director = session.failover
-        agent = session.standby.gossip
+        agent = session.standby.gossip_agent
         st = agent.state_of(session.broker.name)
         assert st is not None and st.status == "alive"
         # Fresh confirmation: vouches.

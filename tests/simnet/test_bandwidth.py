@@ -4,29 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simnet.bandwidth import (
-    ConstantBandwidth,
-    ContendedBandwidth,
-    DiurnalBandwidth,
-)
+from repro.simnet.bandwidth import ContendedBandwidth, DiurnalBandwidth
 from repro.simnet.rng import RandomStreams
 
 
 @pytest.fixture
 def rng():
     return RandomStreams(seed=11).get("bw-tests")
-
-
-class TestConstantBandwidth:
-    def test_rate_constant(self):
-        m = ConstantBandwidth(1e6)
-        assert m.rate_at(0.0) == 1e6
-        assert m.rate_at(1e5) == 1e6
-        assert m.mean_rate() == 1e6
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            ConstantBandwidth(0.0)
 
 
 class TestContendedBandwidth:
@@ -73,24 +57,29 @@ class TestContendedBandwidth:
             ContendedBandwidth(1e6, rng, alpha=0.0)
 
 
+def _flat(rate_bps, rng):
+    """A zero-spread base model: the rate is always ``rate_bps``."""
+    return ContendedBandwidth(rate_bps, rng, min_share=1.0, max_share=1.0)
+
+
 class TestDiurnalBandwidth:
-    def test_dips_at_peak(self):
-        m = DiurnalBandwidth(ConstantBandwidth(1e6), depth=0.4, peak_offset=0.0)
+    def test_dips_at_peak(self, rng):
+        m = DiurnalBandwidth(_flat(1e6, rng), depth=0.4, peak_offset=0.0)
         at_peak = m.rate_at(DiurnalBandwidth.DAY / 2)  # trough of cosine
         off_peak = m.rate_at(0.0)
         assert at_peak == pytest.approx(1e6 * 0.6)
         assert off_peak == pytest.approx(1e6)
 
-    def test_mean_rate(self):
-        m = DiurnalBandwidth(ConstantBandwidth(1e6), depth=0.4)
+    def test_mean_rate(self, rng):
+        m = DiurnalBandwidth(_flat(1e6, rng), depth=0.4)
         assert m.mean_rate() == pytest.approx(1e6 * 0.8)
 
-    def test_zero_depth_is_identity(self):
-        m = DiurnalBandwidth(ConstantBandwidth(2e6), depth=0.0)
+    def test_zero_depth_is_identity(self, rng):
+        m = DiurnalBandwidth(_flat(2e6, rng), depth=0.0)
         assert m.rate_at(12345.0) == pytest.approx(2e6)
 
-    def test_depth_validation(self):
+    def test_depth_validation(self, rng):
         with pytest.raises(ValueError):
-            DiurnalBandwidth(ConstantBandwidth(1e6), depth=1.0)
+            DiurnalBandwidth(_flat(1e6, rng), depth=1.0)
         with pytest.raises(ValueError):
-            DiurnalBandwidth(ConstantBandwidth(1e6), depth=-0.1)
+            DiurnalBandwidth(_flat(1e6, rng), depth=-0.1)

@@ -5,49 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.simnet.latency import (
-    ConstantLatency,
-    LognormalLatency,
-    SpikyLatency,
-    UniformLatency,
-)
+from repro.simnet.latency import LognormalLatency, SpikyLatency
 from repro.simnet.rng import RandomStreams
 
 
 @pytest.fixture
 def rng():
     return RandomStreams(seed=7).get("latency-tests")
-
-
-class TestConstantLatency:
-    def test_sample_is_constant(self):
-        m = ConstantLatency(0.5)
-        assert m.sample(0.0) == 0.5
-        assert m.sample(100.0) == 0.5
-        assert m.mean == 0.5
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            ConstantLatency(-0.1)
-
-    def test_zero_allowed(self):
-        assert ConstantLatency(0.0).sample(1.0) == 0.0
-
-
-class TestUniformLatency:
-    def test_samples_within_bounds(self, rng):
-        m = UniformLatency(0.1, 0.3, rng)
-        xs = [m.sample(0.0) for _ in range(200)]
-        assert all(0.1 <= x <= 0.3 for x in xs)
-
-    def test_mean(self, rng):
-        assert UniformLatency(0.1, 0.3, rng).mean == pytest.approx(0.2)
-
-    def test_bad_bounds_rejected(self, rng):
-        with pytest.raises(ValueError):
-            UniformLatency(0.3, 0.1, rng)
-        with pytest.raises(ValueError):
-            UniformLatency(-0.1, 0.2, rng)
 
 
 class TestLognormalLatency:
@@ -79,24 +43,29 @@ class TestLognormalLatency:
         assert xs_tight.std() < xs_wide.std()
 
 
+def _one_second(rng):
+    """A zero-spread base model: every sample is 1.0 s."""
+    return LognormalLatency(mean=1.0, cv=0.0, rng=rng)
+
+
 class TestSpikyLatency:
     def test_mean_accounts_for_spikes(self, rng):
-        base = ConstantLatency(1.0)
+        base = _one_second(rng)
         m = SpikyLatency(base, spike_prob=0.1, spike_factor=3.0, rng=rng)
         assert m.mean == pytest.approx(1.2)
 
     def test_no_spikes_when_prob_zero(self, rng):
-        m = SpikyLatency(ConstantLatency(1.0), 0.0, 5.0, rng)
+        m = SpikyLatency(_one_second(rng), 0.0, 5.0, rng)
         assert all(m.sample(0.0) == 1.0 for _ in range(100))
 
     def test_spikes_occur(self, rng):
-        m = SpikyLatency(ConstantLatency(1.0), 0.5, 4.0, rng)
+        m = SpikyLatency(_one_second(rng), 0.5, 4.0, rng)
         xs = [m.sample(0.0) for _ in range(400)]
         spikes = sum(1 for x in xs if x > 3.9)
         assert 100 < spikes < 300  # ~50 % of 400
 
     def test_validation(self, rng):
         with pytest.raises(ValueError):
-            SpikyLatency(ConstantLatency(1.0), 1.5, 2.0, rng)
+            SpikyLatency(_one_second(rng), 1.5, 2.0, rng)
         with pytest.raises(ValueError):
-            SpikyLatency(ConstantLatency(1.0), 0.1, 0.5, rng)
+            SpikyLatency(_one_second(rng), 0.1, 0.5, rng)

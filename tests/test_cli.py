@@ -134,3 +134,17 @@ class TestCliMetricsOut:
         assert main(["fig2", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("--config:") and "part_io_bps" in err
+
+
+class TestCliFederated:
+    def test_churn_and_resilience_run_federated(self, capsys):
+        # Churn's informed policies see the federation's live view, and
+        # resilience estimates candidates from other shards' registries.
+        assert main(["churn", "resilience", "--federated", "--reps", "2"]) == 0
+        rates = {}
+        for line in capsys.readouterr().out.splitlines():
+            cells = [cell.strip() for cell in line.split("|")]
+            if len(cells) == 4 and cells[0] in ("economic", "same_priority"):
+                rates[cells[0]] = float(cells[1])
+        assert set(rates) == {"economic", "same_priority"}
+        assert all(rate > 0 for rate in rates.values()), rates
