@@ -3,17 +3,14 @@
 The two-phase analyzer gates CI on every push, so its own cost is a
 perf surface: this benchmark runs the complete pass (per-file rules,
 project index, SIM010–SIM014) over the real ``src`` + ``tests`` +
-``benchmarks`` tree and asserts
-
-* the **cold** full-tree run (empty cache, everything indexed fresh)
-  completes inside a wall-time budget sized for the CI runner, and
-* the **warm** re-run replays the whole tree from the content-hash
-  cache (100% hit rate — the incremental engine's headline property,
-  asserted structurally rather than via wall-clock).
+``benchmarks`` tree and asserts that the full-tree run (every file
+parsed and indexed fresh — simlint keeps no state between runs)
+completes inside a wall-time budget sized for the CI runner.  A second
+run is timed too and must report the same findings.
 
 Budgets are deliberately loose (CI runners are noisy); the point is
-to catch an accidental O(files²) regression in the index aggregation
-or a cache that silently stopped hitting, not to microbenchmark.
+to catch an accidental O(files²) regression in the index aggregation,
+not to microbenchmark.
 """
 
 from __future__ import annotations
@@ -28,51 +25,35 @@ from .conftest import emit
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-#: Wall-time ceiling for the cold full-tree pass.  The measured cold
-#: run is ~5s serial on a dev container; 60s keeps headroom for slow
-#: shared runners while still catching complexity regressions.
+#: Wall-time ceiling for the cold full-tree pass.  The measured run is
+#: about 6s on a 2-vCPU host; 60s keeps headroom for slow shared
+#: runners while still catching complexity regressions.
 COLD_BUDGET_S = 60.0
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
 
-def test_full_tree_pass_within_budget(tmp_path):
-    cache = tmp_path / "simlint_cache"
-
+def test_full_tree_pass_within_budget():
     t0 = time.perf_counter()  # simlint: disable=SIM001 -- measured lint wall-time is the benchmark subject
-    cold_result, cold_stats = lint_project(
-        ["src", "tests", "benchmarks"], root=REPO_ROOT, cache_dir=cache
-    )
+    cold_result = lint_project(["src", "tests", "benchmarks"], root=REPO_ROOT)
     cold_s = time.perf_counter() - t0  # simlint: disable=SIM001 -- measured lint wall-time is the benchmark subject
 
     t0 = time.perf_counter()  # simlint: disable=SIM001 -- measured lint wall-time is the benchmark subject
-    warm_result, warm_stats = lint_project(
-        ["src", "tests", "benchmarks"], root=REPO_ROOT, cache_dir=cache
-    )
+    warm_result = lint_project(["src", "tests", "benchmarks"], root=REPO_ROOT)
     warm_s = time.perf_counter() - t0  # simlint: disable=SIM001 -- measured lint wall-time is the benchmark subject
 
     emit(
         "simlint whole-program pass (full tree)",
-        f"files          {cold_stats.files}\n"
+        f"files          {cold_result.files}\n"
         f"cold           {cold_s:6.2f}s "
-        f"({cold_stats.files / max(cold_s, 1e-9):5.0f} files/s, "
-        f"{cold_stats.cache_misses} misses)\n"
+        f"({cold_result.files / max(cold_s, 1e-9):5.0f} files/s)\n"
         f"warm           {warm_s:6.2f}s "
-        f"({warm_stats.files / max(warm_s, 1e-9):5.0f} files/s, "
-        f"{warm_stats.cache_hits} hits)\n"
-        f"hit rate       {warm_stats.hit_rate:.0%}\n"
+        f"({warm_result.files / max(warm_s, 1e-9):5.0f} files/s)\n"
         f"findings       {len(cold_result.findings)}",
     )
 
-    assert cold_stats.files > 150, "expected the whole tree, got a subset"
+    assert cold_result.files > 150, "expected the whole tree, got a subset"
     assert cold_s < COLD_BUDGET_S, (
         f"cold full-tree simlint took {cold_s:.1f}s "
         f"(budget {COLD_BUDGET_S:.0f}s) — index aggregation regressed?"
     )
-    # Incremental property: the warm run serves *every* file from
-    # cache and reproduces the cold findings bit-for-bit.
-    assert warm_stats.hit_rate == 1.0
-    assert warm_stats.cache_misses == 0
     assert warm_result.findings == cold_result.findings
-    # Warm must also be far cheaper than cold in work terms: no file
-    # is re-indexed, so the only cost is hashing + JSON loads.
-    assert warm_stats.findings_replayed == warm_stats.files

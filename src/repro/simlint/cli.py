@@ -2,9 +2,8 @@
 
 Exit codes::
 
-    0   no unsuppressed, un-baselined findings
-    1   new findings (the CI-gating outcome), or stale baseline
-        entries under ``--fail-on-expired``
+    0   no unsuppressed findings
+    1   findings (the CI-gating outcome)
     2   usage error, unknown rule, unreadable/unparsable input
 
 Typical invocations::
@@ -12,19 +11,14 @@ Typical invocations::
     python -m repro.simlint src benchmarks tests
     python -m repro.simlint src --format github          # CI annotations
     python -m repro.simlint src --select SIM011          # one rule
-    python -m repro.simlint src --changed-only --stats   # warm incremental
-    python -m repro.simlint src --update-baseline        # adopt findings
-    python -m repro.simlint src --prune-baseline         # drop stale entries
+    python -m repro.simlint src --stats                  # timing, rule hits
     python -m repro.simlint --list-rules
 
-The default run is the two-phase whole-program analysis: per-file
-rules (SIM001–SIM007, served from the content-hash cache under
-``.simlint_cache/`` when unchanged) plus the cross-module pack
-(SIM010–SIM014) over a freshly aggregated
-:class:`~repro.simlint.project.ProjectIndex`.  ``--changed-only``
-narrows the per-file *report* to files whose content hash missed the
-cache — the index is always rebuilt over everything, so cross-module
-rules never see a stale world.
+Every run is the two-phase whole-program analysis over fresh parses:
+per-file rules (SIM001–SIM007) plus the cross-module pack
+(SIM010–SIM014) over a :class:`~repro.simlint.project.ProjectIndex`
+built from the same parse.  The only way to exempt a finding is an
+inline ``# simlint: disable=SIM0xx -- reason`` comment.
 """
 
 from __future__ import annotations
@@ -35,16 +29,13 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from repro.simlint.baseline import Baseline
-from repro.simlint.engine import LintError
-from repro.simlint.project import CACHE_DIR_NAME, lint_project
+from repro.simlint.engine import LintError, LintResult
+from repro.simlint.project import lint_project
 from repro.simlint.project_rules import PROJECT_RULES
 from repro.simlint.reporters import REPORTERS
 from repro.simlint.rules import RULES
 
 __all__ = ["main", "build_parser"]
-
-DEFAULT_BASELINE = "simlint-baseline.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,35 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: text)",
     )
     parser.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE,
-        metavar="PATH",
-        help=f"baseline file of grandfathered findings "
-        f"(default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file entirely",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to the current findings and exit 0",
-    )
-    parser.add_argument(
-        "--prune-baseline",
-        action="store_true",
-        help="remove baseline entries the current run no longer "
-        "produces, write the shrunk file, and exit 0",
-    )
-    parser.add_argument(
-        "--fail-on-expired",
-        action="store_true",
-        help="exit 1 if the baseline contains stale entries "
-        "(CI hygiene: a fixed finding must also leave the baseline)",
-    )
-    parser.add_argument(
         "--select",
         metavar="RULES",
         help="comma-separated rule ids to run (default: all)",
@@ -109,34 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="repository root for relative paths (default: cwd)",
     )
     parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="report per-file findings only for files whose content "
-        "hash missed the cache (the cross-module index still covers "
-        "every file)",
-    )
-    parser.add_argument(
         "--stats",
         action="store_true",
-        help="print files/s, cache hit rate and per-rule hit counts",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help=f"per-file index/finding cache location "
-        f"(default: <root>/{CACHE_DIR_NAME})",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the per-file cache (index everything fresh)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        metavar="N",
-        help="worker processes for per-file indexing "
-        "(default: REPRO_PARALLEL env, else serial; 0 = one per CPU)",
+        help="print files/s and per-rule hit counts",
     )
     parser.add_argument(
         "--no-project",
@@ -177,17 +114,15 @@ def _emit(text: str) -> None:
             pass
 
 
-def _render_stats(stats, findings, elapsed: float) -> str:
-    """The ``--stats`` block: throughput, cache behaviour, rule hits."""
-    rate = stats.files / elapsed if elapsed > 0 else 0.0
+def _render_stats(result: LintResult, elapsed: float) -> str:
+    """The ``--stats`` block: throughput and rule hits."""
+    rate = result.files / elapsed if elapsed > 0 else 0.0
     lines = [
-        f"simlint stats: {stats.files} file(s) in {elapsed:.2f}s "
+        f"simlint stats: {result.files} file(s) in {elapsed:.2f}s "
         f"({rate:.0f} files/s)",
-        f"  cache: {stats.cache_hits} hit(s), {stats.cache_misses} "
-        f"miss(es) ({stats.hit_rate:.0%} hit rate)",
     ]
     hits: dict = {}
-    for f in findings:
+    for f in result.findings:
         hits[f.rule] = hits.get(f.rule, 0) + 1
     if hits:
         counts = ", ".join(f"{r}={n}" for r, n in sorted(hits.items()))
@@ -214,23 +149,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     root = Path(args.root).resolve() if args.root else Path.cwd()
-    if args.no_cache:
-        cache_dir = None
-    elif args.cache_dir:
-        cache_dir = Path(args.cache_dir)
-    else:
-        cache_dir = root / CACHE_DIR_NAME
-
     started = time.perf_counter()  # simlint: disable=SIM001 -- measured lint wall-time for --stats, not simulated time
     try:
-        result, stats = lint_project(
+        result = lint_project(
             args.paths,
             root=root,
             select=_split_rules(args.select),
             ignore=_split_rules(args.ignore),
-            cache_dir=cache_dir,
-            workers=args.jobs,
-            changed_only=args.changed_only,
             project_rules=not args.no_project,
         )
     except LintError as exc:
@@ -238,48 +163,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     elapsed = time.perf_counter() - started  # simlint: disable=SIM001 -- measured lint wall-time for --stats, not simulated time
 
-    baseline_path = root / args.baseline
-    if args.no_baseline:
-        baseline = Baseline({})
-    else:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except ValueError as exc:
-            print(f"simlint: error: {exc}", file=sys.stderr)
-            return 2
-
-    if args.update_baseline:
-        Baseline.write(baseline_path, result.findings)
-        _emit(
-            f"simlint: baseline updated with {len(result.findings)} "
-            f"finding(s) at {baseline_path}"
-        )
-        return 0
-
-    if args.prune_baseline:
-        removed = baseline.prune(result.findings)
-        baseline.save(baseline_path)
-        _emit(
-            f"simlint: pruned {len(removed)} stale baseline entr(ies) "
-            f"at {baseline_path}"
-        )
-        for key in removed:
-            _emit(f"  removed {key}")
-        return 0
-
-    new, baselined = baseline.split(result.findings)
-    expired = baseline.expired(result.findings)
-    reporter = REPORTERS[args.format]
-    _emit(reporter(new, baselined, result.suppressed, expired, result.files))
+    _emit(REPORTERS[args.format](result))
     if args.stats:
-        _emit(_render_stats(stats, result.findings, elapsed))
-    if new:
-        return 1
-    if args.fail_on_expired and expired:
-        print(
-            f"simlint: error: {len(expired)} stale baseline entr(ies) — "
-            f"run --prune-baseline and commit the shrunk file",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+        _emit(_render_stats(result, elapsed))
+    return 1 if result.findings else 0

@@ -5,7 +5,10 @@ need: the parsed AST, an import-alias map (so ``np.random.seed``
 resolves to ``numpy.random.seed`` whatever numpy was imported as),
 which function nodes are generators (kernel ``Process`` bodies),
 which names/attributes are statically known to be ``set``-typed, and
-the inline-suppression table scanned from comments.
+the inline-suppression table scanned from comments.  Each file is
+parsed once: the per-file rules read the :class:`ModuleInfo`, and
+:func:`repro.simlint.project.index_module` derives the file's
+cross-module facts from the same object.
 
 Suppressions
 ------------
@@ -38,9 +41,11 @@ __all__ = [
     "LintResult",
     "ModuleInfo",
     "classify_scope",
+    "Suppressions",
     "iter_python_files",
-    "lint_paths",
+    "lint_module",
     "lint_source",
+    "select_rules",
 ]
 
 #: Marker for "all rules" in a suppression entry.
@@ -77,6 +82,9 @@ class ModuleInfo:
         except SyntaxError as exc:
             raise LintError(f"{path}: {exc.msg} (line {exc.lineno})") from exc
         self.imports: Dict[str, str] = {}
+        #: Dotted target of every import (``import a.b`` -> ``a.b``,
+        #: ``from a import b`` -> ``a.b``), sorted and deduplicated.
+        self.imported_modules: List[str] = []
         #: id(node) of FunctionDef/AsyncFunctionDef nodes that are
         #: generators (contain a yield at their own nesting level).
         self.generator_funcs: Set[int] = set()
@@ -89,48 +97,44 @@ class ModuleInfo:
         self.module_sets: Set[str] = set()
         self.class_sets: Dict[str, Set[str]] = {}
         self.local_sets: Dict[int, Set[str]] = {}
-        #: ``(lineno, end_lineno)`` of every statement — a suppression
-        #: on any physical line of a flagged statement covers it.
-        self._stmt_spans: List[Tuple[int, int]] = []
-        self._collect_imports()
-        self._collect_generators()
-        self._collect_stmt_spans()
+        stmt_spans = self._collect_facts()
         _SetBindingCollector(self).visit(self.tree)
-        (
-            self.line_suppressions,
-            self.file_suppressions,
-        ) = scan_suppressions(source)
+        self.suppressions = Suppressions(source, stmt_spans)
 
-    # -- facts ------------------------------------------------------------
-
-    def _collect_imports(self) -> None:
+    def _collect_facts(self) -> List[Tuple[int, int]]:
+        """One walk for imports, generator/decorated functions and the
+        ``(lineno, end_lineno)`` span of every statement."""
+        spans: List[Tuple[int, int]] = []
+        imported: Set[str] = set()
         for node in ast.walk(self.tree):
+            if not isinstance(node, ast.stmt):
+                continue
+            spans.append((node.lineno, node.end_lineno or node.lineno))
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    name = alias.asname or alias.name.split(".")[0]
-                    target = alias.name if alias.asname else alias.name.split(".")[0]
-                    self.imports[name] = target
+                    top = alias.name.split(".")[0]
+                    self.imports[alias.asname or top] = (
+                        alias.name if alias.asname else top
+                    )
+                    imported.add(alias.name)
             elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
                 for alias in node.names:
                     if alias.name == "*":
                         continue
-                    name = alias.asname or alias.name
-                    self.imports[name] = f"{node.module}.{alias.name}"
-
-    def _collect_stmt_spans(self) -> None:
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.stmt) and hasattr(node, "lineno"):
-                self._stmt_spans.append(
-                    (node.lineno, node.end_lineno or node.lineno)
-                )
-
-    def _collect_generators(self) -> None:
-        for node in ast.walk(self.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    target = f"{node.module}.{alias.name}"
+                    self.imports[alias.asname or alias.name] = target
+                    # The full dotted target lets longest-prefix
+                    # resolution find ``pkg.core`` for both
+                    # ``from pkg import core`` and
+                    # ``from pkg.core import VALUE``.
+                    imported.add(target)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if node.decorator_list:
                     self.decorated_funcs.add(id(node))
                 if _has_own_yield(node):
                     self.generator_funcs.add(id(node))
+        self.imported_modules = sorted(imported)
+        return spans
 
     # -- helpers for rules ------------------------------------------------
 
@@ -194,26 +198,6 @@ class ModuleInfo:
             message=message,
             end_line=getattr(node, "end_lineno", None) or getattr(node, "lineno", 1),
         )
-
-    def is_suppressed(self, finding: Finding) -> bool:
-        filewide = self.file_suppressions
-        if ALL_RULES in filewide or finding.rule in filewide:
-            return True
-        start, end = finding.line, finding.end_line
-        # Widen to the smallest enclosing statement so a trailing
-        # comment on any physical line of the statement counts.
-        best: Optional[Tuple[int, int]] = None
-        for lo, hi in self._stmt_spans:
-            if lo <= finding.line <= hi:
-                if best is None or (hi - lo) < (best[1] - best[0]):
-                    best = (lo, hi)
-        if best is not None:
-            start, end = min(start, best[0]), max(end, best[1])
-        for line in range(start, end + 1):
-            rules = self.line_suppressions.get(line)
-            if rules is not None and (ALL_RULES in rules or finding.rule in rules):
-                return True
-        return False
 
 
 def _has_own_yield(func: ast.AST) -> bool:
@@ -364,6 +348,9 @@ def scan_suppressions(
     """
     per_line: Dict[int, Set[str]] = {}
     filewide: Set[str] = set()
+    if "simlint:" not in source:
+        # No comment can match; skip the tokenizer.
+        return per_line, filewide
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, IndentationError, SyntaxError):
@@ -387,6 +374,43 @@ def scan_suppressions(
     return per_line, filewide
 
 
+class Suppressions:
+    """One file's inline-suppression table.
+
+    Per-file and cross-module findings are both checked against it, so
+    both honour the same comments.
+    """
+
+    def __init__(self, source: str, stmt_spans: List[Tuple[int, int]]) -> None:
+        self.lines, self.filewide = scan_suppressions(source)
+        #: ``(lineno, end_lineno)`` of every statement — a suppression
+        #: on any physical line of a flagged statement covers it.  Only
+        #: kept when there is a line suppression to widen to.
+        self.stmt_spans = stmt_spans if self.lines else []
+
+    def is_suppressed(self, finding: Finding) -> bool:
+        filewide = self.filewide
+        if ALL_RULES in filewide or finding.rule in filewide:
+            return True
+        if not self.lines:
+            return False
+        start, end = finding.line, finding.end_line
+        # Widen to the smallest enclosing statement so a trailing
+        # comment on any physical line of the statement counts.
+        best: Optional[Tuple[int, int]] = None
+        for lo, hi in self.stmt_spans:
+            if lo <= finding.line <= hi:
+                if best is None or (hi - lo) < (best[1] - best[0]):
+                    best = (lo, hi)
+        if best is not None:
+            start, end = min(start, best[0]), max(end, best[1])
+        for line in range(start, end + 1):
+            rules = self.lines.get(line)
+            if rules is not None and (ALL_RULES in rules or finding.rule in rules):
+                return True
+        return False
+
+
 # ---------------------------------------------------------------------------
 # Lint drivers
 # ---------------------------------------------------------------------------
@@ -399,11 +423,6 @@ class LintResult:
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
     files: int = 0
-
-    def extend(self, other: "LintResult") -> None:
-        self.findings.extend(other.findings)
-        self.suppressed.extend(other.suppressed)
-        self.files += other.files
 
     def sorted(self) -> "LintResult":
         self.findings.sort(key=Finding.sort_key)
@@ -425,23 +444,52 @@ def classify_scope(path: str) -> str:
     return "sim"
 
 
-def _active_rules(select: Optional[Iterable[str]], ignore: Optional[Iterable[str]]):
+def select_rules(
+    select: Optional[Iterable[str]] = None,
+    ignore: Optional[Iterable[str]] = None,
+) -> Tuple[list, list]:
+    """The active ``(per_file_rules, project_rules)``.
+
+    ``select`` (None = every rule) and ``ignore`` are checked against
+    both rule packs; an unknown id raises :class:`LintError`.
+    """
+    from repro.simlint.project_rules import PROJECT_RULES
     from repro.simlint.rules import RULES
 
-    rules = list(RULES)
-    if select:
-        wanted = {r.upper() for r in select}
-        unknown = wanted - {r.id for r in rules}
+    known = {rule.id for rule in (*RULES, *PROJECT_RULES)}
+
+    def checked(raw: Optional[Iterable[str]]) -> Optional[Set[str]]:
+        if raw is None:
+            return None
+        ids = {r.upper() for r in raw}
+        unknown = ids - known
         if unknown:
             raise LintError(f"unknown rule id(s): {', '.join(sorted(unknown))}")
-        rules = [r for r in rules if r.id in wanted]
-    if ignore:
-        dropped = {r.upper() for r in ignore}
-        unknown = dropped - {r.id for r in RULES}
-        if unknown:
-            raise LintError(f"unknown rule id(s): {', '.join(sorted(unknown))}")
-        rules = [r for r in rules if r.id not in dropped]
-    return rules
+        return ids
+
+    wanted = checked(select)
+    dropped = checked(ignore) or set()
+
+    def active(rules) -> list:
+        return [
+            rule
+            for rule in rules
+            if (wanted is None or rule.id in wanted) and rule.id not in dropped
+        ]
+
+    return active(RULES), active(PROJECT_RULES)
+
+
+def lint_module(mod: ModuleInfo, rules: Iterable, result: LintResult) -> None:
+    """Run per-file ``rules`` over ``mod`` into ``result``."""
+    for rule in rules:
+        if mod.scope not in rule.scopes or mod.path.endswith(rule.exclude_paths):
+            continue
+        for finding in rule.check(mod):
+            if mod.suppressions.is_suppressed(finding):
+                result.suppressed.append(finding)
+            else:
+                result.findings.append(finding)
 
 
 def lint_source(
@@ -451,21 +499,10 @@ def lint_source(
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
 ) -> LintResult:
-    """Lint one module's source text."""
-    if scope is None:
-        scope = classify_scope(path) if path != "<memory>" else "sim"
-    mod = ModuleInfo(source, path, scope)
+    """Lint one module's source text with the per-file rules."""
+    mod = ModuleInfo(source, path, scope or classify_scope(path))
     result = LintResult(files=1)
-    for rule in _active_rules(select, ignore):
-        if scope not in rule.scopes:
-            continue
-        if any(path.endswith(suffix) for suffix in rule.exclude_paths):
-            continue
-        for finding in rule.check(mod):
-            if mod.is_suppressed(finding):
-                result.suppressed.append(finding)
-            else:
-                result.findings.append(finding)
+    lint_module(mod, select_rules(select, ignore)[0], result)
     return result.sorted()
 
 
@@ -489,22 +526,3 @@ def iter_python_files(paths: Sequence[str], root: Optional[Path] = None):
         except ValueError:
             rel = f.as_posix()
         yield f, rel
-
-
-def lint_paths(
-    paths: Sequence[str],
-    root: Optional[Path] = None,
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-) -> LintResult:
-    """Lint every ``.py`` file under ``paths`` (files or directories)."""
-    result = LintResult()
-    for abspath, rel in iter_python_files(paths, root=root):
-        try:
-            source = abspath.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise LintError(f"{rel}: {exc}") from exc
-        result.extend(
-            lint_source(source, path=rel, select=select, ignore=ignore)
-        )
-    return result.sorted()

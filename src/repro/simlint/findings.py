@@ -1,9 +1,6 @@
 """Finding records produced by the simlint rules.
 
-A :class:`Finding` is one rule violation at one source location.  Its
-:attr:`key` — ``rule:path:line`` — is the identity used by the
-committed baseline (:mod:`repro.simlint.baseline`) to recognise
-grandfathered findings across runs.
+A :class:`Finding` is one rule violation at one source location.
 """
 
 from __future__ import annotations
@@ -30,11 +27,6 @@ class Finding:
         if self.end_line < self.line:
             object.__setattr__(self, "end_line", self.line)
 
-    @property
-    def key(self) -> str:
-        """Stable identity used by the baseline file."""
-        return f"{self.rule}:{self.path}:{self.line}"
-
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.col, self.rule)
 
@@ -47,17 +39,3 @@ class Finding:
             "message": self.message,
             "end_line": self.end_line,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Finding":
-        """Inverse of :meth:`to_dict` (the simlint cache round-trips
-        findings through JSON; a dropped field here silently shrinks
-        suppression spans on replay — SIM014's bug class)."""
-        return cls(
-            rule=data["rule"],
-            path=data["path"],
-            line=data["line"],
-            col=data["col"],
-            message=data["message"],
-            end_line=data.get("end_line", 0),
-        )

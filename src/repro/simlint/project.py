@@ -8,62 +8,51 @@ metric published under a name no catalog registers, a config dataclass
 whose hand-rolled ``to_dict`` silently drops a field.  This module
 builds the cross-module fact base those rules need:
 
-* :class:`FileIndex` — one file's extracted facts as *plain data*
-  (JSON-serializable, picklable): imports, RNG construction sites with
-  seed lineage, metric/trace literals, catalog declarations, config
-  dataclasses with their serialized key sets, generator functions with
-  yield classifications, and the inline-suppression table.
+* :class:`FileIndex` — one file's extracted facts, derived from the
+  same :class:`~repro.simlint.engine.ModuleInfo` the per-file rules
+  read: imports, RNG construction sites with seed lineage,
+  metric/trace literals, catalog declarations, config dataclasses with
+  their serialized key sets, generator functions with yield
+  classifications, and the inline-suppression table.
 * :class:`ProjectIndex` — the aggregation: module map, import graph,
   cross-file function resolution, and the propagated set of kernel
   *process* generators.
-* :func:`build_project_index` — the incremental parallel driver:
-  per-file indexing is keyed by content hash into ``.simlint_cache/``
-  and fanned out through :func:`repro.perf.parallel.pmap`, so a warm
-  re-run re-indexes only changed files.
-* :func:`lint_project` — the two-phase entry point the CLI uses:
-  per-file rules (cache-accelerated) plus the cross-module rule pack
-  (:mod:`repro.simlint.project_rules`) over the fresh index.
+* :func:`lint_project` — the one lint driver: it parses each file
+  once, runs the per-file rules on it, indexes it, then runs the
+  cross-module rule pack (:mod:`repro.simlint.project_rules`) over the
+  whole index.  Nothing is kept between runs.
 
 Everything here is stdlib-only and deterministic: files are visited in
-sorted order, pmap returns results in task order, and a parallel index
-is bit-identical to a serial one (asserted in tests).
+sorted order.
 """
 
 from __future__ import annotations
 
 import ast
-import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.simlint.engine import (
-    ALL_RULES,
     LintError,
     LintResult,
+    ModuleInfo,
+    Suppressions,
     classify_scope,
     iter_python_files,
-    lint_source,
-    scan_suppressions,
+    lint_module,
+    select_rules,
 )
 from repro.simlint.findings import Finding
 
 __all__ = [
     "FileIndex",
-    "IndexStats",
     "ProjectIndex",
     "build_project_index",
+    "index_module",
     "index_source",
     "lint_project",
 ]
-
-#: Bump to invalidate every cache entry (index schema or rule change).
-INDEX_VERSION = 1
-
-#: Default cache directory name, created under the lint root.
-CACHE_DIR_NAME = ".simlint_cache"
 
 #: Wall-clock calls a seed expression must never derive from.
 _WALL_CLOCK_SEEDS = frozenset(
@@ -114,12 +103,11 @@ _FROM_NAMES = frozenset({"from_dict", "from_json"})
 
 @dataclass
 class FileIndex:
-    """One file's cross-module facts, as cache-friendly plain data."""
+    """One file's cross-module facts, as plain data."""
 
     path: str
     scope: str
     module: str
-    content_hash: str
     #: Dotted targets of every import (aliases resolved).
     imported_modules: List[str] = field(default_factory=list)
     #: ``random.Random(...)`` (and friends) construction sites:
@@ -150,39 +138,9 @@ class FileIndex:
     yield_sites: List[dict] = field(default_factory=list)
     #: ``yield from helper(...)`` delegation refs: ``{func, ref}``.
     yield_from_refs: List[dict] = field(default_factory=list)
-    #: Inline-suppression table (``{"lines": {line: [...]},
-    #: "file": [...]}``) so cross-module findings honour the same
-    #: inline-disable comment machinery as per-file ones.
-    suppressions: dict = field(default_factory=dict)
-    #: Statement spans for suppression widening.
-    stmt_spans: List[List[int]] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FileIndex":
-        known = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
-
-
-@dataclass
-class IndexStats:
-    """Cache behaviour of one :func:`build_project_index` run."""
-
-    files: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: Files whose per-file findings were replayed from cache.
-    findings_replayed: int = 0
-    #: Paths (repo-relative) that missed the cache this run — the
-    #: "changed" set ``--changed-only`` reports per-file findings for.
-    changed: List[str] = field(default_factory=list)
-
-    @property
-    def hit_rate(self) -> float:
-        """Cache hit fraction in [0, 1] (0 when no files seen)."""
-        return self.cache_hits / self.files if self.files else 0.0
+    #: The file's inline-suppression table, shared with the per-file
+    #: pass so cross-module findings honour the same comments.
+    suppressions: Optional[Suppressions] = None
 
 
 def _module_name(rel: str) -> str:
@@ -224,81 +182,33 @@ class _Ref:
 
 
 class _FileIndexer(ast.NodeVisitor):
-    """Single pass extracting every cross-module fact from one AST."""
+    """Single pass extracting every cross-module fact from one module."""
 
-    def __init__(self, idx: FileIndex, tree: ast.AST, source: str) -> None:
+    def __init__(self, idx: FileIndex, mod: ModuleInfo) -> None:
         self.idx = idx
-        self.tree = tree
-        self.imports: Dict[str, str] = {}
-        self.func_stack: List[ast.AST] = []
+        self.mod = mod
+        self.dotted = mod.dotted_name
+        #: Qualified names of the enclosing functions, innermost last.
+        self.func_stack: List[str] = []
         self.class_stack: List[str] = []
         #: Per-function seed-lineage environments: name -> class.
         self.env_stack: List[Dict[str, str]] = [{}]
-        #: Names bound to the random.Random constructor (aliasing).
+        #: Names assigned the random.Random constructor (aliasing).
         self.rng_ctor_names: Set[str] = set()
-        self._generator_ids: Set[int] = set()
-        self._collect_imports()
-        self._collect_generators()
-
-    # -- setup ---------------------------------------------------------------
-
-    def _collect_imports(self) -> None:
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    name = alias.asname or alias.name.split(".")[0]
-                    target = alias.name if alias.asname else alias.name.split(".")[0]
-                    self.imports[name] = target
-                    self.idx.imported_modules.append(alias.name)
-            elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    name = alias.asname or alias.name
-                    self.imports[name] = f"{node.module}.{alias.name}"
-                    # Record the full dotted target: longest-prefix
-                    # resolution then finds ``pkg.core`` for both
-                    # ``from pkg import core`` and
-                    # ``from pkg.core import VALUE``.
-                    self.idx.imported_modules.append(
-                        f"{node.module}.{alias.name}"
-                    )
-                    if node.module == "random" and alias.name == "Random":
-                        self.rng_ctor_names.add(name)
-        # Deterministic, deduplicated import list.
-        self.idx.imported_modules = sorted(set(self.idx.imported_modules))
-
-    def _collect_generators(self) -> None:
-        for node in ast.walk(self.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if _has_own_yield(node):
-                    self._generator_ids.add(id(node))
 
     # -- helpers -------------------------------------------------------------
-
-    def dotted(self, node: ast.AST) -> Optional[str]:
-        parts: List[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        parts.append(self.imports.get(node.id, node.id))
-        return ".".join(reversed(parts))
 
     def _qualname(self, name: str) -> str:
         return ".".join([*self.class_stack, name]) if self.class_stack else name
 
     @property
     def current_func_qualname(self) -> Optional[str]:
-        if not self.func_stack:
-            return None
-        return getattr(self.func_stack[-1], "_simlint_qualname", None)
+        return self.func_stack[-1] if self.func_stack else None
 
     def _callee_ref(self, func: ast.AST) -> Optional[dict]:
         """Resolve a call's callee to an index reference."""
         if isinstance(func, ast.Name):
-            target = self.imports.get(func.id)
+            target = self.mod.imports.get(func.id)
             if target is not None:
                 return _Ref.imported(target)
             return _Ref.local(func.id)
@@ -381,7 +291,6 @@ class _FileIndexer(ast.NodeVisitor):
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         qualname = self._qualname(node.name)
-        node._simlint_qualname = qualname  # type: ignore[attr-defined]
         returns: List[Optional[dict]] = []
         for sub in ast.walk(node):
             if isinstance(sub, ast.Return) and sub.value is not None:
@@ -393,12 +302,12 @@ class _FileIndexer(ast.NodeVisitor):
             {
                 "qualname": qualname,
                 "line": node.lineno,
-                "is_generator": id(node) in self._generator_ids,
+                "is_generator": self.mod.is_generator(node),
                 "decorated": bool(node.decorator_list),
                 "returns": returns,
             }
         )
-        self.func_stack.append(node)
+        self.func_stack.append(qualname)
         self.env_stack.append({})
         self.generic_visit(node)
         self.env_stack.pop()
@@ -665,18 +574,6 @@ class _FileIndexer(ast.NodeVisitor):
         return "other", None, type(value).__name__
 
 
-def _has_own_yield(func: ast.AST) -> bool:
-    stack = list(func.body)  # type: ignore[attr-defined]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            return True
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-    return False
-
-
 def _is_dataclass_decorated(node: ast.ClassDef) -> bool:
     for deco in node.decorator_list:
         target = deco.func if isinstance(deco, ast.Call) else deco
@@ -722,38 +619,22 @@ def _str_tuple_arg(node: ast.Call, pos: int, kw: str) -> Optional[List[str]]:
     return None
 
 
-def index_source(source: str, path: str, scope: Optional[str] = None) -> FileIndex:
-    """Build the :class:`FileIndex` for one module's source text."""
-    if scope is None:
-        scope = classify_scope(path)
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        raise LintError(f"{path}: {exc.msg} (line {exc.lineno})") from exc
+def index_module(mod: ModuleInfo) -> FileIndex:
+    """Build the :class:`FileIndex` of one parsed module."""
     idx = FileIndex(
-        path=path,
-        scope=scope,
-        module=_module_name(path),
-        content_hash=content_hash(source),
+        path=mod.path,
+        scope=mod.scope,
+        module=_module_name(mod.path),
+        imported_modules=mod.imported_modules,
+        suppressions=mod.suppressions,
     )
-    indexer = _FileIndexer(idx, tree, source)
-    indexer.visit(tree)
-    per_line, filewide = scan_suppressions(source)
-    idx.suppressions = {
-        "lines": {str(line): sorted(rules) for line, rules in per_line.items()},
-        "file": sorted(filewide),
-    }
-    idx.stmt_spans = [
-        [node.lineno, node.end_lineno or node.lineno]
-        for node in ast.walk(tree)
-        if isinstance(node, ast.stmt) and hasattr(node, "lineno")
-    ]
+    _FileIndexer(idx, mod).visit(mod.tree)
     return idx
 
 
-def content_hash(source: str) -> str:
-    """Stable content key for the incremental cache."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
+def index_source(source: str, path: str, scope: Optional[str] = None) -> FileIndex:
+    """Build the :class:`FileIndex` for one module's source text."""
+    return index_module(ModuleInfo(source, path, scope or classify_scope(path)))
 
 
 # ---------------------------------------------------------------------------
@@ -906,25 +787,7 @@ class ProjectIndex:
     def is_suppressed(self, finding: Finding) -> bool:
         """Same inline-suppression semantics as per-file findings."""
         fi = self.files.get(finding.path)
-        if fi is None:
-            return False
-        filewide = set(fi.suppressions.get("file", ()))
-        if ALL_RULES in filewide or finding.rule in filewide:
-            return True
-        start, end = finding.line, finding.end_line
-        best: Optional[Tuple[int, int]] = None
-        for lo, hi in fi.stmt_spans:
-            if lo <= finding.line <= hi:
-                if best is None or (hi - lo) < (best[1] - best[0]):
-                    best = (lo, hi)
-        if best is not None:
-            start, end = min(start, best[0]), max(end, best[1])
-        lines = fi.suppressions.get("lines", {})
-        for line in range(start, end + 1):
-            rules = lines.get(str(line))
-            if rules is not None and (ALL_RULES in rules or finding.rule in rules):
-                return True
-        return False
+        return fi is not None and fi.suppressions.is_suppressed(finding)
 
     def finding(
         self, rule: str, path: str, line: int, message: str, end_line: int = 0
@@ -940,205 +803,27 @@ class ProjectIndex:
 
 
 # ---------------------------------------------------------------------------
-# Incremental parallel build
+# Lint driver
 # ---------------------------------------------------------------------------
 
 
-def _rules_signature() -> str:
-    """Hash of the active per-file rule pack — any change invalidates
-    cached per-file findings (the index survives: its schema version
-    is separate)."""
-    from repro.simlint.rules import RULES
-
-    payload = ",".join(sorted(r.id for r in RULES)) + f"|v{INDEX_VERSION}"
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def _cache_file(cache_dir: Path, rel: str) -> Path:
-    digest = hashlib.sha256(rel.encode("utf-8")).hexdigest()[:20]
-    return cache_dir / f"{digest}.json"
-
-
-def _load_cache_entry(cache_dir: Path, rel: str) -> Optional[dict]:
-    path = _cache_file(cache_dir, rel)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    if (
-        not isinstance(data, dict)
-        or data.get("version") != INDEX_VERSION
-        or data.get("path") != rel
-    ):
-        return None
-    return data
-
-
-def _write_cache_entry(cache_dir: Path, entry: dict) -> None:
-    try:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        path = _cache_file(cache_dir, entry["path"])
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(entry), encoding="utf-8")
-        tmp.replace(path)
-    except OSError:  # pragma: no cover - cache is best-effort
-        pass
-
-
-def _finding_to_dict(f: Finding) -> dict:
-    return f.to_dict()
-
-
-def _finding_from_dict(d: dict) -> Finding:
-    return Finding.from_dict(d)
-
-
-def _index_task(task: Tuple[str, str, str, bool]) -> dict:
-    """Worker: index (and optionally lint) one file.  Top-level so the
-    pmap fork/spawn pool can pickle it; returns plain dicts only."""
-    rel, source, scope, lint = task
-    idx = index_source(source, rel, scope)
-    out: dict = {"index": idx.to_dict(), "findings": [], "suppressed": []}
-    if lint:
-        result = lint_source(source, path=rel, scope=scope)
-        out["findings"] = [_finding_to_dict(f) for f in result.findings]
-        out["suppressed"] = [_finding_to_dict(f) for f in result.suppressed]
-    return out
-
-
-def build_project_index(
-    paths: Sequence[str],
-    root: Optional[Path] = None,
-    cache_dir: Optional[Path] = None,
-    workers: Optional[int] = None,
-    with_findings: bool = True,
-) -> Tuple[ProjectIndex, IndexStats, Dict[str, LintResult]]:
-    """Index every ``.py`` file under ``paths``, incrementally.
-
-    Unchanged files (same content hash, same rule signature) are
-    served from ``cache_dir``; the rest fan out through
-    :func:`repro.perf.parallel.pmap` (worker count resolves exactly
-    like the experiment sweeps: ``workers`` argument, then the
-    process-wide default, then ``REPRO_PARALLEL``, else serial).
-
-    Returns ``(index, stats, per_file_results)`` where
-    ``per_file_results`` maps a path to its per-file-rule
-    :class:`LintResult` (empty when ``with_findings`` is False).
-    """
-    root = (root or Path.cwd()).resolve()
-    rules_sig = _rules_signature()
-    sources: Dict[str, str] = {}
-    indexes: Dict[str, FileIndex] = {}
-    results: Dict[str, LintResult] = {}
-    stats = IndexStats()
-    misses: List[Tuple[str, str, str, bool]] = []
-
+def _modules(paths: Sequence[str], root: Optional[Path]) -> Iterator[ModuleInfo]:
+    """Parse every ``.py`` file under ``paths``, in sorted order."""
     for abspath, rel in iter_python_files(paths, root=root):
         try:
             source = abspath.read_text(encoding="utf-8")
         except OSError as exc:
             raise LintError(f"{rel}: {exc}") from exc
-        stats.files += 1
-        sources[rel] = source
-        digest = content_hash(source)
-        entry = (
-            _load_cache_entry(cache_dir, rel) if cache_dir is not None else None
-        )
-        if entry is not None and entry.get("hash") == digest:
-            findings_ok = (not with_findings) or (
-                entry.get("rules_sig") == rules_sig
-                and "findings" in entry
-            )
-            if findings_ok:
-                stats.cache_hits += 1
-                indexes[rel] = FileIndex.from_dict(entry["index"])
-                if with_findings:
-                    stats.findings_replayed += 1
-                    result = LintResult(files=1)
-                    result.findings = [
-                        _finding_from_dict(d) for d in entry["findings"]
-                    ]
-                    result.suppressed = [
-                        _finding_from_dict(d) for d in entry["suppressed"]
-                    ]
-                    results[rel] = result
-                continue
-        stats.cache_misses += 1
-        stats.changed.append(rel)
-        misses.append((rel, source, classify_scope(rel), with_findings))
-
-    if misses:
-        from repro.perf.parallel import pmap
-
-        outputs = pmap(_index_task, misses, workers=workers)
-        for (rel, _source, _scope, _lint), out in zip(misses, outputs):
-            indexes[rel] = FileIndex.from_dict(out["index"])
-            if with_findings:
-                result = LintResult(files=1)
-                result.findings = [
-                    _finding_from_dict(d) for d in out["findings"]
-                ]
-                result.suppressed = [
-                    _finding_from_dict(d) for d in out["suppressed"]
-                ]
-                results[rel] = result
-            if cache_dir is not None:
-                _write_cache_entry(
-                    cache_dir,
-                    {
-                        "version": INDEX_VERSION,
-                        "path": rel,
-                        "hash": indexes[rel].content_hash,
-                        "rules_sig": rules_sig,
-                        "index": out["index"],
-                        "findings": out["findings"],
-                        "suppressed": out["suppressed"],
-                    },
-                )
-
-    return ProjectIndex(indexes), stats, results
+        yield ModuleInfo(source, rel, classify_scope(rel))
 
 
-# ---------------------------------------------------------------------------
-# Two-phase lint driver
-# ---------------------------------------------------------------------------
-
-
-def _split_rule_ids(
-    select: Optional[Iterable[str]], ignore: Optional[Iterable[str]]
-) -> Tuple[Optional[List[str]], Optional[List[str]], Optional[Set[str]], Set[str]]:
-    """Validate select/ignore against the combined registry and split
-    them into per-file and project subsets.
-
-    Returns ``(file_select, file_ignore, project_select, project_ignore)``
-    where ``file_select=None`` means "all per-file rules" and an empty
-    list means "no per-file rules at all" (e.g. ``--select SIM011``).
-    """
-    from repro.simlint.project_rules import PROJECT_RULES
-    from repro.simlint.rules import RULES
-
-    file_ids = {r.id for r in RULES}
-    project_ids = {r.id for r in PROJECT_RULES}
-    known = file_ids | project_ids
-
-    def check(raw: Optional[Iterable[str]]) -> Optional[Set[str]]:
-        if raw is None:
-            return None
-        wanted = {r.upper() for r in raw}
-        unknown = wanted - known
-        if unknown:
-            raise LintError(f"unknown rule id(s): {', '.join(sorted(unknown))}")
-        return wanted
-
-    sel = check(select)
-    ign = check(ignore) or set()
-    file_select: Optional[List[str]] = (
-        None if sel is None else sorted(sel & file_ids)
+def build_project_index(
+    paths: Sequence[str], root: Optional[Path] = None
+) -> ProjectIndex:
+    """Index every ``.py`` file under ``paths``."""
+    return ProjectIndex(
+        {mod.path: index_module(mod) for mod in _modules(paths, root)}
     )
-    file_ignore = sorted(ign & file_ids) or None
-    project_select = None if sel is None else (sel & project_ids)
-    project_ignore = ign & project_ids
-    return file_select, file_ignore, project_select, project_ignore
 
 
 def lint_project(
@@ -1146,73 +831,31 @@ def lint_project(
     root: Optional[Path] = None,
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
-    cache_dir: Optional[Path] = None,
-    workers: Optional[int] = None,
-    changed_only: bool = False,
     project_rules: bool = True,
-) -> Tuple[LintResult, IndexStats]:
-    """Two-phase lint: per-file rules plus the cross-module pack.
+) -> LintResult:
+    """Lint every ``.py`` file under ``paths`` with both rule packs.
 
-    ``changed_only`` reports per-file findings only for files whose
-    content hash missed the cache this run — the cross-module index is
-    always rebuilt over *all* files, so whole-program rules never see
-    a stale world.  With ``select``/``ignore`` set, per-file findings
-    are recomputed rather than replayed from cache (the cache stores
-    full-rule-pack results only).
+    Each file is parsed once; its :class:`ModuleInfo` feeds the
+    per-file rules and then the project index.  ``select``/``ignore``
+    filter both packs (see :func:`~repro.simlint.engine.select_rules`);
+    ``project_rules=False`` skips the cross-module pack.
     """
-    from repro.simlint.project_rules import PROJECT_RULES
-
-    (
-        file_select,
-        file_ignore,
-        project_select,
-        project_ignore,
-    ) = _split_rule_ids(select, ignore)
-
-    filtered = select is not None or ignore is not None
-    index, stats, per_file = build_project_index(
-        paths,
-        root=root,
-        cache_dir=cache_dir if not filtered else None,
-        workers=workers,
-        with_findings=not filtered,
-    )
-
-    result = LintResult(files=stats.files)
-    # ``--changed-only`` narrows the per-file *report* to cache misses;
-    # filtered runs bypass the cache, so everything counts as changed.
-    changed = set(stats.changed) if not filtered else set(index.files)
-
-    run_file_rules = file_select is None or file_select
-    for rel, fi in index.files.items():
-        if changed_only and rel not in changed and not filtered:
-            continue
-        if not filtered and rel in per_file:
-            result.findings.extend(per_file[rel].findings)
-            result.suppressed.extend(per_file[rel].suppressed)
-        elif run_file_rules:
-            # Filtered runs recompute with the requested rule subset.
-            source = Path(root or Path.cwd(), rel)
-            sub = lint_source(
-                source.read_text(encoding="utf-8"),
-                path=rel,
-                scope=fi.scope,
-                select=file_select,
-                ignore=file_ignore,
-            )
-            result.findings.extend(sub.findings)
-            result.suppressed.extend(sub.suppressed)
-
-    if project_rules:
-        for rule in PROJECT_RULES:
-            if project_select is not None and rule.id not in project_select:
-                continue
-            if rule.id in project_ignore:
-                continue
+    file_rules, cross_rules = select_rules(select, ignore)
+    if not project_rules:
+        cross_rules = []
+    result = LintResult()
+    files: Dict[str, FileIndex] = {}
+    for mod in _modules(paths, root):
+        result.files += 1
+        lint_module(mod, file_rules, result)
+        if cross_rules:
+            files[mod.path] = index_module(mod)
+    if cross_rules:
+        index = ProjectIndex(files)
+        for rule in cross_rules:
             for finding in rule.check(index):
                 if index.is_suppressed(finding):
                     result.suppressed.append(finding)
                 else:
                     result.findings.append(finding)
-
-    return result.sorted(), stats
+    return result.sorted()

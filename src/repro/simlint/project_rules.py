@@ -22,8 +22,8 @@ SIM014    config-roundtrip completeness: every field of a hand-serialized
 
 All five patrol the ``sim`` scope only: tests and benchmarks construct
 throwaway RNGs, ad-hoc metric names and synthetic configs on purpose.
-Findings flow through the same suppression / baseline / reporter
-machinery as the per-file rules.
+Findings flow through the same inline suppressions and reporters as
+the per-file rules.
 """
 
 from __future__ import annotations

@@ -9,90 +9,52 @@ view directly.
 from __future__ import annotations
 
 import json
-from typing import List, Sequence
 
-from repro.simlint.findings import Finding
+from repro.simlint.engine import LintResult
 
 __all__ = ["render_text", "render_json", "render_github", "REPORTERS"]
 
 
-def _summary(
-    new: Sequence[Finding],
-    baselined: Sequence[Finding],
-    suppressed: Sequence[Finding],
-    expired: Sequence[str],
-    files: int,
-) -> str:
-    bits = [f"{files} file(s) checked", f"{len(new)} finding(s)"]
-    if baselined:
-        bits.append(f"{len(baselined)} baselined")
-    if suppressed:
-        bits.append(f"{len(suppressed)} suppressed")
-    if expired:
-        bits.append(f"{len(expired)} baseline entr(ies) expired")
+def _summary(result: LintResult) -> str:
+    bits = [
+        f"{result.files} file(s) checked",
+        f"{len(result.findings)} finding(s)",
+    ]
+    if result.suppressed:
+        bits.append(f"{len(result.suppressed)} suppressed")
     return "simlint: " + ", ".join(bits)
 
 
-def render_text(
-    new: Sequence[Finding],
-    baselined: Sequence[Finding],
-    suppressed: Sequence[Finding],
-    expired: Sequence[str],
-    files: int,
-) -> str:
-    lines: List[str] = []
-    for f in new:
-        lines.append(f"{f.path}:{f.line}:{f.col + 1}: {f.rule} {f.message}")
-    if expired:
-        lines.append("")
-        lines.append(
-            "expired baseline entries (fixed findings — run "
-            "--update-baseline to shrink the file):"
-        )
-        lines.extend(f"  {key}" for key in expired)
+def render_text(result: LintResult) -> str:
+    lines = [
+        f"{f.path}:{f.line}:{f.col + 1}: {f.rule} {f.message}"
+        for f in result.findings
+    ]
     if lines:
         lines.append("")
-    lines.append(_summary(new, baselined, suppressed, expired, files))
+    lines.append(_summary(result))
     return "\n".join(lines)
 
 
-def render_json(
-    new: Sequence[Finding],
-    baselined: Sequence[Finding],
-    suppressed: Sequence[Finding],
-    expired: Sequence[str],
-    files: int,
-) -> str:
+def render_json(result: LintResult) -> str:
     return json.dumps(
         {
-            "findings": [f.to_dict() for f in new],
-            "baselined": [f.to_dict() for f in baselined],
-            "suppressed": [f.to_dict() for f in suppressed],
-            "expired": list(expired),
-            "files": files,
+            "findings": [f.to_dict() for f in result.findings],
+            "suppressed": [f.to_dict() for f in result.suppressed],
+            "files": result.files,
         },
         indent=2,
     )
 
 
-def render_github(
-    new: Sequence[Finding],
-    baselined: Sequence[Finding],
-    suppressed: Sequence[Finding],
-    expired: Sequence[str],
-    files: int,
-) -> str:
+def render_github(result: LintResult) -> str:
     """GitHub workflow-command annotations, one per finding."""
     lines = [
         f"::error file={f.path},line={f.line},col={f.col + 1},"
         f"title={f.rule}::{f.message}"
-        for f in new
+        for f in result.findings
     ]
-    lines.extend(
-        f"::warning title=simlint baseline::expired baseline entry {key}"
-        for key in expired
-    )
-    lines.append(_summary(new, baselined, suppressed, expired, files))
+    lines.append(_summary(result))
     return "\n".join(lines)
 
 

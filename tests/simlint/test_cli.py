@@ -1,4 +1,4 @@
-"""CLI behaviour: exit codes, formats, baseline workflow."""
+"""CLI behaviour: exit codes, formats, stats, rule selection, no state."""
 
 from __future__ import annotations
 
@@ -61,42 +61,6 @@ class TestExitCodes:
         assert "1 suppressed" in capsys.readouterr().out
 
 
-class TestBaselineWorkflow:
-    def test_update_baseline_then_clean_run(self, tmp_path, capsys):
-        root = write_tree(tmp_path, {"src/bad.py": DIRTY})
-        assert main(["src", "--root", str(root)]) == 1
-        capsys.readouterr()
-        assert main(["src", "--root", str(root), "--update-baseline"]) == 0
-        assert (root / "simlint-baseline.json").exists()
-        capsys.readouterr()
-        # Grandfathered: the same finding no longer gates.
-        assert main(["src", "--root", str(root)]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-
-    def test_new_finding_still_gates_with_baseline(self, tmp_path, capsys):
-        root = write_tree(tmp_path, {"src/bad.py": DIRTY})
-        main(["src", "--root", str(root), "--update-baseline"])
-        write_tree(root, {"src/worse.py": "import random\nrandom.seed(1)\n"})
-        capsys.readouterr()
-        assert main(["src", "--root", str(root)]) == 1
-        out = capsys.readouterr().out
-        assert "SIM002" in out and "src/bad.py" not in out.split("simlint:")[0]
-
-    def test_expired_entries_reported_not_fatal(self, tmp_path, capsys):
-        root = write_tree(tmp_path, {"src/bad.py": DIRTY})
-        main(["src", "--root", str(root), "--update-baseline"])
-        (root / "src/bad.py").write_text(CLEAN)
-        capsys.readouterr()
-        assert main(["src", "--root", str(root)]) == 0
-        assert "expired" in capsys.readouterr().out
-
-    def test_no_baseline_flag_ignores_file(self, tmp_path, capsys):
-        root = write_tree(tmp_path, {"src/bad.py": DIRTY})
-        main(["src", "--root", str(root), "--update-baseline"])
-        capsys.readouterr()
-        assert main(["src", "--root", str(root), "--no-baseline"]) == 1
-
-
 class TestFormats:
     def test_json_format(self, tmp_path, capsys):
         root = write_tree(tmp_path, {"src/bad.py": DIRTY})
@@ -122,6 +86,76 @@ class TestFormats:
             "SIM005", "SIM006", "SIM007",
         ):
             assert rule_id in out
+
+    def test_list_rules_includes_project_pack(self, capsys):
+        assert main(["--list-rules"]) == 0
+        out = capsys.readouterr().out
+        for rule_id in ("SIM010", "SIM011", "SIM012", "SIM013", "SIM014"):
+            assert rule_id in out
+
+    def test_stats_reports_rule_hits(self, tmp_path, capsys):
+        root = write_tree(tmp_path, {"src/bad.py": DIRTY})
+        assert main(["src", "--root", str(root), "--stats"]) == 1
+        out = capsys.readouterr().out
+        assert "rule hits: SIM001=1" in out
+        assert "files/s" in out
+
+
+class TestRuleSelection:
+    def test_select_project_rule_via_cli(self, tmp_path, capsys):
+        root = write_tree(
+            tmp_path,
+            {"src/a.py": "import random\nr = random.Random(42)\n"},
+        )
+        assert main(["src", "--root", str(root), "--select", "SIM010"]) == 1
+        assert "SIM010" in capsys.readouterr().out
+
+
+class TestNoState:
+    def test_lint_writes_nothing(self, tmp_path, capsys):
+        root = write_tree(tmp_path, {"src/a.py": CLEAN, "src/bad.py": DIRTY})
+        before = sorted(p.relative_to(root) for p in root.rglob("*"))
+        assert main(["src", "--root", str(root)]) == 1
+        assert sorted(p.relative_to(root) for p in root.rglob("*")) == before
+
+    def test_repeat_run_is_identical(self, tmp_path, capsys):
+        root = write_tree(tmp_path, {"src/bad.py": DIRTY})
+        main(["src", "--root", str(root), "--format", "json"])
+        first = json.loads(capsys.readouterr().out)
+        main(["src", "--root", str(root), "--format", "json"])
+        assert json.loads(capsys.readouterr().out) == first
+
+    def test_catalog_edit_revalidates_unchanged_files(self, tmp_path, capsys):
+        # A second run sees the whole tree afresh: renaming a catalog
+        # entry flags the publish site in a file that did not change.
+        root = write_tree(
+            tmp_path,
+            {
+                "src/obs/metric_catalog.py": (
+                    "from repro.obs.metric_catalog import MetricSpec\n"
+                    "METRICS = (MetricSpec('a.b', 'counter', 'x', 'd'),)\n"
+                ),
+                "src/app/m.py": (
+                    "class C:\n"
+                    "    def __init__(self, reg):\n"
+                    "        self.c = reg.counter('a.b')\n"
+                ),
+            },
+        )
+        assert main(["src", "--root", str(root)]) == 0
+        write_tree(
+            root,
+            {
+                "src/obs/metric_catalog.py": (
+                    "from repro.obs.metric_catalog import MetricSpec\n"
+                    "METRICS = (MetricSpec('a.c', 'counter', 'x', 'd'),)\n"
+                )
+            },
+        )
+        capsys.readouterr()
+        assert main(["src", "--root", str(root)]) == 1
+        out = capsys.readouterr().out
+        assert "src/app/m.py" in out and "SIM011" in out
 
 
 class TestScopes:

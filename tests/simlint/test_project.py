@@ -1,15 +1,13 @@
-"""ProjectIndex machinery: extraction, import graph, cache, parallelism."""
+"""ProjectIndex machinery: extraction, import graph, filtered runs."""
 
 from __future__ import annotations
 
-from pathlib import Path
+import pytest
 
-from repro.simlint.findings import Finding
 from repro.simlint.project import (
-    CACHE_DIR_NAME,
-    ProjectIndex,
     build_project_index,
     index_source,
+    lint_project,
 )
 
 
@@ -46,7 +44,7 @@ class TestImportGraph:
 
     def test_graph_edges_resolve_from_imports_and_aliases(self, tmp_path):
         root = write_tree(tmp_path, self.FIXTURE)
-        index, _, _ = build_project_index(["src"], root=root)
+        index = build_project_index(["src"], root=root)
         graph = index.import_graph()
         assert graph["pkg.mid"] == ["pkg.core"]
         assert graph["pkg.top"] == ["pkg.core", "pkg.mid"]
@@ -55,7 +53,7 @@ class TestImportGraph:
 
     def test_longest_prefix_resolution(self, tmp_path):
         root = write_tree(tmp_path, self.FIXTURE)
-        index, _, _ = build_project_index(["src"], root=root)
+        index = build_project_index(["src"], root=root)
         # A from-import target (module.attr) resolves to the module.
         assert index.resolve_module("pkg.core.VALUE") == "src/pkg/core.py"
         assert index.resolve_module("other.module") is None
@@ -192,7 +190,7 @@ class TestProcessGenerators:
                 ),
             },
         )
-        index, _, _ = build_project_index(["src"], root=root)
+        index = build_project_index(["src"], root=root)
         procs = index.process_generators()
         assert ("src/app/main.py", "driver") in procs
         # Membership propagates through yield-from delegation.
@@ -208,7 +206,7 @@ class TestProcessGenerators:
                 ),
             },
         )
-        index, _, _ = build_project_index(["src"], root=root)
+        index = build_project_index(["src"], root=root)
         assert ("src/app/p.py", "worker") in index.process_generators()
 
     def test_plain_iterator_generator_not_a_process(self, tmp_path):
@@ -221,82 +219,8 @@ class TestProcessGenerators:
                 ),
             },
         )
-        index, _, _ = build_project_index(["src"], root=root)
+        index = build_project_index(["src"], root=root)
         assert index.process_generators() == set()
-
-
-class TestCache:
-    TREE = {
-        "src/a.py": "A = 1\n",
-        "src/b.py": "import time\nT = time.time()\n",
-    }
-
-    def test_second_run_hits(self, tmp_path):
-        root = write_tree(tmp_path, self.TREE)
-        cache = root / CACHE_DIR_NAME
-        _, cold, _ = build_project_index(["src"], root=root, cache_dir=cache)
-        assert cold.cache_hits == 0 and cold.cache_misses == 2
-        _, warm, _ = build_project_index(["src"], root=root, cache_dir=cache)
-        assert warm.cache_hits == 2 and warm.cache_misses == 0
-        assert warm.hit_rate == 1.0
-
-    def test_content_change_invalidates_one_file(self, tmp_path):
-        root = write_tree(tmp_path, self.TREE)
-        cache = root / CACHE_DIR_NAME
-        build_project_index(["src"], root=root, cache_dir=cache)
-        (root / "src/a.py").write_text("A = 2\n")
-        _, stats, _ = build_project_index(["src"], root=root, cache_dir=cache)
-        assert stats.cache_hits == 1 and stats.cache_misses == 1
-        assert stats.changed == ["src/a.py"]
-
-    def test_cached_findings_replayed_identically(self, tmp_path):
-        root = write_tree(tmp_path, self.TREE)
-        cache = root / CACHE_DIR_NAME
-        _, _, cold = build_project_index(["src"], root=root, cache_dir=cache)
-        _, _, warm = build_project_index(["src"], root=root, cache_dir=cache)
-        assert {p: r.findings for p, r in warm.items()} == {
-            p: r.findings for p, r in cold.items()
-        }
-        # end_line survives the JSON round trip (the SIM014 bug class).
-        (finding,) = warm["src/b.py"].findings
-        assert finding.end_line == 2
-
-    def test_corrupt_cache_entry_is_a_miss(self, tmp_path):
-        root = write_tree(tmp_path, self.TREE)
-        cache = root / CACHE_DIR_NAME
-        build_project_index(["src"], root=root, cache_dir=cache)
-        for entry in cache.glob("*.json"):
-            entry.write_text("{not json")
-        _, stats, _ = build_project_index(["src"], root=root, cache_dir=cache)
-        assert stats.cache_misses == 2
-
-
-class TestParallelEquality:
-    def test_pmap_and_serial_indexes_match(self, tmp_path):
-        root = write_tree(
-            tmp_path,
-            {
-                f"src/m{i}.py": (
-                    "import random\n"
-                    f"def gen_{i}(sim):\n"
-                    "    yield sim.timeout(1.0)\n"
-                    f"r = random.Random({i})\n"
-                )
-                for i in range(6)
-            },
-        )
-        serial, _, serial_res = build_project_index(
-            ["src"], root=root, workers=1
-        )
-        parallel, _, parallel_res = build_project_index(
-            ["src"], root=root, workers=4
-        )
-        assert {p: fi.to_dict() for p, fi in serial.files.items()} == {
-            p: fi.to_dict() for p, fi in parallel.files.items()
-        }
-        assert {p: r.findings for p, r in serial_res.items()} == {
-            p: r.findings for p, r in parallel_res.items()
-        }
 
 
 class TestSuppressionBridge:
@@ -310,8 +234,78 @@ class TestSuppressionBridge:
                 )
             },
         )
-        index, _, _ = build_project_index(["src"], root=root)
+        index = build_project_index(["src"], root=root)
         finding = index.finding("SIM010", "src/x.py", 2, "seeded literal")
         assert index.is_suppressed(finding)
         other = index.finding("SIM011", "src/x.py", 2, "other rule")
         assert not index.is_suppressed(other)
+
+
+class TestFilteredRuns:
+    """A ``select``/``ignore`` run equals the full run restricted to
+    the active rules, for both reported and suppressed findings."""
+
+    TREE = {
+        "src/app/clock.py": (
+            "import time\n"
+            "T = time.time()\n"  # SIM001
+            "U = time.monotonic()  # simlint: disable=SIM001 -- measured\n"
+        ),
+        "src/app/order.py": (
+            "def names(peers):\n"
+            "    seen = set(peers)\n"
+            "    return [p for p in seen]\n"  # SIM003
+        ),
+        "src/app/rng.py": "import random\nr = random.Random(42)\n",  # SIM010
+        "src/app/config.py": (
+            "from dataclasses import dataclass\n"
+            "@dataclass\n"
+            "class Cfg:\n"
+            "    alpha: int = 1\n"
+            "    beta: int = 2\n"
+            "    def to_dict(self):\n"
+            "        return {'alpha': self.alpha}\n"  # SIM014
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def full(self, tmp_path_factory):
+        root = write_tree(tmp_path_factory.mktemp("tree"), self.TREE)
+        return root, lint_project(["src"], root=root)
+
+    def test_fixture_covers_both_packs_and_a_suppression(self, full):
+        _, result = full
+        assert sorted({f.rule for f in result.findings}) == [
+            "SIM001", "SIM003", "SIM010", "SIM014",
+        ]
+        assert [f.rule for f in result.suppressed] == ["SIM001"]
+
+    @pytest.mark.parametrize(
+        "select, ignore",
+        [
+            (["SIM001"], None),
+            (["SIM003", "SIM014"], None),
+            (["SIM010"], None),
+            (["sim001", "SIM010"], None),
+            (None, ["SIM001"]),
+            (None, ["SIM010", "SIM014"]),
+            (["SIM001", "SIM003", "SIM010"], ["SIM003"]),
+            (["SIM002"], None),
+        ],
+    )
+    def test_filtered_run_matches_full_run(self, full, select, ignore):
+        root, result = full
+        wanted = None if select is None else {r.upper() for r in select}
+
+        def kept(findings):
+            return [
+                f
+                for f in findings
+                if (wanted is None or f.rule in wanted)
+                and f.rule not in (ignore or ())
+            ]
+
+        filtered = lint_project(["src"], root=root, select=select, ignore=ignore)
+        assert filtered.findings == kept(result.findings)
+        assert filtered.suppressed == kept(result.suppressed)
+        assert filtered.files == result.files

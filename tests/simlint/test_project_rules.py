@@ -21,7 +21,7 @@ def write_tree(tmp_path, files):
 
 def run_rule(rule_id, tmp_path, files):
     root = write_tree(tmp_path, files)
-    index, _, _ = build_project_index(["src"], root=root)
+    index = build_project_index(["src"], root=root)
     return PROJECT_RULES_BY_ID[rule_id].check(index)
 
 
@@ -321,7 +321,7 @@ class TestLintProjectIntegration:
                 ),
             },
         )
-        result, _ = lint_project(["src"], root=root)
+        result = lint_project(["src"], root=root)
         assert [f.rule for f in result.findings] == []
         assert [f.rule for f in result.suppressed] == ["SIM010"]
 
@@ -336,7 +336,7 @@ class TestLintProjectIntegration:
                 ),
             },
         )
-        result, _ = lint_project(["src"], root=root, select=["SIM010"])
+        result = lint_project(["src"], root=root, select=["SIM010"])
         assert [f.rule for f in result.findings] == ["SIM010"]
 
     def test_no_project_flag_skips_pack(self, tmp_path):
@@ -344,5 +344,5 @@ class TestLintProjectIntegration:
             tmp_path,
             {"src/app/a.py": "import random\nr = random.Random(42)\n"},
         )
-        result, _ = lint_project(["src"], root=root, project_rules=False)
+        result = lint_project(["src"], root=root, project_rules=False)
         assert result.findings == []

@@ -499,4 +499,3 @@ class TestRulePack:
         (f,) = result.findings
         assert (f.line, f.rule) == (4, "SIM001")
         assert f.path == "<memory>"
-        assert f.key == "SIM001:<memory>:4"
