@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gc
 import time
+import tracemalloc
 
 from repro.obs.metrics import MetricsRegistry
 from repro.simnet.kernel import _COMPACT_MIN_TOMBSTONES, Simulator
@@ -50,6 +51,20 @@ BEACON_PATH_FLOOR_BEACONS_S = 15_000.0
 #: about 1800 times each in 10 hours (a keepalive every 30 s, a stat
 #: report every 60 s).
 BEACON_IDLE_S = 10 * 3600.0
+
+#: Idle keepalive peers of the per-peer memory gate, and how long they
+#: sit connected before the count.
+IDLE_PEERS = 200
+IDLE_PEER_S = 600.0
+
+#: Ceiling on live bytes (tracemalloc) per idle connected peer.  On
+#: Python 3.11 a peer whose stores, resource, histories and event log
+#: each hold an empty 64-slot deque block, and whose two beacon loops
+#: are generator processes, measures about 28 KB; with the containers
+#: allocated on first use and the beacons as kernel timers, about
+#: 18 KB.  The ceiling sits between, so a return to eager containers
+#: or beacon processes fails it.
+IDLE_PEER_BYTES_CEILING = 23_000
 
 
 def _timeout_churn():
@@ -232,6 +247,55 @@ def test_beacon_path_beacons_per_s_floor():
     assert best >= BEACON_PATH_FLOOR_BEACONS_S, (
         f"beacon path at {best:.0f} beacons/s, below the "
         f"{BEACON_PATH_FLOOR_BEACONS_S:.0f} regression floor"
+    )
+
+
+def _idle_peer_bytes() -> float:
+    """Live bytes per connected keepalive peer after ``IDLE_PEER_S`` idle.
+
+    The session (testbed, broker, the paper's SimpleClients) is built
+    before the count starts; the count covers each extra peer's host,
+    client, join and beacons, and the broker's record of it.
+    """
+    from repro.experiments import ExperimentConfig
+    from repro.experiments.scenario import Session
+    from repro.experiments.steps import in_waves
+    from repro.overlay.client import SimpleClient
+    from repro.simnet.planetlab import synthetic_hostnames
+
+    session = Session(ExperimentConfig(seed=2011, synthetic_nodes=IDLE_PEERS))
+    sim = session.sim
+    badv = session.broker.advertisement()
+
+    def join_all(peers):
+        joins = (sim.process(peer.connect(badv)) for peer in peers)
+        yield from in_waves(joins, 64)
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        peers = [
+            SimpleClient(session.network, hostname, session.ids, name=hostname,
+                         config=session.config.peer_config)
+            for hostname in synthetic_hostnames(IDLE_PEERS)
+        ]
+        sim.run(until=sim.process(join_all(peers)))
+        sim.run(until=sim.now + IDLE_PEER_S)
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert all(peer.online for peer in peers)
+    return (after - before) / IDLE_PEERS
+
+
+def test_idle_peer_bytes_ceiling():
+    """Memory gate on what one idle connected peer keeps alive."""
+    per_peer = _idle_peer_bytes()
+    assert per_peer <= IDLE_PEER_BYTES_CEILING, (
+        f"an idle connected peer holds {per_peer:.0f} bytes, above the "
+        f"{IDLE_PEER_BYTES_CEILING} byte ceiling"
     )
 
 

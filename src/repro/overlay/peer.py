@@ -448,8 +448,8 @@ class PeerNode:
         if not ack.accepted:
             raise NotConnectedError(f"{self.name}: join refused: {ack.reason}")
         self._finalize_join(broker_adv, ack)
-        self.sim.process(self._keepalive_loop(), name=f"keepalive@{self.name}")
-        self.sim.process(self._stat_report_loop(), name=f"stats@{self.name}")
+        self.sim.wake_in(0.0, self._keepalive_beat)
+        self.sim.wake_in(0.0, self._stat_report_beat)
         return ack
 
     def _finalize_join(self, broker_adv: PeerAdvertisement, ack: JoinAck) -> None:
@@ -475,52 +475,45 @@ class PeerNode:
             raise NotConnectedError(f"{self.name} has no broker")
         return self.network.host(self.broker_adv.hostname)
 
-    # Both beacon loops bind what they read once and build their
-    # message positionally: a ``paper`` run sends about 45k beacons.
+    # Each beacon loop is a chain of kernel timers: a beat sends (while
+    # the host is up) and re-arms itself with ``wake_in``, at the
+    # agenda key a ``yield interval`` gets, until the peer goes
+    # offline.  An idle peer then holds one pending timer per loop,
+    # not a generator, a process and a timeout.  Each ``connect``
+    # starts its own chains.
 
-    def _keepalive_loop(self):
-        stats = self.stats
+    def _keepalive_beat(self) -> None:
+        if not self.online:
+            return
         host = self.host
-        inbox = host.inbox
-        peer_id = self.peer_id
-        interval = self.config.keepalive_interval_s
-        observe_inbox = self._m_inbox_len.observe
-        observe_transfers = self._m_pending_transfers.observe
-        observe_tasks = self._m_pending_tasks.observe
-        while self.online:
-            if not host._is_up:
-                # Crashed host: nothing can be sent until recovery.
-                yield interval
-                continue
+        # A crashed host sends nothing until recovery.
+        if host._is_up:
+            stats = self.stats
             outbox_len = stats.pending_transfers
             pending_tasks = stats.pending_tasks
-            inbox_len = len(inbox) + pending_tasks
+            inbox_len = len(host.inbox) + pending_tasks
             stats.sample_queues(outbox_len, inbox_len)
             # Queue-occupancy sampling rides the keepalive cadence so
             # every connected peer reports at the same sim-time rhythm.
-            observe_inbox(inbox_len)
-            observe_transfers(outbox_len)
-            observe_tasks(pending_tasks)
+            self._m_inbox_len.observe(inbox_len)
+            self._m_pending_transfers.observe(outbox_len)
+            self._m_pending_tasks.observe(pending_tasks)
             # KeepAlive(peer_id, outbox_len, inbox_len, pending_tasks,
             # pending_transfers): the outbox is the pending transfers.
             beacon = KeepAlive(
-                peer_id, outbox_len, inbox_len, pending_tasks, outbox_len
+                self.peer_id, outbox_len, inbox_len, pending_tasks, outbox_len
             )
             host.send(self._broker_host(), beacon, light=True)
-            yield interval
+        self.sim.wake_in(self.config.keepalive_interval_s, self._keepalive_beat)
 
-    def _stat_report_loop(self):
-        stats = self.stats
+    def _stat_report_beat(self) -> None:
+        if not self.online:
+            return
         host = self.host
-        sim = self.sim
-        peer_id = self.peer_id
-        while self.online:
-            if not host._is_up:
-                yield STAT_REPORT_INTERVAL_S
-                continue
-            report = StatReport(peer_id, stats.snapshot(sim._now))
+        if host._is_up:
+            report = StatReport(self.peer_id, self.stats.snapshot(self.sim._now))
             host.send(self._broker_host(), report, light=True)
-            yield STAT_REPORT_INTERVAL_S
+        self.sim.wake_in(STAT_REPORT_INTERVAL_S, self._stat_report_beat)
 
     # -- broker liveness & failover ------------------------------------------------
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 __all__ = ["Counters", "PeerStats", "PerformanceHistory", "StalenessClock"]
 
@@ -125,7 +125,9 @@ class PeerStats:
         #: per-window for inspection and future criteria.
         self.closed_sessions: list[Counters] = []
         #: (time, kind, ok) with kind in {"message", "task", "file"}.
-        self._log: Deque[tuple[float, str, bool]] = deque()
+        #: A list, pruned by slice: a deque holding one entry would
+        #: still cost a full 64-slot block per peer.
+        self._log: List[tuple[float, str, bool]] = []
         # Queue occupancy: latest sample + running sample means.
         self.outbox_len_now = 0
         self.inbox_len_now = 0
@@ -158,10 +160,17 @@ class PeerStats:
     # -- recording ---------------------------------------------------------------
 
     def _logged(self, now: float, kind: str, ok: bool) -> None:
-        self._log.append((now, kind, ok))
+        log = self._log
+        log.append((now, kind, ok))
         cutoff = now - self.LOG_RETENTION_S
-        while self._log and self._log[0][0] < cutoff:
-            self._log.popleft()
+        if log[0][0] < cutoff:
+            # Drop the head entries older than the retention edge, as
+            # a deque popping from the left until the first one inside.
+            n = len(log)
+            i = 1
+            while i < n and log[i][0] < cutoff:
+                i += 1
+            del log[:i]
 
     def record_message(self, now: float, ok: bool) -> None:
         """One message send attempt finished (ok = acknowledged)."""
@@ -308,10 +317,13 @@ class PerformanceHistory:
         self.transfer_bps = _Ewma(alpha)
         self.exec_ops_per_s = _Ewma(alpha)
         self.petition_latency_s = _Ewma(alpha)
-        #: Raw (time, value) observations, bounded FIFO.
-        self.transfer_obs: Deque[tuple[float, float]] = deque(maxlen=window)
-        self.latency_obs: Deque[tuple[float, float]] = deque(maxlen=window)
-        self.exec_obs: Deque[tuple[float, float]] = deque(maxlen=window)
+        self.window = window
+        #: Raw (time, value) observations, bounded FIFOs of ``window``
+        #: entries.  Each is an empty tuple until its first observation:
+        #: most peers' histories never record some (or any) kind.
+        self.transfer_obs: Sequence[tuple[float, float]] = ()
+        self.latency_obs: Sequence[tuple[float, float]] = ()
+        self.exec_obs: Sequence[tuple[float, float]] = ()
         #: Time of the most recent observation of any kind (None until
         #: the first one) — degraded-mode selection compares
         #: :meth:`age` against its staleness budget.
@@ -323,6 +335,8 @@ class PerformanceHistory:
             raise ValueError("transfer observation needs positive bits and seconds")
         bps = bits / seconds
         self.transfer_bps.observe(bps)
+        if not self.transfer_obs:
+            self.transfer_obs = deque(maxlen=self.window)
         self.transfer_obs.append((now, bps))
         self.last_observed_at = now
 
@@ -332,6 +346,8 @@ class PerformanceHistory:
             raise ValueError("execution observation needs positive ops and seconds")
         rate = ops / seconds
         self.exec_ops_per_s.observe(rate)
+        if not self.exec_obs:
+            self.exec_obs = deque(maxlen=self.window)
         self.exec_obs.append((now, rate))
         self.last_observed_at = now
 
@@ -340,6 +356,8 @@ class PerformanceHistory:
         if seconds < 0:
             raise ValueError("latency must be >= 0")
         self.petition_latency_s.observe(seconds)
+        if not self.latency_obs:
+            self.latency_obs = deque(maxlen=self.window)
         self.latency_obs.append((now, seconds))
         self.last_observed_at = now
 

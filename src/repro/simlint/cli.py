@@ -97,10 +97,18 @@ def _list_rules() -> str:
     return "\n".join(lines)
 
 
-def _split_rules(raw: Optional[str]) -> Optional[List[str]]:
+def _split_rules(raw: Optional[str], flag: str) -> Optional[List[str]]:
+    """The rule ids of a ``--select``/``--ignore`` value (None if absent).
+
+    An empty list (``""`` or ``","``) raises :class:`LintError`: as a
+    select it would lint nothing and exit 0.
+    """
     if raw is None:
         return None
-    return [part.strip() for part in raw.split(",") if part.strip()]
+    rules = [part.strip() for part in raw.split(",") if part.strip()]
+    if not rules:
+        raise LintError(f"{flag} needs at least one rule id, got {raw!r}")
+    return rules
 
 
 def _emit(text: str) -> None:
@@ -154,8 +162,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         result = lint_project(
             args.paths,
             root=root,
-            select=_split_rules(args.select),
-            ignore=_split_rules(args.ignore),
+            select=_split_rules(args.select, "--select"),
+            ignore=_split_rules(args.ignore, "--ignore"),
             project_rules=not args.no_project,
         )
     except LintError as exc:

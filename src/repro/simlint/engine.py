@@ -103,13 +103,13 @@ class ModuleInfo:
 
     def _collect_facts(self) -> List[Tuple[int, int]]:
         """One walk for imports, generator/decorated functions and the
-        ``(lineno, end_lineno)`` span of every statement."""
+        suppression span of every statement (:func:`_suppression_span`)."""
         spans: List[Tuple[int, int]] = []
         imported: Set[str] = set()
         for node in ast.walk(self.tree):
             if not isinstance(node, ast.stmt):
                 continue
-            spans.append((node.lineno, node.end_lineno or node.lineno))
+            spans.append(_suppression_span(node))
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     top = alias.name.split(".")[0]
@@ -374,6 +374,24 @@ def scan_suppressions(
     return per_line, filewide
 
 
+def _suppression_span(node: ast.stmt) -> Tuple[int, int]:
+    """The lines a suppression comment may sit on to cover ``node``.
+
+    A simple statement spans all its physical lines.  A compound one
+    (``for``, ``with``, ``def``, ...) spans its header only, up to the
+    line before its body: a comment inside the body is about the body,
+    not about a finding in the header.
+    """
+    if isinstance(node, ast.Match):
+        first = node.cases[0].pattern if node.cases else None
+    else:
+        body = getattr(node, "body", None)
+        first = body[0] if isinstance(body, list) and body else None
+    if first is not None:
+        return node.lineno, max(node.lineno, first.lineno - 1)
+    return node.lineno, node.end_lineno or node.lineno
+
+
 class Suppressions:
     """One file's inline-suppression table.
 
@@ -383,9 +401,11 @@ class Suppressions:
 
     def __init__(self, source: str, stmt_spans: List[Tuple[int, int]]) -> None:
         self.lines, self.filewide = scan_suppressions(source)
-        #: ``(lineno, end_lineno)`` of every statement — a suppression
-        #: on any physical line of a flagged statement covers it.  Only
-        #: kept when there is a line suppression to widen to.
+        #: ``(first, last)`` suppression span of every statement — a
+        #: suppression on any physical line of a flagged simple
+        #: statement, or of a flagged compound statement's header,
+        #: covers it.  Only kept when there is a line suppression to
+        #: widen to.
         self.stmt_spans = stmt_spans if self.lines else []
 
     def is_suppressed(self, finding: Finding) -> bool:

@@ -55,6 +55,13 @@ NORMAL_PRIORITY = 1
 #: Priority used by :class:`Timeout` via ``urgent=True`` scheduling.
 URGENT_PRIORITY = 0
 
+#: Placeholder for a :class:`Store` or :class:`Resource` queue (or
+#: set) not used yet.  Most stores and resources of a large run stay
+#: idle, and an empty deque still holds a full 64-slot block, so each
+#: container is allocated on first use; the empty tuple answers
+#: ``len``, truth, ``in`` and iteration meanwhile.
+_UNUSED: tuple = ()
+
 #: Agenda compaction: sweep lazily-cancelled entries out of the heap
 #: once they are at least this many *and* at least half the agenda.
 #: Below the floor the dead entries are cheaper to pop than to sweep.
@@ -526,6 +533,30 @@ class Simulator:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         return self.call_at(self._now + delay, fn, *args)
 
+    def wake_in(self, delay: float, fn: Callable[..., None], *args: Any) -> Event:
+        """Schedule ``fn(*args)`` at the agenda key of a ``yield delay``.
+
+        A process that yields ``delay`` resumes at ``(now + delay,
+        URGENT_PRIORITY, next seq)``; this timer takes that same key,
+        where :meth:`call_in` takes ``NORMAL_PRIORITY`` and so runs
+        after any same-time event scheduled in between.  A periodic
+        loop rewritten as a chain of ``wake_in`` calls (the first at
+        delay 0, where the process's start event was) therefore fires
+        in the exact order the generator resumed, without a generator
+        frame, a :class:`Process` or a :class:`Timeout` per loop.
+        Returns the timer event, which :meth:`cancel` accepts.
+        """
+        # ``not >=`` rejects NaN too, as in ``Timeout``.
+        if not delay >= 0:
+            raise SchedulingInPastError(f"{_negative(delay)} wake_in delay {delay!r}")
+        ev = _Call(self, fn, args)
+        self._seq += 1
+        agenda = self._agenda
+        heappush(agenda, (self._now + float(delay), URGENT_PRIORITY, self._seq, ev))
+        if len(agenda) > self.max_agenda_depth:
+            self.max_agenda_depth = len(agenda)
+        return ev
+
     def cancel(self, event: Event) -> None:
         """Lazily cancel a scheduled callback event.
 
@@ -717,6 +748,8 @@ class Resource:
 
     ``request()`` returns an event that succeeds when a slot is granted;
     ``release()`` frees a slot.  FIFO granting keeps runs deterministic.
+    The waiter queue and the grant and cancel sets are allocated on
+    first use (see ``_UNUSED``): most hosts never contend for a slot.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1) -> None:
@@ -728,11 +761,11 @@ class Resource:
         #: FIFO of pending grant events.  Cancelled waiters stay in the
         #: deque as tombstones (members of ``_cancelled``) and are
         #: skipped on wake — O(1) cancel instead of an O(n) remove.
-        self._waiters: deque[Event] = deque()
-        self._cancelled: set[Event] = set()
+        self._waiters: "deque[Event] | tuple" = _UNUSED
+        self._cancelled: "set[Event] | tuple" = _UNUSED
         #: Grants currently holding a slot; membership makes
         #: :meth:`cancel` (and grant-aware :meth:`release`) idempotent.
-        self._open_grants: set[Event] = set()
+        self._open_grants: "set[Event] | tuple" = _UNUSED
 
     @property
     def in_use(self) -> int:
@@ -749,15 +782,25 @@ class Resource:
         """Free slots right now."""
         return self.capacity - self._in_use
 
+    def _grant(self, ev: Event) -> None:
+        """Record ``ev`` as holding a slot and trigger it."""
+        grants = self._open_grants
+        if grants is _UNUSED:
+            grants = self._open_grants = set()
+        grants.add(ev)
+        ev.succeed(self)
+
     def request(self) -> Event:
         """Return an event that succeeds once a slot is granted."""
         ev = self.sim.event(name="resource-grant")
         if self._in_use < self.capacity:
             self._in_use += 1
-            self._open_grants.add(ev)
-            ev.succeed(self)
+            self._grant(ev)
         else:
-            self._waiters.append(ev)
+            waiters = self._waiters
+            if waiters is _UNUSED:
+                waiters = self._waiters = deque()
+            waiters.append(ev)
         return ev
 
     def release(self, grant: Optional[Event] = None) -> None:
@@ -775,13 +818,13 @@ class Resource:
             self._open_grants.discard(grant)
         if self._in_use <= 0:
             raise SimulationError("release() without matching request()")
-        while self._waiters:
-            ev = self._waiters.popleft()
+        waiters = self._waiters
+        while waiters:
+            ev = waiters.popleft()
             if ev in self._cancelled:
                 self._cancelled.discard(ev)
                 continue
-            self._open_grants.add(ev)
-            ev.succeed(self)
+            self._grant(ev)
             return
         self._in_use -= 1
 
@@ -795,8 +838,9 @@ class Resource:
         release or a phantom free slot.
         """
         if not grant.triggered:
-            if grant not in self._cancelled:
-                self._cancelled.add(grant)
+            if self._cancelled is _UNUSED:
+                self._cancelled = set()
+            self._cancelled.add(grant)
             return
         if grant in self._open_grants:
             self._open_grants.discard(grant)
@@ -808,14 +852,16 @@ class Store:
 
     ``put(item)`` is immediate; ``get()`` returns an event that succeeds
     with the oldest item (waiting if the store is empty).  Used for
-    message queues and task inboxes throughout the overlay.
+    message queues and task inboxes throughout the overlay.  Both
+    queues are allocated on first use (see ``_UNUSED``): most inboxes
+    of a large run never hold an item.
     """
 
     def __init__(self, sim: Simulator, name: str = "") -> None:
         self.sim = sim
         self.name = name
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
+        self._items: "deque[Any] | tuple" = _UNUSED
+        self._getters: "deque[Event] | tuple" = _UNUSED
 
     def __len__(self) -> int:
         return len(self._items)
@@ -831,7 +877,10 @@ class Store:
             ev = self._getters.popleft()
             ev.succeed(item)
         else:
-            self._items.append(item)
+            items = self._items
+            if items is _UNUSED:
+                items = self._items = deque()
+            items.append(item)
 
     def get(self) -> Event:
         """Return an event that succeeds with the oldest item."""
@@ -839,7 +888,10 @@ class Store:
         if self._items:
             ev.succeed(self._items.popleft())
         else:
-            self._getters.append(ev)
+            getters = self._getters
+            if getters is _UNUSED:
+                getters = self._getters = deque()
+            getters.append(ev)
         return ev
 
     def items_snapshot(self) -> tuple[Any, ...]:

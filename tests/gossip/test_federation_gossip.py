@@ -261,34 +261,39 @@ class TestGossipReplacesKeepalive:
         }
 
 
-def _record_spawns(monkeypatch, sim) -> list:
-    """Names of every process spawned on ``sim`` from now on."""
-    names: list = []
-    spawn = sim.process
+_BEACONS = ("KeepAlive", "StatReport")
 
-    def recording(generator, name=""):
-        names.append(name)
-        return spawn(generator, name=name)
 
-    monkeypatch.setattr(sim, "process", recording)
-    return names
+def _beacons_received(trace, since: float = 0.0) -> dict:
+    """Beacons delivered to any host after ``since``, by payload type."""
+    counts = dict.fromkeys(_BEACONS, 0)
+    for ev in trace.of_kind("msg-recv"):
+        kind = ev.get("payload_kind")
+        if kind in counts and ev.time > since:
+            counts[kind] += 1
+    return counts
 
 
 class TestBeaconsFollowJoinPath:
-    def test_federated_join_starts_no_beacon_loops(self, monkeypatch):
-        sim, _net, _brokers, fed, clients = _stack()
-        names = _record_spawns(monkeypatch, sim)
+    def test_federated_join_starts_no_beacon_loops(self):
+        sim, net, _brokers, fed, clients = _stack()
         _join_all(sim, fed, clients)
         assert all(client.online for client in clients.values())
-        assert not [
-            n for n in names if n.startswith(("keepalive@", "stats@"))
-        ]
+        joined = sim.now
+        _run_for(sim, 600.0)
+        assert _beacons_received(net.tracer, since=joined) == dict.fromkeys(
+            _BEACONS, 0
+        )
 
-    def test_connect_starts_both_beacon_loops(
-        self, monkeypatch, overlay_pair, sim
-    ):
-        broker, client, _net = overlay_pair
-        names = _record_spawns(monkeypatch, sim)
+    def test_connect_starts_both_beacon_loops(self, sim, network):
+        broker = Broker(network, "a.example", IdFactory(), name="broker")
+        client = SimpleClient(network, "b.example", broker.ids, name="client")
         run_process(sim, client.connect(broker.advertisement()))
-        assert "keepalive@client" in names
-        assert "stats@client" in names
+        _run_for(sim, 600.0)
+        # A keepalive every 30 s and a stat report every 60 s, the
+        # first of each at the join.
+        assert _beacons_received(network.tracer) == {
+            "KeepAlive": 20, "StatReport": 10,
+        }
+        assert {ev.get("dst") for ev in network.tracer.of_kind("msg-recv")
+                if ev.get("payload_kind") in _BEACONS} == {"a.example"}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -208,6 +210,71 @@ class TestStatisticsProperties:
         assert s.session.messages_ok <= s.total.messages_ok
 
 
+class _DequeLogStats(PeerStats):
+    """Reference: the event log as a deque popped from the left."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._log = deque()
+
+    def _logged(self, now: float, kind: str, ok: bool) -> None:
+        self._log.append((now, kind, ok))
+        cutoff = now - self.LOG_RETENTION_S
+        while self._log and self._log[0][0] < cutoff:
+            self._log.popleft()
+
+
+_RECORDS = ("message", "task", "file")
+_record_steps = st.lists(
+    st.tuples(
+        st.sampled_from(_RECORDS),
+        # Steps of up to 10 h cross the 24 h retention edge within a
+        # few records; a few step back in time, and whole half hours
+        # land entries exactly on the edge.
+        st.one_of(
+            st.floats(min_value=-600.0, max_value=10 * 3600.0),
+            st.integers(min_value=-1, max_value=20).map(lambda k: k * 1800.0),
+        ),
+        st.booleans(),
+        st.floats(min_value=0.0, max_value=5 * 3600.0),
+        st.floats(min_value=0.01, max_value=30.0),
+    ),
+    max_size=60,
+)
+
+
+class TestEventLogAgainstDeque:
+    @given(_record_steps)
+    @settings(max_examples=200, deadline=None)
+    def test_shares_and_snapshot_match_bit_for_bit(self, steps):
+        stats, ref = PeerStats(), _DequeLogStats()
+        now = 0.0
+        for kind, dt, ok, lag, hours in steps:
+            now += dt
+            for s in (stats, ref):
+                if kind == "message":
+                    s.record_message(now, ok)
+                elif kind == "task":
+                    s.record_task_executed(now, ok)
+                else:
+                    s.record_file_attempt(now, ok, cancelled=not ok)
+            assert list(stats._log) == list(ref._log)
+            query = now + lag
+            for k in _RECORDS:
+                assert stats.pct_ok_last(k, query, hours) == ref.pct_ok_last(
+                    k, query, hours
+                )
+            assert stats.snapshot(query, hours) == ref.snapshot(query, hours)
+
+    def test_prune_keeps_the_edge_entry(self):
+        s = PeerStats()
+        for t in (0.0, 10.0, 20.0):
+            s.record_message(t, ok=True)
+        s.record_message(s.LOG_RETENTION_S + 10.0, ok=False)
+        # t=0 is older than the edge, t=10 sits on it and stays.
+        assert [t for t, _k, _o in s._log] == [10.0, 20.0, s.LOG_RETENTION_S + 10.0]
+
+
 class TestPerformanceHistory:
     def test_transfer_ewma(self):
         h = PerformanceHistory(alpha=0.5)
@@ -234,6 +301,28 @@ class TestPerformanceHistory:
         h.record_transfer(5.0, 100.0, 1.0)
         assert h.transfer_rates_in_window(0.0, 10.0) == [100.0]
         assert h.transfer_rates_in_window(6.0, 10.0) == []
+
+    def test_windows_empty_until_first_observation(self):
+        h = PerformanceHistory(window=3)
+        for obs in (h.transfer_obs, h.latency_obs, h.exec_obs):
+            assert len(obs) == 0 and not obs and list(obs) == []
+        assert h.latencies_in_window(0.0, 1e9) == []
+        assert h.transfer_rates_in_window(0.0, 1e9) == []
+        h.record_execution(0.0, 10.0, 1.0)
+        assert list(h.exec_obs) == [(0.0, 10.0)]
+        assert len(h.transfer_obs) == 0 and len(h.latency_obs) == 0
+
+    def test_every_window_bounded_fifo(self):
+        h = PerformanceHistory(window=3)
+        for i in range(5):
+            t = float(i)
+            h.record_transfer(t, 10.0 * (i + 1), 1.0)
+            h.record_execution(t, 10.0 * (i + 1), 1.0)
+            h.record_petition_latency(t, 0.1 * i)
+        kept = [2.0, 3.0, 4.0]
+        assert list(h.transfer_obs) == [(t, 10.0 * (t + 1)) for t in kept]
+        assert list(h.exec_obs) == [(t, 10.0 * (t + 1)) for t in kept]
+        assert [t for t, _v in h.latency_obs] == kept
 
     def test_window_bounded(self):
         h = PerformanceHistory(window=4)

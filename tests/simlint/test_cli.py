@@ -47,6 +47,14 @@ class TestExitCodes:
         root = write_tree(tmp_path, {"src/ok.py": CLEAN})
         assert main(["src", "--root", str(root), "--select", "SIM999"]) == 2
 
+    def test_empty_rule_list_exits_2(self, tmp_path, capsys):
+        root = write_tree(tmp_path, {"src/bad.py": DIRTY})
+        for flag in ("--select", "--ignore"):
+            for value in ("", ","):
+                assert main(["src", "--root", str(root), flag, value]) == 2
+                err = capsys.readouterr().err
+                assert f"{flag} needs at least one rule id" in err
+
     def test_suppressed_findings_exit_0(self, tmp_path, capsys):
         root = write_tree(
             tmp_path,

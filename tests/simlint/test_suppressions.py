@@ -75,6 +75,44 @@ class TestLineSuppressions:
         assert result.findings == []
         assert len(result.suppressed) == 1
 
+    def test_body_comment_does_not_cover_compound_header(self):
+        # The SIM003 sits on the ``for`` header; the disable in the
+        # body is about line 4 only.
+        result = lint(
+            """
+            s = set(peers)
+            for p in s:
+                y = 2  # simlint: disable -- unrelated
+            """
+        )
+        assert [(f.rule, f.line) for f in result.findings] == [("SIM003", 3)]
+        assert result.suppressed == []
+
+    def test_body_comment_does_not_cover_with_or_def_header(self):
+        result = lint(
+            """
+            import time
+            def f(t=time.time()):
+                return 1  # simlint: disable=SIM001 -- unrelated
+            with open(time.time()):
+                pass  # simlint: disable=SIM001 -- unrelated
+            """
+        )
+        assert [f.line for f in result.findings] == [3, 5]
+
+    def test_multiline_compound_header_suppressed_from_any_header_line(self):
+        result = lint(
+            """
+            s = set(peers)
+            for p in (
+                s
+            ):  # simlint: disable=SIM003 -- order-free body
+                y = 2
+            """
+        )
+        assert result.findings == []
+        assert [f.rule for f in result.suppressed] == ["SIM003"]
+
 
 class TestFileSuppressions:
     def test_disable_file_covers_whole_module(self):

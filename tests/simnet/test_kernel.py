@@ -381,6 +381,91 @@ class TestRunControls:
         assert order == ["first", "second", "third"]
 
 
+def _periodic_order(start_loop) -> list:
+    """Log of a 10 s periodic loop interleaved with NORMAL timers.
+
+    NORMAL ``call_at`` timers sit at every multiple of 10 s (scheduled
+    before the loop starts) and one more at t=0 is scheduled after it.
+    ``start_loop(sim, log)`` starts the loop.
+    """
+    sim = Simulator()
+    log: list = []
+    for k in range(4):
+        sim.call_at(10.0 * k, log.append, f"call@{10 * k}")
+    start_loop(sim, log)
+    sim.call_at(0.0, log.append, "late-call@0")
+    sim.run(until=35.0)
+    return log
+
+
+def _process_loop(sim, log):
+    def loop():
+        while True:
+            log.append(f"beat@{sim.now:g}")
+            yield 10.0
+
+    sim.process(loop())
+
+
+def _timer_loop(schedule):
+    def start(sim, log):
+        def beat():
+            log.append(f"beat@{sim.now:g}")
+            schedule(sim, 10.0, beat)
+
+        schedule(sim, 0.0, beat)
+
+    return start
+
+
+class TestWakeIn:
+    def test_runs_callback_with_args_after_delay(self, sim):
+        seen = []
+        sim.wake_in(2.5, lambda *a: seen.append((sim.now, a)), "x", 1)
+        sim.run()
+        assert seen == [(2.5, ("x", 1))]
+
+    @pytest.mark.parametrize("delay", [-1.0, float("nan")])
+    def test_rejects_negative_and_nan_delay(self, sim, delay):
+        with pytest.raises(SchedulingInPastError):
+            sim.wake_in(delay, lambda: None)
+
+    def test_cancelled_timer_never_fires(self, sim):
+        seen = []
+        sim.cancel(sim.wake_in(1.0, seen.append, "x"))
+        sim.run()
+        assert seen == []
+
+    def test_timer_loop_keeps_the_yield_order(self):
+        reference = _periodic_order(_process_loop)
+        # The process's start and its timeouts are URGENT: each beat
+        # runs before the NORMAL timers of its instant.
+        assert reference[:4] == ["beat@0", "call@0", "late-call@0", "beat@10"]
+        wake = _timer_loop(lambda sim, d, fn: sim.wake_in(d, fn))
+        assert _periodic_order(wake) == reference
+
+    def test_call_in_loop_reorders_beats(self):
+        # The order the test above pins is one ``call_in`` cannot give:
+        # at NORMAL priority a beat runs after earlier-scheduled timers.
+        call_in = _timer_loop(lambda sim, d, fn: sim.call_in(d, fn))
+        assert _periodic_order(call_in) != _periodic_order(_process_loop)
+
+    def test_same_delay_as_a_yield_runs_in_scheduling_order(self, sim):
+        log = []
+
+        def proc():
+            yield 5.0
+            log.append("yield")
+
+        sim.call_at(5.0, log.append, "normal")
+        sim.wake_in(5.0, log.append, "beat-before")
+        sim.process(proc())
+        sim.run(until=1.0)  # the process's yield is scheduled at t=0
+        sim.wake_in(4.0, log.append, "beat-after")
+        sim.run()
+        assert log == ["beat-before", "yield", "beat-after", "normal"]
+
+
 class TestResource:
     def test_grants_up_to_capacity(self, sim):
         res = Resource(sim, capacity=2)
@@ -472,6 +557,79 @@ class TestStore:
         store.get()
         store.get()
         assert store.waiting_getters == 2
+
+
+class TestLazyContainers:
+    """A store or resource allocates its queues on first use; a fresh
+    one and one whose queues exist but are empty behave the same."""
+
+    @staticmethod
+    def _used_store(sim):
+        store = Store(sim)
+        store.get()
+        store.put("warm")
+        assert len(store) == 0 and store.waiting_getters == 0
+        return store
+
+    def _store_trace(self, store):
+        out = [len(store), store.items_snapshot(), store.waiting_getters]
+        first, second = store.get(), store.get()
+        out.append(store.waiting_getters)
+        for item in ("a", "b", "c", "d"):
+            store.put(item)
+        out += [first.value, second.value, len(store), store.items_snapshot()]
+        out += [store.get().value, store.get().value, len(store)]
+        return out
+
+    def test_store_same_before_and_after_first_use(self, sim):
+        fresh = self._store_trace(Store(sim))
+        assert fresh == [
+            0, (), 0, 2, "a", "b", 2, ("c", "d"), "c", "d", 0,
+        ]
+        assert self._store_trace(self._used_store(sim)) == fresh
+
+    @staticmethod
+    def _used_resource(sim):
+        res = Resource(sim, capacity=1)
+        grant = res.request()
+        waiter = res.request()
+        res.cancel(waiter)
+        res.release(grant)
+        assert res.in_use == 0 and res.queued == 0
+        return res
+
+    @staticmethod
+    def _resource_trace(res):
+        out = [res.queued, res.in_use, res.available]
+        held = res.request()
+        waiters = [res.request() for _ in range(4)]
+        out.append(res.queued)
+        res.cancel(waiters[1])  # a tombstone, skipped when its turn comes
+        res.cancel(waiters[1])
+        out.append(res.queued)
+        order = []
+        grant = held
+        while True:
+            res.release(grant)
+            woken = [i for i, w in enumerate(waiters) if w.triggered and i not in order]
+            if not woken:
+                break
+            order += woken
+            grant = waiters[woken[0]]
+        out += [order, res.queued, res.in_use]
+        return out
+
+    def test_resource_same_before_and_after_first_use(self, sim):
+        fresh = self._resource_trace(Resource(sim, capacity=1))
+        assert fresh == [0, 0, 1, 4, 3, [0, 2, 3], 0, 0]
+        assert self._resource_trace(self._used_resource(sim)) == fresh
+
+    def test_fresh_resource_rejects_unknown_grant(self, sim):
+        res = Resource(sim)
+        with pytest.raises(SimulationError):
+            res.release(sim.event())
+        res.cancel(sim.event().succeed())  # not held: a no-op
+        assert res.in_use == 0
 
 
 class TestDeterminism:
