@@ -62,9 +62,11 @@ IDLE_PEER_S = 600.0
 #: each hold an empty 64-slot deque block, and whose two beacon loops
 #: are generator processes, measures about 28 KB; with the containers
 #: allocated on first use and the beacons as kernel timers, about
-#: 18 KB.  The ceiling sits between, so a return to eager containers
-#: or beacon processes fails it.
-IDLE_PEER_BYTES_CEILING = 23_000
+#: 18 KB; with handlers bound on first delivery, a slotted host and
+#: one freshness stamp per beacon source, about 14 KB.  The ceiling
+#: sits below 18 KB, so a return to a handler per message type, an
+#: instance dict per host or a freshness time per key fails it.
+IDLE_PEER_BYTES_CEILING = 16_000
 
 
 def _timeout_churn():
@@ -297,6 +299,38 @@ def test_idle_peer_bytes_ceiling():
         f"an idle connected peer holds {per_peer:.0f} bytes, above the "
         f"{IDLE_PEER_BYTES_CEILING} byte ceiling"
     )
+
+
+def test_beacon_handlers_traced_under_overlay():
+    """The handler seam the suite tracer wraps: a handler bound on
+    first delivery is installed through ``Host.on_message``, so the
+    broker's beacon handlers are booked as *overlay* spans under
+    their own qualnames (``overlay.liveness_self_s`` sums those)."""
+    from benchmarks.suite.tracer import LayerTracer, installed
+    from repro.experiments import ExperimentConfig
+    from repro.experiments.scenario import Session
+    from repro.obs import use_registry
+
+    tracer = LayerTracer()
+    registry = MetricsRegistry()
+    with installed(tracer), use_registry(registry):
+        session = Session(ExperimentConfig(seed=2011))
+        sim = session.sim
+        sim.run(until=sim.process(session.connect_all()))
+        sim.run(until=sim.now + 600.0)
+    spans = {}
+    for (layer, qualname, _parent), (count, _self_s, _total_s) in tracer.spans.items():
+        if qualname.startswith("Broker._on_"):
+            assert layer == "overlay", (layer, qualname)
+            spans[qualname] = spans.get(qualname, 0) + count
+    keepalive = [q for q in spans if "keepalive" in q]
+    stat_report = [q for q in spans if "stat_report" in q]
+    assert keepalive and stat_report, sorted(spans)
+    # Every beacon the broker handled ran inside a span.
+    assert sum(spans[q] for q in keepalive) == registry.counter(
+        "broker.keepalives").value > 0
+    assert sum(spans[q] for q in stat_report) == registry.counter(
+        "broker.stat_reports").value > 0
 
 
 def _cancel_rearm_churn():

@@ -30,7 +30,7 @@ from repro.errors import (
 from repro.experiments.report import render_table
 from repro.experiments.runner import average_rows, run_cells, run_repetitions
 from repro.experiments.scenario import ExperimentConfig, Session
-from repro.experiments.steps import in_waves, make_selector
+from repro.experiments.steps import in_waves, join, make_selector, online_view
 from repro.faults.injectors import NodeCrash
 from repro.faults.plan import FaultPlan
 from repro.gossip.config import GossipConfig
@@ -131,11 +131,10 @@ def _scenario(session: Session):
     extra = {}
     for hostname in _pool_hostnames(max(POOL_SIZES)):
         if hostname not in {c.host.hostname for c in session.clients.values()}:
-            peer = SimpleClient(
+            extra[hostname] = SimpleClient(
                 session.network, hostname, session.ids, name=hostname
             )
-            extra[hostname] = peer
-            yield sim.process(peer.connect(broker.advertisement()))
+    yield from join(session, extra.values())
 
     all_peers = {c.host.hostname: c for c in session.clients.values()}
     all_peers.update(extra)
@@ -156,11 +155,15 @@ def _scenario(session: Session):
     for pool in POOL_SIZES:
         pool_hosts = set(_pool_hostnames(pool))
         for model in MODELS:
-            selector = make_selector(model, session, "scale")
+            # Under a federation the head broker holds no record of
+            # another shard's peer, so the economic model reserves none.
+            selector = make_selector(
+                model, session, "scale", reserve=session.federation is None
+            )
             total = 0.0
             for j in range(N_JOBS):
                 candidates = [
-                    rec for rec in broker.candidates()
+                    rec for rec in online_view(model, session)
                     if rec.adv.hostname in pool_hosts
                 ]
                 ctx = SelectionContext(
@@ -217,12 +220,7 @@ def _large_scenario(session: Session, pool: int, n_jobs: int, concurrency: int):
     pool_hosts = set(hostnames)
     peers = {c.host.hostname: c for c in session.clients.values()}
 
-    def join(hostname):
-        peer = SimpleClient(session.network, hostname, session.ids, name=hostname)
-        peers[hostname] = peer
-        return sim.process(peer.connect(broker.advertisement()))
-
-    def place(selector, filename, job, samples):
+    def place(model, selector, filename, job, samples):
         ctx = SelectionContext(
             broker=broker,
             now=sim.now,
@@ -230,7 +228,7 @@ def _large_scenario(session: Session, pool: int, n_jobs: int, concurrency: int):
                 transfer_bits=job.file.size_bits, n_parts=job.n_parts
             ),
             candidates=[
-                rec for rec in broker.candidates()
+                rec for rec in online_view(model, session)
                 if rec.adv.hostname in pool_hosts
             ],
         )
@@ -241,9 +239,12 @@ def _large_scenario(session: Session, pool: int, n_jobs: int, concurrency: int):
         ))
 
     # Bring up everything beyond the 8 session SCs, a wave at a time.
-    yield from in_waves(
-        (join(h) for h in hostnames if h not in peers), concurrency
-    )
+    fresh = [
+        SimpleClient(session.network, h, session.ids, name=h)
+        for h in hostnames if h not in peers
+    ]
+    peers.update((peer.host.hostname, peer) for peer in fresh)
+    yield from join(session, fresh, concurrency)
 
     # Warmup: one short probe per peer so informed models have history.
     results: List[float] = []  # probe costs are discarded
@@ -266,11 +267,13 @@ def _large_scenario(session: Session, pool: int, n_jobs: int, concurrency: int):
 
     costs: Dict[str, float] = {}
     for model in MODELS:
-        selector = make_selector(model, session, "scale")
+        selector = make_selector(
+            model, session, "scale", reserve=session.federation is None
+        )
         samples: List[float] = []
         yield from in_waves(
             (
-                place(selector, f"job-{model}-{pool}-{j}", job, samples)
+                place(model, selector, f"job-{model}-{pool}-{j}", job, samples)
                 for j, job in enumerate(jobs)
             ),
             concurrency,
@@ -435,8 +438,6 @@ def _fed_bringup(session: Session, pool: int):
     new peers are enrolled first and gossip graphs are (re)built once
     every join has landed.
     """
-    sim = session.sim
-    fed = session.federation
     peers: Dict[str, SimpleClient] = dict(session.clients)
     fresh: List[SimpleClient] = []
     for hostname in synthetic_hostnames(max(0, pool - len(peers))):
@@ -446,21 +447,7 @@ def _fed_bringup(session: Session, pool: int):
         )
         peers[peer.name] = peer
         fresh.append(peer)
-        if fed is not None:
-            fed.enroll(peer)
-    if fed is not None:
-        joins = (
-            sim.process(peer.join_federated(fed.shard_map, fed.broker_advs()))
-            for peer in fresh
-        )
-    else:
-        joins = (
-            sim.process(peer.connect(session.broker.advertisement()))
-            for peer in fresh
-        )
-    yield from in_waves(joins, FED_JOIN_WAVE)
-    if fed is not None:
-        fed.start_gossip()
+    yield from join(session, fresh, FED_JOIN_WAVE)
     return peers
 
 

@@ -334,11 +334,10 @@ class Session:
         finally:
             for runtime in self.fault_runtimes:
                 runtime.finalize()
-            # Publish kernel and flow-scheduler counters even when the
-            # scenario fails — partial metrics beat silent gaps when
-            # debugging stalls.
-            self.sim.flush_metrics()
-            self.network.flows.flush_metrics(self.metrics)
+            # Publish kernel, flow-scheduler and message counters even
+            # when the scenario fails — partial metrics beat silent
+            # gaps when debugging stalls.
+            self.network.flush_metrics(self.metrics)
         return p.value
 
     # -- conveniences ----------------------------------------------------------

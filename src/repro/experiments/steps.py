@@ -9,8 +9,12 @@ definition here:
 * :func:`probe` — a deadline-bounded warmup transfer that builds the
   broker's observed history;
 * :func:`in_waves` — wait on concurrent processes a wave at a time;
+* :func:`join` — connect a study's extra peers through the session's
+  control plane (the head broker, or their federation shards);
 * :func:`candidates` — a policy's selection view, with the one
-  keepalive liveness window :data:`LIVENESS_S`.
+  keepalive liveness window :data:`LIVENESS_S`;
+* :func:`online_view` — the placement view of the scale and swarming
+  studies.
 """
 
 from __future__ import annotations
@@ -23,7 +27,10 @@ from repro.selection.evaluator import DataEvaluatorSelector
 from repro.selection.preference import PreferenceTable, UserPreferenceSelector
 from repro.selection.scheduling import SchedulingBasedSelector
 
-__all__ = ["LIVENESS_S", "make_selector", "probe", "in_waves", "candidates"]
+__all__ = [
+    "LIVENESS_S", "make_selector", "probe", "in_waves", "join", "candidates",
+    "online_view",
+]
 
 #: Liveness window for the informed policies on the keepalive plane
 #: (3 keepalive periods).
@@ -103,6 +110,33 @@ def in_waves(procs: Iterable, size: int):
         yield pending
 
 
+def join(session, peers: Iterable, wave: int = 1):
+    """Generator: connect new ``peers``, ``wave`` joins at a time.
+
+    On the keepalive plane each peer joins the head broker.  Under a
+    gossip federation each is enrolled in its shard roster, joins its
+    shard's broker, and gossip graphs are rebuilt once every join has
+    landed; the head broker would refuse a peer another shard owns.
+    Run it with ``yield from`` inside the caller's process.
+    """
+    sim = session.sim
+    fed = session.federation
+    if fed is None:
+        broker = session.broker
+        joins = (sim.process(peer.connect(broker.advertisement())) for peer in peers)
+    else:
+        peers = list(peers)
+        for peer in peers:
+            fed.enroll(peer)
+        joins = (
+            sim.process(peer.join_federated(fed.shard_map, fed.broker_advs()))
+            for peer in peers
+        )
+    yield from in_waves(joins, wave)
+    if fed is not None:
+        fed.start_gossip()
+
+
 def candidates(policy: str, session) -> list:
     """The records ``policy`` may pick from right now.
 
@@ -134,3 +168,15 @@ def candidates(policy: str, session) -> list:
                 seen.add(rec.peer_id)
                 merged.append(rec)
     return merged
+
+
+def online_view(policy: str, session) -> list:
+    """The records the scale and swarming studies place on.
+
+    On the keepalive plane: the head broker's online peers, with no
+    recency window.  Under a federation: :func:`candidates`, the union
+    over the live shards, since the head broker knows only its own.
+    """
+    if session.federation is None:
+        return session.broker.candidates()
+    return candidates(policy, session)

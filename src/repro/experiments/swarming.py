@@ -60,7 +60,7 @@ from repro.analysis.stats import Summary
 from repro.experiments.report import render_table
 from repro.experiments.runner import average_rows, run_cells
 from repro.experiments.scenario import ExperimentConfig, Session
-from repro.experiments.steps import make_selector, probe
+from repro.experiments.steps import join, make_selector, online_view, probe
 from repro.selection.base import SelectionContext, Workload
 from repro.simnet.planetlab import synthetic_hostnames
 from repro.overlay.client import SimpleClient
@@ -182,11 +182,15 @@ def _source_selector(
         taken = tuple(exclude) + tuple(s.name for s in chosen) + (dest_name,)
         pool = [
             rec
-            for rec in broker.candidates()
+            for rec in online_view(model, session)
             if rec.adv.name in replicas and rec.adv.name not in taken
         ]
         while pool and len(chosen) < needed:
-            selector = make_selector(model, session, "swarming")
+            # The head broker holds no record of another shard's peer
+            # to reserve.
+            selector = make_selector(
+                model, session, "swarming", reserve=session.federation is None
+            )
             ctx = SelectionContext(
                 broker=broker,
                 now=sim.now,
@@ -219,13 +223,12 @@ def _replica_pool(session: Session, testbed: str, dest_label: str):
     """Generator process: bring up (and index) the replica sources."""
     replicas: Dict[str, object] = {}
     if testbed == "synthetic":
-        badv = session.broker.advertisement()
         for hostname in synthetic_hostnames(session.config.synthetic_nodes):
             node = SimpleClient(
                 session.network, hostname, session.ids, name=hostname
             )
-            yield session.sim.process(node.connect(badv))
             replicas[node.name] = node
+        yield from join(session, replicas.values())
     else:
         for label in session.sc_labels():
             if label != dest_label:

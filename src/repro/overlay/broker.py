@@ -39,7 +39,12 @@ from repro.overlay.messages import (
     StateSync,
 )
 from repro.overlay.peer import PeerNode, RequestTimeout
-from repro.overlay.statistics import PeerStats, PerformanceHistory, StalenessClock
+from repro.overlay.statistics import (
+    SNAPSHOT_KEYS,
+    PeerStats,
+    PerformanceHistory,
+    StalenessClock,
+)
 from repro.simnet.transport import Datagram
 
 __all__ = ["PeerRecord", "Broker"]
@@ -48,11 +53,10 @@ __all__ = ["PeerRecord", "Broker"]
 #: fan-out.
 FANOUT_TIMEOUT_S = 15.0
 
-#: Snapshot keys a :class:`KeepAlive` refreshes, in the order
-#: ``_on_keepalive`` writes them.
-_KEEPALIVE_KEYS = (
+#: Snapshot keys a :class:`KeepAlive` refreshes, stamped as one set.
+_KEEPALIVE_KEYS = frozenset((
     "outbox_len_now", "inbox_len_now", "pending_tasks", "pending_transfers",
-)
+))
 
 #: Snapshot keys served from the broker's own interaction history in
 #: :meth:`PeerRecord.selection_snapshot` — always fresh (the broker
@@ -178,15 +182,6 @@ class Broker(PeerNode):
         # The broker is its own broker: its discovery/publish calls
         # loop back through the (simulated) network to itself.
         self.broker_adv = self.advertisement()
-        h = self.host
-        h.on_message(JoinRequest, self._on_join_request)
-        h.on_message(LeaveNotice, self._on_leave)
-        h.on_message(KeepAlive, self._on_keepalive)
-        h.on_message(StatReport, self._on_stat_report)
-        h.on_message(DiscoveryQuery, self._on_discovery_query)
-        h.on_message(PublishAdvertisement, self._on_publish)
-        h.on_message(GroupJoinRequest, self._on_group_join)
-        h.on_message(StateSync, self._on_state_sync)
         #: Gossip federation attachments (see :meth:`attach_federation`;
         #: all None outside a gossip federation).
         self.federation = None
@@ -388,7 +383,7 @@ class Broker(PeerNode):
         snapshot["inbox_len_now"] = float(beacon.inbox_len)
         snapshot["pending_tasks"] = float(pending_tasks)
         snapshot["pending_transfers"] = float(pending_transfers)
-        rec.freshness.note_many(_KEEPALIVE_KEYS, now)
+        rec.freshness.stamp(_KEEPALIVE_KEYS, now)
 
     def _on_stat_report(self, dgram: Datagram) -> None:
         report: StatReport = dgram.payload
@@ -401,7 +396,9 @@ class Broker(PeerNode):
         counters = report.counters
         rec.last_seen = now
         rec.snapshot.update(counters)
-        rec.freshness.note_many(counters, now)
+        # A report is a whole PeerStats snapshot: its keys are
+        # SNAPSHOT_KEYS, refreshed as one stamp.
+        rec.freshness.stamp(SNAPSHOT_KEYS, now)
 
     def _on_publish(self, dgram: Datagram) -> None:
         pub: PublishAdvertisement = dgram.payload
@@ -727,6 +724,19 @@ class Broker(PeerNode):
             for peer_id in member_ids:
                 if peer_id not in group:
                     group.add(peer_id)
+
+    #: A peer's handlers plus the governor's (see ``PeerNode._HANDLERS``).
+    _HANDLERS = {
+        **PeerNode._HANDLERS,
+        JoinRequest: _on_join_request,
+        LeaveNotice: _on_leave,
+        KeepAlive: _on_keepalive,
+        StatReport: _on_stat_report,
+        DiscoveryQuery: _on_discovery_query,
+        PublishAdvertisement: _on_publish,
+        GroupJoinRequest: _on_group_join,
+        StateSync: _on_state_sync,
+    }
 
     # -- group governance (local API) ------------------------------------------
 

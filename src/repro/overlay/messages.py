@@ -163,7 +163,9 @@ class StatReport:
     """Peer-pushed statistics snapshot (see §2.2 of the paper).
 
     ``counters`` is a flat name->value mapping produced by
-    :meth:`repro.overlay.statistics.PeerStats.snapshot`.
+    :meth:`repro.overlay.statistics.PeerStats.snapshot`, so its keys
+    are always ``statistics.SNAPSHOT_KEYS``; the broker stamps their
+    freshness as one set.
     """
 
     peer_id: PeerId

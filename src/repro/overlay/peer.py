@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import (
     ConfigError,
@@ -36,6 +36,8 @@ from repro.overlay.ids import IdFactory, PeerId
 from repro.overlay.messages import (
     DiscoveryResponse,
     FilePetition,
+    FileRequest,
+    FileRequestAck,
     GroupJoinAck,
     InstantMessage,
     JoinAck,
@@ -207,7 +209,7 @@ class PeerNode:
 
         self._waiters: Dict[Any, list[Event]] = {}
         self._next_query_id = 0
-        self._wire_handlers()
+        self.host.serve(self)
 
         # Protocol services (imported lazily to avoid circular imports).
         from repro.overlay.discovery import DiscoveryService
@@ -219,14 +221,6 @@ class PeerNode:
         self.tasks = TaskExecutionService(self)
         self.discovery = DiscoveryService(self)
         self.sharing = FileSharingService(self)
-        h = self.host
-        from repro.overlay.messages import FileRequest, FileRequestAck
-
-        h.on_message(FileRequest, lambda dg: self.sharing.handle_request(dg))
-        h.on_message(
-            FileRequestAck,
-            lambda dg: self.fulfill(("file-req", dg.payload.filename), dg.payload),
-        )
 
     # -- identity -----------------------------------------------------------
 
@@ -316,28 +310,15 @@ class PeerNode:
 
     # -- handlers --------------------------------------------------------------------
 
-    def _wire_handlers(self) -> None:
-        h = self.host
-        h.on_message(JoinAck, self._on_join_ack)
-        h.on_message(PetitionAck, self._on_petition_ack)
-        h.on_message(PartConfirm, self._on_part_confirm)
-        h.on_message(FilePetition, self._on_file_petition)
-        h.on_message(PartNotice, self._on_part_notice)
-        h.on_message(TransferCancel, self._on_transfer_cancel)
-        h.on_message(TransferComplete, self._on_transfer_complete)
-        h.on_message(TaskSubmit, self._on_task_submit)
-        h.on_message(TaskCancel, lambda dg: self.tasks.handle_cancel(dg))
-        h.on_message(TaskAccept, self._on_task_accept)
-        h.on_message(TaskReject, self._on_task_reject)
-        h.on_message(TaskResult, self._on_task_result)
-        h.on_message(InstantMessage, self._on_im)
-        h.on_message(PipeBindRequest, self._on_pipe_bind_request)
-        h.on_message(PipeBindAck, self._on_pipe_bind_ack)
-        h.on_message(PipeMessage, self._on_pipe_message)
-        h.on_message(DiscoveryResponse, self._on_discovery_response)
-        h.on_message(GroupJoinAck, self._on_group_join_ack)
-        h.on_message(Ping, self._on_ping)
-        h.on_message(Pong, self._on_pong)
+    # Each handler is a method named in the class's ``_HANDLERS``
+    # table (below the methods).  The host binds one on the first
+    # delivery of its payload type (see ``Host.serve``), so a peer
+    # pays only for the types it receives.
+
+    def handler_for(self, payload_type: type) -> Optional[Callable[[Datagram], None]]:
+        """This node's handler for ``payload_type``, bound (None if unhandled)."""
+        fn = self._HANDLERS.get(payload_type)
+        return None if fn is None else fn.__get__(self)
 
     # membership ------------------------------------------------------------
 
@@ -371,6 +352,9 @@ class PeerNode:
 
     def _on_task_submit(self, dgram: Datagram) -> None:
         self.tasks.handle_submit(dgram)
+
+    def _on_task_cancel(self, dgram: Datagram) -> None:
+        self.tasks.handle_cancel(dgram)
 
     def _on_task_accept(self, dgram: Datagram) -> None:
         a: TaskAccept = dgram.payload
@@ -420,6 +404,41 @@ class PeerNode:
     def _on_pong(self, dgram: Datagram) -> None:
         pong: Pong = dgram.payload
         self.fulfill(("pong", pong.nonce), pong)
+
+    # file sharing -------------------------------------------------------------
+
+    def _on_file_request(self, dgram: Datagram) -> None:
+        self.sharing.handle_request(dgram)
+
+    def _on_file_request_ack(self, dgram: Datagram) -> None:
+        ack: FileRequestAck = dgram.payload
+        self.fulfill(("file-req", ack.filename), ack)
+
+    #: Payload type -> handler method of every message a peer serves.
+    _HANDLERS: Dict[type, Callable] = {
+        JoinAck: _on_join_ack,
+        PetitionAck: _on_petition_ack,
+        PartConfirm: _on_part_confirm,
+        FilePetition: _on_file_petition,
+        PartNotice: _on_part_notice,
+        TransferCancel: _on_transfer_cancel,
+        TransferComplete: _on_transfer_complete,
+        TaskSubmit: _on_task_submit,
+        TaskCancel: _on_task_cancel,
+        TaskAccept: _on_task_accept,
+        TaskReject: _on_task_reject,
+        TaskResult: _on_task_result,
+        InstantMessage: _on_im,
+        PipeBindRequest: _on_pipe_bind_request,
+        PipeBindAck: _on_pipe_bind_ack,
+        PipeMessage: _on_pipe_message,
+        DiscoveryResponse: _on_discovery_response,
+        GroupJoinAck: _on_group_join_ack,
+        Ping: _on_ping,
+        Pong: _on_pong,
+        FileRequest: _on_file_request,
+        FileRequestAck: _on_file_request_ack,
+    }
 
     # -- broker membership ---------------------------------------------------------
 

@@ -27,7 +27,28 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-__all__ = ["Counters", "PeerStats", "PerformanceHistory", "StalenessClock"]
+__all__ = [
+    "Counters", "PeerStats", "PerformanceHistory", "SNAPSHOT_KEYS",
+    "StalenessClock",
+]
+
+#: The keys of every :meth:`PeerStats.snapshot` (and so of every
+#: ``StatReport``): one shared set, so a broker stamps a report's
+#: freshness once (see :meth:`StalenessClock.stamp`).
+SNAPSHOT_KEYS = frozenset((
+    "pct_messages_ok_session", "pct_messages_ok_total",
+    "pct_messages_ok_last_k", "outbox_len_now", "outbox_len_avg",
+    "inbox_len_now", "inbox_len_avg", "pct_tasks_ok_session",
+    "pct_tasks_ok_total", "pct_tasks_accepted_session",
+    "pct_tasks_accepted_total", "pct_files_sent_session",
+    "pct_files_sent_total", "pct_transfers_cancelled_session",
+    "pct_transfers_cancelled_total", "pending_transfers", "pending_tasks",
+    "sessions_started",
+))
+
+_INF = float("inf")
+#: "No last-k share cached": NaN compares false with every cutoff.
+_NO_CUTOFF = float("nan")
 
 
 def _share(num: float, den: float, default: float = 1.0) -> float:
@@ -110,6 +131,13 @@ class PeerStats:
     Holds the *current session* window, the *all sessions* total, a
     timestamped event log (for last-``k``-hours percentages) and queue
     occupancy tracking.  Thread-free: the simulator is single-threaded.
+
+    :meth:`snapshot` runs on every stat report, so it keeps two
+    caches.  The ten counter shares are recomputed only after a
+    ``record_*`` call or a session start or end: the counters change
+    nowhere else.  The last-``k`` message share is reused until a log
+    entry lands or the window edge passes the oldest entry it counted
+    (see :meth:`_message_share_last`).
     """
 
     #: Event-log retention (seconds); events older than this are pruned.
@@ -139,6 +167,13 @@ class PeerStats:
         self.pending_transfers = 0
         #: Tasks queued or running on this peer.
         self.pending_tasks = 0
+        #: Counter shares for :meth:`snapshot` (None = recompute).
+        self._shares: Optional[tuple] = None
+        #: Last-k message share cache: the cutoff it was counted at,
+        #: the oldest entry time it counted, and the share.
+        self._lk_cutoff = _NO_CUTOFF
+        self._lk_oldest = _INF
+        self._lk_share = 1.0
 
     # -- session lifecycle -----------------------------------------------------
 
@@ -149,6 +184,7 @@ class PeerStats:
         self.session = Counters()
         self.session_active = True
         self.sessions_started += 1
+        self._shares = None
 
     def end_session(self) -> None:
         """Close the current session window (archiving it)."""
@@ -156,10 +192,13 @@ class PeerStats:
             raise ValueError("no active session")
         self.session_active = False
         self.closed_sessions.append(self.session)
+        self._shares = None
 
     # -- recording ---------------------------------------------------------------
 
     def _logged(self, now: float, kind: str, ok: bool) -> None:
+        self._shares = None
+        self._lk_cutoff = _NO_CUTOFF
         log = self._log
         log.append((now, kind, ok))
         cutoff = now - self.LOG_RETENTION_S
@@ -183,6 +222,7 @@ class PeerStats:
 
     def record_task_offered(self, accepted: bool) -> None:
         """A task was offered; ``accepted`` if the peer took it."""
+        self._shares = None
         self.session.tasks_offered += 1
         self.total.tasks_offered += 1
         if accepted:
@@ -244,15 +284,38 @@ class PeerStats:
             raise ValueError(f"unknown event kind {kind!r}")
         if hours <= 0:
             raise ValueError(f"hours must be > 0, got {hours}")
-        cutoff = now - hours * 3600.0
+        return self._scan(kind, now - hours * 3600.0)[0]
+
+    def _scan(self, kind: str, cutoff: float) -> tuple[float, float]:
+        """(share, oldest counted time) of ``kind`` over the log tail
+        from the last entry back to the first one older than ``cutoff``."""
         n = ok = 0
+        oldest = _INF
         for t, k, o in reversed(self._log):
             if t < cutoff:
                 break
+            if t < oldest:
+                oldest = t
             if k == kind:
                 n += 1
                 ok += int(o)
-        return _share(ok, n)
+        return _share(ok, n), oldest
+
+    def _message_share_last(self, now: float, hours: float) -> float:
+        """``pct_ok_last("message", now, hours)``, cached.
+
+        With the log unchanged, a scan at a cutoff at or after the
+        cached one stops at the same entry unless the oldest entry it
+        counted is now older than the cutoff, so the cached share
+        holds.  A cutoff that moved backwards scans again.
+        """
+        cutoff = now - hours * 3600.0
+        if self._lk_cutoff <= cutoff and not self._lk_oldest < cutoff:
+            return self._lk_share
+        share, self._lk_oldest = self._scan("message", cutoff)
+        self._lk_cutoff = cutoff
+        self._lk_share = share
+        return share
 
     # -- snapshots --------------------------------------------------------------------------
 
@@ -261,23 +324,41 @@ class PeerStats:
 
         This is what peers ship to the broker in ``StatReport``
         messages and what :mod:`repro.selection.criteria` consumes.
+        Its keys are :data:`SNAPSHOT_KEYS`.
         """
+        if last_k_hours <= 0:
+            raise ValueError(f"hours must be > 0, got {last_k_hours}")
+        shares = self._shares
+        if shares is None:
+            session = self.session
+            total = self.total
+            shares = self._shares = (
+                session.pct_messages_ok, total.pct_messages_ok,
+                session.pct_tasks_ok, total.pct_tasks_ok,
+                session.pct_tasks_accepted, total.pct_tasks_accepted,
+                session.pct_files_sent, total.pct_files_sent,
+                session.pct_transfers_cancelled, total.pct_transfers_cancelled,
+            )
+        (msgs_s, msgs_t, tasks_s, tasks_t, accepted_s, accepted_t,
+         files_s, files_t, cancelled_s, cancelled_t) = shares
+        outbox_n = self._outbox_samples
+        inbox_n = self._inbox_samples
         return {
-            "pct_messages_ok_session": self.session.pct_messages_ok,
-            "pct_messages_ok_total": self.total.pct_messages_ok,
-            "pct_messages_ok_last_k": self.pct_ok_last("message", now, last_k_hours),
+            "pct_messages_ok_session": msgs_s,
+            "pct_messages_ok_total": msgs_t,
+            "pct_messages_ok_last_k": self._message_share_last(now, last_k_hours),
             "outbox_len_now": float(self.outbox_len_now),
-            "outbox_len_avg": self.outbox_len_avg,
+            "outbox_len_avg": self._outbox_sum / outbox_n if outbox_n > 0 else 0.0,
             "inbox_len_now": float(self.inbox_len_now),
-            "inbox_len_avg": self.inbox_len_avg,
-            "pct_tasks_ok_session": self.session.pct_tasks_ok,
-            "pct_tasks_ok_total": self.total.pct_tasks_ok,
-            "pct_tasks_accepted_session": self.session.pct_tasks_accepted,
-            "pct_tasks_accepted_total": self.total.pct_tasks_accepted,
-            "pct_files_sent_session": self.session.pct_files_sent,
-            "pct_files_sent_total": self.total.pct_files_sent,
-            "pct_transfers_cancelled_session": self.session.pct_transfers_cancelled,
-            "pct_transfers_cancelled_total": self.total.pct_transfers_cancelled,
+            "inbox_len_avg": self._inbox_sum / inbox_n if inbox_n > 0 else 0.0,
+            "pct_tasks_ok_session": tasks_s,
+            "pct_tasks_ok_total": tasks_t,
+            "pct_tasks_accepted_session": accepted_s,
+            "pct_tasks_accepted_total": accepted_t,
+            "pct_files_sent_session": files_s,
+            "pct_files_sent_total": files_t,
+            "pct_transfers_cancelled_session": cancelled_s,
+            "pct_transfers_cancelled_total": cancelled_t,
             "pending_transfers": float(self.pending_transfers),
             "pending_tasks": float(self.pending_tasks),
             "sessions_started": float(self.sessions_started),
@@ -401,18 +482,34 @@ class PerformanceHistory:
 class StalenessClock:
     """Last-refresh times for named statistic inputs (sim seconds).
 
-    The broker stamps each snapshot key as keepalives, stat reports and
+    The broker stamps snapshot keys as keepalives, stat reports and
     replication state syncs land; degraded-mode selection compares
     :meth:`age` against its staleness budget to decide which criteria
     are still trustworthy.  Refresh times are merged monotonically, so
     absorbing an old state sync never rejuvenates a key.
+
+    A beacon refreshes the same keys every time, so :meth:`stamp`
+    keeps one time per key *set* (a frozenset, whose hash is cached);
+    :meth:`note` and :meth:`note_many` keep one per key.  A key's
+    refresh time is the latest of its own time and the stamps of
+    every set holding it.
     """
 
+    __slots__ = ("_stamps", "_seen")
+
     def __init__(self) -> None:
+        self._stamps: Dict[frozenset, float] = {}
         self._seen: Dict[str, float] = {}
 
     def __len__(self) -> int:
-        return len(self._seen)
+        """Number of keys ever refreshed."""
+        return len(self._times())
+
+    def stamp(self, keys: frozenset, now: float) -> None:
+        """Record that every key of ``keys`` was refreshed at ``now``."""
+        prior = self._stamps.get(keys)
+        if prior is None or now > prior:
+            self._stamps[keys] = now
 
     def note(self, key: str, now: float) -> None:
         """Record that ``key``'s value was refreshed at ``now``."""
@@ -431,6 +528,22 @@ class StalenessClock:
     def age(self, key: str, now: float) -> float:
         """Seconds since ``key`` was refreshed (inf if never)."""
         t = self._seen.get(key)
+        for keys, stamped in self._stamps.items():
+            if key in keys and (t is None or stamped > t):
+                t = stamped
         if t is None:
-            return float("inf")
+            return _INF
         return max(0.0, now - t)
+
+    def items(self):
+        """``(key, last refresh time)`` for every key ever refreshed."""
+        return self._times().items()
+
+    def _times(self) -> Dict[str, float]:
+        times = dict(self._seen)
+        for keys, stamped in self._stamps.items():
+            for key in keys:
+                prior = times.get(key)
+                if prior is None or stamped > prior:
+                    times[key] = stamped
+        return times

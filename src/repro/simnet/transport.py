@@ -540,7 +540,23 @@ class Host:
     """A live network endpoint bound to one topology node.
 
     Created via :meth:`Network.host`; do not instantiate directly.
+    Slotted: a host has more attributes than a shared-key instance
+    dict holds, so each host of a large study carried a full dict.
+    Tests that need to reshape a host patch the class
+    (``monkeypatch.setattr(Host, ...)``) or wrap the model an
+    accessor reads.
     """
+
+    __slots__ = (
+        "network", "sim", "spec", "hostname", "node",
+        "_up", "_down", "_overhead", "_light_overhead", "_loss",
+        "_cpu_share_rng", "inbox", "_handlers", "cpu", "_up_set",
+        "_down_set", "_is_up", "slow_factor", "link_bw_factor",
+        "link_latency_factor", "extra_loss", "messages_sent",
+        "messages_received", "messages_lost", "bits_sent",
+        "bits_received", "_m_msg_latency", "_m_retransmissions",
+        "_m_transfer_attempts",
+    )
 
     def __init__(self, network: "Network", spec: NodeSpec) -> None:
         self.network = network
@@ -602,7 +618,12 @@ class Host:
         self._cpu_share_rng = streams.draws(f"cpu/{spec.hostname}")
 
         self.inbox: Store = Store(self.sim, name=f"inbox@{spec.hostname}")
+        #: Installed handlers by payload type (see :meth:`on_message`).
         self._handlers: Dict[type, Callable[[Datagram], None]] = {}
+        #: The overlay node served by this host, if any: a payload type
+        #: with no installed handler is looked up in its
+        #: ``handler_for`` on first delivery (see :meth:`serve`).
+        self.node: Any = None
         self.cpu = Resource(self.sim, capacity=spec.cores)
         #: Active flows leaving/entering this host's access links, in
         #: start order (dict-as-ordered-set; maintained by the
@@ -622,7 +643,9 @@ class Host:
         self.link_latency_factor = 1.0
         self.extra_loss: Any = NO_LOSS
 
-        #: Running delivery/transfer counters (exposed for diagnostics).
+        #: Running delivery/transfer counters.  ``messages_sent`` and
+        #: ``messages_lost`` back the ``net.*`` counters, which
+        #: :meth:`Network.flush_metrics` publishes.
         self.messages_sent = 0
         self.messages_received = 0
         self.messages_lost = 0
@@ -631,8 +654,6 @@ class Host:
 
         # Network-wide instruments (shared across hosts; no-ops by default).
         reg = network.metrics
-        self._m_msgs_sent = reg.counter("net.messages_sent")
-        self._m_msgs_lost = reg.counter("net.messages_lost")
         self._m_msg_latency = reg.histogram("net.message_latency_s")
         self._m_retransmissions = reg.counter("net.retransmissions")
         self._m_transfer_attempts = reg.histogram(
@@ -711,9 +732,27 @@ class Host:
     def on_message(self, payload_type: type, handler: Callable[[Datagram], None]) -> None:
         """Register a handler for datagrams whose payload has this type.
 
+        Every handler is installed here, including the ones a served
+        node's table binds on first delivery (see :meth:`serve`).
         Unhandled payload types land in :attr:`inbox`.
         """
         self._handlers[payload_type] = handler
+
+    def serve(self, node: Any) -> None:
+        """Deliver to ``node``'s handlers, each bound on first use.
+
+        ``node.handler_for(payload_type)`` returns the handler for a
+        type, or None.  A host then holds handlers only for the types
+        it has received.  Serving a new node drops the installed
+        handlers of the types its table covers, as registering each of
+        them again would.
+        """
+        handlers = self._handlers
+        if handlers:
+            for payload_type in list(handlers):
+                if node.handler_for(payload_type) is not None:
+                    del handlers[payload_type]
+        self.node = node
 
     def send(
         self,
@@ -741,7 +780,6 @@ class Host:
         dst_name = dst.hostname
         dgram = Datagram(self.hostname, dst_name, payload, size_bits, now)
         self.messages_sent += 1
-        self._m_msgs_sent.inc()
         one_way = self.network.topology.one_way_s(self.spec, dst.spec)
         handling = dst._light_overhead if light else dst._overhead
         delay = (
@@ -772,7 +810,6 @@ class Host:
             )
         if lost:
             self.messages_lost += 1
-            self._m_msgs_lost.inc()
             return dgram
         self.sim.call_in(delay, dst._deliver, dgram)
         return dgram
@@ -792,7 +829,15 @@ class Host:
                 "msg-recv", now, src=dgram.src, dst=dgram.dst,
                 payload_kind=type(dgram.payload).__name__, latency=latency,
             )
-        handler = self._handlers.get(type(dgram.payload))
+        payload_type = type(dgram.payload)
+        handler = self._handlers.get(payload_type)
+        if handler is None and self.node is not None:
+            bound = self.node.handler_for(payload_type)
+            if bound is not None:
+                # Install through the one seam, then call what it
+                # installed (a wrapper may stand in for ``bound``).
+                self.on_message(payload_type, bound)
+                handler = self._handlers[payload_type]
         if handler is not None:
             handler(dgram)
         else:
@@ -945,6 +990,9 @@ class Network:
         self._partitions: Dict[int, tuple[frozenset, frozenset]] = {}
         self._partition_seq = 0
         self._flow_gating = False
+        #: Message totals already published by :meth:`flush_metrics`.
+        self._flushed_sent = 0
+        self._flushed_lost = 0
 
     def host(self, hostname: str) -> Host:
         """Return (creating on first use) the live host for ``hostname``."""
@@ -1018,9 +1066,26 @@ class Network:
         return not self.is_partitioned(flow.src.hostname, flow.dst.hostname)
 
     def flush_metrics(self, registry: Optional[MetricsRegistry] = None) -> None:
-        """Flush kernel and flow-scheduler batched counters in one call."""
+        """Flush kernel, flow-scheduler and message counters in one call.
+
+        ``net.messages_sent`` and ``net.messages_lost`` are the hosts'
+        ``messages_sent``/``messages_lost`` integers, published as
+        deltas since the last flush, like the kernel's counters.
+        """
         self.sim.flush_metrics(registry)
         self.flows.flush_metrics(registry)
+        reg = registry if registry is not None else self.metrics
+        if reg is None or not reg.enabled:
+            return
+        sent = lost = 0
+        for host in self._hosts.values():
+            sent += host.messages_sent
+            lost += host.messages_lost
+        # Cold path: one lookup per flush, as in FlowScheduler.flush_metrics.
+        reg.counter("net.messages_sent").inc(sent - self._flushed_sent)  # simlint: disable=SIM006 -- per-flush lookup, registry varies per call
+        reg.counter("net.messages_lost").inc(lost - self._flushed_lost)  # simlint: disable=SIM006 -- per-flush lookup, registry varies per call
+        self._flushed_sent = sent
+        self._flushed_lost = lost
 
     def is_partitioned(self, a: str, b: str) -> bool:
         """True when a unit from ``a`` to ``b`` would cross a cut."""

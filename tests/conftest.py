@@ -110,3 +110,31 @@ def connect(sim, broker, *clients):
             yield sim.process(c.connect(badv))
 
     run_process(sim, go())
+
+
+class _Outage:
+    """A bandwidth model whose rate is zero over ``[start, end)``."""
+
+    def __init__(self, inner, start: float, end: float) -> None:
+        self.inner = inner
+        self.start = start
+        self.end = end
+
+    def rate_at(self, now: float) -> float:
+        return 0.0 if self.start <= now < self.end else self.inner.rate_at(now)
+
+    def mean_rate(self) -> float:
+        return self.inner.mean_rate()
+
+
+def gate_capacity(host, start: float, end: float, up: bool = True,
+                  down: bool = True) -> None:
+    """Collapse ``host``'s access links to zero over ``[start, end)``.
+
+    ``Host`` is slotted, so the capacity accessors cannot be replaced
+    on one instance; this wraps the bandwidth models they read.
+    """
+    if up:
+        host._up = _Outage(host._up, start, end)
+    if down:
+        host._down = _Outage(host._down, start, end)

@@ -64,3 +64,19 @@ class TestBitIdentity:
         finally:
             set_default_workers(None)
         assert _fingerprint(serial) == _fingerprint(parallel)
+
+
+class TestLargePoolsFederated:
+    def test_run_large_places_across_shards(self):
+        # Extra peers join their own shards (the head broker refuses a
+        # peer another shard owns) and placement sees every live shard.
+        from dataclasses import replace
+
+        from repro.gossip.config import GossipConfig
+
+        config = replace(
+            CONFIG, repetitions=1, gossip=GossipConfig(), federation_brokers=3
+        )
+        result = scale.run_large(config, pools=(30,), n_jobs=4, concurrency=4)
+        for model in scale.MODELS:
+            assert result.cost(model, 30) > 0

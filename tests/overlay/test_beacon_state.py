@@ -35,7 +35,7 @@ def _beacon_state(session: Session) -> str:
             rec.pending_tasks,
             rec.pending_transfers,
             sorted(rec.snapshot.items()),
-            sorted(rec.freshness._seen.items()),
+            sorted(rec.freshness.items()),
         )))
     for label, client in sorted(session.clients.items()):
         lines.append(repr((label, sorted(client.stats.snapshot(now).items()))))

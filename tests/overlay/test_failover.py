@@ -13,7 +13,7 @@ from repro.overlay.peer import PeerConfig
 from repro.simnet.kernel import Simulator
 from repro.simnet.rng import RandomStreams
 from repro.simnet.topology import NodeSpec, Region, Site, Topology
-from repro.simnet.transport import Network
+from repro.simnet.transport import Host, Network
 
 from tests.conftest import run_process
 
@@ -121,13 +121,14 @@ class TestFailover:
 class TestBeaconsAfterRehome:
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason=(
             "known bug: after a rehome the old keepalive/stat loops see "
             "online true again and keep running beside the new ones, so "
             "the client sends 40 KeepAlive and 20 StatReport in 600 s"
         ),
     )
-    def test_one_beacon_chain_after_rehome(self, cluster):
+    def test_one_beacon_chain_after_rehome(self, cluster, monkeypatch):
         sim, a, b, client = cluster
         client.enable_failover(
             [b.advertisement()], check_interval_s=30.0, ping_timeout_s=5.0
@@ -136,13 +137,15 @@ class TestBeaconsAfterRehome:
         sim.run(until=sim.now + 120.0)
         assert client.broker_adv.peer_id == b.peer_id
         sent = Counter()
-        send = client.host.send
+        send = Host.send
 
-        def counting_send(dst, payload, *args, **kwargs):
-            sent[type(payload).__name__] += 1
-            return send(dst, payload, *args, **kwargs)
+        def counting_send(host, dst, payload, *args, **kwargs):
+            if host is client.host:
+                sent[type(payload).__name__] += 1
+            return send(host, dst, payload, *args, **kwargs)
 
-        client.host.send = counting_send
+        # Host is slotted: count at the class, for the client's host only.
+        monkeypatch.setattr(Host, "send", counting_send)
         sim.run(until=sim.now + 600.0)
         # One chain: a keepalive every 30 s and a stat report every 60 s.
         assert (sent["KeepAlive"], sent["StatReport"]) == (20, 10)

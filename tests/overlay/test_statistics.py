@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.overlay.statistics import Counters, PeerStats, PerformanceHistory, _share
+from repro.overlay.statistics import (
+    SNAPSHOT_KEYS,
+    Counters,
+    PeerStats,
+    PerformanceHistory,
+    StalenessClock,
+    _share,
+)
 
 
 class TestCounters:
@@ -211,7 +218,9 @@ class TestStatisticsProperties:
 
 
 class _DequeLogStats(PeerStats):
-    """Reference: the event log as a deque popped from the left."""
+    """Reference: the event log as a deque popped from the left, and
+    every share and snapshot computed from scratch on each call (no
+    cache of the class under test is inherited)."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -222,6 +231,40 @@ class _DequeLogStats(PeerStats):
         cutoff = now - self.LOG_RETENTION_S
         while self._log and self._log[0][0] < cutoff:
             self._log.popleft()
+
+    def pct_ok_last(self, kind: str, now: float, hours: float) -> float:
+        cutoff = now - hours * 3600.0
+        n = ok = 0
+        for t, k, o in reversed(self._log):
+            if t < cutoff:
+                break
+            if k == kind:
+                n += 1
+                ok += int(o)
+        return _share(ok, n)
+
+    def snapshot(self, now: float, last_k_hours: float = 1.0):
+        session, total = self.session, self.total
+        return {
+            "pct_messages_ok_session": session.pct_messages_ok,
+            "pct_messages_ok_total": total.pct_messages_ok,
+            "pct_messages_ok_last_k": self.pct_ok_last("message", now, last_k_hours),
+            "outbox_len_now": float(self.outbox_len_now),
+            "outbox_len_avg": _share(self._outbox_sum, self._outbox_samples, 0.0),
+            "inbox_len_now": float(self.inbox_len_now),
+            "inbox_len_avg": _share(self._inbox_sum, self._inbox_samples, 0.0),
+            "pct_tasks_ok_session": session.pct_tasks_ok,
+            "pct_tasks_ok_total": total.pct_tasks_ok,
+            "pct_tasks_accepted_session": session.pct_tasks_accepted,
+            "pct_tasks_accepted_total": total.pct_tasks_accepted,
+            "pct_files_sent_session": session.pct_files_sent,
+            "pct_files_sent_total": total.pct_files_sent,
+            "pct_transfers_cancelled_session": session.pct_transfers_cancelled,
+            "pct_transfers_cancelled_total": total.pct_transfers_cancelled,
+            "pending_transfers": float(self.pending_transfers),
+            "pending_tasks": float(self.pending_tasks),
+            "sessions_started": float(self.sessions_started),
+        }
 
 
 _RECORDS = ("message", "task", "file")
@@ -240,6 +283,36 @@ _record_steps = st.lists(
         st.floats(min_value=0.01, max_value=30.0),
     ),
     max_size=60,
+)
+
+
+_interleaved_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("record"),
+            st.sampled_from(_RECORDS),
+            st.one_of(
+                st.floats(min_value=-600.0, max_value=3 * 3600.0),
+                st.integers(min_value=-1, max_value=6).map(lambda k: k * 900.0),
+            ),
+            st.booleans(),
+        ),
+        st.tuples(st.just("offer"), st.booleans()),
+        st.tuples(st.just("queues"), st.integers(0, 40), st.integers(0, 40)),
+        st.tuples(st.just("pending"), st.integers(0, 9), st.integers(0, 9)),
+        st.tuples(st.just("session")),
+        # Query times step back as well as forward, and whole quarter
+        # hours put the window edge exactly on logged entries.
+        st.tuples(
+            st.just("query"),
+            st.one_of(
+                st.floats(min_value=-2 * 3600.0, max_value=3 * 3600.0),
+                st.integers(min_value=-8, max_value=12).map(lambda k: k * 900.0),
+            ),
+            st.sampled_from((0.25, 0.5, 1.0, 2.0)),
+        ),
+    ),
+    max_size=80,
 )
 
 
@@ -265,6 +338,46 @@ class TestEventLogAgainstDeque:
                     k, query, hours
                 )
             assert stats.snapshot(query, hours) == ref.snapshot(query, hours)
+
+    @given(_interleaved_ops)
+    @settings(max_examples=300, deadline=None)
+    def test_cached_snapshot_matches_from_scratch(self, ops):
+        """Snapshots between every kind of state change, at query
+        times that step back, equal a from-scratch computation."""
+        stats, ref = PeerStats(), _DequeLogStats()
+        now = 0.0
+        for op, *args in ops:
+            if op == "record":
+                kind, dt, ok = args
+                now += dt
+            for s in (stats, ref):
+                if op == "record":
+                    if kind == "message":
+                        s.record_message(now, ok)
+                    elif kind == "task":
+                        s.record_task_executed(now, ok)
+                    else:
+                        s.record_file_attempt(now, ok, cancelled=not ok)
+                elif op == "offer":
+                    s.record_task_offered(args[0])
+                elif op == "queues":
+                    s.sample_queues(*args)
+                elif op == "pending":
+                    s.pending_transfers, s.pending_tasks = args
+                elif op == "session":
+                    if s.session_active:
+                        s.end_session()
+                    else:
+                        s.start_session()
+            if op == "query":
+                lag, hours = args
+                query = now + lag
+                assert stats.snapshot(query, hours) == ref.snapshot(query, hours)
+                assert stats.pct_ok_last("message", query, hours) == ref.pct_ok_last(
+                    "message", query, hours
+                )
+        assert list(stats._log) == list(ref._log)
+        assert stats.snapshot(now) == ref.snapshot(now)
 
     def test_prune_keeps_the_edge_entry(self):
         s = PeerStats()
@@ -372,3 +485,60 @@ class TestSessionArchive:
             s.end_session()
         archived_sent = sum(c.messages_sent for c in s.closed_sessions)
         assert archived_sent == s.total.messages_sent
+
+
+class _PerKeyClock:
+    """Reference: one refresh time per key, every refresh per key."""
+
+    def __init__(self) -> None:
+        self.seen = {}
+
+    def note(self, key, now):
+        prior = self.seen.get(key)
+        if prior is None or now > prior:
+            self.seen[key] = now
+
+
+_KEYS = ("a", "b", "c", "d", "e")
+_KEY_SETS = (frozenset("ab"), frozenset("bcd"), frozenset(_KEYS))
+_clock_ops = st.lists(
+    st.tuples(
+        st.sampled_from(("stamp", "note", "note_many")),
+        st.integers(0, len(_KEY_SETS) - 1),
+        st.sampled_from(_KEYS),
+        # Few distinct times, so refreshes tie and step back.
+        st.integers(0, 6).map(float),
+    ),
+    max_size=40,
+)
+
+
+class TestStalenessClock:
+    @given(_clock_ops, st.floats(min_value=0.0, max_value=10.0))
+    @settings(max_examples=300, deadline=None)
+    def test_stamps_match_per_key_times(self, ops, query):
+        clock, ref = StalenessClock(), _PerKeyClock()
+        for op, set_index, key, now in ops:
+            if op == "stamp":
+                clock.stamp(_KEY_SETS[set_index], now)
+                for k in _KEY_SETS[set_index]:
+                    ref.note(k, now)
+            elif op == "note":
+                clock.note(key, now)
+                ref.note(key, now)
+            else:
+                keys = sorted(_KEY_SETS[set_index])
+                clock.note_many(keys, now)
+                for k in keys:
+                    ref.note(k, now)
+            for k in _KEYS:
+                want = ref.seen.get(k)
+                expected = float("inf") if want is None else max(0.0, query - want)
+                assert clock.age(k, query) == expected
+            assert len(clock) == len(ref.seen)
+            assert sorted(clock.items()) == sorted(ref.seen.items())
+
+    def test_snapshot_keys_are_every_snapshot(self):
+        s = PeerStats()
+        s.record_message(1.0, ok=True)
+        assert frozenset(s.snapshot(2.0)) == SNAPSHOT_KEYS

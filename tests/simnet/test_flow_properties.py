@@ -48,6 +48,8 @@ from repro.simnet.topology import NodeSpec, Region, Site, Topology
 from repro.simnet.transport import FlowScheduler, Network
 from repro.units import mbit
 
+from tests.conftest import gate_capacity
+
 from .reference_flows import ReferenceFlowScheduler
 
 N_SCHEDULES = 200
@@ -95,23 +97,13 @@ def _random_schedule(rng: random.Random) -> List[tuple]:
     return rows
 
 
-def _gate(orig, start: float, end: float):
-    """Capacity forced to zero over ``[start, end)`` (an outage)."""
-
-    def rate_at(now: float) -> float:
-        return 0.0 if start <= now < end else orig(now)
-
-    return rate_at
-
-
 def _apply_outages(rng: random.Random, hosts) -> None:
     """Collapse 1-2 random hosts' access links over random windows."""
     for _ in range(rng.randint(1, 2)):
         h = hosts[rng.randrange(len(hosts))]
         start = rng.uniform(0.0, 50.0)
         end = start + rng.uniform(5.0, 30.0)
-        h.up_capacity_at = _gate(h.up_capacity_at, start, end)
-        h.down_capacity_at = _gate(h.down_capacity_at, start, end)
+        gate_capacity(h, start, end)
 
 
 def _driver(sim, scheduler, hosts, schedule, dones):

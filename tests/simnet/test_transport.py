@@ -10,7 +10,7 @@ from repro.simnet.rng import RandomStreams
 from repro.simnet.transport import Network
 from repro.units import mbit
 
-from tests.conftest import make_two_node_topology, run_process
+from tests.conftest import gate_capacity, make_two_node_topology, run_process
 
 
 class Ping:
@@ -385,13 +385,6 @@ class TestZeroRateOutage:
     would have stalled forever).
     """
 
-    @staticmethod
-    def _gate(orig, start, end):
-        def rate_at(now):
-            return 0.0 if start <= now < end else orig(now)
-
-        return rate_at
-
     def test_flow_survives_total_capacity_outage(self):
         from repro.obs.metrics import MetricsRegistry
 
@@ -403,8 +396,8 @@ class TestZeroRateOutage:
         a, b = net.host("a.example"), net.host("b.example")
         # Collapse both access links over [5, 25): every flow between
         # the pair reconciles to rate 0 at the t=10 and t=20 ticks.
-        a.up_capacity_at = self._gate(a.up_capacity_at, 5.0, 25.0)
-        b.down_capacity_at = self._gate(b.down_capacity_at, 5.0, 25.0)
+        gate_capacity(a, 5.0, 25.0, down=False)
+        gate_capacity(b, 5.0, 25.0, up=False)
 
         done = a.start_flow(b, mbit(200))  # 20 s of streaming at 10 Mbps
         sim.run()
@@ -432,7 +425,7 @@ class TestZeroRateOutage:
             sim, make_two_node_topology(), streams=RandomStreams(1), metrics=reg
         )
         a, b = net.host("a.example"), net.host("b.example")
-        a.up_capacity_at = self._gate(a.up_capacity_at, 0.0, 35.0)
+        gate_capacity(a, 0.0, 35.0, down=False)
 
         def driver():
             first = a.start_flow(b, mbit(100))
@@ -453,7 +446,7 @@ class TestZeroRateOutage:
         sim = Simulator()
         net = Network(sim, make_two_node_topology(), streams=RandomStreams(1))
         a, b = net.host("a.example"), net.host("b.example")
-        a.up_capacity_at = self._gate(a.up_capacity_at, 0.0, 15.0)
+        gate_capacity(a, 0.0, 15.0, down=False)
 
         # Started at rate 0: pre-fix this raised immediately.
         done = a.start_flow(b, mbit(100))

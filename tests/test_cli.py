@@ -148,3 +148,20 @@ class TestCliFederated:
                 rates[cells[0]] = float(cells[1])
         assert set(rates) == {"economic", "same_priority"}
         assert all(rate > 0 for rate in rates.values()), rates
+
+    def test_scale_and_swarming_run_federated(self, capsys):
+        # Their extra peers join their own shards (the head broker
+        # refuses a peer another shard owns), and both studies place
+        # over the union of the live shards' registries.
+        assert main(["scale", "swarming", "--federated", "--reps", "1"]) == 0
+        costs = {}
+        completions = []
+        for line in capsys.readouterr().out.splitlines():
+            cells = [cell.strip() for cell in line.split("|")]
+            if len(cells) == 4 and cells[0] in ("blind", "economic", "same_priority"):
+                costs[cells[0]] = [float(cell) for cell in cells[1:]]
+            if len(cells) == 7 and cells[0] == "synthetic":
+                completions.append(float(cells[4]))
+        assert set(costs) == {"blind", "economic", "same_priority"}
+        assert all(cost > 0 for row in costs.values() for cost in row), costs
+        assert any(c > 0 for c in completions), completions
