@@ -27,6 +27,19 @@ N_EVENTS = 20_000
 #: regressions, not on slow CI hardware.
 TIMEOUT_CHURN_FLOOR_EV_S = 20_000.0
 
+#: Timers of the timer-chain gate: ``TIMER_CHAIN_AGENDA`` chains of
+#: ``call_in`` timers, each re-arming itself until ``TIMER_CHAIN_EVENTS``
+#: timers have been scheduled, so the agenda holds about 1k entries.
+TIMER_CHAIN_EVENTS = 50_000
+TIMER_CHAIN_AGENDA = 1_000
+
+#: Regression floor for the timer path (best of three runs, collector
+#: paused).  When each timer fired through a callback function and
+#: carried its own callbacks list, the chain ran at 335-364k events/s
+#: on a 2-vCPU host (best of 5); fired directly by ``Simulator.step``,
+#: at 336-443k.  The floor is about half the former rate.
+TIMER_CHAIN_FLOOR_EV_S = 180_000.0
+
 #: Regression floor for the control-message path (send, schedule,
 #: deliver, handler); same spirit as the event-loop floor above.
 MESSAGE_ROUNDTRIP_FLOOR_MSG_S = 10_000.0
@@ -83,6 +96,49 @@ def _timeout_churn():
         sim.process(proc())
     sim.run()
     return count
+
+
+def _timer_chain():
+    """``TIMER_CHAIN_EVENTS`` ``call_in`` timers in chains over a steady
+    agenda of ``TIMER_CHAIN_AGENDA``: each firing re-arms its chain at a
+    delay set by the chain, as the beacon and SWIM timers do."""
+    sim = Simulator()
+    scheduled = TIMER_CHAIN_AGENDA
+    fired = 0
+
+    def tick(period):
+        nonlocal scheduled, fired
+        fired += 1
+        if scheduled < TIMER_CHAIN_EVENTS:
+            scheduled += 1
+            sim.call_in(period, tick, period)
+
+    for chain in range(TIMER_CHAIN_AGENDA):
+        sim.call_in(chain * 1e-3, tick, 1.0 + chain * 1e-3)
+    sim.run()
+    return fired
+
+
+def test_timer_chain_events_per_s_floor():
+    """Plain stdlib-timed throughput gate on ``call_in`` timers.
+
+    The best of three runs, each with the cycle collector paused, as
+    in the host-build gate.
+    """
+    best = 0.0
+    for _ in range(3):
+        gc.collect()
+        gc.disable()
+        try:
+            count, rate = _per_second(_timer_chain)
+        finally:
+            gc.enable()
+        assert count == TIMER_CHAIN_EVENTS
+        best = max(best, rate)
+    assert best >= TIMER_CHAIN_FLOOR_EV_S, (
+        f"timer chain at {best:.0f} events/s, below the "
+        f"{TIMER_CHAIN_FLOOR_EV_S:.0f} regression floor"
+    )
 
 
 def test_bench_kernel_timeout_churn(benchmark):

@@ -57,6 +57,20 @@ REHOME_RETRIES = 3
 REHOME_BACKOFF_S = 60.0
 
 
+def _outside_block(i: int, start: int, block: int, n: int) -> int:
+    """Position in a roster of ``n`` of the ``i``-th member outside the
+    circular block of ``block`` positions that begins at ``start``.
+
+    Roster names are unique, so this is the index of entry ``i`` of the
+    roster filtered down to the members outside the block, in roster
+    order, with no O(n) filtered list.
+    """
+    wrapped = start + block - n
+    if wrapped > 0:
+        return i + wrapped
+    return i if i < start else i + block
+
+
 class Federation:
     """N brokers sharing one sharded, gossip-governed registry."""
 
@@ -153,21 +167,20 @@ class Federation:
                 home = peer.broker_adv.hostname if peer.broker_adv else None
                 agent = SwimAgent(peer, self.config, notify_hostname=home)
                 neighbors: Dict[str, str] = {}
-                for step in range(1, min(RING_SUCCESSORS, n - 1) + 1):
+                successors = min(RING_SUCCESSORS, n - 1)
+                for step in range(1, successors + 1):
                     succ_name, succ_host = roster[(idx + step) % n]
                     neighbors[succ_name] = succ_host
-                others = [
-                    (m, h)
-                    for m, h in roster
-                    if m != name and m not in neighbors
-                ]
-                if others:
-                    k = min(LONG_LINKS, len(others))
+                # Long links come from the roster without the peer and
+                # its successors, one circular block; each pick is
+                # mapped over that block instead of listing the rest.
+                block = successors + 1
+                if n > block:
                     picked = agent.rng.choice(
-                        len(others), size=k, replace=False
+                        n - block, size=min(LONG_LINKS, n - block), replace=False
                     )
                     for i in sorted(picked):
-                        m, h = others[int(i)]
+                        m, h = roster[_outside_block(int(i), idx, block, n)]
                         neighbors[m] = h
                 for m, h in neighbors.items():
                     agent.track(m, h)

@@ -33,6 +33,13 @@ class _BaseId:
     def __str__(self) -> str:
         return self.urn
 
+    def __hash__(self) -> int:
+        # Kept by ``dataclass`` over its generated ``hash((urn,))``:
+        # every beacon looks its record up by PeerId, and the str hash
+        # is cached on the urn.  Equal ids have equal urns, so this is
+        # consistent with ``__eq__``.
+        return hash(self.urn)
+
 
 class PeerId(_BaseId):
     """Identifier of a peer."""

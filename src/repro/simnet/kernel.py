@@ -183,34 +183,61 @@ class Timeout(Event):
         return f"<Timeout({self.delay:g}) {state} at t={self.sim.now:g}>"
 
 
-class _Call(Event):
-    """A callback timer made by :meth:`Simulator.call_at`.
+#: ``callbacks`` of every pending :class:`_Call` timer: not None, so
+#: ``processed`` and :meth:`Simulator.cancel` read the timer as pending,
+#: and :meth:`Simulator.step` recognises a timer by identity with it.
+#: A timer has no callback list, so it cannot be waited on.
+_TIMER = ("timer",)
 
-    It carries ``fn`` and ``args`` itself instead of a closure in
-    ``callbacks``, and drops both when it fires or is cancelled, so a
-    caller that keeps the event (to cancel it later) does not keep the
-    arguments alive.
+
+class _Call(Event):
+    """A callback timer made by :meth:`Simulator.call_at` or
+    :meth:`Simulator.wake_in`.
+
+    It carries ``fn`` and ``args`` itself, and :meth:`Simulator.step`
+    calls ``fn(*args)`` directly.  Both are dropped when the timer
+    fires or is cancelled, so a caller that keeps the event (to cancel
+    it later) does not keep the arguments alive.  The Event fields a
+    timer never changes are class attributes, and ``callbacks`` is the
+    shared :data:`_TIMER` mark: nothing can wait on a timer.
     """
 
     __slots__ = ("fn", "args")
 
-    def __init__(self, sim: "Simulator", fn: Callable[..., None], args: tuple) -> None:
-        self.sim = sim
-        self.name = ""
-        self.callbacks = [_fire_call]
-        self._ok = True
-        self._value = None
-        self._scheduled = True
-        self._cancelled = False
-        self.fn = fn
-        self.args = args
+    name = ""
+    _ok = True
+    _value = None
+    _scheduled = True
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = "pending" if self.callbacks is not None else "done"
+        fn = getattr(self.fn, "__qualname__", self.fn)
+        return f"<timer {fn} {state} at t={self.sim.now:g}>"
 
 
-def _fire_call(event: _Call) -> None:
-    """The one callback of every :class:`_Call`: run ``fn(*args)``."""
-    fn, args = event.fn, event.args
-    event.fn = event.args = None
-    fn(*args)
+_new = object.__new__
+
+
+def _timer(sim: "Simulator", fn: Callable[..., None], args: tuple) -> _Call:
+    """A new pending :class:`_Call`.  A plain function, not
+    ``_Call.__init__``: calling a class with a Python ``__init__`` costs
+    a second interpreter frame per timer."""
+    ev = _new(_Call)
+    ev.sim = sim
+    ev.callbacks = _TIMER
+    ev._cancelled = False
+    ev.fn = fn
+    ev.args = args
+    return ev
+
+
+def _not_waitable(event: Event) -> SimulationError:
+    """The error for waiting on a :class:`_Call` timer."""
+    return SimulationError(
+        f"cannot wait on timer {event!r}: call_at/call_in/wake_in timers "
+        "run a callback and cannot be waited on; use sim.timeout() or "
+        "sim.event() instead"
+    )
 
 
 def _negative(value: float) -> str:
@@ -341,8 +368,12 @@ class Process(Event):
                 raise SimulationError(
                     f"process {self.name!r} yielded unsupported value {target!r}"
                 )
+            try:
+                event.callbacks.append(self._resume)
+            except AttributeError:
+                # Only a timer's shared ``_TIMER`` mark has no append.
+                raise _not_waitable(event) from None
             self._waiting_on = event
-            event.callbacks.append(self._resume)
             break
         sim._active_process = None
 
@@ -358,6 +389,8 @@ class _Condition(Event):
         for ev in self.events:
             if ev.sim is not sim:
                 raise SimulationError("condition mixes events from different simulators")
+            if ev.callbacks is _TIMER:
+                raise _not_waitable(ev)
         self._remaining = len(self.events)
         if not self.events:
             self.succeed({})
@@ -520,7 +553,7 @@ class Simulator:
             raise SchedulingInPastError(
                 f"call_at({time!r}) is not at or after now={now!r}"
             )
-        ev = _Call(self, fn, args)
+        ev = _timer(self, fn, args)
         # The key is ``_schedule_event``'s: now plus the delay.
         self._seq += 1
         agenda = self._agenda
@@ -549,7 +582,7 @@ class Simulator:
         # ``not >=`` rejects NaN too, as in ``Timeout``.
         if not delay >= 0:
             raise SchedulingInPastError(f"{_negative(delay)} wake_in delay {delay!r}")
-        ev = _Call(self, fn, args)
+        ev = _timer(self, fn, args)
         self._seq += 1
         agenda = self._agenda
         heappush(agenda, (self._now + float(delay), URGENT_PRIORITY, self._seq, ev))
@@ -626,10 +659,10 @@ class Simulator:
 
     def step(self) -> None:
         """Process the single next event on the agenda."""
-        agenda = self._agenda
-        if not agenda:
-            raise SimulationError("step() on an empty agenda")
-        self._now, _prio, _seq, event = heappop(agenda)
+        try:
+            self._now, _prio, _seq, event = heappop(self._agenda)
+        except IndexError:
+            raise SimulationError("step() on an empty agenda") from None
         if event._cancelled:
             # Lazily-cancelled timer: drop it without running callbacks.
             event.callbacks = None
@@ -639,6 +672,13 @@ class Simulator:
             return
         self.events_processed += 1
         callbacks, event.callbacks = event.callbacks, None
+        if callbacks is _TIMER:
+            # A ``call_at``/``wake_in`` timer: drop its callable and
+            # arguments, then run it, with no callback frame between.
+            fn, args = event.fn, event.args
+            event.fn = event.args = None
+            fn(*args)
+            return
         for cb in callbacks:
             cb(event)
         if not event._ok and not callbacks:
@@ -675,35 +715,34 @@ class Simulator:
                     f"run(until={until_time!r}) is not at or after now={self._now!r}"
                 )
 
-        # Hot loop: ``peek()`` and ``processed`` are inlined, but every
+        # Hot loops: ``peek()`` and ``processed`` are inlined, but every
         # event still goes through ``self.step`` (looked up once, so a
         # patched ``Simulator.step`` sees each event).  The alias stays
         # valid because the agenda is only ever mutated in place.
         agenda = self._agenda
         step = self.step
-        while agenda and not self._stopped:
-            if until_event is not None and until_event.callbacks is None:
-                break
-            if agenda[0][0] > until_time:
-                self._now = until_time
-                break
-            step()
-        else:
+        if until_event is None:
+            while agenda and not self._stopped:
+                if agenda[0][0] > until_time:
+                    self._now = until_time
+                    return None
+                step()
             # Agenda drained (or stop()) — advance clock for time runs.
-            if until_event is None and until is not None and not self._stopped:
+            if until is not None and not self._stopped:
                 self._now = max(self._now, until_time)
+            return None
 
-        if until_event is not None:
-            if not until_event.triggered:
-                if self._stopped:
-                    raise SimStopped("simulation stopped before event triggered")
-                raise SimulationError(
-                    f"agenda drained before {until_event!r} triggered"
-                )
-            if not until_event.ok:
-                raise until_event._value
-            return until_event._value
-        return None
+        while agenda and until_event.callbacks is not None and not self._stopped:
+            step()
+        if not until_event.triggered:
+            if self._stopped:
+                raise SimStopped("simulation stopped before event triggered")
+            raise SimulationError(
+                f"agenda drained before {until_event!r} triggered"
+            )
+        if not until_event.ok:
+            raise until_event._value
+        return until_event._value
 
     def stop(self) -> None:
         """Stop the current :meth:`run` after the in-flight event."""

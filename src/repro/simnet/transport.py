@@ -548,7 +548,7 @@ class Host:
     """
 
     __slots__ = (
-        "network", "sim", "spec", "hostname", "node",
+        "network", "sim", "spec", "hostname", "node", "_region",
         "_up", "_down", "_overhead", "_light_overhead", "_loss",
         "_cpu_share_rng", "inbox", "_handlers", "cpu", "_up_set",
         "_down_set", "_is_up", "slow_factor", "link_bw_factor",
@@ -563,6 +563,8 @@ class Host:
         self.sim = network.sim
         self.spec = spec
         self.hostname = spec.hostname
+        #: This host's half of the topology's region-pair latency memo key.
+        self._region = spec.site.region.name
         streams = network.streams
 
         up = ContendedBandwidth(
@@ -780,7 +782,16 @@ class Host:
         dst_name = dst.hostname
         dgram = Datagram(self.hostname, dst_name, payload, size_bits, now)
         self.messages_sent += 1
-        one_way = self.network.topology.one_way_s(self.spec, dst.spec)
+        network = self.network
+        # ``Topology.one_way_s`` inlined: the region-pair memo, or the
+        # method itself on a miss (it fills the memo).
+        if dst_name == self.hostname:
+            one_way = 0.0
+        else:
+            topology = network.topology
+            one_way = topology._one_way.get((self._region, dst._region))
+            if one_way is None:
+                one_way = topology.one_way_s(self.spec, dst.spec)
         handling = dst._light_overhead if light else dst._overhead
         delay = (
             one_way
@@ -788,11 +799,11 @@ class Host:
             * dst.link_latency_factor
             + handling.sample(now) * dst.slow_factor
         )
-        network = self.network
         # The draw order is fixed: src loss, dst loss, src extra, dst
         # extra, partition; the short-circuit decides which streams
         # draw.  A host without a fault holds ``NO_LOSS``, which never
-        # draws, so its call is skipped.
+        # draws, so its call is skipped; so is the partition test while
+        # no partition is active.
         src_extra = self.extra_loss
         dst_extra = dst.extra_loss
         lost = (
@@ -800,8 +811,9 @@ class Host:
             or dst._loss.unit_lost(size_bits, now)
             or (src_extra is not NO_LOSS and src_extra.unit_lost(size_bits, now))
             or (dst_extra is not NO_LOSS and dst_extra.unit_lost(size_bits, now))
-            or network.is_partitioned(self.hostname, dst_name)
         )
+        if not lost and network._partitions:
+            lost = network.is_partitioned(self.hostname, dst_name)
         tracer = network.tracer
         if tracer.enabled:
             tracer.record(
@@ -811,7 +823,8 @@ class Host:
         if lost:
             self.messages_lost += 1
             return dgram
-        self.sim.call_in(delay, dst._deliver, dgram)
+        # ``call_in``'s key, scheduled through ``call_at`` directly.
+        self.sim.call_at(now + delay, dst._deliver, dgram)
         return dgram
 
     def _deliver(self, dgram: Datagram) -> None:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gossip.config import GossipConfig
-from repro.gossip.federation import Federation
+from repro.gossip.federation import Federation, _outside_block
 from repro.gossip.shard import ShardMap
 from repro.obs.trace import EventTrace
 from repro.overlay.advertisements import ResourceAdvertisement
@@ -297,3 +299,27 @@ class TestBeaconsFollowJoinPath:
         }
         assert {ev.get("dst") for ev in network.tracer.of_kind("msg-recv")
                 if ev.get("payload_kind") in _BEACONS} == {"a.example"}
+
+
+class TestLongLinkPositions:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_outside_block_matches_the_filtered_roster(self, data):
+        """The long-link candidates, indexed without building the list,
+        are the old list comprehension's members in its order."""
+        n = data.draw(st.integers(min_value=1, max_value=60), label="n")
+        idx = data.draw(st.integers(min_value=0, max_value=n - 1), label="idx")
+        successors = data.draw(
+            st.integers(min_value=0, max_value=n - 1), label="successors")
+        roster = [(f"peer{j}", f"host{j}") for j in range(n)]
+        name = roster[idx][0]
+        neighbors = {roster[(idx + step) % n][0] for step in range(1, successors + 1)}
+        others = [
+            (m, h) for m, h in roster if m != name and m not in neighbors
+        ]
+        block = successors + 1
+        mapped = [
+            roster[_outside_block(i, idx, block, n)]
+            for i in range(n - block)
+        ]
+        assert mapped == others

@@ -435,3 +435,52 @@ class TestCallAtEvent:
         assert sim._tombstones == 0
         assert sim.events_cancelled == 0
         assert sim.events_processed == 1
+
+
+class TestTimersAreNotWaitable:
+    """``call_at``/``call_in``/``wake_in`` timers run a callback and have
+    no callback list: waiting on one is an error that names the timer."""
+
+    def _named_timer(self, sim, schedule):
+        def on_tick():
+            pass
+
+        return schedule(sim, on_tick)
+
+    @pytest.mark.parametrize("schedule", [
+        lambda sim, fn: sim.call_at(1.0, fn),
+        lambda sim, fn: sim.call_in(1.0, fn),
+        lambda sim, fn: sim.wake_in(1.0, fn),
+    ], ids=["call_at", "call_in", "wake_in"])
+    def test_yielding_a_timer_raises(self, sim, schedule):
+        timer = self._named_timer(sim, schedule)
+
+        def waiter():
+            yield timer
+
+        proc = sim.process(waiter())
+        with pytest.raises(SimulationError, match="cannot wait on timer .*on_tick"):
+            sim.run(until=proc)
+
+    def test_any_of_a_timer_raises(self, sim):
+        timer = self._named_timer(sim, lambda s, fn: s.call_in(1.0, fn))
+        with pytest.raises(SimulationError, match="cannot wait on timer .*on_tick"):
+            sim.any_of([sim.timeout(2.0), timer])
+
+    def test_all_of_a_timer_raises(self, sim):
+        timer = self._named_timer(sim, lambda s, fn: s.wake_in(1.0, fn))
+        with pytest.raises(SimulationError, match="cannot wait on timer .*on_tick"):
+            sim.all_of([timer])
+
+    def test_timer_state_reads_as_before(self, sim):
+        fired = []
+        timer = sim.call_in(1.0, fired.append, "x")
+        assert not timer.processed and timer.triggered and timer.ok
+        assert timer.value is None
+        sim.run()
+        assert fired == ["x"] and timer.processed
+        cancelled = sim.wake_in(1.0, fired.append, "y")
+        sim.cancel(cancelled)
+        assert not cancelled.processed
+        sim.run()
+        assert cancelled.processed and fired == ["x"]

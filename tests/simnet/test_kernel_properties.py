@@ -5,9 +5,30 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simnet.kernel import Resource, Simulator, Store
+from repro.simnet.kernel import (
+    NORMAL_PRIORITY,
+    URGENT_PRIORITY,
+    Resource,
+    Simulator,
+    Store,
+)
 
 delays = st.floats(min_value=0.0, max_value=1e5, allow_nan=False)
+
+#: Short delays, quarter-second steps half the time so that same-time
+#: ties between timers, timeouts and triggered events are common.
+short = st.one_of(
+    st.integers(min_value=0, max_value=8).map(lambda k: k * 0.25),
+    st.floats(min_value=0.0, max_value=3.0, allow_nan=False),
+)
+
+#: One step of the conductor process in ``TestMixedAgenda``.
+agenda_ops = st.one_of(
+    st.tuples(st.sampled_from(["call_at", "call_in", "wake_in", "sleep"]), short),
+    st.tuples(st.just("proc"), st.lists(short, max_size=4)),
+    st.tuples(st.just("succeed"), st.none()),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=63)),
+)
 
 
 class TestTimeOrdering:
@@ -133,3 +154,88 @@ class TestStoreProperties:
             store.put(item)
         sim.run()
         assert [e.value for e in events] == items
+
+
+class TestMixedAgenda:
+    """Timers, ``yield delay`` processes and triggered events share one
+    agenda: everything fires in ascending order of the key its API
+    promises when it is scheduled, cancelled timers never fire, and the
+    kernel's counters agree with what ran."""
+
+    @given(
+        st.lists(agenda_ops, min_size=1, max_size=40),
+        st.sampled_from(["drain", "until-event", "until-time"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_fires_in_key_order(self, ops, mode):
+        sim = Simulator()
+        keys = {}       # label -> (time, priority, seq) promised when scheduled
+        fired = []      # (label, sim.now) in firing order
+        timers = []     # (label, timer) in scheduling order
+        cancelled = []  # labels of timers cancelled while pending
+        procs = 1       # the conductor
+
+        def promise(label, delay, priority):
+            # Every entry point keys at now plus the delay, with the
+            # next sequence number.
+            keys[label] = (sim.now + delay, priority, sim._seq + 1)
+
+        def fire(label):
+            fired.append((label, sim.now))
+
+        def sleep(label, d):
+            promise(label, d, URGENT_PRIORITY)
+            yield d
+            fire(label)
+
+        def worker(label, ds):
+            for i, d in enumerate(ds):
+                yield from sleep((label, i), d)
+
+        def conductor():
+            nonlocal procs
+            for label, (kind, arg) in enumerate(ops):
+                if kind == "call_at":
+                    at = sim.now + arg
+                    promise(label, at - sim.now, NORMAL_PRIORITY)
+                    timers.append((label, sim.call_at(at, fire, label)))
+                elif kind == "call_in":
+                    promise(label, arg, NORMAL_PRIORITY)
+                    timers.append((label, sim.call_in(arg, fire, label)))
+                elif kind == "wake_in":
+                    promise(label, arg, URGENT_PRIORITY)
+                    timers.append((label, sim.wake_in(arg, fire, label)))
+                elif kind == "sleep":
+                    yield from sleep(label, arg)
+                elif kind == "proc":
+                    sim.process(worker(label, arg))
+                    procs += 1
+                elif kind == "succeed":
+                    event = sim.event()
+                    event.callbacks.append(lambda _e, label=label: fire(label))
+                    promise(label, 0.0, NORMAL_PRIORITY)
+                    event.succeed()
+                elif timers:
+                    target, timer = timers[arg % len(timers)]
+                    if not timer.processed and target not in cancelled:
+                        cancelled.append(target)
+                    sim.cancel(timer)
+
+        proc = sim.process(conductor())
+        if mode == "until-event":
+            sim.run(until=proc)
+        elif mode == "until-time":
+            sim.run(until=1.0)
+        sim.run()
+
+        order = [keys[label] for label, _ in fired]
+        assert order == sorted(order)
+        assert len(set(order)) == len(order)
+        assert all(keys[label][0] == now for label, now in fired)
+        assert sorted(map(str, (label for label, _ in fired))) == sorted(
+            str(label) for label in keys if label not in cancelled
+        )
+        # Each process adds its start and its end event to what fired.
+        assert sim.events_processed == len(fired) + 2 * procs
+        assert sim.events_cancelled == len(cancelled)
+        assert sim.pending_events == 0

@@ -277,6 +277,26 @@ class TestNetwork:
         sim.run()
         assert b.messages_received == 2
 
+    def test_msg_send_lost_is_a_bool(self, network, sim):
+        """``lost`` is a bool whether or not a partition is active, and
+        whether or not the active one cuts the pair."""
+        a, b = network.host("a.example"), network.host("b.example")
+        expected = [False]
+        a.send(b, Ping())
+        elsewhere = network.add_partition({"a.example"}, {"c.example"})
+        a.send(b, Ping())
+        expected.append(False)
+        cut = network.add_partition({"b.example"}, {"a.example"})
+        a.send(b, Ping())
+        expected.append(True)
+        network.remove_partition(cut)
+        network.remove_partition(elsewhere)
+        a.send(b, Ping())
+        expected.append(False)
+        lost = [e.get("lost") for e in network.tracer.of_kind("msg-send")]
+        assert lost == expected
+        assert all(type(flag) is bool for flag in lost)
+
 
 class TestPathLatency:
     def test_memo_is_per_region_and_skips_self_sends(self):
