@@ -16,7 +16,7 @@ Run:  python examples/swarm_download.py
 from __future__ import annotations
 
 from repro.experiments.scenario import ExperimentConfig, Session
-from repro.swarm import SwarmConfig, SwarmCoordinator, SwarmSource
+from repro.swarm import SwarmCoordinator, SwarmSource
 from repro.units import fmt_seconds, mbit
 
 FILE_BITS = mbit(100)
@@ -53,7 +53,6 @@ def download(k: int):
             n_parts=N_PARTS,
             select=select,
             k=k,
-            config=SwarmConfig(unchoke_slots=3, endgame_duplicates=2),
         )
         outcome = yield sim.process(coord.download())
         return outcome

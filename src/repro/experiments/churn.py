@@ -98,12 +98,7 @@ class ChurnResult:
 
 
 def _start_churn(session: Session) -> None:
-    """Cycle every SimpleClient through up/down phases via a FaultPlan.
-
-    ``stream_prefix="churn"`` keeps the per-label substreams (and
-    therefore the outage timings) identical to the pre-FaultPlan
-    implementation, so results are comparable across versions.
-    """
+    """Cycle every SimpleClient through up/down phases via a FaultPlan."""
     plan = FaultPlan(
         name="churn",
         processes=(
@@ -113,7 +108,6 @@ def _start_churn(session: Session) -> None:
                 mean_down_s=MEAN_DOWN_S,
                 horizon_s=CHURN_HORIZON_S,
                 min_down_s=1.0,
-                stream_prefix="churn",
             ),
         ),
     )

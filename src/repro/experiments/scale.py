@@ -155,11 +155,7 @@ def _scenario(session: Session):
     for pool in POOL_SIZES:
         pool_hosts = set(_pool_hostnames(pool))
         for model in MODELS:
-            # Under a federation the head broker holds no record of
-            # another shard's peer, so the economic model reserves none.
-            selector = make_selector(
-                model, session, "scale", reserve=session.federation is None
-            )
+            selector = make_selector(model, session, "scale")
             total = 0.0
             for j in range(N_JOBS):
                 candidates = [
@@ -267,9 +263,7 @@ def _large_scenario(session: Session, pool: int, n_jobs: int, concurrency: int):
 
     costs: Dict[str, float] = {}
     for model in MODELS:
-        selector = make_selector(
-            model, session, "scale", reserve=session.federation is None
-        )
+        selector = make_selector(model, session, "scale")
         samples: List[float] = []
         yield from in_waves(
             (

@@ -53,11 +53,9 @@ class ExperimentConfig:
     synthetic_nodes: int = 0
     #: Enable structured tracing (costs memory).
     trace: bool = False
-    #: Bound trace memory: keep at most this many events (None = all).
+    #: Bound trace memory to a ring of this many recent events
+    #: (None = keep all).
     trace_capacity: Optional[int] = None
-    #: Retention policy when ``trace_capacity`` is set: "ring" keeps
-    #: the most recent events, "reservoir" a uniform sample of the run.
-    trace_policy: str = "ring"
     #: Flow-scheduler reconcile tick (seconds).
     flow_tick: float = 10.0
     #: Override peer protocol parameters (None = defaults).
@@ -93,8 +91,6 @@ class ExperimentConfig:
             raise ConfigError("flow_tick must be > 0")
         if self.trace_capacity is not None and self.trace_capacity < 1:
             raise ConfigError("trace_capacity must be >= 1")
-        if self.trace_policy not in ("ring", "reservoir"):
-            raise ConfigError("trace_policy must be 'ring' or 'reservoir'")
 
     def for_repetition(self, rep: int) -> "ExperimentConfig":
         """Config with the repetition-specific derived seed."""
@@ -113,7 +109,6 @@ class ExperimentConfig:
             "synthetic_nodes": self.synthetic_nodes,
             "trace": self.trace,
             "trace_capacity": self.trace_capacity,
-            "trace_policy": self.trace_policy,
             "flow_tick": self.flow_tick,
             "federation_brokers": self.federation_brokers,
         }
@@ -183,10 +178,7 @@ class Session:
         self.sim = Simulator(metrics=self.metrics)
         self.streams = RandomStreams(seed=config.seed)
         self.tracer = EventTrace(
-            enabled=config.trace,
-            capacity=config.trace_capacity,
-            policy=config.trace_policy,
-            seed=config.seed,
+            enabled=config.trace, capacity=config.trace_capacity
         )
         self.network = Network(
             self.sim,

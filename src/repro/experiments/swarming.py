@@ -186,11 +186,7 @@ def _source_selector(
             if rec.adv.name in replicas and rec.adv.name not in taken
         ]
         while pool and len(chosen) < needed:
-            # The head broker holds no record of another shard's peer
-            # to reserve.
-            selector = make_selector(
-                model, session, "swarming", reserve=session.federation is None
-            )
+            selector = make_selector(model, session, "swarming")
             ctx = SelectionContext(
                 broker=broker,
                 now=sim.now,

@@ -62,6 +62,9 @@ def process_from_dict(data: dict) -> FaultProcess:
     cls = PROCESS_TYPES.get(kind)
     if cls is None:
         raise ConfigError(f"unknown fault process kind {kind!r}")
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {kind} keys: {sorted(unknown)}")
     return cls._from_fields(data)
 
 
@@ -73,7 +76,7 @@ class ExponentialChurn(FaultProcess):
     The churn experiment's process: each target stays up for
     Exp(``mean_up_s``), crashes for max(Exp(``mean_down_s``),
     ``min_down_s``), and repeats until ``horizon_s``.  Each target
-    draws from its own substream ``{stream_prefix}/{target}``.
+    draws from its own substream ``churn/{target}``.
     """
 
     targets: Tuple[str, ...]
@@ -81,7 +84,6 @@ class ExponentialChurn(FaultProcess):
     mean_down_s: float = 120.0
     horizon_s: float = 3000.0
     min_down_s: float = 1.0
-    stream_prefix: str = "faults/churn"
 
     kind = "exponential_churn"
 
@@ -96,7 +98,7 @@ class ExponentialChurn(FaultProcess):
     def events(self, rt: "FaultRuntime") -> List[Tuple[float, Fault]]:
         out: List[Tuple[float, Fault]] = []
         for target in self.targets:
-            rng = rt.streams.get(f"{self.stream_prefix}/{target}")
+            rng = rt.streams.get(f"churn/{target}")
             t = float(rng.exponential(self.mean_up_s))
             while t < self.horizon_s:
                 down = float(rng.exponential(self.mean_down_s))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from pathlib import Path
 from typing import Any, Iterable, Optional, Tuple
 
@@ -18,47 +17,19 @@ from repro.obs.trace import EventTrace
 
 __all__ = [
     "metrics_to_dict",
-    "report_stamp",
     "write_metrics",
     "summary_table",
 ]
 
 
-def report_stamp() -> dict:
-    """Real-time metadata for a human-facing report.
-
-    This is the *only* sanctioned wall-clock read in the library:
-    export/reporting code may stamp when an artifact was produced, but
-    the stamp must never feed back into simulated quantities — which
-    is why it lives here, is opt-in, and is excluded from the
-    determinism contract (``write_metrics`` omits it by default so
-    same-seed metrics files stay bit-for-bit identical).
-    """
-    now = time.time()  # simlint: disable=SIM001 -- report provenance stamp: real time of export, never a simulated quantity
-    return {
-        "generated_at_unix": now,
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(now)),
-    }
-
-
 def metrics_to_dict(
-    registry: MetricsRegistry,
-    trace: Optional[EventTrace] = None,
-    stamp: bool = False,
+    registry: MetricsRegistry, trace: Optional[EventTrace] = None
 ) -> dict:
-    """Full JSON-friendly snapshot (optionally including trace events).
-
-    ``stamp=True`` adds a :func:`report_stamp` under ``"report"`` —
-    off by default because stamped snapshots are not bit-for-bit
-    comparable across runs (the determinism regression compares
-    unstamped output).
-    """
+    """Full JSON-friendly snapshot (optionally including trace events)."""
     out = registry.to_dict()
-    if stamp:
-        out["report"] = report_stamp()
     if trace is not None:
         out["trace"] = {
-            "policy": trace.policy,
+            "capacity": trace.capacity,
             "seen": trace.seen,
             "dropped": trace.dropped,
             "events": [
@@ -72,15 +43,12 @@ def write_metrics(
     registry: MetricsRegistry,
     path: Any,
     trace: Optional[EventTrace] = None,
-    stamp: bool = False,
 ) -> Path:
     """Write the registry (and optional trace) to ``path``.
 
     The format follows the suffix: ``.csv`` emits flat rows
     ``kind,name,field,value``; anything else gets indented JSON.
-    ``stamp=True`` adds real-time provenance to the JSON form (and
-    forfeits bit-for-bit comparability — leave it off for determinism
-    artifacts).  Returns the path written.
+    Returns the path written.
     """
     path = Path(path)
     if path.suffix.lower() == ".csv":
@@ -102,7 +70,7 @@ def write_metrics(
                     w.writerow(("histogram", name, f"le={le}", bucket["count"]))
     else:
         path.write_text(
-            json.dumps(metrics_to_dict(registry, trace, stamp=stamp), indent=2)
+            json.dumps(metrics_to_dict(registry, trace), indent=2)
             + "\n"
         )
     return path

@@ -114,6 +114,10 @@ class PeerRecord:
         """Earliest time this peer can start new planned work."""
         return max(now, self.busy_until)
 
+    def reserve(self, until: float) -> None:
+        """Commit this peer to planned work until ``until``."""
+        self.busy_until = max(self.busy_until, until)
+
     def is_idle(self, now: float) -> bool:
         """Idle = no live queue content and no planned commitment."""
         return (
@@ -204,35 +208,6 @@ class Broker(PeerNode):
         self._m_fanout_queries = reg.counter("gossip.fanout_queries")
         self._m_join_redirects = reg.counter("gossip.join_redirects")
 
-    # -- maintenance ---------------------------------------------------------
-
-    def prune_expired_advertisements(self) -> int:
-        """Drop expired entries from the discovery index.
-
-        Returns the number removed.  Queries already filter expired
-        advertisements on the fly; pruning reclaims index memory in
-        long-running deployments.
-        """
-        now = self.sim.now
-        removed = 0
-        for kind, advs in self._adv_index.items():
-            fresh = [a for a in advs if not a.is_expired(now)]
-            removed += len(advs) - len(fresh)
-            self._adv_index[kind] = fresh
-        return removed
-
-    def start_maintenance(self, interval_s: float = 600.0) -> None:
-        """Run periodic index pruning for the broker's lifetime."""
-        if interval_s <= 0:
-            raise ValueError("interval must be > 0")
-
-        def loop():
-            while self.online:
-                yield interval_s
-                self.prune_expired_advertisements()
-
-        self.sim.process(loop(), name=f"maintenance@{self.name}")
-
     # -- registry ---------------------------------------------------------
 
     def record(self, peer_id: PeerId) -> PeerRecord:
@@ -246,16 +221,13 @@ class Broker(PeerNode):
         self,
         kind: str = "simpleclient",
         online_only: bool = True,
-        include_remote: bool = True,
         liveness_timeout_s: Optional[float] = None,
     ) -> List[PeerRecord]:
         """Peers eligible for selection, in deterministic join order.
 
-        ``include_remote=False`` restricts the view to peers this
-        broker admitted itself (excluding replication-learned records).
-        ``liveness_timeout_s`` additionally drops peers whose last sign
-        of life (keepalive / report / state sync) is older than the window
-        — the broker's defence against silent churn: a crashed peer
+        ``liveness_timeout_s`` drops peers whose last sign of life
+        (keepalive / report / state sync) is older than the window —
+        the broker's defence against silent churn: a crashed peer
         never says goodbye, it just stops writing home.  Callers on a
         gossip-governed broker pass None: there are no periodic beacons
         to age out, and SWIM flips ``rec.online`` the moment a peer
@@ -275,7 +247,6 @@ class Broker(PeerNode):
             for rec in self.registry.values()
             if rec.adv.kind == kind
             and (rec.online or not online_only)
-            and (include_remote or rec.is_local)
             and (
                 liveness_timeout_s is None
                 # Inclusive boundary: drop only when strictly older
@@ -288,8 +259,7 @@ class Broker(PeerNode):
 
     def reserve(self, peer_id: PeerId, until: float) -> None:
         """Commit a peer to planned work until ``until`` (economic model)."""
-        rec = self.record(peer_id)
-        rec.busy_until = max(rec.busy_until, until)
+        self.record(peer_id).reserve(until)
 
     # -- message handlers --------------------------------------------------
 
@@ -792,7 +762,7 @@ class Broker(PeerNode):
         estimate = ReadyTimeEstimator(self).estimate(
             record, workload, self.sim.now
         )
-        self.reserve(record.peer_id, estimate.completion_at)
+        record.reserve(estimate.completion_at)
         self._m_allocations.inc()
         return record
 

@@ -466,8 +466,6 @@ class FileTransferService:
             file_n_parts=file_n_parts,
         )
         peer.stats.pending_transfers += 1
-        backoff_s = cfg.petition_backoff_base_s
-        jitter_rng = None
         try:
             for attempt in range(1, cfg.petition_retries + 1):
                 waiter = peer.expect(("petition-ack", tid))
@@ -507,18 +505,6 @@ class FileTransferService:
                     return TransferHandle(self, dst_adv, outcome)
                 peer.cancel_wait(("petition-ack", tid), waiter)
                 peer.stats.record_message(self.sim.now, ok=False)
-                if backoff_s > 0.0 and attempt < cfg.petition_retries:
-                    delay = min(backoff_s, cfg.petition_backoff_max_s)
-                    if cfg.petition_backoff_jitter > 0.0:
-                        if jitter_rng is None:
-                            jitter_rng = peer.network.streams.get(
-                                f"backoff/{peer.name}"
-                            )
-                        delay *= 1.0 + cfg.petition_backoff_jitter * float(
-                            jitter_rng.random()
-                        )
-                    yield delay
-                    backoff_s *= cfg.petition_backoff_factor
             raise TransferAborted(
                 f"petition to {dst_host.hostname} unanswered after "
                 f"{cfg.petition_retries} attempts"

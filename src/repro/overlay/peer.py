@@ -89,17 +89,8 @@ class PeerConfig:
     #: Timeout for the file-transfer petition round.  Must exceed the
     #: slowest node's first-contact overhead (SC7 ~ 27 s).
     petition_timeout_s: float = 120.0
+    #: Petition attempts; an unanswered one is resent at once.
     petition_retries: int = 5
-    #: Petition retry backoff: before resend ``n`` (n >= 1) the sender
-    #: waits ``min(base * factor**(n-1), max) * (1 + jitter * U)``
-    #: seconds, U uniform on [0, 1) from the sim RNG tree (substream
-    #: ``backoff/<peer name>`` — deterministic per seed).  The default
-    #: ``base = 0`` disables the wait, i.e. the original
-    #: resend-immediately-on-timeout behaviour.
-    petition_backoff_base_s: float = 0.0
-    petition_backoff_factor: float = 2.0
-    petition_backoff_max_s: float = 60.0
-    petition_backoff_jitter: float = 0.25
     #: Timeout for per-part confirm rounds (light messages).
     confirm_timeout_s: float = 30.0
     confirm_retries: int = 5
@@ -125,14 +116,6 @@ class PeerConfig:
                      "bulk_max_attempts"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.petition_backoff_base_s < 0:
-            raise ConfigError("petition_backoff_base_s must be >= 0")
-        if self.petition_backoff_factor < 1:
-            raise ConfigError("petition_backoff_factor must be >= 1")
-        if self.petition_backoff_max_s <= 0:
-            raise ConfigError("petition_backoff_max_s must be > 0")
-        if self.petition_backoff_jitter < 0:
-            raise ConfigError("petition_backoff_jitter must be >= 0")
         if self.task_queue_limit < 1:
             raise ConfigError("task_queue_limit must be >= 1")
 

@@ -34,9 +34,6 @@ class RecoveryConfig:
     """Knobs for the self-healing layer."""
 
     # -- transfer checkpoint/resume ---------------------------------------
-    #: Resume interrupted transfers from the last verified part instead
-    #: of restarting the file.
-    resume: bool = True
     #: Total attempts per file (first try + resumes).
     max_transfer_attempts: int = 4
     #: Pause before re-petitioning after an interrupted attempt.

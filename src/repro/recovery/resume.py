@@ -153,11 +153,7 @@ class ResumableSender:
                 # describe our parts.  Classify, don't raise.
                 out.reason = f"RecoveryError: {exc}"
                 break
-            if cfg.resume:
-                remaining = entry.remaining()
-            else:
-                # Resume disabled: every retry re-sends the whole file.
-                remaining = list(enumerate(sizes))
+            remaining = entry.remaining()
             if not remaining:
                 # Every part proven by earlier attempts.
                 out.ok = True

@@ -92,5 +92,5 @@ class HybridSelector(PeerSelector):
 
             estimator = ReadyTimeEstimator(context.broker)
             est = estimator.estimate(record, context.workload, context.now)
-            context.broker.reserve(record.peer_id, est.completion_at)
+            record.reserve(est.completion_at)
         return record

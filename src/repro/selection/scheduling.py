@@ -15,10 +15,11 @@ Concretely:
    nobody is idle.
 2. Score each by estimated **completion time** (ready time + service
    estimate from :class:`~repro.selection.readytime.ReadyTimeEstimator`).
-3. Among near-ties (within ``tiebreak_tolerance`` relative completion
-   time) prefer the higher **CPU speed**.
-4. Optionally **reserve** the winner at the broker so subsequent
-   allocations see the commitment (the "plan in advance" part).
+3. Among near-ties (within :data:`TIEBREAK_TOLERANCE` relative
+   completion time) prefer the higher **CPU speed**.
+4. Optionally **reserve** the winner's ready time on its record so
+   subsequent allocations see the commitment (the "plan in advance"
+   part).
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ from repro.selection.readytime import ReadyTimeEstimator
 
 __all__ = ["SchedulingBasedSelector"]
 
+#: Completion times within this fraction of the best count as a tie,
+#: which the higher CPU speed breaks.
+TIEBREAK_TOLERANCE = 0.05
+
 
 class SchedulingBasedSelector(PeerSelector):
     """The economic scheduling model."""
@@ -43,16 +48,10 @@ class SchedulingBasedSelector(PeerSelector):
     def __init__(
         self,
         estimator: Optional[ReadyTimeEstimator] = None,
-        prefer_idle: bool = True,
         reserve: bool = True,
-        tiebreak_tolerance: float = 0.05,
     ) -> None:
-        if not 0 <= tiebreak_tolerance < 1:
-            raise ValueError("tiebreak_tolerance must be in [0, 1)")
         self._estimator = estimator
-        self.prefer_idle = prefer_idle
         self.reserve = reserve
-        self.tiebreak_tolerance = tiebreak_tolerance
 
     def _get_estimator(self, context: SelectionContext) -> ReadyTimeEstimator:
         if self._estimator is not None:
@@ -62,10 +61,9 @@ class SchedulingBasedSelector(PeerSelector):
     def rank(self, context: SelectionContext) -> List[RankedCandidate]:
         candidates = list(context.require_candidates())
         estimator = self._get_estimator(context)
-        if self.prefer_idle:
-            idle = [r for r in candidates if estimator.is_idle(r, context.now)]
-            if idle:
-                candidates = idle
+        idle = [r for r in candidates if estimator.is_idle(r, context.now)]
+        if idle:
+            candidates = idle
         estimates = [
             (estimator.estimate(rec, context.workload, context.now), rec)
             for rec in candidates
@@ -78,7 +76,7 @@ class SchedulingBasedSelector(PeerSelector):
             rel = (est.completion_at - context.now) / span
             # Bucket near-ties together, then break by CPU speed
             # (descending), then by name for determinism.
-            bucket = 0 if rel <= 1.0 + self.tiebreak_tolerance else rel
+            bucket = 0 if rel <= 1.0 + TIEBREAK_TOLERANCE else rel
             return (bucket, -rec.adv.cpu_speed, rec.adv.name)
 
         estimates.sort(key=sort_key)
@@ -91,7 +89,9 @@ class SchedulingBasedSelector(PeerSelector):
     def select(self, context: SelectionContext):
         record = super().select(context)
         if self.reserve:
+            # On the record itself: under a federation it is the
+            # owning shard's entry, which ``context.broker`` may lack.
             estimator = self._get_estimator(context)
             est = estimator.estimate(record, context.workload, context.now)
-            context.broker.reserve(record.peer_id, est.completion_at)
+            record.reserve(est.completion_at)
         return record

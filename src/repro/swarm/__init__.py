@@ -8,8 +8,6 @@ ledger-proven straggler re-assignment.
 
 Public surface:
 
-* :class:`~repro.swarm.config.SwarmConfig` — frozen knob bundle
-  (rides on ``ExperimentConfig.swarm``).
 * :class:`~repro.swarm.pieces.PieceTracker` — pure per-download piece
   accounting (availability, rarest-first, endgame).
 * :class:`~repro.swarm.choke.ChokeManager` — streaming-slot decisions.
@@ -20,7 +18,6 @@ Public surface:
 """
 
 from repro.swarm.choke import ChokeManager
-from repro.swarm.config import SwarmConfig
 from repro.swarm.coordinator import (
     PieceRequest,
     SwarmCoordinator,
@@ -31,7 +28,6 @@ from repro.swarm.pieces import PieceTracker
 
 __all__ = [
     "ChokeManager",
-    "SwarmConfig",
     "PieceRequest",
     "SwarmCoordinator",
     "SwarmOutcome",

@@ -1,19 +1,20 @@
 """Choke/unchoke slot management for swarm sources.
 
 BitTorrent-style reciprocity, adapted to the push protocol: the swarm
-holds a set of admitted sources but only ``slots`` of them may stream
-concurrently.  Ranking is the *peak* observed per-part throughput: a
-whole-unit retransmission halves one sample and a share-limited part
-understates capability, but neither ever inflates it, so the best
-part a source has streamed is its robust capability estimate.
+holds a set of admitted sources but only :data:`UNCHOKE_SLOTS` of them
+may stream concurrently.  Ranking is the *peak* observed per-part
+throughput: a whole-unit retransmission halves one sample and a
+share-limited part understates capability, but neither ever inflates
+it, so the best part a source has streamed is its robust capability
+estimate.
 Unmeasured sources take any free slots — every source streams at
 least once so its rate is known — and when more unmeasured sources
 exist than slots, an optimistic rotation picks which of them go
 first.
 
-A measured source whose peak rate falls below ``drop_below`` times
-the best source's peak is *parked*: it keeps its membership but not a
-slot, even when slots sit empty.  The access-link scheduler divides
+A measured source whose peak rate falls below :data:`DROP_BELOW`
+times the best source's peak is *parked*: it keeps its membership but
+not a slot, even when slots sit empty.  The access-link scheduler divides
 the destination downlink equally per concurrent flow without
 redistributing unused shares, so a source that cannot fill its share
 reduces aggregate throughput; streaming fewer-but-faster flows is
@@ -34,31 +35,26 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-__all__ = ["ChokeManager"]
+__all__ = ["ChokeManager", "UNCHOKE_SLOTS"]
+
+#: Sources allowed to stream a part concurrently.  A swarm may hold
+#: more sources than this, but only this many hold a streaming slot at
+#: once.  Deliberately below the usual source count: the access-link
+#: scheduler gives every concurrent flow an equal downlink share with
+#: no redistribution, so streaming the origin plus the best-measured
+#: replicas beats spreading the downlink across mediocre ones.
+UNCHOKE_SLOTS = 3
+#: Choke reevaluations between optimistic-unchoke rotations.
+OPTIMISTIC_EVERY = 4
+#: Park a measured source whose peak rate falls below this fraction
+#: of the best source's peak.
+DROP_BELOW = 0.5
 
 
 class ChokeManager:
     """Throughput-ranked streaming slots over admitted sources."""
 
-    def __init__(
-        self,
-        slots: int,
-        optimistic_every: int = 4,
-        drop_below: float = 0.5,
-    ) -> None:
-        if slots < 1:
-            raise ValueError(f"slots must be >= 1, got {slots}")
-        if optimistic_every < 1:
-            raise ValueError(
-                f"optimistic_every must be >= 1, got {optimistic_every}"
-            )
-        if not 0.0 <= drop_below < 1.0:
-            raise ValueError(
-                f"drop_below must be in [0.0, 1.0), got {drop_below}"
-            )
-        self.slots = slots
-        self.optimistic_every = optimistic_every
-        self.drop_below = drop_below
+    def __init__(self) -> None:
         #: admission-ordered members (dict-as-set).
         self._members: Dict[str, None] = {}
         self._unchoked: Dict[str, None] = {}
@@ -77,7 +73,7 @@ class ChokeManager:
         if name in self._members:
             return
         self._members[name] = None
-        if len(self._unchoked) < self.slots:
+        if len(self._unchoked) < UNCHOKE_SLOTS:
             self._unchoked[name] = None
 
     def pin(self, name: str) -> None:
@@ -132,14 +128,15 @@ class ChokeManager:
         return name in self._unchoked
 
     def unchoked_names(self) -> Tuple[str, ...]:
-        """The current unchoked set (never larger than ``slots``)."""
+        """The current unchoked set (never larger than
+        :data:`UNCHOKE_SLOTS`)."""
         return tuple(self._unchoked)
 
     def on_proof(self) -> None:
         """Reevaluate after a confirmed part; every
-        ``optimistic_every`` proofs the optimistic slot rotates."""
+        :data:`OPTIMISTIC_EVERY` proofs the optimistic slot rotates."""
         self._proofs += 1
-        if self._proofs % self.optimistic_every == 0:
+        if self._proofs % OPTIMISTIC_EVERY == 0:
             self._rotation += 1
         self._reevaluate()
 
@@ -149,7 +146,7 @@ class ChokeManager:
         by choked sources."""
         if name not in self._members or name in self._unchoked:
             return
-        if len(self._unchoked) >= self.slots:
+        if len(self._unchoked) >= UNCHOKE_SLOTS:
             # Evict the worst-ranked holder, sparing pins unless the
             # whole slot set is pinned (stall-breaking outranks the
             # origin privilege).
@@ -170,8 +167,8 @@ class ChokeManager:
             self._unchoked = {}
             return
         # Pinned (origin) sources hold slots unconditionally.
-        keep = [n for n in members if n in self._pinned][: self.slots]
-        free = self.slots - len(keep)
+        keep = [n for n in members if n in self._pinned][:UNCHOKE_SLOTS]
+        free = UNCHOKE_SLOTS - len(keep)
         rest = [n for n in members if n not in self._pinned]
         # Measurement outranks rank: an unrated source costs one part
         # to rate and unlocks the ranking; a measured-but-mediocre
@@ -195,7 +192,7 @@ class ChokeManager:
         # everyone else at the shared destination link).
         best = max((self.peak(n) for n in members if self.measured(n)),
                    default=0.0)
-        floor = self.drop_below * best
+        floor = DROP_BELOW * best
         if free > 0:
             eligible = [n for n in ranked if self.peak(n) >= floor]
             keep += eligible[:free]

@@ -42,11 +42,13 @@ from repro.overlay.filetransfer import OPEN_ENDED, part_digest, split_even
 from repro.overlay.peer import PeerNode, RequestTimeout
 from repro.recovery.ledger import TransferLedger
 from repro.simnet.transport import Network
-from repro.swarm.choke import ChokeManager
-from repro.swarm.config import SwarmConfig
+from repro.swarm.choke import UNCHOKE_SLOTS, ChokeManager
 from repro.swarm.pieces import PieceTracker
 
 __all__ = ["SwarmSource", "PieceRequest", "SwarmOutcome", "SwarmCoordinator"]
+
+#: Endgame: maximum concurrent fetchers per unproven piece.
+ENDGAME_DUPLICATES = 2
 
 #: Completion-time histogram bounds (seconds).
 _COMPLETION_BUCKETS = (5.0, 15.0, 30.0, 60.0, 120.0, 300.0, 600.0, 1200.0)
@@ -146,7 +148,6 @@ class SwarmCoordinator:
         n_parts: int,
         select: SelectSourcesFn,
         k: int = 2,
-        config: Optional[SwarmConfig] = None,
         ledger: Optional[TransferLedger] = None,
     ) -> None:
         if k < 1:
@@ -159,7 +160,6 @@ class SwarmCoordinator:
         self.n_parts = int(n_parts)
         self.select = select
         self.k = k
-        self.config = config if config is not None else SwarmConfig()
         #: Proof store shared by every source stream of this download —
         #: the same unproven-part accounting a resuming sender uses.
         self.ledger = ledger if ledger is not None else TransferLedger()
@@ -177,11 +177,7 @@ class SwarmCoordinator:
             filename=filename, total_bits=self.total_bits, n_parts=self.n_parts
         )
         self._tracker: Optional[PieceTracker] = None
-        self._choke = ChokeManager(
-            self.config.unchoke_slots,
-            self.config.optimistic_every,
-            drop_below=self.config.drop_below,
-        )
+        self._choke = ChokeManager()
         self._used: Dict[str, None] = {}
         self._streaming = 0
         self._idle = 0
@@ -204,11 +200,8 @@ class SwarmCoordinator:
         entry = self.ledger.open(
             self.filename, self.total_bits, sizes, now=sim.now
         )
-        priorities = None
-        if self.config.seeded_tiebreak:
-            rng = self.network.streams.get(f"swarm/{self.filename}")
-            priorities = [float(x) for x in rng.random(self.n_parts)]
-        tracker = PieceTracker(sizes, priorities)
+        rng = self.network.streams.get(f"swarm/{self.filename}")
+        tracker = PieceTracker(sizes, rng.random(self.n_parts))
         self._tracker = tracker
         for index in entry.verified_indices():
             tracker.mark_proven(index)
@@ -232,12 +225,11 @@ class SwarmCoordinator:
         for src in initial:
             if src.name not in self._used:
                 self._admit(src)
-        if self.config.pin_origin and initial:
-            # The first source the selection callback names is the
-            # origin copy: it keeps a streaming slot for the whole
-            # download (observed-rate ranking cannot tell a capable
-            # origin from a replica once equal shares cap them both).
-            self._choke.pin(initial[0].name)
+        # The first source the selection callback names is the origin
+        # copy: it keeps a streaming slot for the whole download
+        # (observed-rate ranking cannot tell a capable origin from a
+        # replica once equal shares cap them both).
+        self._choke.pin(initial[0].name)
         yield self._done
         out.finished_at = sim.now
         out.ok = tracker.complete
@@ -283,7 +275,6 @@ class SwarmCoordinator:
 
     def _worker(self, src: SwarmSource):
         sim = self.sim
-        cfg = self.config
         out = self.outcome
         tracker = self._tracker
         name = src.name
@@ -298,11 +289,11 @@ class SwarmCoordinator:
                 while not self._finished and not tracker.complete:
                     if (
                         not self._choke.unchoked(name)
-                        or self._streaming >= cfg.unchoke_slots
+                        or self._streaming >= UNCHOKE_SLOTS
                     ):
                         yield from self._idle_wait()
                         continue
-                    piece = tracker.next_piece(name, cfg.endgame_duplicates)
+                    piece = tracker.next_piece(name, ENDGAME_DUPLICATES)
                     if piece is None:
                         yield from self._idle_wait()
                         continue

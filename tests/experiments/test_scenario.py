@@ -10,6 +10,7 @@ from repro.experiments.scenario import ExperimentConfig, Session
 
 def _full_config() -> ExperimentConfig:
     """A config setting every nested section at once."""
+    from repro.faults import ExponentialChurn, FaultPlan
     from repro.faults.profiles import get_profile
     from repro.gossip.config import GossipConfig
     from repro.overlay.peer import PeerConfig
@@ -23,7 +24,13 @@ def _full_config() -> ExperimentConfig:
         recovery=RecoveryConfig(staleness_budget_s=120.0),
         gossip=GossipConfig(suspect_timeout_s=45.0),
         federation_brokers=3,
-        fault_plan=get_profile("broker_blip"),
+        fault_plan=FaultPlan(
+            name="full",
+            processes=(
+                *get_profile("broker_blip").processes,
+                ExponentialChurn(targets=("SC1",)),
+            ),
+        ),
     )
 
 
@@ -104,11 +111,18 @@ class TestConfigPersistence:
             ("recovery", "standby_broker"),
             ("gossip", "piggyback_max"),
             ("peer_config", "keepalive_enabled"),
+            (None, "trace_policy"),
+            ("peer_config", "petition_backoff_base_s"),
+            ("recovery", "resume"),
+            ("fault_plan.processes.1", "stream_prefix"),
         ],
     )
     def test_deleted_keys_rejected_by_name(self, section, key):
         data = _full_config().to_dict()
-        (data if section is None else data[section])[key] = True
+        target = data
+        for step in section.split(".") if section else ():
+            target = target[int(step) if step.isdigit() else step]
+        target[key] = True
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig.from_dict(data)
 
@@ -170,5 +184,3 @@ class TestSessionObservability:
     def test_trace_config_validation(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(trace_capacity=0)
-        with pytest.raises(ConfigError):
-            ExperimentConfig(trace_policy="lifo")

@@ -96,7 +96,9 @@ class TestStragglerRanking:
         def scenario(s):
             sim, broker = s.sim, s.broker
             if straggle is not None:
-                NodeSlowdown(target=straggle, factor=20.0).apply(s.faults)
+                # SC7-sized: a 20x slowdown lifts the better peer's
+                # 10.5 s estimate by only 3 s, short of the other's 18.2 s.
+                NodeSlowdown(target=straggle, factor=100.0).apply(s.faults)
             for label in ("SC1", "SC2"):
                 for i in range(2):
                     yield sim.process(
@@ -107,6 +109,9 @@ class TestStragglerRanking:
                             n_parts=4,
                         )
                     )
+            # Let one keepalive round report the warmup's queues as
+            # drained, so both peers are idle and rank on history.
+            yield 40.0
             candidates = [
                 r
                 for r in broker.candidates(kind="simpleclient")
@@ -118,11 +123,7 @@ class TestStragglerRanking:
                 workload=Workload(transfer_bits=mbit(10), n_parts=2),
                 candidates=candidates,
             )
-            # prefer_idle off: rank purely on history-based estimates
-            # (idleness right after the warmup is an artifact of it).
-            ranked = SchedulingBasedSelector(
-                reserve=False, prefer_idle=False
-            ).rank(ctx)
+            ranked = SchedulingBasedSelector(reserve=False).rank(ctx)
             return [r.record.adv.name for r in ranked]
 
         # Install an empty plan so scenario code can reach a runtime.

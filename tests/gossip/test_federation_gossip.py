@@ -228,7 +228,8 @@ class TestGossipReplacesKeepalive:
         eligible = {
             rec.adv.name
             for broker in brokers
-            for rec in broker.candidates(include_remote=False)
+            for rec in broker.candidates()
+            if rec.is_local
         }
         assert eligible == set(clients)
         # An explicit recency window still applies on a gossip-governed
@@ -236,9 +237,8 @@ class TestGossipReplacesKeepalive:
         stale = [
             rec
             for broker in brokers
-            for rec in broker.candidates(
-                include_remote=False, liveness_timeout_s=60.0
-            )
+            for rec in broker.candidates(liveness_timeout_s=60.0)
+            if rec.is_local
         ]
         assert stale == []
 
@@ -255,11 +255,11 @@ class TestGossipReplacesKeepalive:
         rec = home.record(dead.peer_id)
         assert rec.online is False
         assert dead.name not in {
-            r.adv.name for r in home.candidates(include_remote=False)
+            r.adv.name for r in home.candidates() if r.is_local
         }
         # The witness (its ring neighbor) is unaffected.
         assert witness.name in {
-            r.adv.name for r in home.candidates(include_remote=False)
+            r.adv.name for r in home.candidates() if r.is_local
         }
 
 

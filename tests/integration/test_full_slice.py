@@ -79,9 +79,11 @@ class TestFullSliceDeployment:
             workload=Workload(transfer_bits=mbit(20)),
             candidates=session.broker.candidates(),
         )
-        # prefer_idle=False ranks the whole pool (an earlier test in
-        # this module left one peer's keepalive-reported queue stale).
-        ranked = SchedulingBasedSelector(reserve=False, prefer_idle=False).rank(ctx)
-        assert len(ranked) == 25
+        assert len(ctx.candidates) == 25
+        # The idle part of the pool is ranked (an earlier test in this
+        # module may leave a peer's keepalive-reported queue stale).
+        ranked = SchedulingBasedSelector(reserve=False).rank(ctx)
+        idle = {r.adv.name for r in ctx.candidates if r.is_idle(ctx.now)}
+        assert idle and {r.record.adv.name for r in ranked} == idle
         # The straggler never ranks first.
         assert ranked[0].record.adv.name != "SC7"

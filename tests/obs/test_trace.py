@@ -28,7 +28,7 @@ class TestUnbounded:
         assert len(t) == 0 and t.seen == 0
 
     def test_clear_resets(self):
-        t = EventTrace(capacity=2, policy="ring")
+        t = EventTrace(capacity=2)
         for i in range(5):
             t.record("k", float(i))
         t.clear()
@@ -48,7 +48,7 @@ class TestUnbounded:
 
 class TestRing:
     def test_keeps_most_recent_window(self):
-        t = EventTrace(capacity=3, policy="ring")
+        t = EventTrace(capacity=3)
         for i in range(10):
             t.record("k", float(i))
         assert [e.time for e in t.events] == [7.0, 8.0, 9.0]
@@ -56,61 +56,36 @@ class TestRing:
         assert t.dropped == 7
 
     def test_no_drop_below_capacity(self):
-        t = EventTrace(capacity=5, policy="ring")
+        t = EventTrace(capacity=5)
         t.record("k", 0.0)
         assert t.dropped == 0
 
 
-class TestReservoir:
-    def test_bounded_uniform_sample_in_time_order(self):
-        t = EventTrace(capacity=10, policy="reservoir", seed=7)
-        for i in range(1000):
-            t.record("k", float(i))
-        events = t.events
-        assert len(events) == 10
-        assert t.seen == 1000 and t.dropped == 990
-        times = [e.time for e in events]
-        assert times == sorted(times)
-        # A uniform sample of 0..999 should not be the first 10.
-        assert max(times) > 10
-
-    def test_deterministic_for_fixed_seed(self):
-        def sample(seed):
-            t = EventTrace(capacity=5, policy="reservoir", seed=seed)
-            for i in range(200):
-                t.record("k", float(i))
-            return [e.time for e in t.events]
-
-        assert sample(3) == sample(3)
-
-
 class TestValidation:
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            EventTrace(capacity=5, policy="lifo")
-
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             EventTrace(capacity=0)
 
-    def test_no_capacity_means_policy_all(self):
-        t = EventTrace(policy="ring")
-        assert t.policy == "all"
+    def test_no_capacity_keeps_every_event(self):
+        t = EventTrace()
+        for i in range(100):
+            t.record("k", float(i))
+        assert len(t) == 100 and t.seen == 100 and t.dropped == 0
 
 
 class TestExport:
     def test_trace_embedded_in_metrics_dict(self):
-        t = EventTrace(capacity=2, policy="ring")
+        t = EventTrace(capacity=2)
         t.record("msg", 1.0, src="a")
         d = metrics_to_dict(MetricsRegistry(), trace=t)
         assert d["trace"]["events"] == [{"kind": "msg", "time": 1.0, "src": "a"}]
-        assert d["trace"]["policy"] == "ring"
+        assert d["trace"]["capacity"] == 2
 
 class TestNetworkIntegration:
     def test_event_trace_plugs_into_network(self, sim, streams, two_node_topology):
         from repro.simnet.transport import Network
 
-        trace = EventTrace(capacity=4, policy="ring")
+        trace = EventTrace(capacity=4)
         net = Network(sim, two_node_topology, streams=streams, tracer=trace)
         a, b = net.host("a.example"), net.host("b.example")
 

@@ -272,50 +272,3 @@ class TestGroupPipe:
         pipe = broker.group_pipe(group)
         group.add(client.peer_id)  # joined after the snapshot
         assert pipe.send("late news") == 0
-
-
-class TestMaintenance:
-    def test_prune_removes_expired(self, overlay_pair, sim):
-        broker, client, net = overlay_pair
-        connect(sim, broker, client)
-        adv = ResourceAdvertisement(
-            published_at=sim.now,
-            lifetime_s=5.0,
-            peer_id=client.peer_id,
-            kind="file",
-            name="short-lived",
-        )
-        client.discovery.publish(adv)
-        sim.run(until=sim.now + 10.0)
-        assert broker.prune_expired_advertisements() == 1
-        assert broker.prune_expired_advertisements() == 0
-
-    def test_peer_advs_not_pruned_while_fresh(self, overlay_pair, sim):
-        broker, client, net = overlay_pair
-        connect(sim, broker, client)
-        assert broker.prune_expired_advertisements() == 0
-        # The client's join-time peer advertisement is still served.
-        advs = run_process(sim, client.discovery.query("peer"))
-        assert advs
-
-    def test_periodic_maintenance_runs(self, overlay_pair, sim):
-        broker, client, net = overlay_pair
-        connect(sim, broker, client)
-        adv = ResourceAdvertisement(
-            published_at=sim.now,
-            lifetime_s=5.0,
-            peer_id=client.peer_id,
-            kind="file",
-            name="temp",
-        )
-        client.discovery.publish(adv)
-        broker.start_maintenance(interval_s=20.0)
-        sim.run(until=sim.now + 50.0)
-        assert all(
-            a.name != "temp" for a in broker._adv_index["resource"]
-        )
-
-    def test_interval_validated(self, overlay_pair):
-        broker, client, net = overlay_pair
-        with pytest.raises(ValueError):
-            broker.start_maintenance(interval_s=0.0)

@@ -113,7 +113,7 @@ class TestFederatedView:
         settle(sim)
         names = {r.adv.name for r in a.candidates()}
         assert names == {"peer-1", "peer-2"}
-        local = {r.adv.name for r in a.candidates(include_remote=False)}
+        local = {r.adv.name for r in a.candidates() if r.is_local}
         assert local == {"peer-1"}
 
     def test_remote_state_propagates(self, federation):

@@ -11,6 +11,7 @@ from repro.overlay.broker import Broker
 from repro.overlay.client import SimpleClient
 from repro.overlay.filetransfer import PART_IO_FIXED_S, split_even
 from repro.overlay.ids import IdFactory
+from repro.overlay.peer import PeerConfig
 from repro.simnet.kernel import Simulator
 from repro.simnet.rng import RandomStreams
 from repro.simnet.transport import Network
@@ -82,6 +83,27 @@ class TestSendFile:
         )
         # b.example overhead 0.05 deterministic + one-way 0.01.
         assert outcome.petition_time == pytest.approx(0.06, abs=1e-6)
+
+    def test_unanswered_petition_aborts_after_all_timeouts(self):
+        # Each resend follows its timeout at once, so a dead receiver
+        # costs exactly retries * timeout.
+        config = PeerConfig(petition_timeout_s=10.0, petition_retries=3)
+        sim = Simulator()
+        net = Network(
+            sim, make_two_node_topology(), streams=RandomStreams(seed=42)
+        )
+        ids = IdFactory()
+        broker = Broker(net, "a.example", ids, name="broker", config=config)
+        client = SimpleClient(
+            net, "b.example", ids, name="client", config=config
+        )
+        net.host("b.example").crash()
+        p = sim.process(
+            broker.transfers.send_file(client.advertisement(), "f", mbit(1))
+        )
+        with pytest.raises(TransferAborted):
+            sim.run(until=p)
+        assert sim.now == pytest.approx(30.0)
 
     def test_parts_sequential(self, overlay_pair, sim):
         broker, client, net = overlay_pair

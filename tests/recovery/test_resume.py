@@ -117,42 +117,6 @@ class TestCrashResume:
         times_b = [p.confirmed_at for o in out_b.outcomes for p in o.parts]
         assert times_a == times_b
 
-    def test_resume_disabled_resends_everything(self):
-        session = Session(
-            _config(
-                recovery=RecoveryConfig(resume=False),
-                fault_plan=_crash_receiver_plan(),
-            )
-        )
-
-        def scenario(s):
-            sender = ResumableSender(s.broker, s.config.recovery)
-
-            def select(attempt, failed):
-                if attempt == 1:
-                    recs = [r for r in s.candidates() if r.adv.name == "SC4"]
-                else:
-                    recs = [
-                        r
-                        for r in s.candidates()
-                        if r.peer_id not in failed and r.adv.name != "SC4"
-                    ]
-                return recs[0].adv if recs else None
-
-            out = yield s.sim.process(
-                sender.send_file(
-                    select, "big.bin", TOTAL_BITS, n_parts=N_PARTS
-                )
-            )
-            return out
-
-        out = session.run(scenario)
-        assert out.ok
-        assert out.resumes == 0
-        assert out.parts_skipped == 0
-        # The second attempt re-sent the parts the first already moved.
-        assert out.parts_sent > N_PARTS
-
 
 class TestLedgerEdgeCases:
     """Resume against a ledger whose state changed underneath it."""

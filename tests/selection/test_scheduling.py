@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.scenario import ExperimentConfig, Session
+from repro.experiments.steps import online_view
+from repro.gossip.config import GossipConfig
 from repro.selection.base import SelectionContext, Workload
+from repro.selection.hybrid import HybridSelector
 from repro.selection.scheduling import SchedulingBasedSelector
 from repro.units import mbit
 
@@ -33,7 +37,7 @@ class TestRanking:
 
     def test_rank_orders_by_completion(self, star):
         sim, broker, clients = star
-        sel = SchedulingBasedSelector(reserve=False, prefer_idle=False)
+        sel = SchedulingBasedSelector(reserve=False)
         ranked = sel.rank(ctx_for(sim, broker, Workload(transfer_bits=mbit(10))))
         names = [rc.record.adv.name for rc in ranked]
         assert names == ["fast", "medium", "slow"]
@@ -57,14 +61,6 @@ class TestIdleProvisioning:
         rec = sel.select(ctx_for(sim, broker, Workload(transfer_bits=mbit(10))))
         assert rec.adv.name == "fast"  # least completion among busy
 
-    def test_prefer_idle_disabled(self, star):
-        sim, broker, clients = star
-        sel = SchedulingBasedSelector(reserve=False, prefer_idle=False)
-        # Small reservation on 'fast' is outweighed by its speed.
-        broker.reserve(clients["fast"].peer_id, until=sim.now + 0.5)
-        rec = sel.select(ctx_for(sim, broker, Workload(transfer_bits=mbit(10))))
-        assert rec.adv.name == "fast"
-
 
 class TestCpuTiebreak:
     def test_near_tie_broken_by_cpu_speed(self, star):
@@ -75,14 +71,10 @@ class TestCpuTiebreak:
                 sim.now, bits=mbit(10), seconds=10.0
             )
             broker.record(c.peer_id).perf.record_petition_latency(sim.now, 0.1)
-        sel = SchedulingBasedSelector(reserve=False, tiebreak_tolerance=0.10)
+        sel = SchedulingBasedSelector(reserve=False)
         ranked = sel.rank(ctx_for(sim, broker, Workload(transfer_bits=mbit(10))))
         # cpu speeds: fast 1.5 > medium 1.0 > slow 0.5.
         assert [rc.record.adv.name for rc in ranked] == ["fast", "medium", "slow"]
-
-    def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            SchedulingBasedSelector(tiebreak_tolerance=1.5)
 
 
 class TestReservation:
@@ -108,3 +100,39 @@ class TestReservation:
             sel.select(ctx_for(sim, broker, w)).adv.name
             == sel.select(ctx_for(sim, broker, w)).adv.name
         )
+
+
+class TestFederatedReservation:
+    @pytest.mark.parametrize(
+        "make", [SchedulingBasedSelector, HybridSelector],
+        ids=["economic", "hybrid"],
+    )
+    def test_second_selection_sees_first_commitment(self, make):
+        session = Session(
+            ExperimentConfig(gossip=GossipConfig(), federation_brokers=2)
+        )
+
+        def scenario(s):
+            yield 0.0
+            # Peers another shard owns: the head broker has no record
+            # of them, so the commitment must land on the owner's.
+            remote = [
+                r for r in online_view("economic", s)
+                if r.peer_id not in s.broker.registry
+            ]
+            selector = make()
+
+            def select():
+                return selector.select(SelectionContext(
+                    broker=s.broker,
+                    now=s.sim.now,
+                    workload=Workload(transfer_bits=mbit(10)),
+                    candidates=remote,
+                ))
+
+            return len(remote), select(), select(), s.sim.now
+
+        n_remote, first, second, now = session.run(scenario)
+        assert n_remote >= 2
+        assert first.busy_until > now
+        assert second is not first

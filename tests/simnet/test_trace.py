@@ -32,7 +32,7 @@ class TestTracer:
         assert len(t.where(lambda e: e.get("n", 0) > 2)) == 1
 
     def test_clear(self):
-        t = EventTrace(capacity=1, policy="ring")
+        t = EventTrace(capacity=1)
         t.record("x", 1.0)
         t.record("x", 2.0)
         assert t.dropped == 1

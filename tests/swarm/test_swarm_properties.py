@@ -1,6 +1,6 @@
 """Property-based tests for the swarm engine.
 
-Randomized piece layouts, holdings and knob settings (seeded stdlib
+Randomized piece layouts and holdings (seeded stdlib
 ``random`` — the same harness style as
 ``tests/simnet/test_flow_properties.py``) drive the pure
 :class:`~repro.swarm.pieces.PieceTracker` through random request/
@@ -28,7 +28,8 @@ from repro.simnet.kernel import Simulator
 from repro.simnet.rng import RandomStreams
 from repro.simnet.topology import NodeSpec, Region, Site, Topology
 from repro.simnet.transport import Network
-from repro.swarm import SwarmConfig, SwarmCoordinator, SwarmSource
+from repro.swarm import SwarmCoordinator, SwarmSource
+from repro.swarm.choke import UNCHOKE_SLOTS
 from repro.swarm.pieces import PieceTracker
 from repro.units import mbit
 
@@ -45,11 +46,7 @@ class TestTrackerProperties:
         for seed in range(N_TRACKER_WALKS):
             rng = random.Random(seed)
             n = rng.randint(1, 12)
-            priorities = (
-                [rng.random() for _ in range(n)]
-                if rng.random() < 0.5
-                else None
-            )
+            priorities = [rng.random() for _ in range(n)]
             tracker = PieceTracker([1e6] * n, priorities)
             holdings = {}
             for s in range(rng.randint(1, 5)):
@@ -162,14 +159,6 @@ def _run_swarm(seed: int):
         holdings[node.name] = held
         if held:
             sources.append(SwarmSource(node, pieces=tuple(sorted(held))))
-    config = SwarmConfig(
-        unchoke_slots=rng.randint(1, 3),
-        endgame_duplicates=rng.randint(1, 3),
-        optimistic_every=rng.randint(1, 4),
-        drop_below=rng.choice([0.0, 0.5]),
-        pin_origin=rng.random() < 0.5,
-        seeded_tiebreak=rng.random() < 0.5,
-    )
     coord = SwarmCoordinator(
         net,
         dest.advertisement(),
@@ -180,10 +169,9 @@ def _run_swarm(seed: int):
             s for s in sources if s.name not in exclude
         ][:needed],
         k=rng.randint(1, len(sources)),
-        config=config,
     )
     outcome = run_process(sim, coord.download())
-    return coord, outcome, holdings, config, g
+    return coord, outcome, holdings, g
 
 
 class TestSwarmProperties:
@@ -191,7 +179,7 @@ class TestSwarmProperties:
 
     def test_random_downloads_hold_engine_invariants(self):
         for seed in range(N_SWARM_RUNS):
-            coord, out, holdings, config, g = _run_swarm(seed)
+            coord, out, holdings, g = _run_swarm(seed)
             label = f"seed {seed}"
             assert out.ok, f"{label}: {out.reason}"
             # Exactly one proven proof per part, digests verified.
@@ -219,8 +207,8 @@ class TestSwarmProperties:
                 for req in reqs:
                     assert piece in holdings[req.source], label
             # Concurrency never exceeded the choke-slot cap.
-            assert 1 <= out.max_active <= config.unchoke_slots, label
-            assert len(coord._choke.unchoked_names()) <= config.unchoke_slots
+            assert 1 <= out.max_active <= UNCHOKE_SLOTS, label
+            assert len(coord._choke.unchoked_names()) <= UNCHOKE_SLOTS
             # Duplicate accounting is consistent.
             dup_requests = sum(1 for r in out.requests if r.duplicate)
             assert out.duplicate_requests == dup_requests, label
@@ -235,7 +223,7 @@ class TestSwarmProperties:
         ledger (the proof count never exceeds one per part)."""
         total_duplicates = 0
         for seed in range(N_SWARM_RUNS):
-            coord, out, _, _, g = _run_swarm(seed)
+            coord, out, _, g = _run_swarm(seed)
             total_duplicates += out.duplicate_requests
             assert len(coord.ledger.entry(out.filename).proofs) == g
         assert total_duplicates > 0, (
