@@ -164,7 +164,11 @@ def main(argv=None) -> int:
             print(f"--config: {exc}", file=sys.stderr)
             return 2
     else:
-        config = ExperimentConfig(seed=args.seed, repetitions=args.reps)
+        try:
+            config = ExperimentConfig(seed=args.seed, repetitions=args.reps)
+        except ConfigError as exc:
+            print(f"--seed/--reps: {exc}", file=sys.stderr)
+            return 2
     if args.faults:
         import dataclasses
 

@@ -76,6 +76,8 @@ class ExperimentConfig:
     federation_brokers: int = 1
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.federation_brokers < 1:
             raise ConfigError("federation_brokers must be >= 1")
         if self.federation_brokers > 1 and self.gossip is None:

@@ -7,10 +7,28 @@ substream of a single master seed, so that
 * adding a new random component does not perturb the draws of existing
   ones (stream independence by name, not by draw order).
 
-Streams are spawned with :class:`numpy.random.Generator` seeded via
-``SeedSequence(master, spawn_key=hash(name))`` semantics: we derive a
-child ``SeedSequence`` from the master seed and the UTF-8 bytes of the
-stream name.
+Stream ``name`` of master seed ``s`` is the PCG64 generator that numpy
+builds from ``SeedSequence(s, spawn_key=(crc32(name),))``, where
+``crc32`` of the UTF-8 name keeps the key independent of Python's
+randomized str hash.  The module runs that seeding in plain integer
+arithmetic, in two steps:
+
+* :class:`RandomStreams` mixes the seed once: its 32-bit words, padded
+  to the 4-word entropy pool, are hashmixed into the pool and
+  cross-mixed, and any words beyond the pool are mixed in after.  The
+  pool and the running hash constant are kept on the instance.
+* Each stream mixes its spawn word into a copy of that pool and
+  produces the four 64-bit words of ``generate_state(4, uint64)``.
+  ``np.random.PCG64`` reads them from a slotted ``ISeedSequence`` that
+  drops them once read.
+
+So no stream builds or keeps a ``SeedSequence``: one would cost an
+entropy pool array per stream, kept for as long as its generator
+lives, and its seeding is the slow part of building a generator.  The
+constants and the order of the mixing steps are numpy's, so every
+stream's state and draws are those of the ``SeedSequence`` route;
+``tests/simnet/test_rng.py`` checks them against numpy's own
+``SeedSequence``, which is now only the reference.
 
 Per-host scalar draws (loss, handling overhead, contention, CPU share)
 go through :meth:`RandomStreams.draws` instead of :meth:`RandomStreams.get`:
@@ -18,14 +36,17 @@ a :class:`BlockDraws` source seeds its generator on its first draw and
 serves values from blocks of ``gen.<method>(..., size=k)``.  numpy
 computes each element of a block with the same routine as a scalar
 call, so a source yields exactly the values the scalar calls would.
+A block is buffered as an ``array('d')``, 8 bytes per value.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Optional, Union
+from array import array
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from repro.errors import SimulationError
 
@@ -43,6 +64,83 @@ _RANDOM = "random"
 _UNIFORM = "uniform"
 _LOGNORMAL = "lognormal"
 
+#: The buffer of every source that has not drawn yet; never written.
+_NO_DRAWS = array("d")
+
+# numpy.random.SeedSequence's pool size and mixing constants.
+_MASK32 = 0xFFFF_FFFF
+_POOL_SIZE = 4
+_INIT_A = 0x43B0_D7E5
+_MULT_A = 0x931E_8875
+_MIX_MULT_L = 0xCA01_F9DD
+_MIX_MULT_R = 0x4973_F715
+_INIT_B = 0x8B51_F9DD
+_MULT_B = 0x58F3_8DED
+
+#: ``generate_state``'s hash constant before each of the eight 32-bit
+#: output words, and after the last: ``INIT_B * MULT_B**i``.
+_STATE_HASH = tuple(
+    _INIT_B * pow(_MULT_B, i, 1 << 32) & _MASK32 for i in range(2 * _POOL_SIZE + 1)
+)
+
+#: A master seed mixed into the entropy pool: the four pool words and
+#: the hash constant the next hashmix starts from.
+_Seed = Tuple[int, int, int, int, int]
+
+
+def _hashmix(value: int, hash_const: int) -> Tuple[int, int]:
+    """numpy's ``hashmix``: the mixed value and the next hash constant."""
+    value ^= hash_const
+    hash_const = hash_const * _MULT_A & _MASK32
+    value = value * hash_const & _MASK32
+    return value ^ value >> 16, hash_const
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _mix_seed(seed: int) -> _Seed:
+    """Mix ``seed``'s run entropy into the pool, as ``SeedSequence``
+    does before it reaches the spawn key."""
+    words: List[int] = []
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    # A spawned sequence pads its run entropy to the pool size.
+    words += [0] * (_POOL_SIZE - len(words))
+    pool = []
+    h = _INIT_A
+    for word in words[:_POOL_SIZE]:
+        value, h = _hashmix(word, h)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], value)
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            value, h = _hashmix(word, h)
+            pool[dst] = _mix(pool[dst], value)
+    return (*pool, h)
+
+
+class _StateWords(ISeedSequence):
+    """Hands ``PCG64`` its four state words once, then holds nothing."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words: List[int]) -> None:
+        self._words: Optional[List[int]] = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        words, self._words = self._words, None
+        return np.array(words, dtype=np.uint64)
+
 
 class BlockDraws:
     """One named stream's scalar draws, served from geometric blocks.
@@ -58,11 +156,11 @@ class BlockDraws:
 
     __slots__ = ("name", "_seed", "_gen", "_buf", "_i", "_n", "_k", "_kind", "_a", "_b")
 
-    def __init__(self, name: str, seed: int) -> None:
+    def __init__(self, name: str, seed: _Seed) -> None:
         self.name = name
         self._seed = seed
         self._gen: Optional[np.random.Generator] = None
-        self._buf: List[float] = []
+        self._buf = _NO_DRAWS
         self._i = 0
         self._n = 0
         self._k = 1
@@ -111,7 +209,7 @@ class BlockDraws:
             block = gen.uniform(a, b, k)
         else:
             block = gen.lognormal(a, b, k)
-        self._buf = block.tolist()
+        self._buf = array("d", block.tobytes())
         self._n = k
         self._i = 1
         self._k = min(2 * k, DRAW_BLOCK_CAP)
@@ -136,12 +234,22 @@ class BlockDraws:
 Draws = Union[np.random.Generator, BlockDraws]
 
 
-def _generator(seed: int, name: str) -> np.random.Generator:
-    # Stable 32-bit digest of the name keeps the spawn key independent
-    # of Python's randomized str hash.
-    digest = zlib.crc32(name.encode("utf-8"))
-    seq = np.random.SeedSequence(seed, spawn_key=(digest,))
-    return np.random.Generator(np.random.PCG64(seq))
+def _generator(seed: _Seed, name: str) -> np.random.Generator:
+    """The generator of stream ``name`` under a mixed master seed."""
+    *pool, h = seed
+    spawn = zlib.crc32(name.encode("utf-8"))
+    for dst in range(_POOL_SIZE):
+        value, h = _hashmix(spawn, h)
+        pool[dst] = _mix(pool[dst], value)
+    # generate_state(4, uint64): eight 32-bit words from the pool
+    # cycled twice, joined little-endian in pairs.
+    hs = _STATE_HASH
+    state = []
+    for i in (0, 2, 4, 6):
+        lo = (pool[i & 3] ^ hs[i]) * hs[i + 1] & _MASK32
+        hi = (pool[i + 1 & 3] ^ hs[i + 1]) * hs[i + 2] & _MASK32
+        state.append(lo ^ lo >> 16 | (hi ^ hi >> 16) << 32)
+    return np.random.Generator(np.random.PCG64(_StateWords(state)))
 
 
 class RandomStreams:
@@ -161,7 +269,11 @@ class RandomStreams:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self.seed = int(seed)
+        seed = int(seed)
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        self.seed = seed
+        self._mixed = _mix_seed(seed)
         self._streams: Dict[str, np.random.Generator] = {}
         self._draws: Dict[str, BlockDraws] = {}
 
@@ -174,7 +286,7 @@ class RandomStreams:
                     f"stream {name!r} is already served by draws(); "
                     "a name is reached through get() or draws(), not both"
                 )
-            gen = self._streams[name] = _generator(self.seed, name)
+            gen = self._streams[name] = _generator(self._mixed, name)
         return gen
 
     def draws(self, name: str) -> BlockDraws:
@@ -190,7 +302,7 @@ class RandomStreams:
                     f"stream {name!r} is already served by get(); "
                     "a name is reached through get() or draws(), not both"
                 )
-            src = self._draws[name] = BlockDraws(name, self.seed)
+            src = self._draws[name] = BlockDraws(name, self._mixed)
         return src
 
     def fork(self, salt: int) -> "RandomStreams":

@@ -45,6 +45,11 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(flow_tick=0.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            ExperimentConfig(seed=-3)
+        assert ExperimentConfig(seed=0).seed == 0
+
     def test_for_repetition_derives_seed(self):
         cfg = ExperimentConfig(seed=5, repetitions=3)
         seeds = {cfg.for_repetition(i).seed for i in range(3)}

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import zlib
+from array import array
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.experiments.scenario import ExperimentConfig, Session
@@ -64,6 +69,66 @@ class TestRandomStreams:
         streams.get("alpha")
         assert streams.names() == ("alpha", "zeta")
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            RandomStreams(seed=-1)
+
+
+def _reference(seed: int, name: str) -> np.random.Generator:
+    """numpy's own seeding of stream ``name``: the identity target."""
+    spawn_key = (zlib.crc32(name.encode("utf-8")),)
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=spawn_key))
+    )
+
+
+#: Master seeds across the 32-bit word split: one word, the largest
+#: one-word seed, two words, three words, more run words than the
+#: 4-word pool holds, and seeds as ``fork`` and ``for_repetition``
+#: derive them.
+SEEDS = st.one_of(
+    st.sampled_from([0, 2**32 - 1, 2**32]),
+    st.integers(0, 2**32).map(lambda k: 2**64 + k),
+    st.integers(2**128, 2**300),
+    st.builds(
+        lambda seed, salt: RandomStreams(seed).fork(salt).seed,
+        st.integers(0, 2**40), st.integers(0, 2**20),
+    ),
+    st.builds(
+        lambda seed, rep: ExperimentConfig(
+            seed=seed, repetitions=rep + 1
+        ).for_repetition(rep).seed,
+        st.integers(0, 2**70), st.integers(0, 9),
+    ),
+)
+
+
+#: One case per distribution a draw source serves.
+IDENTITY_DRAWS = [("random", ()), ("uniform", (-3.0, 7.5)), ("lognormal", (-2.3, 0.3))]
+
+
+class TestSeedingIdentity:
+    """Streams are seeded exactly as numpy's ``SeedSequence`` seeds them."""
+
+    @given(seed=SEEDS, name=st.text())
+    @settings(max_examples=150, deadline=None)
+    def test_get_matches_seed_sequence(self, seed, name):
+        gen = RandomStreams(seed).get(name)
+        ref = _reference(seed, name)
+        assert gen.bit_generator.state == ref.bit_generator.state
+        assert gen.random(5).tolist() == ref.random(5).tolist()
+
+    @given(seed=SEEDS, name=st.text(), case=st.sampled_from(IDENTITY_DRAWS))
+    @settings(max_examples=150, deadline=None)
+    def test_draws_match_seed_sequence(self, seed, name, case):
+        method, args = case
+        src = RandomStreams(seed).draws(name)
+        ref = _reference(seed, name)
+        # Seven draws span the first three blocks (1, 2 and 4 values).
+        got = [getattr(src, method)(*args) for _ in range(7)]
+        assert got == [getattr(ref, method)(*args) for _ in range(7)]
+        assert src._gen.bit_generator.state == ref.bit_generator.state
+
 
 #: Scalar ``Generator`` calls a draw source must reproduce exactly.
 DRAW_CASES = [
@@ -102,6 +167,23 @@ class TestBlockDraws:
         for _ in range(5 * DRAW_BLOCK_CAP):
             src.random()
         assert len(src._buf) == DRAW_BLOCK_CAP
+
+    def test_drawn_source_keeps_no_seed_sequence_and_8_bytes_per_value(self):
+        src = RandomStreams(seed=1).draws("s")
+        for _ in range(5 * DRAW_BLOCK_CAP):
+            src.uniform(0.0, 2.0)
+        seeder = src._gen.bit_generator.seed_seq
+        assert not isinstance(seeder, np.random.SeedSequence)
+        assert seeder._words is None  # the state words went to PCG64
+        assert isinstance(src._buf, array)
+        assert memoryview(src._buf).nbytes == 8 * DRAW_BLOCK_CAP
+
+    def test_undrawn_sources_share_one_empty_buffer(self):
+        streams = RandomStreams(seed=1)
+        x, y = streams.draws("x"), streams.draws("y")
+        assert x._buf is y._buf and len(x._buf) == 0
+        x.random()
+        assert len(y._buf) == 0
 
     def test_one_source_per_name(self):
         streams = RandomStreams(seed=1)

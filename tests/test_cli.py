@@ -23,6 +23,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "planetlab1.itwm.fhg.de" in out
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--seed", "-3", "seed must be >= 0"),
+        ("--reps", "0", "repetitions must be >= 1"),
+    ])
+    def test_bad_seed_or_reps_fails_cleanly(self, flag, value, message, capsys):
+        assert main(["fig2", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"--seed/--reps: {message}\n"
+        assert "fig2" not in captured.out  # rejected before the run
+
     def test_fig2_with_custom_config(self, capsys):
         assert main(["fig2", "--seed", "11", "--reps", "2"]) == 0
         out = capsys.readouterr().out
