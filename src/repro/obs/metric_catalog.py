@@ -3,16 +3,14 @@
 Dashboards, CI smoke checks (``.github/workflows/ci.yml`` asserts on
 ``fault.*`` / ``recovery.*`` / ``swarm.*`` counters by name) and
 cross-run metric diffs all key on instrument names.  This module is
-the single declared source of truth for that namespace: simlint's
-SIM011 rule statically cross-references every
-``registry.counter/gauge/histogram("name")`` literal in ``src/``
-against the ``MetricSpec`` declarations below — an undeclared runtime
-name, a one-character typo (reported with did-you-mean), a
-kind mismatch, and an orphan catalog entry are all CI failures.
+the single declared source of truth for that namespace, and the
+registry enforces it: ``MetricsRegistry.counter/gauge/histogram`` (and
+the no-op ``NullRegistry``) in :mod:`repro.obs.metrics` raise
+``ValueError`` for a name missing here or asked for as another kind.
+``tests/obs/test_declarations.py`` fails on an entry no ``src/repro``
+module uses.
 
-Keep the tuple sorted by name within each owner block; the linter
-reads the constructor literals, so every ``MetricSpec`` must be a
-plain call with constant arguments.
+Keep the tuple sorted by name within each owner block.
 """
 
 from __future__ import annotations

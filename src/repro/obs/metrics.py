@@ -20,6 +20,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
+from repro.obs.metric_catalog import METRIC_CATALOG
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -177,11 +179,33 @@ class Histogram:
         return f"<Histogram {self.name} n={self.count} mean={self.mean:g}>"
 
 
+def _check_declared(name: str, kind: str) -> None:
+    """Raise ValueError unless ``name`` is catalogued as a ``kind``.
+
+    :mod:`repro.obs.metric_catalog` gives each name one kind, so this
+    also keeps one name from being used as two kinds.
+    """
+    spec = METRIC_CATALOG.get(name)
+    if spec is None:
+        import difflib
+
+        close = difflib.get_close_matches(name, METRIC_CATALOG, n=1)
+        hint = f"; did you mean {close[0]!r}?" if close else ""
+        raise ValueError(
+            f"metric {name!r} is not declared in repro.obs.metric_catalog{hint}"
+        )
+    if spec.kind != kind:
+        raise ValueError(
+            f"metric {name!r} is declared as a {spec.kind}, not a {kind}"
+        )
+
+
 class MetricsRegistry:
     """Named instrument factory and store.
 
-    Instruments are created on first request and shared thereafter;
-    asking for an existing name with a conflicting type raises.
+    Instruments are created on first request and shared thereafter.
+    Every name must be declared in :mod:`repro.obs.metric_catalog`
+    with the kind asked for (:func:`_check_declared`).
     """
 
     enabled = True
@@ -197,7 +221,7 @@ class MetricsRegistry:
         """The counter called ``name`` (created on first use)."""
         c = self._counters.get(name)
         if c is None:
-            self._check_free(name, self._counters)
+            _check_declared(name, "counter")
             c = self._counters[name] = Counter(name)
         return c
 
@@ -205,7 +229,7 @@ class MetricsRegistry:
         """The gauge called ``name`` (created on first use)."""
         g = self._gauges.get(name)
         if g is None:
-            self._check_free(name, self._gauges)
+            _check_declared(name, "gauge")
             g = self._gauges[name] = Gauge(name)
         return g
 
@@ -219,16 +243,9 @@ class MetricsRegistry:
         """
         h = self._histograms.get(name)
         if h is None:
-            self._check_free(name, self._histograms)
+            _check_declared(name, "histogram")
             h = self._histograms[name] = Histogram(name, bounds)
         return h
-
-    def _check_free(self, name: str, own: Dict[str, Any]) -> None:
-        for kind in (self._counters, self._gauges, self._histograms):
-            if kind is not own and name in kind:
-                raise ValueError(
-                    f"metric name {name!r} already used with a different type"
-                )
 
     # -- views -------------------------------------------------------------
 
@@ -328,12 +345,15 @@ class NullRegistry(MetricsRegistry):
         super().__init__()
 
     def counter(self, name: str) -> Counter:  # type: ignore[override]
+        _check_declared(name, "counter")
         return _NULL_INSTRUMENT  # type: ignore[return-value]
 
     def gauge(self, name: str) -> Gauge:  # type: ignore[override]
+        _check_declared(name, "gauge")
         return _NULL_INSTRUMENT  # type: ignore[return-value]
 
     def histogram(self, name: str, bounds=DEFAULT_LATENCY_BUCKETS):  # type: ignore[override]
+        _check_declared(name, "histogram")
         return _NULL_INSTRUMENT  # type: ignore[return-value]
 
     def merge(self, other: MetricsRegistry) -> None:

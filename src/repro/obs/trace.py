@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Iterator, List, Optional
 
+from repro.obs.trace_schema import TRACE_SCHEMA
 from repro.simnet.trace import TraceEvent
 
 __all__ = ["EventTrace"]
@@ -37,9 +38,29 @@ class EventTrace:
     # -- recording ---------------------------------------------------------
 
     def record(self, kind: str, time: float, **attrs: Any) -> None:
-        """Record an event (the oldest falls out of a full ring)."""
+        """Record an event (the oldest falls out of a full ring).
+
+        ``kind`` must be declared in :mod:`repro.obs.trace_schema` and
+        ``attrs`` must carry its required fields, else ValueError.  A
+        disabled trace checks nothing.
+        """
         if not self.enabled:
             return
+        spec = TRACE_SCHEMA.get(kind)
+        if spec is None:
+            import difflib
+
+            close = difflib.get_close_matches(kind, TRACE_SCHEMA, n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise ValueError(
+                f"trace event {kind!r} is not declared in "
+                f"repro.obs.trace_schema{hint}"
+            )
+        missing = [f for f in spec.required if f not in attrs]
+        if missing:
+            raise ValueError(
+                f"trace event {kind!r} is missing required field(s) {missing}"
+            )
         self.seen += 1
         self._buf.append(TraceEvent(kind=kind, time=time, attrs=attrs))
 

@@ -4,15 +4,10 @@ Trace analyses (the resilience matrix's censored-vs-aborted
 accounting, swarm piece-flow debugging, fault timelines) join events
 across modules by name and field.  This table declares that contract:
 one ``TraceEventSpec`` per event kind, with the fields every emit
-site must carry.  simlint's SIM012 rule statically cross-references
-each ``tracer.record("event", t, field=...)`` literal in ``src/``
-against it — undeclared events (with did-you-mean), missing required
-fields and orphan schema entries all fail CI.
-
-Emit sites that splat ``**attrs`` are trusted for field coverage (the
-splat may carry anything) but still name-checked.  The linter reads
-the constructor literals, so every ``TraceEventSpec`` must be a plain
-call with constant name and a literal tuple of field names.
+site must carry.  An enabled :class:`repro.obs.trace.EventTrace`
+enforces it in ``record``: an undeclared event or a missing required
+field raises ``ValueError``.  ``tests/obs/test_declarations.py`` fails
+on an entry no ``src/repro`` module uses.
 """
 
 from __future__ import annotations

@@ -10,13 +10,14 @@ additional data and criteria such as CPU speed are used."
 
 Concretely:
 
-1. Provision the **idle** subset of the candidates (no live queue
-   content, no planned commitment); fall back to all candidates when
-   nobody is idle.
-2. Score each by estimated **completion time** (ready time + service
-   estimate from :class:`~repro.selection.readytime.ReadyTimeEstimator`).
+1. Provision the **idle** candidates (no live queue content, no
+   planned commitment) first; busy ones rank after every idle one.
+2. Within each group, score by estimated **completion time** (ready
+   time + service estimate from
+   :class:`~repro.selection.readytime.ReadyTimeEstimator`).
 3. Among near-ties (within :data:`TIEBREAK_TOLERANCE` relative
-   completion time) prefer the higher **CPU speed**.
+   completion time of the group's best) prefer the higher **CPU
+   speed**.
 4. Optionally **reserve** the winner's ready time on its record so
    subsequent allocations see the commitment (the "plan in advance"
    part).
@@ -59,14 +60,25 @@ class SchedulingBasedSelector(PeerSelector):
         return ReadyTimeEstimator(context.broker)
 
     def rank(self, context: SelectionContext) -> List[RankedCandidate]:
+        """Idle candidates first, then busy ones, each group best-first."""
         candidates = list(context.require_candidates())
         estimator = self._get_estimator(context)
-        idle = [r for r in candidates if estimator.is_idle(r, context.now)]
-        if idle:
-            candidates = idle
+        idle, busy = [], []
+        for rec in candidates:
+            (idle if estimator.is_idle(rec, context.now) else busy).append(rec)
+        return self._by_completion(idle, estimator, context) + self._by_completion(
+            busy, estimator, context
+        )
+
+    @staticmethod
+    def _by_completion(
+        group, estimator: ReadyTimeEstimator, context: SelectionContext
+    ) -> List[RankedCandidate]:
+        if not group:
+            return []
         estimates = [
             (estimator.estimate(rec, context.workload, context.now), rec)
-            for rec in candidates
+            for rec in group
         ]
         best_completion = min(e.completion_at for e, _ in estimates)
         span = max(best_completion - context.now, 1e-9)
@@ -80,11 +92,10 @@ class SchedulingBasedSelector(PeerSelector):
             return (bucket, -rec.adv.cpu_speed, rec.adv.name)
 
         estimates.sort(key=sort_key)
-        ranked = [
+        return [
             RankedCandidate(score=est.completion_at - context.now, record=rec)
             for est, rec in estimates
         ]
-        return ranked
 
     def select(self, context: SelectionContext):
         record = super().select(context)

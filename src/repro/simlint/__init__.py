@@ -6,12 +6,8 @@ global ``random`` draw, or unordered-``set`` iteration away from
 silently breaking.  This package enforces those invariants statically
 (stdlib ``ast`` only, no dependencies):
 
-* a per-file rule registry (:data:`repro.simlint.rules.RULES`,
-  SIM001–SIM007),
-* a whole-program rule pack
-  (:data:`repro.simlint.project_rules.PROJECT_RULES`, SIM010–SIM014)
-  over a cross-module :class:`~repro.simlint.project.ProjectIndex`
-  built from the same single parse of each file,
+* a rule registry (:data:`repro.simlint.rules.RULES`, SIM001–SIM007
+  and SIM010), every rule reading one parse of each file,
 * inline ``# simlint: disable=SIM0xx -- reason`` suppressions, the
   one way to exempt a finding,
 * text / JSON / GitHub-annotation reporters,
@@ -33,32 +29,19 @@ from repro.simlint.engine import (
     LintError,
     LintResult,
     classify_scope,
+    lint_project,
     lint_source,
 )
 from repro.simlint.findings import Finding
-from repro.simlint.project import (
-    FileIndex,
-    ProjectIndex,
-    build_project_index,
-    index_source,
-    lint_project,
-)
-from repro.simlint.project_rules import PROJECT_RULES, PROJECT_RULES_BY_ID
 from repro.simlint.rules import RULES, RULES_BY_ID
 
 __all__ = [
-    "FileIndex",
     "Finding",
     "LintError",
     "LintResult",
-    "PROJECT_RULES",
-    "PROJECT_RULES_BY_ID",
-    "ProjectIndex",
     "RULES",
     "RULES_BY_ID",
-    "build_project_index",
     "classify_scope",
-    "index_source",
     "lint_project",
     "lint_source",
 ]

@@ -10,15 +10,13 @@ Typical invocations::
 
     python -m repro.simlint src benchmarks tests
     python -m repro.simlint src --format github          # CI annotations
-    python -m repro.simlint src --select SIM011          # one rule
+    python -m repro.simlint src --select SIM010          # one rule
     python -m repro.simlint src --stats                  # timing, rule hits
     python -m repro.simlint --list-rules
 
-Every run is the two-phase whole-program analysis over fresh parses:
-per-file rules (SIM001–SIM007) plus the cross-module pack
-(SIM010–SIM014) over a :class:`~repro.simlint.project.ProjectIndex`
-built from the same parse.  The only way to exempt a finding is an
-inline ``# simlint: disable=SIM0xx -- reason`` comment.
+Every run parses each file afresh and runs the rules on that one
+parse.  The only way to exempt a finding is an inline
+``# simlint: disable=SIM0xx -- reason`` comment.
 """
 
 from __future__ import annotations
@@ -29,9 +27,7 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from repro.simlint.engine import LintError, LintResult
-from repro.simlint.project import lint_project
-from repro.simlint.project_rules import PROJECT_RULES
+from repro.simlint.engine import LintError, LintResult, lint_project
 from repro.simlint.reporters import REPORTERS
 from repro.simlint.rules import RULES
 
@@ -43,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.simlint",
         description=(
             "AST-based determinism & simulation-safety linter for the "
-            "repro codebase (per-file + whole-program rules)."
+            "repro codebase."
         ),
     )
     parser.add_argument(
@@ -76,11 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print files/s and per-rule hit counts",
     )
     parser.add_argument(
-        "--no-project",
-        action="store_true",
-        help="skip the cross-module rule pack (per-file rules only)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule pack and exit",
@@ -90,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _list_rules() -> str:
     lines = []
-    for rule in (*RULES, *PROJECT_RULES):
+    for rule in RULES:
         scopes = ",".join(sorted(rule.scopes))
         lines.append(f"{rule.id}  {rule.title}  [scopes: {scopes}]")
         lines.append(f"    {rule.rationale}")
@@ -164,7 +155,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             root=root,
             select=_split_rules(args.select, "--select"),
             ignore=_split_rules(args.ignore, "--ignore"),
-            project_rules=not args.no_project,
         )
     except LintError as exc:
         print(f"simlint: error: {exc}", file=sys.stderr)

@@ -6,9 +6,8 @@ resolves to ``numpy.random.seed`` whatever numpy was imported as),
 which function nodes are generators (kernel ``Process`` bodies),
 which names/attributes are statically known to be ``set``-typed, and
 the inline-suppression table scanned from comments.  Each file is
-parsed once: the per-file rules read the :class:`ModuleInfo`, and
-:func:`repro.simlint.project.index_module` derives the file's
-cross-module facts from the same object.
+parsed once, and every rule reads the same :class:`ModuleInfo`.
+:func:`lint_project` is the driver over a set of files.
 
 Suppressions
 ------------
@@ -44,6 +43,7 @@ __all__ = [
     "Suppressions",
     "iter_python_files",
     "lint_module",
+    "lint_project",
     "lint_source",
     "select_rules",
 ]
@@ -82,9 +82,6 @@ class ModuleInfo:
         except SyntaxError as exc:
             raise LintError(f"{path}: {exc.msg} (line {exc.lineno})") from exc
         self.imports: Dict[str, str] = {}
-        #: Dotted target of every import (``import a.b`` -> ``a.b``,
-        #: ``from a import b`` -> ``a.b``), sorted and deduplicated.
-        self.imported_modules: List[str] = []
         #: id(node) of FunctionDef/AsyncFunctionDef nodes that are
         #: generators (contain a yield at their own nesting level).
         self.generator_funcs: Set[int] = set()
@@ -105,7 +102,6 @@ class ModuleInfo:
         """One walk for imports, generator/decorated functions and the
         suppression span of every statement (:func:`_suppression_span`)."""
         spans: List[Tuple[int, int]] = []
-        imported: Set[str] = set()
         for node in ast.walk(self.tree):
             if not isinstance(node, ast.stmt):
                 continue
@@ -116,24 +112,18 @@ class ModuleInfo:
                     self.imports[alias.asname or top] = (
                         alias.name if alias.asname else top
                     )
-                    imported.add(alias.name)
             elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
                 for alias in node.names:
                     if alias.name == "*":
                         continue
-                    target = f"{node.module}.{alias.name}"
-                    self.imports[alias.asname or alias.name] = target
-                    # The full dotted target lets longest-prefix
-                    # resolution find ``pkg.core`` for both
-                    # ``from pkg import core`` and
-                    # ``from pkg.core import VALUE``.
-                    imported.add(target)
+                    self.imports[alias.asname or alias.name] = (
+                        f"{node.module}.{alias.name}"
+                    )
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if node.decorator_list:
                     self.decorated_funcs.add(id(node))
                 if _has_own_yield(node):
                     self.generator_funcs.add(id(node))
-        self.imported_modules = sorted(imported)
         return spans
 
     # -- helpers for rules ------------------------------------------------
@@ -393,11 +383,7 @@ def _suppression_span(node: ast.stmt) -> Tuple[int, int]:
 
 
 class Suppressions:
-    """One file's inline-suppression table.
-
-    Per-file and cross-module findings are both checked against it, so
-    both honour the same comments.
-    """
+    """One file's inline-suppression table."""
 
     def __init__(self, source: str, stmt_spans: List[Tuple[int, int]]) -> None:
         self.lines, self.filewide = scan_suppressions(source)
@@ -467,16 +453,15 @@ def classify_scope(path: str) -> str:
 def select_rules(
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
-) -> Tuple[list, list]:
-    """The active ``(per_file_rules, project_rules)``.
+) -> list:
+    """The active rules.
 
-    ``select`` (None = every rule) and ``ignore`` are checked against
-    both rule packs; an unknown id raises :class:`LintError`.
+    ``select`` (None = every rule) and ``ignore`` are rule ids; an
+    unknown id raises :class:`LintError`.
     """
-    from repro.simlint.project_rules import PROJECT_RULES
     from repro.simlint.rules import RULES
 
-    known = {rule.id for rule in (*RULES, *PROJECT_RULES)}
+    known = {rule.id for rule in RULES}
 
     def checked(raw: Optional[Iterable[str]]) -> Optional[Set[str]]:
         if raw is None:
@@ -489,15 +474,11 @@ def select_rules(
 
     wanted = checked(select)
     dropped = checked(ignore) or set()
-
-    def active(rules) -> list:
-        return [
-            rule
-            for rule in rules
-            if (wanted is None or rule.id in wanted) and rule.id not in dropped
-        ]
-
-    return active(RULES), active(PROJECT_RULES)
+    return [
+        rule
+        for rule in RULES
+        if (wanted is None or rule.id in wanted) and rule.id not in dropped
+    ]
 
 
 def lint_module(mod: ModuleInfo, rules: Iterable, result: LintResult) -> None:
@@ -519,10 +500,10 @@ def lint_source(
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
 ) -> LintResult:
-    """Lint one module's source text with the per-file rules."""
+    """Lint one module's source text."""
     mod = ModuleInfo(source, path, scope or classify_scope(path))
     result = LintResult(files=1)
-    lint_module(mod, select_rules(select, ignore)[0], result)
+    lint_module(mod, select_rules(select, ignore), result)
     return result.sorted()
 
 
@@ -546,3 +527,25 @@ def iter_python_files(paths: Sequence[str], root: Optional[Path] = None):
         except ValueError:
             rel = f.as_posix()
         yield f, rel
+
+
+def lint_project(
+    paths: Sequence[str],
+    root: Optional[Path] = None,
+    select: Optional[Iterable[str]] = None,
+    ignore: Optional[Iterable[str]] = None,
+) -> LintResult:
+    """Lint every ``.py`` file under ``paths``, in sorted order.
+
+    ``select``/``ignore`` filter the rules (:func:`select_rules`).
+    """
+    rules = select_rules(select, ignore)
+    result = LintResult()
+    for abspath, rel in iter_python_files(paths, root=root):
+        try:
+            source = abspath.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise LintError(f"{rel}: {exc}") from exc
+        result.files += 1
+        lint_module(ModuleInfo(source, rel, classify_scope(rel)), rules, result)
+    return result.sorted()

@@ -12,6 +12,7 @@ SIM004    float ``==``/``!=`` on sim-time quantities
 SIM005    blocking I/O inside kernel ``Process`` generators
 SIM006    obs instruments constructed outside ``__init__`` (hot-path cost)
 SIM007    bare ``except`` / Interrupt-swallowing handlers in processes
+SIM010    ``random.Random`` in library code seeded outside the session tree
 ========  ==================================================================
 
 Rules run in one of three path *scopes* — ``sim`` (library code),
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.simlint.engine import ModuleInfo, is_set_expr
 from repro.simlint.findings import Finding
@@ -547,6 +548,164 @@ class _SwallowedInterruptVisitor(_ScopedVisitor):
 
 
 # ---------------------------------------------------------------------------
+# SIM010 — RNG seed lineage
+# ---------------------------------------------------------------------------
+
+#: Wall-clock and entropy calls a seed expression must never derive from.
+_WALL_CLOCK_SEEDS = frozenset(
+    {
+        "time.time",
+        "time.time_ns",
+        "time.monotonic",
+        "time.monotonic_ns",
+        "time.perf_counter",
+        "time.perf_counter_ns",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "os.urandom",
+        "os.getpid",
+        "uuid.uuid4",
+    }
+)
+
+_RNG_CTORS = frozenset(
+    {"random.Random", "numpy.random.default_rng", "numpy.random.SeedSequence"}
+)
+
+_SEED_PROBLEMS = {
+    "literal": (
+        "seeded with a literal — every run and every repetition reuses "
+        "the same stream; derive the seed from the session RNG tree "
+        "(RandomStreams.get/fork or ExperimentConfig.for_repetition)"
+    ),
+    "wallclock": (
+        "seeded from the wall clock — runs are unreproducible by "
+        "construction; derive the seed from the session RNG tree"
+    ),
+    "entropy": (
+        "constructed without a seed (OS entropy) — unreproducible by "
+        "construction; derive the seed from the session RNG tree"
+    ),
+}
+
+
+class RngLineageRule(Rule):
+    id = "SIM010"
+    title = "RNG seeded outside the session tree"
+    rationale = (
+        "Same-seed replay only holds if every RNG in library code "
+        "descends from the one session seed. A literal or wall-clock "
+        "seed three modules away from the RandomStreams tree silently "
+        "decouples that component from --seed: two 'identical' runs "
+        "diverge, or worse, every repetition repeats the same draws."
+    )
+    # Tests and benchmarks construct throwaway seeded RNGs on purpose.
+    scopes = frozenset({"sim"})
+
+    def check(self, mod: ModuleInfo) -> List[Finding]:
+        return _RngLineageVisitor(self, mod).run()
+
+
+class _RngLineageVisitor(_ScopedVisitor):
+    """Classifies the seed of every RNG construction.
+
+    A seed is ``literal``, ``wallclock``, ``entropy`` or ``derived``;
+    names resolve through the assignments seen so far in each
+    enclosing function, and ``R = random.Random`` aliases are followed.
+    """
+
+    def __init__(self, rule: Rule, mod: ModuleInfo) -> None:
+        super().__init__(rule, mod)
+        #: Per-function seed-lineage environments: name -> class.
+        self.env_stack: List[Dict[str, str]] = [{}]
+        #: Names assigned the random.Random constructor.
+        self.ctor_aliases: Set[str] = set()
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        self.env_stack.append({})
+        super().visit_FunctionDef(node)
+        self.env_stack.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
+
+    def _bind(self, target: ast.AST, value: ast.AST) -> None:
+        if isinstance(target, ast.Name):
+            self.env_stack[-1][target.id] = self._classify(value)[0]
+            if self.mod.dotted_name(value) == "random.Random":
+                self.ctor_aliases.add(target.id)
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        for target in node.targets:
+            self._bind(target, node.value)
+        self.generic_visit(node)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        if node.value is not None:
+            self._bind(node.target, node.value)
+        self.generic_visit(node)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        ctor = self.mod.dotted_name(node.func)
+        if isinstance(node.func, ast.Name) and node.func.id in self.ctor_aliases:
+            ctor = "random.Random"
+        if ctor in _RNG_CTORS:
+            seed_arg = node.args[0] if node.args else None
+            if seed_arg is None:
+                for kw in node.keywords:
+                    if kw.arg in ("seed", "entropy", "x"):
+                        seed_arg = kw.value
+                        break
+            seed, detail = self._classify(seed_arg)
+            problem = _SEED_PROBLEMS.get(seed)
+            if problem is not None:
+                self.report(node, f"{ctor}(...) {problem} ({detail})")
+        self.generic_visit(node)
+
+    def _classify(self, node: Optional[ast.AST], depth: int = 0) -> Tuple[str, str]:
+        """Lineage class of a seed expression, plus a human detail."""
+        if node is None:
+            return "entropy", "no seed argument (OS entropy)"
+        if depth > 6:
+            return "derived", "deep expression"
+        if isinstance(node, ast.Constant):
+            if node.value is None:
+                return "entropy", "seed=None (OS entropy)"
+            if isinstance(node.value, bool) or not isinstance(
+                node.value, (int, float, str, bytes)
+            ):
+                return "derived", f"constant {node.value!r}"
+            return "literal", f"literal seed {node.value!r}"
+        if isinstance(node, ast.Call):
+            d = self.mod.dotted_name(node.func)
+            if d in _WALL_CLOCK_SEEDS:
+                return "wallclock", f"seed from {d}()"
+            return "derived", "seed from a call"
+        if isinstance(node, ast.Name):
+            env_class = None
+            for env in reversed(self.env_stack):
+                if node.id in env:
+                    env_class = env[node.id]
+                    break
+            if env_class in ("literal", "wallclock"):
+                return env_class, f"{env_class} seed via {node.id!r}"
+            return "derived", f"seed via {node.id!r}"
+        if isinstance(node, ast.Attribute):
+            return "derived", f"seed via attribute {node.attr!r}"
+        if isinstance(node, (ast.BinOp, ast.UnaryOp)):
+            leaves = [
+                self._classify(child, depth + 1)[0]
+                for child in ast.iter_child_nodes(node)
+                if isinstance(child, ast.expr)
+            ]
+            if "wallclock" in leaves:
+                return "wallclock", "wall-clock in seed arithmetic"
+            if leaves and all(leaf == "literal" for leaf in leaves):
+                return "literal", "all-literal seed arithmetic"
+            return "derived", "mixed seed arithmetic"
+        return "derived", "complex seed expression"
+
+
+# ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
@@ -558,6 +717,7 @@ RULES: Sequence[Rule] = (
     BlockingIORule(),
     InstrumentBindingRule(),
     SwallowedInterruptRule(),
+    RngLineageRule(),
 )
 
 RULES_BY_ID: Dict[str, Rule] = {rule.id: rule for rule in RULES}

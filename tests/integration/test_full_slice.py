@@ -70,6 +70,7 @@ class TestFullSliceDeployment:
 
     def test_selection_over_the_full_pool(self, full_slice):
         from repro.selection.base import SelectionContext, Workload
+        from repro.selection.readytime import ReadyTimeEstimator
         from repro.selection.scheduling import SchedulingBasedSelector
 
         session, extra = full_slice
@@ -80,10 +81,14 @@ class TestFullSliceDeployment:
             candidates=session.broker.candidates(),
         )
         assert len(ctx.candidates) == 25
-        # The idle part of the pool is ranked (an earlier test in this
-        # module may leave a peer's keepalive-reported queue stale).
+        # All 25 peers are ranked, idle ones first (an earlier test in
+        # this module may leave a peer's keepalive-reported queue stale).
         ranked = SchedulingBasedSelector(reserve=False).rank(ctx)
-        idle = {r.adv.name for r in ctx.candidates if r.is_idle(ctx.now)}
-        assert idle and {r.record.adv.name for r in ranked} == idle
+        assert sorted(r.record.adv.name for r in ranked) == sorted(
+            r.adv.name for r in ctx.candidates
+        )
+        estimator = ReadyTimeEstimator(session.broker)
+        idle = [estimator.is_idle(r.record, ctx.now) for r in ranked]
+        assert any(idle) and idle == sorted(idle, reverse=True)
         # The straggler never ranks first.
         assert ranked[0].record.adv.name != "SC7"

@@ -110,34 +110,44 @@ class TestHistogram:
 class TestRegistry:
     def test_instruments_are_shared_by_name(self):
         reg = MetricsRegistry()
-        assert reg.counter("a") is reg.counter("a")
-        assert reg.histogram("h") is reg.histogram("h")
+        assert reg.counter("net.messages_sent") is reg.counter("net.messages_sent")
+        assert reg.histogram("net.message_latency_s") is reg.histogram(
+            "net.message_latency_s"
+        )
         assert len(reg) == 2
 
     def test_name_collision_across_kinds_rejected(self):
         reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(ValueError):
-            reg.gauge("x")
+        reg.counter("net.messages_sent")
+        with pytest.raises(ValueError, match="declared as a counter, not a gauge"):
+            reg.gauge("net.messages_sent")
+
+    def test_undeclared_name_rejected_with_suggestion(self):
+        reg = MetricsRegistry()
+        with pytest.raises(ValueError, match="did you mean 'net.messages_sent'"):
+            reg.counter("net.messages_snet")
+        with pytest.raises(ValueError, match="not declared"):
+            reg.histogram("no.such.metric")
+        assert len(reg) == 0
 
     def test_merge_adds_counters_and_histograms(self):
         a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("c").inc(2)
-        b.counter("c").inc(3)
-        a.histogram("h", bounds=(1.0,)).observe(0.5)
-        b.histogram("h", bounds=(1.0,)).observe(2.0)
-        b.gauge("g").set(9)
+        a.counter("flow.started").inc(2)
+        b.counter("flow.started").inc(3)
+        a.histogram("flow.goodput_mbps", bounds=(1.0,)).observe(0.5)
+        b.histogram("flow.goodput_mbps", bounds=(1.0,)).observe(2.0)
+        b.gauge("flow.active").set(9)
         a.merge(b)
-        assert a.counter("c").value == 5
-        h = a.histogram("h")
+        assert a.counter("flow.started").value == 5
+        h = a.histogram("flow.goodput_mbps")
         assert h.count == 2 and h.counts == [1, 1]
-        assert a.gauge("g").max_value == 9
+        assert a.gauge("flow.active").max_value == 9
 
     def test_merge_rejects_mismatched_bounds(self):
         a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h", bounds=(1.0,))
-        b.histogram("h", bounds=(2.0,))
-        b.histogram("h").observe(1.0)
+        a.histogram("flow.goodput_mbps", bounds=(1.0,))
+        b.histogram("flow.goodput_mbps", bounds=(2.0,))
+        b.histogram("flow.goodput_mbps").observe(1.0)
         with pytest.raises(ValueError):
             a.merge(b)
 
@@ -146,22 +156,28 @@ class TestNullRegistry:
     def test_everything_is_a_noop(self):
         reg = NullRegistry()
         assert not reg.enabled
-        reg.counter("a").inc()
-        reg.gauge("b").set(5)
-        reg.histogram("c").observe(1.0)
+        reg.counter("flow.started").inc()
+        reg.gauge("flow.active").set(5)
+        reg.histogram("flow.goodput_mbps").observe(1.0)
         assert len(reg) == 0
         assert reg.to_dict() == {"counters": {}, "gauges": {}, "histograms": {}}
 
     def test_shared_null_registry_records_nothing(self):
-        NULL_REGISTRY.counter("x").inc(100)
+        NULL_REGISTRY.counter("flow.started").inc(100)
         assert len(NULL_REGISTRY) == 0
+
+    def test_checks_names_and_kinds_like_the_real_registry(self):
+        with pytest.raises(ValueError, match="did you mean 'recovery.resumes'"):
+            NULL_REGISTRY.counter("recovery.resume")
+        with pytest.raises(ValueError, match="declared as a counter"):
+            NULL_REGISTRY.gauge("flow.started")
 
 
 class TestSpan:
     def test_span_observes_sim_time(self):
         sim = Simulator()
         reg = MetricsRegistry()
-        h = reg.histogram("block_s")
+        h = reg.histogram("overlay.part_bulk_s")
 
         def proc():
             with span(h, sim):
@@ -174,7 +190,7 @@ class TestSpan:
 
     def test_span_records_on_exception(self):
         sim = Simulator()
-        h = MetricsRegistry().histogram("block_s")
+        h = MetricsRegistry().histogram("overlay.part_bulk_s")
         with pytest.raises(RuntimeError):
             with span(h, sim):
                 raise RuntimeError("boom")
@@ -182,7 +198,7 @@ class TestSpan:
 
     def test_span_on_null_histogram_is_harmless(self):
         sim = Simulator()
-        with span(NULL_REGISTRY.histogram("x"), sim) as sp:
+        with span(NULL_REGISTRY.histogram("overlay.part_bulk_s"), sim) as sp:
             assert sp.elapsed == 0.0
 
 
@@ -218,32 +234,32 @@ class TestRuntime:
 class TestExport:
     def test_json_roundtrip(self, tmp_path):
         reg = MetricsRegistry()
-        reg.counter("c").inc(3)
-        reg.histogram("h", bounds=(1.0,)).observe(0.2)
+        reg.counter("flow.started").inc(3)
+        reg.histogram("flow.goodput_mbps", bounds=(1.0,)).observe(0.2)
         path = write_metrics(reg, tmp_path / "m.json")
         data = json.loads(path.read_text())
-        assert data["counters"]["c"] == 3
-        assert data["histograms"]["h"]["count"] == 1
+        assert data["counters"]["flow.started"] == 3
+        assert data["histograms"]["flow.goodput_mbps"]["count"] == 1
 
     def test_csv_export(self, tmp_path):
         reg = MetricsRegistry()
-        reg.counter("c").inc()
-        reg.gauge("g").set(2)
-        reg.histogram("h", bounds=(1.0,)).observe(0.2)
+        reg.counter("flow.started").inc()
+        reg.gauge("flow.active").set(2)
+        reg.histogram("flow.goodput_mbps", bounds=(1.0,)).observe(0.2)
         path = write_metrics(reg, tmp_path / "m.csv")
         text = path.read_text()
-        assert "counter,c,value,1" in text
-        assert "gauge,g,value,2" in text
-        assert "histogram,h,count,1" in text
+        assert "counter,flow.started,value,1" in text
+        assert "gauge,flow.active,value,2" in text
+        assert "histogram,flow.goodput_mbps,count,1" in text
         assert "le=1.0" in text
 
     def test_summary_table_lists_everything(self):
         reg = MetricsRegistry()
-        reg.counter("events").inc(7)
-        reg.histogram("lat", DEFAULT_LATENCY_BUCKETS).observe(0.1)
+        reg.counter("kernel.events_processed").inc(7)
+        reg.histogram("net.message_latency_s", DEFAULT_LATENCY_BUCKETS).observe(0.1)
         table = summary_table(reg)
-        assert "events" in table and "7" in table
-        assert "lat" in table and "n=1" in table
+        assert "kernel.events_processed" in table and "7" in table
+        assert "net.message_latency_s" in table and "n=1" in table
 
     def test_metrics_to_dict_without_trace(self):
         d = metrics_to_dict(MetricsRegistry())

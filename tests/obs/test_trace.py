@@ -13,33 +13,49 @@ from repro.simnet.trace import TraceEvent
 class TestUnbounded:
     def test_records_like_tracer(self):
         t = EventTrace()
-        t.record("msg", 1.0, src="a")
-        t.record("msg", 2.0, src="b")
-        t.record("flow", 3.0)
+        t.record("msg-drop-down", 1.0, dst="a")
+        t.record("msg-drop-down", 2.0, dst="b")
+        t.record("selection-degraded", 3.0, model="economic")
         assert len(t) == 3
-        assert [e.kind for e in t] == ["msg", "msg", "flow"]
-        assert t.of_kind("msg")[1].get("src") == "b"
-        assert t.last("flow").time == 3.0
+        assert [e.kind for e in t] == [
+            "msg-drop-down", "msg-drop-down", "selection-degraded"
+        ]
+        assert t.of_kind("msg-drop-down")[1].get("dst") == "b"
+        assert t.last("selection-degraded").time == 3.0
         assert t.where(lambda e: e.time > 1.5)[0].time == 2.0
 
     def test_disabled_records_nothing(self):
         t = EventTrace(enabled=False)
+        # Undeclared on purpose: a disabled trace checks nothing.
         t.record("msg", 1.0)
         assert len(t) == 0 and t.seen == 0
+
+    def test_undeclared_event_rejected_with_suggestion(self):
+        t = EventTrace()
+        with pytest.raises(ValueError, match="did you mean 'swarm-piece'"):
+            t.record("swarm-peice", 1.0)
+        assert t.seen == 0
+
+    def test_missing_required_field_rejected(self):
+        t = EventTrace()
+        with pytest.raises(ValueError, match=r"missing required field\(s\) \['lost'\]"):
+            t.record("msg-send", 1.0, src="a", dst="b", payload_kind="Ping")
+        t.record("msg-send", 1.0, src="a", dst="b", payload_kind="Ping", lost=False)
+        assert len(t) == 1
 
     def test_clear_resets(self):
         t = EventTrace(capacity=2)
         for i in range(5):
-            t.record("k", float(i))
+            t.record("msg-drop-down", float(i), dst="a")
         t.clear()
         assert len(t) == 0 and t.dropped == 0 and t.seen == 0
 
     def test_last(self):
         t = EventTrace()
-        assert t.last("x") is None
-        t.record("x", 1.0)
-        t.record("x", 2.0)
-        assert t.last("x").time == 2.0
+        assert t.last("msg-drop-down") is None
+        t.record("msg-drop-down", 1.0, dst="a")
+        t.record("msg-drop-down", 2.0, dst="a")
+        assert t.last("msg-drop-down").time == 2.0
 
     def test_event_get_default(self):
         e = TraceEvent(kind="k", time=0.0, attrs={})
@@ -50,14 +66,14 @@ class TestRing:
     def test_keeps_most_recent_window(self):
         t = EventTrace(capacity=3)
         for i in range(10):
-            t.record("k", float(i))
+            t.record("msg-drop-down", float(i), dst="a")
         assert [e.time for e in t.events] == [7.0, 8.0, 9.0]
         assert t.seen == 10
         assert t.dropped == 7
 
     def test_no_drop_below_capacity(self):
         t = EventTrace(capacity=5)
-        t.record("k", 0.0)
+        t.record("msg-drop-down", 0.0, dst="a")
         assert t.dropped == 0
 
 
@@ -69,16 +85,18 @@ class TestValidation:
     def test_no_capacity_keeps_every_event(self):
         t = EventTrace()
         for i in range(100):
-            t.record("k", float(i))
+            t.record("msg-drop-down", float(i), dst="a")
         assert len(t) == 100 and t.seen == 100 and t.dropped == 0
 
 
 class TestExport:
     def test_trace_embedded_in_metrics_dict(self):
         t = EventTrace(capacity=2)
-        t.record("msg", 1.0, src="a")
+        t.record("msg-drop-down", 1.0, dst="a")
         d = metrics_to_dict(MetricsRegistry(), trace=t)
-        assert d["trace"]["events"] == [{"kind": "msg", "time": 1.0, "src": "a"}]
+        assert d["trace"]["events"] == [
+            {"kind": "msg-drop-down", "time": 1.0, "dst": "a"}
+        ]
         assert d["trace"]["capacity"] == 2
 
 class TestNetworkIntegration:

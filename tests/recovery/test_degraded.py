@@ -18,9 +18,12 @@ BUDGET_S = RecoveryConfig().staleness_budget_s
 
 @pytest.fixture(scope="module")
 def warmed_session():
-    """A session with observed history: one warmup transfer per SC."""
+    """A traced session with observed history: one warmup transfer per
+    SC."""
     session = Session(
-        ExperimentConfig(seed=41, repetitions=1, recovery=RecoveryConfig())
+        ExperimentConfig(
+            seed=41, repetitions=1, recovery=RecoveryConfig(), trace=True
+        )
     )
 
     def scenario(s):
@@ -123,3 +126,7 @@ class TestScheduler:
         # The stale history was swapped out only for the ranking.
         assert target.perf is original_perf
         assert len(ranked) == len(candidates)
+        event = s.tracer.last("selection-degraded")
+        assert event.time == far
+        assert event.get("model") == "economic+degraded"
+        assert event.get("distrusted") == target.adv.name

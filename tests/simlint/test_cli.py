@@ -91,15 +91,16 @@ class TestFormats:
         out = capsys.readouterr().out
         for rule_id in (
             "SIM001", "SIM002", "SIM003", "SIM004",
-            "SIM005", "SIM006", "SIM007",
+            "SIM005", "SIM006", "SIM007", "SIM010",
         ):
             assert rule_id in out
 
-    def test_list_rules_includes_project_pack(self, capsys):
+    def test_list_rules_drops_whole_program_pack(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("SIM010", "SIM011", "SIM012", "SIM013", "SIM014"):
-            assert rule_id in out
+        assert "SIM010" in out
+        for rule_id in ("SIM011", "SIM012", "SIM013", "SIM014"):
+            assert rule_id not in out
 
     def test_stats_reports_rule_hits(self, tmp_path, capsys):
         root = write_tree(tmp_path, {"src/bad.py": DIRTY})
@@ -132,38 +133,6 @@ class TestNoState:
         first = json.loads(capsys.readouterr().out)
         main(["src", "--root", str(root), "--format", "json"])
         assert json.loads(capsys.readouterr().out) == first
-
-    def test_catalog_edit_revalidates_unchanged_files(self, tmp_path, capsys):
-        # A second run sees the whole tree afresh: renaming a catalog
-        # entry flags the publish site in a file that did not change.
-        root = write_tree(
-            tmp_path,
-            {
-                "src/obs/metric_catalog.py": (
-                    "from repro.obs.metric_catalog import MetricSpec\n"
-                    "METRICS = (MetricSpec('a.b', 'counter', 'x', 'd'),)\n"
-                ),
-                "src/app/m.py": (
-                    "class C:\n"
-                    "    def __init__(self, reg):\n"
-                    "        self.c = reg.counter('a.b')\n"
-                ),
-            },
-        )
-        assert main(["src", "--root", str(root)]) == 0
-        write_tree(
-            root,
-            {
-                "src/obs/metric_catalog.py": (
-                    "from repro.obs.metric_catalog import MetricSpec\n"
-                    "METRICS = (MetricSpec('a.c', 'counter', 'x', 'd'),)\n"
-                )
-            },
-        )
-        capsys.readouterr()
-        assert main(["src", "--root", str(root)]) == 1
-        out = capsys.readouterr().out
-        assert "src/app/m.py" in out and "SIM011" in out
 
 
 class TestScopes:

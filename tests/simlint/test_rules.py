@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import textwrap
 
-from repro.simlint import lint_source
+import pytest
+
+from repro.simlint import lint_project, lint_source
 
 
 def findings(source: str, scope: str = "sim", **kw):
@@ -109,7 +111,8 @@ class TestSIM002GlobalRandom:
             import random
             rng = random.Random(7)
             x = rng.random()
-            """
+            """,
+            select=["SIM002"],  # the literal seed is SIM010's concern
         ) == []
 
     def test_numpy_generator_construction_is_clean(self):
@@ -118,7 +121,8 @@ class TestSIM002GlobalRandom:
             import numpy as np
             seq = np.random.SeedSequence(3, spawn_key=(1,))
             gen = np.random.Generator(np.random.PCG64(seq))
-            """
+            """,
+            select=["SIM002"],  # the literal seed is SIM010's concern
         ) == []
 
 
@@ -467,6 +471,128 @@ class TestSIM007SwallowedInterrupt:
 
 
 # ---------------------------------------------------------------------------
+# SIM010 — RNG seed lineage
+# ---------------------------------------------------------------------------
+
+
+class TestSIM010RngLineage:
+    def sim010(self, source, scope="sim"):
+        return [
+            f.message for f in findings(source, scope=scope, select=["SIM010"])
+        ]
+
+    def test_literal_seed_flagged(self):
+        (msg,) = self.sim010(
+            """
+            import random
+            r = random.Random(42)
+            """
+        )
+        assert msg.startswith("random.Random(...) seeded with a literal")
+        assert msg.endswith("(literal seed 42)")
+
+    def test_aliased_constructor_tracked(self):
+        # R = random.Random; R(1234).
+        (msg,) = self.sim010(
+            """
+            import random
+            R = random.Random
+            r = R(1234)
+            """
+        )
+        assert "(literal seed 1234)" in msg
+
+    def test_from_import_alias_tracked(self):
+        (msg,) = self.sim010(
+            """
+            from random import Random as Rng
+            r = Rng(7)
+            """
+        )
+        assert "(literal seed 7)" in msg
+
+    def test_literal_through_local_variable(self):
+        (msg,) = self.sim010(
+            """
+            import random
+            seed = 99
+            r = random.Random(seed)
+            """
+        )
+        assert "(literal seed via 'seed')" in msg
+
+    def test_wall_clock_seed_flagged(self):
+        (msg,) = self.sim010(
+            """
+            import random, time
+            r = random.Random(time.time())
+            """
+        )
+        assert "seeded from the wall clock" in msg
+        assert "(seed from time.time())" in msg
+
+    def test_unseeded_is_entropy(self):
+        (msg,) = self.sim010(
+            """
+            import random
+            r = random.Random()
+            """
+        )
+        assert "(no seed argument (OS entropy))" in msg
+
+    def test_derived_seed_is_clean(self):
+        # The fix pattern: seed drawn from the session tree.
+        assert self.sim010(
+            """
+            import random
+            def make(streams):
+                return random.Random(streams.get('x').getrandbits(64))
+            """
+        ) == []
+
+    def test_tests_and_benchmarks_exempt(self):
+        source = """
+        import random
+        r = random.Random(1)
+        """
+        assert self.sim010(source, scope="test") == []
+        assert self.sim010(source, scope="bench") == []
+
+    def test_inline_suppression_honoured(self):
+        result = lint_source(
+            "import random\n"
+            "r = random.Random(42)  # simlint: disable=SIM010 -- fixture\n",
+            scope="sim",
+        )
+        assert result.findings == []
+        assert [f.rule for f in result.suppressed] == ["SIM010"]
+        # The suppression covers SIM010 only, not another rule on the line.
+        other = lint_source(
+            "import random, time\n"
+            "r = random.Random(time.time())  "
+            "# simlint: disable=SIM010 -- fixture\n",
+            scope="sim",
+        )
+        assert [f.rule for f in other.findings] == ["SIM001"]
+        assert [f.rule for f in other.suppressed] == ["SIM010"]
+
+    def test_lint_project_honours_suppression(self, tmp_path):
+        root = write_tree(
+            tmp_path,
+            {
+                "src/app/a.py": (
+                    "import random\n"
+                    "r = random.Random(42)  "
+                    "# simlint: disable=SIM010 -- fixture generator\n"
+                ),
+            },
+        )
+        result = lint_project(["src"], root=root)
+        assert result.findings == []
+        assert [f.rule for f in result.suppressed] == ["SIM010"]
+
+
+# ---------------------------------------------------------------------------
 # Cross-cutting
 # ---------------------------------------------------------------------------
 
@@ -499,3 +625,87 @@ class TestRulePack:
         (f,) = result.findings
         assert (f.line, f.rule) == (4, "SIM001")
         assert f.path == "<memory>"
+
+
+def write_tree(tmp_path, files):
+    for rel, source in files.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
+    return tmp_path
+
+
+class TestFilteredRuns:
+    """A ``select``/``ignore`` run of :func:`lint_project` equals the
+    full run restricted to the active rules, for both reported and
+    suppressed findings."""
+
+    TREE = {
+        "src/app/clock.py": (
+            "import time\n"
+            "T = time.time()\n"  # SIM001
+            "U = time.monotonic()  # simlint: disable=SIM001 -- measured\n"
+        ),
+        "src/app/order.py": (
+            "def names(peers):\n"
+            "    seen = set(peers)\n"
+            "    return [p for p in seen]\n"  # SIM003
+        ),
+        "src/app/rng.py": "import random\nr = random.Random(42)\n",  # SIM010
+    }
+
+    @pytest.fixture(scope="class")
+    def full(self, tmp_path_factory):
+        root = write_tree(tmp_path_factory.mktemp("tree"), self.TREE)
+        return root, lint_project(["src"], root=root)
+
+    def test_fixture_covers_three_rules_and_a_suppression(self, full):
+        _, result = full
+        assert sorted({f.rule for f in result.findings}) == [
+            "SIM001", "SIM003", "SIM010",
+        ]
+        assert [f.rule for f in result.suppressed] == ["SIM001"]
+
+    @pytest.mark.parametrize(
+        "select, ignore",
+        [
+            (["SIM001"], None),
+            (["SIM003", "SIM010"], None),
+            (["SIM010"], None),
+            (["sim001", "SIM010"], None),
+            (None, ["SIM001"]),
+            (None, ["SIM010", "SIM003"]),
+            (["SIM001", "SIM003", "SIM010"], ["SIM003"]),
+            (["SIM002"], None),
+        ],
+    )
+    def test_filtered_run_matches_full_run(self, full, select, ignore):
+        root, result = full
+        wanted = None if select is None else {r.upper() for r in select}
+
+        def kept(findings):
+            return [
+                f
+                for f in findings
+                if (wanted is None or f.rule in wanted)
+                and f.rule not in (ignore or ())
+            ]
+
+        filtered = lint_project(["src"], root=root, select=select, ignore=ignore)
+        assert filtered.findings == kept(result.findings)
+        assert filtered.suppressed == kept(result.suppressed)
+        assert filtered.files == result.files
+
+    def test_select_sim010_only(self, tmp_path):
+        root = write_tree(
+            tmp_path,
+            {
+                "src/app/a.py": (
+                    "import random, time\n"
+                    "t = time.time()\n"  # SIM001
+                    "r = random.Random(42)\n"  # SIM010
+                ),
+            },
+        )
+        result = lint_project(["src"], root=root, select=["SIM010"])
+        assert [f.rule for f in result.findings] == ["SIM010"]

@@ -278,7 +278,11 @@ class TestYieldTargets:
         with pytest.raises(SimulationError, match="another simulator"):
             sim.run()
 
-    @pytest.mark.parametrize("junk", ["x", None, np.int64(1)])
+    @pytest.mark.parametrize(
+        # Also a raw generator (the ``yield sub(sim)`` slip for
+        # ``yield from sub(sim)``) and a container.
+        "junk", ["x", None, np.int64(1), (d for d in (1.0,)), [1.0]]
+    )
     def test_unsupported_value_raises(self, sim, junk):
         self._run_yield(sim, junk)
         with pytest.raises(SimulationError, match="unsupported value"):

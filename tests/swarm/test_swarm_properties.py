@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 
+from repro.obs.trace import EventTrace
 from repro.overlay.broker import Broker
 from repro.overlay.client import SimpleClient
 from repro.overlay.filetransfer import part_digest
@@ -141,6 +142,7 @@ def _run_swarm(seed: int):
         sim,
         _topology(rng, n_replicas + 2),
         streams=RandomStreams(seed=seed),
+        tracer=EventTrace(),
     )
     ids = IdFactory()
     broker = Broker(net, "h0.example", ids, name="broker")
@@ -221,11 +223,56 @@ class TestSwarmProperties:
         """Across the random corpus, endgame actually fires, and every
         duplicate is either cancelled mid-stream or deduplicated by the
         ledger (the proof count never exceeds one per part)."""
-        total_duplicates = 0
+        total_duplicates = total_cancelled = 0
         for seed in range(N_SWARM_RUNS):
             coord, out, _, g = _run_swarm(seed)
             total_duplicates += out.duplicate_requests
             assert len(coord.ledger.entry(out.filename).proofs) == g
-        assert total_duplicates > 0, (
+            # Each cancelled duplicate is traced with its piece/source.
+            cancels = coord.network.tracer.of_kind("swarm-cancel")
+            assert len(cancels) == out.duplicates_cancelled, f"seed {seed}"
+            requested = {(req.piece, req.source) for req in out.requests}
+            for event in cancels:
+                assert event.get("filename") == out.filename
+                assert (event.get("piece"), event.get("source")) in requested
+            total_cancelled += len(cancels)
+        assert total_duplicates > 0 and total_cancelled > 0, (
             "corpus never reached endgame; invariants above are vacuous"
         )
+
+    def test_failed_source_is_replaced_and_traced(self):
+        rng = random.Random(3)
+        sim = Simulator()
+        net = Network(
+            sim, _topology(rng, 4), streams=RandomStreams(seed=3),
+            tracer=EventTrace(),
+        )
+        ids = IdFactory()
+        broker = Broker(net, "h0.example", ids, name="broker")
+        dest = SimpleClient(net, "h1.example", ids, name="dest")
+        flaky = SimpleClient(net, "h2.example", ids, name="flaky")
+        spare = SimpleClient(net, "h3.example", ids, name="spare")
+        connect(sim, broker, dest, flaky, spare)
+        sources = [SwarmSource(flaky), SwarmSource(broker), SwarmSource(spare)]
+        coord = SwarmCoordinator(
+            net,
+            dest.advertisement(),
+            filename="reassign",
+            total_bits=mbit(2) * 8,
+            n_parts=8,
+            select=lambda needed, exclude: [
+                s for s in sources if s.name not in exclude
+            ][:needed],
+            k=2,
+        )
+        sim.call_in(0.5, flaky.host.crash)
+        out = run_process(sim, coord.download())
+        assert out.ok, out.reason
+        assert out.sources_failed == ["flaky"]
+        (event,) = net.tracer.of_kind("swarm-reassign")
+        assert event.get("filename") == "reassign"
+        assert event.get("source") == "flaky"
+        assert event.get("error")
+        assert event.get("dropped") >= 0
+        # The spare source was admitted in the failed one's place.
+        assert "spare" in {req.source for req in out.requests}
