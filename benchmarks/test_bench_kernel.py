@@ -78,11 +78,16 @@ IDLE_PEER_S = 600.0
 #: 18 KB; with handlers bound on first delivery, a slotted host and
 #: one freshness stamp per beacon source, about 13.9 KB; with streams
 #: seeded without a ``SeedSequence`` and draws buffered as doubles,
-#: about 12.8 KB.  A return to a handler per message type, an
-#: instance dict per host or a freshness time per key fails the 14 KB
-#: ceiling.  A seed sequence or a float list per stream (13.9 KB)
-#: would pass it; tests/simnet/test_rng.py checks those instead.
-IDLE_PEER_BYTES_CEILING = 14_000
+#: about 12.8 KB; with the links, heavy handling, CPU and task-failure
+#: sources and the overlay services built on first use, about
+#: 10.1 KB.  The 11 KB ceiling catches the shared-key dict cliff: a
+#: 30th peer attribute costs every peer a full instance dict (10.1 KB
+#: to 11.4 KB), where 12.8 + 1.1 KB passed the old 14 KB ceiling.  It
+#: also fails a return to eager links or services, a handler per
+#: message type, an instance dict per host or a freshness time per
+#: key.  A seed sequence or a float list per stream would pass it;
+#: tests/simnet/test_rng.py checks those instead.
+IDLE_PEER_BYTES_CEILING = 11_000
 
 
 def _timeout_churn():

@@ -79,8 +79,11 @@ class SimpleClient(PeerNode):
                     self.gossip_agent.notify_hostname = target
                 if rejoin:
                     # The old home's advertisement index died with it:
-                    # relearn the new shard owner with what we share.
-                    self.discovery.republish()
+                    # relearn the new shard owner with what we share
+                    # (a peer that never built its discovery service
+                    # published nothing).
+                    if self._discovery is not None:
+                        self._discovery.republish()
                 return adv
             if ack.shard_map is not None:
                 fresher = ShardMap.from_wire(*ack.shard_map)

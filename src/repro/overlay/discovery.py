@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, TYPE_CHECKING
 
 from repro.errors import NotConnectedError
+from repro.obs.metrics import MetricsRegistry
 from repro.overlay.advertisements import Advertisement, PeerAdvertisement
 from repro.overlay.messages import DiscoveryQuery, DiscoveryResponse, PublishAdvertisement
 
@@ -17,6 +18,24 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.overlay.peer import PeerNode
 
 __all__ = ["DiscoveryService"]
+
+
+class DiscoveryInstruments:
+    """The discovery service's instruments in one registry.
+
+    A peer binds them when it is built, before its service exists, so
+    a metrics export names them whether or not the peer queries.
+    """
+
+    __slots__ = ("latency", "attempts", "failures")
+
+    def __init__(self, reg: MetricsRegistry) -> None:
+        self.latency = reg.histogram(
+            "overlay.discovery_latency_s",
+            bounds=(0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 15.0, 60.0, 120.0),
+        )
+        self.attempts = reg.counter("overlay.discovery_attempts")
+        self.failures = reg.counter("overlay.discovery_failures")
 
 
 class DiscoveryService:
@@ -31,13 +50,7 @@ class DiscoveryService:
         #: source of truth for :meth:`republish` after a rehome (the
         #: old home's index dies with it).
         self.published: List[Advertisement] = []
-        reg = peer.metrics
-        self._m_latency = reg.histogram(
-            "overlay.discovery_latency_s",
-            bounds=(0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 15.0, 60.0, 120.0),
-        )
-        self._m_attempts = reg.counter("overlay.discovery_attempts")
-        self._m_failures = reg.counter("overlay.discovery_failures")
+        self._m = DiscoveryInstruments(peer.metrics)
 
     def publish(self, adv: Advertisement) -> None:
         """Push an advertisement to the broker's index (fire-and-forget)."""
@@ -96,16 +109,16 @@ class DiscoveryService:
             attrs=dict(attrs or {}),
             query_id=qid,
         )
-        self._m_attempts.inc()
+        self._m.attempts.inc()
         started = self.sim.now
         try:
             resp: DiscoveryResponse = yield self.sim.process(
                 peer.request(broker_host, query, ("disc", qid), light=True)
             )
         except Exception:
-            self._m_failures.inc()
+            self._m.failures.inc()
             raise
-        self._m_latency.observe(self.sim.now - started)
+        self._m.latency.observe(self.sim.now - started)
         advs = resp.advertisements
         cache = self._cache.setdefault(adv_kind, [])
         for adv in advs:

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.errors import HostDownError, TransferAborted
+from repro.obs.metrics import MetricsRegistry
 from repro.overlay.advertisements import PeerAdvertisement
 from repro.overlay.ids import PeerId, TransferId
 from repro.overlay.messages import (
@@ -307,10 +308,10 @@ class TransferHandle:
                 dst=self.dst_adv.peer_id,
                 now=sim.now,
             )
-        svc._m_parts_sent.inc()
-        svc._m_part_bulk.observe(rec.bulk_seconds)
-        svc._m_part_total.observe(rec.total_seconds)
-        svc._m_part_attempts.observe(rec.attempts)
+        svc._m.parts_sent.inc()
+        svc._m.part_bulk.observe(rec.bulk_seconds)
+        svc._m.part_total.observe(rec.total_seconds)
+        svc._m.part_attempts.observe(rec.attempts)
         # Per-part goodput observation for the selection models.
         if rec.bulk_seconds > 0:
             peer.observed_perf(self.dst_adv.peer_id).record_transfer(
@@ -336,8 +337,8 @@ class TransferHandle:
         self.service._track_outgoing(self.dst_adv.hostname, -1)
         self.outcome.finished_at = self.service.sim.now
         self.outcome.ok = True
-        self.service._m_transfers_ok.inc()
-        self.service._m_transfer_total.observe(self.outcome.total_duration)
+        self.service._m.transfers_ok.inc()
+        self.service._m.transfer_total.observe(self.outcome.total_duration)
         peer.stats.pending_transfers -= 1
         peer.stats.record_file_attempt(self.service.sim.now, ok=True)
         peer.interaction_stats(self.dst_adv.hostname).record_file_attempt(
@@ -361,12 +362,42 @@ class TransferHandle:
         self.service._track_outgoing(self.dst_adv.hostname, -1)
         self.outcome.finished_at = self.service.sim.now
         self.outcome.ok = False
-        self.service._m_transfers_cancelled.inc()
+        self.service._m.transfers_cancelled.inc()
         peer.stats.pending_transfers -= 1
         peer.stats.record_file_attempt(self.service.sim.now, ok=False, cancelled=True)
         peer.interaction_stats(self.dst_adv.hostname).record_file_attempt(
             self.service.sim.now, ok=False, cancelled=True
         )
+
+
+class TransferInstruments:
+    """The transfer protocol's instruments in one registry.
+
+    They are the quantities the paper's figures are built from
+    (petition latency, Fig. 2; per-part times, Figs. 3/5; attempts, the
+    loss-amplification mechanism) and the transfer outcomes.  A peer
+    binds them when it is built, before its service exists, so a
+    metrics export names them whether or not the peer transfers.
+    """
+
+    __slots__ = (
+        "petition_latency", "petition_attempts", "part_total", "part_bulk",
+        "part_attempts", "parts_sent", "transfer_total", "transfers_ok",
+        "transfers_cancelled",
+    )
+
+    def __init__(self, reg: MetricsRegistry) -> None:
+        self.petition_latency = reg.histogram("overlay.petition_latency_s")
+        self.petition_attempts = reg.counter("overlay.petition_attempts")
+        self.part_total = reg.histogram("overlay.part_transfer_s")
+        self.part_bulk = reg.histogram("overlay.part_bulk_s")
+        self.part_attempts = reg.histogram(
+            "overlay.part_attempts", bounds=(1, 2, 3, 5, 10, 20, 50)
+        )
+        self.parts_sent = reg.counter("overlay.parts_sent")
+        self.transfer_total = reg.histogram("overlay.transfer_total_s")
+        self.transfers_ok = reg.counter("overlay.transfers_ok")
+        self.transfers_cancelled = reg.counter("overlay.transfers_cancelled")
 
 
 class FileTransferService:
@@ -375,21 +406,7 @@ class FileTransferService:
     def __init__(self, peer: "PeerNode") -> None:
         self.peer = peer
         self.sim = peer.sim
-        # Protocol instruments: the quantities the paper's figures are
-        # built from (petition latency — Fig. 2; per-part times —
-        # Figs. 3/5; attempts — the loss-amplification mechanism).
-        reg = peer.metrics
-        self._m_petition_latency = reg.histogram("overlay.petition_latency_s")
-        self._m_petition_attempts = reg.counter("overlay.petition_attempts")
-        self._m_part_total = reg.histogram("overlay.part_transfer_s")
-        self._m_part_bulk = reg.histogram("overlay.part_bulk_s")
-        self._m_part_attempts = reg.histogram(
-            "overlay.part_attempts", bounds=(1, 2, 3, 5, 10, 20, 50)
-        )
-        self._m_parts_sent = reg.counter("overlay.parts_sent")
-        self._m_transfer_total = reg.histogram("overlay.transfer_total_s")
-        self._m_transfers_ok = reg.counter("overlay.transfers_ok")
-        self._m_transfers_cancelled = reg.counter("overlay.transfers_cancelled")
+        self._m = TransferInstruments(peer.metrics)
         self._incoming: Dict[TransferId, _IncomingTransfer] = {}
         #: Optional :class:`~repro.recovery.ledger.TransferLedger` —
         #: set by a :class:`~repro.recovery.resume.ResumableSender` to
@@ -470,7 +487,7 @@ class FileTransferService:
             for attempt in range(1, cfg.petition_retries + 1):
                 waiter = peer.expect(("petition-ack", tid))
                 sent_at = self.sim.now
-                self._m_petition_attempts.inc()
+                self._m.petition_attempts.inc()
                 peer.host.send(dst_host, petition)  # heavy: first contact
                 yield self.sim.any_of(
                     [waiter, self.sim.timeout(cfg.petition_timeout_s)]
@@ -500,7 +517,7 @@ class FileTransferService:
                     peer.observed_perf(dst_adv.peer_id).record_petition_latency(
                         self.sim.now, latency
                     )
-                    self._m_petition_latency.observe(latency)
+                    self._m.petition_latency.observe(latency)
                     self._track_outgoing(dst_adv.hostname, +1)
                     return TransferHandle(self, dst_adv, outcome)
                 peer.cancel_wait(("petition-ack", tid), waiter)
@@ -513,7 +530,7 @@ class FileTransferService:
             # HostDownError: our own host crashed mid-petition; settle
             # the pending-transfer accounting exactly like an abort.
             peer.stats.pending_transfers -= 1
-            self._m_transfers_cancelled.inc()
+            self._m.transfers_cancelled.inc()
             peer.stats.record_file_attempt(self.sim.now, ok=False, cancelled=True)
             peer.interaction_stats(dst_adv.hostname).record_file_attempt(
                 self.sim.now, ok=False, cancelled=True

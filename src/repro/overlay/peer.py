@@ -32,6 +32,9 @@ from repro.errors import (
     UnknownPeerError,
 )
 from repro.overlay.advertisements import PeerAdvertisement
+from repro.overlay.discovery import DiscoveryInstruments, DiscoveryService
+from repro.overlay.filesharing import FileSharingService
+from repro.overlay.filetransfer import FileTransferService, TransferInstruments
 from repro.overlay.ids import IdFactory, PeerId
 from repro.overlay.messages import (
     DiscoveryResponse,
@@ -62,6 +65,7 @@ from repro.overlay.messages import (
     TransferComplete,
 )
 from repro.overlay.statistics import PeerStats, PerformanceHistory
+from repro.overlay.taskexec import TaskExecutionService
 from repro.simnet.kernel import Event, Store
 from repro.simnet.transport import Datagram, Host, Network
 
@@ -163,6 +167,11 @@ class PeerNode:
         )
         self._m_request_timeouts = self.metrics.counter("peer.request_timeouts")
         self._m_stale_retries = self.metrics.counter("gossip.stale_shard_retries")
+        # The services are built on first use (the properties below),
+        # but their instruments are bound with the peer, so a metrics
+        # export names them whether or not a service ran.
+        TransferInstruments(self.metrics)
+        DiscoveryInstruments(self.metrics)
 
         #: Local statistics (this peer's own accounting).
         self.stats = PeerStats()
@@ -194,16 +203,51 @@ class PeerNode:
         self._next_query_id = 0
         self.host.serve(self)
 
-        # Protocol services (imported lazily to avoid circular imports).
-        from repro.overlay.discovery import DiscoveryService
-        from repro.overlay.filesharing import FileSharingService
-        from repro.overlay.filetransfer import FileTransferService
-        from repro.overlay.taskexec import TaskExecutionService
+        # Protocol services, each built on its first use: most peers
+        # only beacon.  These are their backing fields.  A peer keeps
+        # every attribute it will hold set here, in this order: CPython
+        # shares one key table among the instance dicts of a class only
+        # while each holds the same keys (at most 30), in the same
+        # order, so an attribute added on first use costs every peer a
+        # full dict.
+        self._transfers: Optional[FileTransferService] = None
+        self._tasks: Optional[TaskExecutionService] = None
+        self._discovery: Optional[DiscoveryService] = None
+        self._sharing: Optional[FileSharingService] = None
 
-        self.transfers = FileTransferService(self)
-        self.tasks = TaskExecutionService(self)
-        self.discovery = DiscoveryService(self)
-        self.sharing = FileSharingService(self)
+    # -- services -------------------------------------------------------------
+
+    @property
+    def transfers(self) -> FileTransferService:
+        """The file-transfer service (built on first use)."""
+        svc = self._transfers
+        if svc is None:
+            svc = self._transfers = FileTransferService(self)
+        return svc
+
+    @property
+    def tasks(self) -> TaskExecutionService:
+        """The task-execution service (built on first use)."""
+        svc = self._tasks
+        if svc is None:
+            svc = self._tasks = TaskExecutionService(self)
+        return svc
+
+    @property
+    def discovery(self) -> DiscoveryService:
+        """The discovery service (built on first use)."""
+        svc = self._discovery
+        if svc is None:
+            svc = self._discovery = DiscoveryService(self)
+        return svc
+
+    @property
+    def sharing(self) -> FileSharingService:
+        """The file-sharing service (built on first use)."""
+        svc = self._sharing
+        if svc is None:
+            svc = self._sharing = FileSharingService(self)
+        return svc
 
     # -- identity -----------------------------------------------------------
 
@@ -556,19 +600,21 @@ class PeerNode:
 
         Backups are tried in order; the failover loop keeps running, so
         a chain of broker failures walks down the list.  Requires the
-        peer to be online.
+        peer to be online.  The loop holds the list itself, so arming
+        failover adds no attribute to the peer.
         """
         if not self.online:
             raise NotConnectedError(f"{self.name} is not connected")
         if check_interval_s <= 0 or ping_timeout_s <= 0:
             raise ValueError("failover intervals must be > 0")
-        self._backup_brokers = list(backups)
         self.sim.process(
-            self._failover_loop(check_interval_s, ping_timeout_s),
+            self._failover_loop(list(backups), check_interval_s, ping_timeout_s),
             name=f"failover@{self.name}",
         )
 
-    def _failover_loop(self, interval: float, ping_timeout: float):
+    def _failover_loop(
+        self, backups: "list[PeerAdvertisement]", interval: float, ping_timeout: float
+    ):
         while self.online:
             yield interval
             if not self.host.is_up or self.broker_adv is None:
@@ -580,7 +626,7 @@ class PeerNode:
                 # We crashed mid-probe; the broker was never judged.
                 continue
             dead = self.broker_adv
-            for backup in list(getattr(self, "_backup_brokers", [])):
+            for backup in list(backups):
                 if backup.peer_id == dead.peer_id:
                     continue
                 try:
@@ -588,8 +634,8 @@ class PeerNode:
                     if self.stats.session_active:
                         self.stats.end_session()
                     yield self.sim.process(self.connect(backup))
-                    self._backup_brokers.remove(backup)
-                    self._backup_brokers.append(dead)  # demote the dead one
+                    backups.remove(backup)
+                    backups.append(dead)  # demote the dead one
                     break
                 except (RequestTimeout, NotConnectedError, HostDownError):
                     continue

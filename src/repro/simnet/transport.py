@@ -255,6 +255,12 @@ class FlowScheduler:
         self._seq += 1
         flow.seq = self._seq
 
+        # A host builds its links on its first flow, so ``_set_rate``
+        # reads them without a test.
+        if src._up is None:
+            src._links()
+        if dst._down is None:
+            dst._links()
         # Only flows sharing src's uplink or dst's downlink feel the
         # arrival; bring their progress up to now under the old shares
         # before the counts change.
@@ -314,8 +320,14 @@ class FlowScheduler:
         if gate is not None and not gate(f):
             rate = 0.0
         else:
-            up_share = f.src.up_capacity_at(now) / len(f.src._up_set)
-            down_share = f.dst.down_capacity_at(now) / len(f.dst._down_set)
+            # ``Host.up_capacity_at``/``down_capacity_at`` inlined: a
+            # flow's hosts built their links when it started.
+            src = f.src
+            dst = f.dst
+            up_share = src._up.rate_at(now) * src.link_bw_factor / len(src._up_set)
+            down_share = (
+                dst._down.rate_at(now) * dst.link_bw_factor / len(dst._down_set)
+            )
             rate = up_share if up_share < down_share else down_share
         old = f.rate
         if rate == old:
@@ -542,9 +554,17 @@ class Host:
     Created via :meth:`Network.host`; do not instantiate directly.
     Slotted: a host has more attributes than a shared-key instance
     dict holds, so each host of a large study carried a full dict.
+
+    The link models, the heavy handling model and the CPU-share
+    source are built on first use: the links on the host's first flow
+    or capacity query (:meth:`_links`), the handling model on its
+    first heavy message or :meth:`overhead_mean`, the CPU source on
+    its first :meth:`compute`.  Until then their slots hold None.
     Tests that need to reshape a host patch the class
-    (``monkeypatch.setattr(Host, ...)``) or wrap the model an
-    accessor reads.
+    (``monkeypatch.setattr(Host, ...)``) or wrap a model an accessor
+    reads, after building it through the host (``_links()`` or
+    ``_heavy_overhead()``): a model wrapped while its slot is None
+    would be replaced on first use.
     """
 
     __slots__ = (
@@ -566,44 +586,12 @@ class Host:
         #: This host's half of the topology's region-pair latency memo key.
         self._region = spec.site.region.name
         streams = network.streams
-
-        up = ContendedBandwidth(
-            spec.up_bps,
-            streams.draws(f"bw-up/{spec.hostname}"),
-            min_share=spec.load_min_share,
-            max_share=spec.load_max_share,
-        )
-        down = ContendedBandwidth(
-            spec.down_bps,
-            streams.draws(f"bw-down/{spec.hostname}"),
-            min_share=spec.load_min_share,
-            max_share=spec.load_max_share,
-        )
-        if spec.diurnal_depth > 0:
-            up = DiurnalBandwidth(
-                up, depth=spec.diurnal_depth,
-                peak_offset=spec.diurnal_peak_offset_s,
-            )
-            down = DiurnalBandwidth(
-                down, depth=spec.diurnal_depth,
-                peak_offset=spec.diurnal_peak_offset_s,
-            )
-        self._up = up
-        self._down = down
-        base = LognormalLatency(
-            max(spec.overhead_s, 1e-6),
-            spec.overhead_cv,
-            streams.draws(f"overhead/{spec.hostname}"),
-        )
-        if spec.spike_prob > 0:
-            self._overhead = SpikyLatency(
-                base,
-                spec.spike_prob,
-                spec.spike_factor,
-                streams.draws(f"spikes/{spec.hostname}"),
-            )
-        else:
-            self._overhead = base
+        # Built on first use (an idle peer only beacons).  Each model
+        # draws only from its own named stream, so building it later
+        # changes no stream's sequence.
+        self._up: Any = None
+        self._down: Any = None
+        self._overhead: Any = None
         # Handling for messages on an already-bound pipe: small,
         # node-independent-scale lognormal (see NodeSpec).
         self._light_overhead = LognormalLatency(
@@ -617,7 +605,7 @@ class Host:
             )
         else:
             self._loss = NO_LOSS
-        self._cpu_share_rng = streams.draws(f"cpu/{spec.hostname}")
+        self._cpu_share_rng: Any = None
 
         self.inbox: Store = Store(self.sim, name=f"inbox@{spec.hostname}")
         #: Installed handlers by payload type (see :meth:`on_message`).
@@ -709,25 +697,80 @@ class Host:
         """Compose an additional loss model (None clears it)."""
         self.extra_loss = model if model is not None else NO_LOSS
 
+    def _links(self) -> None:
+        """Build the up and down link models (on a first flow or query).
+
+        A :class:`ContendedBandwidth` advances its epochs from -1 on its
+        first query, whenever that is, so a link built late yields the
+        rates of one built with the host.
+        """
+        spec = self.spec
+        streams = self.network.streams
+        links = []
+        for direction, nominal in (("up", spec.up_bps), ("down", spec.down_bps)):
+            link: Any = ContendedBandwidth(
+                nominal,
+                streams.draws(f"bw-{direction}/{spec.hostname}"),
+                min_share=spec.load_min_share,
+                max_share=spec.load_max_share,
+            )
+            if spec.diurnal_depth > 0:
+                link = DiurnalBandwidth(
+                    link, depth=spec.diurnal_depth,
+                    peak_offset=spec.diurnal_peak_offset_s,
+                )
+            links.append(link)
+        self._up, self._down = links
+
+    def _heavy_overhead(self) -> Any:
+        """Build the first-contact handling model (on a first heavy message)."""
+        spec = self.spec
+        streams = self.network.streams
+        model: Any = LognormalLatency(
+            max(spec.overhead_s, 1e-6),
+            spec.overhead_cv,
+            streams.draws(f"overhead/{spec.hostname}"),
+        )
+        if spec.spike_prob > 0:
+            model = SpikyLatency(
+                model,
+                spec.spike_prob,
+                spec.spike_factor,
+                streams.draws(f"spikes/{spec.hostname}"),
+            )
+        self._overhead = model
+        return model
+
     def up_capacity_at(self, now: float) -> float:
         """Instantaneous uplink capacity (bits/s)."""
+        if self._up is None:
+            self._links()
         return self._up.rate_at(now) * self.link_bw_factor
 
     def down_capacity_at(self, now: float) -> float:
         """Instantaneous downlink capacity (bits/s)."""
+        if self._down is None:
+            self._links()
         return self._down.rate_at(now) * self.link_bw_factor
 
     def planned_up_bps(self) -> float:
         """Mean uplink rate — used by planning/ready-time estimators."""
+        if self._up is None:
+            self._links()
         return self._up.mean_rate()
 
     def planned_down_bps(self) -> float:
         """Mean downlink rate — used by planning/ready-time estimators."""
+        if self._down is None:
+            self._links()
         return self._down.mean_rate()
 
     def overhead_mean(self) -> float:
         """Mean per-message processing overhead (planning)."""
-        return self._overhead.mean
+        model = self._overhead
+        if model is None:
+            model = self._heavy_overhead()
+        return model.mean
 
     # -- control messages -----------------------------------------------------
 
@@ -792,7 +835,12 @@ class Host:
             one_way = topology._one_way.get((self._region, dst._region))
             if one_way is None:
                 one_way = topology.one_way_s(self.spec, dst.spec)
-        handling = dst._light_overhead if light else dst._overhead
+        if light:
+            handling = dst._light_overhead
+        else:
+            handling = dst._overhead
+            if handling is None:
+                handling = dst._heavy_overhead()
         delay = (
             one_way
             * self.link_latency_factor
@@ -956,9 +1004,12 @@ class Host:
             self.cpu.cancel(grant)
             raise
         try:
-            share = self._cpu_share_rng.uniform(
-                self.spec.load_min_share, self.spec.load_max_share
-            )
+            rng = self._cpu_share_rng
+            if rng is None:
+                rng = self._cpu_share_rng = self.network.streams.draws(
+                    f"cpu/{self.hostname}"
+                )
+            share = rng.uniform(self.spec.load_min_share, self.spec.load_max_share)
             duration = ops * self.slow_factor / (self.spec.cpu_speed * share)
             yield duration
             return duration

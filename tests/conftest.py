@@ -132,8 +132,12 @@ def gate_capacity(host, start: float, end: float, up: bool = True,
     """Collapse ``host``'s access links to zero over ``[start, end)``.
 
     ``Host`` is slotted, so the capacity accessors cannot be replaced
-    on one instance; this wraps the bandwidth models they read.
+    on one instance; this wraps the bandwidth models they read.  A
+    host builds its links on first use, so they are built here first:
+    a wrapper over an unbuilt link would be replaced by the first flow.
     """
+    if host._up is None:
+        host._links()
     if up:
         host._up = _Outage(host._up, start, end)
     if down:
