@@ -16,7 +16,7 @@ Run:  python examples/swarm_download.py
 from __future__ import annotations
 
 from repro.experiments.scenario import ExperimentConfig, Session
-from repro.swarm import SwarmCoordinator, SwarmSource
+from repro.swarm import Leg, SwarmCoordinator
 from repro.units import fmt_seconds, mbit
 
 FILE_BITS = mbit(100)
@@ -35,9 +35,9 @@ def download(k: int):
         # mirror it.  A real deployment would rank the replica pool
         # with a selection model — see experiments/swarming.py.
         sources = [
-            SwarmSource(s.broker),
-            SwarmSource(s.client("SC4")),
-            SwarmSource(s.client("SC8")),
+            Leg(s.broker),
+            Leg(s.client("SC4")),
+            Leg(s.client("SC8")),
         ]
 
         def select(needed, exclude):

@@ -8,18 +8,22 @@ then a stream of placements is made by the policy while the profile's
 fault windows open and close around it.
 
 When the config carries a :class:`~repro.recovery.config.RecoveryConfig`
-the cell runs *self-healing*: transfers checkpoint and resume through a
-:class:`~repro.recovery.resume.ResumableSender`, a standby broker takes
-over on primary outages, and the informed policies degrade gracefully
-when their inputs go stale.  The matrix then reports recovered-vs-lost
+the cell runs *self-healing*: each placement is a supervised delivery
+(:class:`~repro.swarm.coordinator.SwarmCoordinator` fixed at the
+sending broker, one receiver at a time) that waits out the broker's
+own outages and replaces a failed receiver at once with one that gets
+only the unproven parts, a standby broker takes over on primary
+outages, and the informed policies degrade gracefully when their
+inputs go stale.  The matrix then reports recovered-vs-lost
 work — resume counts, recovered megabits, failover latency and goodput
 — next to the classic completion/cost columns, so recovery on/off is a
 column-by-column comparison per (profile, policy) cell.
 
 Accounting is three-way: a placement is **completed**, **aborted**
 (resolved as failed), or **censored** — still in flight when the run
-deadline ends it.  Censored work is neither success nor failure; the
-completion rate is taken over resolved placements only.
+deadline ends it (a censored supervised delivery is aborted and
+settles before the cell ends).  Censored work is neither success nor
+failure; the completion rate is taken over resolved placements only.
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ from repro.recovery.degraded import (
     StalenessAwareEvaluator,
     StalenessAwareScheduler,
 )
-from repro.recovery.resume import ResumableSender
 from repro.selection.base import SelectionContext, Workload
+from repro.swarm.coordinator import Leg, SwarmCoordinator
 from repro.units import mbit, to_mbit
 
 __all__ = ["ResilienceResult", "run", "DEFAULT_PROFILES", "POLICIES"]
@@ -232,16 +236,13 @@ def _scenario(session: Session, policy: str):
             pass
 
     selector = _make_policy(policy, session)
-    sender = (
-        ResumableSender(broker, recovery) if recovery is not None else None
-    )
 
-    def pick(failed=()):
+    def pick(exclude=()):
         """One selection round against the acting leader."""
         pool = [
             rec
             for rec in candidates(policy, session)
-            if rec.peer_id not in failed
+            if rec.adv.name not in exclude
         ]
         if not pool:
             return None
@@ -256,30 +257,23 @@ def _scenario(session: Session, policy: str):
         except SelectionError:
             return None
 
+    def select_leg(needed, exclude):
+        adv = pick(exclude)
+        return () if adv is None else (Leg(adv),)
+
     def attempt_legacy(adv, filename):
-        """Catcher: resolve one unsupervised transfer to a tag."""
+        """Catcher: one unsupervised transfer's outcome, or None."""
         try:
             outcome = yield sim.process(
                 broker.transfers.send_file(
                     adv, filename, TRANSFER_BITS, n_parts=TRANSFER_PARTS
                 )
             )
-            return ("ok", outcome)
+            return outcome
         except (TransferAborted, HostDownError, RequestTimeout):
             # HostDownError = the broker itself is in an outage
             # window; the offered transfer is lost like any other.
-            return ("fail", None)
-
-    def attempt_resumed(filename):
-        out = yield sim.process(
-            sender.send_file(
-                lambda attempt, failed: pick(failed),
-                filename,
-                TRANSFER_BITS,
-                n_parts=TRANSFER_PARTS,
-            )
-        )
-        return ("resume", out)
+            return None
 
     offered = 0
     completed = 0
@@ -288,16 +282,20 @@ def _scenario(session: Session, policy: str):
     cost_total = 0.0
     goodput_bits = 0.0
     resumes = 0
-    parts_skipped = 0
     recovered_bits = 0.0
     phase_started = sim.now
     deadline_at = phase_started + RUN_DEADLINE_S
+    driver = proc = None
     for i in range(N_TRANSFERS):
         if deadline_at - sim.now <= 0:
             break
         filename = f"{policy}-{i}"
-        if sender is not None:
-            proc = sim.process(attempt_resumed(filename))
+        if recovery is not None:
+            driver = SwarmCoordinator(
+                session.network, broker, filename, TRANSFER_BITS,
+                TRANSFER_PARTS, select_leg, k=1,
+            )
+            proc = sim.process(driver.download())
         else:
             adv = pick()
             if adv is None:
@@ -312,22 +310,20 @@ def _scenario(session: Session, policy: str):
             # Still in flight when the run deadline struck: the
             # outcome is unknown — censor, don't count as failed.
             censored += 1
+            if driver is not None:
+                driver.abort("deadline")
             break
-        tag, payload = proc.value
-        if tag == "ok":
+        out = proc.value
+        if driver is not None:
+            resumes += out.resumes
+            recovered_bits += out.recovered_bits
+            seconds = out.transmission_s if out.ok else None
+        else:
+            seconds = out.transmission_time if out is not None else None
+        if seconds is not None:
             completed += 1
-            cost_total += payload.transmission_time
+            cost_total += seconds
             goodput_bits += TRANSFER_BITS
-        elif tag == "resume":
-            resumes += payload.resumes
-            parts_skipped += payload.parts_skipped
-            recovered_bits += payload.recovered_bits
-            if payload.ok:
-                completed += 1
-                cost_total += payload.data_seconds
-                goodput_bits += TRANSFER_BITS
-            else:
-                aborted += 1
         else:
             aborted += 1
         yield PACING_S
@@ -345,7 +341,6 @@ def _scenario(session: Session, policy: str):
         ),
         "goodput": to_mbit(goodput_bits) / elapsed,
         "resumes": float(resumes),
-        "parts_skipped": float(parts_skipped),
         "recovered_mbit": recovered_bits / 1e6,
     }
     faults = session.faults
@@ -361,6 +356,10 @@ def _scenario(session: Session, policy: str):
         if failover is not None
         else float("nan")
     )
+    if driver is not None and not proc.triggered:
+        # The censored delivery settles (its in-flight part drains)
+        # before the cell ends, so no supervised process outlives it.
+        yield proc
     return metrics
 
 

@@ -64,7 +64,7 @@ from repro.experiments.steps import join, make_selector, online_view, probe
 from repro.selection.base import SelectionContext, Workload
 from repro.simnet.planetlab import synthetic_hostnames
 from repro.overlay.client import SimpleClient
-from repro.swarm import SwarmCoordinator, SwarmSource
+from repro.swarm import Leg, SwarmCoordinator
 from repro.units import mbit
 
 __all__ = [
@@ -176,9 +176,9 @@ def _source_selector(
     sim = session.sim
 
     def select(needed: int, exclude: Tuple[str, ...]):
-        chosen: List[SwarmSource] = []
+        chosen: List[Leg] = []
         if broker.name not in exclude and len(chosen) < needed:
-            chosen.append(SwarmSource(broker))
+            chosen.append(Leg(broker))
         taken = tuple(exclude) + tuple(s.name for s in chosen) + (dest_name,)
         pool = [
             rec
@@ -194,7 +194,7 @@ def _source_selector(
                 candidates=tuple(pool),
             )
             record = selector.select(ctx)
-            chosen.append(SwarmSource(replicas[record.adv.name]))
+            chosen.append(Leg(replicas[record.adv.name]))
             pool = [rec for rec in pool if rec.peer_id != record.peer_id]
         return chosen
 

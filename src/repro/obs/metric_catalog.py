@@ -110,15 +110,14 @@ METRICS: Tuple[MetricSpec, ...] = (
     MetricSpec("recovery.parts_skipped", "counter", "recovery", "ledger-proven parts skipped on resume"),
     MetricSpec("recovery.recovered_mbit", "counter", "recovery", "megabits not re-sent thanks to resume"),
     MetricSpec("recovery.resumes", "counter", "recovery", "transfers resumed from checkpoint"),
-    MetricSpec("recovery.supervision_wait_s", "histogram", "recovery", "supervised wait before retry"),
-    MetricSpec("recovery.transfers_expired", "counter", "recovery", "checkpointed transfers given up"),
+    MetricSpec("recovery.supervision_wait_s", "histogram", "recovery", "leg wait for the fixed end's host"),
     MetricSpec("recovery.transfers_recovered", "counter", "recovery", "interrupted transfers completed after resume"),
     # -- degraded-mode selection ---------------------------------------------
     MetricSpec("selection.degraded", "counter", "recovery", "selections served from stale snapshots"),
-    # -- swarming downloads --------------------------------------------------
+    # -- supervised delivery (swarm downloads, resumable sends) --------------
     MetricSpec("swarm.completion_s", "histogram", "swarm", "multi-source download duration"),
-    MetricSpec("swarm.downloads_failed", "counter", "swarm", "swarm downloads that failed"),
-    MetricSpec("swarm.downloads_ok", "counter", "swarm", "swarm downloads completed"),
+    MetricSpec("swarm.downloads_failed", "counter", "swarm", "supervised deliveries that failed"),
+    MetricSpec("swarm.downloads_ok", "counter", "swarm", "supervised deliveries completed"),
     MetricSpec("swarm.duplicate_parts", "counter", "swarm", "endgame duplicate pieces received"),
     MetricSpec("swarm.parts_proven", "counter", "swarm", "pieces digest-proven into the ledger"),
     MetricSpec("swarm.reassignments", "counter", "swarm", "failed sources replaced mid-download"),

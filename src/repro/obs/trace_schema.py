@@ -47,17 +47,14 @@ TRACE_EVENTS: Tuple[TraceEventSpec, ...] = (
     TraceEventSpec("transfer-retry", ("src", "dst", "size_bits", "attempt"), "simnet", "bulk transfer attempt retried"),
     # -- recovery stack ------------------------------------------------------
     TraceEventSpec("broker-failover", ("leader", "latency_s"), "recovery", "standby promoted to leader"),
-    TraceEventSpec("petition-expired", ("peer", "filename"), "recovery", "queued petition gave up"),
-    TraceEventSpec("petition-queued", ("peer", "filename"), "recovery", "petition parked for supervision"),
     TraceEventSpec("selection-degraded", ("model",), "recovery", "selection served from a stale snapshot"),
-    TraceEventSpec("transfer-interrupted", ("peer", "filename", "dst", "error"), "recovery", "transfer checkpointed on failure"),
-    TraceEventSpec("transfer-resume", ("peer", "filename", "skipped", "remaining"), "recovery", "transfer resumed from checkpoint"),
-    # -- swarming downloads --------------------------------------------------
+    # -- supervised delivery (swarm downloads, resumable sends) --------------
+    TraceEventSpec("petition-queued", ("peer", "filename"), "swarm", "leg waits for the fixed end's host"),
     TraceEventSpec("swarm-cancel", ("filename", "piece", "source"), "swarm", "endgame duplicate cancelled"),
-    TraceEventSpec("swarm-done", ("filename", "ok", "duplicates", "reassignments"), "swarm", "swarm download finished"),
-    TraceEventSpec("swarm-open", ("filename", "dst", "parts", "skipped", "k"), "swarm", "swarm download opened"),
+    TraceEventSpec("swarm-done", ("filename", "ok", "duplicates", "reassignments"), "swarm", "supervised delivery finished"),
+    TraceEventSpec("swarm-open", ("filename", "fixed", "parts", "skipped", "k"), "swarm", "supervised delivery opened"),
     TraceEventSpec("swarm-piece", ("filename", "piece", "source", "duplicate"), "swarm", "piece proven into the ledger"),
-    TraceEventSpec("swarm-reassign", ("filename", "source", "error", "dropped"), "swarm", "failed source replaced"),
+    TraceEventSpec("swarm-reassign", ("filename", "source", "error", "dropped"), "swarm", "failed leg replaced"),
 )
 
 #: name -> spec, the lookup table runtime checks use.

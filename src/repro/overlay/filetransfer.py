@@ -91,10 +91,10 @@ def part_digest(filename: str, index: int, size_bits: float) -> str:
 
     A pure function of the part's identity: both ends derive it
     independently, the receiver echoes it in its :class:`PartConfirm`,
-    and the sender verifies the echo before checkpointing the part in a
-    :class:`~repro.recovery.ledger.TransferLedger`.  (The simulator
-    carries no real payload bytes, so the identity tuple stands in for
-    file content.)
+    and the sender verifies the echo; a supervised delivery
+    (:class:`~repro.swarm.coordinator.SwarmCoordinator`) then proves
+    the part in its ledger.  (The simulator carries no real payload
+    bytes, so the identity tuple stands in for file content.)
     """
     text = f"{filename}|{index}|{size_bits!r}"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
@@ -222,11 +222,11 @@ class TransferHandle:
         """Generator process: stream one part and await its confirm.
 
         ``index`` defaults to the next sequential part number; a
-        resuming sender passes the original index explicitly so the
-        parts it re-sends keep their ledger identity.  Returns the
-        :class:`PartRecord`; raises :class:`TransferAborted` on retry
-        exhaustion or integrity mismatch (the handle then cancels
-        itself).
+        supervised delivery passes each piece's index explicitly so a
+        leg that skips proven parts keeps their ledger identity.
+        Returns the :class:`PartRecord`; raises :class:`TransferAborted`
+        on retry exhaustion or integrity mismatch (the handle then
+        cancels itself).
 
         ``cancel_if`` is the endgame hook for swarm downloads: checked
         once after the bulk stream lands, and if it returns True the
@@ -297,17 +297,6 @@ class TransferHandle:
         rec.confirmed_at = sim.now
         self.outcome.parts.append(rec)
         svc = self.service
-        if svc.ledger is not None:
-            # Checkpoint: the part is verified end-to-end, a resume may
-            # skip it (possibly re-petitioning a different peer).
-            svc.ledger.record_confirmed(
-                self.outcome.filename,
-                index,
-                size_bits,
-                expected,
-                dst=self.dst_adv.peer_id,
-                now=sim.now,
-            )
         svc._m.parts_sent.inc()
         svc._m.part_bulk.observe(rec.bulk_seconds)
         svc._m.part_total.observe(rec.total_seconds)
@@ -408,11 +397,6 @@ class FileTransferService:
         self.sim = peer.sim
         self._m = TransferInstruments(peer.metrics)
         self._incoming: Dict[TransferId, _IncomingTransfer] = {}
-        #: Optional :class:`~repro.recovery.ledger.TransferLedger` —
-        #: set by a :class:`~repro.recovery.resume.ResumableSender` to
-        #: checkpoint verified parts (duck-typed to keep the overlay
-        #: free of recovery imports).
-        self.ledger = None
         #: Waiters for inbound file completions, keyed by filename
         #: (file-sharing fetches block on these).
         self._file_waiters: Dict[str, list] = {}

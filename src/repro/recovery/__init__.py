@@ -5,9 +5,10 @@ The recovery subsystem turns the fault-injection layer's disruptions
 (:mod:`repro.faults`) from lost work into bounded delays:
 
 * :mod:`repro.recovery.ledger` — part-level transfer checkpoints with
-  integrity digests;
-* :mod:`repro.recovery.resume` — deadline-supervised delivery that
-  resumes from the last verified part, possibly via a different peer;
+  integrity digests; the supervised delivery driver
+  (:class:`~repro.swarm.coordinator.SwarmCoordinator`, fixed at the
+  sender) writes them and resumes a failed send from the last verified
+  part on a different peer;
 * :mod:`repro.recovery.standby` — standby-broker replication and
   deterministic leader handover;
 * :mod:`repro.recovery.degraded` — staleness-aware fallbacks for the
@@ -22,7 +23,6 @@ from repro.recovery.degraded import (
     StalenessAwareScheduler,
 )
 from repro.recovery.ledger import LedgerEntry, PartProof, TransferLedger
-from repro.recovery.resume import ResumableSender, ResumeOutcome
 from repro.recovery.standby import FailoverDirector, FailoverEvent
 
 __all__ = [
@@ -30,8 +30,6 @@ __all__ = [
     "TransferLedger",
     "LedgerEntry",
     "PartProof",
-    "ResumableSender",
-    "ResumeOutcome",
     "FailoverDirector",
     "FailoverEvent",
     "StalenessAwareEvaluator",

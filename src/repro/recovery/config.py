@@ -3,9 +3,13 @@
 One frozen knob bundle covers the three recovery pillars; setting it
 at all switches every pillar and partition-aware flow gating on:
 
-* **resume** — part-level transfer checkpoint/resume driven by a
-  :class:`~repro.recovery.ledger.TransferLedger` and the
-  :class:`~repro.recovery.resume.ResumableSender`;
+* **resume** — a placement is a supervised delivery
+  (:class:`~repro.swarm.coordinator.SwarmCoordinator` fixed at the
+  sending broker, one receiver at a time) whose
+  :class:`~repro.recovery.ledger.TransferLedger` lets a replacement
+  receiver skip the parts already proven.  It has no knobs: a failed
+  receiver is replaced at once, and the caller's run deadline bounds
+  the delivery;
 * **failover** — a standby broker receiving periodic state replication
   with deterministic leader handover (see
   :class:`~repro.recovery.standby.FailoverDirector`);
@@ -33,17 +37,6 @@ __all__ = ["RecoveryConfig"]
 class RecoveryConfig:
     """Knobs for the self-healing layer."""
 
-    # -- transfer checkpoint/resume ---------------------------------------
-    #: Total attempts per file (first try + resumes).
-    max_transfer_attempts: int = 4
-    #: Pause before re-petitioning after an interrupted attempt.
-    resume_backoff_s: float = 5.0
-    #: Deadline-bounded supervision: a petition queued behind an outage
-    #: is abandoned (not silently stalled) once this budget is spent.
-    petition_deadline_s: float = 240.0
-    #: Poll period while waiting out the sender's own outage.
-    supervision_poll_s: float = 5.0
-
     # -- broker failover ---------------------------------------------------
     #: Primary -> standby state-replication period.
     replication_interval_s: float = 30.0
@@ -53,15 +46,7 @@ class RecoveryConfig:
     staleness_budget_s: float = 180.0
 
     def __post_init__(self) -> None:
-        if self.max_transfer_attempts < 1:
-            raise ConfigError("max_transfer_attempts must be >= 1")
-        for name in (
-            "resume_backoff_s",
-            "petition_deadline_s",
-            "supervision_poll_s",
-            "replication_interval_s",
-            "staleness_budget_s",
-        ):
+        for name in ("replication_interval_s", "staleness_budget_s"):
             value = getattr(self, name)
             if value <= 0:
                 raise ConfigError(f"{name} must be > 0, got {value}")

@@ -1,16 +1,17 @@
 """Part-level transfer checkpointing.
 
-The :class:`TransferLedger` is the sender-side durable record of which
-parts of a file have been transmitted *and verified end-to-end* (the
-receiver echoed the part's integrity digest).  After a crash, restart
-or loss burst kills an attempt, the
-:class:`~repro.recovery.resume.ResumableSender` consults the ledger and
-re-petitions only the missing parts — possibly to a different peer
+The :class:`TransferLedger` is the durable record of which parts of a
+file have been transmitted *and verified end-to-end* (the receiver
+echoed the part's integrity digest).  Its only writer is the
+supervised delivery driver,
+:class:`~repro.swarm.coordinator.SwarmCoordinator`: after a crash,
+restart or loss burst kills a leg, the driver streams only the
+unproven parts over a replacement leg — possibly a different peer
 chosen by the active selection model — instead of restarting the file.
 
-The ledger is keyed by filename, not transfer id: resume attempts mint
-fresh transfer ids (and may target fresh peers), but they continue the
-same logical file.
+The ledger is keyed by filename, not transfer id: each leg mints a
+fresh transfer id (and may target a fresh peer), but the legs continue
+the same logical file.
 """
 
 from __future__ import annotations

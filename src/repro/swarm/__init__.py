@@ -1,36 +1,39 @@
-"""Multi-source (swarming) downloads over the overlay's part protocol.
+"""Supervised part delivery over the overlay's part protocol.
 
-The BitTorrent generalization of the paper's granularity result
-(ROADMAP open item #2): one file's parts are fetched concurrently from
-several selected peers, with rarest-first piece ordering, throughput-
-ranked choke/unchoke slots, endgame duplicate requests, and
-ledger-proven straggler re-assignment.
+One driver serves both directions.  A swarm download (the BitTorrent
+generalization of the paper's granularity result) fetches one file's
+parts concurrently from several selected sources, with rarest-first
+piece ordering, throughput-ranked choke/unchoke slots, endgame
+duplicate requests, and ledger-proven straggler re-assignment.  A
+resumable send (the recovery layer's checkpoint/resume) pushes a file
+from one sender to a selected receiver, replacing a failed receiver
+with one that gets only the unproven parts.
 
 Public surface:
 
 * :class:`~repro.swarm.pieces.PieceTracker` — pure per-download piece
   accounting (availability, rarest-first, endgame).
 * :class:`~repro.swarm.choke.ChokeManager` — streaming-slot decisions.
-* :class:`~repro.swarm.coordinator.SwarmCoordinator` — the download
-  driver; :class:`~repro.swarm.coordinator.SwarmSource` and
+* :class:`~repro.swarm.coordinator.SwarmCoordinator` — the delivery
+  driver; :class:`~repro.swarm.coordinator.Leg` and
   :class:`~repro.swarm.coordinator.SwarmOutcome` are its input and
   result records.
 """
 
 from repro.swarm.choke import ChokeManager
 from repro.swarm.coordinator import (
+    Leg,
     PieceRequest,
     SwarmCoordinator,
     SwarmOutcome,
-    SwarmSource,
 )
 from repro.swarm.pieces import PieceTracker
 
 __all__ = [
     "ChokeManager",
+    "Leg",
     "PieceRequest",
     "SwarmCoordinator",
     "SwarmOutcome",
-    "SwarmSource",
     "PieceTracker",
 ]

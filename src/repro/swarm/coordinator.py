@@ -1,11 +1,22 @@
-"""Multi-source download coordination.
+"""Supervised part delivery: one file, its parts streamed over k legs.
 
-A :class:`SwarmCoordinator` delivers one file to one destination by
-streaming its parts concurrently from *k* source peers — the
-BitTorrent generalization of the paper's part-granularity result,
-mapped onto the overlay's push protocol: each source opens its own
-petitioned transfer to the destination and pushes the pieces the
-coordinator assigns it.
+A :class:`SwarmCoordinator` delivers one file's parts between a *fixed
+end* the caller names and up to *k* peers that a selection callback
+picks for the other end.  Each leg is one petitioned
+:meth:`~repro.overlay.filetransfer.FileTransferService.open_transfer`
+stream fed by
+:meth:`~repro.overlay.filetransfer.TransferHandle.send_part`.  The
+sending end is always a :class:`~repro.overlay.peer.PeerNode` (it
+acts) and the receiving end an advertisement (it is addressed), so the
+fixed end's type sets the direction:
+
+* **download** — the fixed end is the destination's advertisement and
+  every leg is a source node with the pieces it holds: the BitTorrent
+  generalization of the paper's part-granularity result;
+* **resumable send** — the fixed end is the sending node and every leg
+  a receiver's advertisement.  At k=1 this is checkpoint/resume: a
+  failed receiver is replaced at once, and its replacement streams
+  only the unproven parts.
 
 * Piece ordering is rarest-first with a seeded tie-break
   (:class:`~repro.swarm.pieces.PieceTracker`).
@@ -18,25 +29,28 @@ coordinator assigns it.
   :meth:`~repro.overlay.filetransfer.TransferHandle.send_part`); a
   duplicate confirm that does land is deduplicated by the ledger's
   digest-keyed proofs.
-* Failure handling reuses the resume layer's unproven-part
-  accounting: every confirmed piece is proven in a
-  :class:`~repro.recovery.ledger.TransferLedger`, so a crashed or
-  choked-out source never loses verified work — its in-flight piece
-  returns to the pool and is re-assigned to the survivors (plus an
-  optional replacement source from the selection callback).
+* Every confirmed piece is proven in a
+  :class:`~repro.recovery.ledger.TransferLedger`, whose only writer is
+  this driver, so a crashed or choked-out leg never loses verified
+  work: its in-flight piece returns to the pool and is re-assigned to
+  the survivors, plus a replacement leg from the selection callback.
+* While the fixed end's host is down, legs wait (polling every
+  :data:`FIXED_END_POLL_S`) instead of failing and burning through
+  candidates; the caller bounds the wait with :meth:`abort`.
 
 ``download`` never raises — it always returns a
 :class:`SwarmOutcome` so experiment accounting can classify every
-offered download without exception plumbing.
+offered delivery without exception plumbing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import HostDownError, TransferAborted
+from repro.obs.metrics import NULL_REGISTRY
 from repro.overlay.advertisements import PeerAdvertisement
 from repro.overlay.filetransfer import OPEN_ENDED, part_digest, split_even
 from repro.overlay.peer import PeerNode, RequestTimeout
@@ -45,26 +59,34 @@ from repro.simnet.transport import Network
 from repro.swarm.choke import UNCHOKE_SLOTS, ChokeManager
 from repro.swarm.pieces import PieceTracker
 
-__all__ = ["SwarmSource", "PieceRequest", "SwarmOutcome", "SwarmCoordinator"]
+__all__ = ["Leg", "PieceRequest", "SwarmOutcome", "SwarmCoordinator"]
 
 #: Endgame: maximum concurrent fetchers per unproven piece.
 ENDGAME_DUPLICATES = 2
 
+#: Poll period while a leg waits out the fixed end's outage.
+FIXED_END_POLL_S = 5.0
+
 #: Completion-time histogram bounds (seconds).
 _COMPLETION_BUCKETS = (5.0, 15.0, 30.0, 60.0, 120.0, 300.0, 600.0, 1200.0)
 
+#: Fixed-end wait histogram bounds (seconds).
+_WAIT_BUCKETS = (1.0, 5.0, 15.0, 30.0, 60.0, 120.0, 300.0, 600.0)
+
 
 @dataclass(frozen=True)
-class SwarmSource:
-    """One candidate source: a peer node and the pieces it holds."""
+class Leg:
+    """One candidate for the chosen end: a source node of a download
+    (with the pieces it holds) or a receiver's advertisement of a
+    resumable send."""
 
-    node: PeerNode
-    #: Part indices this source can serve (None = the whole file).
+    peer: Union[PeerNode, PeerAdvertisement]
+    #: Part indices this leg can serve (None = the whole file).
     pieces: Optional[Tuple[int, ...]] = None
 
     @property
     def name(self) -> str:
-        return self.node.name
+        return self.peer.name
 
 
 @dataclass(frozen=True)
@@ -77,15 +99,18 @@ class PieceRequest:
     at: float
 
 
-#: Selection callback: ``(needed, exclude_names) -> sources``.  Called
-#: once at download start with ``needed = k`` and again (``needed = 1``)
-#: after a source failure when re-assignment is enabled.
-SelectSourcesFn = Callable[[int, Tuple[str, ...]], Sequence[SwarmSource]]
+#: Selection callback: ``(needed, exclude_names) -> legs``.  Called
+#: once at the start with ``needed = k`` and again (``needed = 1``)
+#: after every leg failure; ``exclude_names`` names every leg already
+#: used.
+SelectLegsFn = Callable[[int, Tuple[str, ...]], Sequence[Leg]]
 
 
 @dataclass
 class SwarmOutcome:
-    """Everything measured about one swarm download."""
+    """Everything measured about one supervised delivery.  The
+    ``source`` names (``sources_used``, ``requests``...) name legs:
+    the receivers of a resumable send."""
 
     filename: str
     total_bits: float
@@ -104,6 +129,13 @@ class SwarmOutcome:
     duplicate_parts: int = 0
     #: Source failures whose in-flight piece returned to the pool.
     reassignments: int = 0
+    #: Legs opened over already-proven parts (at the start, or as a
+    #: failed leg's replacement).
+    resumes: int = 0
+    #: Proven bits at the latest resume: work not re-sent.
+    recovered_bits: float = 0.0
+    #: Time legs spent waiting for the fixed end's host to come back.
+    waited_s: float = 0.0
     #: Peak concurrently-streaming sources.
     max_active: int = 0
     sources_used: List[str] = field(default_factory=list)
@@ -137,16 +169,21 @@ class SwarmOutcome:
 
 
 class SwarmCoordinator:
-    """Drives one multi-source download of one file."""
+    """Drives one supervised delivery of one file.
+
+    ``fixed`` is the end the caller names: the destination's
+    advertisement for a download, the sending node for a resumable
+    send.
+    """
 
     def __init__(
         self,
         network: Network,
-        dst_adv: PeerAdvertisement,
+        fixed: Union[PeerAdvertisement, PeerNode],
         filename: str,
         total_bits: float,
         n_parts: int,
-        select: SelectSourcesFn,
+        select: SelectLegsFn,
         k: int = 2,
         ledger: Optional[TransferLedger] = None,
     ) -> None:
@@ -154,14 +191,18 @@ class SwarmCoordinator:
             raise ValueError(f"k must be >= 1, got {k}")
         self.network = network
         self.sim = network.sim
-        self.dst_adv = dst_adv
+        self.fixed = fixed
+        #: True when the fixed end sends and the legs receive.
+        self._fixed_sends = isinstance(fixed, PeerNode)
+        self._fixed_host = (
+            fixed.host if self._fixed_sends else network.host(fixed.hostname)
+        )
         self.filename = filename
         self.total_bits = float(total_bits)
         self.n_parts = int(n_parts)
         self.select = select
         self.k = k
-        #: Proof store shared by every source stream of this download —
-        #: the same unproven-part accounting a resuming sender uses.
+        #: Proof store shared by every leg of this delivery.
         self.ledger = ledger if ledger is not None else TransferLedger()
         reg = network.metrics
         self._g_active = reg.gauge("swarm.sources_active")
@@ -172,6 +213,16 @@ class SwarmCoordinator:
         self._m_failed = reg.counter("swarm.downloads_failed")
         self._m_completion = reg.histogram(
             "swarm.completion_s", bounds=_COMPLETION_BUCKETS
+        )
+        # The recovery stack's resume instruments count resumable sends
+        # only, so a run without it exports no ``recovery.*`` name.
+        rec = reg if self._fixed_sends else NULL_REGISTRY
+        self._m_resumes = rec.counter("recovery.resumes")
+        self._m_parts_skipped = rec.counter("recovery.parts_skipped")
+        self._m_recovered_mbit = rec.counter("recovery.recovered_mbit")
+        self._m_recovered = rec.counter("recovery.transfers_recovered")
+        self._m_wait = rec.histogram(
+            "recovery.supervision_wait_s", bounds=_WAIT_BUCKETS
         )
         self.outcome = SwarmOutcome(
             filename=filename, total_bits=self.total_bits, n_parts=self.n_parts
@@ -189,7 +240,7 @@ class SwarmCoordinator:
     # -- driver --------------------------------------------------------------
 
     def download(self):
-        """Generator process: deliver the file from up to k sources.
+        """Generator process: deliver the file over up to k legs.
 
         Returns the :class:`SwarmOutcome`; never raises.
         """
@@ -208,7 +259,7 @@ class SwarmCoordinator:
             out.parts_skipped += 1
         self.network.tracer.record(
             "swarm-open", sim.now,
-            filename=self.filename, dst=self.dst_adv.name,
+            filename=self.filename, fixed=self.fixed.name,
             parts=self.n_parts, skipped=out.parts_skipped, k=self.k,
         )
         if tracker.complete:
@@ -216,15 +267,22 @@ class SwarmCoordinator:
             out.finished_at = sim.now
             self._m_ok.inc()
             return out
-        initial = tuple(self.select(self.k, ()))[: self.k]
+        if not self._fixed_host.is_up:
+            # Select once the fixed end is back, on fresh candidates.
+            yield from self._fixed_end_wait()
+        initial = ()
+        if not self._finished:
+            initial = tuple(self.select(self.k, ()))[: self.k]
         if not initial:
-            out.reason = "no sources"
+            if not out.reason:
+                out.reason = "no candidates"
             out.finished_at = sim.now
             self._m_failed.inc()
             return out
-        for src in initial:
-            if src.name not in self._used:
-                self._admit(src)
+        self._resume()
+        for leg in initial:
+            if leg.name not in self._used:
+                self._admit(leg)
         # The first source the selection callback names is the origin
         # copy: it keeps a streaming slot for the whole download
         # (observed-rate ranking cannot tell a capable origin from a
@@ -236,6 +294,8 @@ class SwarmCoordinator:
         if out.ok:
             self._m_ok.inc()
             self._m_completion.observe(out.completion_s)
+            if out.resumes or out.waited_s > 0.0:
+                self._m_recovered.inc()
         else:
             self._m_failed.inc()
         self.network.tracer.record(
@@ -247,12 +307,13 @@ class SwarmCoordinator:
         return out
 
     def abort(self, reason: str = "aborted") -> None:
-        """Stop the download (deadline supervision hook).
+        """Stop the delivery (deadline supervision hook).
 
-        Parked workers exit at the next wake; streaming workers drain
-        their current part first (bulk units cannot be recalled), so
-        the ``download`` process settles shortly after.  Safe to call
-        at any point, including after completion (then a no-op).
+        Parked and fixed-end-waiting workers exit at their next wake;
+        streaming workers drain their current part first (bulk units
+        cannot be recalled), so the ``download`` process settles
+        shortly after.  Safe to call at any point, including after
+        completion (then a no-op).
         """
         if self._finished:
             return
@@ -260,24 +321,54 @@ class SwarmCoordinator:
             self.outcome.reason = reason
         self._finish()
 
-    # -- source lifecycle ----------------------------------------------------
+    # -- leg lifecycle -------------------------------------------------------
 
-    def _admit(self, src: SwarmSource) -> None:
-        name = src.name
+    def _admit(self, leg: Leg) -> None:
+        name = leg.name
         self._used[name] = None
         self.outcome.sources_used.append(name)
-        self._tracker.add_source(name, src.pieces)
+        self._tracker.add_source(name, leg.pieces)
         self._choke.admit(name)
         self._alive += 1
         self.sim.process(
-            self._worker(src), name=f"swarm-{self.filename}-{name}"
+            self._worker(leg), name=f"swarm-{self.filename}-{name}"
         )
 
-    def _worker(self, src: SwarmSource):
+    def _resume(self) -> None:
+        """Count a leg opening over already-proven parts."""
+        skipped = self._tracker.proven_count
+        if not skipped:
+            return
+        recovered = self.ledger.entry(self.filename).verified_bits
+        self.outcome.resumes += 1
+        self.outcome.recovered_bits = recovered
+        self._m_resumes.inc()
+        self._m_parts_skipped.inc(skipped)
+        self._m_recovered_mbit.inc(recovered / 1e6)
+
+    def _fixed_end_wait(self):
+        """Poll until the fixed end's host is up or the delivery ends."""
+        sim = self.sim
+        started = sim.now
+        self.network.tracer.record(
+            "petition-queued", sim.now,
+            peer=self.fixed.name, filename=self.filename,
+        )
+        while not self._fixed_host.is_up and not self._finished:
+            yield FIXED_END_POLL_S
+        waited = sim.now - started
+        self.outcome.waited_s += waited
+        self._m_wait.observe(waited)
+
+    def _worker(self, leg: Leg):
         sim = self.sim
         out = self.outcome
         tracker = self._tracker
-        name = src.name
+        name = leg.name
+        if self._fixed_sends:
+            sender, receiver = self.fixed, leg.peer
+        else:
+            sender, receiver = leg.peer, self.fixed
         handle = None
         current: Optional[int] = None
         # Set when garbage collection closes the worker after its
@@ -287,6 +378,9 @@ class SwarmCoordinator:
         try:
             try:
                 while not self._finished and not tracker.complete:
+                    if not self._fixed_host.is_up:
+                        yield from self._fixed_end_wait()
+                        continue
                     if (
                         not self._choke.unchoked(name)
                         or self._streaming >= UNCHOKE_SLOTS
@@ -312,8 +406,8 @@ class SwarmCoordinator:
                     try:
                         if handle is None:
                             handle = yield sim.process(
-                                src.node.transfers.open_transfer(
-                                    self.dst_adv,
+                                sender.transfers.open_transfer(
+                                    receiver,
                                     self.filename,
                                     self.total_bits,
                                     n_parts_hint=OPEN_ENDED,
@@ -363,7 +457,7 @@ class SwarmCoordinator:
                             piece,
                             size,
                             part_digest(self.filename, piece, size),
-                            dst=self.dst_adv.peer_id,
+                            dst=receiver.peer_id,
                             now=sim.now,
                         )
                         out.proofs.append((piece, sim.now))
@@ -389,9 +483,9 @@ class SwarmCoordinator:
                 if handle is not None and not handle.closed:
                     # send_part self-cancels on aborts; a confirm-round
                     # RequestTimeout leaves the handle open.
-                    handle.cancel(f"swarm source failed: {type(exc).__name__}")
+                    handle.cancel(f"swarm leg failed: {type(exc).__name__}")
                 handle = None
-                self._on_source_failed(src, current, exc)
+                self._on_leg_failed(leg, current, exc)
                 return
         except GeneratorExit:
             abandoned = True
@@ -468,9 +562,9 @@ class SwarmCoordinator:
             )
             self._finish()
 
-    def _on_source_failed(self, src: SwarmSource, piece, exc) -> None:
+    def _on_leg_failed(self, leg: Leg, piece, exc) -> None:
         sim = self.sim
-        name = src.name
+        name = leg.name
         dropped = self._tracker.remove_source(name)
         self._choke.drop(name)
         self.outcome.sources_failed.append(name)
@@ -488,5 +582,6 @@ class SwarmCoordinator:
             replacement = tuple(self.select(1, exclude))[:1]
             for repl in replacement:
                 if repl.name not in self._used:
+                    self._resume()
                     self._admit(repl)
         self._kick()

@@ -82,6 +82,10 @@ class TestFigure3:
     def test_all_transfers_completed(self, result):
         assert all(s.mean > 0 for s in result.summaries.values())
 
+    def test_report_renders(self, result):
+        assert "SC7" in result.table()
+        assert "#" in result.bars()
+
 
 class TestFigure4:
     @pytest.fixture(scope="class")
@@ -95,6 +99,9 @@ class TestFigure4:
     def test_sc7_max(self, result):
         means = {l: s.mean for l, s in result.summaries.items()}
         assert max(means, key=means.get) == "SC7"
+
+    def test_report_renders(self, result):
+        assert "SC7" in result.table()
 
 
 class TestFigure5:
@@ -173,6 +180,9 @@ class TestFigure7:
     def test_fast_peers_execution_dominated(self, result):
         for peer in ("SC2", "SC4", "SC8"):
             assert result.transfer_share(peer) < 0.5
+
+    def test_report_renders(self, result):
+        assert "transfer share" in result.table()
 
     def test_minutes_scale(self, result):
         # The paper's y-axis runs in minutes (0-30).

@@ -10,6 +10,9 @@ from repro.experiments import ExperimentConfig, resilience, steps
 from repro.experiments.scenario import Session
 from repro.faults import get_profile
 from repro.gossip.config import GossipConfig
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.runtime import use_registry
+from repro.recovery import RecoveryConfig
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +89,24 @@ class TestCensoring:
             assert offered <= resilience.N_TRANSFERS
             assert result.aborted("baseline", policy) == 0.0
             assert math.isnan(result.completion_rate("baseline", policy))
+
+    def test_censored_delivery_is_aborted_and_settles(self, monkeypatch):
+        # With recovery on, the censored placement's supervised
+        # delivery is aborted and finishes (counting itself failed)
+        # before the cell returns, so nothing outlives the cell.
+        monkeypatch.setattr(resilience, "RUN_DEADLINE_S", 5.0)
+        config = ExperimentConfig(
+            seed=71, repetitions=1, recovery=RecoveryConfig()
+        )
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            rows = Session(config).run(
+                lambda s: resilience._scenario(s, "blind")
+            )
+        assert rows["censored"] == 1.0
+        counters = registry.to_dict()["counters"]
+        assert counters["swarm.downloads_failed"] == 1
+        assert counters["swarm.downloads_ok"] == 0
 
 
 class TestProfileSelection:

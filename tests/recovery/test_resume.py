@@ -1,4 +1,9 @@
-"""Tests for ResumableSender: checkpoint/resume and supervision."""
+"""Resumable sends: the supervised delivery driver fixed at the sender.
+
+A :class:`~repro.swarm.coordinator.SwarmCoordinator` whose fixed end
+is the sending broker picks one receiver at a time; these tests pin its
+checkpoint/resume and its wait for the sender's own host.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +12,11 @@ import pytest
 from repro.experiments.scenario import ExperimentConfig, Session
 from repro.faults.injectors import NodeCrash
 from repro.faults.plan import FaultPlan
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.runtime import use_registry
 from repro.overlay.peer import PeerConfig
-from repro.recovery import RecoveryConfig, ResumableSender
+from repro.recovery import RecoveryConfig, TransferLedger
+from repro.swarm import Leg, SwarmCoordinator
 
 #: Fast-failing protocol knobs: one part to SC4 takes ~11 s, so a
 #: crash at t=90 lands mid-file with several parts already proven.
@@ -24,12 +32,19 @@ N_PARTS = 16
 TOTAL_BITS = 320e6
 
 
-def _config(seed=13, recovery=None, fault_plan=None, trace=False):
+@pytest.fixture(autouse=True)
+def _registry():
+    """Sessions record into a live registry, so counters can be read."""
+    with use_registry(MetricsRegistry()):
+        yield
+
+
+def _config(seed=13, fault_plan=None, trace=False):
     return ExperimentConfig(
         seed=seed,
         repetitions=1,
         peer_config=_PEER_CONFIG,
-        recovery=recovery if recovery is not None else RecoveryConfig(),
+        recovery=RecoveryConfig(),
         fault_plan=fault_plan,
         trace=trace,
     )
@@ -43,31 +58,40 @@ def _crash_receiver_plan():
     )
 
 
+def _send(s, select, filename, total_bits=TOTAL_BITS, n_parts=N_PARTS,
+          ledger=None):
+    """A k=1 delivery from the broker, receivers picked by ``select``."""
+    return SwarmCoordinator(
+        s.network, s.broker, filename, total_bits, n_parts, select, k=1,
+        ledger=ledger,
+    )
+
+
+def _receivers(s, *names, exclude=()):
+    """Legs for the named receivers (every client when none is named)."""
+    return tuple(
+        Leg(r.adv)
+        for r in s.candidates()
+        if (not names or r.adv.name in names) and r.adv.name not in exclude
+    )
+
+
 def _run_crash_resume(seed=13):
     session = Session(
         _config(seed=seed, fault_plan=_crash_receiver_plan(), trace=True)
     )
 
     def scenario(s):
-        sender = ResumableSender(s.broker, s.config.recovery)
+        def select(needed, exclude):
+            # First the doomed peer, then a survivor serves the resume:
+            # a different peer finishes the file.
+            if not exclude:
+                return _receivers(s, "SC4")
+            return _receivers(s, exclude=exclude + ("SC4",))[:needed]
 
-        def select(attempt, failed):
-            # First try the doomed peer, then let the survivors serve
-            # the resume — a different peer finishes the file.
-            if attempt == 1:
-                recs = [r for r in s.candidates() if r.adv.name == "SC4"]
-            else:
-                recs = [
-                    r
-                    for r in s.candidates()
-                    if r.peer_id not in failed and r.adv.name != "SC4"
-                ]
-            return recs[0].adv if recs else None
-
-        out = yield s.sim.process(
-            sender.send_file(select, "big.bin", TOTAL_BITS, n_parts=N_PARTS)
-        )
-        return out, sender.ledger
+        driver = _send(s, select, "big.bin")
+        out = yield s.sim.process(driver.download())
+        return out, driver.ledger
 
     out, ledger = session.run(scenario)
     return session, out, ledger
@@ -75,51 +99,62 @@ def _run_crash_resume(seed=13):
 
 class TestCrashResume:
     """Acceptance: a 16-part transfer interrupted by a receiver crash
-    resumes without re-sending verified parts."""
+    resumes on another receiver without re-sending verified parts."""
 
     def test_resumes_without_resending_verified_parts(self):
         session, out, ledger = _run_crash_resume()
         assert out.ok
-        assert out.attempts == 2
         assert out.resumes == 1
-        assert out.parts_skipped >= 1
+        assert out.reassignments == 1
         assert out.recovered_bits > 0
-        # Every part crossed the wire exactly once: the proven prefix
-        # was never re-sent by the resume attempt.
-        assert out.parts_sent == N_PARTS
-        first, second = out.outcomes
-        sent_first = {p.index for p in first.parts}
-        sent_second = {p.index for p in second.parts}
-        assert not sent_first & sent_second
-        assert sent_first | sent_second == set(range(N_PARTS))
-        # The resume went to a different peer.
-        assert len(out.peers) == 2
-        assert out.peers[0] != out.peers[1]
+        first, second = out.sources_used
+        assert first == "SC4" and second != "SC4"
+        assert out.sources_failed == ["SC4"]
         entry = ledger.entry("big.bin")
         assert entry.is_complete
         assert entry.verified_bits == pytest.approx(TOTAL_BITS)
+        ids = {r.adv.name: r.peer_id for r in session.candidates()}
+        proven_first = {
+            i for i, proof in entry.proofs.items() if proof.dst == ids[first]
+        }
+        sent_second = {r.piece for r in out.requests if r.source == second}
+        # The replacement leg streamed only the unproven parts: none
+        # that the crashed receiver had already proven was re-sent.
+        assert proven_first
+        assert not proven_first & sent_second
+        assert proven_first | sent_second == set(range(N_PARTS))
+        assert out.recovered_bits == pytest.approx(
+            len(proven_first) * TOTAL_BITS / N_PARTS
+        )
+        assert all(
+            entry.proofs[i].dst == ids[second] for i in sorted(sent_second)
+        )
 
     def test_resume_emits_trace_and_metrics_events(self):
         session, out, _ = _run_crash_resume()
-        kinds = [e.kind for e in session.tracer.events]
-        assert "transfer-interrupted" in kinds
-        assert "transfer-resume" in kinds
-        resume = session.tracer.last("transfer-resume")
-        assert resume.get("skipped") == out.parts_skipped
+        reassign = session.tracer.last("swarm-reassign")
+        assert reassign.get("source") == "SC4"
+        assert reassign.get("error")
+        reg = session.metrics
+        assert reg.counter("recovery.resumes").value == out.resumes == 1
+        assert reg.counter("recovery.transfers_recovered").value == 1
+        assert reg.counter("recovery.recovered_mbit").value == pytest.approx(
+            out.recovered_bits / 1e6
+        )
+        assert reg.counter("swarm.downloads_ok").value == 1
 
     def test_same_seed_same_wire_path(self):
         _, out_a, _ = _run_crash_resume(seed=13)
         _, out_b, _ = _run_crash_resume(seed=13)
         assert out_a.finished_at == out_b.finished_at
-        assert out_a.parts_skipped == out_b.parts_skipped
-        assert out_a.peers == out_b.peers
-        times_a = [p.confirmed_at for o in out_a.outcomes for p in o.parts]
-        times_b = [p.confirmed_at for o in out_b.outcomes for p in o.parts]
-        assert times_a == times_b
+        assert out_a.recovered_bits == out_b.recovered_bits
+        assert out_a.sources_used == out_b.sources_used
+        assert out_a.requests == out_b.requests
+        assert out_a.proofs == out_b.proofs
 
 
 class TestLedgerEdgeCases:
-    """Resume against a ledger whose state changed underneath it."""
+    """Resume against a ledger whose state changed between deliveries."""
 
     def test_resume_after_ledger_truncation_resends_exactly_the_tail(self):
         # A durable store lost its tail: a fresh delivery of the same
@@ -127,78 +162,30 @@ class TestLedgerEdgeCases:
         session = Session(_config())
 
         def scenario(s):
-            sender = ResumableSender(s.broker, s.config.recovery)
-
-            def select(attempt, failed):
+            def select(needed, exclude):
                 # A reliable receiver: the test is about ledger
                 # bookkeeping, not link-level retransmission luck.
-                recs = [r for r in s.candidates() if r.adv.name == "SC4"]
-                return recs[0].adv if recs else None
+                return _receivers(s, "SC4", exclude=exclude)
 
+            ledger = TransferLedger()
             first = yield s.sim.process(
-                sender.send_file(select, "big.bin", TOTAL_BITS, n_parts=N_PARTS)
+                _send(s, select, "big.bin", ledger=ledger).download()
             )
             assert first.ok
-            dropped = sender.ledger.truncate("big.bin", keep_parts=8)
+            dropped = ledger.truncate("big.bin", keep_parts=8)
             assert dropped == tuple(range(8, N_PARTS))
             second = yield s.sim.process(
-                sender.send_file(select, "big.bin", TOTAL_BITS, n_parts=N_PARTS)
+                _send(s, select, "big.bin", ledger=ledger).download()
             )
-            return second, sender.ledger
+            return second, ledger
 
         out, ledger = session.run(scenario)
         assert out.ok
         assert out.resumes == 1
         assert out.parts_skipped == 8
-        assert out.parts_sent == N_PARTS - 8
-        assert {p.index for o in out.outcomes for p in o.parts} == set(
+        assert sorted(r.piece for r in out.requests) == list(
             range(8, N_PARTS)
         )
-        entry = ledger.entry("big.bin")
-        assert entry.is_complete
-        assert entry.verified_bits == pytest.approx(TOTAL_BITS)
-
-    def test_mid_delivery_discard_rebuilds_from_live_entry(self):
-        # Regression: the attempt loop used to hold the entry fetched
-        # at send_file start; a mid-delivery discard left it reading a
-        # detached object while the service wrote proofs to a new live
-        # one.  The loop must re-fetch per attempt and re-send the
-        # whole file against the recreated (proof-less) entry.
-        session = Session(
-            _config(fault_plan=_crash_receiver_plan(), trace=True)
-        )
-
-        def scenario(s):
-            sender = ResumableSender(s.broker, s.config.recovery)
-
-            def select(attempt, failed):
-                if attempt == 1:
-                    recs = [r for r in s.candidates() if r.adv.name == "SC4"]
-                else:
-                    recs = [
-                        r
-                        for r in s.candidates()
-                        if r.peer_id not in failed and r.adv.name != "SC4"
-                    ]
-                return recs[0].adv if recs else None
-
-            proc = s.sim.process(
-                sender.send_file(select, "big.bin", TOTAL_BITS, n_parts=N_PARTS)
-            )
-            # The receiver crashes at t=90 with parts already proven;
-            # wipe the ledger while attempt 1 is still dying.
-            yield 95.0
-            sender.ledger.discard("big.bin")
-            out = yield proc
-            return out, sender.ledger
-
-        out, ledger = session.run(scenario)
-        assert out.ok
-        # No proofs survived the discard, so nothing was skippable.
-        assert out.resumes == 0
-        assert out.parts_skipped == 0
-        # Attempt 1's pre-crash parts were re-sent by attempt 2.
-        assert out.parts_sent > N_PARTS
         entry = ledger.entry("big.bin")
         assert entry.is_complete
         assert entry.verified_bits == pytest.approx(TOTAL_BITS)
@@ -209,16 +196,12 @@ class TestSupervision:
         session = Session(_config(trace=True))
 
         def scenario(s):
-            sender = ResumableSender(s.broker, s.config.recovery)
-
-            def select(attempt, failed):
-                recs = [r for r in s.candidates() if r.peer_id not in failed]
-                return recs[0].adv if recs else None
-
             s.broker.host.crash()
-            proc = s.sim.process(
-                sender.send_file(select, "queued.bin", 8e6, n_parts=2)
+            driver = _send(
+                s, lambda needed, exclude: _receivers(s, exclude=exclude)[:1],
+                "queued.bin", 8e6, 2,
             )
+            proc = s.sim.process(driver.download())
             yield 42.0
             s.broker.host.recover()
             out = yield proc
@@ -226,59 +209,78 @@ class TestSupervision:
 
         out = session.run(scenario)
         assert out.ok
-        assert out.waited_s > 0
+        assert out.waited_s >= 42.0
+        # The wait burned no candidate: one receiver served the file.
+        assert len(out.sources_used) == 1
+        assert out.sources_failed == []
         kinds = [e.kind for e in session.tracer.events]
         assert "petition-queued" in kinds
+        assert session.metrics.counter(
+            "recovery.transfers_recovered"
+        ).value == 1
 
     def test_deadline_expires_bounded(self):
-        session = Session(
-            _config(
-                recovery=RecoveryConfig(
-                    petition_deadline_s=30.0, supervision_poll_s=5.0
-                ),
-                trace=True,
-            )
-        )
+        # The caller's deadline bounds the wait through abort(): the
+        # delivery returns an outcome instead of stalling or raising.
+        session = Session(_config(trace=True))
 
         def scenario(s):
-            sender = ResumableSender(s.broker, s.config.recovery)
             s.broker.host.crash()
-            started = s.sim.now
-            out = yield s.sim.process(
-                sender.send_file(
-                    lambda a, f: None, "never.bin", 8e6, n_parts=2
-                )
+            driver = _send(
+                s, lambda needed, exclude: _receivers(s)[:1], "never.bin",
+                8e6, 2,
             )
+            started = s.sim.now
+            proc = s.sim.process(driver.download())
+            yield 30.0
+            driver.abort("deadline")
+            out = yield proc
             return out, s.sim.now - started
 
         (out, elapsed) = session.run(scenario)
         assert not out.ok
         assert out.reason == "deadline"
-        # Supervision is deadline-bounded: the sender gave up instead
-        # of stalling forever on its dead host.
+        assert out.sources_used == []
         assert elapsed == pytest.approx(30.0, abs=5.0)
-        kinds = [e.kind for e in session.tracer.events]
-        assert "petition-expired" in kinds
+        assert session.metrics.counter("swarm.downloads_failed").value == 1
 
-    def test_no_candidates_exhausts_attempts(self):
-        session = Session(
-            _config(
-                recovery=RecoveryConfig(
-                    max_transfer_attempts=2, resume_backoff_s=1.0
-                )
-            )
-        )
+    def test_no_candidates_fails_without_raising(self):
+        session = Session(_config())
 
         def scenario(s):
-            sender = ResumableSender(s.broker, s.config.recovery)
             out = yield s.sim.process(
-                sender.send_file(
-                    lambda a, f: None, "nobody.bin", 8e6, n_parts=2
-                )
+                _send(
+                    s, lambda needed, exclude: (), "nobody.bin", 8e6, 2
+                ).download()
             )
             return out
 
         out = session.run(scenario)
         assert not out.ok
-        assert out.reason == "no candidate"
-        assert out.parts_sent == 0
+        assert out.reason == "no candidates"
+        assert out.requests == []
+
+    def test_last_candidate_failing_fails_without_raising(self):
+        # Every receiver the selection offers dies: the delivery runs
+        # out of candidates and reports it.
+        session = Session(
+            _config(fault_plan=_crash_receiver_plan(), trace=True)
+        )
+
+        def scenario(s):
+            out = yield s.sim.process(
+                _send(
+                    s,
+                    lambda needed, exclude: _receivers(
+                        s, "SC4", exclude=exclude
+                    ),
+                    "big.bin",
+                ).download()
+            )
+            return out
+
+        out = session.run(scenario)
+        assert not out.ok
+        assert out.sources_failed == ["SC4"]
+        assert out.reason == "all sources failed"
+        assert 0 < len(out.proofs) < N_PARTS

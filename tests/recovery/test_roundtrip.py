@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import json
 
-from repro.errors import TransferAborted
 from repro.experiments.scenario import ExperimentConfig, Session
 from repro.faults.injectors import BrokerOutage, NodeSlowdown
 from repro.faults.plan import FaultPlan
 from repro.faults.processes import RandomWindows
 from repro.overlay.peer import PeerConfig
-from repro.recovery import RecoveryConfig, ResumableSender
+from repro.recovery import RecoveryConfig
+from repro.swarm import Leg, SwarmCoordinator
 
 
 def _config():
@@ -29,9 +29,6 @@ def _config():
         ),
     )
     recovery = RecoveryConfig(
-        max_transfer_attempts=3,
-        resume_backoff_s=7.0,
-        petition_deadline_s=200.0,
         replication_interval_s=25.0,
         staleness_budget_s=150.0,
     )
@@ -61,9 +58,6 @@ class TestSerialization:
         back = ExperimentConfig.from_dict(
             json.loads(json.dumps(config.to_dict()))
         )
-        assert back.recovery.max_transfer_attempts == 3
-        assert back.recovery.resume_backoff_s == 7.0
-        assert back.recovery.petition_deadline_s == 200.0
         assert back.recovery.replication_interval_s == 25.0
         assert back.recovery.staleness_budget_s == 150.0
 
@@ -72,21 +66,17 @@ def _run(config):
     session = Session(config)
 
     def scenario(s):
-        sender = ResumableSender(s.broker, s.config.recovery)
         outs = []
 
-        def select(attempt, failed):
-            recs = [r for r in s.candidates() if r.peer_id not in failed]
-            return recs[0].adv if recs else None
+        def select(needed, exclude):
+            recs = [r for r in s.candidates() if r.adv.name not in exclude]
+            return [Leg(r.adv) for r in recs[:needed]]
 
         for i in range(3):
-            try:
-                out = yield s.sim.process(
-                    sender.send_file(select, f"rt-{i}", 16e6, n_parts=4)
-                )
-                outs.append(out)
-            except TransferAborted:  # pragma: no cover - never raises
-                pass
+            driver = SwarmCoordinator(
+                s.network, s.broker, f"rt-{i}", 16e6, 4, select, k=1
+            )
+            outs.append((yield s.sim.process(driver.download())))
             yield 60.0
         return outs
 

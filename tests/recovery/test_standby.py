@@ -12,12 +12,12 @@ from repro.faults.plan import FaultPlan
 from repro.overlay.peer import PeerConfig
 from repro.recovery import (
     RecoveryConfig,
-    ResumableSender,
     StalenessAwareEvaluator,
     StalenessAwareScheduler,
 )
 from repro.selection.base import SelectionContext, Workload
 from repro.selection.blind import RoundRobinSelector
+from repro.swarm import Leg, SwarmCoordinator
 
 _PEER_CONFIG = PeerConfig(
     petition_timeout_s=40.0,
@@ -161,10 +161,9 @@ class TestPetitionsDuringOutage:
         def scenario(s):
             sim = s.sim
             selector = _make_selector(policy, s)
-            sender = ResumableSender(s.broker, s.config.recovery)
             outs = []
 
-            def pick(failed):
+            def pick(needed, exclude):
                 governor = s.leader_broker
                 candidates = [
                     r
@@ -173,27 +172,24 @@ class TestPetitionsDuringOutage:
                         online_only=False,
                         liveness_timeout_s=None,
                     )
-                    if r.peer_id not in failed
+                    if r.adv.name not in exclude
                 ]
                 if not candidates:
-                    return None
+                    return ()
                 ctx = SelectionContext(
                     broker=governor,
                     now=sim.now,
                     workload=Workload(transfer_bits=2e6, n_parts=1),
                     candidates=candidates,
                 )
-                return selector.select(ctx).adv
+                return (Leg(selector.select(ctx).adv),)
 
             def issue(i):
-                out = yield sim.process(
-                    sender.send_file(
-                        lambda a, failed: pick(failed),
-                        f"{policy}-win-{i}",
-                        2e6,
-                        n_parts=1,
-                    )
+                driver = SwarmCoordinator(
+                    s.network, s.broker, f"{policy}-win-{i}", 2e6, 1, pick,
+                    k=1,
                 )
+                out = yield sim.process(driver.download())
                 outs.append(out)
 
             procs = []

@@ -29,7 +29,7 @@ from repro.simnet.kernel import Simulator
 from repro.simnet.rng import RandomStreams
 from repro.simnet.topology import NodeSpec, Region, Site, Topology
 from repro.simnet.transport import Network
-from repro.swarm import SwarmCoordinator, SwarmSource
+from repro.swarm import Leg, SwarmCoordinator
 from repro.swarm.choke import UNCHOKE_SLOTS
 from repro.swarm.pieces import PieceTracker
 from repro.units import mbit
@@ -155,12 +155,12 @@ def _run_swarm(seed: int):
     g = rng.randint(2, 10)
     # The origin holds everything; replicas hold random subsets.
     holdings = {broker.name: set(range(g))}
-    sources = [SwarmSource(broker)]
+    sources = [Leg(broker)]
     for node in replicas:
         held = {i for i in range(g) if rng.random() < 0.7}
         holdings[node.name] = held
         if held:
-            sources.append(SwarmSource(node, pieces=tuple(sorted(held))))
+            sources.append(Leg(node, pieces=tuple(sorted(held))))
     coord = SwarmCoordinator(
         net,
         dest.advertisement(),
@@ -253,7 +253,7 @@ class TestSwarmProperties:
         flaky = SimpleClient(net, "h2.example", ids, name="flaky")
         spare = SimpleClient(net, "h3.example", ids, name="spare")
         connect(sim, broker, dest, flaky, spare)
-        sources = [SwarmSource(flaky), SwarmSource(broker), SwarmSource(spare)]
+        sources = [Leg(flaky), Leg(broker), Leg(spare)]
         coord = SwarmCoordinator(
             net,
             dest.advertisement(),

@@ -37,10 +37,7 @@ FIELDS = {
         "confirm_timeout_s", "confirm_retries", "request_timeout_s",
         "request_retries", "task_queue_limit", "bulk_max_attempts",
     ),
-    RecoveryConfig: (
-        "max_transfer_attempts", "resume_backoff_s", "petition_deadline_s",
-        "supervision_poll_s", "replication_interval_s", "staleness_budget_s",
-    ),
+    RecoveryConfig: ("replication_interval_s", "staleness_budget_s"),
     GossipConfig: ("probe_interval_s", "probe_timeout_s", "suspect_timeout_s"),
 }
 
@@ -48,7 +45,7 @@ FIELDS = {
 def test_config_fields_are_pinned():
     for cls, names in FIELDS.items():
         assert tuple(f.name for f in dataclasses.fields(cls)) == names, cls
-    assert sum(len(names) for names in FIELDS.values()) == 30
+    assert sum(len(names) for names in FIELDS.values()) == 26
 
 
 # Every field off its default, so a field left out of ``to_dict``

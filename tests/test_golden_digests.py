@@ -12,6 +12,8 @@ stand in for them: two small pools of the large-pool study, so its
 concurrent waves of joins, probes and placements have a digest, and a
 small ``scale-federated`` study, so the SWIM path (probes, ping-req,
 suspect, dead and rehome in the kill-broker cell) has one too.
+``resilience`` also has a digest with the recovery stack on, the only
+artifact whose placements run as supervised deliveries.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import pytest
 
 from repro.__main__ import ARTIFACTS
 from repro.experiments import ExperimentConfig, scale
+from repro.recovery import RecoveryConfig
 
 SEED = 2007
 
@@ -54,6 +57,12 @@ GOLDEN_LARGE_SMALL = (
 )
 
 
+#: ``resilience`` with ``RecoveryConfig()`` (``--recovery``).
+GOLDEN_RESILIENCE_RECOVERY = (
+    "9ad13992edced82f5b3a382242c6712ea19496398ca0b4443f04ad0a7bc9455f"
+)
+
+
 def test_every_fast_artifact_has_a_digest():
     assert set(GOLDEN) == set(ARTIFACTS) - SLOW
 
@@ -82,3 +91,14 @@ def test_small_large_pool_study_matches_golden_digest():
         pools=(12, 16), n_jobs=4, concurrency=4,
     ).table()
     assert hashlib.sha256(rendered.encode()).hexdigest() == GOLDEN_LARGE_SMALL
+
+
+def test_recovery_on_resilience_matches_golden_digest():
+    _, runner = ARTIFACTS["resilience"]
+    rendered = runner(
+        ExperimentConfig(seed=SEED, repetitions=1, recovery=RecoveryConfig())
+    )
+    assert (
+        hashlib.sha256(rendered.encode()).hexdigest()
+        == GOLDEN_RESILIENCE_RECOVERY
+    )
