@@ -45,7 +45,7 @@ def _quick_cost(with_background: bool, seed: int) -> float:
             yield 60.0
         # Frozen table: the user's memory of remembered goodput.
         table = PreferenceTable.fast_transfer(s.broker.observed, 0.0, sim.now)
-        selector = UserPreferenceSelector(table, mode="quick_peer")
+        selector = UserPreferenceSelector(table)
         ctx = SelectionContext(
             broker=s.broker,
             now=sim.now,

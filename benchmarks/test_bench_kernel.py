@@ -80,14 +80,15 @@ IDLE_PEER_S = 600.0
 #: seeded without a ``SeedSequence`` and draws buffered as doubles,
 #: about 12.8 KB; with the links, heavy handling, CPU and task-failure
 #: sources and the overlay services built on first use, about
-#: 10.1 KB.  The 11 KB ceiling catches the shared-key dict cliff: a
-#: 30th peer attribute costs every peer a full instance dict (10.1 KB
-#: to 11.4 KB), where 12.8 + 1.1 KB passed the old 14 KB ceiling.  It
+#: 10.1 KB; with no host inbox and no instant-message store, about
+#: 9.7 KB.  The 10.5 KB ceiling catches the shared-key dict cliff: a
+#: 30th peer attribute costs every peer a full instance dict (about
+#: 1.3 KB), where 12.8 + 1.1 KB passed the old 14 KB ceiling.  It
 #: also fails a return to eager links or services, a handler per
 #: message type, an instance dict per host or a freshness time per
 #: key.  A seed sequence or a float list per stream would pass it;
 #: tests/simnet/test_rng.py checks those instead.
-IDLE_PEER_BYTES_CEILING = 11_000
+IDLE_PEER_BYTES_CEILING = 10_500
 
 
 def _timeout_churn():
@@ -178,6 +179,8 @@ def _message_churn():
     class Ping:
         pass
 
+    # A payload with no handler raises on delivery.
+    b.on_message(Ping, lambda dgram: None)
     for _ in range(2000):
         a.send(b, Ping())
     sim.run()

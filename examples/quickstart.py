@@ -13,7 +13,6 @@ Run:  python examples/quickstart.py
 from __future__ import annotations
 
 from repro.experiments.scenario import ExperimentConfig, Session
-from repro.overlay.primitives import Primitives
 from repro.units import fmt_minutes, fmt_seconds, mbit
 
 
@@ -25,14 +24,15 @@ def main() -> None:
 
     def scenario(s: Session):
         broker = s.broker
-        prim = Primitives(broker)
 
         print(f"connected peers: {[r.adv.name for r in s.candidates()]}")
 
         # --- file transmission (the paper's measured workload) -------
         target = s.client("SC4").advertisement()
         outcome = yield s.sim.process(
-            prim.send_file(target, "lecture-recording.avi", mbit(50), n_parts=4)
+            broker.transfers.send_file(
+                target, "lecture-recording.avi", mbit(50), n_parts=4
+            )
         )
         print(f"\n50 Mb to {target.name} in 4 parts:")
         print(f"  petition received after {fmt_seconds(outcome.petition_time)}")
@@ -42,7 +42,9 @@ def main() -> None:
         # --- the straggler ---------------------------------------------
         sc7 = s.client("SC7").advertisement()
         slow = yield s.sim.process(
-            prim.send_file(sc7, "lecture-recording.avi", mbit(50), n_parts=4)
+            broker.transfers.send_file(
+                sc7, "lecture-recording.avi", mbit(50), n_parts=4
+            )
         )
         print(f"\nsame transfer to the straggler {sc7.name}:")
         print(f"  petition received after {fmt_seconds(slow.petition_time)}")
@@ -50,7 +52,7 @@ def main() -> None:
 
         # --- task execution ---------------------------------------------
         task = yield s.sim.process(
-            prim.submit_task(
+            broker.tasks.submit(
                 target, "transcode", ops=150.0, input_bits=mbit(25), input_parts=4
             )
         )

@@ -47,8 +47,7 @@ def main() -> None:
             SchedulingBasedSelector(reserve=False),
             DataEvaluatorSelector("same_priority"),
             UserPreferenceSelector(
-                PreferenceTable.quick_peer(broker.observed, 0.0, s.sim.now),
-                mode="quick_peer",
+                PreferenceTable.quick_peer(broker.observed, 0.0, s.sim.now)
             ),
         ]
 

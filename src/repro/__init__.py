@@ -9,12 +9,15 @@ Subpackages
     kernel, latency/bandwidth/loss models, topology, transport with
     flow-level fair sharing, and the calibrated Table 1 testbed.
 :mod:`repro.overlay`
-    JXTA-Overlay platform: Broker, Primitives and Client modules —
-    advertisements, discovery, pipes, peergroups, statistics, the
-    file-transmission protocol and executable-task management.
+    The JXTA-Overlay parts the selection models read: the broker,
+    advertisements, discovery, statistics, the file-transmission and
+    file-sharing protocols and executable-task management, with
+    SimpleClient and Client peers.  Pipes, peergroups and instant
+    messages are not modelled.
 :mod:`repro.selection`
     The paper's subject: scheduling-based (economic), data-evaluator
-    and user's-preference selection models plus blind baselines.
+    and user's-preference selection models plus a blind round-robin
+    baseline.
 :mod:`repro.workloads`
     Synthetic virtual-campus workloads (files, tasks, generators).
 :mod:`repro.experiments`

@@ -22,9 +22,7 @@ __all__ = [
     "OverlayError",
     "UnknownPeerError",
     "NotConnectedError",
-    "PipeClosedError",
     "AdvertisementExpired",
-    "GroupMembershipError",
     "TaskRejectedError",
     "SelectionError",
     "NoCandidatesError",
@@ -109,16 +107,8 @@ class NotConnectedError(OverlayError):
     """The peer is not connected to a broker (or the broker is gone)."""
 
 
-class PipeClosedError(OverlayError):
-    """An operation was attempted on a closed pipe."""
-
-
 class AdvertisementExpired(OverlayError):
     """A discovered advertisement has passed its expiry time."""
-
-
-class GroupMembershipError(OverlayError):
-    """Peergroup join/leave precondition violated."""
 
 
 class TaskRejectedError(OverlayError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping
 
 from repro.analysis.stats import Summary
-from repro.experiments.report import render_bars, render_table
+from repro.experiments.report import render_table
 from repro.experiments.runner import average_rows, run_repetitions
 from repro.experiments.scenario import ExperimentConfig, Session
 from repro.simnet.planetlab import FIGURE2_PETITION_TARGETS
@@ -48,14 +48,6 @@ class Fig2Result:
             ("peer", "paper (s)", "measured (s)", "std", "ratio"),
             rows,
             title="Figure 2 — time in receiving the petition (s)",
-        )
-
-    def bars(self) -> str:
-        """Bar chart of measured means."""
-        return render_bars(
-            {label: s.mean for label, s in self.summaries.items()},
-            unit=" s",
-            title="Figure 2 — petition reception time",
         )
 
     def slowest_peer(self) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping
 
 from repro.analysis.stats import Summary
-from repro.experiments.report import render_bars, render_table
+from repro.experiments.report import render_table
 from repro.experiments.runner import average_rows, run_repetitions
 from repro.experiments.scenario import ExperimentConfig, Session
 from repro.units import mbit
@@ -40,14 +40,6 @@ class Fig3Result:
             ("peer", "mean (s)", "std", "min", "max"),
             rows,
             title="Figure 3 — transmission time for a file of 50 Mb (s)",
-        )
-
-    def bars(self) -> str:
-        """Bar chart of measured means."""
-        return render_bars(
-            {label: s.mean for label, s in self.summaries.items()},
-            unit=" s",
-            title="Figure 3 — 50 Mb transmission time",
         )
 
     def slowest_peer(self) -> str:

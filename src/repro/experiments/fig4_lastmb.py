@@ -13,7 +13,7 @@ from statistics import median
 from typing import Dict, List, Mapping
 
 from repro.analysis.stats import Summary
-from repro.experiments.report import render_bars, render_table
+from repro.experiments.report import render_table
 from repro.experiments.runner import average_rows, run_repetitions
 from repro.experiments.scenario import ExperimentConfig, Session
 from repro.units import mbit
@@ -39,14 +39,6 @@ class Fig4Result:
             ("peer", "mean (s)", "std"),
             rows,
             title="Figure 4 — transmission time of the last Mb (s)",
-        )
-
-    def bars(self) -> str:
-        """Bar chart of measured means."""
-        return render_bars(
-            {label: s.mean for label, s in self.summaries.items()},
-            unit=" s",
-            title="Figure 4 — last-Mb completion time",
         )
 
     def straggler_ratio(self, straggler: str = "SC7") -> float:

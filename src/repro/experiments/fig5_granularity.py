@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple
 
 from repro.analysis.stats import Summary
-from repro.experiments.report import render_grouped_bars, render_table
+from repro.experiments.report import render_table
 from repro.experiments.runner import average_rows, run_repetitions
 from repro.experiments.scenario import ExperimentConfig, Session
 from repro.units import mbit, to_minutes
@@ -79,22 +79,6 @@ class Fig5Result:
             headers,
             rows,
             title="Figure 5 — file transmission time (minutes), 100 Mb",
-        )
-
-    def bars(self) -> str:
-        """Grouped bars per peer (the paper's figure layout)."""
-        groups = {
-            label: {
-                ("whole" if g == 1 else f"{g} parts"): to_minutes(
-                    self.mean_seconds(label, g)
-                )
-                for g in self.granularities
-            }
-            for label in self.peers()
-        }
-        return render_grouped_bars(
-            groups, unit=" min",
-            title="Figure 5 — 100 Mb transmission time by granularity",
         )
 
 

@@ -51,7 +51,7 @@ from typing import Dict, List, Mapping, Tuple
 
 from repro.analysis.stats import Summary
 from repro.errors import TransferAborted
-from repro.experiments.report import render_grouped_bars, render_table
+from repro.experiments.report import render_table
 from repro.experiments.runner import average_rows, run_repetitions
 from repro.experiments.scenario import ExperimentConfig, Session
 from repro.experiments.steps import make_selector, probe
@@ -121,19 +121,6 @@ class Fig6Result:
             ("model", "parts", "paper (s/Mb)", "measured (s/Mb)", "std"),
             rows,
             title="Figure 6 — transmission cost per selection model",
-        )
-
-    def bars(self) -> str:
-        """Grouped bars per model (the paper's figure layout)."""
-        groups = {
-            model: {
-                f"{g} parts": self.cost(model, g) for g in GRANULARITIES
-            }
-            for model in MODELS
-        }
-        return render_grouped_bars(
-            groups, unit=" s/Mb",
-            title="Figure 6 — transmission cost by selection model",
         )
 
 

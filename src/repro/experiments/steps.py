@@ -59,7 +59,7 @@ def make_selector(model: str, session, study: str, reserve: bool = True):
         table = PreferenceTable.quick_peer(
             session.broker.observed, 0.0, session.sim.now
         )
-        return UserPreferenceSelector(table, mode="quick_peer")
+        return UserPreferenceSelector(table)
     raise ValueError(f"unknown model {model!r}")
 
 

@@ -10,8 +10,8 @@ the ROADMAP's "sharded, gossip-federated control plane" item asks for:
   timeouts with refutation incarnation numbers, and membership deltas
   piggybacked on probe traffic with bounded rumor retransmission.
 * :mod:`repro.gossip.shard` / :mod:`repro.gossip.federation` — a
-  versioned shard map partitioning the registry by region (and
-  peergroup) across N brokers, with deterministic shard handoff when
+  versioned shard map partitioning the registry by region across N
+  brokers, with deterministic shard handoff when
   gossip declares a broker dead, wrong-shard join redirects carrying
   the fresh map (stale-shard-map retry), and cross-shard discovery
   fan-out.

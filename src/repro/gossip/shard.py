@@ -1,10 +1,9 @@
 """Versioned registry shard map.
 
 The federation partitions the governor role by *shard key*: every peer
-belongs to exactly one shard (its testbed region — ``region:<name>`` —
-by default; peergroups shard as ``group:<name>``, see
-:meth:`repro.overlay.group.PeerGroup.shard_key`), and each shard is
-owned by exactly one broker.  The map is an immutable value with a
+belongs to exactly one shard (its testbed region, ``region:<name>``;
+see :func:`region_shard_key`), and each shard is owned by exactly one
+broker.  The map is an immutable value with a
 monotonically increasing version:
 
 * version 1 is built deterministically (sorted shard keys round-robin

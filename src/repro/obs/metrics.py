@@ -372,8 +372,8 @@ class span:
     time is observed into ``histogram`` on exit.  Works inside
     generator processes because the clock is read lazily::
 
-        with span(metrics.histogram("broker.allocate_s"), sim):
-            record = broker.allocate(selector, workload)
+        with span(metrics.histogram("overlay.discovery_latency_s"), sim):
+            advs = yield sim.process(peer.discovery.query("peer"))
 
     A span over a no-op histogram costs two attribute reads.
     """

@@ -1,20 +1,21 @@
 """JXTA-Overlay platform (Python reimplementation).
 
-The overlay's three modules per the paper (§3): the **Broker**
-(:class:`.broker.Broker` — network governor, registry, statistics,
-discovery index, groups), the **Primitives**
-(:class:`.primitives.Primitives` — discovery, selection, allocation,
-file transmission, instant communication, peergroups, task management)
-and the **Client** module (:class:`.client.SimpleClient` /
-:class:`.client.Client`).
+The parts of the paper's three modules (§3) that the selection studies
+reach: the **Broker** (:class:`.broker.Broker` — network governor,
+registry, statistics, discovery index), the primitives as per-peer
+services (:class:`.discovery.DiscoveryService`,
+:class:`.filetransfer.FileTransferService`,
+:class:`.filesharing.FileSharingService`,
+:class:`.taskexec.TaskExecutionService`, built on first use by
+:class:`.peer.PeerNode`) and the **Client** module
+(:class:`.client.SimpleClient` / :class:`.client.Client`).  JXTA pipes,
+peergroups and instant messages are not modelled.
 """
 
 from repro.overlay.advertisements import (
     DEFAULT_LIFETIME_S,
     Advertisement,
-    GroupAdvertisement,
     PeerAdvertisement,
-    PipeAdvertisement,
     ResourceAdvertisement,
 )
 from repro.overlay.broker import Broker, PeerRecord
@@ -32,32 +33,18 @@ from repro.overlay.filetransfer import (
     TransferHandle,
     split_even,
 )
-from repro.overlay.group import GroupRegistry, PeerGroup
-from repro.overlay.ids import (
-    GroupId,
-    IdFactory,
-    PeerId,
-    PipeId,
-    TaskId,
-    TransferId,
-)
+from repro.overlay.ids import IdFactory, PeerId, TaskId, TransferId
 from repro.overlay.peer import PeerConfig, PeerNode, RequestTimeout
-from repro.overlay.pipes import PropagatePipe, UnicastPipe
-from repro.overlay.primitives import Primitives
 from repro.overlay.statistics import Counters, PeerStats, PerformanceHistory
 from repro.overlay.taskexec import TaskExecutionService, TaskOutcome
 
 __all__ = [
     "IdFactory",
     "PeerId",
-    "PipeId",
-    "GroupId",
     "TaskId",
     "TransferId",
     "Advertisement",
     "PeerAdvertisement",
-    "PipeAdvertisement",
-    "GroupAdvertisement",
     "ResourceAdvertisement",
     "DEFAULT_LIFETIME_S",
     "PeerNode",
@@ -67,8 +54,6 @@ __all__ = [
     "Client",
     "Broker",
     "PeerRecord",
-    "PeerGroup",
-    "GroupRegistry",
     "PeerStats",
     "Counters",
     "PerformanceHistory",
@@ -83,7 +68,4 @@ __all__ = [
     "FileSharingService",
     "SharedFile",
     "FileNotShared",
-    "UnicastPipe",
-    "PropagatePipe",
-    "Primitives",
 ]

@@ -2,20 +2,16 @@
 
 JXTA-Overlay distinguishes *SimpleClient* (edge peer without GUI — the
 kind used as SC1..SC8 in the paper's experiments) from *Client* (edge
-peer with GUI).  Behaviourally they are the same protocol endpoint; the
-Client additionally keeps a small UI event feed that a front-end would
-render.
+peer with GUI).  The GUI is not modelled, so both are the same protocol
+endpoint and differ only in the kind they advertise.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.errors import HostDownError, NotConnectedError
-from repro.overlay.peer import PeerConfig, PeerNode, RequestTimeout
-from repro.simnet.kernel import Store
-from repro.simnet.transport import Network
-from repro.overlay.ids import IdFactory
+from repro.overlay.peer import PeerNode, RequestTimeout
 
 __all__ = ["SimpleClient", "Client"]
 
@@ -127,22 +123,6 @@ class SimpleClient(PeerNode):
 
 
 class Client(SimpleClient):
-    """Edge peer with GUI: adds a UI event feed."""
+    """Edge peer with GUI (advertised as kind ``client``)."""
 
     kind = "client"
-
-    def __init__(
-        self,
-        network: Network,
-        hostname: str,
-        ids: IdFactory,
-        name: Optional[str] = None,
-        config: Optional[PeerConfig] = None,
-    ) -> None:
-        super().__init__(network, hostname, ids, name=name, config=config)
-        #: Events a GUI would render (joins, transfers, IMs).
-        self.ui_feed: Store = Store(self.sim, name=f"ui@{self.name}")
-
-    def notify_ui(self, event: str) -> None:
-        """Append an event to the UI feed."""
-        self.ui_feed.put((self.sim.now, event))

@@ -1,8 +1,9 @@
 """Client-side discovery service.
 
-Peers discover resources (other peers, pipes, groups, shared files) by
-querying their broker's advertisement index; results are cached locally
-with their advertised lifetimes, JXTA-style.
+Peers discover resources (other peers and shared files) by querying
+their broker's advertisement index; results are cached locally with
+their advertised lifetimes, JXTA-style.  JXTA's pipe and peergroup
+advertisements are not modelled.
 """
 
 from __future__ import annotations

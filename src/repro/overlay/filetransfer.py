@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import HostDownError, TransferAborted
 from repro.obs.metrics import MetricsRegistry
@@ -400,10 +400,10 @@ class FileTransferService:
         #: Waiters for inbound file completions, keyed by filename
         #: (file-sharing fetches block on these).
         self._file_waiters: Dict[str, list] = {}
-        #: Distinct confirmed part indices per swarmed filename
-        #: (streams with ``FilePetition.file_n_parts`` set) — the union
-        #: across every inbound stream of that file.  Used only for
-        #: membership and counting, never iterated.
+        #: Part indices still missing per swarmed filename (streams
+        #: with ``FilePetition.file_parts`` set), shared by every open
+        #: inbound stream of that file and dropped with the last one.
+        #: Used only for membership and counting, never iterated.
         self._file_progress: Dict[str, set] = {}
         #: Open *outbound* handles per destination hostname — the
         #: ready-time estimator discounts these so a broker does not
@@ -431,18 +431,19 @@ class FileTransferService:
         filename: str,
         total_bits: float,
         n_parts_hint: int = OPEN_ENDED,
-        file_n_parts: int = 0,
+        file_parts: Tuple[int, ...] = (),
     ):
         """Generator process: run the petition round and open a handle.
 
         Returns a :class:`TransferHandle`.  Raises
         :class:`TransferAborted` if the receiver never acknowledges.
 
-        ``file_n_parts`` marks this stream as one of several delivering
-        the same logical file (a swarm download): the receiver then
-        signals :meth:`wait_for_file` once that many distinct part
-        indices are confirmed *across all streams*, instead of when any
-        single stream completes.
+        ``file_parts`` marks this stream as one of several delivering
+        the same logical file (a swarm download or a resumed send) and
+        names the part indices the file still owes: the receiver then
+        signals :meth:`wait_for_file` once every one of them is
+        confirmed *across all streams*, instead of when any single
+        stream completes.
         """
         peer = self.peer
         cfg = peer.config
@@ -464,7 +465,7 @@ class FileTransferService:
             filename=filename,
             total_bits=total_bits,
             n_parts=n_parts_hint,
-            file_n_parts=file_n_parts,
+            file_parts=file_parts,
         )
         peer.stats.pending_transfers += 1
         try:
@@ -605,20 +606,22 @@ class FileTransferService:
             yield io_s
             if state is not None:
                 state.confirmed_parts[notice.index] = self.sim.now
-                expected = state.petition.n_parts
+                petition = state.petition
+                if petition.file_parts and not state.done:
+                    # Swarmed file: complete once every owed index is
+                    # confirmed across all of its inbound streams.  A
+                    # stream already ended adds nothing, so progress
+                    # dies with the last open stream.
+                    missing = self._file_progress.setdefault(
+                        petition.filename, set(petition.file_parts)
+                    )
+                    missing.discard(notice.index)
+                    if not missing:
+                        del self._file_progress[petition.filename]
+                        self._signal_file(petition)
+                expected = petition.n_parts
                 if expected != OPEN_ENDED and len(state.confirmed_parts) >= expected:
                     self._finish_incoming(state)
-                file_parts = getattr(state.petition, "file_n_parts", 0)
-                if file_parts:
-                    # Swarmed file: completion is the union of distinct
-                    # indices across all of its inbound streams.
-                    got = self._file_progress.setdefault(
-                        state.petition.filename, set()
-                    )
-                    got.add(notice.index)
-                    if len(got) >= file_parts:
-                        del self._file_progress[state.petition.filename]
-                        self._signal_file(state.petition)
         if not peer.host.is_up:
             return  # crashed while persisting: nothing to confirm
         confirm = PartConfirm(
@@ -642,12 +645,21 @@ class FileTransferService:
         if not state.done:
             state.done = True
             self.peer.stats.pending_transfers -= 1
-            if getattr(state.petition, "file_n_parts", 0):
+            petition = state.petition
+            if petition.file_parts:
                 # One stream of a swarmed file closing says nothing
                 # about the file: arrival is signalled from the
-                # cross-stream part union in ``_confirm_part``.
+                # cross-stream progress in ``_confirm_part``, which the
+                # last open stream takes with it.
+                filename = petition.filename
+                if not any(
+                    not s.done and s.petition.filename == filename
+                    and s.petition.file_parts
+                    for s in self._incoming.values()
+                ):
+                    self._file_progress.pop(filename, None)
                 return
-            self._signal_file(state.petition)
+            self._signal_file(petition)
 
     def _signal_file(self, petition: FilePetition) -> None:
         waiters = self._file_waiters.pop(petition.filename, None)

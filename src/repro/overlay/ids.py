@@ -1,10 +1,10 @@
 """JXTA-style identifiers.
 
-JXTA names peers, pipes and groups with URN-like ids
-(``urn:jxta:uuid-...``).  We reproduce the shape with deterministic
-ids: an :class:`IdFactory` hands out ids derived from a seed counter,
-so a simulation run is fully reproducible and ids are stable across
-repetitions of the same scenario.
+JXTA names its entities with URN-like ids (``urn:jxta:uuid-...``).
+We reproduce the shape for peers, tasks and transfers with
+deterministic ids: an :class:`IdFactory` hands out ids derived from a
+seed counter, so a simulation run is fully reproducible and ids are
+stable across repetitions of the same scenario.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-__all__ = ["PeerId", "PipeId", "GroupId", "TaskId", "TransferId", "IdFactory"]
+__all__ = ["PeerId", "TaskId", "TransferId", "IdFactory"]
 
 
 @dataclass(frozen=True, order=True)
@@ -45,14 +45,6 @@ class PeerId(_BaseId):
     """Identifier of a peer."""
 
 
-class PipeId(_BaseId):
-    """Identifier of a pipe."""
-
-
-class GroupId(_BaseId):
-    """Identifier of a peergroup."""
-
-
 class TaskId(_BaseId):
     """Identifier of a submitted task."""
 
@@ -63,8 +55,6 @@ class TransferId(_BaseId):
 
 _KIND_TAG = {
     PeerId: "peer",
-    PipeId: "pipe",
-    GroupId: "group",
     TaskId: "task",
     TransferId: "xfer",
 }
@@ -93,14 +83,6 @@ class IdFactory:
     def peer_id(self, hint: str = "") -> PeerId:
         """Mint a new :class:`PeerId` (``hint`` e.g. the hostname)."""
         return PeerId(self._mint(PeerId, hint))
-
-    def pipe_id(self, hint: str = "") -> PipeId:
-        """Mint a new :class:`PipeId`."""
-        return PipeId(self._mint(PipeId, hint))
-
-    def group_id(self, hint: str = "") -> GroupId:
-        """Mint a new :class:`GroupId`."""
-        return GroupId(self._mint(GroupId, hint))
 
     def task_id(self, hint: str = "") -> TaskId:
         """Mint a new :class:`TaskId`."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Tuple
 
-from repro.overlay.ids import GroupId, PeerId, TaskId, TransferId
+from repro.overlay.ids import PeerId, TaskId, TransferId
 
 __all__ = [
     "JoinRequest",
@@ -30,12 +30,6 @@ __all__ = [
     "DiscoveryQuery",
     "DiscoveryResponse",
     "PublishAdvertisement",
-    "GroupJoinRequest",
-    "GroupJoinAck",
-    "InstantMessage",
-    "PipeBindRequest",
-    "PipeBindAck",
-    "PipeMessage",
     "FileRequest",
     "FileRequestAck",
     "FilePetition",
@@ -143,9 +137,9 @@ class DigestEntry:
 class StateSync:
     """Broker state replication for failover (primary <-> standby).
 
-    Besides the registry entries it carries the discovery index and
-    peergroup membership, so a promoted standby can answer discovery
-    queries and group joins without a warm-up round.  Entries merge by
+    Besides the registry entries it carries the discovery index, so a
+    promoted standby can answer discovery queries without a warm-up
+    round.  Entries merge by
     recency (via :attr:`DigestEntry.seen_ago_s`), which makes
     replication safe in both directions between a live pair.
     """
@@ -154,8 +148,6 @@ class StateSync:
     entries: Tuple["DigestEntry", ...] = ()
     #: Discovery index content as ``(kind, advertisement)`` pairs.
     advertisements: Tuple[Tuple[str, Any], ...] = ()
-    #: Peergroups as ``(group advertisement, member ids)`` pairs.
-    groups: Tuple[Tuple[Any, Tuple[PeerId, ...]], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -181,7 +173,7 @@ class StatReport:
 class DiscoveryQuery:
     """Ask the broker for advertisements.
 
-    ``adv_kind`` in {"peer", "pipe", "group", "resource"}; ``attrs``
+    ``adv_kind`` in {"peer", "resource"}; ``attrs``
     are equality filters on advertisement fields.
     """
 
@@ -208,71 +200,6 @@ class PublishAdvertisement:
 
     publisher: PeerId
     adv: Any
-
-
-# --------------------------------------------------------------------------
-# Peergroups
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GroupJoinRequest:
-    """Peer asks to join a peergroup managed by the broker."""
-
-    peer_id: PeerId
-    group_id: GroupId
-
-
-@dataclass(frozen=True)
-class GroupJoinAck:
-    """Broker confirms (or denies) group membership."""
-
-    group_id: GroupId
-    accepted: bool
-    members: Tuple[PeerId, ...] = ()
-
-
-# --------------------------------------------------------------------------
-# Instant communication
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InstantMessage:
-    """A one-line chat message between peers."""
-
-    sender: PeerId
-    text: str
-
-
-# --------------------------------------------------------------------------
-# Pipes
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PipeBindRequest:
-    """Resolve and bind a pipe end at the remote peer (heavy message)."""
-
-    pipe_id: Any
-    requester: PeerId
-
-
-@dataclass(frozen=True)
-class PipeBindAck:
-    """Remote peer confirms the pipe is bound."""
-
-    pipe_id: Any
-    accepted: bool
-
-
-@dataclass(frozen=True)
-class PipeMessage:
-    """Application payload carried over a bound pipe (light message)."""
-
-    pipe_id: Any
-    sender: PeerId
-    body: Any
 
 
 # --------------------------------------------------------------------------
@@ -317,11 +244,14 @@ class FilePetition:
     filename: str
     total_bits: float
     n_parts: int
-    #: Parts in the *whole logical file* when this stream is one of
-    #: several (a swarm download): the receiver treats the file as
-    #: arrived once that many distinct part indices are confirmed
-    #: across all streams.  0 = single-stream transfer (legacy).
-    file_n_parts: int = 0
+    #: Part indices of the *whole logical file* still owed when this
+    #: stream is one of several delivering it (a swarm download or a
+    #: resumed send): the receiver treats the file as arrived once it
+    #: has confirmed every one of them across all its streams.  Parts
+    #: proven before the stream opened are left out, so a stream that
+    #: carries only the unproven parts still completes the file.
+    #: Empty = single-stream transfer.
+    file_parts: Tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)

@@ -41,8 +41,6 @@ from repro.overlay.messages import (
     FilePetition,
     FileRequest,
     FileRequestAck,
-    GroupJoinAck,
-    InstantMessage,
     JoinAck,
     JoinRequest,
     KeepAlive,
@@ -52,9 +50,6 @@ from repro.overlay.messages import (
     PartConfirm,
     PartNotice,
     PetitionAck,
-    PipeBindAck,
-    PipeBindRequest,
-    PipeMessage,
     StatReport,
     TaskAccept,
     TaskReject,
@@ -66,7 +61,7 @@ from repro.overlay.messages import (
 )
 from repro.overlay.statistics import PeerStats, PerformanceHistory
 from repro.overlay.taskexec import TaskExecutionService
-from repro.simnet.kernel import Event, Store
+from repro.simnet.kernel import Event
 from repro.simnet.transport import Datagram, Host, Network
 
 __all__ = ["PeerConfig", "PeerNode", "RequestTimeout"]
@@ -184,8 +179,6 @@ class PeerNode:
         self.interactions: Dict[str, PeerStats] = {}
         #: PeerId -> hostname, learned from advertisements/messages.
         self.directory: Dict[PeerId, str] = {self.peer_id: hostname}
-        #: Instant messages received (application inbox).
-        self.im_inbox: Store = Store(self.sim, name=f"im@{self.name}")
 
         self.broker_adv: Optional[PeerAdvertisement] = None
         self.online = False
@@ -395,32 +388,11 @@ class PeerNode:
         r: TaskResult = dgram.payload
         self.fulfill(("task-result", r.task_id), r)
 
-    # IM & pipes ------------------------------------------------------------------
-
-    def _on_im(self, dgram: Datagram) -> None:
-        self.im_inbox.put(dgram.payload)
-
-    def _on_pipe_bind_request(self, dgram: Datagram) -> None:
-        req: PipeBindRequest = dgram.payload
-        src = self.network.host(dgram.src)
-        self.host.send(src, PipeBindAck(pipe_id=req.pipe_id, accepted=True), light=True)
-
-    def _on_pipe_bind_ack(self, dgram: Datagram) -> None:
-        ack: PipeBindAck = dgram.payload
-        self.fulfill(("pipe-bind", ack.pipe_id), ack)
-
-    def _on_pipe_message(self, dgram: Datagram) -> None:
-        msg: PipeMessage = dgram.payload
-        if not self.fulfill(("pipe-msg", msg.pipe_id), msg):
-            self.im_inbox.put(msg)
+    # discovery & liveness -------------------------------------------------------
 
     def _on_discovery_response(self, dgram: Datagram) -> None:
         resp: DiscoveryResponse = dgram.payload
         self.fulfill(("disc", resp.query_id), resp)
-
-    def _on_group_join_ack(self, dgram: Datagram) -> None:
-        ack: GroupJoinAck = dgram.payload
-        self.fulfill(("group-join", ack.group_id), ack)
 
     def _on_ping(self, dgram: Datagram) -> None:
         ping: Ping = dgram.payload
@@ -455,12 +427,7 @@ class PeerNode:
         TaskAccept: _on_task_accept,
         TaskReject: _on_task_reject,
         TaskResult: _on_task_result,
-        InstantMessage: _on_im,
-        PipeBindRequest: _on_pipe_bind_request,
-        PipeBindAck: _on_pipe_bind_ack,
-        PipeMessage: _on_pipe_message,
         DiscoveryResponse: _on_discovery_response,
-        GroupJoinAck: _on_group_join_ack,
         Ping: _on_ping,
         Pong: _on_pong,
         FileRequest: _on_file_request,
@@ -536,18 +503,19 @@ class PeerNode:
         if host._is_up:
             stats = self.stats
             outbox_len = stats.pending_transfers
+            # The inbox is the pending tasks: every payload a peer
+            # receives has a handler, so no message waits unread.
             pending_tasks = stats.pending_tasks
-            inbox_len = len(host.inbox) + pending_tasks
-            stats.sample_queues(outbox_len, inbox_len)
+            stats.sample_queues(outbox_len, pending_tasks)
             # Queue-occupancy sampling rides the keepalive cadence so
             # every connected peer reports at the same sim-time rhythm.
-            self._m_inbox_len.observe(inbox_len)
+            self._m_inbox_len.observe(pending_tasks)
             self._m_pending_transfers.observe(outbox_len)
             self._m_pending_tasks.observe(pending_tasks)
             # KeepAlive(peer_id, outbox_len, inbox_len, pending_tasks,
             # pending_transfers): the outbox is the pending transfers.
             beacon = KeepAlive(
-                self.peer_id, outbox_len, inbox_len, pending_tasks, outbox_len
+                self.peer_id, outbox_len, pending_tasks, pending_tasks, outbox_len
             )
             host.send(self._broker_host(), beacon, light=True)
         self.sim.wake_in(self.config.keepalive_interval_s, self._keepalive_beat)
@@ -663,14 +631,6 @@ class PeerNode:
             stats = PeerStats()
             self.interactions[hostname] = stats
         return stats
-
-    # -- instant messaging ----------------------------------------------------------------
-
-    def send_im(self, dst_adv: PeerAdvertisement, text: str) -> None:
-        """Send a one-line instant message (fire-and-forget)."""
-        self.learn(dst_adv)
-        dst = self.network.host(dst_adv.hostname)
-        self.host.send(dst, InstantMessage(sender=self.peer_id, text=text), light=True)
 
     def next_query_id(self) -> int:
         """Mint a correlation id for discovery queries."""

@@ -8,8 +8,8 @@ Three informed models (paper §2) plus blind baselines:
 * :class:`.evaluator.DataEvaluatorSelector` — weighted cost over the
   §2.2 criteria catalog; ``"same_priority"`` = uniform weights.
 * :class:`.preference.UserPreferenceSelector` — the user's frozen
-  experience table; ``quick_peer`` mode ranks by remembered latency.
-* :mod:`.blind` — random / round-robin / first baselines.
+  experience table (the paper's quick-peer mode).
+* :class:`.blind.RoundRobinSelector` — the blind baseline.
 """
 
 from repro.selection.base import (
@@ -18,7 +18,7 @@ from repro.selection.base import (
     SelectionContext,
     Workload,
 )
-from repro.selection.blind import FirstSelector, RandomSelector, RoundRobinSelector
+from repro.selection.blind import RoundRobinSelector
 from repro.selection.criteria import (
     CRITERIA,
     WEIGHT_PROFILES,
@@ -44,9 +44,7 @@ __all__ = [
     "HybridSelector",
     "UserPreferenceSelector",
     "PreferenceTable",
-    "RandomSelector",
     "RoundRobinSelector",
-    "FirstSelector",
     "CRITERIA",
     "WEIGHT_PROFILES",
     "criterion_utility",

@@ -1,16 +1,13 @@
 """Blind (no-information) baselines.
 
 The paper's first experiment uses peers "in a blind way, [where] no
-peer selection is done".  These selectors make that baseline available
-to the same harness: uniform random choice, round-robin, and
-first-candidate.
+peer selection is done".  :class:`RoundRobinSelector` makes that
+baseline available to the same harness.
 """
 
 from __future__ import annotations
 
 from typing import List
-
-import numpy as np
 
 from repro.selection.base import (
     PeerSelector,
@@ -18,24 +15,7 @@ from repro.selection.base import (
     SelectionContext,
 )
 
-__all__ = ["RandomSelector", "RoundRobinSelector", "FirstSelector"]
-
-
-class RandomSelector(PeerSelector):
-    """Uniformly random choice from the candidates."""
-
-    name = "blind-random"
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        self._rng = rng
-
-    def rank(self, context: SelectionContext) -> List[RankedCandidate]:
-        candidates = list(context.require_candidates())
-        order = self._rng.permutation(len(candidates))
-        return [
-            RankedCandidate(score=float(pos), record=candidates[int(idx)])
-            for pos, idx in enumerate(order)
-        ]
+__all__ = ["RoundRobinSelector"]
 
 
 class RoundRobinSelector(PeerSelector):
@@ -59,17 +39,3 @@ class RoundRobinSelector(PeerSelector):
             for i, rec in enumerate(rotated)
         ]
 
-
-class FirstSelector(PeerSelector):
-    """Always the first candidate (stable name order)."""
-
-    name = "blind-first"
-
-    def rank(self, context: SelectionContext) -> List[RankedCandidate]:
-        candidates = sorted(
-            context.require_candidates(), key=lambda r: r.adv.name
-        )
-        return [
-            RankedCandidate(score=float(i), record=rec)
-            for i, rec in enumerate(candidates)
-        ]

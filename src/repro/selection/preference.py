@@ -97,21 +97,16 @@ class PreferenceTable:
                 scores[peer_id] = -last_rate
         return cls(scores=scores)
 
-    @classmethod
-    def explicit(cls, ranking: List[PeerId]) -> "PreferenceTable":
-        """A hand-written ranking (most preferred first)."""
-        return cls(scores={pid: float(i) for i, pid in enumerate(ranking)})
-
 
 class UserPreferenceSelector(PeerSelector):
     """Selection by the user's frozen preference table."""
 
-    name = "user-preference"
+    #: Quick-peer mode is the only one the paper evaluates (Figure 6);
+    #: the table's constructor decides what "quick" remembers.
+    name = "user-preference[quick_peer]"
 
-    def __init__(self, table: PreferenceTable, mode: str = "quick_peer") -> None:
+    def __init__(self, table: PreferenceTable) -> None:
         self.table = table
-        self.mode = mode
-        self.name = f"user-preference[{mode}]"
 
     def rank(self, context: SelectionContext) -> List[RankedCandidate]:
         candidates = context.require_candidates()

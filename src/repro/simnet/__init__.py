@@ -20,7 +20,6 @@ from repro.simnet.kernel import (
     Process,
     Resource,
     Simulator,
-    Store,
     Timeout,
 )
 from repro.simnet.latency import (
@@ -57,7 +56,6 @@ __all__ = [
     "AnyOf",
     "AllOf",
     "Resource",
-    "Store",
     "RandomStreams",
     "LatencyModel",
     "LognormalLatency",

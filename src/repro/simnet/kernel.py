@@ -13,8 +13,9 @@ tuned for the overlay workloads in this library:
   processes; they can be interrupted.
 * :class:`Timeout`, :class:`AnyOf`, :class:`AllOf` — combinators used by
   the overlay protocols (e.g. "wait for the confirmation or a timeout").
-* :class:`Resource` and :class:`Store` — capacity-limited resource and
-  FIFO object store used for CPU slots and message queues.
+* :class:`Resource` — capacity-limited resource used for CPU slots.
+  Messages need no queue: the transport hands every payload to its
+  handler on delivery.
 
 The kernel is single-threaded and fully deterministic: runs with the
 same seed and the same call order produce identical traces.  The hot
@@ -43,7 +44,6 @@ __all__ = [
     "AnyOf",
     "AllOf",
     "Resource",
-    "Store",
     "PENDING",
 ]
 
@@ -55,11 +55,11 @@ NORMAL_PRIORITY = 1
 #: Priority used by :class:`Timeout` via ``urgent=True`` scheduling.
 URGENT_PRIORITY = 0
 
-#: Placeholder for a :class:`Store` or :class:`Resource` queue (or
-#: set) not used yet.  Most stores and resources of a large run stay
-#: idle, and an empty deque still holds a full 64-slot block, so each
-#: container is allocated on first use; the empty tuple answers
-#: ``len``, truth, ``in`` and iteration meanwhile.
+#: Placeholder for a :class:`Resource` queue (or set) not used yet.
+#: Most resources of a large run stay idle, and an empty deque still
+#: holds a full 64-slot block, so each container is allocated on first
+#: use; the empty tuple answers ``len``, truth, ``in`` and iteration
+#: meanwhile.
 _UNUSED: tuple = ()
 
 #: Agenda compaction: sweep lazily-cancelled entries out of the heap
@@ -885,54 +885,3 @@ class Resource:
             self._open_grants.discard(grant)
             self.release()
 
-
-class Store:
-    """An unbounded FIFO store of Python objects.
-
-    ``put(item)`` is immediate; ``get()`` returns an event that succeeds
-    with the oldest item (waiting if the store is empty).  Used for
-    message queues and task inboxes throughout the overlay.  Both
-    queues are allocated on first use (see ``_UNUSED``): most inboxes
-    of a large run never hold an item.
-    """
-
-    def __init__(self, sim: Simulator, name: str = "") -> None:
-        self.sim = sim
-        self.name = name
-        self._items: "deque[Any] | tuple" = _UNUSED
-        self._getters: "deque[Event] | tuple" = _UNUSED
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def waiting_getters(self) -> int:
-        """Number of get() calls blocked on an empty store."""
-        return len(self._getters)
-
-    def put(self, item: Any) -> None:
-        """Deposit ``item``; wakes the oldest waiting getter."""
-        if self._getters:
-            ev = self._getters.popleft()
-            ev.succeed(item)
-        else:
-            items = self._items
-            if items is _UNUSED:
-                items = self._items = deque()
-            items.append(item)
-
-    def get(self) -> Event:
-        """Return an event that succeeds with the oldest item."""
-        ev = self.sim.event(name=f"store-get({self.name})")
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            getters = self._getters
-            if getters is _UNUSED:
-                getters = self._getters = deque()
-            getters.append(ev)
-        return ev
-
-    def items_snapshot(self) -> tuple[Any, ...]:
-        """Immutable view of the queued items (for statistics)."""
-        return tuple(self._items)

@@ -65,9 +65,11 @@ class NodeSpec:
     overhead_cv:
         Coefficient of variation of the overhead (lognormal).
     bound_handling_s:
-        Mean handling time for messages on an already-bound pipe; small
-        and roughly uniform across nodes (the per-part confirmations of
-        the transfer protocol ride on bound pipes).
+        Mean handling time for *light* messages, which in JXTA travel
+        on an already-bound pipe; small and roughly uniform across
+        nodes (the per-part confirmations of the transfer protocol are
+        light).  Pipes themselves are not modelled: a sender picks the
+        cost class per message.
     spike_prob / spike_factor:
         Probability and magnitude of scheduling spikes (sliver
         descheduling); gives the heavy tail of slow nodes.

@@ -49,7 +49,7 @@ from repro.errors import (
 from repro.obs.metrics import DEFAULT_RATE_BUCKETS, MetricsRegistry
 from repro.obs.runtime import active_registry
 from repro.simnet.bandwidth import ContendedBandwidth, DiurnalBandwidth
-from repro.simnet.kernel import Event, Resource, Simulator, Store
+from repro.simnet.kernel import Event, Resource, Simulator
 from repro.simnet.latency import LognormalLatency, SpikyLatency
 from repro.simnet.loss import NO_LOSS, PerUnitLoss
 from repro.simnet.rng import RandomStreams
@@ -570,7 +570,7 @@ class Host:
     __slots__ = (
         "network", "sim", "spec", "hostname", "node", "_region",
         "_up", "_down", "_overhead", "_light_overhead", "_loss",
-        "_cpu_share_rng", "inbox", "_handlers", "cpu", "_up_set",
+        "_cpu_share_rng", "_handlers", "cpu", "_up_set",
         "_down_set", "_is_up", "slow_factor", "link_bw_factor",
         "link_latency_factor", "extra_loss", "messages_sent",
         "messages_received", "messages_lost", "bits_sent",
@@ -592,8 +592,8 @@ class Host:
         self._up: Any = None
         self._down: Any = None
         self._overhead: Any = None
-        # Handling for messages on an already-bound pipe: small,
-        # node-independent-scale lognormal (see NodeSpec).
+        # Handling for light messages (JXTA's bound-pipe traffic):
+        # small, node-independent-scale lognormal (see NodeSpec).
         self._light_overhead = LognormalLatency(
             max(spec.bound_handling_s, 1e-6),
             0.3,
@@ -607,7 +607,6 @@ class Host:
             self._loss = NO_LOSS
         self._cpu_share_rng: Any = None
 
-        self.inbox: Store = Store(self.sim, name=f"inbox@{spec.hostname}")
         #: Installed handlers by payload type (see :meth:`on_message`).
         self._handlers: Dict[type, Callable[[Datagram], None]] = {}
         #: The overlay node served by this host, if any: a payload type
@@ -779,7 +778,8 @@ class Host:
 
         Every handler is installed here, including the ones a served
         node's table binds on first delivery (see :meth:`serve`).
-        Unhandled payload types land in :attr:`inbox`.
+        Delivering a payload type with no handler raises
+        :class:`~repro.errors.SimulationError`.
         """
         self._handlers[payload_type] = handler
 
@@ -813,11 +813,12 @@ class Host:
         lost (per-unit loss or receiver down), in which case it is
         simply never delivered — reliability is the protocol's job.
 
-        ``light=True`` sends over an already-bound pipe: the receiver
-        charges its small ``bound_handling_s`` instead of the heavy
-        first-contact overhead (pipe resolution).  The file-transfer
-        petition is the canonical *heavy* message (Figure 2 measures
-        its reception time); per-part confirms are *light*.
+        ``light=True`` sends a message JXTA would carry on an
+        already-bound pipe: the receiver charges its small
+        ``bound_handling_s`` instead of the heavy first-contact overhead
+        (pipe resolution).  The file-transfer petition is the canonical
+        *heavy* message (Figure 2 measures its reception time); per-part
+        confirms are *light*.
         """
         if not self._is_up:
             raise HostDownError(f"{self.hostname} is down")
@@ -899,10 +900,12 @@ class Host:
                 # installed (a wrapper may stand in for ``bound``).
                 self.on_message(payload_type, bound)
                 handler = self._handlers[payload_type]
-        if handler is not None:
-            handler(dgram)
-        else:
-            self.inbox.put(dgram)
+        if handler is None:
+            raise SimulationError(
+                f"{self.hostname}: no handler for {payload_type.__name__} "
+                f"from {dgram.src}"
+            )
+        handler(dgram)
 
     # -- bulk transfers ---------------------------------------------------------
 

@@ -411,7 +411,9 @@ class SwarmCoordinator:
                                     self.filename,
                                     self.total_bits,
                                     n_parts_hint=OPEN_ENDED,
-                                    file_n_parts=self.n_parts,
+                                    file_parts=tuple(
+                                        i for i, _ in tracker.remaining()
+                                    ),
                                 )
                             )
                         if math.isnan(out.first_part_at):

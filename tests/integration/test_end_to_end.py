@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.scenario import ExperimentConfig, Session
-from repro.overlay.primitives import Primitives
 from repro.selection.base import SelectionContext, Workload
 from repro.selection.evaluator import DataEvaluatorSelector
 from repro.selection.preference import PreferenceTable, UserPreferenceSelector
@@ -25,11 +24,10 @@ class TestFullStack:
 
         def scenario(s):
             broker = s.broker
-            prim = Primitives(broker)
             # 1. Probe transfers build history.
             for label in s.sc_labels():
                 yield s.sim.process(
-                    prim.send_file(
+                    broker.transfers.send_file(
                         s.client(label).advertisement(), f"probe-{label}", mbit(5)
                     )
                 )
@@ -46,7 +44,7 @@ class TestFullStack:
             quick = UserPreferenceSelector(table).select(ctx)
             # 3. Run the task on the economic pick.
             outcome = yield s.sim.process(
-                prim.submit_task(
+                broker.tasks.submit(
                     eco.adv, "process", ops=60.0, input_bits=mbit(20),
                     input_parts=4,
                 )
@@ -74,34 +72,6 @@ class TestFullStack:
         assert rec.snapshot  # stat report arrived
         assert rec.perf.transfer_obs  # broker observed goodput
         assert rec.interaction.total.files_sent_ok == 1
-
-    def test_group_membership_and_propagate(self, session):
-        def scenario(s):
-            broker = s.broker
-            group = broker.create_group("campus")
-            prim_clients = []
-            for label in ("SC2", "SC4", "SC8"):
-                client = s.client(label)
-                p = Primitives(client)
-                yield s.sim.process(p.join_group(group.group_id))
-                prim_clients.append(client)
-            # Broadcast to the group via a propagate pipe.
-            bprim = Primitives(broker)
-            members = [c.advertisement() for c in prim_clients]
-            pipe = bprim.open_propagate_pipe("campus-announce", members)
-            n = pipe.send("exam tomorrow")
-            yield 5.0
-            received = []
-            for c in prim_clients:
-                ev = c.im_inbox.get()
-                if ev.triggered:
-                    received.append(ev.value.body)
-            return group, n, received
-
-        group, n, received = session.run(scenario)
-        assert len(group) == 3
-        assert n == 3
-        assert received == ["exam tomorrow"] * 3
 
     def test_blind_vs_informed_shootout(self, session):
         """Selecting with the economic model beats always hitting the

@@ -1,7 +1,6 @@
 """Integration: mixed concurrent workloads on one deployment.
 
-Transfers, tasks, peer-to-peer traffic and instant messages all run at
-once; the system must stay consistent and the accounting must add up.
+Transfers, tasks and peer-to-peer traffic all run at once; the system must stay consistent and the accounting must add up.
 """
 
 from __future__ import annotations
@@ -49,9 +48,6 @@ class TestMixedWorkload:
                     )
                 )
             )
-            # And instant messages flying around.
-            for label in s.sc_labels():
-                broker.send_im(s.client(label).advertisement(), f"hi {label}")
             yield sim.all_of(procs)
             yield 60.0
             return outcomes
@@ -67,10 +63,6 @@ class TestMixedWorkload:
         for client in session.clients.values():
             assert client.stats.pending_tasks == 0
             assert client.host.cpu.in_use == 0
-        # IMs delivered.
-        for label in session.sc_labels():
-            ev = session.client(label).im_inbox.get()
-            assert ev.triggered
 
     def test_contention_slows_concurrent_transfers(self):
         """Two simultaneous transfers to one peer each run slower than

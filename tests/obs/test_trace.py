@@ -12,11 +12,13 @@ from repro.simnet.trace import TraceEvent
 
 class TestUnbounded:
     def test_records_like_tracer(self):
-        t = EventTrace()
+        t = EventTrace(enabled=True)
         t.record("msg-drop-down", 1.0, dst="a")
         t.record("msg-drop-down", 2.0, dst="b")
         t.record("selection-degraded", 3.0, model="economic")
         assert len(t) == 3
+        assert t.events[0].kind == "msg-drop-down"
+        assert t.events[0].get("dst") == "a"
         assert [e.kind for e in t] == [
             "msg-drop-down", "msg-drop-down", "selection-degraded"
         ]
@@ -47,6 +49,7 @@ class TestUnbounded:
         t = EventTrace(capacity=2)
         for i in range(5):
             t.record("msg-drop-down", float(i), dst="a")
+        assert t.dropped == 3
         t.clear()
         assert len(t) == 0 and t.dropped == 0 and t.seen == 0
 
@@ -129,6 +132,7 @@ class TestNetworkIntegration:
         class Ping:
             pass
 
+        b.on_message(Ping, lambda dg: None)
         for _ in range(10):
             a.send(b, Ping())
         sim.run()

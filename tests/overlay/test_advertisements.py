@@ -7,9 +7,7 @@ import pytest
 from repro.errors import AdvertisementExpired
 from repro.overlay.advertisements import (
     DEFAULT_LIFETIME_S,
-    GroupAdvertisement,
     PeerAdvertisement,
-    PipeAdvertisement,
     ResourceAdvertisement,
 )
 from repro.overlay.ids import IdFactory
@@ -61,36 +59,6 @@ class TestPeerAdvertisement:
     def test_valid_kinds(self):
         for kind in ("simpleclient", "client", "broker"):
             assert peer_adv(kind=kind).kind == kind
-
-
-class TestPipeAdvertisement:
-    def test_requires_pipe_id(self):
-        with pytest.raises(ValueError):
-            PipeAdvertisement(published_at=0.0)
-
-    def test_pipe_type_validated(self):
-        with pytest.raises(ValueError):
-            PipeAdvertisement(
-                published_at=0.0, pipe_id=ids.pipe_id(), pipe_type="warp"
-            )
-
-    def test_valid(self):
-        adv = PipeAdvertisement(
-            published_at=0.0, pipe_id=ids.pipe_id(), pipe_type="propagate"
-        )
-        assert adv.pipe_type == "propagate"
-
-
-class TestGroupAdvertisement:
-    def test_requires_group_id(self):
-        with pytest.raises(ValueError):
-            GroupAdvertisement(published_at=0.0)
-
-    def test_valid(self):
-        adv = GroupAdvertisement(
-            published_at=0.0, group_id=ids.group_id("g"), name="g"
-        )
-        assert adv.name == "g"
 
 
 class TestResourceAdvertisement:

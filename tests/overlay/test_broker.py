@@ -1,4 +1,4 @@
-"""Tests for the broker: registry, discovery index, groups, estimates."""
+"""Tests for the broker: registry, discovery index, estimates."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from repro.errors import UnknownPeerError
 from repro.overlay.advertisements import ResourceAdvertisement
 from repro.overlay.broker import PeerRecord
-from repro.overlay.messages import GroupJoinRequest
 
 from tests.conftest import connect, run_process
 
@@ -118,59 +117,6 @@ class TestDiscoveryIndex:
         assert found == ()
 
 
-class TestGroups:
-    def test_create_group_advertises(self, overlay_pair, sim):
-        broker, client, net = overlay_pair
-        connect(sim, broker, client)
-        group = broker.create_group("campus", "virtual campus")
-        found = run_process(sim, client.discovery.query("group"))
-        assert any(a.group_id == group.group_id for a in found)
-
-    def test_join_group_via_message(self, overlay_pair, sim):
-        broker, client, net = overlay_pair
-        connect(sim, broker, client)
-        group = broker.create_group("campus")
-        broker_host = net.host("a.example")
-        ack = run_process(
-            sim,
-            client.request(
-                broker_host,
-                GroupJoinRequest(peer_id=client.peer_id, group_id=group.group_id),
-                ("group-join", group.group_id),
-                light=True,
-            ),
-        )
-        assert ack.accepted
-        assert client.peer_id in group
-
-    def test_join_unknown_group_denied(self, overlay_pair, sim):
-        broker, client, net = overlay_pair
-        connect(sim, broker, client)
-        from repro.overlay.ids import IdFactory
-
-        ghost = IdFactory("x").group_id("ghost")
-        broker_host = net.host("a.example")
-        ack = run_process(
-            sim,
-            client.request(
-                broker_host,
-                GroupJoinRequest(peer_id=client.peer_id, group_id=ghost),
-                ("group-join", ghost),
-                light=True,
-            ),
-        )
-        assert not ack.accepted
-
-    def test_leave_drops_group_membership(self, overlay_pair, sim):
-        broker, client, net = overlay_pair
-        connect(sim, broker, client)
-        group = broker.create_group("campus")
-        group.add(client.peer_id)
-        client.disconnect()
-        sim.run()
-        assert client.peer_id not in group
-
-
 class TestEstimates:
     def test_transfer_estimate_uses_history(self, overlay_pair, sim):
         broker, client, net = overlay_pair
@@ -227,48 +173,3 @@ class TestSelectionSnapshot:
         rec = PeerRecord(adv=adv, joined_at=0.0, last_seen=0.0)
         rec.snapshot["pct_messages_ok_total"] = 0.7
         assert rec.selection_snapshot(0.0)["pct_messages_ok_total"] == 0.7
-
-
-class TestAllocate:
-    def test_allocate_reserves_winner(self, overlay_pair, sim):
-        from repro.selection.blind import FirstSelector
-        from repro.selection.base import Workload
-        from repro.units import mbit
-
-        broker, client, net = overlay_pair
-        connect(sim, broker, client)
-        record = broker.allocate(FirstSelector(), Workload(transfer_bits=mbit(5)))
-        assert record.peer_id == client.peer_id
-        assert record.busy_until > sim.now
-
-    def test_allocate_empty_pool_raises(self, overlay_pair, sim):
-        from repro.errors import NoCandidatesError
-        from repro.selection.blind import FirstSelector
-        from repro.selection.base import Workload
-
-        broker, client, net = overlay_pair
-        with pytest.raises(NoCandidatesError):
-            broker.allocate(FirstSelector(), Workload(ops=1.0))
-
-
-class TestGroupPipe:
-    def test_pipe_reaches_group_members(self, overlay_pair, sim):
-        broker, client, net = overlay_pair
-        connect(sim, broker, client)
-        group = broker.create_group("campus")
-        group.add(client.peer_id)
-        pipe = broker.group_pipe(group)
-        n = pipe.send("assignment posted")
-        assert n == 1
-        sim.run(until=sim.now + 1.0)
-        ev = client.im_inbox.get()
-        assert ev.triggered
-        assert ev.value.body == "assignment posted"
-
-    def test_pipe_is_a_snapshot(self, overlay_pair, sim):
-        broker, client, net = overlay_pair
-        connect(sim, broker, client)
-        group = broker.create_group("campus")
-        pipe = broker.group_pipe(group)
-        group.add(client.peer_id)  # joined after the snapshot
-        assert pipe.send("late news") == 0

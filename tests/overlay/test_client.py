@@ -21,32 +21,6 @@ class TestKinds:
         assert c.advertisement().kind == "client"
 
 
-class TestUiFeed:
-    def test_notify_ui_timestamps_events(self, sim, streams, two_node_topology):
-        net = Network(sim, two_node_topology, streams=streams)
-        c = Client(net, "b.example", IdFactory(), name="gui")
-
-        def proc():
-            yield 5.0
-            c.notify_ui("transfer finished")
-
-        sim.process(proc())
-        sim.run()
-        ev = c.ui_feed.get()
-        assert ev.triggered
-        t, text = ev.value
-        assert t == 5.0
-        assert text == "transfer finished"
-
-    def test_feed_is_fifo(self, sim, streams, two_node_topology):
-        net = Network(sim, two_node_topology, streams=streams)
-        c = Client(net, "b.example", IdFactory(), name="gui")
-        c.notify_ui("first")
-        c.notify_ui("second")
-        assert c.ui_feed.get().value[1] == "first"
-        assert c.ui_feed.get().value[1] == "second"
-
-
 class TestClientsExcludedFromSelection:
     def test_broker_candidates_skip_gui_clients(self, sim, streams, two_node_topology):
         from repro.overlay.broker import Broker

@@ -312,7 +312,7 @@ class TestReceiverProtocol:
 
 
 class TestSwarmedFileCompletion:
-    """``file_n_parts`` streams: arrival is the cross-stream union of
+    """``file_parts`` streams: arrival is the cross-stream union of
     distinct confirmed part indices, not any single stream's close."""
 
     def _open(self, sim, broker, client, filename="swarmed"):
@@ -322,7 +322,7 @@ class TestSwarmedFileCompletion:
                 client.advertisement(),
                 filename,
                 mbit(4),
-                file_n_parts=2,
+                file_parts=(0, 1),
             ),
         )
 
@@ -362,6 +362,27 @@ class TestSwarmedFileCompletion:
         # The stream finished but the file is one index short.
         assert not waiter.triggered
         assert client.transfers.incoming_open() == 0
+
+    def test_progress_ends_with_the_last_open_stream(self, overlay_pair, sim):
+        broker, client, net = overlay_pair
+        connect(sim, broker, client)
+        waiter = client.transfers.wait_for_file("swarmed")
+        a = self._open(sim, broker, client)
+        b = self._open(sim, broker, client)
+        run_process(sim, a.send_part(mbit(2), index=0))
+        a.close()
+        sim.run(until=sim.now + 1.0)
+        # ``b`` is still open: the file keeps the index ``a`` delivered.
+        assert client.transfers._file_progress == {"swarmed": {1}}
+        b.cancel("gone")
+        sim.run(until=sim.now + 1.0)
+        assert client.transfers._file_progress == {}
+        # A later stream starts from what its petition says is owed.
+        c = self._open(sim, broker, client)
+        run_process(sim, c.send_part(mbit(2), index=1))
+        assert not waiter.triggered
+        run_process(sim, c.send_part(mbit(2), index=0))
+        assert waiter.triggered
 
     def test_cancelled_wait_never_fires(self, overlay_pair, sim):
         broker, client, net = overlay_pair

@@ -4,14 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.overlay.ids import (
-    GroupId,
-    IdFactory,
-    PeerId,
-    PipeId,
-    TaskId,
-    TransferId,
-)
+from repro.overlay.ids import IdFactory, PeerId, TaskId, TransferId
 
 
 class TestIdFactory:
@@ -29,7 +22,7 @@ class TestIdFactory:
         a = IdFactory(namespace="ns")
         b = IdFactory(namespace="ns")
         assert a.peer_id("x") == b.peer_id("x")
-        assert a.pipe_id() == b.pipe_id()
+        assert a.transfer_id() == b.transfer_id()
 
     def test_namespaces_independent(self):
         assert IdFactory("n1").peer_id("x") != IdFactory("n2").peer_id("x")
@@ -43,8 +36,6 @@ class TestIdFactory:
     def test_all_kinds_mintable(self):
         ids = IdFactory()
         assert isinstance(ids.peer_id(), PeerId)
-        assert isinstance(ids.pipe_id(), PipeId)
-        assert isinstance(ids.group_id(), GroupId)
         assert isinstance(ids.task_id(), TaskId)
         assert isinstance(ids.transfer_id(), TransferId)
 

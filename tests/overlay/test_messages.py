@@ -28,9 +28,6 @@ class TestVocabularyShape:
             "StatReport", "DigestEntry", "StateSync",
             # discovery
             "DiscoveryQuery", "DiscoveryResponse", "PublishAdvertisement",
-            # groups, IM, pipes
-            "GroupJoinRequest", "GroupJoinAck", "InstantMessage",
-            "PipeBindRequest", "PipeBindAck", "PipeMessage",
             # file sharing & transfer
             "FileRequest", "FileRequestAck",
             "FilePetition", "PetitionAck", "PartNotice", "PartConfirm",
@@ -65,7 +62,7 @@ class TestDefaults:
     def test_state_sync_defaults_empty(self):
         sync = messages.StateSync(broker_id=ids.peer_id())
         assert sync.entries == ()
-        assert (sync.advertisements, sync.groups) == ((), ())
+        assert sync.advertisements == ()
 
     def test_messages_immutable(self):
         ping = messages.Ping(sender=ids.peer_id())

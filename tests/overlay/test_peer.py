@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError, UnknownPeerError
-from repro.overlay.messages import InstantMessage, KeepAlive, StatReport
+from repro.overlay.messages import KeepAlive, StatReport
 from repro.overlay.peer import PeerConfig, PeerNode, RequestTimeout
 
 from tests.conftest import connect, run_process
@@ -122,11 +122,11 @@ class TestWaiters:
 class TestRequest:
     def test_request_timeout_exhausts_retries(self, overlay_pair, sim):
         broker, client, net = overlay_pair
-        # Nobody replies to an InstantMessage, so the request times out.
+        # Nobody replies to a KeepAlive, so the request times out.
         broker_host = net.host("a.example")
         gen = client.request(
             broker_host,
-            InstantMessage(sender=client.peer_id, text="hi"),
+            KeepAlive(peer_id=client.peer_id),
             key=("never", 1),
             timeout=1.0,
             retries=3,
@@ -143,7 +143,7 @@ class TestRequest:
         broker_host = net.host("a.example")
         gen = client.request(
             broker_host,
-            InstantMessage(sender=client.peer_id, text="hi"),
+            KeepAlive(peer_id=client.peer_id),
             key=("never", 2),
             timeout=1.0,
             retries=2,
@@ -154,16 +154,6 @@ class TestRequest:
         inter = client.interaction_stats("a.example")
         assert inter.total.messages_sent == 2
         assert inter.total.messages_ok == 0
-
-
-class TestInstantMessaging:
-    def test_im_lands_in_inbox(self, overlay_pair, sim):
-        broker, client, net = overlay_pair
-        broker.send_im(client.advertisement(), "hello")
-        sim.run()
-        ev = client.im_inbox.get()
-        assert ev.triggered
-        assert ev.value.text == "hello"
 
     def test_query_ids_monotonic(self, overlay_pair):
         broker, client, net = overlay_pair

@@ -101,6 +101,43 @@ class TestFirstUse:
         assert list(vars(client)) == built
 
 
+class TestDictLayout:
+    """Every peer keeps one instance-dict layout.
+
+    CPython 3.11 shares one key table among a class's instance dicts
+    only while each holds the same keys (at most 30) in the same
+    order, so every SimpleClient and Client must hold fewer than 30
+    attributes, the same keys in the same order, idle and after any
+    service's first use."""
+
+    def test_same_keys_in_the_same_order_idle_and_after_first_use(self):
+        from repro.experiments.fig6_selection import BACKGROUND_SENDER
+        from repro.overlay.client import Client
+
+        # Fig. 6's background sender: a Client on a full-slice node.
+        session = Session(ExperimentConfig(seed=2011, include_full_slice=True))
+        sim = session.sim
+        gui = Client(session.network, BACKGROUND_SENDER, session.ids,
+                     config=session.config.peer_config)
+        sim.run(until=sim.process(session.connect_all()))
+        sim.run(until=sim.process(gui.connect(session.broker.advertisement())))
+        peers = [*session.clients.values(), gui]
+        layout = list(vars(peers[0]))
+
+        def check(stage):
+            for peer in peers:
+                keys = list(vars(peer))
+                assert len(keys) < 30, (stage, peer.name, len(keys))
+                assert keys == layout, (stage, peer.name)
+
+        sim.run(until=sim.now + IDLE_S)
+        check("idle")
+        for name in ("transfers", "tasks", "discovery", "sharing"):
+            for peer in peers:
+                getattr(peer, name)
+            check(name)
+
+
 def _metric_names(tmp_path, name: str, use) -> dict:
     registry = MetricsRegistry()
     with use_registry(registry):

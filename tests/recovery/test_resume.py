@@ -14,6 +14,7 @@ from repro.faults.injectors import NodeCrash
 from repro.faults.plan import FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import use_registry
+from repro.overlay.filetransfer import part_digest
 from repro.overlay.peer import PeerConfig
 from repro.recovery import RecoveryConfig, TransferLedger
 from repro.swarm import Leg, SwarmCoordinator
@@ -151,6 +152,72 @@ class TestCrashResume:
         assert out_a.sources_used == out_b.sources_used
         assert out_a.requests == out_b.requests
         assert out_a.proofs == out_b.proofs
+
+
+def _open_swarmed_files(transfers):
+    """Filenames with an open multi-stream inbound transfer."""
+    return {
+        state.petition.filename
+        for state in transfers._incoming.values()
+        if state.petition.file_parts and not state.done
+    }
+
+
+class TestReceiverProgress:
+    """A receiver keeps cross-stream file progress only while a stream
+    of that file is open, and a resumed delivery completes the file at
+    a receiver that got only the unproven parts."""
+
+    def test_no_progress_outlives_its_streams(self):
+        session, out, _ = _run_crash_resume()
+        assert out.ok
+        # Let the final stream's TransferComplete land.
+        session.sim.run(until=session.sim.now + 60.0)
+        peers = [session.broker, *session.clients.values()]
+        for peer in peers:
+            transfers = peer._transfers
+            if transfers is None:
+                continue
+            assert set(transfers._file_progress) <= _open_swarmed_files(
+                transfers
+            ), peer.name
+        # The replacement receiver finished the file: nothing is held.
+        replacement = session.client(out.sources_used[1])
+        assert "big.bin" not in replacement.transfers._file_progress
+
+    def test_resume_from_pre_proven_ledger_fires_wait_for_file(self):
+        session = Session(_config())
+
+        def scenario(s):
+            sizes = [TOTAL_BITS / N_PARTS] * N_PARTS
+            ledger = TransferLedger()
+            ledger.open("big.bin", TOTAL_BITS, sizes, now=s.sim.now)
+            elsewhere = s.client("SC3").peer_id
+            for index in range(N_PARTS // 2):
+                ledger.record_confirmed(
+                    "big.bin", index, sizes[index],
+                    part_digest("big.bin", index, sizes[index]),
+                    dst=elsewhere, now=s.sim.now,
+                )
+            receiver = s.client("SC4")
+            arrival = receiver.transfers.wait_for_file("big.bin")
+            out = yield s.sim.process(
+                _send(
+                    s, lambda needed, exclude: _receivers(s, "SC4"),
+                    "big.bin", ledger=ledger,
+                ).download()
+            )
+            return out, arrival, receiver
+
+        out, arrival, receiver = session.run(scenario)
+        assert out.ok
+        assert out.parts_skipped == N_PARTS // 2
+        assert sorted(r.piece for r in out.requests) == list(
+            range(N_PARTS // 2, N_PARTS)
+        )
+        assert arrival.triggered
+        assert arrival.value.filename == "big.bin"
+        assert "big.bin" not in receiver.transfers._file_progress
 
 
 class TestLedgerEdgeCases:

@@ -1,11 +1,9 @@
-"""Tests for the blind baselines."""
+"""Tests for the blind baseline."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.selection.base import SelectionContext, Workload
-from repro.selection.blind import FirstSelector, RandomSelector, RoundRobinSelector
+from repro.selection.blind import RoundRobinSelector
 
 
 def ctx_for(sim, broker):
@@ -17,32 +15,6 @@ def ctx_for(sim, broker):
     )
 
 
-class TestRandomSelector:
-    def test_covers_all_candidates_eventually(self, star):
-        sim, broker, clients = star
-        sel = RandomSelector(np.random.default_rng(0))
-        picks = {sel.select(ctx_for(sim, broker)).adv.name for _ in range(60)}
-        assert picks == {"fast", "medium", "slow"}
-
-    def test_deterministic_given_rng(self, star):
-        sim, broker, clients = star
-        a = RandomSelector(np.random.default_rng(7))
-        b = RandomSelector(np.random.default_rng(7))
-        seq_a = [a.select(ctx_for(sim, broker)).adv.name for _ in range(10)]
-        seq_b = [b.select(ctx_for(sim, broker)).adv.name for _ in range(10)]
-        assert seq_a == seq_b
-
-    def test_rank_is_permutation(self, star):
-        sim, broker, clients = star
-        sel = RandomSelector(np.random.default_rng(0))
-        ranked = sel.rank(ctx_for(sim, broker))
-        assert sorted(rc.record.adv.name for rc in ranked) == [
-            "fast",
-            "medium",
-            "slow",
-        ]
-
-
 class TestRoundRobinSelector:
     def test_cycles_in_name_order(self, star):
         sim, broker, clients = star
@@ -50,10 +22,3 @@ class TestRoundRobinSelector:
         names = [sel.select(ctx_for(sim, broker)).adv.name for _ in range(6)]
         assert names == ["fast", "medium", "slow", "fast", "medium", "slow"]
 
-
-class TestFirstSelector:
-    def test_always_first_by_name(self, star):
-        sim, broker, clients = star
-        sel = FirstSelector()
-        names = {sel.select(ctx_for(sim, broker)).adv.name for _ in range(5)}
-        assert names == {"fast"}

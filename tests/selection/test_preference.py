@@ -76,18 +76,11 @@ class TestRecentTransferTable:
         assert table.score(a) == float("inf")
 
 
-class TestExplicitTable:
-    def test_ranking_order(self):
-        a, b, c = (ids.peer_id(x) for x in ("x1", "x2", "x3"))
-        table = PreferenceTable.explicit([b, a, c])
-        assert table.score(b) < table.score(a) < table.score(c)
-
-
 class TestUserPreferenceSelector:
     def test_picks_preferred_candidate(self, star):
         sim, broker, clients = star
-        ranking = [clients["slow"].peer_id, clients["fast"].peer_id]
-        sel = UserPreferenceSelector(PreferenceTable.explicit(ranking))
+        ranking = {clients["slow"].peer_id: 0.0, clients["fast"].peer_id: 1.0}
+        sel = UserPreferenceSelector(PreferenceTable(scores=ranking))
         ctx = SelectionContext(
             broker=broker,
             now=sim.now,
@@ -111,7 +104,7 @@ class TestUserPreferenceSelector:
 
     def test_partial_experience_prefers_known(self, star):
         sim, broker, clients = star
-        table = PreferenceTable.explicit([clients["medium"].peer_id])
+        table = PreferenceTable(scores={clients["medium"].peer_id: 0.0})
         sel = UserPreferenceSelector(table)
         ctx = SelectionContext(
             broker=broker,
@@ -122,5 +115,5 @@ class TestUserPreferenceSelector:
         assert sel.select(ctx).adv.name == "medium"
 
     def test_mode_in_name(self):
-        sel = UserPreferenceSelector(PreferenceTable(), mode="quick_peer")
+        sel = UserPreferenceSelector(PreferenceTable())
         assert "quick_peer" in sel.name

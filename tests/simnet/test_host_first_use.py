@@ -62,6 +62,7 @@ def _observe(seed, eager, early_queries, uses):
     sim = Simulator()
     net = Network(sim, _topology(), streams=RandomStreams(seed))
     host = net.host("h.example")
+    host.on_message(str, lambda dg: None)
     sender = net.host("o.example")
     if eager:
         host._links()
@@ -124,6 +125,7 @@ class TestUnbuiltHost:
         sim = Simulator()
         net = Network(sim, make_two_node_topology(), streams=RandomStreams(7))
         a, b = net.host("a.example"), net.host("b.example")
+        b.on_message(str, lambda dg: None)
         a.send(b, "confirm", light=True)
         sim.run()
         assert b._overhead is None and a._overhead is None

@@ -10,7 +10,7 @@ from repro.errors import (
     SimStopped,
     SimulationError,
 )
-from repro.simnet.kernel import Event, Resource, Simulator, Store, Timeout
+from repro.simnet.kernel import Event, Resource, Simulator, Timeout
 
 
 class TestEvent:
@@ -524,69 +524,9 @@ class TestResource:
         ]
 
 
-class TestStore:
-    def test_put_then_get(self, sim):
-        store = Store(sim)
-        store.put("item")
-        ev = store.get()
-        assert ev.triggered and ev.value == "item"
-
-    def test_get_blocks_until_put(self, sim):
-        store = Store(sim)
-        ev = store.get()
-        assert not ev.triggered
-        store.put(7)
-        assert ev.triggered and ev.value == 7
-
-    def test_fifo_order(self, sim):
-        store = Store(sim)
-        store.put(1)
-        store.put(2)
-        assert store.get().value == 1
-        assert store.get().value == 2
-
-    def test_len_and_snapshot(self, sim):
-        store = Store(sim)
-        store.put("a")
-        store.put("b")
-        assert len(store) == 2
-        assert store.items_snapshot() == ("a", "b")
-
-    def test_waiting_getters_counted(self, sim):
-        store = Store(sim)
-        store.get()
-        store.get()
-        assert store.waiting_getters == 2
-
-
 class TestLazyContainers:
-    """A store or resource allocates its queues on first use; a fresh
-    one and one whose queues exist but are empty behave the same."""
-
-    @staticmethod
-    def _used_store(sim):
-        store = Store(sim)
-        store.get()
-        store.put("warm")
-        assert len(store) == 0 and store.waiting_getters == 0
-        return store
-
-    def _store_trace(self, store):
-        out = [len(store), store.items_snapshot(), store.waiting_getters]
-        first, second = store.get(), store.get()
-        out.append(store.waiting_getters)
-        for item in ("a", "b", "c", "d"):
-            store.put(item)
-        out += [first.value, second.value, len(store), store.items_snapshot()]
-        out += [store.get().value, store.get().value, len(store)]
-        return out
-
-    def test_store_same_before_and_after_first_use(self, sim):
-        fresh = self._store_trace(Store(sim))
-        assert fresh == [
-            0, (), 0, 2, "a", "b", 2, ("c", "d"), "c", "d", 0,
-        ]
-        assert self._store_trace(self._used_store(sim)) == fresh
+    """A resource allocates its queue and sets on first use; a fresh
+    one and one whose containers exist but are empty behave the same."""
 
     @staticmethod
     def _used_resource(sim):

@@ -10,7 +10,6 @@ from repro.simnet.kernel import (
     URGENT_PRIORITY,
     Resource,
     Simulator,
-    Store,
 )
 
 delays = st.floats(min_value=0.0, max_value=1e5, allow_nan=False)
@@ -131,29 +130,6 @@ class TestResourceProperties:
         sim.run()
         assert res.in_use == 0
         assert res.queued == 0
-
-
-class TestStoreProperties:
-    @given(st.lists(st.integers(), min_size=0, max_size=50))
-    @settings(max_examples=60, deadline=None)
-    def test_fifo_preserves_sequence(self, items):
-        sim = Simulator()
-        store = Store(sim)
-        for item in items:
-            store.put(item)
-        out = [store.get().value for _ in items]
-        assert out == items
-
-    @given(st.lists(st.integers(), min_size=1, max_size=30))
-    @settings(max_examples=40, deadline=None)
-    def test_getters_before_puts_fifo(self, items):
-        sim = Simulator()
-        store = Store(sim)
-        events = [store.get() for _ in items]
-        for item in items:
-            store.put(item)
-        sim.run()
-        assert [e.value for e in events] == items
 
 
 class TestMixedAgenda:

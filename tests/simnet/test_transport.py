@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import HostDownError, TransferAborted
+from repro.errors import HostDownError, SimulationError, TransferAborted
 from repro.simnet.kernel import Simulator
 from repro.simnet.rng import RandomStreams
 from repro.simnet.transport import Network
@@ -19,6 +19,13 @@ class Ping:
 
 class Pong:
     pass
+
+
+def _accept_pings(*hosts):
+    """Give each host a no-op handler for :class:`Ping`: delivering a
+    payload with no handler raises."""
+    for host in hosts:
+        host.on_message(Ping, lambda dg: None)
 
 
 class TestControlMessages:
@@ -41,11 +48,12 @@ class TestControlMessages:
         # 0.05 heavy overhead.
         assert got["t"] < 0.05
 
-    def test_unhandled_payload_lands_in_inbox(self, network, sim):
+    def test_unhandled_payload_raises_naming_its_type(self, network, sim):
         a, b = network.host("a.example"), network.host("b.example")
+        b.on_message(Ping, lambda dg: None)
         a.send(b, Pong())
-        sim.run()
-        assert len(b.inbox) == 1
+        with pytest.raises(SimulationError, match="b.example: no handler for Pong"):
+            sim.run()
 
     def test_send_to_self_has_no_path_latency(self, network, sim):
         a = network.host("a.example")
@@ -70,6 +78,7 @@ class TestControlMessages:
 
     def test_recover_restores_delivery(self, network, sim):
         a, b = network.host("a.example"), network.host("b.example")
+        _accept_pings(b)
         b.crash()
         b.recover()
         a.send(b, Ping())
@@ -78,6 +87,7 @@ class TestControlMessages:
 
     def test_counters(self, network, sim):
         a, b = network.host("a.example"), network.host("b.example")
+        _accept_pings(b)
         for _ in range(3):
             a.send(b, Ping())
         sim.run()
@@ -89,6 +99,7 @@ class TestControlMessages:
         topo = make_two_node_topology(loss_b=0.3)
         net = Network(sim, topo, streams=RandomStreams(5))
         a, b = net.host("a.example"), net.host("b.example")
+        _accept_pings(b)
         # Large control payloads make per-unit loss significant.
         for _ in range(200):
             a.send(b, Ping(), size_bits=mbit(2))
@@ -254,6 +265,7 @@ class TestNetwork:
 
     def test_tracer_records_messages(self, network, sim):
         a, b = network.host("a.example"), network.host("b.example")
+        _accept_pings(b)
         a.send(b, Ping())
         sim.run()
         kinds = {e.kind for e in network.tracer}
@@ -261,6 +273,7 @@ class TestNetwork:
 
     def test_tracer_records_exact_message_attributes(self, network, sim):
         a, b = network.host("a.example"), network.host("b.example")
+        _accept_pings(b)
         dgram = a.send(b, Ping())
         sim.run()
         (sent,) = network.tracer.of_kind("msg-send")
@@ -315,6 +328,7 @@ class TestPathLatency:
         sim = Simulator()
         net = Network(sim, topo, streams=RandomStreams(6))
         a = net.host("a")
+        _accept_pings(*(net.host(name) for name in "abcd"))
         sent = {name: [a.send(net.host(name), Ping()) for _ in range(2)]
                 for name in ("a", "b", "c", "d")}
         sim.run()
@@ -327,6 +341,7 @@ class TestPathLatency:
 
     def test_latency_factor_applies_after_first_send(self, network, sim):
         a, b = network.host("a.example"), network.host("b.example")
+        _accept_pings(b)
         first = a.send(b, Ping())
         sim.run()
         b.set_link_factors(latency_factor=3.0)

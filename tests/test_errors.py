@@ -22,9 +22,7 @@ class TestHierarchy:
         for cls in (
             errors.UnknownPeerError,
             errors.NotConnectedError,
-            errors.PipeClosedError,
             errors.AdvertisementExpired,
-            errors.GroupMembershipError,
             errors.TaskRejectedError,
         ):
             assert issubclass(cls, errors.OverlayError)
