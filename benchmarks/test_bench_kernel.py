@@ -10,8 +10,13 @@ from __future__ import annotations
 import gc
 import time
 import tracemalloc
+from dataclasses import replace
 
+from repro.experiments import resilience
+from repro.experiments.scenario import ExperimentConfig, Session
+from repro.faults import get_profile
 from repro.obs.metrics import MetricsRegistry
+from repro.recovery import RecoveryConfig
 from repro.simnet.kernel import _COMPACT_MIN_TOMBSTONES, Simulator
 from repro.simnet.planetlab import build_testbed
 from repro.simnet.rng import RandomStreams
@@ -89,6 +94,17 @@ IDLE_PEER_S = 600.0
 #: key.  A seed sequence or a float list per stream would pass it;
 #: tests/simnet/test_rng.py checks those instead.
 IDLE_PEER_BYTES_CEILING = 10_500
+
+#: Ceilings of the spawn guard: one recovery-on ``resilience`` cell
+#: (``broker_blip``, blind policy, seed 2007).  With every request,
+#: petition, part and join that its caller waits on at once run through
+#: ``Simulator.call``, and each k=1 delivery running its leg inside
+#: ``download``, the cell makes exactly 50 processes and 3,135 kernel
+#: events; with a process per child it made 635 and 4,304.  A
+#: spawn-and-wait that comes back adds a process and up to two events
+#: per call, so it fails the guard.
+SPAWN_GUARD_PROCESSES = 50
+SPAWN_GUARD_EVENTS = 3_135
 
 
 def _timeout_churn():
@@ -448,4 +464,36 @@ def test_timeout_churn_events_per_s_floor():
     assert rate >= TIMEOUT_CHURN_FLOOR_EV_S, (
         f"kernel event loop at {rate:.0f} events/s, below the "
         f"{TIMEOUT_CHURN_FLOOR_EV_S:.0f} regression floor"
+    )
+
+
+def test_resilience_cell_spawns_only_for_concurrency(monkeypatch):
+    """Process and event ceilings on one recovery-on resilience cell.
+
+    Both counts are deterministic at a fixed seed, so the bounds are
+    the counts themselves.
+    """
+    made = [0]
+    spawn = Simulator.process
+
+    def counting(sim, generator, name=""):
+        made[0] += 1
+        return spawn(sim, generator, name)
+
+    monkeypatch.setattr(Simulator, "process", counting)
+    config = replace(
+        ExperimentConfig(seed=2007, repetitions=1, recovery=RecoveryConfig()),
+        peer_config=resilience._RESILIENCE_PEER_CONFIG,
+        fault_plan=get_profile("broker_blip"),
+    )
+    session = Session(config)
+    rows = session.run(lambda s: resilience._scenario(s, "blind"))
+    assert rows["completed"] == 10.0 and rows["resumes"] == 1.0
+    assert made[0] <= SPAWN_GUARD_PROCESSES, (
+        f"{made[0]} processes, above the {SPAWN_GUARD_PROCESSES} ceiling: "
+        "a child its caller waits on at once should run with sim.call"
+    )
+    events = session.sim.events_processed
+    assert events <= SPAWN_GUARD_EVENTS, (
+        f"{events} kernel events, above the {SPAWN_GUARD_EVENTS} ceiling"
     )

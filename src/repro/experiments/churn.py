@@ -119,7 +119,7 @@ def _scenario(session: Session):
     broker = session.broker
     # Warmup history before churn starts.
     for label in session.sc_labels():
-        yield sim.process(
+        yield from sim.call(
             broker.transfers.send_file(
                 session.client(label).advertisement(), f"w-{label}", mbit(5)
             )
@@ -149,7 +149,7 @@ def _scenario(session: Session):
             )
             record = selector.select(ctx)
             try:
-                outcome = yield sim.process(
+                outcome = yield from sim.call(
                     broker.transfers.send_file(
                         record.adv,
                         f"{policy}-{i}",

@@ -60,7 +60,7 @@ def _scenario(session: Session):
     times: Dict[str, float] = {}
     for label in session.sc_labels():
         client = session.client(label)
-        outcome = yield session.sim.process(
+        outcome = yield from session.sim.call(
             session.broker.transfers.send_file(
                 client.advertisement(),
                 filename=f"probe-{label}",

@@ -88,7 +88,7 @@ def _scenario(session: Session):
     for label in session.sc_labels():
         client = session.client(label)
         for n_parts in GRANULARITIES:
-            outcome = yield session.sim.process(
+            outcome = yield from session.sim.call(
                 session.broker.transfers.send_file(
                     client.advertisement(),
                     filename=f"file100-{label}-{n_parts}",

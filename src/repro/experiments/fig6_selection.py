@@ -153,7 +153,7 @@ def _background(session: Session, sender, stop):
     def one_transfer(adv):
         active[0] += 1
         try:
-            yield sim.process(
+            yield from sim.call(
                 sender.transfers.send_file(
                     adv,
                     filename=f"bg-{sim.now:.0f}",
@@ -197,7 +197,7 @@ def _measure(session: Session, model: str, n_parts: int):
         record = selector.select(ctx)
         handle = handles.get(record.peer_id)
         if handle is None:
-            handle = yield sim.process(
+            handle = yield from sim.call(
                 broker.transfers.open_transfer(
                     record.adv,
                     filename=f"measure-{model}-{n_parts}",
@@ -205,7 +205,7 @@ def _measure(session: Session, model: str, n_parts: int):
                 )
             )
             handles[record.peer_id] = handle
-        yield sim.process(handle.send_part(part_bits))
+        yield from sim.call(handle.send_part(part_bits))
     elapsed = sim.now - started
     for handle in handles.values():
         handle.close()
@@ -215,20 +215,20 @@ def _measure(session: Session, model: str, n_parts: int):
 def _scenario(session: Session, with_background: bool = False):
     """One repetition: warmup, (optional) background, measure cells."""
     sim = session.sim
-    yield sim.process(_warmup(session))
+    yield from sim.call(_warmup(session))
     stop = sim.event(name="stop-background")
     if with_background:
         # The background herd is a separate principal on its own node.
         bg_sender = Client(
             session.network, BACKGROUND_SENDER, session.ids, name="bg-sender"
         )
-        yield sim.process(bg_sender.connect(session.broker.advertisement()))
+        yield from sim.call(bg_sender.connect(session.broker.advertisement()))
         sim.process(_background(session, bg_sender, stop), name="background")
     yield SETTLE_GAP_S
     costs: Dict[str, float] = {}
     for n_parts in GRANULARITIES:
         for model in MODELS:
-            cost = yield sim.process(_measure(session, model, n_parts))
+            cost = yield from sim.call(_measure(session, model, n_parts))
             costs[f"{model}/{n_parts}"] = cost
             yield SETTLE_GAP_S
     stop.succeed()

@@ -88,13 +88,13 @@ def _scenario(session: Session):
     for label in session.sc_labels():
         client = session.client(label)
         adv = client.advertisement()
-        just = yield session.sim.process(
+        just = yield from session.sim.call(
             session.broker.tasks.submit(
                 adv, name=f"exec-{label}", ops=TASK.ops
             )
         )
         times[f"{label}/exec"] = just.round_trip_seconds
-        both = yield session.sim.process(
+        both = yield from session.sim.call(
             session.broker.tasks.submit(
                 adv,
                 name=f"both-{label}",

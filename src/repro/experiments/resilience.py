@@ -225,7 +225,7 @@ def _scenario(session: Session, policy: str):
     # early fault windows may already bite here.
     for label in session.sc_labels():
         try:
-            yield sim.process(
+            yield from sim.call(
                 broker.transfers.send_file(
                     session.client(label).advertisement(),
                     f"w-{label}",
@@ -264,7 +264,7 @@ def _scenario(session: Session, policy: str):
     def attempt_legacy(adv, filename):
         """Catcher: one unsupervised transfer's outcome, or None."""
         try:
-            outcome = yield sim.process(
+            outcome = yield from sim.call(
                 broker.transfers.send_file(
                     adv, filename, TRANSFER_BITS, n_parts=TRANSFER_PARTS
                 )
@@ -356,9 +356,10 @@ def _scenario(session: Session, policy: str):
         if failover is not None
         else float("nan")
     )
-    if driver is not None and not proc.triggered:
-        # The censored delivery settles (its in-flight part drains)
-        # before the cell ends, so no supervised process outlives it.
+    if driver is not None and not driver.settled:
+        # The censored delivery settles before the cell ends.  Its leg
+        # may still hold a part in flight: that is dropped with the
+        # session and cleans up nothing.
         yield proc
     return metrics
 

@@ -142,7 +142,7 @@ def _scenario(session: Session):
     # Warmup: one probe per peer so informed models have history.
     for hostname, peer in all_peers.items():
         try:
-            yield sim.process(
+            yield from sim.call(
                 broker.transfers.send_file(
                     peer.advertisement(), f"probe-{hostname}", PROBE_BITS,
                     n_parts=2,
@@ -169,7 +169,7 @@ def _scenario(session: Session):
                     candidates=candidates,
                 )
                 record = selector.select(ctx)
-                outcome = yield sim.process(
+                outcome = yield from sim.call(
                     broker.transfers.send_file(
                         record.adv, f"job-{model}-{pool}-{j}", JOB_BITS,
                         n_parts=JOB_PARTS,
@@ -194,7 +194,7 @@ def _run_one_transfer(sim, broker, adv, name, bits, n_parts, results):
     """Guarded transfer process: aborted transfers drop the sample
     instead of failing the wave."""
     try:
-        outcome = yield sim.process(
+        outcome = yield from sim.call(
             broker.transfers.send_file(adv, name, bits, n_parts=n_parts)
         )
     except TransferAborted:
@@ -463,7 +463,7 @@ def _fed_goodput(session: Session, peers, order: List[str], n: int, bits: int):
         if fed is not None and peer.broker_adv is not None:
             broker = fed.brokers.get(peer.broker_adv.hostname, broker)
         try:
-            yield sim.process(
+            yield from sim.call(
                 broker.transfers.send_file(
                     peer.advertisement(),
                     f"fedgood-{started:.0f}-{i}",
@@ -494,7 +494,7 @@ def _fed_discovery(session: Session, peers, queriers, targets):
         querier = peers[qname]
         started = sim.now
         try:
-            advs = yield sim.process(
+            advs = yield from sim.call(
                 querier.discovery.query(
                     "resource", attrs={"name": f"shared-{tname}"}
                 )
@@ -541,7 +541,7 @@ def _federated_scenario(session: Session, pool: int, kill_broker: bool):
     """
     sim = session.sim
     fed = session.federation
-    peers = yield sim.process(_fed_bringup(session, pool))
+    peers = yield from sim.call(_fed_bringup(session, pool))
     names = list(peers)
     queriers, targets = _fed_sample(session, names, FED_DISCOVERY_SAMPLES)
     # Targets publish ahead of the window so every probe is resolvable.
@@ -558,7 +558,7 @@ def _federated_scenario(session: Session, pool: int, kill_broker: bool):
     broker0, peer0 = _control_snapshot(session, peers)
     t0 = sim.now
     goodput_order = list(queriers)
-    goodput_before = yield sim.process(
+    goodput_before = yield from sim.call(
         _fed_goodput(session, peers, goodput_order, FED_GOODPUT_TRANSFERS,
                      FED_GOODPUT_BITS)
     )
@@ -581,12 +581,12 @@ def _federated_scenario(session: Session, pool: int, kill_broker: bool):
     if remaining > 0:
         yield remaining
 
-    disc_rate, latencies = yield sim.process(
+    disc_rate, latencies = yield from sim.call(
         _fed_discovery(session, peers, queriers, targets)
     )
     goodput_after = float("nan")
     if kill_broker:
-        goodput_after = yield sim.process(
+        goodput_after = yield from sim.call(
             _fed_goodput(session, peers, goodput_order,
                          FED_GOODPUT_TRANSFERS, FED_GOODPUT_BITS)
         )

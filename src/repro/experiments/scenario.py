@@ -249,7 +249,10 @@ class Session:
     # -- lifecycle -----------------------------------------------------------
 
     def connect_all(self):
-        """Generator process: join every SimpleClient to the broker.
+        """Generator: join every SimpleClient to the broker.
+
+        Wait on it with ``yield from sim.call(...)``; start it with
+        ``sim.process`` only to run it alongside the caller.
 
         With recovery configured this also starts failover supervision:
         the primary replicates state to the standby, the standby probes
@@ -262,14 +265,14 @@ class Session:
             for client in self.clients.values():
                 fed.enroll(client)
             for client in self.clients.values():
-                yield self.sim.process(
+                yield from self.sim.call(
                     client.join_federated(fed.shard_map, advs)
                 )
             fed.start_gossip()
         else:
             badv = self.broker.advertisement()
             for client in self.clients.values():
-                yield self.sim.process(client.connect(badv))
+                yield from self.sim.call(client.connect(badv))
         recovery = self.config.recovery
         if self.standby is not None and recovery is not None:
             if self.federation is not None:
@@ -314,12 +317,12 @@ class Session:
         value."""
 
         def main(session: "Session"):
-            yield session.sim.process(session.connect_all())
+            yield from session.sim.call(session.connect_all())
             if session.config.fault_plan is not None:
                 # Base time = overlay connected: profile timelines are
                 # relative to the moment the deployment is live.
                 session.config.fault_plan.install(session)
-            result = yield session.sim.process(process_fn(session))
+            result = yield from session.sim.call(process_fn(session))
             return result
 
         p = self.sim.process(main(self))

@@ -73,7 +73,7 @@ def probe(broker, adv, filename: str, bits: float, n_parts: int, deadline_s: flo
     """
     sim = broker.sim
     try:
-        handle = yield sim.process(
+        handle = yield from sim.call(
             broker.transfers.open_transfer(adv, filename=filename, total_bits=bits)
         )
     except TransferAborted:
@@ -85,7 +85,7 @@ def probe(broker, adv, filename: str, bits: float, n_parts: int, deadline_s: flo
             handle.cancel("deadline")
             return
         try:
-            yield sim.process(handle.send_part(part_bits))
+            yield from sim.call(handle.send_part(part_bits))
         except TransferAborted:
             return
     handle.close()

@@ -216,7 +216,11 @@ def _warmup(session: Session, replicas: Dict[str, object]):
 
 
 def _replica_pool(session: Session, testbed: str, dest_label: str):
-    """Generator process: bring up (and index) the replica sources."""
+    """Generator: bring up (and index) the replica sources.
+
+    Wait on it with ``yield from sim.call(...)``; start it with
+    ``sim.process`` only to run it alongside the caller.
+    """
     replicas: Dict[str, object] = {}
     if testbed == "synthetic":
         for hostname in synthetic_hostnames(session.config.synthetic_nodes):
@@ -244,8 +248,8 @@ def _cell_scenario(
     sim = session.sim
     dest_label = TESTBEDS[testbed]
     dest = session.client(dest_label)
-    replicas = yield sim.process(_replica_pool(session, testbed, dest_label))
-    yield sim.process(_warmup(session, replicas))
+    replicas = yield from sim.call(_replica_pool(session, testbed, dest_label))
+    yield from sim.call(_warmup(session, replicas))
 
     filename = f"swarm-{testbed}-{model}-k{k}-g{g}"
     part_bits = FILE_BITS / g
@@ -268,8 +272,9 @@ def _cell_scenario(
         # them apart like the resilience matrix does.
         censored = 1
         coord.abort("deadline")
-        yield proc
-        outcome = proc.value
+        if not coord.settled:
+            yield proc
+        outcome = coord.outcome
         ok = False
     else:
         outcome = proc.value

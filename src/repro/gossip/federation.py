@@ -295,7 +295,10 @@ class Federation:
             )
 
     def _rehome(self, peer, agent):
-        """Generator process: walk the (stale) map to a new home broker.
+        """Generator: walk the (stale) map to a new home broker.
+
+        Wait on it with ``yield from sim.call(...)``; start it with
+        ``sim.process`` only to run it alongside the caller.
 
         A whole shard rehomes at once, so a walk can exhaust its
         attempt budget against briefly overloaded survivors; it is
@@ -306,7 +309,7 @@ class Federation:
 
         for retry in range(REHOME_RETRIES):
             try:
-                yield self.sim.process(
+                yield from self.sim.call(
                     peer.join_federated(
                         peer.shard_map, self.broker_advs(), rejoin=True
                     )

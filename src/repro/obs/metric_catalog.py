@@ -99,7 +99,6 @@ METRICS: Tuple[MetricSpec, ...] = (
     MetricSpec("overlay.transfers_cancelled", "counter", "overlay", "transfers cancelled mid-flight"),
     MetricSpec("overlay.transfers_ok", "counter", "overlay", "transfers completed"),
     # -- peer runtime --------------------------------------------------------
-    MetricSpec("peer.inbox_len", "histogram", "overlay", "inbox depth sampled per poll"),
     MetricSpec("peer.pending_tasks", "histogram", "overlay", "queued tasks sampled per poll"),
     MetricSpec("peer.pending_transfers", "histogram", "overlay", "in-flight transfers sampled per poll"),
     MetricSpec("peer.request_timeouts", "counter", "overlay", "peer requests that timed out"),

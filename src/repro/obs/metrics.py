@@ -373,7 +373,7 @@ class span:
     generator processes because the clock is read lazily::
 
         with span(metrics.histogram("overlay.discovery_latency_s"), sim):
-            advs = yield sim.process(peer.discovery.query("peer"))
+            advs = yield from sim.call(peer.discovery.query("peer"))
 
     A span over a no-op histogram costs two attribute reads.
     """

@@ -403,7 +403,10 @@ class Broker(PeerNode):
         )
 
     def _federated_fanout(self, query: DiscoveryQuery, src_hostname: str):
-        """Generator process: resolve a miss across the other shards.
+        """Generator: resolve a miss across the other shards.
+
+        Wait on it with ``yield from sim.call(...)``; start it with
+        ``sim.process`` only to run it alongside the caller.
 
         Queries the other alive brokers sequentially (deterministic map
         order) with ``fanout=True`` legs (no recursion), merges their
@@ -429,7 +432,7 @@ class Broker(PeerNode):
             )
             self._m_fanout_queries.inc()
             try:
-                resp: DiscoveryResponse = yield self.sim.process(
+                resp: DiscoveryResponse = yield from self.sim.call(
                     self.request(
                         self.network.host(hostname),
                         leg,

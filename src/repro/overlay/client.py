@@ -26,7 +26,10 @@ class SimpleClient(PeerNode):
     kind = "simpleclient"
 
     def join_federated(self, shard_map, broker_advs: Sequence, rejoin: bool = False):
-        """Generator process: join a sharded federation.
+        """Generator: join a sharded federation.
+
+        Wait on it with ``yield from sim.call(...)``; start it with
+        ``sim.process`` only to run it alongside the caller.
 
         Walks from the map's opinion of our shard owner, following
         wrong-shard redirects (which carry the refusing broker's
@@ -59,7 +62,7 @@ class SimpleClient(PeerNode):
                 continue
             tried[target] = True
             try:
-                ack = yield self.sim.process(
+                ack = yield from self.sim.call(
                     self.request(
                         self.network.host(target),
                         self._join_request(),

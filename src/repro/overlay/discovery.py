@@ -93,7 +93,10 @@ class DiscoveryService:
         adv_kind: str,
         attrs: Optional[Mapping[str, Any]] = None,
     ):
-        """Generator process: remote-query the broker.
+        """Generator: remote-query the broker.
+
+        Wait on it with ``yield from sim.call(...)``; start it with
+        ``sim.process`` only to run it alongside the caller.
 
         Returns the tuple of matching advertisements; peer
         advertisements are also folded into the local cache and the
@@ -113,7 +116,7 @@ class DiscoveryService:
         self._m.attempts.inc()
         started = self.sim.now
         try:
-            resp: DiscoveryResponse = yield self.sim.process(
+            resp: DiscoveryResponse = yield from self.sim.call(
                 peer.request(broker_host, query, ("disc", qid), light=True)
             )
         except Exception:

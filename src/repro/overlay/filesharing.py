@@ -117,7 +117,7 @@ class FileSharingService:
         )
 
         def push():
-            yield self.sim.process(
+            yield from self.sim.call(
                 peer.transfers.send_file(
                     requester_adv,
                     filename=req.filename,
@@ -140,7 +140,10 @@ class FileSharingService:
         ] = None,
         n_parts: int = 4,
     ):
-        """Generator process: locate and download a shared file.
+        """Generator: locate and download a shared file.
+
+        Wait on it with ``yield from sim.call(...)``; start it with
+        ``sim.process`` only to run it alongside the caller.
 
         ``choose`` picks among the provider advertisements (default:
         the first); plug in a selection-model-backed chooser to fetch
@@ -149,7 +152,7 @@ class FileSharingService:
         when discovery finds no provider, or the provider refuses.
         """
         peer = self.peer
-        advs = yield self.sim.process(
+        advs = yield from self.sim.call(
             peer.discovery.query("resource", {"kind": "file", "name": name})
         )
         providers = [a for a in advs if a.attrs.get("hostname")]
@@ -161,7 +164,7 @@ class FileSharingService:
         # Register for the inbound completion *before* asking, so the
         # transfer can never finish unobserved.
         arrival = peer.transfers.wait_for_file(name)
-        ack: FileRequestAck = yield self.sim.process(
+        ack: FileRequestAck = yield from self.sim.call(
             peer.request(
                 provider_host,
                 FileRequest(

@@ -219,7 +219,10 @@ class TransferHandle:
         index: Optional[int] = None,
         cancel_if: Optional[Callable[[], bool]] = None,
     ):
-        """Generator process: stream one part and await its confirm.
+        """Generator: stream one part and await its confirm.
+
+        Wait on it with ``yield from sim.call(...)``; start it with
+        ``sim.process`` only to run it alongside the caller.
 
         ``index`` defaults to the next sequential part number; a
         supervised delivery passes each piece's index explicitly so a
@@ -255,7 +258,7 @@ class TransferHandle:
             dst=self.dst_adv.peer_id,
         )
         try:
-            report = yield sim.process(
+            report = yield from sim.call(
                 peer.host.reliable_transfer(
                     dst_host,
                     size_bits,
@@ -274,7 +277,7 @@ class TransferHandle:
                 size_bits=size_bits,
                 digest=expected,
             )
-            confirm: PartConfirm = yield sim.process(
+            confirm: PartConfirm = yield from sim.call(
                 peer.request(
                     dst_host,
                     notice,
@@ -433,7 +436,10 @@ class FileTransferService:
         n_parts_hint: int = OPEN_ENDED,
         file_parts: Tuple[int, ...] = (),
     ):
-        """Generator process: run the petition round and open a handle.
+        """Generator: run the petition round and open a handle.
+
+        Wait on it with ``yield from sim.call(...)``; start it with
+        ``sim.process`` only to run it alongside the caller.
 
         Returns a :class:`TransferHandle`.  Raises
         :class:`TransferAborted` if the receiver never acknowledges.
@@ -530,7 +536,10 @@ class FileTransferService:
         n_parts: int = 1,
         measure_last_mb: bool = False,
     ):
-        """Generator process: one-shot transmit of a whole file.
+        """Generator: one-shot transmit of a whole file.
+
+        Wait on it with ``yield from sim.call(...)``; start it with
+        ``sim.process`` only to run it alongside the caller.
 
         Petition -> ack -> per-part (bulk + confirm) -> complete.  With
         ``measure_last_mb=True`` the final megabit is transmitted as
@@ -544,7 +553,7 @@ class FileTransferService:
             sizes.append(last - one_mb)
             sizes.append(one_mb)
 
-        handle: TransferHandle = yield self.sim.process(
+        handle: TransferHandle = yield from self.sim.call(
             self.open_transfer(
                 dst_adv, filename, total_bits, n_parts_hint=len(sizes)
             )
@@ -552,7 +561,7 @@ class FileTransferService:
         handle.outcome.n_parts = n_parts
         n_units = len(sizes)
         for index, size in enumerate(sizes):
-            yield self.sim.process(
+            yield from self.sim.call(
                 handle.send_part(
                     size,
                     is_last_mb=measure_last_mb and index == n_units - 1,

@@ -151,9 +151,6 @@ class PeerNode:
 
         #: Shared metrics registry (no-op unless one is installed).
         self.metrics = network.metrics
-        self._m_inbox_len = self.metrics.histogram(
-            "peer.inbox_len", bounds=(0, 1, 2, 5, 10, 20, 50, 100)
-        )
         self._m_pending_transfers = self.metrics.histogram(
             "peer.pending_transfers", bounds=(0, 1, 2, 5, 10, 20, 50, 100)
         )
@@ -302,7 +299,10 @@ class PeerNode:
         retries: Optional[int] = None,
         light: bool = False,
     ):
-        """Generator process: send ``payload`` and await the reply.
+        """Generator: send ``payload`` and await the reply.
+
+        Wait on it with ``yield from sim.call(...)``; start it with
+        ``sim.process`` only to run it alongside the caller.
 
         Retries up to ``retries`` times with fresh sends; raises
         :class:`RequestTimeout` when exhausted.  Every attempt outcome
@@ -437,7 +437,10 @@ class PeerNode:
     # -- broker membership ---------------------------------------------------------
 
     def connect(self, broker_adv: PeerAdvertisement):
-        """Generator process: join the overlay through a broker.
+        """Generator: join the overlay through a broker.
+
+        Wait on it with ``yield from sim.call(...)``; start it with
+        ``sim.process`` only to run it alongside the caller.
 
         Sends ``JoinRequest`` and waits for the ``JoinAck``; on success
         opens a local session and starts the keepalive/stat-report
@@ -455,7 +458,7 @@ class PeerNode:
             cpu_speed=self.host.spec.cpu_speed,
             kind=self.kind,
         )
-        ack: JoinAck = yield self.sim.process(
+        ack: JoinAck = yield from self.sim.call(
             self.request(broker_host, req, ("join", self.peer_id))
         )
         if not ack.accepted:
@@ -509,7 +512,6 @@ class PeerNode:
             stats.sample_queues(outbox_len, pending_tasks)
             # Queue-occupancy sampling rides the keepalive cadence so
             # every connected peer reports at the same sim-time rhythm.
-            self._m_inbox_len.observe(pending_tasks)
             self._m_pending_transfers.observe(outbox_len)
             self._m_pending_tasks.observe(pending_tasks)
             # KeepAlive(peer_id, outbox_len, inbox_len, pending_tasks,
@@ -532,7 +534,10 @@ class PeerNode:
     # -- broker liveness & failover ------------------------------------------------
 
     def ping_broker(self, timeout: Optional[float] = None):
-        """Generator process: probe the current broker's liveness.
+        """Generator: probe the current broker's liveness.
+
+        Wait on it with ``yield from sim.call(...)``; start it with
+        ``sim.process`` only to run it alongside the caller.
 
         Returns True when the broker answers within ``timeout``; False
         otherwise (never raises).
@@ -542,7 +547,7 @@ class PeerNode:
         timeout = self.config.request_timeout_s if timeout is None else timeout
         nonce = self.next_query_id()
         try:
-            yield self.sim.process(
+            yield from self.sim.call(
                 self.request(
                     self._broker_host(),
                     Ping(sender=self.peer_id, nonce=nonce),
@@ -587,7 +592,7 @@ class PeerNode:
             yield interval
             if not self.host.is_up or self.broker_adv is None:
                 continue
-            alive = yield self.sim.process(self.ping_broker(ping_timeout))
+            alive = yield from self.sim.call(self.ping_broker(ping_timeout))
             if alive:
                 continue
             if not self.host.is_up:
@@ -601,7 +606,7 @@ class PeerNode:
                     self.online = False  # suspend periodic loops
                     if self.stats.session_active:
                         self.stats.end_session()
-                    yield self.sim.process(self.connect(backup))
+                    yield from self.sim.call(self.connect(backup))
                     backups.remove(backup)
                     backups.append(dead)  # demote the dead one
                     break

@@ -100,7 +100,10 @@ class TaskExecutionService:
         input_bits: float = 0.0,
         input_parts: int = 1,
     ):
-        """Generator process: run a task on ``dst_adv``.
+        """Generator: run a task on ``dst_adv``.
+
+        Wait on it with ``yield from sim.call(...)``; start it with
+        ``sim.process`` only to run it alongside the caller.
 
         Ships the input file first when ``input_bits > 0`` (the
         "transmission & execution" setting of Figure 7), then submits
@@ -114,7 +117,7 @@ class TaskExecutionService:
 
         transfer: Optional[FileTransferOutcome] = None
         if input_bits > 0:
-            transfer = yield self.sim.process(
+            transfer = yield from self.sim.call(
                 peer.transfers.send_file(
                     dst_adv,
                     filename=f"{name}.input",
@@ -131,7 +134,7 @@ class TaskExecutionService:
             ops=ops,
             input_bits=input_bits,
         )
-        decision = yield self.sim.process(
+        decision = yield from self.sim.call(
             peer.request(dst_host, submit, ("task-decision", task_id))
         )
         outcome = TaskOutcome(

@@ -136,7 +136,7 @@ class FailoverDirector:
                 self.suspected_at = None
                 continue
             probe_started = self.sim.now
-            ok = yield self.sim.process(self._probe())
+            ok = yield from self.sim.call(self._probe())
             if ok:
                 misses = 0
                 self.suspected_at = None
@@ -173,12 +173,16 @@ class FailoverDirector:
         return st.confirmed_at >= since
 
     def _probe(self):
-        """Generator process: one standby->primary liveness probe."""
+        """Generator: one standby->primary liveness probe.
+
+        Wait on it with ``yield from sim.call(...)``; start it with
+        ``sim.process`` only to run it alongside the caller.
+        """
         standby = self.standby
         primary_host = standby.network.host(self.primary.host.hostname)
         nonce = standby.next_query_id()
         try:
-            yield self.sim.process(
+            yield from self.sim.call(
                 standby.request(
                     primary_host,
                     Ping(sender=standby.peer_id, nonce=nonce),

@@ -271,7 +271,13 @@ class Process(Event):
         yield some_event       # wait until the event triggers
         value = yield other    # receive the event's value
         result = yield proc    # wait for a child process
+        result = yield from sim.call(child())   # run a child inline
 
+    Spawn a child process only for concurrency: to race it
+    (``any_of``), interrupt it, or let it run alongside the parent.  A
+    child the parent waits on at once runs inline through
+    :meth:`Simulator.call`: same result, same times, same agenda order,
+    no process.
     """
 
     __slots__ = ("_generator", "_waiting_on")
@@ -493,6 +499,9 @@ class Simulator:
         #: Lazily-cancelled entries still sitting in the agenda; drives
         #: the compaction trigger in :meth:`cancel`.
         self._tombstones = 0
+        #: True while ``step`` runs the callbacks of an event that has
+        #: more than one (see :meth:`call`).
+        self._fanout = False
         self._flushed_events = 0
         self._flushed_interrupts = 0
         self._flushed_cancelled = 0
@@ -531,6 +540,65 @@ class Simulator:
     def process(self, generator: Generator[Any, Any, Any], name: str = "") -> Process:
         """Start a new process from a generator."""
         return Process(self, generator, name=name)
+
+    def call(self, generator: Generator[Any, Any, Any]):
+        """Generator: run ``generator`` inside the calling process.
+
+        ``result = yield from sim.call(child())`` returns or raises what
+        ``result = yield sim.process(child())`` would, at the same
+        simulated times and in the same agenda order, without building
+        a :class:`Process`.  A spawned child starts at an urgent event
+        due now and its parent resumes at a normal one; here each of
+        those events is scheduled only when something could run before
+        it (:meth:`start_gate`, :meth:`_return_gate`), so in the common
+        case the child starts and returns with no event at all.  A
+        plain ``yield from child()`` skips both events always, so events
+        due at the same time can run in another order.
+        """
+        gate = self.start_gate()
+        if gate is not None:
+            yield gate
+        try:
+            result = yield from generator
+        except GeneratorExit:
+            raise
+        except BaseException:
+            gate = self._return_gate()
+            if gate is not None:
+                yield gate
+            raise
+        gate = self._return_gate()
+        if gate is not None:
+            yield gate
+        return result
+
+    def start_gate(self) -> Optional[Timeout]:
+        """The event a child started now waits behind, or None.
+
+        A spawned child would start at an urgent event due now, after
+        every urgent event already due now and after the rest of the
+        current event's callbacks.  When there are any, this returns a
+        zero-delay :class:`Timeout`, which takes that same agenda key;
+        otherwise the child can start at once.  (No agenda entry is
+        ever due before now, so ``<=`` reads "due now".)
+        """
+        agenda = self._agenda
+        if self._fanout or (
+            agenda
+            and agenda[0][1] == URGENT_PRIORITY
+            and agenda[0][0] <= self._now
+        ):
+            return Timeout(self, 0.0)
+        return None
+
+    def _return_gate(self) -> Optional[Event]:
+        """The event a returning child's caller waits behind, or None:
+        a spawned child's completion is a normal event due now, after
+        every event already due now."""
+        agenda = self._agenda
+        if self._fanout or (agenda and agenda[0][0] <= self._now):
+            return Event(self).succeed()
+        return None
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Condition that triggers when any of ``events`` does."""
@@ -679,9 +747,18 @@ class Simulator:
             event.fn = event.args = None
             fn(*args)
             return
-        for cb in callbacks:
-            cb(event)
-        if not event._ok and not callbacks:
+        if len(callbacks) == 1:
+            callbacks[0](event)
+            return
+        if callbacks:
+            self._fanout = True
+            try:
+                for cb in callbacks:
+                    cb(event)
+            finally:
+                self._fanout = False
+            return
+        if not event._ok:
             # A failed event that nobody observed: surface the error
             # instead of silently dropping it.  The value is usually an
             # exception (``fail()`` enforces that), but events built by

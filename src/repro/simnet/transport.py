@@ -928,7 +928,10 @@ class Host:
         max_attempts: int = 50,
         loss_timeout_factor: float = 1.0,
     ):
-        """Generator process: move ``size_bits`` to ``dst`` reliably.
+        """Generator: move ``size_bits`` to ``dst`` reliably.
+
+        Wait on it with ``yield from sim.call(...)``; start it with
+        ``sim.process`` only to run it alongside the caller.
 
         Each attempt streams the whole unit; on (unit-level) loss the
         sender detects the failure only after a stall timeout
@@ -989,7 +992,10 @@ class Host:
     # -- computation -------------------------------------------------------------
 
     def compute(self, ops: float):
-        """Generator process: execute ``ops`` normalized operations.
+        """Generator: execute ``ops`` normalized operations.
+
+        Wait on it with ``yield from sim.call(...)``; start it with
+        ``sim.process`` only to run it alongside the caller.
 
         Acquires a CPU slot (FIFO among concurrent tasks), then runs
         for ``ops / (cpu_speed * share)`` seconds where ``share`` is a

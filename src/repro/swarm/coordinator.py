@@ -22,7 +22,9 @@ fixed end's type sets the direction:
   (:class:`~repro.swarm.pieces.PieceTracker`).
 * Concurrency is bounded by choke/unchoke slots ranked on observed
   part throughput (:class:`~repro.swarm.choke.ChokeManager`); choking
-  applies at piece boundaries, never mid-stream.
+  applies at piece boundaries, never mid-stream.  A k=1 delivery has
+  one leg at a time, so it builds no slots, no wake event and no leg
+  process: ``download`` runs the leg itself.
 * The last pieces enter *endgame*: bounded duplicate requests race the
   stragglers, and a duplicate whose piece is proven mid-stream skips
   its confirm round (``cancel_if`` on
@@ -228,21 +230,37 @@ class SwarmCoordinator:
             filename=filename, total_bits=self.total_bits, n_parts=self.n_parts
         )
         self._tracker: Optional[PieceTracker] = None
-        self._choke = ChokeManager()
         self._used: Dict[str, None] = {}
         self._streaming = 0
         self._idle = 0
         self._alive = 0
         self._finished = False
-        self._wake = self.sim.event(name=f"swarm-wake({filename})")
-        self._done = self.sim.event(name=f"swarm-done({filename})")
+        self._settled = False
+        # Legs run as processes only at k > 1; a k=1 ``download`` runs
+        # each admitted leg itself, the next one parked here.
+        self._choke: Optional[ChokeManager] = None
+        self._wake = self._done = None
+        self._next_leg: Optional[Leg] = None
+        if k > 1:
+            self._choke = ChokeManager()
+            self._wake = self.sim.event(name=f"swarm-wake({filename})")
+            self._done = self.sim.event(name=f"swarm-done({filename})")
 
     # -- driver --------------------------------------------------------------
 
-    def download(self):
-        """Generator process: deliver the file over up to k legs.
+    @property
+    def settled(self) -> bool:
+        """Is the outcome final?  True once ``download`` has returned,
+        and as soon as :meth:`abort` cuts a k=1 delivery, whose leg
+        runs inside ``download`` and drains its part before returning."""
+        return self._settled
 
-        Returns the :class:`SwarmOutcome`; never raises.
+    def download(self):
+        """Generator: deliver the file over up to k legs.
+
+        Wait on it with ``yield from sim.call(...)``; start it with
+        ``sim.process`` to race it against a deadline.  Returns the
+        :class:`SwarmOutcome`; never raises.
         """
         sim = self.sim
         out = self.outcome
@@ -265,6 +283,7 @@ class SwarmCoordinator:
         if tracker.complete:
             out.ok = True
             out.finished_at = sim.now
+            self._settled = True
             self._m_ok.inc()
             return out
         if not self._fixed_host.is_up:
@@ -277,20 +296,46 @@ class SwarmCoordinator:
             if not out.reason:
                 out.reason = "no candidates"
             out.finished_at = sim.now
+            self._settled = True
             self._m_failed.inc()
             return out
         self._resume()
         for leg in initial:
             if leg.name not in self._used:
                 self._admit(leg)
-        # The first source the selection callback names is the origin
-        # copy: it keeps a streaming slot for the whole download
-        # (observed-rate ranking cannot tell a capable origin from a
-        # replica once equal shares cap them both).
-        self._choke.pin(initial[0].name)
-        yield self._done
+        if self._choke is None:
+            yield from sim.call(self._legs())
+        else:
+            # The first source the selection callback names is the
+            # origin copy: it keeps a streaming slot for the whole
+            # download (observed-rate ranking cannot tell a capable
+            # origin from a replica once equal shares cap them both).
+            self._choke.pin(initial[0].name)
+            yield self._done
+        return self._settle()
+
+    def _legs(self):
+        """k=1: run the admitted leg, then each replacement a failure
+        admits, each starting where its own process would have."""
+        leg = self._next_leg
+        while leg is not None:
+            self._next_leg = None
+            yield from self._worker(leg)
+            leg = self._next_leg
+            if leg is not None:
+                gate = self.sim.start_gate()
+                if gate is not None:
+                    yield gate
+
+    def _settle(self) -> SwarmOutcome:
+        """Close the outcome's books once; returns the outcome."""
+        out = self.outcome
+        if self._settled:
+            return out
+        self._settled = True
+        sim = self.sim
         out.finished_at = sim.now
-        out.ok = tracker.complete
+        out.ok = self._tracker.complete
         if out.ok:
             self._m_ok.inc()
             self._m_completion.observe(out.completion_s)
@@ -311,15 +356,20 @@ class SwarmCoordinator:
 
         Parked and fixed-end-waiting workers exit at their next wake;
         streaming workers drain their current part first (bulk units
-        cannot be recalled), so the ``download`` process settles
-        shortly after.  Safe to call at any point, including after
-        completion (then a no-op).
+        cannot be recalled).  A k>1 ``download`` settles at once and
+        returns; a k=1 one settles at once (see :attr:`settled`) and
+        returns once its leg has drained.  Safe to call at any point,
+        including after completion (then a no-op).
         """
         if self._finished:
             return
         if not self.outcome.reason:
             self.outcome.reason = reason
         self._finish()
+        if self._choke is None and self._alive:
+            # A k>1 ``download`` settles when ``_finish`` fires its
+            # done event; a k=1 one is inside its leg, so settle here.
+            self._settle()
 
     # -- leg lifecycle -------------------------------------------------------
 
@@ -328,8 +378,11 @@ class SwarmCoordinator:
         self._used[name] = None
         self.outcome.sources_used.append(name)
         self._tracker.add_source(name, leg.pieces)
-        self._choke.admit(name)
         self._alive += 1
+        if self._choke is None:
+            self._next_leg = leg
+            return
+        self._choke.admit(name)
         self.sim.process(
             self._worker(leg), name=f"swarm-{self.filename}-{name}"
         )
@@ -364,6 +417,7 @@ class SwarmCoordinator:
         sim = self.sim
         out = self.outcome
         tracker = self._tracker
+        choke = self._choke
         name = leg.name
         if self._fixed_sends:
             sender, receiver = self.fixed, leg.peer
@@ -381,8 +435,8 @@ class SwarmCoordinator:
                     if not self._fixed_host.is_up:
                         yield from self._fixed_end_wait()
                         continue
-                    if (
-                        not self._choke.unchoked(name)
+                    if choke is not None and (
+                        not choke.unchoked(name)
                         or self._streaming >= UNCHOKE_SLOTS
                     ):
                         yield from self._idle_wait()
@@ -405,7 +459,7 @@ class SwarmCoordinator:
                     out.max_active = max(out.max_active, self._streaming)
                     try:
                         if handle is None:
-                            handle = yield sim.process(
+                            handle = yield from sim.call(
                                 sender.transfers.open_transfer(
                                     receiver,
                                     self.filename,
@@ -425,7 +479,7 @@ class SwarmCoordinator:
                             cancel_if = (
                                 lambda p=piece: tracker.proven(p)
                             )
-                        rec = yield sim.process(
+                        rec = yield from sim.call(
                             handle.send_part(
                                 size, index=piece, cancel_if=cancel_if
                             )
@@ -464,8 +518,9 @@ class SwarmCoordinator:
                         )
                         out.proofs.append((piece, sim.now))
                         self._m_proven.inc()
-                        self._choke.record(name, size, rec.total_seconds)
-                        self._choke.on_proof()
+                        if choke is not None:
+                            choke.record(name, size, rec.total_seconds)
+                            choke.on_proof()
                         self.network.tracer.record(
                             "swarm-piece", sim.now,
                             filename=self.filename, piece=piece,
@@ -508,15 +563,19 @@ class SwarmCoordinator:
         self._idle += 1
         try:
             self._check_progress()
-            yield ev
+            # A k=1 leg idles only when it holds no piece left, and the
+            # check above has then ended the delivery.
+            if ev is not None:
+                yield ev
         finally:
             self._idle -= 1
 
     def _kick(self) -> None:
         """Wake every parked worker (wake event is regenerated)."""
-        old, self._wake = self._wake, self.sim.event(
-            name=f"swarm-wake({self.filename})"
-        )
+        old = self._wake
+        if old is None:
+            return
+        self._wake = self.sim.event(name=f"swarm-wake({self.filename})")
         if not old.triggered:
             old.succeed()
 
@@ -524,7 +583,7 @@ class SwarmCoordinator:
         if self._finished:
             return
         self._finished = True
-        if not self._done.triggered:
+        if self._done is not None and not self._done.triggered:
             self._done.succeed()
         self._kick()
 
@@ -549,7 +608,9 @@ class SwarmCoordinator:
             if not holders:
                 continue
             holders_exist = True
-            if any(self._choke.unchoked(h) for h in holders):
+            if self._choke is None or any(
+                self._choke.unchoked(h) for h in holders
+            ):
                 # Progress is possible without intervention: the event
                 # that freed this piece already kicked its holders.
                 return
@@ -568,7 +629,8 @@ class SwarmCoordinator:
         sim = self.sim
         name = leg.name
         dropped = self._tracker.remove_source(name)
-        self._choke.drop(name)
+        if self._choke is not None:
+            self._choke.drop(name)
         self.outcome.sources_failed.append(name)
         if piece is not None or dropped:
             self.outcome.reassignments += 1

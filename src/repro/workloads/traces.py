@@ -151,7 +151,10 @@ def replay(
     selector: "PeerSelector",
     candidates_fn=None,
 ):
-    """Generator process: replay a trace against a session.
+    """Generator: replay a trace against a session.
+
+    Wait on it with ``yield from sim.call(...)``; start it with
+    ``sim.process`` only to run it alongside the caller.
 
     Each job waits for its arrival time (relative to replay start),
     selects a peer with ``selector`` and runs to completion *in the
@@ -188,7 +191,7 @@ def replay(
                 )
             )
             if job.kind == "transfer":
-                yield sim.process(
+                yield from sim.call(
                     broker.transfers.send_file(
                         record.adv, job.file.name, job.file.size_bits,
                         n_parts=job.n_parts,
@@ -196,7 +199,7 @@ def replay(
                 )
                 ok, error = True, ""
             else:
-                outcome = yield sim.process(
+                outcome = yield from sim.call(
                     broker.tasks.submit(
                         record.adv, job.task.name, ops=job.task.ops,
                         input_bits=job.task.input_bits, input_parts=job.n_parts,

@@ -241,6 +241,43 @@ class TestTransferHandle:
         # Receiver state cleaned up by the cancel message.
         assert client.transfers.incoming_open() == 0
 
+    def test_bulk_abort_cancels_the_handle(self):
+        # The receiver dies after the petition round, so every bulk
+        # attempt streams into the void and ``reliable_transfer``
+        # raises inside ``send_part``, both run in the caller's process.
+        config = PeerConfig(bulk_max_attempts=2)
+        sim = Simulator()
+        net = Network(
+            sim, make_two_node_topology(), streams=RandomStreams(seed=42)
+        )
+        ids = IdFactory()
+        broker = Broker(net, "a.example", ids, name="broker", config=config)
+        client = SimpleClient(
+            net, "b.example", ids, name="client", config=config
+        )
+        connect(sim, broker, client)
+        handle = run_process(
+            sim,
+            broker.transfers.open_transfer(client.advertisement(), "f", mbit(2)),
+        )
+        assert broker.stats.pending_transfers == 1
+        net.host("b.example").crash()
+
+        def sender():
+            try:
+                yield from sim.call(handle.send_part(mbit(1)))
+            except TransferAborted:
+                return "aborted"
+            return "sent"
+
+        assert run_process(sim, sender()) == "aborted"
+        assert handle.closed
+        assert not handle.outcome.ok
+        assert handle.outcome.parts == []
+        assert broker.stats.pending_transfers == 0
+        assert broker.stats.total.transfers_cancelled == 1
+        assert broker.transfers.outgoing_open("b.example") == 0
+
     def test_send_after_close_raises(self, overlay_pair, sim):
         broker, client, net = overlay_pair
         connect(sim, broker, client)

@@ -5,10 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError, UnknownPeerError
+from repro.overlay.broker import Broker
+from repro.overlay.client import SimpleClient
+from repro.overlay.ids import IdFactory
 from repro.overlay.messages import KeepAlive, StatReport
 from repro.overlay.peer import PeerConfig, PeerNode, RequestTimeout
+from repro.simnet.kernel import Simulator
+from repro.simnet.rng import RandomStreams
+from repro.simnet.transport import Network
 
-from tests.conftest import connect, run_process
+from tests.conftest import connect, make_two_node_topology, run_process
 
 
 class TestPeerConfigValidation:
@@ -154,6 +160,49 @@ class TestRequest:
         inter = client.interaction_stats("a.example")
         assert inter.total.messages_sent == 2
         assert inter.total.messages_ok == 0
+
+    @staticmethod
+    def _timed_out_request(delegate: bool):
+        """When an unanswered request raised, and what it recorded,
+        waited on as a child process or delegated to."""
+        sim = Simulator()
+        net = Network(
+            sim, make_two_node_topology(), streams=RandomStreams(seed=42)
+        )
+        ids = IdFactory()
+        Broker(net, "a.example", ids, name="broker")
+        client = SimpleClient(net, "b.example", ids, name="client")
+
+        def caller():
+            gen = client.request(
+                net.host("a.example"),
+                KeepAlive(peer_id=client.peer_id),
+                key=("never", 3),
+                timeout=1.5,
+                retries=3,
+            )
+            try:
+                if delegate:
+                    yield from sim.call(gen)
+                else:
+                    yield sim.process(gen)
+            except RequestTimeout:
+                return sim.now
+            return None
+
+        raised_at = run_process(sim, caller())
+        return (
+            raised_at,
+            client.stats.snapshot(sim.now),
+            client.interaction_stats("a.example").snapshot(sim.now),
+        )
+
+    def test_delegated_timeout_matches_child_process(self):
+        delegated = self._timed_out_request(delegate=True)
+        assert delegated == self._timed_out_request(delegate=False)
+        raised_at, stats, _ = delegated
+        assert raised_at == pytest.approx(4.5)
+        assert stats["pct_messages_ok_total"] == 0.0
 
     def test_query_ids_monotonic(self, overlay_pair):
         broker, client, net = overlay_pair

@@ -17,6 +17,7 @@ from repro.obs.runtime import use_registry
 from repro.overlay.filetransfer import part_digest
 from repro.overlay.peer import PeerConfig
 from repro.recovery import RecoveryConfig, TransferLedger
+from repro.simnet.kernel import Simulator
 from repro.swarm import Leg, SwarmCoordinator
 
 #: Fast-failing protocol knobs: one part to SC4 takes ~11 s, so a
@@ -92,10 +93,10 @@ def _run_crash_resume(seed=13):
 
         driver = _send(s, select, "big.bin")
         out = yield s.sim.process(driver.download())
-        return out, driver.ledger
+        return out, driver
 
-    out, ledger = session.run(scenario)
-    return session, out, ledger
+    out, driver = session.run(scenario)
+    return session, out, driver
 
 
 class TestCrashResume:
@@ -103,7 +104,8 @@ class TestCrashResume:
     resumes on another receiver without re-sending verified parts."""
 
     def test_resumes_without_resending_verified_parts(self):
-        session, out, ledger = _run_crash_resume()
+        session, out, driver = _run_crash_resume()
+        ledger = driver.ledger
         assert out.ok
         assert out.resumes == 1
         assert out.reassignments == 1
@@ -152,6 +154,28 @@ class TestCrashResume:
         assert out_a.sources_used == out_b.sources_used
         assert out_a.requests == out_b.requests
         assert out_a.proofs == out_b.proofs
+
+
+class TestOneLegInline:
+    """At k=1 ``download`` runs each leg itself: the crashed receiver's
+    leg and then its replacement."""
+
+    def test_builds_no_choke_manager_and_one_process(self, monkeypatch):
+        spawned = []
+        spawn = Simulator.process
+
+        def recording(sim, generator, name=""):
+            spawned.append(generator.gi_code.co_name)
+            return spawn(sim, generator, name)
+
+        monkeypatch.setattr(Simulator, "process", recording)
+        _, out, driver = _run_crash_resume()
+        assert out.ok and len(out.sources_used) == 2
+        assert driver._choke is None
+        # The scenario's one ``download`` process is the delivery's
+        # only process: no leg ran as a ``_worker`` process.
+        assert spawned.count("download") == 1
+        assert "_worker" not in spawned
 
 
 def _open_swarmed_files(transfers):

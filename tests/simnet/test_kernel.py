@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.errors import (
@@ -824,3 +826,129 @@ class TestKernelInstrumentation:
         sim.timeout(1.0)
         sim.run()
         sim.flush_metrics()  # no registry bound: must not raise
+
+
+def _plan(rng, depth):
+    """Random steps for one generator: sleeps of 0-2 s (so many events
+    fall due at the same time), child calls, waits on and firings of
+    shared events (several waiters make a multi-callback event), timers,
+    and, in children, raises."""
+    steps = []
+    for _ in range(rng.randint(1, 5)):
+        roll = rng.random()
+        if roll < 0.35:
+            steps.append(("sleep", rng.choice((0, 0, 1, 2))))
+        elif roll < 0.55 and depth < 2:
+            steps.append(("child", _plan(rng, depth + 1)))
+        elif roll < 0.65:
+            steps.append(("wait", rng.randrange(3)))
+        elif roll < 0.75:
+            steps.append(("fire", rng.randrange(3)))
+        elif roll < 0.85:
+            steps.append(("timer", rng.choice((0, 1)), rng.random() < 0.5))
+        elif roll < 0.9 and depth > 0:
+            steps.append(("raise",))
+        else:
+            steps.append(("sleep", 1))
+    return steps
+
+
+def _run_plans(plans, spawn: bool) -> list:
+    """The order of every step of ``plans``, children spawned and
+    waited on (``spawn``) or run through ``Simulator.call``."""
+    sim = Simulator()
+    log = []
+    shared = [sim.event() for _ in range(3)]
+
+    def body(name, steps):
+        for i, step in enumerate(steps):
+            log.append((name, i, sim.now))
+            kind = step[0]
+            if kind == "sleep":
+                yield step[1]
+            elif kind == "child":
+                child = body(f"{name}.{i}", step[1])
+                try:
+                    if spawn:
+                        value = yield sim.process(child)
+                    else:
+                        value = yield from sim.call(child)
+                    log.append((name, i, "returned", value, sim.now))
+                except ValueError as exc:
+                    log.append((name, i, "caught", str(exc), sim.now))
+            elif kind == "wait":
+                yield shared[step[1]]
+            elif kind == "fire":
+                if not shared[step[1]].triggered:
+                    shared[step[1]].succeed()
+            elif kind == "timer":
+                at = step[1]
+                schedule = sim.wake_in if step[2] else sim.call_in
+                schedule(at, log.append, (name, i, "timer", at))
+            else:
+                raise ValueError(name)
+        return name
+
+    for n, steps in enumerate(plans):
+        sim.process(body(f"p{n}", steps))
+    sim.run()
+    return log, sim.events_processed
+
+
+class TestCall:
+    """``yield from sim.call(child)`` against ``yield sim.process(child)``."""
+
+    def test_same_order_as_a_spawned_child(self):
+        for seed in range(300):
+            rng = random.Random(seed)
+            plans = [_plan(rng, 0) for _ in range(rng.randint(1, 4))]
+            spawned, spawned_events = _run_plans(plans, spawn=True)
+            called, called_events = _run_plans(plans, spawn=False)
+            assert called == spawned, f"seed {seed}"
+            assert called_events <= spawned_events, f"seed {seed}"
+
+    @staticmethod
+    def _lone_parent_events(spawn: bool) -> int:
+        sim = Simulator()
+
+        def child():
+            yield 1.0
+            return "done"
+
+        def parent():
+            if spawn:
+                value = yield sim.process(child())
+            else:
+                value = yield from sim.call(child())
+            return value
+
+        assert sim.run(until=sim.process(parent())) == "done"
+        return sim.events_processed
+
+    def test_an_uncontended_call_schedules_no_event(self):
+        # The child process's start and completion events are gone.
+        assert (
+            self._lone_parent_events(spawn=False)
+            == self._lone_parent_events(spawn=True) - 2
+        )
+
+    def test_a_child_due_behind_another_event_waits_for_it(self, sim):
+        log = []
+
+        def child():
+            log.append(("child", sim.now))
+            yield 0
+
+        def parent():
+            yield from sim.call(child())
+            log.append(("parent", sim.now))
+
+        def other():
+            log.append(("other", sim.now))
+            yield 0
+
+        sim.process(parent())
+        sim.process(other())
+        sim.run()
+        # As with spawned children: ``other`` starts before the child.
+        assert log == [("other", 0.0), ("child", 0.0), ("parent", 0.0)]
