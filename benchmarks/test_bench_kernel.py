@@ -99,12 +99,17 @@ IDLE_PEER_BYTES_CEILING = 10_500
 #: (``broker_blip``, blind policy, seed 2007).  With every request,
 #: petition, part and join that its caller waits on at once run through
 #: ``Simulator.call``, and each k=1 delivery running its leg inside
-#: ``download``, the cell makes exactly 50 processes and 3,135 kernel
-#: events; with a process per child it made 635 and 4,304.  A
-#: spawn-and-wait that comes back adds a process and up to two events
-#: per call, so it fails the guard.
+#: ``download``, the cell made exactly 50 processes and 3,135 kernel
+#: events; with a process per child it made 635 and 4,304.  With each
+#: timed wait run by ``Simulator.within`` (no any-of relay, and the
+#: deadline timer cancelled when the reply comes first) it makes 2,595
+#: events and cancels 265 timers.  A spawn-and-wait that comes back adds
+#: a process and up to two events per call, and a deadline left to fire
+#: after its wait ended adds an event, so either fails the guard; a
+#: wait that arms a timer it does not need fails the cancelled ceiling.
 SPAWN_GUARD_PROCESSES = 50
-SPAWN_GUARD_EVENTS = 3_135
+SPAWN_GUARD_EVENTS = 2_595
+SPAWN_GUARD_CANCELLED = 265
 
 
 def _timeout_churn():
@@ -468,10 +473,11 @@ def test_timeout_churn_events_per_s_floor():
 
 
 def test_resilience_cell_spawns_only_for_concurrency(monkeypatch):
-    """Process and event ceilings on one recovery-on resilience cell.
+    """Process, event and cancelled-timer ceilings on one recovery-on
+    resilience cell.
 
-    Both counts are deterministic at a fixed seed, so the bounds are
-    the counts themselves.
+    All three counts are deterministic at a fixed seed, so the bounds
+    are the counts themselves.
     """
     made = [0]
     spawn = Simulator.process
@@ -496,4 +502,8 @@ def test_resilience_cell_spawns_only_for_concurrency(monkeypatch):
     events = session.sim.events_processed
     assert events <= SPAWN_GUARD_EVENTS, (
         f"{events} kernel events, above the {SPAWN_GUARD_EVENTS} ceiling"
+    )
+    cancelled = session.sim.events_cancelled
+    assert cancelled <= SPAWN_GUARD_CANCELLED, (
+        f"{cancelled} cancelled timers, above the {SPAWN_GUARD_CANCELLED} ceiling"
     )

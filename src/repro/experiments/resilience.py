@@ -305,8 +305,7 @@ def _scenario(session: Session, policy: str):
                 continue
             proc = sim.process(attempt_legacy(adv, filename))
         offered += 1
-        yield sim.any_of([proc, sim.timeout(deadline_at - sim.now)])
-        if not proc.triggered:
+        if not (yield from sim.within(proc, deadline_at - sim.now)):
             # Still in flight when the run deadline struck: the
             # outcome is unknown — censor, don't count as failed.
             censored += 1

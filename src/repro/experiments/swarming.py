@@ -265,9 +265,9 @@ def _cell_scenario(
         k=k,
     )
     proc = sim.process(coord.download())
-    yield sim.any_of([proc, sim.timeout(RUN_DEADLINE_S)])
+    finished = yield from sim.within(proc, RUN_DEADLINE_S)
     completed = aborted = censored = 0
-    if not proc.triggered:
+    if not finished:
         # Still running at the deadline: censored, not aborted — tell
         # them apart like the resilience matrix does.
         censored = 1

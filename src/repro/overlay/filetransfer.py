@@ -480,10 +480,7 @@ class FileTransferService:
                 sent_at = self.sim.now
                 self._m.petition_attempts.inc()
                 peer.host.send(dst_host, petition)  # heavy: first contact
-                yield self.sim.any_of(
-                    [waiter, self.sim.timeout(cfg.petition_timeout_s)]
-                )
-                if waiter.triggered:
+                if (yield from self.sim.within(waiter, cfg.petition_timeout_s)):
                     ack: PetitionAck = waiter.value
                     peer.stats.record_message(self.sim.now, ok=True)
                     if not ack.accepted:

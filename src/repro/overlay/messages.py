@@ -42,6 +42,7 @@ __all__ = [
     "TaskAccept",
     "TaskReject",
     "TaskCancel",
+    "TaskQuery",
     "TaskResult",
 ]
 
@@ -349,6 +350,14 @@ class TaskReject:
 @dataclass(frozen=True)
 class TaskCancel:
     """Submitter withdraws a task (queued or running)."""
+
+    task_id: TaskId
+
+
+@dataclass(frozen=True)
+class TaskQuery:
+    """Submitter asks again for an overdue result; the executor resends
+    it if the task has finished."""
 
     task_id: TaskId
 

@@ -55,6 +55,7 @@ from repro.overlay.messages import (
     TaskReject,
     TaskResult,
     TaskCancel,
+    TaskQuery,
     TaskSubmit,
     TransferCancel,
     TransferComplete,
@@ -314,8 +315,7 @@ class PeerNode:
         for _attempt in range(retries):
             waiter = self.expect(key)
             self.host.send(dst, payload, light=light)
-            yield self.sim.any_of([waiter, self.sim.timeout(timeout)])
-            if waiter.triggered:
+            if (yield from self.sim.within(waiter, timeout)):
                 self.stats.record_message(self.sim.now, ok=True)
                 dst_stats.record_message(self.sim.now, ok=True)
                 return waiter.value
@@ -376,6 +376,9 @@ class PeerNode:
     def _on_task_cancel(self, dgram: Datagram) -> None:
         self.tasks.handle_cancel(dgram)
 
+    def _on_task_query(self, dgram: Datagram) -> None:
+        self.tasks.handle_query(dgram)
+
     def _on_task_accept(self, dgram: Datagram) -> None:
         a: TaskAccept = dgram.payload
         self.fulfill(("task-decision", a.task_id), a)
@@ -424,6 +427,7 @@ class PeerNode:
         TransferComplete: _on_transfer_complete,
         TaskSubmit: _on_task_submit,
         TaskCancel: _on_task_cancel,
+        TaskQuery: _on_task_query,
         TaskAccept: _on_task_accept,
         TaskReject: _on_task_reject,
         TaskResult: _on_task_result,

@@ -6,11 +6,13 @@ and receiving results (paper §3).  This module implements both sides:
 * **Submitter** — :meth:`TaskExecutionService.submit` optionally ships
   the task's input file first (through the file-transfer protocol),
   then sends ``TaskSubmit``, awaits the accept/reject decision and
-  finally the ``TaskResult``.
+  finally the ``TaskResult``.  The result is a light, fire-and-forget
+  send, so a result overdue past its worst case is asked for again
+  with ``TaskQuery``.
 * **Executor** — inbound tasks are accepted while the local queue is
   below ``task_queue_limit``, queued on the host CPU (FIFO), executed
   at the node's CPU speed under its sliver load, and answered with a
-  ``TaskResult``.
+  ``TaskResult``, which it keeps to answer a ``TaskQuery``.
 
 The Figure 7 experiment ("just execution" vs "transmission &
 execution") is a straight composition of :meth:`submit` with and
@@ -29,6 +31,7 @@ from repro.errors import ProcessInterrupted
 from repro.overlay.messages import (
     TaskAccept,
     TaskCancel,
+    TaskQuery,
     TaskReject,
     TaskResult,
     TaskSubmit,
@@ -87,6 +90,9 @@ class TaskExecutionService:
         #: Executor-side: live execution processes by task id, so a
         #: submitter's cancel can reach queued and running tasks.
         self._executing: dict = {}
+        #: Executor-side: finished results by task id, resent on a
+        #: submitter's ``TaskQuery``.
+        self._results: dict = {}
 
     # ------------------------------------------------------------------
     # Submitter side
@@ -108,7 +114,8 @@ class TaskExecutionService:
         Ships the input file first when ``input_bits > 0`` (the
         "transmission & execution" setting of Figure 7), then submits
         and awaits the result.  Returns a :class:`TaskOutcome`; raises
-        :class:`TaskRejectedError` if the executor declines.
+        :class:`TaskRejectedError` if the executor declines, and
+        :class:`RequestTimeout` if an overdue result never comes.
         """
         peer = self.peer
         peer.learn(dst_adv)
@@ -152,8 +159,18 @@ class TaskExecutionService:
                 f"{dst_adv.name} rejected task {name!r}: {decision.reason}"
             )
 
-        result_waiter = peer.expect(("task-result", task_id))
-        result: TaskResult = yield result_waiter
+        key = ("task-result", task_id)
+        result_waiter = peer.expect(key)
+        deadline = self._result_deadline(dst_host, ops)
+        if (yield from self.sim.within(result_waiter, deadline)):
+            result: TaskResult = result_waiter.value
+        else:
+            # Overdue, so lost on its way: ask the executor, which keeps
+            # finished results, to send it again.
+            peer.cancel_wait(key, result_waiter)
+            result = yield from self.sim.call(
+                peer.request(dst_host, TaskQuery(task_id=task_id), key, light=True)
+            )
         outcome.result_at = self.sim.now
         outcome.ok = result.ok
         outcome.busy_seconds = result.busy_seconds
@@ -163,6 +180,15 @@ class TaskExecutionService:
                 self.sim.now, ops, result.busy_seconds
             )
         return outcome
+
+    def _result_deadline(self, dst_host, ops: float) -> float:
+        """When a result still on its way has surely arrived: the task
+        run at the executor's lowest CPU share, behind a full queue of
+        tasks like it, plus one request timeout for the reply."""
+        spec = dst_host.spec
+        worst = ops * dst_host.slow_factor / (spec.cpu_speed * spec.load_min_share)
+        cfg = self.peer.config
+        return cfg.task_queue_limit * worst + cfg.request_timeout_s
 
     # ------------------------------------------------------------------
     # Executor side
@@ -195,6 +221,15 @@ class TaskExecutionService:
         proc = self._executing.get(cancel.task_id)
         if proc is not None and proc.is_alive:
             proc.interrupt("cancelled by submitter")
+
+    def handle_query(self, dgram: Datagram) -> None:
+        """Resend a finished task's result; a task not finished yet
+        answers when it finishes."""
+        query: TaskQuery = dgram.payload
+        result = self._results.get(query.task_id)
+        if result is not None:
+            peer = self.peer
+            peer.host.send(peer.network.host(dgram.src), result, light=True)
 
     def cancel(self, dst_adv: PeerAdvertisement, task_id) -> None:
         """Submitter side: ask the executor to drop a task.
@@ -244,5 +279,6 @@ class TaskExecutionService:
         finally:
             peer.stats.pending_tasks -= 1
             self._executing.pop(submit.task_id, None)
+        self._results[submit.task_id] = result
         if peer.host.is_up:
             peer.host.send(src_host, result, light=True)

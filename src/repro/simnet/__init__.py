@@ -15,7 +15,6 @@ from repro.simnet.bandwidth import (
 )
 from repro.simnet.kernel import (
     AllOf,
-    AnyOf,
     Event,
     Process,
     Resource,
@@ -53,7 +52,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "AnyOf",
     "AllOf",
     "Resource",
     "RandomStreams",

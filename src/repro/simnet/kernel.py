@@ -11,8 +11,9 @@ tuned for the overlay workloads in this library:
 * :class:`Process` — a generator-coroutine driven by the simulator.
   Processes ``yield`` delays (numbers), other events, or other
   processes; they can be interrupted.
-* :class:`Timeout`, :class:`AnyOf`, :class:`AllOf` — combinators used by
-  the overlay protocols (e.g. "wait for the confirmation or a timeout").
+* :class:`Timeout`, :class:`AllOf` and :meth:`Simulator.within` — a
+  delay, a join, and the timed wait the overlay protocols use ("wait for
+  the confirmation or a timeout").
 * :class:`Resource` — capacity-limited resource used for CPU slots.
   Messages need no queue: the transport hands every payload to its
   handler on delivery.
@@ -41,7 +42,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "AnyOf",
     "AllOf",
     "Resource",
     "PENDING",
@@ -131,8 +131,9 @@ class Event:
         """Trigger the event with an exception.
 
         Waiting processes will have ``exception`` raised at their
-        ``yield``.  Failing an event nobody waits on raises at the end
-        of the run (defused automatically by :class:`AnyOf`).
+        ``yield``.  Failing an event nobody waits on raises when the
+        event is processed; an event a :meth:`Simulator.within` wait
+        has given up on is still observed, so its failure is dropped.
         """
         if not isinstance(exception, BaseException):
             raise TypeError(f"fail() needs an exception, got {exception!r}")
@@ -231,6 +232,28 @@ def _timer(sim: "Simulator", fn: Callable[..., None], args: tuple) -> _Call:
     return ev
 
 
+def _defuse(event: Event) -> None:
+    """Observer left on an event that a :meth:`Simulator.within` wait
+    gave up on: it drops the outcome, a failure included."""
+
+
+def _expire(process: "Process", event: Event) -> None:
+    """Deadline of :meth:`Simulator.within`: move ``process``'s resume
+    from ``event`` to one event due now."""
+    callbacks = event.callbacks
+    resume = process._resume
+    if resume not in callbacks:
+        # Interrupted, with the interrupt still due: it resumes the
+        # process, and ``within`` sees this timer gone.
+        callbacks.append(_defuse)
+        return
+    callbacks[callbacks.index(resume)] = _defuse
+    relay = Event(process.sim)
+    relay.callbacks.append(resume)
+    process._waiting_on = relay
+    relay.succeed()
+
+
 def _not_waitable(event: Event) -> SimulationError:
     """The error for waiting on a :class:`_Call` timer."""
     return SimulationError(
@@ -272,12 +295,13 @@ class Process(Event):
         value = yield other    # receive the event's value
         result = yield proc    # wait for a child process
         result = yield from sim.call(child())   # run a child inline
+        got = yield from sim.within(event, 5.0)  # wait with a deadline
 
-    Spawn a child process only for concurrency: to race it
-    (``any_of``), interrupt it, or let it run alongside the parent.  A
-    child the parent waits on at once runs inline through
-    :meth:`Simulator.call`: same result, same times, same agenda order,
-    no process.
+    Spawn a child process only for concurrency: to wait on it with a
+    deadline (:meth:`Simulator.within`), interrupt it, or let it run
+    alongside the parent.  A child the parent waits on at once runs
+    inline through :meth:`Simulator.call`: same result, same times,
+    same agenda order, no process.
     """
 
     __slots__ = ("_generator", "_waiting_on")
@@ -384,13 +408,17 @@ class Process(Event):
         sim._active_process = None
 
 
-class _Condition(Event):
-    """Base for :class:`AnyOf` / :class:`AllOf`."""
+class AllOf(Event):
+    """Triggers once all member events have triggered.
+
+    The value is a dict ``{event: value}`` of the members.  Fails
+    immediately if any member fails.
+    """
 
     __slots__ = ("events", "_remaining")
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim, name=type(self).__name__)
+        super().__init__(sim, name="AllOf")
         self.events: tuple[Event, ...] = tuple(events)
         for ev in self.events:
             if ev.sim is not sim:
@@ -407,53 +435,6 @@ class _Condition(Event):
             else:
                 ev.callbacks.append(self._check)
 
-    def _check(self, event: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _collect(self) -> dict[Event, Any]:
-        """Values of all *processed*-and-ok member events, in order.
-
-        ``processed`` (not ``triggered``) is the right filter: timeouts
-        are pre-triggered at construction, but they have not *happened*
-        until the simulator reaches their scheduled time.
-        """
-        return {
-            ev: ev._value
-            for ev in self.events
-            if ev.processed and ev._ok
-        }
-
-
-class AnyOf(_Condition):
-    """Triggers as soon as any member event triggers.
-
-    The value is a dict ``{event: value}`` of the events that have
-    triggered successfully so far.  If the first event to trigger
-    *failed*, the condition fails with that exception.
-    """
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            if not event._ok:
-                # Defuse: the failure was consumed by this condition.
-                event._value = event._value
-            return
-        if event._ok:
-            self.succeed(self._collect())
-        else:
-            self.fail(event._value)
-
-
-class AllOf(_Condition):
-    """Triggers once all member events have triggered.
-
-    Fails immediately if any member fails.
-    """
-
-    __slots__ = ()
-
     def _check(self, event: Event) -> None:
         if self.triggered:
             return
@@ -462,7 +443,13 @@ class AllOf(_Condition):
             return
         self._remaining -= 1
         if self._remaining == 0:
-            self.succeed(self._collect())
+            # ``processed`` (not ``triggered``): a timeout is triggered
+            # when made, but has not happened until its time comes.
+            self.succeed({
+                ev: ev._value
+                for ev in self.events
+                if ev.processed and ev._ok
+            })
 
 
 class Simulator:
@@ -600,9 +587,63 @@ class Simulator:
             return Event(self).succeed()
         return None
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Condition that triggers when any of ``events`` does."""
-        return AnyOf(self, events)
+    def within(self, event: Event, timeout: float):
+        """Generator: wait for ``event`` for at most ``timeout`` seconds.
+
+        ``got = yield from sim.within(event, T)`` returns True if
+        ``event`` happened first, or ``event.triggered`` once the
+        deadline has passed (so an event triggered at the deadline
+        instant still counts).  If ``event`` fails first, its exception
+        is raised here.  The caller resumes at the simulated times and in
+        the agenda order that racing ``event`` against a ``Timeout(T)``
+        in an any-of condition gave, with fewer events:
+
+        * the deadline is a :meth:`wake_in` timer at the key the race's
+          ``Timeout`` took, cancelled when the wait ends another way;
+        * when ``event`` comes first the caller resumes on it, and waits
+          behind :meth:`_return_gate` (at the key of the race's relay
+          event) only when another event is due now;
+        * when the deadline comes first, the caller's resume moves to
+          one event at that relay key, and ``event`` keeps an observer
+          that drops its outcome, as the race's condition did.
+
+        An interrupt or a close of the caller cancels the timer.
+        """
+        if not timeout >= 0:
+            raise SchedulingInPastError(f"{_negative(timeout)} within timeout {timeout!r}")
+        if event.sim is not self:
+            raise SimulationError("cannot wait on an event from another simulator")
+        if event.callbacks is _TIMER:
+            raise _not_waitable(event)
+        process = self._active_process
+        if process is None:
+            raise SimulationError("within() must run inside a process")
+        timer = self.wake_in(timeout, _expire, process, event)
+        try:
+            yield event
+        except BaseException as exc:
+            if timer.callbacks is None:
+                # Interrupted or closed behind the deadline's relay.
+                raise
+            self.cancel(timer)
+            if exc is not event._value:
+                # Interrupted or closed before ``event`` happened.
+                callbacks = event.callbacks
+                if callbacks is not None and process._resume not in callbacks:
+                    callbacks.append(_defuse)
+                raise
+            gate = self._return_gate()
+            if gate is not None:
+                yield gate
+            raise
+        if timer.callbacks is None:
+            # The deadline came first and resumed the caller.
+            return event.triggered
+        self.cancel(timer)
+        gate = self._return_gate()
+        if gate is not None:
+            yield gate
+        return True
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Condition that triggers when all of ``events`` have."""

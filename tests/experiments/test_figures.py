@@ -19,6 +19,7 @@ from repro.experiments import (
     fig7_execution,
     table1_nodes,
 )
+from repro.overlay.taskexec import TaskExecutionService
 
 CFG = ExperimentConfig(seed=2007, repetitions=5)
 
@@ -186,3 +187,19 @@ class TestFigure7:
         # The paper's y-axis runs in minutes (0-30).
         for peer in result.peers():
             assert 1.0 <= result.both_minutes(peer) <= 40.0
+
+    @pytest.mark.parametrize("seed", [48, 68])
+    def test_a_lost_result_costs_one_query_not_the_run(self, seed, monkeypatch):
+        # At these seeds one repetition loses a TaskResult to message
+        # loss; the run used to wait for it for ever.
+        queries = []
+        handle = TaskExecutionService.handle_query
+
+        def counted(service, dgram):
+            queries.append(dgram.payload)
+            handle(service, dgram)
+
+        monkeypatch.setattr(TaskExecutionService, "handle_query", counted)
+        result = fig7_execution.run(ExperimentConfig(seed=seed, repetitions=5))
+        assert len(queries) == 1
+        assert len(result.peers()) == 8

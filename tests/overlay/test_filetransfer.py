@@ -18,6 +18,7 @@ from repro.simnet.transport import Network
 from repro.units import mbit
 
 from tests.conftest import connect, make_two_node_topology, run_process
+from tests.simnet.reference_race import use_race
 
 
 class TestSplitEven:
@@ -104,6 +105,39 @@ class TestSendFile:
         with pytest.raises(TransferAborted):
             sim.run(until=p)
         assert sim.now == pytest.approx(30.0)
+
+    @staticmethod
+    def _late_ack_outcome():
+        """A 0.065 s petition timeout: the first petition reaches the
+        receiver at +0.06 s, but its ack lands at +0.082 s, while the
+        resend sent at +0.065 s waits."""
+        config = PeerConfig(petition_timeout_s=0.065, petition_retries=3)
+        sim = Simulator()
+        net = Network(
+            sim, make_two_node_topology(), streams=RandomStreams(seed=42)
+        )
+        ids = IdFactory()
+        broker = Broker(net, "a.example", ids, name="broker", config=config)
+        client = SimpleClient(
+            net, "b.example", ids, name="client", config=config
+        )
+        connect(sim, broker, client)
+        started = sim.now
+        outcome = run_process(
+            sim,
+            broker.transfers.send_file(client.advertisement(), "f", mbit(1)),
+        )
+        return started, outcome, broker.stats.snapshot(sim.now)
+
+    def test_a_late_ack_keeps_its_first_send_latency(self, monkeypatch):
+        started, outcome, stats = self._late_ack_outcome()
+        assert outcome.petition_attempts == 2
+        # The ack answers the first petition, so the latency runs from
+        # the first send, not from the resend it woke.
+        assert outcome.petition_sent_at == started
+        assert outcome.petition_time == pytest.approx(0.06, abs=1e-6)
+        use_race(monkeypatch)
+        assert self._late_ack_outcome() == (started, outcome, stats)
 
     def test_parts_sequential(self, overlay_pair, sim):
         broker, client, net = overlay_pair

@@ -34,7 +34,7 @@ class TestVocabularyShape:
             "TransferCancel", "TransferComplete",
             # tasks
             "TaskSubmit", "TaskAccept", "TaskReject", "TaskCancel",
-            "TaskResult",
+            "TaskQuery", "TaskResult",
         }
         assert families == set(messages.__all__)
 

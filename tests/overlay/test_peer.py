@@ -15,6 +15,7 @@ from repro.simnet.rng import RandomStreams
 from repro.simnet.transport import Network
 
 from tests.conftest import connect, make_two_node_topology, run_process
+from tests.simnet.reference_race import use_race
 
 
 class TestPeerConfigValidation:
@@ -203,6 +204,14 @@ class TestRequest:
         raised_at, stats, _ = delegated
         assert raised_at == pytest.approx(4.5)
         assert stats["pct_messages_ok_total"] == 0.0
+
+    def test_timed_out_request_matches_the_race(self, monkeypatch):
+        # ``within`` raises when the any-of race did, with the same
+        # per-attempt message statistics.
+        timed = self._timed_out_request(delegate=True)
+        use_race(monkeypatch)
+        assert timed == self._timed_out_request(delegate=True)
+        assert timed[0] == pytest.approx(4.5)
 
     def test_query_ids_monotonic(self, overlay_pair):
         broker, client, net = overlay_pair

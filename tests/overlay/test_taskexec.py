@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import TaskRejectedError
-from repro.overlay.peer import PeerConfig
+from repro.overlay.messages import TaskResult
+from repro.overlay.peer import PeerConfig, RequestTimeout
+from repro.simnet.transport import Host
 
 from tests.conftest import connect, run_process
 
@@ -219,3 +221,66 @@ class TestCancellation:
 
         broker.tasks.cancel(client.advertisement(), IdFactory("x").task_id())
         sim.run(until=sim.now + 1.0)  # nothing blows up
+
+
+class TestOverdueResult:
+    """The result is a light, fire-and-forget send: a lost one is asked
+    for again once overdue, instead of leaving ``submit`` waiting for
+    ever (Fig. 7 never ended at seeds 48 and 68 for this)."""
+
+    @staticmethod
+    def _drop_results(monkeypatch, count):
+        """Drop the next ``count`` ``TaskResult`` sends; return their times."""
+        dropped = []
+        send = Host.send
+
+        def lossy(host, dst, payload, *args, **kwargs):
+            if isinstance(payload, TaskResult) and len(dropped) < count:
+                dropped.append(host.network.sim.now)
+                return None
+            return send(host, dst, payload, *args, **kwargs)
+
+        monkeypatch.setattr(Host, "send", lossy)
+        return dropped
+
+    def test_a_lost_result_is_sent_again(self, overlay_pair, sim, monkeypatch):
+        broker, client, net = overlay_pair
+        connect(sim, broker, client)
+        dropped = self._drop_results(monkeypatch, 1)
+        outcome = run_process(
+            sim, broker.tasks.submit(client.advertisement(), "t", ops=10.0)
+        )
+        assert len(dropped) == 1
+        assert outcome.ok and outcome.busy_seconds > 0
+        deadline = broker.tasks._result_deadline(net.host("b.example"), 10.0)
+        # Asked again at the deadline; answered one round trip later.
+        waited = outcome.result_at - outcome.decision_at
+        assert deadline < waited < deadline + 1.0
+
+    def test_a_result_that_never_comes_raises(self, overlay_pair, sim, monkeypatch):
+        broker, client, net = overlay_pair
+        connect(sim, broker, client)
+        self._drop_results(monkeypatch, 1)
+        # Every query goes unanswered too: the executor is down.
+        sim.call_in(5.0, net.host("b.example").crash)
+        proc = sim.process(
+            broker.tasks.submit(client.advertisement(), "t", ops=10.0)
+        )
+        with pytest.raises(RequestTimeout):
+            sim.run(until=proc)
+        deadline = broker.tasks._result_deadline(net.host("b.example"), 10.0)
+        cfg = broker.config
+        queried = cfg.request_retries * cfg.request_timeout_s
+        assert deadline + queried < sim.now < deadline + queried + 5.0
+
+    def test_the_deadline_covers_a_full_queue_at_the_lowest_share(
+        self, overlay_pair
+    ):
+        broker, client, net = overlay_pair
+        host = net.host("b.example")
+        spec = host.spec
+        worst = 10.0 / (spec.cpu_speed * spec.load_min_share)
+        cfg = broker.config
+        assert broker.tasks._result_deadline(host, 10.0) == pytest.approx(
+            cfg.task_queue_limit * worst + cfg.request_timeout_s
+        )

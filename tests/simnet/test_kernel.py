@@ -245,17 +245,25 @@ class TestInterrupt:
 
 
 class TestConditions:
-    def test_any_of_first_wins(self, sim):
+    def test_within_first_wins(self, sim):
         def proc():
             fast = sim.timeout(1.0, value="fast")
-            slow = sim.timeout(5.0, value="slow")
-            got = yield sim.any_of([fast, slow])
-            return (sim.now, fast in got, slow in got)
+            got = yield from sim.within(fast, 5.0)
+            return (sim.now, got)
 
         p = sim.process(proc())
-        now, has_fast, has_slow = sim.run(until=p)
-        assert now == pytest.approx(1.0)
-        assert has_fast and not has_slow
+        assert sim.run(until=p) == (pytest.approx(1.0), True)
+        sim.run()
+        # The deadline timer was cancelled, not left to fire.
+        assert sim.events_cancelled == 1
+
+    def test_within_deadline_first(self, sim):
+        def proc():
+            got = yield from sim.within(sim.event(), 1.0)
+            return (sim.now, got)
+
+        p = sim.process(proc())
+        assert sim.run(until=p) == (pytest.approx(1.0), False)
 
     def test_all_of_waits_for_all(self, sim):
         def proc():
@@ -273,7 +281,7 @@ class TestConditions:
         cond = sim.all_of([])
         assert cond.triggered
 
-    def test_any_of_failure_propagates(self, sim):
+    def test_within_failure_propagates(self, sim):
         ev = sim.event()
 
         def failer():
@@ -281,7 +289,7 @@ class TestConditions:
             ev.fail(RuntimeError("bad"))
 
         def waiter():
-            yield sim.any_of([ev, sim.timeout(10.0)])
+            yield from sim.within(ev, 10.0)
 
         sim.process(failer())
         p = sim.process(waiter())
@@ -292,7 +300,7 @@ class TestConditions:
         other = Simulator()
         ev = other.event()
         with pytest.raises(SimulationError):
-            sim.any_of([ev, sim.timeout(1.0)])
+            next(sim.within(ev, 1.0))
 
 
 class TestRunControls:

@@ -59,19 +59,22 @@ class TestConditionEdgeCases:
         assert cond.triggered
         assert set(cond.value.values()) == {1, 2}
 
-    def test_any_of_with_one_pre_processed(self, sim):
+    def test_within_an_already_processed_event(self, sim):
         done = sim.event()
         done.succeed("early")
         sim.run()
-        pending = sim.event()
-        cond = sim.any_of([done, pending])
-        assert cond.triggered
-        assert cond.value == {done: "early"}
+
+        def proc():
+            got = yield from sim.within(done, 1.0)
+            return (sim.now, got)
+
+        p = sim.process(proc())
+        assert sim.run(until=p) == (0.0, True)
 
     def test_nested_conditions(self, sim):
         def proc():
             inner = sim.all_of([sim.timeout(1.0), sim.timeout(2.0)])
-            outer = yield sim.any_of([inner, sim.timeout(10.0)])
+            assert (yield from sim.within(inner, 10.0))
             return sim.now
 
         p = sim.process(proc())
@@ -466,10 +469,10 @@ class TestTimersAreNotWaitable:
         with pytest.raises(SimulationError, match="cannot wait on timer .*on_tick"):
             sim.run(until=proc)
 
-    def test_any_of_a_timer_raises(self, sim):
+    def test_within_a_timer_raises(self, sim):
         timer = self._named_timer(sim, lambda s, fn: s.call_in(1.0, fn))
         with pytest.raises(SimulationError, match="cannot wait on timer .*on_tick"):
-            sim.any_of([sim.timeout(2.0), timer])
+            next(sim.within(timer, 2.0))
 
     def test_all_of_a_timer_raises(self, sim):
         timer = self._named_timer(sim, lambda s, fn: s.wake_in(1.0, fn))
