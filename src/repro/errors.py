@@ -28,7 +28,6 @@ __all__ = [
     "NoCandidatesError",
     "CriteriaError",
     "ConfigError",
-    "RecoveryError",
 ]
 
 
@@ -131,12 +130,3 @@ class NoCandidatesError(SelectionError):
 class CriteriaError(SelectionError):
     """A data-evaluator criterion is unknown or its weight is invalid."""
 
-
-# --------------------------------------------------------------------------
-# Recovery
-# --------------------------------------------------------------------------
-
-
-class RecoveryError(ReproError):
-    """Checkpoint/resume or failover bookkeeping is inconsistent
-    (ledger mismatch, duplicate proof with a different digest, ...)."""

@@ -105,7 +105,7 @@ METRICS: Tuple[MetricSpec, ...] = (
     # -- recovery stack ------------------------------------------------------
     MetricSpec("recovery.failover_latency_s", "histogram", "recovery", "outage-to-promotion latency"),
     MetricSpec("recovery.failovers", "counter", "recovery", "standby promotions"),
-    MetricSpec("recovery.parts_skipped", "counter", "recovery", "ledger-proven parts skipped on resume"),
+    MetricSpec("recovery.parts_skipped", "counter", "recovery", "already-proven parts a replacement receiver skips"),
     MetricSpec("recovery.recovered_mbit", "counter", "recovery", "megabits not re-sent thanks to resume"),
     MetricSpec("recovery.resumes", "counter", "recovery", "transfers resumed from checkpoint"),
     MetricSpec("recovery.supervision_wait_s", "histogram", "recovery", "leg wait for the fixed end's host"),
@@ -117,7 +117,7 @@ METRICS: Tuple[MetricSpec, ...] = (
     MetricSpec("swarm.downloads_failed", "counter", "swarm", "supervised deliveries that failed"),
     MetricSpec("swarm.downloads_ok", "counter", "swarm", "supervised deliveries completed"),
     MetricSpec("swarm.duplicate_parts", "counter", "swarm", "endgame duplicate pieces received"),
-    MetricSpec("swarm.parts_proven", "counter", "swarm", "pieces digest-proven into the ledger"),
+    MetricSpec("swarm.parts_proven", "counter", "swarm", "pieces proven end-to-end, one per part"),
     MetricSpec("swarm.reassignments", "counter", "swarm", "failed sources replaced mid-download"),
     MetricSpec("swarm.sources_active", "gauge", "swarm", "sources currently streaming"),
 )

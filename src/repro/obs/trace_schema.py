@@ -52,8 +52,8 @@ TRACE_EVENTS: Tuple[TraceEventSpec, ...] = (
     TraceEventSpec("petition-queued", ("peer", "filename"), "swarm", "leg waits for the fixed end's host"),
     TraceEventSpec("swarm-cancel", ("filename", "piece", "source"), "swarm", "endgame duplicate cancelled"),
     TraceEventSpec("swarm-done", ("filename", "ok", "duplicates", "reassignments"), "swarm", "supervised delivery finished"),
-    TraceEventSpec("swarm-open", ("filename", "fixed", "parts", "skipped", "k"), "swarm", "supervised delivery opened"),
-    TraceEventSpec("swarm-piece", ("filename", "piece", "source", "duplicate"), "swarm", "piece proven into the ledger"),
+    TraceEventSpec("swarm-open", ("filename", "fixed", "parts", "k"), "swarm", "supervised delivery opened"),
+    TraceEventSpec("swarm-piece", ("filename", "piece", "source", "duplicate"), "swarm", "piece proven in the delivery's tracker (first confirm only)"),
     TraceEventSpec("swarm-reassign", ("filename", "source", "error", "dropped"), "swarm", "failed leg replaced"),
 )
 

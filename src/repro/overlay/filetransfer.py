@@ -91,10 +91,11 @@ def part_digest(filename: str, index: int, size_bits: float) -> str:
 
     A pure function of the part's identity: both ends derive it
     independently, the receiver echoes it in its :class:`PartConfirm`,
-    and the sender verifies the echo; a supervised delivery
-    (:class:`~repro.swarm.coordinator.SwarmCoordinator`) then proves
-    the part in its ledger.  (The simulator carries no real payload
-    bytes, so the identity tuple stands in for file content.)
+    and the sender verifies the echo before the part counts as
+    confirmed; a supervised delivery
+    (:class:`~repro.swarm.coordinator.SwarmCoordinator`) then marks it
+    proven in its piece tracker.  (The simulator carries no real
+    payload bytes, so the identity tuple stands in for file content.)
     """
     text = f"{filename}|{index}|{size_bits!r}"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
@@ -226,7 +227,8 @@ class TransferHandle:
 
         ``index`` defaults to the next sequential part number; a
         supervised delivery passes each piece's index explicitly so a
-        leg that skips proven parts keeps their ledger identity.
+        leg that skips proven parts keeps each part's index, and so
+        its digest.
         Returns the :class:`PartRecord`; raises :class:`TransferAborted`
         on retry exhaustion or integrity mismatch (the handle then
         cancels itself).

@@ -4,11 +4,10 @@ selection.
 The recovery subsystem turns the fault-injection layer's disruptions
 (:mod:`repro.faults`) from lost work into bounded delays:
 
-* :mod:`repro.recovery.ledger` — part-level transfer checkpoints with
-  integrity digests; the supervised delivery driver
+* checkpoint/resume — the supervised delivery driver
   (:class:`~repro.swarm.coordinator.SwarmCoordinator`, fixed at the
-  sender) writes them and resumes a failed send from the last verified
-  part on a different peer;
+  sender) proves each confirmed part in its piece tracker and resumes
+  a failed send on a different peer with only the unproven parts;
 * :mod:`repro.recovery.standby` — standby-broker replication and
   deterministic leader handover;
 * :mod:`repro.recovery.degraded` — staleness-aware fallbacks for the
@@ -22,14 +21,10 @@ from repro.recovery.degraded import (
     StalenessAwareEvaluator,
     StalenessAwareScheduler,
 )
-from repro.recovery.ledger import LedgerEntry, PartProof, TransferLedger
 from repro.recovery.standby import FailoverDirector, FailoverEvent
 
 __all__ = [
     "RecoveryConfig",
-    "TransferLedger",
-    "LedgerEntry",
-    "PartProof",
     "FailoverDirector",
     "FailoverEvent",
     "StalenessAwareEvaluator",

@@ -6,7 +6,7 @@ at all switches every pillar and partition-aware flow gating on:
 * **resume** — a placement is a supervised delivery
   (:class:`~repro.swarm.coordinator.SwarmCoordinator` fixed at the
   sending broker, one receiver at a time) whose
-  :class:`~repro.recovery.ledger.TransferLedger` lets a replacement
+  :class:`~repro.swarm.pieces.PieceTracker` lets a replacement
   receiver skip the parts already proven.  It has no knobs: a failed
   receiver is replaced at once, and the caller's run deadline bounds
   the delivery;

@@ -179,7 +179,7 @@ class Timeout(Event):
         if len(agenda) > sim.max_agenda_depth:
             sim.max_agenda_depth = len(agenda)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         state = "pending" if self.callbacks is not None else "processed"
         return f"<Timeout({self.delay:g}) {state} at t={self.sim.now:g}>"
 
@@ -607,7 +607,10 @@ class Simulator:
           one event at that relay key, and ``event`` keeps an observer
           that drops its outcome, as the race's condition did.
 
-        An interrupt or a close of the caller cancels the timer.
+        An interrupt or a close of the caller cancels the timer.  A
+        :class:`Timeout` is triggered when it is made, so it cannot be
+        raced against a deadline: passing one raises
+        :class:`SimulationError`, as a timer does.
         """
         if not timeout >= 0:
             raise SchedulingInPastError(f"{_negative(timeout)} within timeout {timeout!r}")
@@ -615,6 +618,11 @@ class Simulator:
             raise SimulationError("cannot wait on an event from another simulator")
         if event.callbacks is _TIMER:
             raise _not_waitable(event)
+        if type(event) is Timeout:
+            raise SimulationError(
+                f"cannot race {event!r} against a deadline: a Timeout is "
+                "triggered when made; yield it, or wait the shorter delay"
+            )
         process = self._active_process
         if process is None:
             raise SimulationError("within() must run inside a process")

@@ -4,10 +4,11 @@ One driver serves both directions.  A swarm download (the BitTorrent
 generalization of the paper's granularity result) fetches one file's
 parts concurrently from several selected sources, with rarest-first
 piece ordering, throughput-ranked choke/unchoke slots, endgame
-duplicate requests, and ledger-proven straggler re-assignment.  A
-resumable send (the recovery layer's checkpoint/resume) pushes a file
-from one sender to a selected receiver, replacing a failed receiver
-with one that gets only the unproven parts.
+duplicate requests, and straggler re-assignment.  A resumable send
+(the recovery layer's checkpoint/resume) pushes a file from one sender
+to a selected receiver, replacing a failed receiver with one that gets
+only the unproven parts.  Either way the delivery's piece tracker is
+its one record of proven parts.
 
 Public surface:
 

@@ -29,13 +29,13 @@ fixed end's type sets the direction:
   stragglers, and a duplicate whose piece is proven mid-stream skips
   its confirm round (``cancel_if`` on
   :meth:`~repro.overlay.filetransfer.TransferHandle.send_part`); a
-  duplicate confirm that does land is deduplicated by the ledger's
-  digest-keyed proofs.
-* Every confirmed piece is proven in a
-  :class:`~repro.recovery.ledger.TransferLedger`, whose only writer is
-  this driver, so a crashed or choked-out leg never loses verified
-  work: its in-flight piece returns to the pool and is re-assigned to
-  the survivors, plus a replacement leg from the selection callback.
+  duplicate confirm that does land finds its piece already proven in
+  the tracker and counts as a redundant round, never a second proof.
+* The delivery's tracker is its only record of proven parts, so a
+  crashed or choked-out leg never loses verified work: its in-flight
+  piece returns to the pool and is re-assigned to the survivors, plus
+  a replacement leg from the selection callback, which streams only
+  the unproven parts.
 * While the fixed end's host is down, legs wait (polling every
   :data:`FIXED_END_POLL_S`) instead of failing and burning through
   candidates; the caller bounds the wait with :meth:`abort`.
@@ -54,9 +54,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.errors import HostDownError, TransferAborted
 from repro.obs.metrics import NULL_REGISTRY
 from repro.overlay.advertisements import PeerAdvertisement
-from repro.overlay.filetransfer import OPEN_ENDED, part_digest, split_even
+from repro.overlay.filetransfer import OPEN_ENDED, split_even
 from repro.overlay.peer import PeerNode, RequestTimeout
-from repro.recovery.ledger import TransferLedger
 from repro.simnet.transport import Network
 from repro.swarm.choke import UNCHOKE_SLOTS, ChokeManager
 from repro.swarm.pieces import PieceTracker
@@ -121,8 +120,6 @@ class SwarmOutcome:
     finished_at: float = 0.0
     ok: bool = False
     reason: str = ""
-    #: Parts already proven in the ledger before this download ran.
-    parts_skipped: int = 0
     #: Endgame requests issued for a piece already in flight.
     duplicate_requests: int = 0
     #: Duplicates whose confirm round was skipped (proof landed first).
@@ -131,8 +128,7 @@ class SwarmOutcome:
     duplicate_parts: int = 0
     #: Source failures whose in-flight piece returned to the pool.
     reassignments: int = 0
-    #: Legs opened over already-proven parts (at the start, or as a
-    #: failed leg's replacement).
+    #: Replacement legs opened over already-proven parts.
     resumes: int = 0
     #: Proven bits at the latest resume: work not re-sent.
     recovered_bits: float = 0.0
@@ -187,7 +183,6 @@ class SwarmCoordinator:
         n_parts: int,
         select: SelectLegsFn,
         k: int = 2,
-        ledger: Optional[TransferLedger] = None,
     ) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -204,8 +199,6 @@ class SwarmCoordinator:
         self.n_parts = int(n_parts)
         self.select = select
         self.k = k
-        #: Proof store shared by every leg of this delivery.
-        self.ledger = ledger if ledger is not None else TransferLedger()
         reg = network.metrics
         self._g_active = reg.gauge("swarm.sources_active")
         self._m_duplicates = reg.counter("swarm.duplicate_parts")
@@ -265,27 +258,16 @@ class SwarmCoordinator:
         sim = self.sim
         out = self.outcome
         out.started_at = sim.now
-        sizes = split_even(self.total_bits, self.n_parts)
-        entry = self.ledger.open(
-            self.filename, self.total_bits, sizes, now=sim.now
-        )
         rng = self.network.streams.get(f"swarm/{self.filename}")
-        tracker = PieceTracker(sizes, rng.random(self.n_parts))
-        self._tracker = tracker
-        for index in entry.verified_indices():
-            tracker.mark_proven(index)
-            out.parts_skipped += 1
+        self._tracker = PieceTracker(
+            split_even(self.total_bits, self.n_parts),
+            rng.random(self.n_parts),
+        )
         self.network.tracer.record(
             "swarm-open", sim.now,
             filename=self.filename, fixed=self.fixed.name,
-            parts=self.n_parts, skipped=out.parts_skipped, k=self.k,
+            parts=self.n_parts, k=self.k,
         )
-        if tracker.complete:
-            out.ok = True
-            out.finished_at = sim.now
-            self._settled = True
-            self._m_ok.inc()
-            return out
         if not self._fixed_host.is_up:
             # Select once the fixed end is back, on fresh candidates.
             yield from self._fixed_end_wait()
@@ -299,7 +281,6 @@ class SwarmCoordinator:
             self._settled = True
             self._m_failed.inc()
             return out
-        self._resume()
         for leg in initial:
             if leg.name not in self._used:
                 self._admit(leg)
@@ -388,11 +369,11 @@ class SwarmCoordinator:
         )
 
     def _resume(self) -> None:
-        """Count a leg opening over already-proven parts."""
+        """Count a replacement leg opening over already-proven parts."""
         skipped = self._tracker.proven_count
         if not skipped:
             return
-        recovered = self.ledger.entry(self.filename).verified_bits
+        recovered = self._tracker.proven_bits
         self.outcome.resumes += 1
         self.outcome.recovered_bits = recovered
         self._m_resumes.inc()
@@ -506,16 +487,8 @@ class SwarmCoordinator:
                         continue
                     current = None
                     if tracker.mark_proven(piece):
-                        # First proof wins; duplicates below dedup
-                        # against it by digest in the ledger.
-                        self.ledger.record_confirmed(
-                            self.filename,
-                            piece,
-                            size,
-                            part_digest(self.filename, piece, size),
-                            dst=receiver.peer_id,
-                            now=sim.now,
-                        )
+                        # First proof wins; a later confirm of the same
+                        # piece lands in the branch below.
                         out.proofs.append((piece, sim.now))
                         self._m_proven.inc()
                         if choke is not None:

@@ -5,7 +5,9 @@ of a swarm download.  It knows, for every part of one file:
 
 * which registered *sources* hold it (availability),
 * whether a fetch is in flight and from whom,
-* whether the part is already proven (confirmed end-to-end).
+* whether the part is already proven (confirmed end-to-end) — the
+  delivery's only record of proven parts, so a piece is proven once
+  however many copies of it confirm.
 
 Ordering is BitTorrent's rarest-first: the next piece for a source is
 the unproven, unrequested piece it holds with the lowest availability;
@@ -52,6 +54,7 @@ class PieceTracker:
         self._inflight: Dict[int, Dict[str, None]] = {
             i: {} for i in range(n)
         }
+        #: Proven pieces, in proof order.
         self._proven: Dict[int, bool] = {}
 
     # -- sources -------------------------------------------------------------
@@ -140,6 +143,12 @@ class PieceTracker:
         return len(self._proven)
 
     @property
+    def proven_bits(self) -> float:
+        """Bits of the proven parts, summed in proof order: the work a
+        replacement leg does not re-send."""
+        return sum(self.part_sizes[i] for i in self._proven)
+
+    @property
     def complete(self) -> bool:
         """Every part proven."""
         return len(self._proven) >= self.n_parts
@@ -155,8 +164,8 @@ class PieceTracker:
         return True
 
     def remaining(self) -> List[Tuple[int, float]]:
-        """``(index, size_bits)`` of unproven parts, ascending — the
-        same accounting a resuming sender reads from its ledger."""
+        """``(index, size_bits)`` of unproven parts, ascending: what a
+        replacement leg still has to stream."""
         return [
             (i, size)
             for i, size in enumerate(self.part_sizes)

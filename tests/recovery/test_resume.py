@@ -14,9 +14,8 @@ from repro.faults.injectors import NodeCrash
 from repro.faults.plan import FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import use_registry
-from repro.overlay.filetransfer import part_digest
 from repro.overlay.peer import PeerConfig
-from repro.recovery import RecoveryConfig, TransferLedger
+from repro.recovery import RecoveryConfig
 from repro.simnet.kernel import Simulator
 from repro.swarm import Leg, SwarmCoordinator
 
@@ -60,12 +59,10 @@ def _crash_receiver_plan():
     )
 
 
-def _send(s, select, filename, total_bits=TOTAL_BITS, n_parts=N_PARTS,
-          ledger=None):
+def _send(s, select, filename, total_bits=TOTAL_BITS, n_parts=N_PARTS):
     """A k=1 delivery from the broker, receivers picked by ``select``."""
     return SwarmCoordinator(
-        s.network, s.broker, filename, total_bits, n_parts, select, k=1,
-        ledger=ledger,
+        s.network, s.broker, filename, total_bits, n_parts, select, k=1
     )
 
 
@@ -79,9 +76,12 @@ def _receivers(s, *names, exclude=()):
 
 
 def _run_crash_resume(seed=13):
+    """The crash-resume run: its session, outcome, driver, and the
+    replacement receiver's ``wait_for_file`` event."""
     session = Session(
         _config(seed=seed, fault_plan=_crash_receiver_plan(), trace=True)
     )
+    arrivals = []
 
     def scenario(s):
         def select(needed, exclude):
@@ -89,14 +89,30 @@ def _run_crash_resume(seed=13):
             # a different peer finishes the file.
             if not exclude:
                 return _receivers(s, "SC4")
-            return _receivers(s, exclude=exclude + ("SC4",))[:needed]
+            legs = _receivers(s, exclude=exclude + ("SC4",))[:needed]
+            for leg in legs:
+                # Registered before the replacement's petition.
+                arrivals.append(
+                    s.client(leg.name).transfers.wait_for_file("big.bin")
+                )
+            return legs
 
         driver = _send(s, select, "big.bin")
         out = yield s.sim.process(driver.download())
         return out, driver
 
     out, driver = session.run(scenario)
-    return session, out, driver
+    (arrival,) = arrivals
+    return session, out, driver, arrival
+
+
+def _proved_by(session):
+    """Piece -> the receiver whose confirm proved it, from the run's
+    ``swarm-piece`` trace events (one per proof)."""
+    events = session.tracer.of_kind("swarm-piece")
+    proved_by = {e.get("piece"): e.get("source") for e in events}
+    assert len(proved_by) == len(events)
+    return proved_by
 
 
 class TestCrashResume:
@@ -104,8 +120,7 @@ class TestCrashResume:
     resumes on another receiver without re-sending verified parts."""
 
     def test_resumes_without_resending_verified_parts(self):
-        session, out, driver = _run_crash_resume()
-        ledger = driver.ledger
+        session, out, driver, _ = _run_crash_resume()
         assert out.ok
         assert out.resumes == 1
         assert out.reassignments == 1
@@ -113,13 +128,12 @@ class TestCrashResume:
         first, second = out.sources_used
         assert first == "SC4" and second != "SC4"
         assert out.sources_failed == ["SC4"]
-        entry = ledger.entry("big.bin")
-        assert entry.is_complete
-        assert entry.verified_bits == pytest.approx(TOTAL_BITS)
-        ids = {r.adv.name: r.peer_id for r in session.candidates()}
-        proven_first = {
-            i for i, proof in entry.proofs.items() if proof.dst == ids[first]
-        }
+        tracker = driver._tracker
+        assert tracker.complete
+        assert tracker.proven_bits == pytest.approx(TOTAL_BITS)
+        proved_by = _proved_by(session)
+        assert sorted(proved_by) == list(range(N_PARTS))
+        proven_first = {i for i, name in proved_by.items() if name == first}
         sent_second = {r.piece for r in out.requests if r.source == second}
         # The replacement leg streamed only the unproven parts: none
         # that the crashed receiver had already proven was re-sent.
@@ -129,12 +143,10 @@ class TestCrashResume:
         assert out.recovered_bits == pytest.approx(
             len(proven_first) * TOTAL_BITS / N_PARTS
         )
-        assert all(
-            entry.proofs[i].dst == ids[second] for i in sorted(sent_second)
-        )
+        assert all(proved_by[i] == second for i in sorted(sent_second))
 
     def test_resume_emits_trace_and_metrics_events(self):
-        session, out, _ = _run_crash_resume()
+        session, out, _, _ = _run_crash_resume()
         reassign = session.tracer.last("swarm-reassign")
         assert reassign.get("source") == "SC4"
         assert reassign.get("error")
@@ -147,8 +159,8 @@ class TestCrashResume:
         assert reg.counter("swarm.downloads_ok").value == 1
 
     def test_same_seed_same_wire_path(self):
-        _, out_a, _ = _run_crash_resume(seed=13)
-        _, out_b, _ = _run_crash_resume(seed=13)
+        _, out_a, _, _ = _run_crash_resume(seed=13)
+        _, out_b, _, _ = _run_crash_resume(seed=13)
         assert out_a.finished_at == out_b.finished_at
         assert out_a.recovered_bits == out_b.recovered_bits
         assert out_a.sources_used == out_b.sources_used
@@ -169,7 +181,7 @@ class TestOneLegInline:
             return spawn(sim, generator, name)
 
         monkeypatch.setattr(Simulator, "process", recording)
-        _, out, driver = _run_crash_resume()
+        _, out, driver, _ = _run_crash_resume()
         assert out.ok and len(out.sources_used) == 2
         assert driver._choke is None
         # The scenario's one ``download`` process is the delivery's
@@ -193,7 +205,7 @@ class TestReceiverProgress:
     a receiver that got only the unproven parts."""
 
     def test_no_progress_outlives_its_streams(self):
-        session, out, _ = _run_crash_resume()
+        session, out, _, _ = _run_crash_resume()
         assert out.ok
         # Let the final stream's TransferComplete land.
         session.sim.run(until=session.sim.now + 60.0)
@@ -209,77 +221,20 @@ class TestReceiverProgress:
         replacement = session.client(out.sources_used[1])
         assert "big.bin" not in replacement.transfers._file_progress
 
-    def test_resume_from_pre_proven_ledger_fires_wait_for_file(self):
-        session = Session(_config())
-
-        def scenario(s):
-            sizes = [TOTAL_BITS / N_PARTS] * N_PARTS
-            ledger = TransferLedger()
-            ledger.open("big.bin", TOTAL_BITS, sizes, now=s.sim.now)
-            elsewhere = s.client("SC3").peer_id
-            for index in range(N_PARTS // 2):
-                ledger.record_confirmed(
-                    "big.bin", index, sizes[index],
-                    part_digest("big.bin", index, sizes[index]),
-                    dst=elsewhere, now=s.sim.now,
-                )
-            receiver = s.client("SC4")
-            arrival = receiver.transfers.wait_for_file("big.bin")
-            out = yield s.sim.process(
-                _send(
-                    s, lambda needed, exclude: _receivers(s, "SC4"),
-                    "big.bin", ledger=ledger,
-                ).download()
-            )
-            return out, arrival, receiver
-
-        out, arrival, receiver = session.run(scenario)
+    def test_replacement_fires_wait_for_file_on_owed_parts(self):
+        session, out, _, arrival = _run_crash_resume()
         assert out.ok
-        assert out.parts_skipped == N_PARTS // 2
-        assert sorted(r.piece for r in out.requests) == list(
-            range(N_PARTS // 2, N_PARTS)
-        )
+        replacement = out.sources_used[1]
+        owed = {r.piece for r in out.requests if r.source == replacement}
+        # The replacement got only the parts the crashed receiver had
+        # not proven, and that alone completed the file there.
         assert arrival.triggered
-        assert arrival.value.filename == "big.bin"
+        petition = arrival.value
+        assert petition.filename == "big.bin"
+        assert set(petition.file_parts) == owed
+        assert len(owed) < N_PARTS
+        receiver = session.client(replacement)
         assert "big.bin" not in receiver.transfers._file_progress
-
-
-class TestLedgerEdgeCases:
-    """Resume against a ledger whose state changed between deliveries."""
-
-    def test_resume_after_ledger_truncation_resends_exactly_the_tail(self):
-        # A durable store lost its tail: a fresh delivery of the same
-        # file must re-send exactly the dropped parts, nothing more.
-        session = Session(_config())
-
-        def scenario(s):
-            def select(needed, exclude):
-                # A reliable receiver: the test is about ledger
-                # bookkeeping, not link-level retransmission luck.
-                return _receivers(s, "SC4", exclude=exclude)
-
-            ledger = TransferLedger()
-            first = yield s.sim.process(
-                _send(s, select, "big.bin", ledger=ledger).download()
-            )
-            assert first.ok
-            dropped = ledger.truncate("big.bin", keep_parts=8)
-            assert dropped == tuple(range(8, N_PARTS))
-            second = yield s.sim.process(
-                _send(s, select, "big.bin", ledger=ledger).download()
-            )
-            return second, ledger
-
-        out, ledger = session.run(scenario)
-        assert out.ok
-        assert out.resumes == 1
-        assert out.parts_skipped == 8
-        assert sorted(r.piece for r in out.requests) == list(
-            range(8, N_PARTS)
-        )
-        entry = ledger.entry("big.bin")
-        assert entry.is_complete
-        assert entry.verified_bits == pytest.approx(TOTAL_BITS)
 
 
 class TestSupervision:

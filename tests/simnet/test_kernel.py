@@ -247,12 +247,14 @@ class TestInterrupt:
 class TestConditions:
     def test_within_first_wins(self, sim):
         def proc():
-            fast = sim.timeout(1.0, value="fast")
+            # An event, not a Timeout: within rejects a Timeout.
+            fast = sim.event()
+            sim.call_in(1.0, fast.succeed, "fast")
             got = yield from sim.within(fast, 5.0)
-            return (sim.now, got)
+            return (sim.now, got, fast.value)
 
         p = sim.process(proc())
-        assert sim.run(until=p) == (pytest.approx(1.0), True)
+        assert sim.run(until=p) == (pytest.approx(1.0), True, "fast")
         sim.run()
         # The deadline timer was cancelled, not left to fire.
         assert sim.events_cancelled == 1

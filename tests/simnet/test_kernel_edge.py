@@ -446,7 +446,8 @@ class TestCallAtEvent:
 
 class TestTimersAreNotWaitable:
     """``call_at``/``call_in``/``wake_in`` timers run a callback and have
-    no callback list: waiting on one is an error that names the timer."""
+    no callback list: waiting on one is an error that names the timer.
+    ``within`` rejects a ``Timeout`` too: it is triggered when made."""
 
     def _named_timer(self, sim, schedule):
         def on_tick():
@@ -473,6 +474,17 @@ class TestTimersAreNotWaitable:
         timer = self._named_timer(sim, lambda s, fn: s.call_in(1.0, fn))
         with pytest.raises(SimulationError, match="cannot wait on timer .*on_tick"):
             next(sim.within(timer, 2.0))
+
+    def test_within_a_timeout_raises(self, sim):
+        # A Timeout is triggered when made: raced against a shorter
+        # deadline it would read as having happened at the deadline.
+        def waiter():
+            yield from sim.within(sim.timeout(5.0), 1.0)
+
+        proc = sim.process(waiter())
+        with pytest.raises(SimulationError, match="cannot race <Timeout"):
+            sim.run(until=proc)
+        assert sim.now == 0.0
 
     def test_all_of_a_timer_raises(self, sim):
         timer = self._named_timer(sim, lambda s, fn: s.wake_in(1.0, fn))

@@ -74,6 +74,8 @@ class TestPieceState:
         assert not t.mark_proven(0)
         assert t.proven(0)
         assert t.proven_count == 1
+        # A second proof of the same piece adds no bits.
+        assert t.proven_bits == 1e6
 
     def test_proof_clears_inflight(self):
         t = make_tracker()
