@@ -3,7 +3,7 @@
 Every benchmark regenerates one of the paper's tables/figures (or an
 ablation) and prints the same rows/series the paper reports; run with
 
-    pytest benchmarks/ --benchmark-only -s
+    pytest benchmarks/ -s
 
 to see the tables.  Shape assertions run inside the benchmarks, so a
 benchmark run is also a reproduction check.

@@ -71,8 +71,8 @@ def _sweep():
     return rows, quiet, herd
 
 
-def test_bench_ablation_staleness(benchmark):
-    rows, quiet, herd = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def test_bench_ablation_staleness():
+    rows, quiet, herd = _sweep()
     # The stale preference walks into the congested favourite: the herd
     # scenario must cost measurably more.
     assert herd > quiet * 1.15

@@ -66,8 +66,8 @@ def _sweep():
     return rows, acc
 
 
-def test_bench_ablation_weights(benchmark):
-    rows, seps = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def test_bench_ablation_weights():
+    rows, seps = _sweep()
     # File-focused weights separate reliable from unreliable peers most
     # sharply; task-only weights cannot see transfer history at all.
     assert seps["transfer_oriented"] >= seps["same_priority"]

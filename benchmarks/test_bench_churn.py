@@ -7,9 +7,9 @@ from repro.experiments import ExperimentConfig, churn
 from benchmarks.conftest import emit
 
 
-def test_bench_churn(benchmark):
+def test_bench_churn():
     config = ExperimentConfig(seed=2007, repetitions=3)
-    result = benchmark.pedantic(churn.run, args=(config,), rounds=1, iterations=1)
+    result = churn.run(config)
     assert result.completion_rate("economic") > result.completion_rate("blind")
     assert result.completion_rate("economic") >= 0.9
     emit(

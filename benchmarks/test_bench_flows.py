@@ -17,9 +17,7 @@ run completes within the tier-1 CI budget.
 
 Set ``REPRO_BENCH_SMOKE=1`` (the CI smoke job does) to shrink the flow
 counts while still asserting the scaling bounds; runs in well under
-two minutes.  These benchmarks use only stdlib timing — no
-pytest-benchmark fixture — so the CI matrix can run them with a plain
-pytest install.
+two minutes.  These benchmarks use only stdlib timing.
 """
 
 from __future__ import annotations

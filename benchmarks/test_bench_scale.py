@@ -13,9 +13,9 @@ from repro.experiments import ExperimentConfig, scale
 from benchmarks.conftest import emit
 
 
-def test_bench_scale(benchmark):
+def test_bench_scale():
     config = ExperimentConfig(seed=2007, repetitions=3)
-    result = benchmark.pedantic(scale.run, args=(config,), rounds=1, iterations=1)
+    result = scale.run(config)
     # Informed selection must beat blind placement at every pool size,
     # and stay effective as the pool triples.
     for pool in scale.POOL_SIZES:

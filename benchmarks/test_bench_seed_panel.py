@@ -27,13 +27,9 @@ def _ordering_holds(config) -> bool:
     return e4 < s4 < q4 and result.spread(16) < result.spread(4)
 
 
-def test_bench_fig6_seed_panel(benchmark):
-    result = benchmark.pedantic(
-        run_seed_panel,
-        args=(_ordering_holds,),
-        kwargs={"seeds": PANEL, "repetitions": 5, "name": "fig6-shape"},
-        rounds=1,
-        iterations=1,
+def test_bench_fig6_seed_panel():
+    result = run_seed_panel(
+        _ordering_holds, seeds=PANEL, repetitions=5, name="fig6-shape"
     )
     assert result.pass_rate >= 0.8  # at most one unlucky seed tolerated
     rows = [(seed, "pass" if ok else "FAIL") for seed, ok in result.outcomes.items()]

@@ -13,7 +13,6 @@ __all__ = [
     "ReproError",
     "SimulationError",
     "SimStopped",
-    "ProcessInterrupted",
     "SchedulingInPastError",
     "TransportError",
     "HostDownError",
@@ -50,18 +49,6 @@ class SimulationError(ReproError):
 
 class SimStopped(SimulationError):
     """Raised inside a process when the simulation has been stopped."""
-
-
-class ProcessInterrupted(SimulationError):
-    """Raised inside a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`repro.simnet.kernel.Process.interrupt`.
-    """
-
-    def __init__(self, cause: object = None) -> None:
-        super().__init__(f"process interrupted: {cause!r}")
-        self.cause = cause
 
 
 class SchedulingInPastError(SimulationError):

@@ -77,7 +77,6 @@ METRICS: Tuple[MetricSpec, ...] = (
     MetricSpec("kernel.agenda_depth", "gauge", "simnet", "agenda heap depth after a run"),
     MetricSpec("kernel.events_cancelled", "counter", "simnet", "events cancelled before firing"),
     MetricSpec("kernel.events_processed", "counter", "simnet", "events popped and fired"),
-    MetricSpec("kernel.interrupts", "counter", "simnet", "process interrupts delivered"),
     MetricSpec("kernel.sim_time_s", "gauge", "simnet", "final simulated time of the run"),
     # -- message transport ---------------------------------------------------
     MetricSpec("net.message_latency_s", "histogram", "simnet", "per-message delivery latency"),
@@ -105,8 +104,8 @@ METRICS: Tuple[MetricSpec, ...] = (
     # -- recovery stack ------------------------------------------------------
     MetricSpec("recovery.failover_latency_s", "histogram", "recovery", "outage-to-promotion latency"),
     MetricSpec("recovery.failovers", "counter", "recovery", "standby promotions"),
-    MetricSpec("recovery.parts_skipped", "counter", "recovery", "already-proven parts a replacement receiver skips"),
-    MetricSpec("recovery.recovered_mbit", "counter", "recovery", "megabits not re-sent thanks to resume"),
+    MetricSpec("recovery.parts_skipped", "counter", "recovery", "parts proven before a delivery's latest resume, once per delivery"),
+    MetricSpec("recovery.recovered_mbit", "counter", "recovery", "megabits proven before a delivery's latest resume (not re-sent), once per delivery"),
     MetricSpec("recovery.resumes", "counter", "recovery", "transfers resumed from checkpoint"),
     MetricSpec("recovery.supervision_wait_s", "histogram", "recovery", "leg wait for the fixed end's host"),
     MetricSpec("recovery.transfers_recovered", "counter", "recovery", "interrupted transfers completed after resume"),

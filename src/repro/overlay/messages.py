@@ -41,7 +41,6 @@ __all__ = [
     "TaskSubmit",
     "TaskAccept",
     "TaskReject",
-    "TaskCancel",
     "TaskQuery",
     "TaskResult",
 ]
@@ -345,13 +344,6 @@ class TaskReject:
 
     task_id: TaskId
     reason: str = ""
-
-
-@dataclass(frozen=True)
-class TaskCancel:
-    """Submitter withdraws a task (queued or running)."""
-
-    task_id: TaskId
 
 
 @dataclass(frozen=True)

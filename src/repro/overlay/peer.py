@@ -54,7 +54,6 @@ from repro.overlay.messages import (
     TaskAccept,
     TaskReject,
     TaskResult,
-    TaskCancel,
     TaskQuery,
     TaskSubmit,
     TransferCancel,
@@ -373,9 +372,6 @@ class PeerNode:
     def _on_task_submit(self, dgram: Datagram) -> None:
         self.tasks.handle_submit(dgram)
 
-    def _on_task_cancel(self, dgram: Datagram) -> None:
-        self.tasks.handle_cancel(dgram)
-
     def _on_task_query(self, dgram: Datagram) -> None:
         self.tasks.handle_query(dgram)
 
@@ -426,7 +422,6 @@ class PeerNode:
         TransferCancel: _on_transfer_cancel,
         TransferComplete: _on_transfer_complete,
         TaskSubmit: _on_task_submit,
-        TaskCancel: _on_task_cancel,
         TaskQuery: _on_task_query,
         TaskAccept: _on_task_accept,
         TaskReject: _on_task_reject,

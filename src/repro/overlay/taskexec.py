@@ -27,10 +27,8 @@ from typing import Optional, TYPE_CHECKING
 from repro.errors import TaskRejectedError
 from repro.overlay.advertisements import PeerAdvertisement
 from repro.overlay.ids import PeerId, TaskId
-from repro.errors import ProcessInterrupted
 from repro.overlay.messages import (
     TaskAccept,
-    TaskCancel,
     TaskQuery,
     TaskReject,
     TaskResult,
@@ -87,9 +85,6 @@ class TaskExecutionService:
         #: (failure-injection hooks for tests; default healthy).
         self.failure_prob = 0.0
         self._fail_rng = peer.network.streams.draws(f"taskfail/{peer.host.hostname}")
-        #: Executor-side: live execution processes by task id, so a
-        #: submitter's cancel can reach queued and running tasks.
-        self._executing: dict = {}
         #: Executor-side: finished results by task id, resent on a
         #: submitter's ``TaskQuery``.
         self._results: dict = {}
@@ -210,17 +205,7 @@ class TaskExecutionService:
             return
         peer.stats.pending_tasks += 1
         peer.host.send(src_host, TaskAccept(task_id=submit.task_id), light=True)
-        proc = self.sim.process(
-            self._execute(src_host, submit), name=f"task@{peer.name}"
-        )
-        self._executing[submit.task_id] = proc
-
-    def handle_cancel(self, dgram: Datagram) -> None:
-        """Withdraw a queued or running task on the executor."""
-        cancel: TaskCancel = dgram.payload
-        proc = self._executing.get(cancel.task_id)
-        if proc is not None and proc.is_alive:
-            proc.interrupt("cancelled by submitter")
+        self.sim.process(self._execute(src_host, submit), name=f"task@{peer.name}")
 
     def handle_query(self, dgram: Datagram) -> None:
         """Resend a finished task's result; a task not finished yet
@@ -231,22 +216,10 @@ class TaskExecutionService:
             peer = self.peer
             peer.host.send(peer.network.host(dgram.src), result, light=True)
 
-    def cancel(self, dst_adv: PeerAdvertisement, task_id) -> None:
-        """Submitter side: ask the executor to drop a task.
-
-        Fire-and-forget; the executor answers with a failed
-        ``TaskResult`` (error "cancelled ..."), which completes any
-        pending :meth:`submit` with ``ok=False``.
-        """
-        self.peer.learn(dst_adv)
-        dst_host = self.peer.network.host(dst_adv.hostname)
-        self.peer.host.send(dst_host, TaskCancel(task_id=task_id), light=True)
-
     def _execute(self, src_host, submit: TaskSubmit):
         peer = self.peer
-        compute_proc = self.sim.process(peer.host.compute(submit.ops))
         try:
-            busy = yield compute_proc
+            busy = yield from self.sim.call(peer.host.compute(submit.ops))
             failed = self.failure_prob > 0 and (
                 self._fail_rng.random() < self.failure_prob
             )
@@ -258,27 +231,13 @@ class TaskExecutionService:
                 busy_seconds=busy,
                 error="" if ok else "injected failure",
             )
-        except ProcessInterrupted as exc:
-            # Stop the compute child too (frees its CPU slot), and
-            # defuse its resulting failure so it isn't "unobserved".
-            if compute_proc.is_alive:
-                compute_proc.interrupt("cancelled")
-                compute_proc.callbacks.append(lambda _e: None)
-            peer.stats.record_task_executed(self.sim.now, ok=False)
-            result = TaskResult(
-                task_id=submit.task_id,
-                ok=False,
-                busy_seconds=0.0,
-                error=str(exc.cause or "cancelled"),
-            )
-        except Exception as exc:  # noqa: BLE001 - report, don't crash the peer
+        except ValueError as exc:  # a negative demand: report, don't crash the peer
             peer.stats.record_task_executed(self.sim.now, ok=False)
             result = TaskResult(
                 task_id=submit.task_id, ok=False, busy_seconds=0.0, error=str(exc)
             )
         finally:
             peer.stats.pending_tasks -= 1
-            self._executing.pop(submit.task_id, None)
         self._results[submit.task_id] = result
         if peer.host.is_up:
             peer.host.send(src_host, result, light=True)

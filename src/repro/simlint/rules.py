@@ -501,10 +501,12 @@ class SwallowedInterruptRule(Rule):
     id = "SIM007"
     title = "bare except / swallowed interrupt"
     rationale = (
-        "ProcessInterrupted is how the kernel cancels a process; a "
-        "bare/broad except that neither handles it explicitly nor "
-        "re-raises turns cancellation into silent corruption (leaked "
-        "resource slots, phantom transfers)."
+        "A process receives every failure at its yields: a failed "
+        "event it waits on, a kernel error, the close of its "
+        "generator.  A bare/broad except that neither names what it "
+        "expects nor re-raises turns a failure it never meant to "
+        "handle into silent corruption (leaked resource slots, "
+        "phantom transfers)."
     )
     scopes = frozenset({"sim", "bench", "test"})
 
@@ -524,7 +526,7 @@ class _SwallowedInterruptVisitor(_ScopedVisitor):
             if handler.type is None:
                 self.report(
                     handler,
-                    "bare except: — catches ProcessInterrupted and "
+                    "bare except: — catches GeneratorExit and "
                     "SimStopped; name the exceptions you mean",
                 )
                 continue
@@ -539,8 +541,8 @@ class _SwallowedInterruptVisitor(_ScopedVisitor):
                 self.report(
                     handler,
                     f"except {'/'.join(names)} in a generator process "
-                    f"swallows ProcessInterrupted — handle the interrupt "
-                    f"explicitly or re-raise",
+                    f"swallows every failure thrown in at its yields — "
+                    f"name the exceptions you mean or re-raise",
                 )
         self.generic_visit(node)
 

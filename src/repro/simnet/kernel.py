@@ -10,7 +10,7 @@ tuned for the overlay workloads in this library:
   with a value or *fail* with an exception.
 * :class:`Process` — a generator-coroutine driven by the simulator.
   Processes ``yield`` delays (numbers), other events, or other
-  processes; they can be interrupted.
+  processes.
 * :class:`Timeout`, :class:`AllOf` and :meth:`Simulator.within` — a
   delay, a join, and the timed wait the overlay protocols use ("wait for
   the confirmation or a timeout").
@@ -30,12 +30,7 @@ from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from repro.errors import (
-    ProcessInterrupted,
-    SchedulingInPastError,
-    SimStopped,
-    SimulationError,
-)
+from repro.errors import SchedulingInPastError, SimStopped, SimulationError
 
 __all__ = [
     "Simulator",
@@ -55,11 +50,10 @@ NORMAL_PRIORITY = 1
 #: Priority used by :class:`Timeout` via ``urgent=True`` scheduling.
 URGENT_PRIORITY = 0
 
-#: Placeholder for a :class:`Resource` queue (or set) not used yet.
-#: Most resources of a large run stay idle, and an empty deque still
-#: holds a full 64-slot block, so each container is allocated on first
-#: use; the empty tuple answers ``len``, truth, ``in`` and iteration
-#: meanwhile.
+#: Placeholder for a :class:`Resource` queue not used yet.  Most
+#: resources of a large run stay idle, and an empty deque still holds a
+#: full 64-slot block, so the queue is allocated on first use; the
+#: empty tuple answers ``len`` and truth meanwhile.
 _UNUSED: tuple = ()
 
 #: Agenda compaction: sweep lazily-cancelled entries out of the heap
@@ -242,15 +236,9 @@ def _expire(process: "Process", event: Event) -> None:
     from ``event`` to one event due now."""
     callbacks = event.callbacks
     resume = process._resume
-    if resume not in callbacks:
-        # Interrupted, with the interrupt still due: it resumes the
-        # process, and ``within`` sees this timer gone.
-        callbacks.append(_defuse)
-        return
     callbacks[callbacks.index(resume)] = _defuse
     relay = Event(process.sim)
     relay.callbacks.append(resume)
-    process._waiting_on = relay
     relay.succeed()
 
 
@@ -298,13 +286,13 @@ class Process(Event):
         got = yield from sim.within(event, 5.0)  # wait with a deadline
 
     Spawn a child process only for concurrency: to wait on it with a
-    deadline (:meth:`Simulator.within`), interrupt it, or let it run
-    alongside the parent.  A child the parent waits on at once runs
-    inline through :meth:`Simulator.call`: same result, same times,
-    same agenda order, no process.
+    deadline (:meth:`Simulator.within`) or let it run alongside the
+    parent.  A child the parent waits on at once runs inline through
+    :meth:`Simulator.call`: same result, same times, same agenda order,
+    no process.
     """
 
-    __slots__ = ("_generator", "_waiting_on")
+    __slots__ = ("_generator",)
 
     def __init__(
         self,
@@ -316,40 +304,12 @@ class Process(Event):
             raise TypeError(f"process target must be a generator, got {generator!r}")
         super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
         _Initialize(sim, self)
 
     @property
     def is_alive(self) -> bool:
         """True while the underlying generator has not finished."""
         return self._value is PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`ProcessInterrupted` into the process.
-
-        The process resumes immediately (at the current simulation
-        time) with the exception raised at its current ``yield``.
-        Interrupting a finished process is an error; interrupting a
-        process that has not started yet is allowed and takes effect at
-        its first resume.
-        """
-        if not self.is_alive:
-            raise SimulationError(f"cannot interrupt finished process {self!r}")
-        if self is self.sim.active_process:
-            raise SimulationError("a process cannot interrupt itself")
-        self.sim.interrupts += 1
-        exc = ProcessInterrupted(cause)
-        waiting = self._waiting_on
-        if waiting is not None and not waiting.processed:
-            # Detach from the event we were waiting on.
-            if waiting.callbacks is not None and self._resume in waiting.callbacks:
-                waiting.callbacks.remove(self._resume)
-        self._waiting_on = None
-        interrupt_ev = Event(self.sim, name="interrupt")
-        interrupt_ev.callbacks.append(self._resume)
-        interrupt_ev._ok = False
-        interrupt_ev._value = exc
-        self.sim._schedule_event(interrupt_ev, URGENT_PRIORITY)
 
     # -- stepping ---------------------------------------------------------
 
@@ -368,14 +328,12 @@ class Process(Event):
                     # unhandled and fail this process instead.
                     target = gen.throw(event._value)
             except StopIteration as stop:
-                self._waiting_on = None
                 sim._active_process = None
                 self._ok = True
                 self._value = stop.value
                 sim._schedule_event(self, NORMAL_PRIORITY)
                 return
             except BaseException as exc:  # noqa: BLE001 - process failure
-                self._waiting_on = None
                 sim._active_process = None
                 self._ok = False
                 self._value = exc
@@ -403,7 +361,6 @@ class Process(Event):
             except AttributeError:
                 # Only a timer's shared ``_TIMER`` mark has no append.
                 raise _not_waitable(event) from None
-            self._waiting_on = event
             break
         sim._active_process = None
 
@@ -480,7 +437,6 @@ class Simulator:
         #: instrumentation; :meth:`flush_metrics` publishes them.
         self.events_processed = 0
         self.events_cancelled = 0
-        self.interrupts = 0
         self.max_agenda_depth = 0
         self.agenda_compactions = 0
         #: Lazily-cancelled entries still sitting in the agenda; drives
@@ -490,7 +446,6 @@ class Simulator:
         #: more than one (see :meth:`call`).
         self._fanout = False
         self._flushed_events = 0
-        self._flushed_interrupts = 0
         self._flushed_cancelled = 0
 
     # -- clock & introspection ---------------------------------------------
@@ -607,10 +562,10 @@ class Simulator:
           one event at that relay key, and ``event`` keeps an observer
           that drops its outcome, as the race's condition did.
 
-        An interrupt or a close of the caller cancels the timer.  A
-        :class:`Timeout` is triggered when it is made, so it cannot be
-        raced against a deadline: passing one raises
-        :class:`SimulationError`, as a timer does.
+        A close of the caller cancels the timer.  A :class:`Timeout` is
+        triggered when it is made, so it cannot be raced against a
+        deadline: passing one raises :class:`SimulationError`, as a
+        timer does.
         """
         if not timeout >= 0:
             raise SchedulingInPastError(f"{_negative(timeout)} within timeout {timeout!r}")
@@ -631,14 +586,11 @@ class Simulator:
             yield event
         except BaseException as exc:
             if timer.callbacks is None:
-                # Interrupted or closed behind the deadline's relay.
+                # Closed behind the deadline's relay.
                 raise
             self.cancel(timer)
             if exc is not event._value:
-                # Interrupted or closed before ``event`` happened.
-                callbacks = event.callbacks
-                if callbacks is not None and process._resume not in callbacks:
-                    callbacks.append(_defuse)
+                # Closed before ``event`` happened.
                 raise
             gate = self._return_gate()
             if gate is not None:
@@ -894,14 +846,10 @@ class Simulator:
         reg.counter("kernel.events_processed").inc(  # simlint: disable=SIM006 -- per-flush lookup, registry varies per call
             self.events_processed - self._flushed_events
         )
-        reg.counter("kernel.interrupts").inc(  # simlint: disable=SIM006 -- per-flush lookup, registry varies per call
-            self.interrupts - self._flushed_interrupts
-        )
         reg.counter("kernel.events_cancelled").inc(  # simlint: disable=SIM006 -- per-flush lookup, registry varies per call
             self.events_cancelled - self._flushed_cancelled
         )
         self._flushed_events = self.events_processed
-        self._flushed_interrupts = self.interrupts
         self._flushed_cancelled = self.events_cancelled
         reg.gauge("kernel.agenda_depth").track_max(self.max_agenda_depth)  # simlint: disable=SIM006 -- per-flush lookup, registry varies per call
         reg.gauge("kernel.agenda_compactions").set(self.agenda_compactions)  # simlint: disable=SIM006 -- per-flush lookup, registry varies per call
@@ -913,8 +861,8 @@ class Resource:
 
     ``request()`` returns an event that succeeds when a slot is granted;
     ``release()`` frees a slot.  FIFO granting keeps runs deterministic.
-    The waiter queue and the grant and cancel sets are allocated on
-    first use (see ``_UNUSED``): most hosts never contend for a slot.
+    The waiter queue is allocated on first use (see ``_UNUSED``): most
+    hosts never contend for a slot.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1) -> None:
@@ -923,14 +871,8 @@ class Resource:
         self.sim = sim
         self.capacity = int(capacity)
         self._in_use = 0
-        #: FIFO of pending grant events.  Cancelled waiters stay in the
-        #: deque as tombstones (members of ``_cancelled``) and are
-        #: skipped on wake — O(1) cancel instead of an O(n) remove.
+        #: FIFO of pending grant events.
         self._waiters: "deque[Event] | tuple" = _UNUSED
-        self._cancelled: "set[Event] | tuple" = _UNUSED
-        #: Grants currently holding a slot; membership makes
-        #: :meth:`cancel` (and grant-aware :meth:`release`) idempotent.
-        self._open_grants: "set[Event] | tuple" = _UNUSED
 
     @property
     def in_use(self) -> int:
@@ -939,28 +881,20 @@ class Resource:
 
     @property
     def queued(self) -> int:
-        """Number of pending (non-cancelled) requests."""
-        return len(self._waiters) - len(self._cancelled)
+        """Number of pending requests."""
+        return len(self._waiters)
 
     @property
     def available(self) -> int:
         """Free slots right now."""
         return self.capacity - self._in_use
 
-    def _grant(self, ev: Event) -> None:
-        """Record ``ev`` as holding a slot and trigger it."""
-        grants = self._open_grants
-        if grants is _UNUSED:
-            grants = self._open_grants = set()
-        grants.add(ev)
-        ev.succeed(self)
-
     def request(self) -> Event:
         """Return an event that succeeds once a slot is granted."""
         ev = self.sim.event(name="resource-grant")
         if self._in_use < self.capacity:
             self._in_use += 1
-            self._grant(ev)
+            ev.succeed(self)
         else:
             waiters = self._waiters
             if waiters is _UNUSED:
@@ -968,46 +902,11 @@ class Resource:
             waiters.append(ev)
         return ev
 
-    def release(self, grant: Optional[Event] = None) -> None:
-        """Free one slot, waking the oldest live waiter if any.
-
-        Passing the ``grant`` event closes it explicitly: a later
-        :meth:`cancel` (or a second release) of the same grant becomes
-        a no-op instead of freeing somebody else's slot.
-        """
-        if grant is not None:
-            if grant not in self._open_grants:
-                raise SimulationError(
-                    "release() of a grant that is not currently held"
-                )
-            self._open_grants.discard(grant)
+    def release(self) -> None:
+        """Free one slot, handing it to the oldest waiter if any."""
         if self._in_use <= 0:
             raise SimulationError("release() without matching request()")
-        waiters = self._waiters
-        while waiters:
-            ev = waiters.popleft()
-            if ev in self._cancelled:
-                self._cancelled.discard(ev)
-                continue
-            self._grant(ev)
-            return
-        self._in_use -= 1
-
-    def cancel(self, grant: Event) -> None:
-        """Withdraw a request; idempotent per grant.
-
-        A still-queued grant is tombstoned (skipped when its turn
-        comes); a granted-and-open grant releases its slot.  A grant
-        already released or cancelled is left alone — so an interrupt
-        handler may always call ``cancel`` without risking a double
-        release or a phantom free slot.
-        """
-        if not grant.triggered:
-            if self._cancelled is _UNUSED:
-                self._cancelled = set()
-            self._cancelled.add(grant)
-            return
-        if grant in self._open_grants:
-            self._open_grants.discard(grant)
-            self.release()
-
+        if self._waiters:
+            self._waiters.popleft().succeed(self)
+        else:
+            self._in_use -= 1

@@ -1004,14 +1004,7 @@ class Host:
         """
         if ops < 0:
             raise ValueError(f"ops must be >= 0, got {ops}")
-        grant = self.cpu.request()
-        try:
-            yield grant
-        except BaseException:
-            # Interrupted while queued (or just as the slot arrived):
-            # hand the slot back so it cannot leak.
-            self.cpu.cancel(grant)
-            raise
+        yield self.cpu.request()
         try:
             rng = self._cpu_share_rng
             if rng is None:
@@ -1023,7 +1016,7 @@ class Host:
             yield duration
             return duration
         finally:
-            self.cpu.release(grant)
+            self.cpu.release()
 
     def planned_compute_seconds(self, ops: float) -> float:
         """Planning estimate of :meth:`compute` (mean share)."""

@@ -227,6 +227,8 @@ class SwarmCoordinator:
         self._streaming = 0
         self._idle = 0
         self._alive = 0
+        #: Parts proven at the latest resume (see :meth:`_resume`).
+        self._skipped = 0
         self._finished = False
         self._settled = False
         # Legs run as processes only at k > 1; a k=1 ``download`` runs
@@ -369,16 +371,23 @@ class SwarmCoordinator:
         )
 
     def _resume(self) -> None:
-        """Count a replacement leg opening over already-proven parts."""
-        skipped = self._tracker.proven_count
+        """Count a replacement leg opening over already-proven parts.
+
+        The skipped parts and recovered bits of a delivery count once,
+        as of its latest resume: each resume adds only the parts and
+        bits proven since the one before."""
+        tracker = self._tracker
+        skipped = tracker.proven_count
         if not skipped:
             return
-        recovered = self._tracker.proven_bits
-        self.outcome.resumes += 1
-        self.outcome.recovered_bits = recovered
+        out = self.outcome
+        recovered = tracker.proven_bits
         self._m_resumes.inc()
-        self._m_parts_skipped.inc(skipped)
-        self._m_recovered_mbit.inc(recovered / 1e6)
+        self._m_parts_skipped.inc(skipped - self._skipped)
+        self._m_recovered_mbit.inc((recovered - out.recovered_bits) / 1e6)
+        self._skipped = skipped
+        out.resumes += 1
+        out.recovered_bits = recovered
 
     def _fixed_end_wait(self):
         """Poll until the fixed end's host is up or the delivery ends."""

@@ -33,7 +33,7 @@ class TestVocabularyShape:
             "FilePetition", "PetitionAck", "PartNotice", "PartConfirm",
             "TransferCancel", "TransferComplete",
             # tasks
-            "TaskSubmit", "TaskAccept", "TaskReject", "TaskCancel",
+            "TaskSubmit", "TaskAccept", "TaskReject",
             "TaskQuery", "TaskResult",
         }
         assert families == set(messages.__all__)

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import TaskRejectedError
 from repro.overlay.messages import TaskResult
 from repro.overlay.peer import PeerConfig, RequestTimeout
+from repro.simnet.kernel import Simulator
 from repro.simnet.transport import Host
 
 from tests.conftest import connect, run_process
@@ -152,75 +153,28 @@ class TestAdmissionControl:
         assert names == ["first", "second"]
 
 
-class TestCancellation:
-    def test_cancel_running_task(self, overlay_pair, sim):
+class TestComputeInline:
+    """An executed task computes inside its ``_execute`` process."""
+
+    def test_a_task_spawns_only_its_execute_process(
+        self, overlay_pair, sim, monkeypatch
+    ):
         broker, client, net = overlay_pair
         connect(sim, broker, client)
-        outcomes = []
+        spawned = []
+        spawn = Simulator.process
 
-        def flow():
-            def submit():
-                out = yield sim.process(
-                    broker.tasks.submit(client.advertisement(), "long", ops=500.0)
-                )
-                outcomes.append(out)
+        def recording(sim, generator, name=""):
+            spawned.append(generator.gi_code.co_name)
+            return spawn(sim, generator, name)
 
-            p = sim.process(submit())
-            yield 10.0  # task is now running at the executor
-            task_id = next(iter(client.tasks._executing))
-            broker.tasks.cancel(client.advertisement(), task_id)
-            yield p
-
-        from tests.conftest import run_process
-
-        run_process(sim, flow())
-        out = outcomes[0]
-        assert not out.ok
-        assert "cancel" in out.error
-        # Cancellation arrived long before the 500-ops run time.
-        assert out.round_trip_seconds < 100.0
-        assert client.stats.pending_tasks == 0
-
-    def test_cancel_queued_task_frees_slot(self, overlay_pair, sim):
-        broker, client, net = overlay_pair
-        connect(sim, broker, client)
-        outcomes = []
-
-        def flow():
-            def submit(name, ops):
-                out = yield sim.process(
-                    broker.tasks.submit(client.advertisement(), name, ops=ops)
-                )
-                outcomes.append(out)
-
-            p1 = sim.process(submit("running", 200.0))
-            p2 = sim.process(submit("queued", 200.0))
-            yield 5.0
-            # Two tasks at the executor: one running, one queued on CPU.
-            assert len(client.tasks._executing) == 2
-            queued_id = list(client.tasks._executing)[1]
-            broker.tasks.cancel(client.advertisement(), queued_id)
-            yield sim.all_of([p1, p2])
-
-        from tests.conftest import run_process
-
-        run_process(sim, flow())
-        assert len(outcomes) == 2
-        by_ok = {out.ok for out in outcomes}
-        assert by_ok == {True, False}
-        # The CPU slot was not leaked: a fresh task still executes.
-        out = run_process(
-            sim, broker.tasks.submit(client.advertisement(), "after", ops=10.0)
+        monkeypatch.setattr(Simulator, "process", recording)
+        outcome = run_process(
+            sim, broker.tasks.submit(client.advertisement(), "t", ops=10.0)
         )
-        assert out.ok
-
-    def test_cancel_unknown_task_ignored(self, overlay_pair, sim):
-        broker, client, net = overlay_pair
-        connect(sim, broker, client)
-        from repro.overlay.ids import IdFactory
-
-        broker.tasks.cancel(client.advertisement(), IdFactory("x").task_id())
-        sim.run(until=sim.now + 1.0)  # nothing blows up
+        assert outcome.ok and outcome.busy_seconds > 0
+        assert spawned.count("_execute") == 1
+        assert "compute" not in spawned
 
 
 class TestOverdueResult:

@@ -158,6 +158,42 @@ class TestCrashResume:
         )
         assert reg.counter("swarm.downloads_ok").value == 1
 
+    def test_a_second_resume_counts_its_proven_parts_once(self):
+        # SC4 dies mid-file, then its replacement SC2 dies too: the
+        # third receiver resumes over every part the first two proved.
+        plan = FaultPlan(
+            name="crash-two-receivers",
+            schedule=(
+                (90.0, NodeCrash(target="SC4", duration_s=600.0)),
+                (300.0, NodeCrash(target="SC2", duration_s=600.0)),
+            ),
+        )
+        session = Session(_config(fault_plan=plan))
+
+        def scenario(s):
+            def select(needed, exclude):
+                if not exclude:
+                    return _receivers(s, "SC4")
+                if exclude == ("SC4",):
+                    return _receivers(s, "SC2")
+                return _receivers(s, exclude=exclude)[:needed]
+
+            return (yield s.sim.process(_send(s, select, "big.bin").download()))
+
+        out = session.run(scenario)
+        assert out.ok
+        assert out.sources_failed == ["SC4", "SC2"]
+        assert out.resumes == 2
+        reg = session.metrics
+        assert reg.counter("recovery.resumes").value == 2
+        # Both counters read the latest resume, as the outcome does.
+        assert reg.counter("recovery.recovered_mbit").value == pytest.approx(
+            out.recovered_bits / 1e6
+        )
+        assert reg.counter("recovery.parts_skipped").value == pytest.approx(
+            out.recovered_bits / (TOTAL_BITS / N_PARTS)
+        )
+
     def test_same_seed_same_wire_path(self):
         _, out_a, _, _ = _run_crash_resume(seed=13)
         _, out_b, _, _ = _run_crash_resume(seed=13)

@@ -6,12 +6,7 @@ import random
 
 import pytest
 
-from repro.errors import (
-    ProcessInterrupted,
-    SchedulingInPastError,
-    SimStopped,
-    SimulationError,
-)
+from repro.errors import SchedulingInPastError, SimStopped, SimulationError
 from repro.simnet.kernel import Event, Resource, Simulator, Timeout
 
 
@@ -191,57 +186,6 @@ class TestProcess:
 
         p = sim.process(waiter())
         assert sim.run(until=p) == "early"
-
-
-class TestInterrupt:
-    def test_interrupt_raises_inside(self, sim):
-        def victim():
-            try:
-                yield 100.0
-            except ProcessInterrupted as exc:
-                return ("interrupted", exc.cause)
-
-        def attacker(p):
-            yield 1.0
-            p.interrupt("reason")
-
-        v = sim.process(victim())
-        sim.process(attacker(v))
-        assert sim.run(until=v) == ("interrupted", "reason")
-        assert sim.now == pytest.approx(1.0)
-
-    def test_interrupt_finished_process_raises(self, sim):
-        def victim():
-            yield 0.1
-
-        v = sim.process(victim())
-        sim.run()
-        with pytest.raises(SimulationError):
-            v.interrupt()
-
-    def test_self_interrupt_rejected(self, sim):
-        def victim():
-            yield 0.0
-            me = sim.active_process
-            me.interrupt()
-            yield 1.0
-
-        v = sim.process(victim())
-        with pytest.raises(SimulationError):
-            sim.run(until=v)
-
-    def test_unhandled_interrupt_fails_process(self, sim):
-        def victim():
-            yield 100.0
-
-        def attacker(p):
-            yield 1.0
-            p.interrupt()
-
-        v = sim.process(victim())
-        sim.process(attacker(v))
-        with pytest.raises(ProcessInterrupted):
-            sim.run(until=v)
 
 
 class TestConditions:
@@ -502,6 +446,14 @@ class TestResource:
         with pytest.raises(SimulationError):
             res.release()
 
+    def test_second_release_of_one_request_raises(self, sim):
+        res = Resource(sim, capacity=1)
+        res.request()
+        res.release()
+        with pytest.raises(SimulationError):
+            res.release()
+        assert res.request().triggered  # capacity intact, not phantom
+
     def test_capacity_validation(self, sim):
         with pytest.raises(ValueError):
             Resource(sim, capacity=0)
@@ -537,51 +489,46 @@ class TestResource:
 
 
 class TestLazyContainers:
-    """A resource allocates its queue and sets on first use; a fresh
-    one and one whose containers exist but are empty behave the same."""
+    """A resource allocates its queue on first use; a fresh one and one
+    whose queue exists but is empty behave the same."""
 
     @staticmethod
     def _used_resource(sim):
         res = Resource(sim, capacity=1)
-        grant = res.request()
-        waiter = res.request()
-        res.cancel(waiter)
-        res.release(grant)
+        res.request()
+        res.request()
+        res.release()
+        res.release()
         assert res.in_use == 0 and res.queued == 0
         return res
 
     @staticmethod
     def _resource_trace(res):
         out = [res.queued, res.in_use, res.available]
-        held = res.request()
+        res.request()
         waiters = [res.request() for _ in range(4)]
         out.append(res.queued)
-        res.cancel(waiters[1])  # a tombstone, skipped when its turn comes
-        res.cancel(waiters[1])
-        out.append(res.queued)
         order = []
-        grant = held
         while True:
-            res.release(grant)
+            res.release()
             woken = [i for i, w in enumerate(waiters) if w.triggered and i not in order]
             if not woken:
                 break
             order += woken
-            grant = waiters[woken[0]]
         out += [order, res.queued, res.in_use]
         return out
 
     def test_resource_same_before_and_after_first_use(self, sim):
         fresh = self._resource_trace(Resource(sim, capacity=1))
-        assert fresh == [0, 0, 1, 4, 3, [0, 2, 3], 0, 0]
+        assert fresh == [0, 0, 1, 4, [0, 1, 2, 3], 0, 0]
         assert self._resource_trace(self._used_resource(sim)) == fresh
 
     def test_fresh_resource_rejects_unknown_grant(self, sim):
+        # A release the resource never granted.
         res = Resource(sim)
         with pytest.raises(SimulationError):
-            res.release(sim.event())
-        res.cancel(sim.event().succeed())  # not held: a no-op
-        assert res.in_use == 0
+            res.release()
+        assert res.in_use == 0 and res.queued == 0
 
 
 class TestDeterminism:
@@ -603,108 +550,6 @@ class TestDeterminism:
             return trace
 
         assert run_once() == run_once()
-
-
-class TestResourceCancel:
-    """Regression tests for idempotent cancel and tombstoned waiters."""
-
-    def test_cancel_queued_request_frees_its_turn(self, sim):
-        res = Resource(sim, capacity=1)
-        res.request()
-        w1 = res.request()
-        w2 = res.request()
-        assert res.queued == 2
-        res.cancel(w1)
-        assert res.queued == 1
-        res.release()
-        # The tombstoned waiter is skipped; w2 gets the slot.
-        assert not w1.triggered
-        assert w2.triggered
-
-    def test_double_cancel_of_granted_event_is_noop(self, sim):
-        res = Resource(sim, capacity=1)
-        g = res.request()
-        assert g.triggered
-        res.cancel(g)
-        assert res.in_use == 0
-        # Pre-fix this second cancel double-released the slot.
-        res.cancel(g)
-        assert res.in_use == 0
-        assert res.available == 1
-
-    def test_cancel_after_explicit_release_is_noop(self, sim):
-        res = Resource(sim, capacity=1)
-        g = res.request()
-        res.release(g)
-        res.cancel(g)  # the grant was already closed by release(g)
-        assert res.in_use == 0
-        assert res.request().triggered  # capacity intact, not phantom
-
-    def test_release_of_unknown_grant_rejected(self, sim):
-        res = Resource(sim, capacity=1)
-        g = res.request()
-        res.release(g)
-        with pytest.raises(SimulationError):
-            res.release(g)
-
-    def test_cancel_of_cancelled_queued_request_is_noop(self, sim):
-        res = Resource(sim, capacity=1)
-        res.request()
-        w = res.request()
-        res.cancel(w)
-        res.cancel(w)
-        assert res.queued == 0
-
-    def test_interrupt_after_grant_fired_releases_exactly_once(self, sim):
-        """A cleanup that always cancels must not double-free the slot."""
-        res = Resource(sim, capacity=1)
-        log = []
-
-        def worker(name, hold):
-            grant = res.request()
-            try:
-                yield grant
-                yield hold
-                res.release(grant)
-                log.append((name, "done", sim.now))
-                return "done"
-            except ProcessInterrupted:
-                log.append((name, "interrupted", sim.now))
-                return "interrupted"
-            finally:
-                res.cancel(grant)  # idempotent: safe on every path
-
-        w1 = sim.process(worker("w1", 5.0))
-        w2 = sim.process(worker("w2", 5.0))
-
-        def interrupter():
-            yield 2.0
-            w1.interrupt("preempted")
-
-        sim.process(interrupter())
-        sim.run()
-        assert w1.value == "interrupted"
-        assert w2.value == "done"
-        # w2 got the slot at the interrupt, not before, not twice.
-        assert log == [
-            ("w1", "interrupted", 2.0),
-            ("w2", "done", 7.0),
-        ]
-        assert res.in_use == 0
-        assert res.available == 1
-
-    def test_tombstones_do_not_leak_grants(self, sim):
-        res = Resource(sim, capacity=2)
-        grants = [res.request() for _ in range(2)]
-        waiters = [res.request() for _ in range(4)]
-        for w in waiters[:3]:
-            res.cancel(w)
-        for g in grants:
-            res.release(g)
-        # Only the one live waiter is woken; the second release frees.
-        assert waiters[3].triggered
-        assert res.in_use == 1
-        assert res.queued == 0
 
 
 class TestAgendaCompaction:
@@ -794,24 +639,6 @@ class TestKernelInstrumentation:
         sim.process(proc())
         sim.run()
         assert sim.events_processed > 0
-        assert sim.interrupts == 0
-
-    def test_interrupt_counter(self, sim):
-        def sleeper():
-            try:
-                yield 10.0
-            except ProcessInterrupted:
-                pass
-
-        p = sim.process(sleeper())
-
-        def interrupter():
-            yield 1.0
-            p.interrupt()
-
-        sim.process(interrupter())
-        sim.run()
-        assert sim.interrupts == 1
 
     def test_agenda_depth_high_water_mark(self, sim):
         for _ in range(5):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ProcessInterrupted, SchedulingInPastError, SimulationError
+from repro.errors import SchedulingInPastError, SimulationError
 from repro.simnet.kernel import _COMPACT_MIN_TOMBSTONES, Event, Simulator
 
 
@@ -96,58 +96,6 @@ class TestConditionEdgeCases:
         with pytest.raises(RuntimeError):
             sim.run(until=p)
         assert sim.now == pytest.approx(1.0)  # did not wait for `slow`
-
-
-class TestInterruptEdgeCases:
-    def test_interrupt_before_first_resume(self, sim):
-        def victim():
-            try:
-                yield 100.0
-            except ProcessInterrupted:
-                return "early-interrupt"
-
-        v = sim.process(victim())
-        # Interrupt in the same instant, before the process first runs.
-        v.interrupt("immediately")
-        assert sim.run(until=v) == "early-interrupt"
-
-    def test_interrupted_process_can_keep_working(self, sim):
-        def victim():
-            try:
-                yield 100.0
-            except ProcessInterrupted:
-                pass
-            yield 5.0  # continues after handling the interrupt
-            return sim.now
-
-        def attacker(p):
-            yield 1.0
-            p.interrupt()
-
-        v = sim.process(victim())
-        sim.process(attacker(v))
-        assert sim.run(until=v) == pytest.approx(6.0)
-
-    def test_double_interrupt_delivers_twice(self, sim):
-        hits = []
-
-        def victim():
-            for _ in range(2):
-                try:
-                    yield 100.0
-                except ProcessInterrupted as exc:
-                    hits.append(exc.cause)
-            return hits
-
-        def attacker(p):
-            yield 1.0
-            p.interrupt("one")
-            yield 1.0
-            p.interrupt("two")
-
-        v = sim.process(victim())
-        sim.process(attacker(v))
-        assert sim.run(until=v) == ["one", "two"]
 
 
 class TestClockDiscipline:

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.errors import ProcessInterrupted
 from repro.simnet.kernel import Event, Simulator
 
 from tests.simnet.reference_race import race
@@ -50,7 +49,6 @@ program = st.fixed_dictionaries({
     "shared": st.lists(st.tuples(grid, priority, outcome), min_size=3, max_size=3),
     "procs": st.lists(st.lists(step, min_size=1, max_size=4), min_size=1, max_size=4),
     "ticks": st.lists(st.tuples(grid, priority), max_size=6),
-    "interrupts": st.lists(st.tuples(grid, st.integers(0, 3)), max_size=3),
     "closes": st.lists(st.tuples(grid, st.integers(0, 3)), max_size=2),
 })
 
@@ -61,7 +59,7 @@ def _run(prog, wait):
     sim = Simulator()
     log = []
     waiting = {}      # process index -> event it waits on now
-    abandoned = set()  # events whose wait was interrupted or closed
+    abandoned = set()  # events whose wait was closed
     closed = set()
     procs = []
 
@@ -69,9 +67,9 @@ def _run(prog, wait):
         (sim.call_in if prio == "normal" else sim.wake_in)(delay, fn, *args)
 
     def resolve(ev, tag, how):
-        # An event whose wait was interrupted or closed only succeeds:
-        # the race let the failure of such an event escape the run when
-        # it came before the deadline, where ``within`` drops it.
+        # An event whose wait was closed only succeeds: the race let
+        # the failure of such an event escape the run when it came
+        # before the deadline, ``within`` whenever it comes.
         if ev.triggered:
             return
         log.append((sim.now, "resolve", tag, how))
@@ -110,8 +108,6 @@ def _run(prog, wait):
                 got = yield from wait(sim, ev, timeout)
                 value = ev._value if got and ev._ok else None
                 log.append((sim.now, i, j, "got", got, value))
-            except ProcessInterrupted as exc:
-                log.append((sim.now, i, j, "interrupted", exc.cause))
             except GeneratorExit:
                 log.append((sim.now, i, j, "closed"))
                 raise
@@ -129,14 +125,6 @@ def _run(prog, wait):
         ev = waiting.get(i)
         return ev is not None and ev.triggered and not ev._ok
 
-    def interrupt(n, i):
-        i %= len(procs)
-        if procs[i].is_alive and i not in closed and not failing(i):
-            if i in waiting:
-                abandoned.add(waiting[i])
-            log.append((sim.now, "interrupt", n))
-            procs[i].interrupt(n)
-
     def close(i):
         i %= len(procs)
         if i in waiting and i not in closed and not failing(i):
@@ -148,8 +136,6 @@ def _run(prog, wait):
         procs.append(sim.process(body(i, steps)))
     for n, (t, prio) in enumerate(prog["ticks"]):
         at(t, prio, tick, n)
-    for n, (t, i) in enumerate(prog["interrupts"]):
-        sim.call_in(t, interrupt, n, i)
     for t, i in prog["closes"]:
         sim.call_in(t, close, i)
     try:
@@ -201,26 +187,6 @@ class TestWithinMatchesTheRace:
         # The race also ran its relay and its dead timeout.
         assert counts[race] == (counts[within][0] + 2, 0)
         assert counts[within][1] == 1
-
-    def test_an_interrupted_wait_drops_its_event_failure(self):
-        # Unlike the race, which let this failure escape the run when it
-        # came before the deadline.
-        sim = Simulator()
-        ev = sim.event()
-        log = []
-
-        def waiter():
-            try:
-                yield from sim.within(ev, 5.0)
-            except ProcessInterrupted:
-                log.append(("interrupted", sim.now))
-
-        proc = sim.process(waiter())
-        sim.call_in(1.0, proc.interrupt)
-        sim.call_in(2.0, ev.fail, RuntimeError("late"))
-        sim.run()
-        assert log == [("interrupted", 1.0)]
-        assert sim.events_cancelled == 1
 
     def test_closing_the_waiter_cancels_the_timer(self):
         sim = Simulator()

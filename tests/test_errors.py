@@ -31,11 +31,6 @@ class TestHierarchy:
         assert issubclass(errors.NoCandidatesError, errors.SelectionError)
         assert issubclass(errors.CriteriaError, errors.SelectionError)
 
-    def test_interrupted_carries_cause(self):
-        exc = errors.ProcessInterrupted(cause="preempted")
-        assert exc.cause == "preempted"
-        assert "preempted" in str(exc)
-
     def test_catch_all_pattern(self):
         with pytest.raises(errors.ReproError):
             raise errors.NoCandidatesError("nothing to pick")
