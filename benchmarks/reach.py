@@ -1,5 +1,5 @@
-"""List the ``repro`` functions that no study, CLI path, example or
-benchmark workload enters.
+"""Check that every ``repro`` function is entered by some study, CLI
+path, example or benchmark workload, or is listed with a reason.
 
     PYTHONPATH=src python3 benchmarks/reach.py
 
@@ -10,7 +10,12 @@ code object entered from the first import on:
 * ``scale``, ``churn``, ``resilience`` and ``swarming`` under
   ``--federated``;
 * every fault profile, with and without ``--recovery``;
-* one ``--metrics-out``, one ``--config`` and one ``--parallel 2`` run;
+* one ``--metrics-out`` and one ``--parallel 2`` run;
+* one ``--config`` run whose saved config sets ``peer_config``, a
+  ``fault_plan`` (one scheduled fault and both process forms),
+  ``recovery`` and ``gossip``, so every config section round-trips;
+* ``fig7`` at seed 68, where a lost task result makes the submitter
+  ask again with a ``TaskQuery``;
 * every script in ``examples/``;
 * each benchmark workload (``benchmarks/suite``), untraced and traced,
   with its record built as ``run.py`` builds it.
@@ -18,8 +23,14 @@ code object entered from the first import on:
 Then prints every function or method under ``src/repro`` (simlint
 aside) that none of them entered, by file, and a count.  Pool workers
 of the ``--parallel`` run are forked children the hook does not
-follow; they run the same per-cell code the serial runs enter.  Takes
-about six minutes on a 2-vCPU host, most of it ``scale-large``.
+follow; they run the same per-cell code the serial runs enter.
+
+New code is reached or listed: :data:`ALLOWLIST` names, by file and
+qualified name, each function that stays although no run enters it,
+with a one-line reason.  The script exits 1, printing the offenders,
+when a never-entered function is not listed or when a listed one is
+stale (now entered, or gone); otherwise it exits 0.  Takes about five
+and a half minutes on a 2-vCPU host, most of it ``scale-large``.
 """
 
 from __future__ import annotations
@@ -41,19 +52,27 @@ PACKAGE = SRC / "repro"
 #: inside a study.
 SKIPPED = ("simlint",)
 SEED = "2007"
+#: The functions that stay although no run enters them.
+ALLOWLIST = Path(__file__).with_name("reach_allowlist.txt")
 
 #: (file, first line, qualified name) of one function.
 Key = Tuple[str, int, str]
 
 
-def _functions(code: CodeType) -> Iterator[CodeType]:
-    """``code``'s nested function code objects, lambdas and
-    comprehensions aside (class bodies are walked, not listed)."""
+def _functions(code: CodeType, prefix: str = "") -> Iterator[Tuple[CodeType, str]]:
+    """``code``'s nested function code objects with their qualified
+    names, lambdas and comprehensions aside (class bodies are walked,
+    not listed).  The names are built here, as ``co_qualname`` would
+    give them, so that the allowlist test also runs on Python 3.10."""
     for const in code.co_consts:
         if isinstance(const, CodeType):
-            if const.co_flags & 0x1 and not const.co_name.startswith("<"):
-                yield const  # CO_OPTIMIZED: a function body
-            yield from _functions(const)
+            qualname = prefix + const.co_name
+            if const.co_flags & 0x1:  # CO_OPTIMIZED: a function body
+                if not const.co_name.startswith("<"):
+                    yield const, qualname
+                yield from _functions(const, qualname + ".<locals>.")
+            else:
+                yield from _functions(const, qualname + ".")
 
 
 def _key(code: CodeType) -> Key:
@@ -68,9 +87,28 @@ def defined() -> Dict[Key, int]:
         if path.relative_to(PACKAGE).parts[0] in SKIPPED:
             continue
         module = compile(path.read_text(), str(path.resolve()), "exec")
-        for code in _functions(module):
+        for code, qualname in _functions(module):
             last = max(line for _, _, line in code.co_lines() if line)
-            out[_key(code)] = last - code.co_firstlineno + 1
+            key = (code.co_filename, code.co_firstlineno, qualname)
+            out[key] = last - code.co_firstlineno + 1
+    return out
+
+
+def allowlist() -> List[Tuple[str, str, str]]:
+    """:data:`ALLOWLIST`'s entries as (file under ``src/``, qualified
+    name, reason), in file order.  An entry line reads
+    ``repro/<file>.py <qualified name> -- <reason>``; blank lines and
+    ``#`` comments are skipped."""
+    out = []
+    for n, line in enumerate(ALLOWLIST.read_text().splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        name, _, reason = line.partition(" -- ")
+        fields = name.split()
+        if len(fields) != 2:
+            raise ValueError(f"{ALLOWLIST.name}:{n}: want '<file> <name> -- <reason>'")
+        out.append((fields[0], fields[1], reason.strip()))
     return out
 
 
@@ -119,10 +157,29 @@ def runs(tmp: Path) -> List[Tuple[str, Callable[[], object]]]:
     """Every run the trace covers, as (label, thunk)."""
     from repro.__main__ import ARTIFACTS
     from repro.experiments import ExperimentConfig
+    from repro.faults import (
+        ExponentialChurn, FaultPlan, LinkDegrade, RandomWindows,
+    )
     from repro.faults.profiles import PROFILES
+    from repro.gossip.config import GossipConfig
+    from repro.overlay.peer import PeerConfig
+    from repro.recovery.config import RecoveryConfig
 
     config = tmp / "config.json"
-    ExperimentConfig(seed=int(SEED), repetitions=1).save(config)
+    ExperimentConfig(
+        seed=int(SEED), repetitions=1, peer_config=PeerConfig(),
+        fault_plan=FaultPlan(
+            name="reach",
+            schedule=((5.0, LinkDegrade(target="SC4", bw_factor=0.5,
+                                        duration_s=30.0)),),
+            processes=(
+                ExponentialChurn(targets=("SC6",), horizon_s=600.0),
+                RandomWindows(fault=LinkDegrade(target="SC5", bw_factor=0.5),
+                              horizon_s=600.0),
+            ),
+        ),
+        recovery=RecoveryConfig(), gossip=GossipConfig(),
+    ).save(config)
     out: List[Tuple[str, Callable[[], object]]] = []
     for name in ARTIFACTS:
         out.append((f"cli {name}", _cli(name, "--reps", "1", "--seed", SEED)))
@@ -139,6 +196,7 @@ def runs(tmp: Path) -> List[Tuple[str, Callable[[], object]]]:
                      str(tmp / "metrics.json"))))
     out.append(("cli --config", _cli("fig3", "--config", str(config))))
     out.append(("cli --parallel 2", _cli("fig2", "--reps", "2", "--parallel", "2")))
+    out.append(("cli fig7 --seed 68", _cli("fig7", "--reps", "5", "--seed", "68")))
     for path in sorted((ROOT / "examples").glob("*.py")):
         out.append((f"example {path.stem}", _example(path)))
     from benchmarks.suite import workloads
@@ -172,12 +230,24 @@ def main() -> int:
 
     reached = {_key(code) for code in entered}
     missed = sorted(k for k in functions if k not in reached)
+    listed = {(file, qualname) for file, qualname, _ in allowlist()}
+    never, unlisted = set(), []
     for path, line, qualname in missed:
-        rel = Path(path).relative_to(SRC)
+        rel = Path(path).relative_to(SRC).as_posix()
         print(f"{rel}:{line} {qualname} ({functions[(path, line, qualname)]} lines)")
+        never.add((rel, qualname))
+        if (rel, qualname) not in listed:
+            unlisted.append(f"{rel}:{line} {qualname}")
     print(f"{len(missed)} of {len(functions)} functions never entered "
           f"({sum(functions[k] for k in missed)} lines)")
-    return 0
+    stale = sorted(listed - never)
+    for where in unlisted:
+        print(f"NOT LISTED: {where} is never entered; reach it or list it "
+              f"in {ALLOWLIST.name}")
+    for file, qualname in stale:
+        print(f"STALE: {file} {qualname} is listed in {ALLOWLIST.name} but "
+              f"is entered or no longer exists")
+    return 1 if unlisted or stale else 0
 
 
 if __name__ == "__main__":

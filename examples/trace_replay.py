@@ -15,19 +15,21 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from repro.experiments.report import render_table
 from repro.experiments.scenario import ExperimentConfig, Session
 from repro.selection.blind import RoundRobinSelector
 from repro.selection.scheduling import SchedulingBasedSelector
+from repro.simnet.rng import RandomStreams
 from repro.units import mbit
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.traces import load_jobs, replay, save_jobs
 
 
+CONFIG = ExperimentConfig(seed=2024)
+
+
 def run_policy(name, selector, jobs):
-    session = Session(ExperimentConfig(seed=2024))
+    session = Session(CONFIG)
 
     def scenario(s):
         # History so informed selection has signal.
@@ -44,8 +46,10 @@ def run_policy(name, selector, jobs):
 
 
 def main() -> None:
+    # The trace draws from the same seed tree as the sessions replaying
+    # it, on a stream of its own.
     gen = WorkloadGenerator(
-        np.random.default_rng(11),
+        RandomStreams(CONFIG.seed).get("workload/trace"),
         sizes_mb=(10.0, 20.0, 40.0),
         n_parts_choices=(2, 4),
         task_share=0.0,

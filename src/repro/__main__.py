@@ -206,8 +206,6 @@ def main(argv=None) -> int:
             )
             return 2
     registry = MetricsRegistry() if args.metrics_out else None
-    # NB: ``if registry`` would be False for an empty registry (it has
-    # a __len__), silently skipping installation — test identity.
     with use_registry(registry) if registry is not None else nullcontext():
         for name in chosen:
             desc, runner = ARTIFACTS[name]

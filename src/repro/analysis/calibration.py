@@ -77,7 +77,7 @@ def verify_profile_fit(
     for label, target in FIGURE2_PETITION_TARGETS.items():
         host = tb.sc_hostname(label)
         spec = topo.node(host)
-        one_way = topo.path(BROKER_HOSTNAME, host).base_one_way_s
+        one_way = topo.one_way_s(topo.node(BROKER_HOSTNAME), spec)
         mean = spec.overhead_s + one_way
         predicted[label] = mean
         if abs(mean - target) > max(rel_tolerance * target, abs_tolerance):

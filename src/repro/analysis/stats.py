@@ -1,13 +1,13 @@
 """Summary statistics for experiment results.
 
-Small, dependency-light helpers: the per-series mean/std/CI the
+Small, dependency-light helpers: the per-series mean/std the
 experiment reports and shape-checks use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Mapping, Sequence
 
 __all__ = [
@@ -27,46 +27,25 @@ class Summary:
     minimum: float
     maximum: float
 
-    @property
-    def sem(self) -> float:
-        """Standard error of the mean."""
-        if self.n <= 1:
-            return 0.0
-        return self.std / math.sqrt(self.n)
-
-    def ci95(self) -> tuple[float, float]:
-        """Normal-approximation 95 % confidence interval of the mean."""
-        half = 1.96 * self.sem
-        return (self.mean - half, self.mean + half)
-
-    def identical(self, other: "Summary") -> bool:
-        """Field-wise bit-equality, except NaN matches NaN.
-
-        ``==`` follows IEEE semantics (``nan != nan``), which makes two
-        runs of the *same* experiment compare unequal whenever a series
-        is undefined (e.g. a baseline cell's recovery time).  Identity
-        checks — the parallel-vs-serial equivalence proof — use this.
-        """
-        return (
-            self.n == other.n
-            and _floats_identical(self.mean, other.mean)
-            and _floats_identical(self.std, other.std)
-            and _floats_identical(self.minimum, other.minimum)
-            and _floats_identical(self.maximum, other.maximum)
-        )
-
-
-def _floats_identical(a: float, b: float) -> bool:
-    return a == b or (math.isnan(a) and math.isnan(b))
-
 
 def summaries_identical(
     a: Mapping[str, Summary], b: Mapping[str, Summary]
 ) -> bool:
-    """True when two summary maps agree key-for-key, NaN matching NaN."""
+    """True when two summary maps agree key for key and field for
+    field, bit for bit, except that NaN matches NaN.
+
+    ``==`` follows IEEE semantics (``nan != nan``), which makes two
+    runs of the *same* experiment compare unequal whenever a series is
+    undefined (e.g. a baseline cell's recovery time).  Identity checks
+    — the parallel-vs-serial equivalence proof — use this.
+    """
     if set(a) != set(b):
         return False
-    return all(a[key].identical(b[key]) for key in a)
+    return all(
+        x == y or (math.isnan(x) and math.isnan(y))
+        for key in a
+        for x, y in zip(astuple(a[key]), astuple(b[key]))
+    )
 
 
 def summarize(values: Sequence[float]) -> Summary:

@@ -21,7 +21,6 @@ __all__ = [
     "OverlayError",
     "UnknownPeerError",
     "NotConnectedError",
-    "AdvertisementExpired",
     "TaskRejectedError",
     "SelectionError",
     "NoCandidatesError",
@@ -91,10 +90,6 @@ class UnknownPeerError(OverlayError):
 
 class NotConnectedError(OverlayError):
     """The peer is not connected to a broker (or the broker is gone)."""
-
-
-class AdvertisementExpired(OverlayError):
-    """A discovered advertisement has passed its expiry time."""
 
 
 class TaskRejectedError(OverlayError):

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.stats import Summary
 from repro.errors import (
@@ -146,17 +146,6 @@ class ResilienceResult:
     def goodput(self, profile: str, policy: str) -> float:
         """Delivered Mb per sim-second over the placement phase."""
         return self._mean(profile, policy, "goodput")
-
-    def goodput_retention(self, profile: str, policy: str) -> float:
-        """Goodput relative to the fault-free baseline cell (NaN when
-        the baseline was not part of the matrix)."""
-        key = f"baseline/{policy}/goodput"
-        if key not in self.summaries:
-            return float("nan")
-        base = self.summaries[key].mean
-        if not base > 0:
-            return float("nan")
-        return self.goodput(profile, policy) / base
 
     def table(self) -> str:
         """The matrix as a text table."""

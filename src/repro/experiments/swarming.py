@@ -114,20 +114,6 @@ class SwarmingResult:
         """Mean completion seconds for one cell."""
         return self.summaries[f"{testbed}/{model}/k{k}/g{g}"].mean
 
-    def tail(self, testbed: str, model: str, k: int, g: int) -> float:
-        """Mean last-piece tail seconds for one cell."""
-        return self.summaries[f"{testbed}/{model}/k{k}/g{g}/tail"].mean
-
-    def speedup(self, testbed: str, model: str, g: int) -> float:
-        """k=1 over k=max mean completion (>1 = swarming wins)."""
-        ks = [
-            k for k in SOURCES_K
-            if f"{testbed}/{model}/k{k}/g{g}" in self.summaries
-        ]
-        return self.completion(testbed, model, ks[0], g) / self.completion(
-            testbed, model, ks[-1], g
-        )
-
     def table(self) -> str:
         """Completion/tail grid over every measured cell."""
         rows = []

@@ -34,11 +34,6 @@ class Table1Result:
             title="Table 1 — nodes added to the PlanetLab slice",
         )
 
-    @property
-    def n_nodes(self) -> int:
-        """Number of slice nodes (paper: 25)."""
-        return len(self.rows)
-
 
 def run() -> Table1Result:
     """Regenerate Table 1 from the testbed model."""

@@ -17,7 +17,6 @@ from repro.faults.injectors import (
     LinkDegrade,
     LossBurst,
     NodeCrash,
-    NodeRestart,
     NodeSlowdown,
     Partition,
     fault_from_dict,
@@ -34,7 +33,6 @@ from repro.faults.profiles import PROFILES, get_profile
 __all__ = [
     "Fault",
     "NodeCrash",
-    "NodeRestart",
     "NodeSlowdown",
     "LinkDegrade",
     "LossBurst",

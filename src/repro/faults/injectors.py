@@ -38,7 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "Fault",
     "NodeCrash",
-    "NodeRestart",
     "NodeSlowdown",
     "LinkDegrade",
     "LossBurst",
@@ -69,12 +68,6 @@ class Fault:
 
     #: Type tag used in serialized plans.
     kind = "fault"
-    #: Whether firing this fault opens a tracked episode (with
-    #: time-to-recovery accounting).
-    opens_episode = True
-    #: When set, firing this fault closes the oldest open episode of
-    #: that kind on the same target (e.g. NodeRestart closes NodeCrash).
-    closes_kind: Optional[str] = None
 
     def apply(self, rt: "FaultRuntime") -> Undo:
         """Inject the fault; return an undo callable (or None)."""
@@ -119,7 +112,7 @@ class NodeCrash(Fault):
     """Take the target host(s) down (all inbound traffic dropped).
 
     With ``duration_s`` the node recovers automatically; without, it
-    stays down until a :class:`NodeRestart` (or forever).
+    stays down for the rest of the run.
     """
 
     target: TargetSpec
@@ -140,27 +133,6 @@ class NodeCrash(Fault):
                 h.recover()
 
         return undo
-
-
-@_register
-@dataclass(frozen=True)
-class NodeRestart(Fault):
-    """Bring the target host(s) back up.
-
-    Closes the matching open :class:`NodeCrash` episode, so an
-    explicit crash/restart pair reports its time-to-recovery.
-    """
-
-    target: TargetSpec
-
-    kind = "node_restart"
-    opens_episode = False
-    closes_kind = "node_crash"
-
-    def apply(self, rt: "FaultRuntime") -> Undo:
-        for h in rt.resolve(self.target):
-            h.recover()
-        return None
 
 
 @_register

@@ -14,7 +14,7 @@ events through :mod:`repro.obs`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.faults.injectors import Fault, Undo, fault_from_dict
@@ -123,7 +123,6 @@ class FaultRuntime:
 
         #: Every episode ever opened, in apply order.
         self.episodes: List[Episode] = []
-        self._open: Dict[Tuple[str, str], List[Episode]] = {}
         self._active = 0
         self._finalized = False
 
@@ -196,16 +195,11 @@ class FaultRuntime:
         now = self.sim.now
         undo = fault.apply(self)
         target = fault.describe()
-        if fault.closes_kind is not None:
-            self._close_oldest(fault.closes_kind, target, now)
-        episode: Optional[Episode] = None
-        if fault.opens_episode:
-            episode = Episode(kind=fault.kind, target=target, started_at=now)
-            self.episodes.append(episode)
-            self._open.setdefault((fault.kind, target), []).append(episode)
-            self._active += 1
-            self._m_episodes.inc()
-            self._m_active.set(self._active)
+        episode = Episode(kind=fault.kind, target=target, started_at=now)
+        self.episodes.append(episode)
+        self._active += 1
+        self._m_episodes.inc()
+        self._m_active.set(self._active)
         self.tracer.record(
             "fault-apply", now, fault=fault.kind, target=target
         )
@@ -213,27 +207,19 @@ class FaultRuntime:
         if duration is not None:
             self.sim.call_at(now + duration, self._revert, fault, undo, episode)
 
-    def _revert(self, fault: Fault, undo: Undo, episode: Optional[Episode]) -> None:
+    def _revert(self, fault: Fault, undo: Undo, episode: Episode) -> None:
         now = self.sim.now
         if undo is not None:
             undo()
         self.tracer.record(
             "fault-revert", now, fault=fault.kind, target=fault.describe()
         )
-        if episode is not None and episode.ended_at is None:
+        if episode.ended_at is None:
             self._close(episode, now, censored=False)
-
-    def _close_oldest(self, kind: str, target: str, now: float) -> None:
-        open_list = self._open.get((kind, target))
-        if open_list:
-            self._close(open_list[0], now, censored=False)
 
     def _close(self, episode: Episode, now: float, censored: bool) -> None:
         episode.ended_at = now
         episode.censored = censored
-        open_list = self._open.get((episode.kind, episode.target), ())
-        if episode in open_list:
-            open_list.remove(episode)
         self._active -= 1
         self._m_active.set(self._active)
         self._m_recovery.observe(now - episode.started_at)
@@ -269,10 +255,3 @@ class FaultRuntime:
         if not closed:
             return float("nan")
         return sum(closed) / len(closed)
-
-    def timeline_summary(self) -> Tuple[Tuple[float, str, str], ...]:
-        """Compact ``(time, kind, target)`` view of the expanded
-        timeline (for logs and determinism assertions)."""
-        return tuple(
-            (t, fault.kind, fault.describe()) for t, fault in self.timeline
-        )

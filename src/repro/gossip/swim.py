@@ -103,7 +103,7 @@ class SwimAgent:
         self._rumors: Dict[str, List] = {}
         self._ring_idx = 0
         self._running = False
-        #: The armed probe tick (None while stopped or mid-round).
+        #: The armed probe tick (None before the start and mid-round).
         self._tick: Optional[Event] = None
         #: Outstanding probes: nonce -> (subject, continuation, deadline).
         self._pending: Dict[int, Tuple[object, Callable, Event]] = {}
@@ -160,10 +160,6 @@ class SwimAgent:
         st = self.table.get(name)
         return st is not None and st.status == "alive"
 
-    def alive_members(self) -> Tuple[str, ...]:
-        """Names currently believed alive, in tracking order."""
-        return tuple(n for n, st in self.table.items() if st.status == "alive")
-
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
@@ -175,20 +171,13 @@ class SwimAgent:
         # probe in lockstep bursts.
         self._arm_tick(self.rng.uniform(0.0, self.probe_interval_s))
 
-    def stop(self) -> None:
-        """Cancel the next tick; a round in flight ends without re-arming."""
-        self._running = False
-        if self._tick is not None:
-            self.sim.cancel(self._tick)
-            self._tick = None
-
     # -- probing -------------------------------------------------------------
     # No process per probe: a tick pings the next ring member, and the
     # first of its ack (``_on_gossip_ack``) or its deadline runs the
     # continuation, which starts the ping-req phase or ends the round.
 
     def _arm_tick(self, delay: float) -> None:
-        if self._running and self._tick is None:
+        if self._tick is None:
             self._tick = self.sim.call_in(delay, self._probe_tick)
 
     def _probe_tick(self) -> None:

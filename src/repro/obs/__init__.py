@@ -21,7 +21,7 @@ from repro.obs.metrics import (
     NullRegistry,
     span,
 )
-from repro.obs.runtime import active_registry, install_registry, use_registry
+from repro.obs.runtime import active_registry, use_registry
 from repro.obs.trace import EventTrace
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "span",
     "EventTrace",
     "active_registry",
-    "install_registry",
     "use_registry",
     "metrics_to_dict",
     "summary_table",

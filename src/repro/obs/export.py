@@ -33,7 +33,8 @@ def metrics_to_dict(
             "seen": trace.seen,
             "dropped": trace.dropped,
             "events": [
-                {"kind": e.kind, "time": e.time, **e.attrs} for e in trace
+                {"kind": e.kind, "time": e.time, **e.attrs}
+                for e in trace.events
             ],
         }
     return out

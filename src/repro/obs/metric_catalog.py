@@ -16,9 +16,9 @@ Keep the tuple sorted by name within each owner block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Tuple
+from typing import Dict, Tuple
 
-__all__ = ["MetricSpec", "METRICS", "METRIC_CATALOG", "metric_names"]
+__all__ = ["MetricSpec", "METRICS", "METRIC_CATALOG"]
 
 
 @dataclass(frozen=True)
@@ -123,8 +123,3 @@ METRICS: Tuple[MetricSpec, ...] = (
 
 #: name -> spec, the lookup tables runtime checks use.
 METRIC_CATALOG: Dict[str, MetricSpec] = {spec.name: spec for spec in METRICS}
-
-
-def metric_names() -> FrozenSet[str]:
-    """The declared instrument namespace."""
-    return frozenset(METRIC_CATALOG)

@@ -18,7 +18,7 @@ and runs stay deterministic regardless of host load.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
 from repro.obs.metric_catalog import METRIC_CATALOG
 
@@ -261,9 +261,6 @@ class MetricsRegistry:
         """All histograms by name."""
         return dict(self._histograms)
 
-    def __len__(self) -> int:
-        return len(self._counters) + len(self._gauges) + len(self._histograms)
-
     # -- aggregation --------------------------------------------------------
 
     def merge(self, other: "MetricsRegistry") -> None:
@@ -355,9 +352,6 @@ class NullRegistry(MetricsRegistry):
     def histogram(self, name: str, bounds=DEFAULT_LATENCY_BUCKETS):  # type: ignore[override]
         _check_declared(name, "histogram")
         return _NULL_INSTRUMENT  # type: ignore[return-value]
-
-    def merge(self, other: MetricsRegistry) -> None:
-        pass
 
 
 #: Process-wide shared no-op registry (immutable by construction).

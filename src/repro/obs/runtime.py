@@ -16,11 +16,11 @@ nothing unless somebody is watching.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 
-__all__ = ["active_registry", "install_registry", "use_registry"]
+__all__ = ["active_registry", "use_registry"]
 
 _active: MetricsRegistry = NULL_REGISTRY
 
@@ -30,16 +30,10 @@ def active_registry() -> MetricsRegistry:
     return _active
 
 
-def install_registry(registry: Optional[MetricsRegistry]) -> MetricsRegistry:
-    """Set (or with ``None``, reset) the active registry; returns it."""
-    global _active
-    _active = registry if registry is not None else NULL_REGISTRY
-    return _active
-
-
 @contextmanager
 def use_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
-    """Scoped :func:`install_registry` that restores the previous one."""
+    """Make ``registry`` the active one for the ``with`` block, then
+    restore the previous one."""
     global _active
     previous = _active
     _active = registry

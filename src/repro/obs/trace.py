@@ -13,7 +13,7 @@ Export goes through :mod:`repro.obs.export` (JSON/CSV files).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Iterator, List, Optional
+from typing import Any, List, Optional
 
 from repro.obs.trace_schema import TRACE_SCHEMA
 from repro.simnet.trace import TraceEvent
@@ -76,19 +76,9 @@ class EventTrace:
         """Retained events in time order."""
         return list(self._buf)
 
-    def __len__(self) -> int:
-        return len(self._buf)
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self.events)
-
     def of_kind(self, kind: str) -> List[TraceEvent]:
         """All retained events of one kind, in time order."""
         return [e for e in self._buf if e.kind == kind]
-
-    def where(self, predicate: Callable[[TraceEvent], bool]) -> List[TraceEvent]:
-        """All retained events satisfying ``predicate``."""
-        return [e for e in self._buf if predicate(e)]
 
     def last(self, kind: str) -> Optional[TraceEvent]:
         """Most recent retained event of ``kind`` (or None)."""
@@ -96,8 +86,3 @@ class EventTrace:
             if e.kind == kind:
                 return e
         return None
-
-    def clear(self) -> None:
-        """Drop all retained events and reset the counts."""
-        self._buf.clear()
-        self.seen = 0

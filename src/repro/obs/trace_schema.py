@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-__all__ = ["TraceEventSpec", "TRACE_EVENTS", "TRACE_SCHEMA", "trace_event_names"]
+__all__ = ["TraceEventSpec", "TRACE_EVENTS", "TRACE_SCHEMA"]
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,3 @@ TRACE_EVENTS: Tuple[TraceEventSpec, ...] = (
 
 #: name -> spec, the lookup table runtime checks use.
 TRACE_SCHEMA: Dict[str, TraceEventSpec] = {spec.name: spec for spec in TRACE_EVENTS}
-
-
-def trace_event_names() -> frozenset:
-    """The declared trace-event namespace."""
-    return frozenset(TRACE_SCHEMA)

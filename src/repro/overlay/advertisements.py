@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.errors import AdvertisementExpired
 from repro.overlay.ids import PeerId
 
 __all__ = [
@@ -40,13 +39,6 @@ class Advertisement:
     def is_expired(self, now: float) -> bool:
         """True once ``now`` passes the expiry time."""
         return now >= self.expires_at
-
-    def check_fresh(self, now: float) -> None:
-        """Raise :class:`AdvertisementExpired` if expired."""
-        if self.is_expired(now):
-            raise AdvertisementExpired(
-                f"{type(self).__name__} expired at {self.expires_at:g} (now {now:g})"
-            )
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from repro.overlay.messages import (
     JoinAck,
     JoinRequest,
     KeepAlive,
-    LeaveNotice,
     PublishAdvertisement,
     StatReport,
     StateSync,
@@ -115,14 +114,6 @@ class PeerRecord:
     def reserve(self, until: float) -> None:
         """Commit this peer to planned work until ``until``."""
         self.busy_until = max(self.busy_until, until)
-
-    def is_idle(self, now: float) -> bool:
-        """Idle = no live queue content and no planned commitment."""
-        return (
-            self.pending_tasks == 0
-            and self.pending_transfers == 0
-            and self.busy_until <= now
-        )
 
     def selection_snapshot(self, now: float, last_k_hours: float = 1.0) -> Dict[str, float]:
         """The statistics view the data-evaluator model consumes.
@@ -251,10 +242,6 @@ class Broker(PeerNode):
         out.sort(key=lambda r: (r.joined_at, r.adv.name))
         return out
 
-    def reserve(self, peer_id: PeerId, until: float) -> None:
-        """Commit a peer to planned work until ``until`` (economic model)."""
-        self.record(peer_id).reserve(until)
-
     # -- message handlers --------------------------------------------------
 
     def _on_join_request(self, dgram: Datagram) -> None:
@@ -321,12 +308,6 @@ class Broker(PeerNode):
             # Unknown host/shard: admit locally rather than bounce a
             # peer the map cannot place.
             return None
-
-    def _on_leave(self, dgram: Datagram) -> None:
-        notice: LeaveNotice = dgram.payload
-        rec = self.registry.get(notice.peer_id)
-        if rec is not None:
-            rec.online = False
 
     def _on_keepalive(self, dgram: Datagram) -> None:
         beacon: KeepAlive = dgram.payload
@@ -668,7 +649,6 @@ class Broker(PeerNode):
     _HANDLERS = {
         **PeerNode._HANDLERS,
         JoinRequest: _on_join_request,
-        LeaveNotice: _on_leave,
         KeepAlive: _on_keepalive,
         StatReport: _on_stat_report,
         DiscoveryQuery: _on_discovery_query,

@@ -8,7 +8,7 @@ advertisements are not modelled.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, TYPE_CHECKING
+from typing import Any, List, Mapping, Optional, TYPE_CHECKING
 
 from repro.errors import NotConnectedError
 from repro.obs.metrics import MetricsRegistry
@@ -45,8 +45,6 @@ class DiscoveryService:
     def __init__(self, peer: "PeerNode") -> None:
         self.peer = peer
         self.sim = peer.sim
-        #: Local cache per advertisement kind.
-        self._cache: Dict[str, List[Advertisement]] = {}
         #: Everything this peer published, in publish order — the
         #: source of truth for :meth:`republish` after a rehome (the
         #: old home's index dies with it).
@@ -99,8 +97,8 @@ class DiscoveryService:
         ``sim.process`` only to run it alongside the caller.
 
         Returns the tuple of matching advertisements; peer
-        advertisements are also folded into the local cache and the
-        peer's directory (id -> hostname).
+        advertisements are also folded into the peer's directory
+        (id -> hostname).
         """
         peer = self.peer
         if peer.broker_adv is None:
@@ -124,27 +122,8 @@ class DiscoveryService:
             raise
         self._m.latency.observe(self.sim.now - started)
         advs = resp.advertisements
-        cache = self._cache.setdefault(adv_kind, [])
         for adv in advs:
-            if adv not in cache:
-                cache.append(adv)
             if isinstance(adv, PeerAdvertisement):
                 peer.learn(adv)
         return advs
 
-    def cached(self, adv_kind: str) -> tuple[Advertisement, ...]:
-        """Locally cached, still-fresh advertisements of one kind."""
-        now = self.sim.now
-        fresh = [a for a in self._cache.get(adv_kind, ()) if not a.is_expired(now)]
-        self._cache[adv_kind] = fresh
-        return tuple(fresh)
-
-    def flush_expired(self) -> int:
-        """Drop expired cache entries; returns how many were dropped."""
-        now = self.sim.now
-        dropped = 0
-        for kind, advs in self._cache.items():
-            fresh = [a for a in advs if not a.is_expired(now)]
-            dropped += len(advs) - len(fresh)
-            self._cache[kind] = fresh
-        return dropped

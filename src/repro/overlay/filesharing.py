@@ -82,11 +82,6 @@ class FileSharingService:
         self.peer.discovery.publish(adv)
         return adv
 
-    def unshare(self, name: str) -> None:
-        """Drop a file from the local catalog (the advertisement ages
-        out at the broker through its lifetime)."""
-        self.catalog.pop(name, None)
-
     def handle_request(self, dgram: Datagram) -> None:
         """Answer a fetch: ack, then push the file to the requester."""
         req: FileRequest = dgram.payload

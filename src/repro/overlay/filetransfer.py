@@ -241,7 +241,7 @@ class TransferHandle:
         itself cannot be recalled mid-flow.
         """
         if self.closed:
-            raise TransferAborted(f"transfer {self.transfer_id.short} is closed")
+            raise TransferAborted(f"transfer {self.transfer_id} is closed")
         peer = self.service.peer
         sim = self.service.sim
         dst_host = peer.network.host(self.dst_adv.hostname)

@@ -25,11 +25,6 @@ class _BaseId:
         if not self.urn.startswith("urn:jxta:"):
             raise ValueError(f"malformed id {self.urn!r}")
 
-    @property
-    def short(self) -> str:
-        """Last 12 hex chars — convenient for logs."""
-        return self.urn[-12:]
-
     def __str__(self) -> str:
         return self.urn
 

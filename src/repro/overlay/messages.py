@@ -20,7 +20,6 @@ from repro.overlay.ids import PeerId, TaskId, TransferId
 __all__ = [
     "JoinRequest",
     "JoinAck",
-    "LeaveNotice",
     "Ping",
     "Pong",
     "KeepAlive",
@@ -78,13 +77,6 @@ class JoinAck:
     redirect_hostname: str = ""
     #: ``ShardMap.to_wire()`` triple, or ``None`` outside federations.
     shard_map: Any = None
-
-
-@dataclass(frozen=True)
-class LeaveNotice:
-    """A peer announces it is leaving (ends its session)."""
-
-    peer_id: PeerId
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from repro.errors import (
     HostDownError,
     NotConnectedError,
     OverlayError,
-    UnknownPeerError,
 )
 from repro.overlay.advertisements import PeerAdvertisement
 from repro.overlay.discovery import DiscoveryInstruments, DiscoveryService
@@ -44,7 +43,6 @@ from repro.overlay.messages import (
     JoinAck,
     JoinRequest,
     KeepAlive,
-    LeaveNotice,
     Ping,
     Pong,
     PartConfirm,
@@ -255,13 +253,6 @@ class PeerNode:
     def learn(self, adv: PeerAdvertisement) -> None:
         """Record the id->hostname mapping from an advertisement."""
         self.directory[adv.peer_id] = adv.hostname
-
-    def host_for(self, peer_id: PeerId) -> Host:
-        """Resolve a peer id to its live host (must be in directory)."""
-        hostname = self.directory.get(peer_id)
-        if hostname is None:
-            raise UnknownPeerError(f"{self.name}: no route to {peer_id}")
-        return self.network.host(hostname)
 
     # -- waiter plumbing ---------------------------------------------------------
 
@@ -474,16 +465,6 @@ class PeerNode:
         self.online = True
         if not self.stats.session_active:
             self.stats.start_session()
-
-    def disconnect(self) -> None:
-        """Leave the overlay: notify the broker and close the session."""
-        if not self.online:
-            return
-        broker_host = self.network.host(self.broker_adv.hostname)
-        self.host.send(broker_host, LeaveNotice(peer_id=self.peer_id), light=True)
-        self.online = False
-        if self.stats.session_active:
-            self.stats.end_session()
 
     def _broker_host(self) -> Host:
         if self.broker_adv is None:

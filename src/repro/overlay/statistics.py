@@ -24,7 +24,7 @@ happen; all percentages are derived on demand.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 __all__ = [
@@ -76,18 +76,6 @@ class Counters:
     files_attempted: int = 0
     files_sent_ok: int = 0
     transfers_cancelled: int = 0
-
-    def merge_into(self, other: "Counters") -> None:
-        """Add this window's counts into ``other`` (for session roll-up)."""
-        other.messages_sent += self.messages_sent
-        other.messages_ok += self.messages_ok
-        other.tasks_offered += self.tasks_offered
-        other.tasks_accepted += self.tasks_accepted
-        other.tasks_executed += self.tasks_executed
-        other.tasks_ok += self.tasks_ok
-        other.files_attempted += self.files_attempted
-        other.files_sent_ok += self.files_sent_ok
-        other.transfers_cancelled += self.transfers_cancelled
 
     # -- derived shares -----------------------------------------------------
 
@@ -261,34 +249,11 @@ class PeerStats:
         self._inbox_samples += 1
         self._inbox_sum += inbox_len
 
-    # -- derived queue stats --------------------------------------------------------
-
-    @property
-    def outbox_len_avg(self) -> float:
-        """Sample mean of outbox occupancy (0.0 before first sample)."""
-        return _share(self._outbox_sum, self._outbox_samples, default=0.0)
-
-    @property
-    def inbox_len_avg(self) -> float:
-        """Sample mean of inbox occupancy (0.0 before first sample)."""
-        return _share(self._inbox_sum, self._inbox_samples, default=0.0)
-
     # -- last-k-hours shares ------------------------------------------------------------
 
-    def pct_ok_last(self, kind: str, now: float, hours: float) -> float:
-        """Success share of ``kind`` events in the trailing window.
-
-        ``kind`` in {"message", "task", "file"}; unobserved -> 1.0.
-        """
-        if kind not in ("message", "task", "file"):
-            raise ValueError(f"unknown event kind {kind!r}")
-        if hours <= 0:
-            raise ValueError(f"hours must be > 0, got {hours}")
-        return self._scan(kind, now - hours * 3600.0)[0]
-
-    def _scan(self, kind: str, cutoff: float) -> tuple[float, float]:
-        """(share, oldest counted time) of ``kind`` over the log tail
-        from the last entry back to the first one older than ``cutoff``."""
+    def _scan(self, cutoff: float) -> tuple[float, float]:
+        """(message share, oldest counted time) over the log tail from
+        the last entry back to the first one older than ``cutoff``."""
         n = ok = 0
         oldest = _INF
         for t, k, o in reversed(self._log):
@@ -296,13 +261,14 @@ class PeerStats:
                 break
             if t < oldest:
                 oldest = t
-            if k == kind:
+            if k == "message":
                 n += 1
                 ok += int(o)
         return _share(ok, n), oldest
 
     def _message_share_last(self, now: float, hours: float) -> float:
-        """``pct_ok_last("message", now, hours)``, cached.
+        """Success share of the messages logged in the trailing
+        ``hours`` (unobserved -> 1.0), cached.
 
         With the log unchanged, a scan at a cutoff at or after the
         cached one stops at the same entry unless the oldest entry it
@@ -312,7 +278,7 @@ class PeerStats:
         cutoff = now - hours * 3600.0
         if self._lk_cutoff <= cutoff and not self._lk_oldest < cutoff:
             return self._lk_share
-        share, self._lk_oldest = self._scan("message", cutoff)
+        share, self._lk_oldest = self._scan(cutoff)
         self._lk_cutoff = cutoff
         self._lk_share = share
         return share
@@ -472,12 +438,6 @@ class PerformanceHistory:
             raise ValueError(f"empty window [{t0}, {t1}]")
         return [v for (t, v) in self.latency_obs if t0 <= t <= t1]
 
-    def transfer_rates_in_window(self, t0: float, t1: float) -> list[float]:
-        """Raw transfer rates observed in ``[t0, t1]``."""
-        if t0 > t1:
-            raise ValueError(f"empty window [{t0}, {t1}]")
-        return [v for (t, v) in self.transfer_obs if t0 <= t <= t1]
-
 
 class StalenessClock:
     """Last-refresh times for named statistic inputs (sim seconds).
@@ -490,7 +450,7 @@ class StalenessClock:
 
     A beacon refreshes the same keys every time, so :meth:`stamp`
     keeps one time per key *set* (a frozenset, whose hash is cached);
-    :meth:`note` and :meth:`note_many` keep one per key.  A key's
+    :meth:`note_many` keeps one per key.  A key's
     refresh time is the latest of its own time and the stamps of
     every set holding it.
     """
@@ -501,24 +461,14 @@ class StalenessClock:
         self._stamps: Dict[frozenset, float] = {}
         self._seen: Dict[str, float] = {}
 
-    def __len__(self) -> int:
-        """Number of keys ever refreshed."""
-        return len(self._times())
-
     def stamp(self, keys: frozenset, now: float) -> None:
         """Record that every key of ``keys`` was refreshed at ``now``."""
         prior = self._stamps.get(keys)
         if prior is None or now > prior:
             self._stamps[keys] = now
 
-    def note(self, key: str, now: float) -> None:
-        """Record that ``key``'s value was refreshed at ``now``."""
-        prior = self._seen.get(key)
-        if prior is None or now > prior:
-            self._seen[key] = now
-
     def note_many(self, keys, now: float) -> None:
-        """Refresh several keys at once (:meth:`note`, inlined)."""
+        """Record that every key of ``keys`` was refreshed at ``now``."""
         seen = self._seen
         for key in keys:
             prior = seen.get(key)
@@ -534,16 +484,3 @@ class StalenessClock:
         if t is None:
             return _INF
         return max(0.0, now - t)
-
-    def items(self):
-        """``(key, last refresh time)`` for every key ever refreshed."""
-        return self._times().items()
-
-    def _times(self) -> Dict[str, float]:
-        times = dict(self._seen)
-        for keys, stamped in self._stamps.items():
-            for key in keys:
-                prior = times.get(key)
-                if prior is None or stamped > prior:
-                    times[key] = stamped
-        return times

@@ -73,7 +73,8 @@ class PreferenceTable:
         """Rank by remembered transfer goodput (higher = preferred)."""
         scores: Dict[PeerId, float] = {}
         for peer_id, hist in observed.items():
-            rates = hist.transfer_rates_in_window(window_start, window_end)
+            rates = [v for (t, v) in hist.transfer_obs
+                     if window_start <= t <= window_end]
             if rates:
                 # Negate so that lower score = faster remembered rate.
                 scores[peer_id] = -fmean(rates)

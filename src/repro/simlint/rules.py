@@ -578,7 +578,7 @@ _SEED_PROBLEMS = {
     "literal": (
         "seeded with a literal — every run and every repetition reuses "
         "the same stream; derive the seed from the session RNG tree "
-        "(RandomStreams.get/fork or ExperimentConfig.for_repetition)"
+        "(RandomStreams.get or ExperimentConfig.for_repetition)"
     ),
     "wallclock": (
         "seeded from the wall clock — runs are unreproducible by "

@@ -8,11 +8,7 @@ flow-level fair sharing, structured tracing, and the PlanetLab Table 1
 catalog with SC1–SC8 calibration (:mod:`.planetlab`).
 """
 
-from repro.simnet.bandwidth import (
-    BandwidthModel,
-    ContendedBandwidth,
-    DiurnalBandwidth,
-)
+from repro.simnet.bandwidth import ContendedBandwidth
 from repro.simnet.kernel import (
     AllOf,
     Event,
@@ -36,7 +32,7 @@ from repro.simnet.planetlab import (
     build_testbed,
 )
 from repro.simnet.rng import RandomStreams
-from repro.simnet.topology import NodeSpec, PathSpec, Region, Site, Topology
+from repro.simnet.topology import NodeSpec, Region, Site, Topology
 from repro.simnet.trace import TraceEvent
 from repro.simnet.transport import (
     Datagram,
@@ -58,15 +54,12 @@ __all__ = [
     "LatencyModel",
     "LognormalLatency",
     "SpikyLatency",
-    "BandwidthModel",
     "ContendedBandwidth",
-    "DiurnalBandwidth",
     "NoLoss",
     "PerUnitLoss",
     "Region",
     "Site",
     "NodeSpec",
-    "PathSpec",
     "Topology",
     "Network",
     "Host",

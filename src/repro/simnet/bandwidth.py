@@ -1,46 +1,25 @@
 """Bandwidth (service-rate) models.
 
 A bandwidth model answers "at what rate (bits/second) can this endpoint
-move bulk data *right now*?".  The PlanetLab substitution needs two
-effects on top of a nominal access rate:
+move bulk data *right now*?".  The PlanetLab substitution needs one
+effect on top of a nominal access rate: **sliver contention**.  A
+PlanetLab node hosts up to ~100 concurrent slivers, so the share
+available to our slice varies over time.  :class:`ContendedBandwidth`
+multiplies a nominal rate by a slowly varying load factor resampled on
+a fixed period (a bounded AR(1)-style random walk).
 
-* **Sliver contention** — a PlanetLab node hosts up to ~100 concurrent
-  slivers; the share available to our slice varies over time.  Modelled
-  by :class:`ContendedBandwidth`, which multiplies a nominal rate by a
-  slowly varying load factor resampled on a fixed period (a bounded
-  AR(1)-style random walk).
-* **Diurnal modulation** — long transfers cross load peaks; modelled by
-  :class:`DiurnalBandwidth` with a sinusoidal envelope.
-
-Rates are strictly positive; models expose :meth:`rate_at` for
+Rates are strictly positive; the model exposes :meth:`rate_at` for
 time-varying inspection and :meth:`mean_rate` for planning estimates
 (the broker's ready-time estimator uses the latter).
 """
 
 from __future__ import annotations
 
-import math
-from typing import Protocol
-
 from repro.simnet.rng import Draws
 
 __all__ = [
-    "BandwidthModel",
     "ContendedBandwidth",
-    "DiurnalBandwidth",
 ]
-
-
-class BandwidthModel(Protocol):
-    """Anything that yields an instantaneous service rate in bits/s."""
-
-    def rate_at(self, now: float) -> float:
-        """Instantaneous available rate (bits/s, > 0) at time ``now``."""
-        ...
-
-    def mean_rate(self) -> float:
-        """Long-run average rate (bits/s) for planning purposes."""
-        ...
 
 
 class ContendedBandwidth:
@@ -106,34 +85,3 @@ class ContendedBandwidth:
             f"share=[{self.min_share:g},{self.max_share:g}], "
             f"period={self.period:g}s)"
         )
-
-
-class DiurnalBandwidth:
-    """A base model modulated by a sinusoidal daily envelope.
-
-    ``rate(t) = base.rate_at(t) * (1 - depth/2 + depth/2 * cos(2*pi*(t - peak)/day))``
-
-    so the rate dips by up to ``depth`` at the busiest time of day.
-    """
-
-    DAY = 86_400.0
-
-    def __init__(
-        self, base: BandwidthModel, depth: float = 0.3, peak_offset: float = 0.0
-    ) -> None:
-        if not 0 <= depth < 1:
-            raise ValueError(f"depth must be in [0, 1), got {depth}")
-        self.base = base
-        self.depth = float(depth)
-        self.peak_offset = float(peak_offset)
-
-    def rate_at(self, now: float) -> float:
-        phase = 2.0 * math.pi * (now - self.peak_offset) / self.DAY
-        envelope = 1.0 - 0.5 * self.depth + 0.5 * self.depth * math.cos(phase)
-        return self.base.rate_at(now) * envelope
-
-    def mean_rate(self) -> float:
-        return self.base.mean_rate() * (1.0 - 0.5 * self.depth)
-
-    def __repr__(self) -> str:
-        return f"DiurnalBandwidth({self.base!r}, depth={self.depth:g})"

@@ -456,11 +456,6 @@ class Simulator:
         return self._now
 
     @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being stepped, if any."""
-        return self._active_process
-
-    @property
     def pending_events(self) -> int:
         """Number of events still on the agenda."""
         return len(self._agenda)
@@ -883,11 +878,6 @@ class Resource:
     def queued(self) -> int:
         """Number of pending requests."""
         return len(self._waiters)
-
-    @property
-    def available(self) -> int:
-        """Free slots right now."""
-        return self.capacity - self._in_use
 
     def request(self) -> Event:
         """Return an event that succeeds once a slot is granted."""

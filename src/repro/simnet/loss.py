@@ -26,9 +26,6 @@ class NoLoss:
     def unit_lost(self, size_bits: float, now: float) -> bool:
         return False
 
-    def success_probability(self, size_bits: float) -> float:
-        return 1.0
-
     def __repr__(self) -> str:
         return "NoLoss()"
 

@@ -305,10 +305,6 @@ class RandomStreams:
             src = self._draws[name] = BlockDraws(name, self._mixed)
         return src
 
-    def fork(self, salt: int) -> "RandomStreams":
-        """A new independent family (e.g. one per experiment repetition)."""
-        return RandomStreams(seed=(self.seed * 1_000_003 + int(salt)) & 0x7FFF_FFFF)
-
     def names(self) -> tuple[str, ...]:
         """Names of the streams handed out so far (diagnostics)."""
         return tuple(sorted((*self._streams, *self._draws)))

@@ -14,11 +14,11 @@ capped well below the site uplink).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Optional
 
 from repro.errors import ConfigError, NoRouteError
 
-__all__ = ["Region", "Site", "NodeSpec", "Topology", "PathSpec"]
+__all__ = ["Region", "Site", "NodeSpec", "Topology"]
 
 
 @dataclass(frozen=True)
@@ -94,10 +94,6 @@ class NodeSpec:
     load_min_share: float = 0.5
     load_max_share: float = 1.0
     per_mb_loss: float = 0.0
-    #: Optional diurnal modulation of the access rate: depth of the
-    #: daily dip in [0, 1) and the time-of-day offset of the peak.
-    diurnal_depth: float = 0.0
-    diurnal_peak_offset_s: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.hostname:
@@ -118,18 +114,6 @@ class NodeSpec:
             raise ConfigError(
                 f"{self.hostname}: need 0 < load_min_share <= load_max_share <= 1"
             )
-        if not 0 <= self.diurnal_depth < 1:
-            raise ConfigError(f"{self.hostname}: diurnal_depth must be in [0, 1)")
-
-
-@dataclass(frozen=True)
-class PathSpec:
-    """Derived static characteristics of a directed node pair."""
-
-    src: str
-    dst: str
-    base_one_way_s: float
-    per_mb_loss: float
 
 
 @dataclass
@@ -158,10 +142,6 @@ class Topology:
         if spec.hostname in self.nodes:
             raise ConfigError(f"duplicate hostname {spec.hostname!r}")
         self.nodes[spec.hostname] = spec
-
-    def add_nodes(self, specs: Iterable[NodeSpec]) -> None:
-        for spec in specs:
-            self.add_node(spec)
 
     def set_region_rtt(self, a: str, b: str, rtt_s: float) -> None:
         """Set the base RTT between regions ``a`` and ``b`` (symmetric)."""
@@ -196,16 +176,6 @@ class Topology:
             rtt = self.default_rtt
         return rtt
 
-    def path(self, src: str, dst: str) -> PathSpec:
-        """Static path characteristics for the directed pair."""
-        if src == dst:
-            return PathSpec(src=src, dst=dst, base_one_way_s=0.0, per_mb_loss=0.0)
-        s, d = self.node(src), self.node(dst)
-        one_way = self.one_way_s(s, d)
-        # Losses on the two access paths compound.
-        loss = 1.0 - (1.0 - s.per_mb_loss) * (1.0 - d.per_mb_loss)
-        return PathSpec(src=src, dst=dst, base_one_way_s=one_way, per_mb_loss=loss)
-
     def one_way_s(self, src: NodeSpec, dst: NodeSpec) -> float:
         """Base one-way latency between two nodes: half their base RTT,
         zero from a node to itself.
@@ -232,6 +202,3 @@ class Topology:
                 key = self._key(a, b)
                 if key not in self.region_rtt and self.default_rtt is None:
                     raise ConfigError(f"missing region RTT for {key}")
-
-    def __len__(self) -> int:
-        return len(self.nodes)

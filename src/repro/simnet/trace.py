@@ -20,7 +20,3 @@ class TraceEvent:
     kind: str
     time: float
     attrs: dict[str, Any] = field(default_factory=dict)
-
-    def get(self, key: str, default: Any = None) -> Any:
-        """Attribute lookup with default."""
-        return self.attrs.get(key, default)

@@ -38,7 +38,7 @@ mechanism that reproduces Figure 5.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, TYPE_CHECKING
 
 from repro.errors import (
@@ -48,7 +48,7 @@ from repro.errors import (
 )
 from repro.obs.metrics import DEFAULT_RATE_BUCKETS, MetricsRegistry
 from repro.obs.runtime import active_registry
-from repro.simnet.bandwidth import ContendedBandwidth, DiurnalBandwidth
+from repro.simnet.bandwidth import ContendedBandwidth
 from repro.simnet.kernel import Event, Resource, Simulator
 from repro.simnet.latency import LognormalLatency, SpikyLatency
 from repro.simnet.loss import NO_LOSS, PerUnitLoss
@@ -85,13 +85,6 @@ class Datagram:
     sent_at: float = 0.0
     delivered_at: Optional[float] = None
 
-    @property
-    def latency(self) -> float:
-        """Delivery latency, once delivered."""
-        if self.delivered_at is None:
-            raise SimulationError("datagram not delivered yet")
-        return self.delivered_at - self.sent_at
-
 
 @dataclass
 class TransferReport:
@@ -109,13 +102,6 @@ class TransferReport:
     def duration(self) -> float:
         """End-to-end seconds including retransmissions and timeouts."""
         return self.finished_at - self.started_at
-
-    @property
-    def goodput_bps(self) -> float:
-        """Useful bits per second over the whole transfer."""
-        if self.duration <= 0:
-            return float("inf")
-        return self.size_bits / self.duration
 
 
 class Flow:
@@ -707,18 +693,12 @@ class Host:
         streams = self.network.streams
         links = []
         for direction, nominal in (("up", spec.up_bps), ("down", spec.down_bps)):
-            link: Any = ContendedBandwidth(
+            links.append(ContendedBandwidth(
                 nominal,
                 streams.draws(f"bw-{direction}/{spec.hostname}"),
                 min_share=spec.load_min_share,
                 max_share=spec.load_max_share,
-            )
-            if spec.diurnal_depth > 0:
-                link = DiurnalBandwidth(
-                    link, depth=spec.diurnal_depth,
-                    peak_offset=spec.diurnal_peak_offset_s,
-                )
-            links.append(link)
+            ))
         self._up, self._down = links
 
     def _heavy_overhead(self) -> Any:
@@ -1068,14 +1048,6 @@ class Network:
             h = Host(self, spec)
             self._hosts[hostname] = h
         return h
-
-    def hosts(self) -> tuple[Host, ...]:
-        """All instantiated hosts, in creation order."""
-        return tuple(self._hosts.values())
-
-    def boot_all(self) -> tuple[Host, ...]:
-        """Instantiate a host for every topology node."""
-        return tuple(self.host(name) for name in self.topology.hostnames())
 
     # -- partitions (fault injection) -------------------------------------------
 

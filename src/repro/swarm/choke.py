@@ -59,8 +59,6 @@ class ChokeManager:
         self._members: Dict[str, None] = {}
         self._unchoked: Dict[str, None] = {}
         self._pinned: Dict[str, None] = {}
-        self._bits: Dict[str, float] = {}
-        self._seconds: Dict[str, float] = {}
         self._peak: Dict[str, float] = {}
         self._proofs = 0
         self._rotation = 0
@@ -84,10 +82,6 @@ class ChokeManager:
         self._pinned[name] = None
         self._reevaluate()
 
-    def pinned(self, name: str) -> bool:
-        """Is ``name`` pinned (origin-privileged)?"""
-        return name in self._pinned
-
     def drop(self, name: str) -> None:
         """Remove a failed/finished source and refill its slot."""
         self._members.pop(name, None)
@@ -95,26 +89,13 @@ class ChokeManager:
         self._pinned.pop(name, None)
         self._reevaluate()
 
-    def members(self) -> Tuple[str, ...]:
-        """Admitted sources, admission-ordered."""
-        return tuple(self._members)
-
     # -- observations --------------------------------------------------------
 
     def record(self, name: str, bits: float, seconds: float) -> None:
         """Account one confirmed part against ``name``'s throughput."""
         if seconds <= 0:
             return
-        self._bits[name] = self._bits.get(name, 0.0) + bits
-        self._seconds[name] = self._seconds.get(name, 0.0) + seconds
         self._peak[name] = max(self._peak.get(name, 0.0), bits / seconds)
-
-    def rate(self, name: str) -> float:
-        """Observed cumulative throughput (0 until measured)."""
-        seconds = self._seconds.get(name, 0.0)
-        if seconds <= 0:
-            return 0.0
-        return self._bits.get(name, 0.0) / seconds
 
     def peak(self, name: str) -> float:
         """Best single-part throughput (0 until measured) — the
@@ -140,26 +121,9 @@ class ChokeManager:
             self._rotation += 1
         self._reevaluate()
 
-    def force_unchoke(self, name: str) -> None:
-        """Grant ``name`` a slot now (evicting the worst-ranked holder
-        if full) — the coordinator's stall-breaker for pieces held only
-        by choked sources."""
-        if name not in self._members or name in self._unchoked:
-            return
-        if len(self._unchoked) >= UNCHOKE_SLOTS:
-            # Evict the worst-ranked holder, sparing pins unless the
-            # whole slot set is pinned (stall-breaking outranks the
-            # origin privilege).
-            ranked = sorted(
-                tuple(self._unchoked),
-                key=lambda n: (n not in self._pinned, -self.peak(n), n),
-            )
-            del self._unchoked[ranked[-1]]
-        self._unchoked[name] = None
-
     def measured(self, name: str) -> bool:
         """Has ``name`` streamed at least one accounted part?"""
-        return self._seconds.get(name, 0.0) > 0
+        return name in self._peak
 
     def _reevaluate(self) -> None:
         members = tuple(self._members)

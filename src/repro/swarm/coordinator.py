@@ -572,40 +572,30 @@ class SwarmCoordinator:
     def _check_progress(self) -> None:
         """Stall detection: every live worker parked, nothing on the
         wire.  Either some unchoked source can pick up a free piece at
-        its next wake (leave it alone — forcing here would ping-pong
-        the slots between holders within one wake storm and never let
-        a worker reach its gate), or every free piece's holders are all
-        choked (break the stall by force-unchoking one), or no
-        registered source holds some unproven piece (fail rather than
-        hang)."""
+        its next wake (leave it alone: the event that freed the piece
+        already kicked its holders), or no free piece has a source that
+        may stream it (fail rather than hang).  Every study's sources
+        hold the whole file and the unchoked set is never empty while a
+        source remains, so only partial holdings can leave a free
+        piece's holders all choked."""
         if self._finished or self._streaming > 0 or self._idle < self._alive:
             return
         tracker = self._tracker
-        holders_exist = False
-        stalled: Optional[Tuple[str, ...]] = None
+        choked = False
         for piece, _size in tracker.remaining():
             if tracker.inflight(piece):
                 continue
             holders = tracker.holders(piece)
-            if not holders:
-                continue
-            holders_exist = True
-            if self._choke is None or any(
+            if holders and (self._choke is None or any(
                 self._choke.unchoked(h) for h in holders
-            ):
-                # Progress is possible without intervention: the event
-                # that freed this piece already kicked its holders.
+            )):
                 return
-            if stalled is None:
-                stalled = holders
-        if stalled is not None:
-            self._choke.force_unchoke(stalled[0])
-            self._kick()
-        elif not holders_exist:
-            self.outcome.reason = (
-                "pieces unavailable: every holding source failed"
-            )
-            self._finish()
+            choked = choked or bool(holders)
+        self.outcome.reason = (
+            "pieces unavailable: every holding source is choked" if choked
+            else "pieces unavailable: every holding source failed"
+        )
+        self._finish()
 
     def _on_leg_failed(self, leg: Leg, piece, exc) -> None:
         sim = self.sim

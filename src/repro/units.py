@@ -10,25 +10,16 @@ utilities used by the experiment reports.
 from __future__ import annotations
 
 __all__ = [
-    "KILO",
     "MEGA",
-    "GIGA",
     "mbit",
-    "mbyte",
-    "kbit",
-    "gbit",
     "to_mbit",
-    "minutes",
     "to_minutes",
     "fmt_seconds",
     "fmt_minutes",
-    "fmt_size",
 ]
 
-#: Decimal multipliers (network convention: 1 Mb = 1e6 bits).
-KILO = 1_000.0
+#: Decimal multiplier (network convention: 1 Mb = 1e6 bits).
 MEGA = 1_000_000.0
-GIGA = 1_000_000_000.0
 
 
 def mbit(n: float) -> float:
@@ -36,29 +27,9 @@ def mbit(n: float) -> float:
     return float(n) * MEGA
 
 
-def kbit(n: float) -> float:
-    """Return ``n`` kilobits expressed in bits."""
-    return float(n) * KILO
-
-
-def gbit(n: float) -> float:
-    """Return ``n`` gigabits expressed in bits."""
-    return float(n) * GIGA
-
-
-def mbyte(n: float) -> float:
-    """Return ``n`` megabytes expressed in bits (1 MB = 8 Mb)."""
-    return float(n) * 8.0 * MEGA
-
-
 def to_mbit(bits: float) -> float:
     """Convert a size in bits to megabits."""
     return float(bits) / MEGA
-
-
-def minutes(n: float) -> float:
-    """Return ``n`` minutes expressed in seconds."""
-    return float(n) * 60.0
 
 
 def to_minutes(seconds: float) -> float:
@@ -75,10 +46,3 @@ def fmt_minutes(seconds: float) -> str:
     """Format a duration (given in seconds) as minutes (e.g. ``'1.70 min'``)."""
     return f"{to_minutes(seconds):.2f} min"
 
-
-def fmt_size(bits: float) -> str:
-    """Format a size in bits using the paper's Mb convention."""
-    mb = to_mbit(bits)
-    if mb >= 1.0:
-        return f"{mb:g} Mb"
-    return f"{bits / KILO:g} Kb"

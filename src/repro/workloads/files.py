@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.units import mbit, to_mbit
+from repro.units import mbit
 
 __all__ = ["FileSpec"]
 
@@ -27,11 +27,6 @@ class FileSpec:
             raise ValueError("file name must be non-empty")
         if self.size_bits <= 0:
             raise ValueError(f"file size must be > 0, got {self.size_bits}")
-
-    @property
-    def size_mbit(self) -> float:
-        """Size in the paper's Mb units."""
-        return to_mbit(self.size_bits)
 
     @classmethod
     def of_mbit(cls, name: str, size_mb: float) -> "FileSpec":

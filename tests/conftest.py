@@ -94,6 +94,18 @@ def overlay_pair(sim, streams, two_node_topology):
     return broker, client, net
 
 
+def freshness_times(clock) -> dict:
+    """Every key a ``StalenessClock`` refreshed -> its refresh time, the
+    latest of its own and every stamp whose set holds it."""
+    times = dict(clock._seen)
+    for keys, stamped in clock._stamps.items():
+        for key in keys:
+            prior = times.get(key)
+            if prior is None or stamped > prior:
+                times[key] = stamped
+    return times
+
+
 def run_process(sim: Simulator, generator):
     """Run one generator process to completion and return its value."""
     p = sim.process(generator)

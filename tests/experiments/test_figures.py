@@ -27,7 +27,7 @@ CFG = ExperimentConfig(seed=2007, repetitions=5)
 class TestTable1:
     def test_25_nodes(self):
         result = table1_nodes.run()
-        assert result.n_nodes == 25
+        assert len(result.rows) == 25
 
     def test_sc_roles_marked(self):
         result = table1_nodes.run()

@@ -68,12 +68,6 @@ class TestResilienceRun:
                 assert result.recovered_mbit(profile, policy) == 0.0
                 assert math.isnan(result.failover_s(profile, policy))
 
-    def test_goodput_retention_baseline_is_one(self, result):
-        for policy in resilience.POLICIES:
-            assert result.goodput_retention("baseline", policy) == (
-                pytest.approx(1.0)
-            )
-
 
 class TestCensoring:
     def test_deadline_censors_in_flight_work(self, monkeypatch):

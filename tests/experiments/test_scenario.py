@@ -184,7 +184,7 @@ class TestSessionObservability:
 
         session.run(scenario)
         assert session.tracer.seen > 0
-        assert len(session.tracer) <= 16
+        assert len(session.tracer.events) <= 16
 
     def test_trace_config_validation(self):
         with pytest.raises(ConfigError):

@@ -19,14 +19,8 @@ class TestSummarize:
     def test_singleton_has_zero_std(self):
         s = summarize([5.0])
         assert s.std == 0.0
-        assert s.sem == 0.0
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             summarize([])
 
-    def test_sem_and_ci(self):
-        s = summarize([1.0, 2.0, 3.0, 4.0])
-        assert s.sem == pytest.approx(s.std / 2.0)
-        lo, hi = s.ci95()
-        assert lo < s.mean < hi

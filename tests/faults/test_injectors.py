@@ -12,7 +12,6 @@ from repro.faults import (
     LinkDegrade,
     LossBurst,
     NodeCrash,
-    NodeRestart,
     NodeSlowdown,
     Partition,
 )
@@ -79,12 +78,6 @@ class TestInjectors:
         undo = NodeCrash(target="SC1").apply(rt)
         assert not host.is_up
         undo()
-        assert host.is_up
-
-    def test_node_restart_recovers(self, session, rt):
-        host = sc_host(session, "SC1")
-        host.crash()
-        assert NodeRestart(target="SC1").apply(rt) is None
         assert host.is_up
 
     def test_slowdown_sets_and_restores_factor(self, session, rt):

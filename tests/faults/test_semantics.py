@@ -172,9 +172,9 @@ class TestDeterminism:
             return done
 
         done = session.run(scenario)
-        timeline = session.faults.timeline_summary()
+        timeline = session.faults.timeline
         wire = tuple(
-            (e.time, e.get("src"), e.get("dst"), e.get("payload_kind"), e.get("lost"))
+            (e.time, e.attrs.get("src"), e.attrs.get("dst"), e.attrs.get("payload_kind"), e.attrs.get("lost"))
             for e in session.tracer.of_kind("msg-send")
         )
         return done, timeline, wire

@@ -270,7 +270,7 @@ def _beacons_received(trace, since: float = 0.0) -> dict:
     """Beacons delivered to any host after ``since``, by payload type."""
     counts = dict.fromkeys(_BEACONS, 0)
     for ev in trace.of_kind("msg-recv"):
-        kind = ev.get("payload_kind")
+        kind = ev.attrs.get("payload_kind")
         if kind in counts and ev.time > since:
             counts[kind] += 1
     return counts
@@ -297,8 +297,8 @@ class TestBeaconsFollowJoinPath:
         assert _beacons_received(network.tracer) == {
             "KeepAlive": 20, "StatReport": 10,
         }
-        assert {ev.get("dst") for ev in network.tracer.of_kind("msg-recv")
-                if ev.get("payload_kind") in _BEACONS} == {"a.example"}
+        assert {ev.attrs.get("dst") for ev in network.tracer.of_kind("msg-recv")
+                if ev.attrs.get("payload_kind") in _BEACONS} == {"a.example"}
 
 
 class TestLongLinkPositions:

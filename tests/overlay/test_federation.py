@@ -128,7 +128,7 @@ class TestFederatedView:
         sim, a, b, p1, p2 = federation
         b.replicate_to(a.advertisement())
         settle(sim)
-        p2.disconnect()
+        b.registry[p2.peer_id].online = False
         sim.run(until=sim.now + 130.0)
         assert not a.record(p2.peer_id).online
         assert all(r.adv.name != "peer-2" for r in a.candidates())

@@ -70,15 +70,6 @@ class TestShare:
         assert advs[0].attrs["hostname"] == "provider.example"
         assert advs[0].attrs["size_bits"] == mbit(20)
 
-    def test_unshare_stops_serving(self, sharing_net):
-        sim, broker, provider, fetcher = sharing_net
-        provider.sharing.share("temp.bin", mbit(5))
-        provider.sharing.unshare("temp.bin")
-        sim.run(until=sim.now + 1.0)
-        p = sim.process(fetcher.sharing.fetch("temp.bin"))
-        with pytest.raises(FileNotShared, match="refused"):
-            sim.run(until=p)
-
 
 class TestFetch:
     def test_end_to_end_fetch(self, sharing_net):

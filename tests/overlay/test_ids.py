@@ -39,10 +39,6 @@ class TestIdFactory:
         assert isinstance(ids.task_id(), TaskId)
         assert isinstance(ids.transfer_id(), TransferId)
 
-    def test_short_suffix(self):
-        pid = IdFactory().peer_id()
-        assert pid.short == str(pid)[-12:]
-
     def test_malformed_urn_rejected(self):
         with pytest.raises(ValueError):
             PeerId("not-a-urn")

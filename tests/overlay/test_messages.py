@@ -22,7 +22,7 @@ class TestVocabularyShape:
     def test_exports_cover_protocol_families(self):
         families = {
             # membership / liveness
-            "JoinRequest", "JoinAck", "LeaveNotice", "KeepAlive",
+            "JoinRequest", "JoinAck", "KeepAlive",
             "Ping", "Pong",
             # statistics & replication
             "StatReport", "DigestEntry", "StateSync",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigError, UnknownPeerError
+from repro.errors import ConfigError
 from repro.overlay.broker import Broker
 from repro.overlay.client import SimpleClient
 from repro.overlay.ids import IdFactory
@@ -45,18 +45,10 @@ class TestIdentity:
         assert adv.kind == "simpleclient"
         assert adv.peer_id == client.peer_id
 
-    def test_learn_and_host_for(self, overlay_pair):
+    def test_learn_fills_directory(self, overlay_pair):
         broker, client, net = overlay_pair
         client.learn(broker.advertisement())
-        host = client.host_for(broker.peer_id)
-        assert host.hostname == "a.example"
-
-    def test_unknown_peer_unroutable(self, overlay_pair, sim):
-        broker, client, net = overlay_pair
-        from repro.overlay.ids import IdFactory
-
-        with pytest.raises(UnknownPeerError):
-            client.host_for(IdFactory("other").peer_id("ghost"))
+        assert client.directory[broker.peer_id] == "a.example"
 
 
 class TestConnect:
@@ -67,25 +59,6 @@ class TestConnect:
         assert client.stats.session_active
         assert client.peer_id in broker.registry
         assert broker.registry[client.peer_id].online
-
-    def test_disconnect_notifies_broker(self, overlay_pair, sim):
-        broker, client, net = overlay_pair
-        connect(sim, broker, client)
-        client.disconnect()
-        sim.run()
-        assert not client.online
-        assert not broker.registry[client.peer_id].online
-        assert not client.stats.session_active
-
-    def test_reconnect_after_disconnect(self, overlay_pair, sim):
-        broker, client, net = overlay_pair
-        connect(sim, broker, client)
-        client.disconnect()
-        sim.run()
-        connect(sim, broker, client)
-        assert client.online
-        assert broker.registry[client.peer_id].online
-        assert client.stats.sessions_started == 2
 
     def test_keepalives_update_record(self, overlay_pair, sim):
         broker, client, net = overlay_pair

@@ -64,21 +64,3 @@ class TestStatReportCadence:
         client.stats.record_file_attempt(sim.now, ok=False, cancelled=True)
         sim.run(until=sim.now + 65.0)
         assert rec.snapshot["pct_transfers_cancelled_session"] > 0.0
-
-    def test_loops_stop_after_disconnect(self, overlay_pair, sim):
-        broker, client, net = overlay_pair
-        connect(sim, broker, client)
-        client.disconnect()
-        sim.run()  # the agenda must drain: no immortal periodic loops
-        assert sim.pending_events == 0
-
-
-class TestSessionAccounting:
-    def test_reconnect_cycles_sessions(self, overlay_pair, sim):
-        broker, client, net = overlay_pair
-        connect(sim, broker, client)
-        client.disconnect()
-        sim.run()
-        connect(sim, broker, client)
-        assert client.stats.sessions_started == 2
-        assert len(client.stats.closed_sessions) == 1

@@ -17,6 +17,8 @@ from repro.overlay.statistics import (
     _share,
 )
 
+from tests.conftest import freshness_times
+
 
 class TestCounters:
     def test_shares_default_optimistic(self):
@@ -28,14 +30,6 @@ class TestCounters:
     def test_shares_computed(self):
         c = Counters(messages_sent=4, messages_ok=3)
         assert c.pct_messages_ok == pytest.approx(0.75)
-
-    def test_merge_into_accumulates(self):
-        a = Counters(messages_sent=2, messages_ok=1, files_attempted=1)
-        b = Counters(messages_sent=3, messages_ok=3)
-        a.merge_into(b)
-        assert b.messages_sent == 5
-        assert b.messages_ok == 4
-        assert b.files_attempted == 1
 
 
 class TestSessionLifecycle:
@@ -88,8 +82,9 @@ class TestRecording:
         s.sample_queues(2, 4)
         s.sample_queues(4, 0)
         assert s.outbox_len_now == 4
-        assert s.outbox_len_avg == pytest.approx(3.0)
-        assert s.inbox_len_avg == pytest.approx(2.0)
+        snap = s.snapshot(0.0)
+        assert snap["outbox_len_avg"] == pytest.approx(3.0)
+        assert snap["inbox_len_avg"] == pytest.approx(2.0)
 
     def test_negative_queue_rejected(self):
         with pytest.raises(ValueError):
@@ -102,18 +97,14 @@ class TestLastKHours:
         s.record_message(0.0, ok=False)          # old
         s.record_message(5000.0, ok=True)        # recent
         # At t=5400 a 1-hour window sees only the recent success.
-        assert s.pct_ok_last("message", 5400.0, 1.0) == 1.0
+        assert s.snapshot(5400.0, 1.0)["pct_messages_ok_last_k"] == 1.0
         # A 2-hour window sees both.
-        assert s.pct_ok_last("message", 5400.0, 2.0) == pytest.approx(0.5)
+        assert s.snapshot(5400.0, 2.0)["pct_messages_ok_last_k"] == pytest.approx(0.5)
 
     def test_empty_window_optimistic(self):
-        assert PeerStats().pct_ok_last("file", 100.0, 1.0) == 1.0
-
-    def test_kind_validated(self):
-        with pytest.raises(ValueError):
-            PeerStats().pct_ok_last("sprocket", 0.0, 1.0)
-        with pytest.raises(ValueError):
-            PeerStats().pct_ok_last("message", 0.0, 0.0)
+        s = PeerStats()
+        s.record_file_attempt(50.0, ok=False)
+        assert s.snapshot(100.0, 1.0)["pct_messages_ok_last_k"] == 1.0
 
     def test_log_pruned_beyond_retention(self):
         s = PeerStats()
@@ -182,7 +173,7 @@ class TestSnapshot:
             )
         assert snap["outbox_len_avg"] == _share(s._outbox_sum, s._outbox_samples, default=0.0)
         assert snap["inbox_len_avg"] == _share(s._inbox_sum, s._inbox_samples, default=0.0)
-        assert snap["pct_messages_ok_last_k"] == s.pct_ok_last("message", 0.0, 1.0)
+        assert snap["pct_messages_ok_last_k"] == _messages_ok_since(s._log, -3600.0)
         assert snap["pending_transfers"] == float(pending[0])
         assert snap["pending_tasks"] == float(pending[1])
         assert snap["sessions_started"] == float(pending[2])
@@ -204,7 +195,7 @@ class TestStatisticsProperties:
         s = PeerStats()
         for n in lens:
             s.sample_queues(n, 0)
-        assert s.outbox_len_avg == pytest.approx(sum(lens) / len(lens))
+        assert s.snapshot(0.0)["outbox_len_avg"] == pytest.approx(sum(lens) / len(lens))
 
     @given(st.lists(st.booleans(), min_size=1, max_size=100))
     @settings(max_examples=50, deadline=None)
@@ -215,6 +206,19 @@ class TestStatisticsProperties:
             s.record_message(float(i), ok=ok)
         assert s.session.messages_sent <= s.total.messages_sent
         assert s.session.messages_ok <= s.total.messages_ok
+
+
+def _messages_ok_since(log, cutoff: float) -> float:
+    """Reference last-k share: the messages logged at or after
+    ``cutoff``, scanning back from the newest entry."""
+    n = ok = 0
+    for t, k, o in reversed(log):
+        if t < cutoff:
+            break
+        if k == "message":
+            n += 1
+            ok += int(o)
+    return _share(ok, n)
 
 
 class _DequeLogStats(PeerStats):
@@ -232,23 +236,14 @@ class _DequeLogStats(PeerStats):
         while self._log and self._log[0][0] < cutoff:
             self._log.popleft()
 
-    def pct_ok_last(self, kind: str, now: float, hours: float) -> float:
-        cutoff = now - hours * 3600.0
-        n = ok = 0
-        for t, k, o in reversed(self._log):
-            if t < cutoff:
-                break
-            if k == kind:
-                n += 1
-                ok += int(o)
-        return _share(ok, n)
-
     def snapshot(self, now: float, last_k_hours: float = 1.0):
         session, total = self.session, self.total
         return {
             "pct_messages_ok_session": session.pct_messages_ok,
             "pct_messages_ok_total": total.pct_messages_ok,
-            "pct_messages_ok_last_k": self.pct_ok_last("message", now, last_k_hours),
+            "pct_messages_ok_last_k": _messages_ok_since(
+                self._log, now - last_k_hours * 3600.0
+            ),
             "outbox_len_now": float(self.outbox_len_now),
             "outbox_len_avg": _share(self._outbox_sum, self._outbox_samples, 0.0),
             "inbox_len_now": float(self.inbox_len_now),
@@ -333,10 +328,6 @@ class TestEventLogAgainstDeque:
                     s.record_file_attempt(now, ok, cancelled=not ok)
             assert list(stats._log) == list(ref._log)
             query = now + lag
-            for k in _RECORDS:
-                assert stats.pct_ok_last(k, query, hours) == ref.pct_ok_last(
-                    k, query, hours
-                )
             assert stats.snapshot(query, hours) == ref.snapshot(query, hours)
 
     @given(_interleaved_ops)
@@ -373,9 +364,6 @@ class TestEventLogAgainstDeque:
                 lag, hours = args
                 query = now + lag
                 assert stats.snapshot(query, hours) == ref.snapshot(query, hours)
-                assert stats.pct_ok_last("message", query, hours) == ref.pct_ok_last(
-                    "message", query, hours
-                )
         assert list(stats._log) == list(ref._log)
         assert stats.snapshot(now) == ref.snapshot(now)
 
@@ -409,18 +397,11 @@ class TestPerformanceHistory:
         assert h.latencies_in_window(15.0, 25.0) == [1.5]
         assert h.latencies_in_window(0.0, 100.0) == [0.5, 1.5, 2.5]
 
-    def test_transfer_window_query(self):
-        h = PerformanceHistory()
-        h.record_transfer(5.0, 100.0, 1.0)
-        assert h.transfer_rates_in_window(0.0, 10.0) == [100.0]
-        assert h.transfer_rates_in_window(6.0, 10.0) == []
-
     def test_windows_empty_until_first_observation(self):
         h = PerformanceHistory(window=3)
         for obs in (h.transfer_obs, h.latency_obs, h.exec_obs):
             assert len(obs) == 0 and not obs and list(obs) == []
         assert h.latencies_in_window(0.0, 1e9) == []
-        assert h.transfer_rates_in_window(0.0, 1e9) == []
         h.record_execution(0.0, 10.0, 1.0)
         assert list(h.exec_obs) == [(0.0, 10.0)]
         assert len(h.transfer_obs) == 0 and len(h.latency_obs) == 0
@@ -524,7 +505,7 @@ class TestStalenessClock:
                 for k in _KEY_SETS[set_index]:
                     ref.note(k, now)
             elif op == "note":
-                clock.note(key, now)
+                clock.note_many((key,), now)
                 ref.note(key, now)
             else:
                 keys = sorted(_KEY_SETS[set_index])
@@ -535,8 +516,7 @@ class TestStalenessClock:
                 want = ref.seen.get(k)
                 expected = float("inf") if want is None else max(0.0, query - want)
                 assert clock.age(k, query) == expected
-            assert len(clock) == len(ref.seen)
-            assert sorted(clock.items()) == sorted(ref.seen.items())
+            assert sorted(freshness_times(clock).items()) == sorted(ref.seen.items())
 
     def test_snapshot_keys_are_every_snapshot(self):
         s = PeerStats()

@@ -71,7 +71,7 @@ class TestEvaluator:
         # judged by its freshness clock, then refresh exactly one key.
         for rec in candidates:
             rec.interaction = None
-        candidates[0].freshness.note("pending_transfers", far - 1.0)
+        candidates[0].freshness.note_many(("pending_transfers",), far - 1.0)
         try:
             ranked = selector.rank(_context(s, candidates, far))
         finally:
@@ -128,5 +128,5 @@ class TestScheduler:
         assert len(ranked) == len(candidates)
         event = s.tracer.last("selection-degraded")
         assert event.time == far
-        assert event.get("model") == "economic+degraded"
-        assert event.get("distrusted") == target.adv.name
+        assert event.attrs.get("model") == "economic+degraded"
+        assert event.attrs.get("distrusted") == target.adv.name

@@ -110,7 +110,7 @@ def _proved_by(session):
     """Piece -> the receiver whose confirm proved it, from the run's
     ``swarm-piece`` trace events (one per proof)."""
     events = session.tracer.of_kind("swarm-piece")
-    proved_by = {e.get("piece"): e.get("source") for e in events}
+    proved_by = {e.attrs.get("piece"): e.attrs.get("source") for e in events}
     assert len(proved_by) == len(events)
     return proved_by
 
@@ -148,8 +148,8 @@ class TestCrashResume:
     def test_resume_emits_trace_and_metrics_events(self):
         session, out, _, _ = _run_crash_resume()
         reassign = session.tracer.last("swarm-reassign")
-        assert reassign.get("source") == "SC4"
-        assert reassign.get("error")
+        assert reassign.attrs.get("source") == "SC4"
+        assert reassign.attrs.get("error")
         reg = session.metrics
         assert reg.counter("recovery.resumes").value == out.resumes == 1
         assert reg.counter("recovery.transfers_recovered").value == 1

@@ -93,10 +93,7 @@ class TestWirePathDeterminism:
         session_a, outs_a = _run(config)
         session_b, outs_b = _run(restored)
         # Identical fault timelines...
-        assert (
-            session_a.faults.timeline_summary()
-            == session_b.faults.timeline_summary()
-        )
+        assert session_a.faults.timeline == session_b.faults.timeline
         # ...identical transfer outcomes...
         assert [o.ok for o in outs_a] == [o.ok for o in outs_b]
         assert [o.finished_at for o in outs_a] == [

@@ -58,6 +58,13 @@ class TestFastTransferTable:
         table = PreferenceTable.fast_transfer(observed, 0.0, 10.0)
         assert table.score(b) < table.score(a)
 
+    def test_window_excludes_outside_observations(self):
+        a = ids.peer_id("a5")
+        observed = {a: history_with_rates([(5.0, 100.0), (20.0, 900.0)])}
+        assert PreferenceTable.fast_transfer(observed, 0.0, 10.0).score(a) == -100.0
+        table = PreferenceTable.fast_transfer(observed, 6.0, 10.0)
+        assert table.score(a) == float("inf")
+
 
 class TestRecentTransferTable:
     def test_last_observation_wins(self):

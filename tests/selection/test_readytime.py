@@ -55,7 +55,7 @@ class TestBacklogAndIdle:
         sim, broker, clients = star
         est = ReadyTimeEstimator(broker)
         rec = broker.record(clients["fast"].peer_id)
-        broker.reserve(rec.peer_id, until=sim.now + 30.0)
+        broker.record(rec.peer_id).reserve(sim.now + 30.0)
         e = est.estimate(rec, Workload(), sim.now)
         assert e.ready_at >= sim.now + 30.0
 

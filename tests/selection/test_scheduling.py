@@ -49,7 +49,7 @@ class TestIdleProvisioning:
     def test_busy_peers_skipped_when_idle_exist(self, star):
         sim, broker, clients = star
         sel = SchedulingBasedSelector(reserve=False)
-        broker.reserve(clients["fast"].peer_id, until=sim.now + 1000.0)
+        broker.record(clients["fast"].peer_id).reserve(sim.now + 1000.0)
         rec = sel.select(ctx_for(sim, broker, Workload(transfer_bits=mbit(10))))
         assert rec.adv.name == "medium"
 
@@ -57,7 +57,7 @@ class TestIdleProvisioning:
         sim, broker, clients = star
         sel = SchedulingBasedSelector(reserve=False)
         for c in clients.values():
-            broker.reserve(c.peer_id, until=sim.now + 50.0)
+            broker.record(c.peer_id).reserve(sim.now + 50.0)
         rec = sel.select(ctx_for(sim, broker, Workload(transfer_bits=mbit(10))))
         assert rec.adv.name == "fast"  # least completion among busy
 

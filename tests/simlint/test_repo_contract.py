@@ -1,6 +1,6 @@
 """The repo-wide static-analysis contract.
 
-* ``src/`` + ``tests/`` + ``benchmarks/`` are clean under the full
+* ``src/`` + ``tests/`` + ``benchmarks/`` + ``examples/`` are clean under the full
   rule pack (SIM001–SIM007 and SIM010): among others, every RNG in
   library code derives from the session tree;
 * every inline suppression in those trees carries a ``-- reason``;
@@ -26,7 +26,7 @@ from repro.simlint import lint_project
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-LINTED_DIRS = ("src", "tests", "benchmarks")
+LINTED_DIRS = ("src", "tests", "benchmarks", "examples")
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simnet.bandwidth import ContendedBandwidth, DiurnalBandwidth
+from repro.simnet.bandwidth import ContendedBandwidth
 from repro.simnet.rng import RandomStreams
 
 
@@ -55,31 +55,3 @@ class TestContendedBandwidth:
             ContendedBandwidth(1e6, rng, period=0.0)
         with pytest.raises(ValueError):
             ContendedBandwidth(1e6, rng, alpha=0.0)
-
-
-def _flat(rate_bps, rng):
-    """A zero-spread base model: the rate is always ``rate_bps``."""
-    return ContendedBandwidth(rate_bps, rng, min_share=1.0, max_share=1.0)
-
-
-class TestDiurnalBandwidth:
-    def test_dips_at_peak(self, rng):
-        m = DiurnalBandwidth(_flat(1e6, rng), depth=0.4, peak_offset=0.0)
-        at_peak = m.rate_at(DiurnalBandwidth.DAY / 2)  # trough of cosine
-        off_peak = m.rate_at(0.0)
-        assert at_peak == pytest.approx(1e6 * 0.6)
-        assert off_peak == pytest.approx(1e6)
-
-    def test_mean_rate(self, rng):
-        m = DiurnalBandwidth(_flat(1e6, rng), depth=0.4)
-        assert m.mean_rate() == pytest.approx(1e6 * 0.8)
-
-    def test_zero_depth_is_identity(self, rng):
-        m = DiurnalBandwidth(_flat(2e6, rng), depth=0.0)
-        assert m.rate_at(12345.0) == pytest.approx(2e6)
-
-    def test_depth_validation(self, rng):
-        with pytest.raises(ValueError):
-            DiurnalBandwidth(_flat(1e6, rng), depth=1.0)
-        with pytest.raises(ValueError):
-            DiurnalBandwidth(_flat(1e6, rng), depth=-0.1)

@@ -25,7 +25,7 @@ EPOCH_S = 30.0
 
 
 def _topology() -> Topology:
-    """A contended, diurnal, spiky host ``h`` and a plain sender ``o``."""
+    """A contended, spiky host ``h`` and a plain sender ``o``."""
     region = Region("eu")
     site = Site(name="lab", region=region)
     topo = Topology()
@@ -43,8 +43,6 @@ def _topology() -> Topology:
             spike_factor=20.0,
             load_min_share=0.2,
             load_max_share=0.9,
-            diurnal_depth=0.4,
-            diurnal_peak_offset_s=3600.0,
         )
     )
     topo.set_region_rtt("eu", "eu", 0.02)

@@ -458,11 +458,10 @@ class TestResource:
         with pytest.raises(ValueError):
             Resource(sim, capacity=0)
 
-    def test_available_accounting(self, sim):
+    def test_in_use_accounting(self, sim):
         res = Resource(sim, capacity=3)
-        assert res.available == 3
+        assert res.in_use == 0
         res.request()
-        assert res.available == 2
         assert res.in_use == 1
 
     def test_serializes_processes(self, sim):
@@ -504,7 +503,7 @@ class TestLazyContainers:
 
     @staticmethod
     def _resource_trace(res):
-        out = [res.queued, res.in_use, res.available]
+        out = [res.queued, res.in_use]
         res.request()
         waiters = [res.request() for _ in range(4)]
         out.append(res.queued)
@@ -520,7 +519,7 @@ class TestLazyContainers:
 
     def test_resource_same_before_and_after_first_use(self, sim):
         fresh = self._resource_trace(Resource(sim, capacity=1))
-        assert fresh == [0, 0, 1, 4, [0, 1, 2, 3], 0, 0]
+        assert fresh == [0, 0, 4, [0, 1, 2, 3], 0, 0]
         assert self._resource_trace(self._used_resource(sim)) == fresh
 
     def test_fresh_resource_rejects_unknown_grant(self, sim):

@@ -46,13 +46,13 @@ class TestCatalog:
 class TestBuildTestbed:
     def test_default_has_broker_plus_scs(self):
         tb = build_testbed()
-        assert len(tb.topology) == 9
+        assert len(tb.topology.nodes) == 9
         assert BROKER_HOSTNAME in tb.topology.hostnames()
 
     def test_full_slice_has_26_nodes(self):
         tb = build_testbed(include_full_slice=True)
         # 25 slice nodes + the broker cluster head.
-        assert len(tb.topology) == 26
+        assert len(tb.topology.nodes) == 26
 
     def test_topology_validates(self):
         build_testbed(include_full_slice=True).topology.validate()
@@ -76,7 +76,7 @@ class TestCalibration:
         for label, target in FIGURE2_PETITION_TARGETS.items():
             host = tb.sc_hostname(label)
             spec = topo.node(host)
-            one_way = topo.path(BROKER_HOSTNAME, host).base_one_way_s
+            one_way = topo.one_way_s(topo.node(BROKER_HOSTNAME), spec)
             predicted = spec.overhead_s + one_way
             assert predicted == pytest.approx(target, rel=0.15, abs=0.02), label
 

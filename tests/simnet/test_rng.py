@@ -52,17 +52,6 @@ class TestRandomStreams:
         seq_direct = s2.get("target").random(8)
         assert np.allclose(seq_after, seq_direct)
 
-    def test_fork_changes_family(self):
-        base = RandomStreams(seed=3)
-        fork = base.fork(1)
-        assert fork.seed != base.seed
-        a = base.get("x").random(4)
-        b = fork.get("x").random(4)
-        assert not np.allclose(a, b)
-
-    def test_fork_deterministic(self):
-        assert RandomStreams(seed=3).fork(7).seed == RandomStreams(seed=3).fork(7).seed
-
     def test_names_sorted(self):
         streams = RandomStreams(seed=0)
         streams.get("zeta")
@@ -84,16 +73,13 @@ def _reference(seed: int, name: str) -> np.random.Generator:
 
 #: Master seeds across the 32-bit word split: one word, the largest
 #: one-word seed, two words, three words, more run words than the
-#: 4-word pool holds, and seeds as ``fork`` and ``for_repetition``
-#: derive them.
+#: 4-word pool holds, any one-word seed, and seeds as
+#: ``for_repetition`` derives them.
 SEEDS = st.one_of(
     st.sampled_from([0, 2**32 - 1, 2**32]),
     st.integers(0, 2**32).map(lambda k: 2**64 + k),
     st.integers(2**128, 2**300),
-    st.builds(
-        lambda seed, salt: RandomStreams(seed).fork(salt).seed,
-        st.integers(0, 2**40), st.integers(0, 2**20),
-    ),
+    st.integers(0, 2**31 - 1),
     st.builds(
         lambda seed, rep: ExperimentConfig(
             seed=seed, repetitions=rep + 1

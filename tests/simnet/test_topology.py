@@ -71,7 +71,7 @@ class TestTopology:
         topo = Topology()
         topo.add_node(spec("a", site_eu))
         assert topo.node("a").hostname == "a"
-        assert len(topo) == 1
+        assert len(topo.nodes) == 1
 
     def test_duplicate_hostname_rejected(self, site_eu):
         topo = Topology()
@@ -85,7 +85,8 @@ class TestTopology:
 
     def test_hostnames_insertion_order(self, site_eu):
         topo = Topology()
-        topo.add_nodes([spec("z", site_eu), spec("a", site_eu)])
+        topo.add_node(spec("z", site_eu))
+        topo.add_node(spec("a", site_eu))
         assert topo.hostnames() == ("z", "a")
 
     def test_region_rtt_symmetric(self, site_eu, site_us):
@@ -93,59 +94,45 @@ class TestTopology:
         topo.add_node(spec("a", site_eu))
         topo.add_node(spec("b", site_us))
         topo.set_region_rtt("eu", "us", 0.1)
-        assert topo.path("a", "b").base_one_way_s == 0.05
-        assert topo.path("b", "a").base_one_way_s == 0.05
+        assert topo.one_way_s(topo.node("a"), topo.node("b")) == 0.05
+        assert topo.one_way_s(topo.node("b"), topo.node("a")) == 0.05
 
     def test_missing_rtt_raises_without_default(self, site_eu, site_us):
         topo = Topology()
         topo.add_node(spec("a", site_eu))
         topo.add_node(spec("b", site_us))
         with pytest.raises(NoRouteError):
-            topo.path("a", "b")
+            topo.one_way_s(topo.node("a"), topo.node("b"))
 
     def test_default_rtt_fallback(self, site_eu, site_us):
         topo = Topology(default_rtt=0.08)
         topo.add_node(spec("a", site_eu))
         topo.add_node(spec("b", site_us))
-        assert topo.path("a", "b").base_one_way_s == 0.04
+        assert topo.one_way_s(topo.node("a"), topo.node("b")) == 0.04
 
     def test_negative_rtt_rejected(self):
         with pytest.raises(ConfigError):
             Topology().set_region_rtt("a", "b", -1.0)
-
-    def test_self_path_zero(self, site_eu):
-        topo = Topology()
-        topo.add_node(spec("a", site_eu, per_mb_loss=0.1))
-        path = topo.path("a", "a")
-        assert path.base_one_way_s == 0.0
-        assert path.per_mb_loss == 0.0
 
     def test_path_one_way_is_half_rtt(self, site_eu, site_us):
         topo = Topology()
         topo.add_node(spec("a", site_eu))
         topo.add_node(spec("b", site_us))
         topo.set_region_rtt("eu", "us", 0.1)
-        assert topo.path("a", "b").base_one_way_s == pytest.approx(0.05)
+        assert topo.one_way_s(topo.node("a"), topo.node("b")) == pytest.approx(0.05)
 
     def test_one_way_follows_rtt_table_changes(self, site_eu, site_us):
         topo = Topology()
         a, b = spec("a", site_eu), spec("b", site_us)
-        topo.add_nodes([a, b])
+        topo.add_node(a)
+        topo.add_node(b)
         topo.set_region_rtt("eu", "us", 0.1)
         assert topo.one_way_s(a, b) == 0.05
         assert topo.one_way_s(a, a) == 0.0
         # A table change after the first lookup is not hidden by the memo.
         topo.set_region_rtt("eu", "us", 0.3)
         assert topo.one_way_s(a, b) == 0.15
-        assert topo.one_way_s(b, a) == topo.path("b", "a").base_one_way_s
-
-    def test_path_loss_compounds(self, site_eu, site_us):
-        topo = Topology()
-        topo.add_node(spec("a", site_eu, per_mb_loss=0.1))
-        topo.add_node(spec("b", site_us, per_mb_loss=0.2))
-        topo.set_region_rtt("eu", "us", 0.1)
-        expected = 1.0 - 0.9 * 0.8
-        assert topo.path("a", "b").per_mb_loss == pytest.approx(expected)
+        assert topo.one_way_s(b, a) == 0.15
 
     def test_validate_catches_missing_pair(self, site_eu, site_us):
         topo = Topology()

@@ -13,6 +13,11 @@ from repro.units import mbit
 from tests.conftest import gate_capacity, make_two_node_topology, run_process
 
 
+def _latency(dgram) -> float:
+    """A delivered datagram's send-to-delivery seconds."""
+    return dgram.delivered_at - dgram.sent_at
+
+
 class Ping:
     pass
 
@@ -32,7 +37,7 @@ class TestControlMessages:
     def test_delivery_latency_includes_path_and_overhead(self, network, sim):
         a, b = network.host("a.example"), network.host("b.example")
         got = {}
-        b.on_message(Ping, lambda dg: got.update(t=dg.latency))
+        b.on_message(Ping, lambda dg: got.update(t=_latency(dg)))
         a.send(b, Ping())
         sim.run()
         # one-way 0.01 (rtt 0.02) + overhead 0.05 (deterministic cv=0).
@@ -41,7 +46,7 @@ class TestControlMessages:
     def test_light_messages_use_bound_handling(self, network, sim):
         a, b = network.host("a.example"), network.host("b.example")
         got = {}
-        b.on_message(Ping, lambda dg: got.update(t=dg.latency))
+        b.on_message(Ping, lambda dg: got.update(t=_latency(dg)))
         a.send(b, Ping(), light=True)
         sim.run()
         # bound handling default 0.02 mean with jitter; well under the
@@ -58,7 +63,7 @@ class TestControlMessages:
     def test_send_to_self_has_no_path_latency(self, network, sim):
         a = network.host("a.example")
         got = {}
-        a.on_message(Ping, lambda dg: got.update(t=dg.latency))
+        a.on_message(Ping, lambda dg: got.update(t=_latency(dg)))
         a.send(a, Ping())
         sim.run()
         assert got["t"] == pytest.approx(0.01, abs=1e-6)  # overhead only
@@ -187,7 +192,7 @@ class TestReliableTransfer:
         assert report.attempts == 1
         assert report.wasted_bits == 0.0
         assert report.duration == pytest.approx(1.0, rel=0.02)
-        assert report.goodput_bps == pytest.approx(10e6, rel=0.05)
+        assert report.size_bits / report.duration == pytest.approx(10e6, rel=0.05)
 
     def test_lossy_path_retries(self):
         sim = Simulator()
@@ -259,16 +264,12 @@ class TestNetwork:
     def test_host_created_once(self, network):
         assert network.host("a.example") is network.host("a.example")
 
-    def test_boot_all(self, network):
-        hosts = network.boot_all()
-        assert {h.hostname for h in hosts} == {"a.example", "b.example"}
-
     def test_tracer_records_messages(self, network, sim):
         a, b = network.host("a.example"), network.host("b.example")
         _accept_pings(b)
         a.send(b, Ping())
         sim.run()
-        kinds = {e.kind for e in network.tracer}
+        kinds = {e.kind for e in network.tracer.events}
         assert "msg-send" in kinds and "msg-recv" in kinds
 
     def test_tracer_records_exact_message_attributes(self, network, sim):
@@ -278,12 +279,12 @@ class TestNetwork:
         sim.run()
         (sent,) = network.tracer.of_kind("msg-send")
         (recv,) = network.tracer.of_kind("msg-recv")
-        assert sent.get("lost") is False
-        assert recv.get("latency") == dgram.latency
+        assert sent.attrs.get("lost") is False
+        assert recv.attrs.get("latency") == _latency(dgram)
         token = network.add_partition({"a.example"}, {"b.example"})
         a.send(b, Ping())
         sim.run()
-        assert network.tracer.of_kind("msg-send")[-1].get("lost") is True
+        assert network.tracer.of_kind("msg-send")[-1].attrs.get("lost") is True
         assert b.messages_received == 1
         network.remove_partition(token)
         a.send(b, Ping())
@@ -306,7 +307,7 @@ class TestNetwork:
         network.remove_partition(elsewhere)
         a.send(b, Ping())
         expected.append(False)
-        lost = [e.get("lost") for e in network.tracer.of_kind("msg-send")]
+        lost = [e.attrs.get("lost") for e in network.tracer.of_kind("msg-send")]
         assert lost == expected
         assert all(type(flag) is bool for flag in lost)
 
@@ -335,7 +336,7 @@ class TestPathLatency:
         expected = {"a": 0.0, "b": 0.01, "c": 0.05, "d": 0.05}
         for name, dgrams in sent.items():
             for dgram in dgrams:
-                assert dgram.latency == pytest.approx(expected[name] + 0.05)
+                assert _latency(dgram) == pytest.approx(expected[name] + 0.05)
         # One entry per region pair, however many hosts each region holds.
         assert sorted(topo._one_way) == [("eu", "eu"), ("eu", "us")]
 
@@ -348,8 +349,8 @@ class TestPathLatency:
         second = a.send(b, Ping())
         sim.run()
         # one-way 0.01 (x3 after the change) + overhead 0.05.
-        assert first.latency == pytest.approx(0.06, abs=1e-9)
-        assert second.latency == pytest.approx(0.08, abs=1e-9)
+        assert _latency(first) == pytest.approx(0.06, abs=1e-9)
+        assert _latency(second) == pytest.approx(0.08, abs=1e-9)
 
 
 def _outage(sim, host, start, end):
@@ -376,39 +377,6 @@ class TestScheduledOutage:
         assert report.attempts > 1
         assert report.finished_at >= 3.0
         assert b.bits_received == mbit(10)
-
-
-class TestDiurnalIntegration:
-    def test_diurnal_node_dips_at_peak(self, sim, streams):
-        from repro.simnet.bandwidth import DiurnalBandwidth
-        from repro.simnet.topology import NodeSpec, Region, Site, Topology
-
-        site = Site(name="lab", region=Region("eu"))
-        topo = Topology()
-        topo.add_node(
-            NodeSpec(
-                hostname="d.example", site=site, up_bps=10e6, down_bps=10e6,
-                overhead_s=0.01, overhead_cv=0.0,
-                load_min_share=1.0, load_max_share=1.0,
-                diurnal_depth=0.5, diurnal_peak_offset_s=0.0,
-            )
-        )
-        topo.set_region_rtt("eu", "eu", 0.02)
-        net = Network(sim, topo, streams=streams)
-        host = net.host("d.example")
-        off_peak = host.up_capacity_at(0.0)
-        at_trough = host.up_capacity_at(DiurnalBandwidth.DAY / 2)
-        assert at_trough == pytest.approx(off_peak * 0.5, rel=0.01)
-        # Planning rate accounts for the average dip.
-        assert host.planned_up_bps() == pytest.approx(10e6 * 0.75, rel=0.01)
-
-    def test_diurnal_depth_validation(self):
-        from repro.errors import ConfigError
-        from repro.simnet.topology import NodeSpec, Region, Site
-
-        site = Site(name="lab", region=Region("eu"))
-        with pytest.raises(ConfigError):
-            NodeSpec(hostname="x", site=site, diurnal_depth=1.0)
 
 
 class TestZeroRateOutage:

@@ -235,8 +235,8 @@ class TestSwarmProperties:
             assert len(cancels) == out.duplicates_cancelled, f"seed {seed}"
             requested = {(req.piece, req.source) for req in out.requests}
             for event in cancels:
-                assert event.get("filename") == out.filename
-                assert (event.get("piece"), event.get("source")) in requested
+                assert event.attrs.get("filename") == out.filename
+                assert (event.attrs.get("piece"), event.attrs.get("source")) in requested
             total_cancelled += len(cancels)
         assert total_duplicates > 0 and total_cancelled > 0, (
             "corpus never reached endgame; invariants above are vacuous"
@@ -277,9 +277,9 @@ class TestSwarmProperties:
         assert out.ok, out.reason
         assert out.sources_failed == ["flaky"]
         (event,) = net.tracer.of_kind("swarm-reassign")
-        assert event.get("filename") == "reassign"
-        assert event.get("source") == "flaky"
-        assert event.get("error")
-        assert event.get("dropped") >= 0
+        assert event.attrs.get("filename") == "reassign"
+        assert event.attrs.get("source") == "flaky"
+        assert event.attrs.get("error")
+        assert event.attrs.get("dropped") >= 0
         # The spare source was admitted in the failed one's place.
         assert "spare" in {req.source for req in out.requests}

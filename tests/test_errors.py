@@ -22,7 +22,6 @@ class TestHierarchy:
         for cls in (
             errors.UnknownPeerError,
             errors.NotConnectedError,
-            errors.AdvertisementExpired,
             errors.TaskRejectedError,
         ):
             assert issubclass(cls, errors.OverlayError)

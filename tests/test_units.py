@@ -7,12 +7,7 @@ import pytest
 from repro.units import (
     fmt_minutes,
     fmt_seconds,
-    fmt_size,
-    gbit,
-    kbit,
     mbit,
-    mbyte,
-    minutes,
     to_mbit,
     to_minutes,
 )
@@ -25,18 +20,8 @@ class TestConversions:
     def test_mbit_value(self):
         assert mbit(1) == 1_000_000.0
 
-    def test_kbit_gbit(self):
-        assert kbit(1000) == mbit(1)
-        assert gbit(1) == mbit(1000)
-
-    def test_mbyte_is_eight_mbit(self):
-        assert mbyte(1) == mbit(8)
-
-    def test_minutes_roundtrip(self):
-        assert to_minutes(minutes(1.7)) == pytest.approx(1.7)
-
-    def test_minutes_value(self):
-        assert minutes(2) == 120.0
+    def test_to_minutes(self):
+        assert to_minutes(102.0) == pytest.approx(1.7)
 
 
 class TestFormatting:
@@ -45,9 +30,3 @@ class TestFormatting:
 
     def test_fmt_minutes(self):
         assert fmt_minutes(102.0) == "1.70 min"
-
-    def test_fmt_size_mb(self):
-        assert fmt_size(mbit(6.25)) == "6.25 Mb"
-
-    def test_fmt_size_kb(self):
-        assert fmt_size(500_000.0) == "500 Kb"

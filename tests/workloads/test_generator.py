@@ -48,7 +48,7 @@ class TestBatch:
     def test_sizes_from_catalog(self):
         gen = WorkloadGenerator(rng(), sizes_mb=(25.0, 100.0))
         jobs = gen.batch(50)
-        sizes = {j.file.size_mbit for j in jobs if j.file}
+        sizes = {j.file.size_bits / 1e6 for j in jobs if j.file}
         assert sizes <= {25.0, 100.0}
 
     def test_task_share_respected(self):
